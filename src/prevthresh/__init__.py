@@ -12,7 +12,6 @@ from .bounds import (
     BoundRecord,
     BoundsReport,
     BoundViolation,
-    MccRatioTerms,
     RatioMetric,
     RatioValue,
     accuracy_divergence_curve,
@@ -21,15 +20,12 @@ from .bounds import (
     fm_ratio,
     mcc_at_threshold,
     mcc_ratio,
-    mcc_ratio_decomposed,
-    mcc_ratio_long_form,
     verify_bounds,
 )
 from .dataio import (
     emit_curves,
     emit_ratio_curves,
     ingest_predictions,
-    threshold_summary,
     write_predictions,
 )
 from .errors import (
@@ -43,6 +39,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .metrics import (
+    DEGENERATE_EPS,
     ConfusionCounts,
     DiagnosticProfile,
     FBetaWeight,
@@ -61,7 +58,6 @@ from .report import AnalysisReport, analyze_counts
 from .simulate import SimulationConfig, simulate_population
 from .thresholds import (
     COARSE_STEP,
-    DEGENERATE_EPS,
     REFINE_WIDTH,
     Curve,
     CurvaturePoint,
@@ -73,6 +69,7 @@ from .thresholds import (
     negative_threshold,
     positive_threshold,
     ppv_at_threshold,
+    threshold_summary,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +88,6 @@ __all__ = [
     "CurvaturePoint",
     "RatioMetric",
     "RatioValue",
-    "MccRatioTerms",
     "BoundViolation",
     "BoundRecord",
     "BoundsReport",
@@ -128,8 +124,6 @@ __all__ = [
     "fm_ratio",
     "mcc_at_threshold",
     "mcc_ratio",
-    "mcc_ratio_decomposed",
-    "mcc_ratio_long_form",
     "accuracy_divergence_curve",
     "verify_bounds",
     "RATIO_BOUNDS",

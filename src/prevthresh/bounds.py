@@ -8,9 +8,9 @@ Fowlkes-Mallows ratios use full prevalence as the reference; the MCC
 ratio instead compares the negative threshold against the positive one,
 because NPV vanishes at full prevalence and no reference exists there.
 
-Every closed form here has at least one independent evaluation path
-(direct composition of the pointwise metrics, and for MCC two more:
-a decomposed square-root form and a fully inlined long form), and
+The test suite checks every closed form here against the direct
+composition of the pointwise metrics (and the MCC ratio also against a
+decomposed square-root form and a fully inlined long form), and
 verify_bounds sweeps them all over a sensitivity/specificity grid
 against their bounding intervals.
 """
@@ -32,6 +32,7 @@ from .metrics import (
     DiagnosticProfile,
     FBetaWeight,
     Rate,
+    _as_weight,
     f1_at,
     f_beta_at,
     fm_at,
@@ -44,14 +45,11 @@ from .thresholds import ThresholdKind, negative_threshold, positive_threshold
 __all__ = [
     "RatioMetric",
     "RatioValue",
-    "MccRatioTerms",
     "f1_ratio",
     "f_beta_ratio",
     "fm_ratio",
     "mcc_at_threshold",
     "mcc_ratio",
-    "mcc_ratio_decomposed",
-    "mcc_ratio_long_form",
     "accuracy_divergence_curve",
     "BoundViolation",
     "BoundRecord",
@@ -63,15 +61,16 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)
 
+# F-beta weights swept by verify_bounds and reported by analyze_counts
+# by default.
+SWEEP_BETAS = (0.5, 1.0, 2.0)
+
 # Bounding interval of each ratio for informative profiles, keyed the
 # way verify_bounds reports them. The F-beta upper bound is
 # 1 + 1/(beta^2 + 1); F1 is the beta = 1 case.
-SWEEP_BETAS = (0.5, 1.0, 2.0)
 RATIO_BOUNDS: dict[str, tuple[float, float]] = {
     "f1": (1.0, 1.5),
-    "f_beta_0.5": (1.0, 1.8),
-    "f_beta_1": (1.0, 1.5),
-    "f_beta_2": (1.0, 1.2),
+    **{f"f_beta_{b:g}": (1.0, 1.0 + 1.0 / (b * b + 1.0)) for b in SWEEP_BETAS},
     "fm": (1.0, SQRT2),
     "mcc": (SQRT2 / 2.0, SQRT2),
 }
@@ -82,7 +81,6 @@ class RatioMetric(str, Enum):
     F_BETA = "f_beta"
     FM = "fm"
     MCC = "mcc"
-    ACCURACY = "accuracy"
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,7 @@ def f_beta_ratio(profile: DiagnosticProfile, beta: float | FBetaWeight) -> Ratio
     [1, 1 + 1/(beta^2 + 1)]; without that restriction the upper bound
     fails (see the constraint-necessity test in the suite).
     """
-    w = beta if isinstance(beta, FBetaWeight) else FBetaWeight(beta)
+    w = _as_weight(beta)
     a, b = _require_positive_recall(profile)
     value = 1.0 + math.sqrt(a * (1.0 - b)) / (w.beta * w.beta + a)
     return RatioValue(value=value, metric=RatioMetric.F_BETA, profile=profile, beta=w.beta)
@@ -198,124 +196,17 @@ def mcc_at_threshold(profile: DiagnosticProfile, which: ThresholdKind | str) -> 
 def mcc_ratio(profile: DiagnosticProfile) -> RatioValue:
     """MCC at the negative threshold over MCC at the positive threshold.
 
-    The direct composition; agrees with mcc_ratio_decomposed and
-    mcc_ratio_long_form to 1e-10. Lies in [sqrt(2)/2, sqrt(2)] for
-    informative profiles; uniquely among the ratios here its lower
-    bound sits below 1, since NPV falls while PPV rises with
-    prevalence.
+    The direct composition; the test suite checks it to 1e-10 against
+    a decomposed square-root form and a fully inlined long form. Lies
+    in [sqrt(2)/2, sqrt(2)] for informative profiles; uniquely among
+    the ratios here its lower bound sits below 1, since NPV falls while
+    PPV rises with prevalence.
     """
     numerator = mcc_at_threshold(profile, ThresholdKind.NEGATIVE)
     denominator = mcc_at_threshold(profile, ThresholdKind.POSITIVE)
     if denominator == 0.0:
         raise ZeroDenominator("MCC at the positive threshold is zero")
     return RatioValue(value=numerator / denominator, metric=RatioMetric.MCC, profile=profile)
-
-
-def _require_interior(profile: DiagnosticProfile) -> tuple[float, float]:
-    a = float(profile.sensitivity)
-    b = float(profile.specificity)
-    if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
-        raise DegenerateProfile(
-            "MCC ratio cross-check forms need sensitivity and specificity strictly inside (0, 1)"
-        )
-    return a, b
-
-
-@dataclass(frozen=True)
-class MccRatioTerms:
-    """Intermediate quantities of the decomposed MCC ratio.
-
-    Both threshold MCCs are differences of square roots, so the ratio
-    is (sqrt(concordant_negative) - sqrt(discordant_negative)) /
-    (sqrt(concordant_positive) - sqrt(discordant_positive)), where each
-    product multiplies the four rates (or their complements) that enter
-    the MCC at that threshold. The predictive value at the positive
-    threshold is computed through the likelihood-ratio shortcut
-    sqrt(a/(1-b)) * phi_e rather than by evaluating the PPV curve, so
-    this path is algebraically distinct from mcc_at_threshold.
-    """
-
-    negative_phi: Rate
-    positive_phi: Rate
-    ppv_at_negative: Rate
-    npv_at_negative: Rate
-    npv_at_positive: Rate
-    ppv_at_positive: Rate
-    concordant_negative: float
-    discordant_negative: float
-    concordant_positive: float
-    discordant_positive: float
-
-    @classmethod
-    def from_profile(cls, profile: DiagnosticProfile) -> "MccRatioTerms":
-        a, b = _require_interior(profile)
-        u = math.sqrt(b) / (math.sqrt(1.0 - a) + math.sqrt(b))
-        v = math.sqrt(1.0 - b) / (math.sqrt(a) + math.sqrt(1.0 - b))
-        ppv_neg = a * u / (a * u + (1.0 - b) * (1.0 - u))
-        npv_neg = b * (1.0 - u) / (b * (1.0 - u) + (1.0 - a) * u)
-        npv_pos = b * (1.0 - v) / (b * (1.0 - v) + (1.0 - a) * v)
-        ppv_pos = math.sqrt(a / (1.0 - b)) * v
-        return cls(
-            negative_phi=Rate(u),
-            positive_phi=Rate(v),
-            ppv_at_negative=Rate(ppv_neg),
-            npv_at_negative=Rate(npv_neg),
-            npv_at_positive=Rate(npv_pos),
-            ppv_at_positive=Rate(ppv_pos),
-            concordant_negative=a * b * ppv_neg * npv_neg,
-            discordant_negative=(1.0 - a) * (1.0 - b) * (1.0 - ppv_neg) * (1.0 - npv_neg),
-            concordant_positive=a * b * npv_pos * ppv_pos,
-            discordant_positive=(1.0 - a) * (1.0 - b) * (1.0 - npv_pos) * (1.0 - ppv_pos),
-        )
-
-    @property
-    def ratio(self) -> float:
-        denominator = math.sqrt(self.concordant_positive) - math.sqrt(self.discordant_positive)
-        if denominator == 0.0:
-            raise ZeroDenominator("MCC at the positive threshold is zero")
-        return (
-            math.sqrt(self.concordant_negative) - math.sqrt(self.discordant_negative)
-        ) / denominator
-
-
-def mcc_ratio_decomposed(profile: DiagnosticProfile) -> float:
-    """MCC ratio via the difference-of-square-roots decomposition."""
-    return MccRatioTerms.from_profile(profile).ratio
-
-
-def mcc_ratio_long_form(profile: DiagnosticProfile) -> float:
-    """MCC ratio as one fully inlined expression, the third evaluation path.
-
-    Nothing is shared with the other two paths except the two threshold
-    radicals; every predictive value is spelled out inline and the
-    positive-threshold PPV again uses the sqrt(a/(1-b)) shortcut.
-    Deliberately kept in this shape as a transcription-independent
-    cross-check.
-    """
-    a, b = _require_interior(profile)
-    pn = math.sqrt(b) / (math.sqrt(1.0 - a) + math.sqrt(b))
-    pe = math.sqrt(1.0 - b) / (math.sqrt(a) + math.sqrt(1.0 - b))
-    numerator = math.sqrt(
-        a * pn / (a * pn + (1.0 - b) * (1.0 - pn))
-        * a * b
-        * b * (1.0 - pn) / (b * (1.0 - pn) + (1.0 - a) * pn)
-    ) - math.sqrt(
-        (1.0 - a * pn / (a * pn + (1.0 - b) * (1.0 - pn)))
-        * (1.0 - a) * (1.0 - b)
-        * (1.0 - b * (1.0 - pn) / (b * (1.0 - pn) + (1.0 - a) * pn))
-    )
-    denominator = math.sqrt(
-        math.sqrt(a / (1.0 - b)) * pe
-        * a * b
-        * b * (1.0 - pe) / (b * (1.0 - pe) + (1.0 - a) * pe)
-    ) - math.sqrt(
-        (1.0 - math.sqrt(a / (1.0 - b)) * pe)
-        * (1.0 - a) * (1.0 - b)
-        * (1.0 - b * (1.0 - pe) / (b * (1.0 - pe) + (1.0 - a) * pe))
-    )
-    if denominator == 0.0:
-        raise ZeroDenominator("MCC at the positive threshold is zero")
-    return numerator / denominator
 
 
 def accuracy_divergence_curve(
@@ -332,7 +223,7 @@ def accuracy_divergence_curve(
     metric is zero or undefined are recorded with a None ratio rather
     than dropped, so emitted curves keep one row per grid point. MCC is
     rejected because its NPV factor vanishes at full prevalence and no
-    reference value exists there; plain accuracy is out of scope.
+    reference value exists there.
     """
     metric = RatioMetric(metric)
     if metric not in (RatioMetric.F1, RatioMetric.F_BETA, RatioMetric.FM):
@@ -340,7 +231,7 @@ def accuracy_divergence_curve(
     if metric == RatioMetric.F_BETA:
         if beta is None:
             raise ValueError("beta is required for the f_beta divergence curve")
-        w = beta if isinstance(beta, FBetaWeight) else FBetaWeight(beta)
+        w = _as_weight(beta)
     elif beta is not None:
         raise ValueError(f"beta is only meaningful for f_beta, not {metric.value!r}")
 
@@ -461,6 +352,26 @@ def _grid_axis(step: float) -> list[float]:
     return values
 
 
+def ratio_table(
+    betas: Iterable[float | FBetaWeight] = SWEEP_BETAS,
+) -> list[tuple[str, Callable[[DiagnosticProfile], float]]]:
+    """The bounded ratios as (key, evaluator) pairs, in reporting order.
+
+    Keys are f1, f_beta_<beta:g> for each beta, fm and mcc. Each
+    evaluator returns the ratio value of a profile and raises a
+    PrevthreshError where the ratio is undefined. Invalid betas raise
+    ValueError here, before any ratio is evaluated.
+    """
+    table: list[tuple[str, Callable[[DiagnosticProfile], float]]] = [
+        ("f1", lambda p: f1_ratio(p).value)
+    ]
+    for w in map(_as_weight, betas):
+        table.append((f"f_beta_{w.beta:g}", lambda p, _w=w: f_beta_ratio(p, _w).value))
+    table.append(("fm", lambda p: fm_ratio(p).value))
+    table.append(("mcc", lambda p: mcc_ratio(p).value))
+    return table
+
+
 def verify_bounds(grid_step: float = 0.01, delta: float = 1e-6, tolerance: float = 1e-9) -> BoundsReport:
     """Sweep every ratio identity over an (a, b) grid and check its bounds.
 
@@ -469,11 +380,13 @@ def verify_bounds(grid_step: float = 0.01, delta: float = 1e-6, tolerance: float
     1 + delta, sensitivity > 0 and specificity < 1, and records
     per-metric extrema (ties broken toward the lexicographically
     smaller cell) plus any value outside [lower - tolerance,
-    upper + tolerance]. Cells where a metric is undefined (for example
-    the MCC ratio at sensitivity exactly 1, whose negative threshold
-    sits at full prevalence) are recorded as skipped, never as
-    violations. The informativeness restriction is load-bearing: below
-    it the F-beta upper bounds are provably exceeded.
+    upper + tolerance]. Cells where a ratio raises a PrevthreshError
+    are recorded as skipped, never as violations; in the swept region
+    none does. At sensitivity 1 the negative threshold sits at full
+    prevalence, where mcc_at_threshold takes the flat NPV curve's
+    continuous extension 1, so those cells count toward the MCC
+    extrema. The informativeness restriction is load-bearing: below it
+    the F-beta upper bounds are provably exceeded.
     """
     if not (0.0 < grid_step <= 0.05):
         raise ValueError(f"grid_step must be in (0, 0.05], got {grid_step!r}")
@@ -482,15 +395,7 @@ def verify_bounds(grid_step: float = 0.01, delta: float = 1e-6, tolerance: float
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance!r}")
 
-    evaluators: list[tuple[str, Callable[[DiagnosticProfile], float]]] = [
-        ("f1", lambda p: f1_ratio(p).value)
-    ]
-    for beta in SWEEP_BETAS:
-        evaluators.append(
-            (f"f_beta_{beta:g}", lambda p, _b=beta: f_beta_ratio(p, _b).value)
-        )
-    evaluators.append(("fm", lambda p: fm_ratio(p).value))
-    evaluators.append(("mcc", lambda p: mcc_ratio(p).value))
+    evaluators = ratio_table()
 
     state: dict[str, dict] = {
         key: {

@@ -13,14 +13,15 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .bounds import f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio, verify_bounds
-from .dataio import emit_curves, emit_ratio_curves, ingest_predictions, threshold_summary
-from .errors import PrevthreshError, UsageError
+from .bounds import SWEEP_BETAS, ratio_table, verify_bounds
+from .dataio import emit_curves, emit_ratio_curves, ingest_predictions
+from .errors import PrevthreshError, UsageError, value_or_none
 from .metrics import ConfusionCounts, DiagnosticProfile, Rate, npv_at, ppv_at
-from .report import DEFAULT_BETAS, analyze_counts
+from .report import analyze_counts
 from .simulate import SimulationConfig, simulate_population
+from .thresholds import threshold_summary
 
 __all__ = ["build_parser", "run_cli", "main"]
 
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--betas",
         type=_betas_arg,
-        default=DEFAULT_BETAS,
+        default=SWEEP_BETAS,
         help="comma-separated F-beta weights (default 0.5,1,2)",
     )
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -158,13 +159,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _try_value(fn: Callable[[], float]) -> float | None:
-    try:
-        return fn()
-    except PrevthreshError:
-        return None
-
-
 def _profile_from(args) -> DiagnosticProfile:
     return DiagnosticProfile(Rate(args.sensitivity), Rate(args.specificity))
 
@@ -195,14 +189,9 @@ def _ratio_summary(profile: DiagnosticProfile, betas: Sequence[float]) -> dict:
     payload: dict = {
         "sensitivity": float(profile.sensitivity),
         "specificity": float(profile.specificity),
-        "f1_ratio": _try_value(lambda: f1_ratio(profile).value),
     }
-    for beta in betas:
-        payload[f"f_beta_{beta:g}_ratio"] = _try_value(
-            lambda _b=beta: f_beta_ratio(profile, _b).value
-        )
-    payload["fm_ratio"] = _try_value(lambda: fm_ratio(profile).value)
-    payload["mcc_ratio"] = _try_value(lambda: mcc_ratio(profile).value)
+    for key, evaluate in ratio_table(betas):
+        payload[f"{key}_ratio"] = value_or_none(evaluate, profile)
     return payload
 
 
@@ -267,15 +256,15 @@ def _cmd_simulate(args) -> int:
         },
         "counts": {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn, "n": counts.n},
         "empirical": {
-            "prevalence": _try_value(lambda: float(counts.prevalence())),
-            "sensitivity": _try_value(lambda: float(counts.sensitivity())),
-            "specificity": _try_value(lambda: float(counts.specificity())),
-            "ppv": _try_value(lambda: float(counts.ppv())),
-            "npv": _try_value(lambda: float(counts.npv())),
+            "prevalence": value_or_none(counts.prevalence),
+            "sensitivity": value_or_none(counts.sensitivity),
+            "specificity": value_or_none(counts.specificity),
+            "ppv": value_or_none(counts.ppv),
+            "npv": value_or_none(counts.npv),
         },
         "analytic": {
-            "ppv": _try_value(lambda: float(ppv_at(config.profile, config.prevalence))),
-            "npv": _try_value(lambda: float(npv_at(config.profile, config.prevalence))),
+            "ppv": value_or_none(ppv_at, config.profile, config.prevalence),
+            "npv": value_or_none(npv_at, config.profile, config.prevalence),
         },
     }
     with _sink(args.output) as out:

@@ -17,22 +17,15 @@ from pathlib import Path
 from typing import IO, Iterable, Union
 
 from .bounds import RatioMetric, accuracy_divergence_curve
-from .errors import DegenerateDenominator, DegenerateProfile, EmptyInput, ParseError
-from .metrics import ConfusionCounts, DiagnosticProfile, FBetaWeight, npv_at, ppv_at
-from .thresholds import (
-    DEGENERATE_EPS,
-    Curve,
-    curvature_at,
-    negative_threshold,
-    positive_threshold,
-)
+from .errors import DegenerateDenominator, EmptyInput, ParseError
+from .metrics import ConfusionCounts, DiagnosticProfile, FBetaWeight, _as_weight, npv_at, ppv_at
+from .thresholds import Curve, curvature_at, threshold_summary
 
 __all__ = [
     "ingest_predictions",
     "write_predictions",
     "emit_curves",
     "emit_ratio_curves",
-    "threshold_summary",
 ]
 
 Source = Union[str, Path, IO]
@@ -193,41 +186,6 @@ def emit_curves(
     return len(grid)
 
 
-def threshold_summary(profile: DiagnosticProfile) -> dict:
-    """Both thresholds and their predictive values as one JSON-ready mapping.
-
-    Entries that are undefined for the given profile are None, so edge
-    profiles still produce a complete object.
-    """
-    payload: dict = {
-        "sensitivity": float(profile.sensitivity),
-        "specificity": float(profile.specificity),
-        "phi_e": None,
-        "ppv_at_phi_e": None,
-        "phi_n": None,
-        "npv_at_phi_n": None,
-        "informative": profile.is_informative(),
-        "degenerate": abs(profile.epsilon - 1.0) <= DEGENERATE_EPS,
-    }
-    try:
-        positive = positive_threshold(profile)
-    except DegenerateProfile:
-        pass
-    else:
-        payload["phi_e"] = float(positive.phi)
-        if positive.metric_value is not None:
-            payload["ppv_at_phi_e"] = float(positive.metric_value)
-    try:
-        negative = negative_threshold(profile)
-    except DegenerateProfile:
-        pass
-    else:
-        payload["phi_n"] = float(negative.phi)
-        if negative.metric_value is not None:
-            payload["npv_at_phi_n"] = float(negative.metric_value)
-    return payload
-
-
 def emit_ratio_curves(
     profile: DiagnosticProfile,
     betas: Iterable[float],
@@ -242,7 +200,7 @@ def emit_ratio_curves(
     undefined (always the case at phi = 0). Returns the number of data
     rows.
     """
-    weights = [b if isinstance(b, FBetaWeight) else FBetaWeight(b) for b in betas]
+    weights = [_as_weight(b) for b in betas]
     grid = _phi_grid(step)
 
     columns: list[tuple[str, list[float | None]]] = []

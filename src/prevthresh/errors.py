@@ -56,3 +56,14 @@ class UsageError(PrevthreshError):
     """Bad command-line usage."""
 
     kind = "usage"
+
+
+def value_or_none(fn, *args) -> float | None:
+    """fn(*args) as a float, or None where it raises a PrevthreshError.
+
+    Lets a report fill an undefined entry with None without hiding the rest.
+    """
+    try:
+        return float(fn(*args))
+    except PrevthreshError:
+        return None

@@ -31,6 +31,10 @@ __all__ = [
     "accuracy_from_counts",
 ]
 
+# Tolerance inside which sensitivity + specificity counts as exactly 1,
+# i.e. the predictive-value curves are straight lines.
+DEGENERATE_EPS = 1e-12
+
 
 class Rate(float):
     """A proportion in the closed unit interval.
@@ -88,6 +92,10 @@ class DiagnosticProfile:
     def is_informative(self) -> bool:
         """True when the classifier beats chance: sensitivity + specificity > 1."""
         return self.epsilon > 1.0
+
+    def is_degenerate(self) -> bool:
+        """True when sensitivity + specificity is 1 within DEGENERATE_EPS (straight-line curves)."""
+        return abs(self.epsilon - 1.0) <= DEGENERATE_EPS
 
 
 @dataclass(frozen=True)
@@ -199,13 +207,28 @@ def npv_at(profile: DiagnosticProfile, phi: float) -> Rate:
     return Rate(true_neg / den)
 
 
+def f_beta_score(beta_sq: float, recall: float, precision: float) -> float | None:
+    """F-beta score from recall and precision, with beta_sq = beta**2.
+
+    None when recall and precision are both zero (the score is 0/0);
+    0.0 when exactly one of them is.
+    """
+    if beta_sq * precision + recall == 0.0:
+        return None
+    if recall == 0.0 or precision == 0.0:
+        return 0.0
+    # Harmonic form rather than (1+b2)*p*r/(b2*p + r): keeps the result
+    # inside [0, 1] under rounding and makes the beta = 1 case identical to F1.
+    return (1.0 + beta_sq) / (beta_sq / recall + 1.0 / precision)
+
+
 def f1_at(profile: DiagnosticProfile, phi: float) -> Rate:
     """F1 score at prevalence ``phi``: harmonic mean of precision and recall."""
     a = float(profile.sensitivity)
     rho = float(ppv_at(profile, phi))
     if a == 0.0 or rho == 0.0:
         raise UndefinedMetric("F1 needs positive recall and precision")
-    return Rate(2.0 / (1.0 / a + 1.0 / rho))
+    return Rate(f_beta_score(1.0, a, rho))
 
 
 def f_beta_at(profile: DiagnosticProfile, phi: float, beta: float | FBetaWeight) -> Rate:
@@ -214,16 +237,10 @@ def f_beta_at(profile: DiagnosticProfile, phi: float, beta: float | FBetaWeight)
     Reduces exactly (bit for bit) to :func:`f1_at` when beta = 1.
     """
     w = _as_weight(beta)
-    b2 = w.beta * w.beta
-    a = float(profile.sensitivity)
-    rho = float(ppv_at(profile, phi))
-    if b2 * rho + a == 0.0:
+    value = f_beta_score(w.beta * w.beta, float(profile.sensitivity), float(ppv_at(profile, phi)))
+    if value is None:
         raise UndefinedMetric("F-beta undefined: recall and precision both zero")
-    if a == 0.0 or rho == 0.0:
-        return Rate(0.0)
-    # Harmonic form rather than (1+b2)*rho*a/(b2*rho + a): keeps the result
-    # inside [0, 1] under rounding and makes the beta = 1 case identical to f1_at.
-    return Rate((1.0 + b2) / (b2 / a + 1.0 / rho))
+    return Rate(value)
 
 
 def fm_at(profile: DiagnosticProfile, phi: float) -> Rate:

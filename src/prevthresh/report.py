@@ -15,22 +15,22 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bounds import f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio
-from .errors import PrevthreshError, UndefinedMetric
+from .bounds import SWEEP_BETAS, ratio_table
+from .errors import UndefinedMetric, value_or_none
 from .metrics import (
     ConfusionCounts,
     DiagnosticProfile,
     FBetaWeight,
     Rate,
+    _as_weight,
     accuracy_from_counts,
     chi_square_from_mcc,
+    f_beta_score,
     mcc_from_counts,
 )
-from .thresholds import DEGENERATE_EPS, negative_threshold, positive_threshold
+from .thresholds import threshold_summary
 
-__all__ = ["AnalysisReport", "analyze_counts", "DEFAULT_BETAS"]
-
-DEFAULT_BETAS = (0.5, 1.0, 2.0)
+__all__ = ["AnalysisReport", "analyze_counts"]
 
 
 @dataclass(frozen=True)
@@ -71,26 +71,9 @@ class AnalysisReport:
         }
 
 
-def _guarded(fn, *args) -> float | None:
-    try:
-        return float(fn(*args))
-    except PrevthreshError:
-        return None
-
-
-def _harmonic_f(beta_sq: float, recall: float, precision: float | None) -> float | None:
-    if precision is None:
-        return None
-    if beta_sq * precision + recall == 0.0:
-        return None
-    if recall == 0.0 or precision == 0.0:
-        return 0.0
-    return (1.0 + beta_sq) / (beta_sq / recall + 1.0 / precision)
-
-
 def analyze_counts(
     counts: ConfusionCounts,
-    betas: Sequence[float | FBetaWeight] = DEFAULT_BETAS,
+    betas: Sequence[float | FBetaWeight] = SWEEP_BETAS,
 ) -> AnalysisReport:
     """Derive the full report for one confusion matrix.
 
@@ -100,60 +83,41 @@ def analyze_counts(
     """
     if counts.n == 0:
         raise UndefinedMetric("cannot analyze empty counts")
-    weights = [b if isinstance(b, FBetaWeight) else FBetaWeight(b) for b in betas]
+    weights = [_as_weight(b) for b in betas]
     profile = counts.profile()
     prevalence = counts.prevalence()
     a = float(profile.sensitivity)
 
-    precision = _guarded(counts.ppv)
+    precision = value_or_none(counts.ppv)
+
+    def f_score(beta_sq: float) -> float | None:
+        return None if precision is None else f_beta_score(beta_sq, a, precision)
+
     metrics: dict[str, float | None] = {
-        "accuracy": _guarded(accuracy_from_counts, counts),
+        "accuracy": value_or_none(accuracy_from_counts, counts),
         "ppv": precision,
-        "npv": _guarded(counts.npv),
-        "f1": None if (a == 0.0 or not precision) else 2.0 / (1.0 / a + 1.0 / precision),
+        "npv": value_or_none(counts.npv),
+        "f1": f_score(1.0),
     }
     for w in weights:
-        metrics[f"f_beta_{w.beta:g}"] = _harmonic_f(w.beta * w.beta, a, precision)
+        metrics[f"f_beta_{w.beta:g}"] = f_score(w.beta * w.beta)
     metrics["fm"] = None if precision is None else math.sqrt(a * precision)
-    mcc = _guarded(mcc_from_counts, counts)
+    mcc = value_or_none(mcc_from_counts, counts)
     metrics["mcc"] = mcc
     metrics["chi_square"] = None if mcc is None else chi_square_from_mcc(mcc, counts.n)
 
+    summary = threshold_summary(profile)
     thresholds: dict[str, float | None] = {
-        "phi_e": None,
-        "ppv_at_phi_e": None,
-        "phi_n": None,
-        "npv_at_phi_n": None,
+        key: summary[key] for key in ("phi_e", "ppv_at_phi_e", "phi_n", "npv_at_phi_n")
     }
-    try:
-        positive = positive_threshold(profile)
-        thresholds["phi_e"] = float(positive.phi)
-        if positive.metric_value is not None:
-            thresholds["ppv_at_phi_e"] = float(positive.metric_value)
-    except PrevthreshError:
-        pass
-    try:
-        negative = negative_threshold(profile)
-        thresholds["phi_n"] = float(negative.phi)
-        if negative.metric_value is not None:
-            thresholds["npv_at_phi_n"] = float(negative.metric_value)
-    except PrevthreshError:
-        pass
-
     ratios: dict[str, float | None] = {
-        "f1_ratio": _guarded(lambda: f1_ratio(profile).value),
+        f"{key}_ratio": value_or_none(evaluate, profile) for key, evaluate in ratio_table(weights)
     }
-    for w in weights:
-        ratios[f"f_beta_{w.beta:g}_ratio"] = _guarded(
-            lambda _w=w: f_beta_ratio(profile, _w).value
-        )
-    ratios["fm_ratio"] = _guarded(lambda: fm_ratio(profile).value)
-    ratios["mcc_ratio"] = _guarded(lambda: mcc_ratio(profile).value)
 
     phi_e = thresholds["phi_e"]
     flags: dict[str, bool | None] = {
-        "informative": profile.is_informative(),
-        "degenerate": abs(profile.epsilon - 1.0) <= DEGENERATE_EPS,
+        "informative": summary["informative"],
+        "degenerate": summary["degenerate"],
         "below_positive_threshold": None if phi_e is None else float(prevalence) < phi_e,
     }
     return AnalysisReport(

@@ -19,6 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateDenominator, DegenerateProfile
+from .metrics import DEGENERATE_EPS  # noqa: F401  re-exported; DiagnosticProfile.is_degenerate applies it
 from .metrics import DiagnosticProfile, Rate, npv_at, ppv_at
 
 __all__ = [
@@ -32,11 +33,8 @@ __all__ = [
     "negative_threshold",
     "curvature_at",
     "curvature_argmax",
+    "threshold_summary",
 ]
-
-# Tolerance inside which sensitivity + specificity counts as exactly 1,
-# i.e. the predictive-value curves are straight lines.
-DEGENERATE_EPS = 1e-12
 
 # Numeric search protocol, fixed so repeated runs agree bit for bit:
 # coarse scan step, then golden-section refinement to this bracket width.
@@ -99,10 +97,6 @@ class CurvaturePoint:
         return 1.0 / self.kappa
 
 
-def _is_degenerate(profile: DiagnosticProfile) -> bool:
-    return abs(profile.epsilon - 1.0) <= DEGENERATE_EPS
-
-
 def positive_threshold(profile: DiagnosticProfile) -> ThresholdResult:
     """Prevalence below which positive predictions become unreliable.
 
@@ -127,7 +121,7 @@ def positive_threshold(profile: DiagnosticProfile) -> ThresholdResult:
         metric_value=value,
         kind=ThresholdKind.POSITIVE,
         method=ThresholdMethod.CLOSED_FORM,
-        degenerate=_is_degenerate(profile),
+        degenerate=profile.is_degenerate(),
     )
 
 
@@ -173,8 +167,43 @@ def negative_threshold(profile: DiagnosticProfile) -> ThresholdResult:
         metric_value=value,
         kind=ThresholdKind.NEGATIVE,
         method=ThresholdMethod.CLOSED_FORM,
-        degenerate=_is_degenerate(profile),
+        degenerate=profile.is_degenerate(),
     )
+
+
+def threshold_summary(profile: DiagnosticProfile) -> dict:
+    """Both thresholds and their predictive values as one JSON-ready mapping.
+
+    Entries that are undefined for the given profile are None, so edge
+    profiles still produce a complete object.
+    """
+    payload: dict = {
+        "sensitivity": float(profile.sensitivity),
+        "specificity": float(profile.specificity),
+        "phi_e": None,
+        "ppv_at_phi_e": None,
+        "phi_n": None,
+        "npv_at_phi_n": None,
+        "informative": profile.is_informative(),
+        "degenerate": profile.is_degenerate(),
+    }
+    try:
+        positive = positive_threshold(profile)
+    except DegenerateProfile:
+        pass
+    else:
+        payload["phi_e"] = float(positive.phi)
+        if positive.metric_value is not None:
+            payload["ppv_at_phi_e"] = float(positive.metric_value)
+    try:
+        negative = negative_threshold(profile)
+    except DegenerateProfile:
+        pass
+    else:
+        payload["phi_n"] = float(negative.phi)
+        if negative.metric_value is not None:
+            payload["npv_at_phi_n"] = float(negative.metric_value)
+    return payload
 
 
 def _curve_coefficients(profile: DiagnosticProfile, curve: Curve) -> tuple[float, float, float]:
@@ -236,7 +265,7 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
     every informative profile.
     """
     curve = Curve(curve)
-    if _is_degenerate(profile):
+    if profile.is_degenerate():
         raise DegenerateProfile(
             "curvature is zero everywhere when sensitivity + specificity = 1"
         )

@@ -31,8 +31,6 @@ from prevthresh import (
     mcc_from_counts,
     mcc_from_rates,
     mcc_ratio,
-    mcc_ratio_decomposed,
-    mcc_ratio_long_form,
     negative_threshold,
     npv_at,
     positive_threshold,
@@ -42,6 +40,8 @@ from prevthresh import (
 )
 from prevthresh.metrics import ConfusionCounts
 from prevthresh.simulate import SimulationConfig
+
+from mcc_oracles import mcc_ratio_decomposed, mcc_ratio_long_form
 
 SQRT2 = math.sqrt(2.0)
 

@@ -12,7 +12,6 @@ from prevthresh import (
     BoundsReport,
     DegenerateProfile,
     DiagnosticProfile,
-    MccRatioTerms,
     RatioMetric,
     RatioValue,
     ZeroDenominator,
@@ -25,14 +24,14 @@ from prevthresh import (
     fm_ratio,
     mcc_at_threshold,
     mcc_ratio,
-    mcc_ratio_decomposed,
-    mcc_ratio_long_form,
     negative_threshold,
     npv_at,
     positive_threshold,
     ppv_at,
     verify_bounds,
 )
+
+from mcc_oracles import MccRatioTerms, mcc_ratio_decomposed, mcc_ratio_long_form
 
 # Oracle constants for sensitivity 0.9, specificity 0.95 (50-digit arithmetic).
 PHI_E = 0.1907435698305462

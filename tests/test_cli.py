@@ -326,3 +326,120 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             cli.main()
         assert exc.value.code == 0
+
+
+# Exact stdout of edge profiles and counts. The payloads mix nulls,
+# endpoint values and degenerate flags, which the approximate value
+# checks above do not pin byte for byte.
+EDGE_CASES = [
+    (
+        ["thresholds", "--sensitivity", "0", "--specificity", "1", "--json"],
+        {
+            "sensitivity": 0.0, "specificity": 1.0, "phi_e": None, "ppv_at_phi_e": None,
+            "phi_n": 0.5, "npv_at_phi_n": 0.5, "informative": False, "degenerate": True,
+        },
+    ),
+    (
+        ["thresholds", "--sensitivity", "1", "--specificity", "0", "--json"],
+        {
+            "sensitivity": 1.0, "specificity": 0.0, "phi_e": 0.5, "ppv_at_phi_e": 0.5,
+            "phi_n": None, "npv_at_phi_n": None, "informative": False, "degenerate": True,
+        },
+    ),
+    (
+        ["ratios", "--sensitivity", "0", "--specificity", "1", "--json", "--betas", "0.5,1,2"],
+        {
+            "sensitivity": 0.0, "specificity": 1.0, "f1_ratio": None, "f_beta_0.5_ratio": None,
+            "f_beta_1_ratio": None, "f_beta_2_ratio": None, "fm_ratio": None, "mcc_ratio": None,
+        },
+    ),
+    (
+        ["ratios", "--sensitivity", "1", "--specificity", "0.95", "--json", "--betas", "0.5,1,2"],
+        {
+            "sensitivity": 1.0, "specificity": 0.95, "f1_ratio": 1.1118033988749896,
+            "f_beta_0.5_ratio": 1.1788854381999831, "f_beta_1_ratio": 1.1118033988749896,
+            "f_beta_2_ratio": 1.0447213595499958, "fm_ratio": 1.1061676173844446,
+            "mcc_ratio": 1.1061676173844446,
+        },
+    ),
+    (
+        ["ratios", "--sensitivity", "0.9", "--specificity", "1", "--json", "--betas", "0.5,1,2"],
+        {
+            "sensitivity": 0.9, "specificity": 1.0, "f1_ratio": 1.0, "f_beta_0.5_ratio": 1.0,
+            "f_beta_1_ratio": 1.0, "f_beta_2_ratio": 1.0, "fm_ratio": 1.0,
+            "mcc_ratio": 0.8716346291009542,
+        },
+    ),
+    (
+        ["ratios", "--sensitivity", "0.5", "--specificity", "0.5", "--json", "--betas", "0.5,1,2"],
+        {
+            "sensitivity": 0.5, "specificity": 0.5, "f1_ratio": 1.3333333333333333,
+            "f_beta_0.5_ratio": 1.6666666666666665, "f_beta_1_ratio": 1.3333333333333333,
+            "f_beta_2_ratio": 1.1111111111111112, "fm_ratio": 1.4142135623730951,
+            "mcc_ratio": None,
+        },
+    ),
+    (
+        ["analyze", "--counts", "0,0,5,5", "--json"],
+        {
+            "counts": {"tp": 0, "fp": 0, "fn": 5, "tn": 5, "n": 10},
+            "profile": {"sensitivity": 0.0, "specificity": 1.0, "epsilon": 1.0},
+            "prevalence": 0.5,
+            "metrics": {
+                "accuracy": 0.5, "ppv": None, "npv": 0.5, "f1": None, "f_beta_0.5": None,
+                "f_beta_1": None, "f_beta_2": None, "fm": None, "mcc": None, "chi_square": None,
+            },
+            "thresholds": {"phi_e": None, "ppv_at_phi_e": None, "phi_n": 0.5, "npv_at_phi_n": 0.5},
+            "ratios": {
+                "f1_ratio": None, "f_beta_0.5_ratio": None, "f_beta_1_ratio": None,
+                "f_beta_2_ratio": None, "fm_ratio": None, "mcc_ratio": None,
+            },
+            "flags": {"informative": False, "degenerate": True, "below_positive_threshold": None},
+        },
+    ),
+    (
+        ["analyze", "--counts", "5,5,5,5", "--json"],
+        {
+            "counts": {"tp": 5, "fp": 5, "fn": 5, "tn": 5, "n": 20},
+            "profile": {"sensitivity": 0.5, "specificity": 0.5, "epsilon": 1.0},
+            "prevalence": 0.5,
+            "metrics": {
+                "accuracy": 0.5, "ppv": 0.5, "npv": 0.5, "f1": 0.5, "f_beta_0.5": 0.5,
+                "f_beta_1": 0.5, "f_beta_2": 0.5, "fm": 0.5, "mcc": 0.0, "chi_square": 0.0,
+            },
+            "thresholds": {"phi_e": 0.5, "ppv_at_phi_e": 0.5, "phi_n": 0.5, "npv_at_phi_n": 0.5},
+            "ratios": {
+                "f1_ratio": 1.3333333333333333, "f_beta_0.5_ratio": 1.6666666666666665,
+                "f_beta_1_ratio": 1.3333333333333333, "f_beta_2_ratio": 1.1111111111111112,
+                "fm_ratio": 1.4142135623730951, "mcc_ratio": None,
+            },
+            "flags": {"informative": False, "degenerate": True, "below_positive_threshold": False},
+        },
+    ),
+    (
+        ["analyze", "--counts", "5,0,0,5", "--json"],
+        {
+            "counts": {"tp": 5, "fp": 0, "fn": 0, "tn": 5, "n": 10},
+            "profile": {"sensitivity": 1.0, "specificity": 1.0, "epsilon": 2.0},
+            "prevalence": 0.5,
+            "metrics": {
+                "accuracy": 1.0, "ppv": 1.0, "npv": 1.0, "f1": 1.0, "f_beta_0.5": 1.0,
+                "f_beta_1": 1.0, "f_beta_2": 1.0, "fm": 1.0, "mcc": 1.0, "chi_square": 10.0,
+            },
+            "thresholds": {"phi_e": 0.0, "ppv_at_phi_e": None, "phi_n": 1.0, "npv_at_phi_n": None},
+            "ratios": {
+                "f1_ratio": 1.0, "f_beta_0.5_ratio": 1.0, "f_beta_1_ratio": 1.0,
+                "f_beta_2_ratio": 1.0, "fm_ratio": 1.0, "mcc_ratio": 1.0,
+            },
+            "flags": {"informative": True, "degenerate": False, "below_positive_threshold": False},
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, payload", EDGE_CASES, ids=[" ".join(argv) for argv, _ in EDGE_CASES])
+def test_edge_case_output_bytes(capsys, argv, payload):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert out == json.dumps(payload, indent=2) + "\n"
