@@ -10,9 +10,14 @@ because NPV vanishes at full prevalence and no reference exists there.
 
 The test suite checks every closed form here against the direct
 composition of the pointwise metrics (and the MCC ratio also against a
-decomposed square-root form and a fully inlined long form), and
+decomposed square-root form and a fully inlined long form).
 verify_bounds sweeps them all over a sensitivity/specificity grid
-against their bounding intervals.
+against their bounding intervals. It evaluates the same closed forms
+as numpy arrays over every grid cell at once, with the same floating
+point operations in the same order, and the per-profile functions
+(f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio) are the oracle the suite
+checks those arrays against, byte for byte on the report. The finest
+grid step it accepts is MIN_GRID_STEP = 0.001 (499,500 cells).
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import (
     DegenerateDenominator,
@@ -60,6 +67,10 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
+
+# Finest verify_bounds grid step. The sweep holds a few float64 arrays
+# per swept cell, and this step already sweeps 499,500 cells.
+MIN_GRID_STEP = 0.001
 
 # F-beta weights swept by verify_bounds and reported by analyze_counts
 # by default.
@@ -372,6 +383,97 @@ def ratio_table(
     return table
 
 
+def _predictive_arrays(hit: np.ndarray, miss: np.ndarray, flat: np.ndarray, vanishing: np.ndarray) -> np.ndarray:
+    """Bayes' rule hit / (hit + miss) per cell, extended where the denominator is 0.
+
+    The array form of _ppv_extended and _npv_extended: cells on a flat
+    curve take its constant value (1 where ``flat``, 0 where
+    ``vanishing``), and every other zero-denominator cell is NaN, the
+    marker of a cell whose scalar evaluation raises. Call it under
+    np.errstate(divide="ignore", invalid="ignore").
+    """
+    den = hit + miss
+    return np.where(den != 0.0, hit / den, np.where(flat, 1.0, np.where(vanishing, 0.0, np.nan)))
+
+
+def _mcc_at_arrays(a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """mcc_at_threshold per cell, at the threshold prevalences phi.
+
+    Bayes' rule as in ppv_at and npv_at, the continuity extensions of
+    _ppv_extended and _npv_extended, then mcc_from_rates with its
+    left-to-right products. Call it under np.errstate(divide="ignore",
+    invalid="ignore").
+    """
+    rho = _predictive_arrays(a * phi, (1.0 - b) * (1.0 - phi), (b == 1.0) & (a > 0.0), (a == 0.0) & (b < 1.0))
+    sigma = _predictive_arrays(b * (1.0 - phi), (1.0 - a) * phi, (a == 1.0) & (b > 0.0), (b == 0.0) & (a < 1.0))
+    return np.sqrt(rho * a * b * sigma) - np.sqrt((1.0 - rho) * (1.0 - a) * (1.0 - b) * (1.0 - sigma))
+
+
+def _mcc_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """mcc_ratio at every cell (a[i], b[i]); NaN where the scalar path raises.
+
+    The thresholds are positive_threshold's and negative_threshold's
+    closed forms; a 0/0 there (the profiles those functions reject) is
+    NaN and stays NaN. At a = 1, phi_n is 1, the NPV denominator is 0
+    and sigma takes the flat curve's value 1.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sc = np.sqrt(1.0 - b)
+        sb = np.sqrt(b)
+        phi_e = sc / (np.sqrt(a) + sc)
+        phi_n = sb / (np.sqrt(1.0 - a) + sb)
+        numerator = _mcc_at_arrays(a, b, phi_n)
+        denominator = _mcc_at_arrays(a, b, phi_e)
+        return np.where(denominator != 0.0, numerator / denominator, np.nan)
+
+
+def _ratio_arrays(a: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:
+    """Every ratio of ratio_table(), keyed alike and in its order, at every cell.
+
+    The closed forms of f1_ratio, f_beta_ratio, fm_ratio and mcc_ratio
+    as array expressions with the same operations in the same order, so
+    each value is bit-equal to the per-profile function's. Needs a > 0,
+    which the swept region guarantees.
+    """
+    root = np.sqrt(a * (1.0 - b))
+    arrays = {"f1": 1.0 + root / (1.0 + a)}
+    for beta in SWEEP_BETAS:
+        arrays[f"f_beta_{beta:g}"] = 1.0 + root / (beta * beta + a)
+    arrays["fm"] = np.sqrt(1.0 + np.sqrt((1.0 - b) / a))
+    arrays["mcc"] = _mcc_ratio_arrays(a, b)
+    return arrays
+
+
+def _bound_record(key: str, values: np.ndarray, a: np.ndarray, b: np.ndarray, tolerance: float) -> BoundRecord:
+    """Extrema, violations and skipped (NaN) cells of one ratio over the swept cells, in sweep order."""
+    lower, upper = RATIO_BOUNDS[key]
+    ok = ~np.isnan(values)
+    v, va, vb = values[ok], a[ok], b[ok]
+    observed_min = observed_max = argmin = argmax = None
+    if v.size:
+        # argmin/argmax return the first occurrence: the earliest cell in sweep order.
+        i, j = int(np.argmin(v)), int(np.argmax(v))
+        observed_min, argmin = float(v[i]), (float(va[i]), float(vb[i]))
+        observed_max, argmax = float(v[j]), (float(va[j]), float(vb[j]))
+    bad = (v < lower - tolerance) | (v > upper + tolerance)
+    violations = tuple(
+        BoundViolation(sensitivity=sa, specificity=sb, value=value, lower=lower, upper=upper)
+        for sa, sb, value in zip(va[bad].tolist(), vb[bad].tolist(), v[bad].tolist())
+    )
+    return BoundRecord(
+        metric=key,
+        lower=lower,
+        upper=upper,
+        cells=int(v.size),
+        observed_min=observed_min,
+        observed_max=observed_max,
+        argmin=argmin,
+        argmax=argmax,
+        violations=violations,
+        skipped=tuple(zip(a[~ok].tolist(), b[~ok].tolist())),
+    )
+
+
 def verify_bounds(grid_step: float = 0.01, delta: float = 1e-6, tolerance: float = 1e-9) -> BoundsReport:
     """Sweep every ratio identity over an (a, b) grid and check its bounds.
 
@@ -380,84 +482,40 @@ def verify_bounds(grid_step: float = 0.01, delta: float = 1e-6, tolerance: float
     1 + delta, sensitivity > 0 and specificity < 1, and records
     per-metric extrema (ties broken toward the lexicographically
     smaller cell) plus any value outside [lower - tolerance,
-    upper + tolerance]. Cells where a ratio raises a PrevthreshError
-    are recorded as skipped, never as violations; in the swept region
-    none does. At sensitivity 1 the negative threshold sits at full
-    prevalence, where mcc_at_threshold takes the flat NPV curve's
-    continuous extension 1, so those cells count toward the MCC
-    extrema. The informativeness restriction is load-bearing: below it
-    the F-beta upper bounds are provably exceeded.
+    upper + tolerance]. Cells where a ratio is undefined are recorded
+    as skipped, never as violations; in the swept region none is. At
+    sensitivity 1 the negative threshold sits at full prevalence, where
+    mcc_at_threshold takes the flat NPV curve's continuous extension 1,
+    so those cells count toward the MCC extrema. The informativeness
+    restriction is load-bearing: below it the F-beta upper bounds are
+    provably exceeded.
+
+    The closed forms are evaluated as numpy arrays over all swept cells
+    at once, with the per-profile functions' operations in their order,
+    so the report is identical to calling those functions cell by cell
+    (the test suite checks this against them). grid_step must lie in
+    [MIN_GRID_STEP, 0.05]; the finest grid, 0.001, sweeps 499,500 cells.
     """
-    if not (0.0 < grid_step <= 0.05):
-        raise ValueError(f"grid_step must be in (0, 0.05], got {grid_step!r}")
+    if not (MIN_GRID_STEP <= grid_step <= 0.05):
+        raise ValueError(f"grid_step must be in [{MIN_GRID_STEP!r}, 0.05], got {grid_step!r}")
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta!r}")
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance!r}")
 
-    evaluators = ratio_table()
-
-    state: dict[str, dict] = {
-        key: {
-            "cells": 0,
-            "min": None,
-            "argmin": None,
-            "max": None,
-            "argmax": None,
-            "violations": [],
-            "skipped": [],
-        }
-        for key, _ in evaluators
-    }
-
     floor = 1.0 + delta
-    cells_swept = 0
-    for a in _grid_axis(grid_step):
-        for b in _grid_axis(grid_step):
-            if b >= 1.0 or a + b < floor:
-                continue
-            cells_swept += 1
-            profile = DiagnosticProfile(Rate(a), Rate(b))
-            for key, evaluate in evaluators:
-                s = state[key]
-                try:
-                    value = evaluate(profile)
-                except PrevthreshError:
-                    s["skipped"].append((a, b))
-                    continue
-                s["cells"] += 1
-                if s["min"] is None or value < s["min"]:
-                    s["min"] = value
-                    s["argmin"] = (a, b)
-                if s["max"] is None or value > s["max"]:
-                    s["max"] = value
-                    s["argmax"] = (a, b)
-                lower, upper = RATIO_BOUNDS[key]
-                if value < lower - tolerance or value > upper + tolerance:
-                    s["violations"].append(
-                        BoundViolation(sensitivity=a, specificity=b, value=value, lower=lower, upper=upper)
-                    )
-
+    axis = np.array(_grid_axis(grid_step))
+    # Row-major order of the kept (a, b) pairs is the sweep order: a outer, b inner.
+    rows, cols = np.nonzero((axis[None, :] < 1.0) & (axis[:, None] + axis[None, :] >= floor))
+    a, b = axis[rows], axis[cols]
     records = tuple(
-        BoundRecord(
-            metric=key,
-            lower=RATIO_BOUNDS[key][0],
-            upper=RATIO_BOUNDS[key][1],
-            cells=state[key]["cells"],
-            observed_min=state[key]["min"],
-            observed_max=state[key]["max"],
-            argmin=state[key]["argmin"],
-            argmax=state[key]["argmax"],
-            violations=tuple(state[key]["violations"]),
-            skipped=tuple(state[key]["skipped"]),
-        )
-        for key, _ in evaluators
+        _bound_record(key, values, a, b, tolerance) for key, values in _ratio_arrays(a, b).items()
     )
     return BoundsReport(
         grid_step=grid_step,
         delta=delta,
         tolerance=tolerance,
         constraint=f"sensitivity + specificity >= {floor!r}",
-        cells_swept=cells_swept,
+        cells_swept=int(a.size),
         records=records,
     )

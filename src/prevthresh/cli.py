@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curves", help="predictive-value and curvature curves as CSV")
     _add_profile_args(p)
-    p.add_argument("--step", type=float, default=0.001, help="prevalence grid step (default 0.001)")
+    p.add_argument("--step", type=float, default=0.001, help="prevalence grid step in [1e-6, 0.5] (default 0.001)")
     _add_output_arg(p)
     p.set_defaults(func=_cmd_curves)
 
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=(0.5, 2.0),
         help="comma-separated F-beta weights (default 0.5,2)",
     )
-    p.add_argument("--step", type=float, default=0.001, help="prevalence grid step (default 0.001)")
+    p.add_argument("--step", type=float, default=0.001, help="prevalence grid step in [1e-6, 0.5] (default 0.001)")
     p.add_argument("--json", action="store_true", help="emit the closed-form ratio summary as JSON")
     _add_output_arg(p)
     p.set_defaults(func=_cmd_ratios)
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify-bounds", help="sweep the ratio bounds over a profile grid (JSON report)")
-    p.add_argument("--grid-step", type=float, default=0.01, help="sensitivity/specificity grid step (default 0.01)")
+    p.add_argument("--grid-step", type=float, default=0.01, help="sensitivity/specificity grid step in [0.001, 0.05] (default 0.01)")
     p.add_argument("--delta", type=float, default=1e-6, help="informativeness margin (default 1e-6)")
     p.add_argument("--tolerance", type=float, default=1e-9, help="violation tolerance (default 1e-9)")
     _add_output_arg(p)

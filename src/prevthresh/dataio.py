@@ -30,6 +30,9 @@ __all__ = [
 
 Source = Union[str, Path, IO]
 
+# Finest prevalence grid step of the curve emitters: a million rows.
+MIN_PHI_STEP = 1e-6
+
 
 def _as_text_stream(source: Source):
     """Normalize a path / text stream / byte stream into (text stream, needs_close)."""
@@ -129,9 +132,13 @@ def write_predictions(counts: ConfusionCounts, sink: IO) -> int:
 
 
 def _phi_grid(step: float) -> list[float]:
-    """Prevalence grid {0, step, ..., 1}; 1 is appended when step does not divide it."""
-    if not (0.0 < step <= 0.5):
-        raise ValueError(f"step must be in (0, 0.5], got {step!r}")
+    """Prevalence grid {0, step, ..., 1}; 1 is appended when step does not divide it.
+
+    step must lie in [MIN_PHI_STEP, 0.5], so a grid has at most about
+    a million points.
+    """
+    if not (MIN_PHI_STEP <= step <= 0.5):
+        raise ValueError(f"step must be in [{MIN_PHI_STEP!r}, 0.5], got {step!r}")
     n = round(1.0 / step)
     if n >= 1 and abs(n * step - 1.0) <= 1e-9:
         return [i / n for i in range(n + 1)]

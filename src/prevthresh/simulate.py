@@ -19,6 +19,8 @@ from .metrics import ConfusionCounts, DiagnosticProfile, Rate
 __all__ = ["SimulationConfig", "simulate_population"]
 
 _SEED_LIMIT = 2**64
+# numpy draws binomial counts as signed 64-bit integers.
+_N_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,8 @@ class SimulationConfig:
         object.__setattr__(self, "prevalence", Rate(self.prevalence))
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if self.n >= _N_LIMIT:
+            raise ValueError(f"n must fit in a signed 64-bit integer, got {self.n!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < _SEED_LIMIT:

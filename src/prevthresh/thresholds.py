@@ -228,7 +228,9 @@ def curvature_at(profile: DiagnosticProfile, phi: float, curve: Curve | str = Cu
     u = p*phi + q*(1-phi): |f'| = p*q/u^2, |f''| = 2*p*q*|p-q|/u^3),
     then kappa = |f''| / (1 + f'^2)^(3/2). Analytic rather than
     finite-difference because curvature amplifies rounding noise
-    through the second derivative.
+    through the second derivative. Raises DegenerateDenominator where
+    u is 0, and where u is so small that u**3 underflows or the slope
+    term overflows, since kappa is not representable there.
     """
     curve = Curve(curve)
     phi = Rate(phi)
@@ -238,10 +240,21 @@ def curvature_at(profile: DiagnosticProfile, phi: float, curve: Curve | str = Cu
         raise DegenerateDenominator(
             f"{curve.value} curve undefined at phi={float(phi)!r} for {profile}"
         )
+    u2 = u * u
+    u3 = u2 * u
+    if u3 == 0.0:
+        raise DegenerateDenominator(
+            f"{curve.value} curvature not representable at phi={float(phi)!r} for {profile}: u**3 underflows"
+        )
     pq = p * q
-    slope = sign * pq / (u * u)
-    second = 2.0 * pq * abs(p - q) / (u * u * u)
-    kappa = second / (1.0 + slope * slope) ** 1.5
+    slope = sign * pq / u2
+    second = 2.0 * pq * abs(p - q) / u3
+    try:
+        kappa = second / (1.0 + slope * slope) ** 1.5
+    except OverflowError:
+        raise DegenerateDenominator(
+            f"{curve.value} curvature not representable at phi={float(phi)!r} for {profile}: slope**3 overflows"
+        ) from None
     return CurvaturePoint(phi=phi, kappa=kappa, slope=slope)
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -31,7 +32,10 @@ from prevthresh import (
     verify_bounds,
 )
 
+import prevthresh.bounds as bounds
+import sweep_oracle
 from mcc_oracles import MccRatioTerms, mcc_ratio_decomposed, mcc_ratio_long_form
+from sweep_oracle import verify_bounds_scalar
 
 # Oracle constants for sensitivity 0.9, specificity 0.95 (50-digit arithmetic).
 PHI_E = 0.1907435698305462
@@ -313,6 +317,15 @@ class TestVerifyBounds:
         with pytest.raises(ValueError):
             verify_bounds(grid_step=step)
 
+    @pytest.mark.parametrize("step", [0.0009, 1e-7])
+    def test_rejects_step_below_minimum_before_building_grid(self, step, monkeypatch):
+        def no_grid(step):
+            raise AssertionError("grid built for a rejected step")
+
+        monkeypatch.setattr(bounds, "_grid_axis", no_grid)
+        with pytest.raises(ValueError, match="grid_step must be in"):
+            verify_bounds(grid_step=step)
+
     def test_rejects_bad_delta_and_tolerance(self):
         with pytest.raises(ValueError):
             verify_bounds(grid_step=0.05, delta=0.0)
@@ -323,3 +336,84 @@ class TestVerifyBounds:
         # Dropping the constraint admits profiles that break the F-beta
         # upper bound, so the sweep region is not a convenience choice.
         assert f_beta_ratio(DiagnosticProfile(0.25, 0.0), 0.5).value > 1.8
+
+
+def _report_json(report: BoundsReport) -> str:
+    return json.dumps(report.to_dict(), indent=2)
+
+
+class TestSweepOracleParity:
+    """The vectorized sweep against the per-cell loop over the per-profile functions."""
+
+    @pytest.mark.parametrize(
+        "grid_step, delta, tolerance",
+        [
+            (0.05, 1e-6, 1e-9),
+            (0.02, 1e-6, 1e-9),
+            (0.01, 1e-6, 1e-9),
+            (0.005, 1e-6, 1e-9),
+            (0.03, 1e-6, 1e-9),  # no a = 1 row on this grid
+            (0.013, 1e-6, 1e-9),  # nor on this one
+            (0.02, 0.3, 1e-9),
+            (0.02, 1e-6, 0.0),
+        ],
+    )
+    def test_report_bytes_match(self, grid_step, delta, tolerance):
+        got = _report_json(verify_bounds(grid_step, delta, tolerance))
+        assert got == _report_json(verify_bounds_scalar(grid_step, delta, tolerance))
+
+    def test_violations_match(self, monkeypatch):
+        # Tighten two intervals so that both paths report violations,
+        # below the lower bound and above the upper one.
+        monkeypatch.setitem(bounds.RATIO_BOUNDS, "f1", (1.1, 1.2))
+        monkeypatch.setitem(bounds.RATIO_BOUNDS, "mcc", (0.95, 1.1))
+        report = verify_bounds(grid_step=0.05)
+        for key, (lower, upper) in (("f1", (1.1, 1.2)), ("mcc", (0.95, 1.1))):
+            values = [v.value for v in report.record(key).violations]
+            assert min(values) < lower and max(values) > upper
+        assert _report_json(report) == _report_json(verify_bounds_scalar(grid_step=0.05))
+
+    def test_ties_go_to_the_first_swept_cell(self, monkeypatch):
+        # Coarsen every ratio to floor(10 * value), identically on both
+        # paths, so that each extremum is shared by many cells.
+        arrays = bounds._ratio_arrays
+        monkeypatch.setattr(
+            bounds, "_ratio_arrays", lambda a, b: {k: np.floor(v * 10.0) for k, v in arrays(a, b).items()}
+        )
+        table = sweep_oracle.ratio_table
+        monkeypatch.setattr(
+            sweep_oracle, "ratio_table", lambda: [(k, lambda p, f=f: float(math.floor(f(p) * 10.0))) for k, f in table()]
+        )
+        assert _report_json(verify_bounds(grid_step=0.05)) == _report_json(verify_bounds_scalar(grid_step=0.05))
+
+    def test_skipped_cells_match(self, monkeypatch):
+        # No swept cell is undefined, so mark the a = 1 row as undefined
+        # on both paths: NaN in the arrays, a raise in the oracle.
+        arrays = bounds._ratio_arrays
+        monkeypatch.setattr(
+            bounds, "_ratio_arrays", lambda a, b: {k: np.where(a == 1.0, np.nan, v) for k, v in arrays(a, b).items()}
+        )
+
+        def undefined_at_full_sensitivity(f):
+            def evaluate(p):
+                if p.sensitivity == 1.0:
+                    raise ZeroDenominator("a = 1")
+                return f(p)
+
+            return evaluate
+
+        table = sweep_oracle.ratio_table
+        monkeypatch.setattr(sweep_oracle, "ratio_table", lambda: [(k, undefined_at_full_sensitivity(f)) for k, f in table()])
+        report = verify_bounds(grid_step=0.05)
+        assert all(len(r.skipped) == 19 for r in report.records)
+        assert _report_json(report) == _report_json(verify_bounds_scalar(grid_step=0.05))
+
+    def test_finest_grid_holds_every_bound(self):
+        report = verify_bounds(grid_step=bounds.MIN_GRID_STEP)
+        assert report.cells_swept == 499_500
+        assert not report.has_violations
+        for record in report.records:
+            assert record.cells == 499_500
+            assert record.skipped == ()
+            assert record.lower - report.tolerance <= record.observed_min
+            assert record.observed_max <= record.upper + report.tolerance

@@ -106,6 +106,26 @@ class TestCurves:
         assert code == 1
         assert err.startswith("error:validation:")
 
+    def test_step_below_minimum(self, capsys):
+        code, out, err = run(
+            capsys,
+            "curves", "--sensitivity", "0.9", "--specificity", "0.95", "--step", "1e-9",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:validation:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("specificity", ["1", "0"])
+    def test_underflowing_curvature_leaves_cells_empty(self, capsys, specificity):
+        code, out, err = run(
+            capsys,
+            "curves", "--sensitivity", "1e-300", "--specificity", specificity, "--step", "0.05",
+        )
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert len(rows) == 22
+        assert all(len(row.split(",")) == 5 for row in rows)
+
 
 class TestRatios:
     def test_csv_curves(self, capsys):
@@ -256,6 +276,16 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("error:validation:")
 
+    def test_n_beyond_int64(self, capsys):
+        code, out, err = run(
+            capsys,
+            "simulate", "--prevalence", "0.3", "--sensitivity", "0.9",
+            "--specificity", "0.9", "--n", "100000000000000000000",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:validation:")
+        assert len(err.splitlines()) == 1
+
 
 class TestVerifyBounds:
     def test_clean_sweep_exits_zero(self, capsys):
@@ -279,6 +309,12 @@ class TestVerifyBounds:
         code, _, err = run(capsys, "verify-bounds", "--grid-step", "0.2")
         assert code == 1
         assert err.startswith("error:validation:")
+
+    def test_grid_step_below_minimum(self, capsys):
+        code, out, err = run(capsys, "verify-bounds", "--grid-step", "1e-7")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:validation:")
+        assert len(err.splitlines()) == 1
 
     def test_violations_exit_two(self, capsys, monkeypatch):
         # The bounds are theorems, so a violating report cannot be produced

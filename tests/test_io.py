@@ -167,7 +167,7 @@ class TestEmitCurves:
         assert grid[0] == 0.0
         assert grid[-1] == 1.0
 
-    @pytest.mark.parametrize("step", [0.0, -0.1, 0.6])
+    @pytest.mark.parametrize("step", [0.0, -0.1, 0.6, 9e-7, 1e-9])
     def test_rejects_bad_step(self, step):
         with pytest.raises(ValueError):
             emit_curves(P_9095, step, io.StringIO())

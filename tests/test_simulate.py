@@ -22,10 +22,13 @@ class TestConfig:
     def test_coerces_prevalence(self):
         assert isinstance(config().prevalence, Rate)
 
-    @pytest.mark.parametrize("n", [0, -5, 2.0, True])
+    @pytest.mark.parametrize("n", [0, -5, 2.0, True, 2**63, 10**20])
     def test_rejects_bad_n(self, n):
         with pytest.raises(ValueError):
             SimulationConfig(prevalence=0.5, profile=P_9095, n=n, seed=0)
+
+    def test_accepts_largest_int64_n(self):
+        assert config(n=2**63 - 1).n == 2**63 - 1
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True])
     def test_rejects_bad_seed(self, seed):

@@ -16,6 +16,7 @@ from prevthresh import (
     REFINE_WIDTH,
     Curve,
     CurvaturePoint,
+    DegenerateDenominator,
     DegenerateProfile,
     DiagnosticProfile,
     Rate,
@@ -228,6 +229,18 @@ class TestCurvatureAt:
         assume(u > 1e-9)
         expected = (2 * p * q * abs(p - q) / u**3) / (1 + (p * q / u**2) ** 2) ** 1.5
         assert pt.kappa == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "a, b, phi",
+        [
+            (1e-300, 1.0, 0.05),  # u * u underflows to 0
+            (1e-120, 1.0, 0.05),  # u * u is normal, u * u * u underflows
+            (1e-104, 0.0, 1.0),  # slope ** 2 ~ 1e208, its 1.5th power overflows
+        ],
+    )
+    def test_unrepresentable_curvature_is_degenerate(self, a, b, phi):
+        with pytest.raises(DegenerateDenominator):
+            curvature_at(DiagnosticProfile(a, b), phi, Curve.PPV)
 
 
 class TestCurvatureArgmax:
