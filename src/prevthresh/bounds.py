@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -220,6 +220,37 @@ def mcc_ratio(profile: DiagnosticProfile) -> RatioValue:
     return RatioValue(value=numerator / denominator, metric=RatioMetric.MCC, profile=profile)
 
 
+def _divergence_metric(
+    profile: DiagnosticProfile,
+    metric: RatioMetric | str,
+    beta: float | FBetaWeight | None = None,
+) -> Callable[[float], float]:
+    """The pointwise metric of accuracy_divergence_curve, once its arguments are checked.
+
+    Raises ValueError for a metric without a full-prevalence reference
+    or a missing, invalid or misplaced beta, and DegenerateProfile at
+    sensitivity 0, where the reference is undefined.
+    """
+    metric = RatioMetric(metric)
+    if metric not in (RatioMetric.F1, RatioMetric.F_BETA, RatioMetric.FM):
+        raise ValueError(f"no full-prevalence reference for metric {metric.value!r}")
+    if metric == RatioMetric.F_BETA:
+        if beta is None:
+            raise ValueError("beta is required for the f_beta divergence curve")
+        w = _as_weight(beta)
+    elif beta is not None:
+        raise ValueError(f"beta is only meaningful for f_beta, not {metric.value!r}")
+
+    if float(profile.sensitivity) == 0.0:
+        raise DegenerateProfile("reference value at full prevalence is undefined when sensitivity is 0")
+
+    if metric == RatioMetric.F1:
+        return lambda phi: float(f1_at(profile, phi))
+    if metric == RatioMetric.F_BETA:
+        return lambda phi: float(f_beta_at(profile, phi, w))
+    return lambda phi: float(fm_at(profile, phi))
+
+
 def accuracy_divergence_curve(
     profile: DiagnosticProfile,
     metric: RatioMetric | str,
@@ -236,25 +267,7 @@ def accuracy_divergence_curve(
     rejected because its NPV factor vanishes at full prevalence and no
     reference value exists there.
     """
-    metric = RatioMetric(metric)
-    if metric not in (RatioMetric.F1, RatioMetric.F_BETA, RatioMetric.FM):
-        raise ValueError(f"no full-prevalence reference for metric {metric.value!r}")
-    if metric == RatioMetric.F_BETA:
-        if beta is None:
-            raise ValueError("beta is required for the f_beta divergence curve")
-        w = _as_weight(beta)
-    elif beta is not None:
-        raise ValueError(f"beta is only meaningful for f_beta, not {metric.value!r}")
-
-    if float(profile.sensitivity) == 0.0:
-        raise DegenerateProfile("reference value at full prevalence is undefined when sensitivity is 0")
-
-    if metric == RatioMetric.F1:
-        at = lambda phi: float(f1_at(profile, phi))
-    elif metric == RatioMetric.F_BETA:
-        at = lambda phi: float(f_beta_at(profile, phi, w))
-    else:
-        at = lambda phi: float(fm_at(profile, phi))
+    at = _divergence_metric(profile, metric, beta)
     reference = at(1.0)
 
     out: list[tuple[Rate, float | None]] = []
@@ -383,14 +396,17 @@ def ratio_table(
     return table
 
 
-def _predictive_arrays(hit: np.ndarray, miss: np.ndarray, flat: np.ndarray, vanishing: np.ndarray) -> np.ndarray:
+def _predictive_arrays(
+    hit: np.ndarray, miss: np.ndarray, flat: np.ndarray | bool, vanishing: np.ndarray | bool
+) -> np.ndarray:
     """Bayes' rule hit / (hit + miss) per cell, extended where the denominator is 0.
 
     The array form of _ppv_extended and _npv_extended: cells on a flat
     curve take its constant value (1 where ``flat``, 0 where
     ``vanishing``), and every other zero-denominator cell is NaN, the
-    marker of a cell whose scalar evaluation raises. Call it under
-    np.errstate(divide="ignore", invalid="ignore").
+    marker of a cell whose scalar evaluation raises. With both masks
+    False it is the array form of ppv_at or npv_at themselves. Call it
+    under np.errstate(divide="ignore", invalid="ignore").
     """
     den = hit + miss
     return np.where(den != 0.0, hit / den, np.where(flat, 1.0, np.where(vanishing, 0.0, np.nan)))
@@ -418,30 +434,36 @@ def _mcc_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     and sigma takes the flat curve's value 1.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
+        # Each threshold array is dropped once its MCC is known, to bound peak memory.
         sc = np.sqrt(1.0 - b)
+        phi = sc / (np.sqrt(a) + sc)
+        del sc
+        denominator = _mcc_at_arrays(a, b, phi)
         sb = np.sqrt(b)
-        phi_e = sc / (np.sqrt(a) + sc)
-        phi_n = sb / (np.sqrt(1.0 - a) + sb)
-        numerator = _mcc_at_arrays(a, b, phi_n)
-        denominator = _mcc_at_arrays(a, b, phi_e)
+        phi = sb / (np.sqrt(1.0 - a) + sb)
+        del sb
+        numerator = _mcc_at_arrays(a, b, phi)
+        del phi
         return np.where(denominator != 0.0, numerator / denominator, np.nan)
 
 
-def _ratio_arrays(a: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:
-    """Every ratio of ratio_table(), keyed alike and in its order, at every cell.
+def _ratio_arrays(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
+    """Every ratio of ratio_table() as (key, values at every cell), keyed alike and in its order.
 
     The closed forms of f1_ratio, f_beta_ratio, fm_ratio and mcc_ratio
     as array expressions with the same operations in the same order, so
     each value is bit-equal to the per-profile function's. Needs a > 0,
-    which the swept region guarantees.
+    which the swept region guarantees. Yields one array at a time so a
+    consumer that drops each before asking for the next holds at most
+    one ratio array at once.
     """
     root = np.sqrt(a * (1.0 - b))
-    arrays = {"f1": 1.0 + root / (1.0 + a)}
+    yield "f1", 1.0 + root / (1.0 + a)
     for beta in SWEEP_BETAS:
-        arrays[f"f_beta_{beta:g}"] = 1.0 + root / (beta * beta + a)
-    arrays["fm"] = np.sqrt(1.0 + np.sqrt((1.0 - b) / a))
-    arrays["mcc"] = _mcc_ratio_arrays(a, b)
-    return arrays
+        yield f"f_beta_{beta:g}", 1.0 + root / (beta * beta + a)
+    del root
+    yield "fm", np.sqrt(1.0 + np.sqrt((1.0 - b) / a))
+    yield "mcc", _mcc_ratio_arrays(a, b)
 
 
 def _bound_record(key: str, values: np.ndarray, a: np.ndarray, b: np.ndarray, tolerance: float) -> BoundRecord:
@@ -508,14 +530,16 @@ def verify_bounds(grid_step: float = 0.01, delta: float = 1e-6, tolerance: float
     # Row-major order of the kept (a, b) pairs is the sweep order: a outer, b inner.
     rows, cols = np.nonzero((axis[None, :] < 1.0) & (axis[:, None] + axis[None, :] >= floor))
     a, b = axis[rows], axis[cols]
-    records = tuple(
-        _bound_record(key, values, a, b, tolerance) for key, values in _ratio_arrays(a, b).items()
-    )
+    del rows, cols
+    records = []
+    for key, values in _ratio_arrays(a, b):
+        records.append(_bound_record(key, values, a, b, tolerance))
+        del values
     return BoundsReport(
         grid_step=grid_step,
         delta=delta,
         tolerance=tolerance,
         constraint=f"sensitivity + specificity >= {floor!r}",
         cells_swept=int(a.size),
-        records=records,
+        records=tuple(records),
     )

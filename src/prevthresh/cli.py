@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Sequence
 
 from .bounds import SWEEP_BETAS, ratio_table, verify_bounds
@@ -135,14 +136,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextmanager
 def _sink(path: str | None):
+    """Text stream for --output PATH (stdout without one), published only on success.
+
+    A regular file, or a path that does not exist yet, is written to a
+    temporary file beside it and renamed over it when the block exits
+    normally; when the block raises, the temporary file is removed and
+    the path is left as it was. Paths that exist but are not regular
+    files, such as /dev/null or a pipe, are written in place.
+    """
     if path is None:
         yield sys.stdout
-    else:
-        stream = open(path, "w", encoding="utf-8", newline="")
-        try:
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", encoding="utf-8", newline="") as stream:
             yield stream
-        finally:
-            stream.close()
+        return
+    temp = f"{target}.{os.getpid()}.tmp"
+    try:
+        stream = open(temp, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        # Report the path the user gave, not the temporary one.
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with stream:
+            yield stream
+        os.replace(temp, target)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
 
 
 def _write_json(out, payload: dict) -> None:
@@ -310,3 +333,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -5,6 +5,14 @@ header row, "." decimals, LF line endings, no locale handling. Floats
 are written with repr, the shortest digit string that round-trips.
 Undefined cells are written as empty fields so every grid point keeps
 its row.
+
+Every stage is a bulk operation. The curve emitters evaluate their
+prevalence grid as numpy arrays that repeat the scalar per-point
+functions' floating-point operations in order (ppv_at, npv_at,
+curvature_at and accuracy_divergence_curve, which stay public and are
+the oracle the test suite checks the emitted bytes against). The
+prediction writer writes identical rows in blocks, and ingest parses
+each distinct token pair once.
 """
 
 from __future__ import annotations
@@ -16,10 +24,12 @@ import math
 from pathlib import Path
 from typing import IO, Iterable, Union
 
-from .bounds import RatioMetric, accuracy_divergence_curve
-from .errors import DegenerateDenominator, EmptyInput, ParseError
-from .metrics import ConfusionCounts, DiagnosticProfile, FBetaWeight, _as_weight, npv_at, ppv_at
-from .thresholds import Curve, curvature_at, threshold_summary
+import numpy as np
+
+from .bounds import RatioMetric, _divergence_metric, _predictive_arrays
+from .errors import EmptyInput, ParseError
+from .metrics import ConfusionCounts, DiagnosticProfile, FBetaWeight, _as_weight
+from .thresholds import Curve, _curvature_arrays, threshold_summary
 
 __all__ = [
     "ingest_predictions",
@@ -32,6 +42,9 @@ Source = Union[str, Path, IO]
 
 # Finest prevalence grid step of the curve emitters: a million rows.
 MIN_PHI_STEP = 1e-6
+
+# Most rows the writers format into one string before writing it.
+_BLOCK_ROWS = 65_536
 
 
 def _as_text_stream(source: Source):
@@ -61,11 +74,18 @@ def ingest_predictions(source: Source) -> ConfusionCounts:
     """Tally a labelled-prediction CSV into confusion counts.
 
     The file needs a header naming (at least) the columns "label" and
-    "prediction", both holding 0/1 values; 1 means the positive class. Rows are tallied as tp for (label 1,
-    prediction 1), fp for (0, 1), fn for (1, 0) and tn for (0, 0).
-    Malformed rows raise ParseError carrying the 1-based physical row
-    number (the header is row 1); a file with no data rows raises
-    EmptyInput.
+    "prediction", both holding 0/1 values; 1 means the positive class.
+    One leading UTF-8 byte-order mark on the header is ignored. Rows are
+    tallied as tp for (label 1, prediction 1), fp for (0, 1), fn for
+    (1, 0) and tn for (0, 0). Malformed rows raise ParseError carrying
+    the 1-based physical row number (the header is row 1); a file with
+    no data rows raises EmptyInput.
+
+    The file is read in one streaming pass. Each distinct raw (label,
+    prediction) token pair is parsed once, on the row where it first
+    appears, and every later row with the same tokens only bumps its
+    cell's count; the first invalid row is always the first sighting of
+    an invalid pair, so the reported row is that of a row-by-row parse.
     """
     stream, owns = _as_text_stream(source)
     try:
@@ -73,6 +93,8 @@ def ingest_predictions(source: Source) -> ConfusionCounts:
         header = next(reader, None)
         if header is None:
             raise EmptyInput("prediction file is empty")
+        if header and header[0].startswith("\ufeff"):
+            header[0] = header[0][1:]
         columns = [name.strip().lower() for name in header]
         try:
             label_idx = columns.index("label")
@@ -82,30 +104,27 @@ def ingest_predictions(source: Source) -> ConfusionCounts:
                 f"row 1: header must name 'label' and 'prediction' columns, got {header!r}",
                 row=1,
             ) from None
-        tp = fp = fn = tn = 0
-        rows = 0
+        width = max(label_idx, pred_idx) + 1
+        # Raw token pair -> index of its confusion cell in tally (tp, fp, fn, tn).
+        cells: dict[tuple[str, str], int] = {}
+        tally = [0, 0, 0, 0]
         for row in reader:
             if not row:
                 continue
-            line = reader.line_num
-            if len(row) <= max(label_idx, pred_idx):
-                raise ParseError(
-                    f"row {line}: expected at least {max(label_idx, pred_idx) + 1} fields, got {len(row)}",
-                    row=line,
-                )
-            label = _parse_binary(row[label_idx], "label", line)
-            prediction = _parse_binary(row[pred_idx], "prediction", line)
-            rows += 1
-            if label == 1 and prediction == 1:
-                tp += 1
-            elif label == 0 and prediction == 1:
-                fp += 1
-            elif label == 1 and prediction == 0:
-                fn += 1
-            else:
-                tn += 1
-        if rows == 0:
+            if len(row) < width:
+                line = reader.line_num
+                raise ParseError(f"row {line}: expected at least {width} fields, got {len(row)}", row=line)
+            tokens = (row[label_idx], row[pred_idx])
+            cell = cells.get(tokens)
+            if cell is None:
+                line = reader.line_num
+                label = _parse_binary(tokens[0], "label", line)
+                prediction = _parse_binary(tokens[1], "prediction", line)
+                cell = cells[tokens] = (1 - label) + 2 * (1 - prediction)
+            tally[cell] += 1
+        if sum(tally) == 0:
             raise EmptyInput("prediction file has a header but no data rows")
+        tp, fp, fn, tn = tally
         return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
     finally:
         if owns:
@@ -116,18 +135,17 @@ def write_predictions(counts: ConfusionCounts, sink: IO) -> int:
     """Write one prediction row per confusion-matrix element; inverse of ingest.
 
     Rows are grouped tp, fp, fn, tn so output is deterministic; returns
-    the number of data rows (counts.n).
+    the number of data rows (counts.n). Identical rows are written in
+    blocks of at most _BLOCK_ROWS, which bounds memory for any count.
     """
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["label", "prediction"])
-    for _ in range(counts.tp):
-        writer.writerow(["1", "1"])
-    for _ in range(counts.fp):
-        writer.writerow(["0", "1"])
-    for _ in range(counts.fn):
-        writer.writerow(["1", "0"])
-    for _ in range(counts.tn):
-        writer.writerow(["0", "0"])
+    sink.write("label,prediction\n")
+    for line, count in (("1,1\n", counts.tp), ("0,1\n", counts.fp), ("1,0\n", counts.fn), ("0,0\n", counts.tn)):
+        full, rest = divmod(count, _BLOCK_ROWS)
+        if full:
+            block = line * _BLOCK_ROWS
+            for _ in range(full):
+                sink.write(block)
+        sink.write(line * rest)
     return counts.n
 
 
@@ -148,8 +166,23 @@ def _phi_grid(step: float) -> list[float]:
     return values
 
 
-def _cell(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+def _cells(values: np.ndarray) -> list[str]:
+    """repr of each value; NaN, the mark of an undefined cell, becomes an empty field."""
+    return ["" if v != v else repr(v) for v in values.tolist()]
+
+
+def _write_grid(sink: IO, header: list[str], grid: list[float], columns: list[np.ndarray]) -> None:
+    """Write the header, then one row per grid point: phi and each column's cell there.
+
+    Rows are formatted and written _BLOCK_ROWS at a time. No field
+    needs csv quoting: the header names are plain words and every cell
+    is a float repr or empty.
+    """
+    sink.write(",".join(header) + "\n")
+    for start in range(0, len(grid), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        fields = [list(map(repr, grid[start:stop]))] + [_cells(col[start:stop]) for col in columns]
+        sink.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def emit_curves(
@@ -166,26 +199,25 @@ def emit_curves(
     thresholds (and the predictive values there) is written to it, so
     curve datasets stay paired with the analytic landmarks they should
     exhibit. Returns the number of data rows.
+
+    The grid is evaluated as numpy arrays with the operations of
+    ppv_at, npv_at and curvature_at in their order, so each cell holds
+    the repr of what that scalar function returns there, and is empty
+    exactly where it raises. Those scalar functions are the oracle the
+    test suite checks the bytes against.
     """
     grid = _phi_grid(step)
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"])
-    for phi in grid:
-        cells = [repr(float(phi))]
-        try:
-            cells.append(_cell(ppv_at(profile, phi)))
-        except DegenerateDenominator:
-            cells.append("")
-        try:
-            cells.append(_cell(npv_at(profile, phi)))
-        except DegenerateDenominator:
-            cells.append("")
-        for curve in (Curve.PPV, Curve.NPV):
-            try:
-                cells.append(_cell(curvature_at(profile, phi, curve).kappa))
-            except DegenerateDenominator:
-                cells.append("")
-        writer.writerow(cells)
+    phi = np.array(grid)
+    a = float(profile.sensitivity)
+    b = float(profile.specificity)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # No flat-curve extension: a zero Bayes denominator is an empty cell.
+        columns = [
+            _predictive_arrays(a * phi, (1.0 - b) * (1.0 - phi), False, False),
+            _predictive_arrays(b * (1.0 - phi), (1.0 - a) * phi, False, False),
+        ]
+    columns += [_curvature_arrays(profile, curve, phi) for curve in (Curve.PPV, Curve.NPV)]
+    _write_grid(sink, ["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"], grid, columns)
 
     if sidecar is not None:
         json.dump(threshold_summary(profile), sidecar, indent=2)
@@ -205,22 +237,37 @@ def emit_ratio_curves(
     the grid {0, step, ..., 1} against the metric's value at full
     prevalence. Cells are empty where the underlying metric is zero or
     undefined (always the case at phi = 0). Returns the number of data
-    rows.
+    rows. Raises before writing anything for an invalid beta or step,
+    and DegenerateProfile at sensitivity 0.
+
+    Each reference is the scalar f1_at, f_beta_at or fm_at at phi = 1;
+    the grid is evaluated as numpy arrays from one PPV array, with
+    f_beta_score's harmonic form (1 + beta^2) / (beta^2/a + 1/ppv) and
+    fm_at's sqrt(a * ppv), so every cell is bit-equal to what
+    accuracy_divergence_curve, the oracle the test suite checks the
+    bytes against, gives there.
     """
     weights = [_as_weight(b) for b in betas]
     grid = _phi_grid(step)
 
-    columns: list[tuple[str, list[float | None]]] = []
     specs: list[tuple[str, RatioMetric, FBetaWeight | None]] = [("f1_chi", RatioMetric.F1, None)]
     for w in weights:
         specs.append((f"fbeta_{w.beta:g}_chi", RatioMetric.F_BETA, w))
     specs.append(("fm_chi", RatioMetric.FM, None))
-    for name, metric, w in specs:
-        pairs = accuracy_divergence_curve(profile, metric, grid, beta=w)
-        columns.append((name, [ratio for _, ratio in pairs]))
+    references = [_divergence_metric(profile, metric, w)(1.0) for _, metric, w in specs]
 
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["phi"] + [name for name, _ in columns])
-    for i, phi in enumerate(grid):
-        writer.writerow([repr(float(phi))] + [_cell(col[i]) for _, col in columns])
+    phi = np.array(grid)
+    a = float(profile.sensitivity)
+    b = float(profile.specificity)
+    columns = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho = _predictive_arrays(a * phi, (1.0 - b) * (1.0 - phi), False, False)
+        for (_, metric, w), reference in zip(specs, references):
+            if metric == RatioMetric.FM:
+                score = np.sqrt(a * rho)
+            else:
+                beta_sq = 1.0 if w is None else w.beta * w.beta
+                score = (1.0 + beta_sq) / (beta_sq / a + 1.0 / rho)
+            columns.append(np.where(score > 0.0, reference / score, np.nan))
+    _write_grid(sink, ["phi"] + [name for name, _, _ in specs], grid, columns)
     return len(grid)

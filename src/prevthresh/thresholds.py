@@ -258,6 +258,33 @@ def curvature_at(profile: DiagnosticProfile, phi: float, curve: Curve | str = Cu
     return CurvaturePoint(phi=phi, kappa=kappa, slope=slope)
 
 
+def _pow_1_5(x: float) -> float:
+    try:
+        return x**1.5
+    except OverflowError:
+        return math.nan
+
+
+def _curvature_arrays(profile: DiagnosticProfile, curve: Curve, phi: np.ndarray) -> np.ndarray:
+    """curvature_at(profile, phi[i], curve).kappa at every i; NaN where it raises.
+
+    Repeats curvature_at's operations in its order, so every defined
+    value is bit-equal to the scalar one. The power (1 + slope**2)**1.5
+    is taken with Python floats, because numpy's vectorized power is
+    not the platform pow and differs from it in the last digit.
+    """
+    p, q, sign = _curve_coefficients(profile, curve)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = p * phi + q * (1.0 - phi)
+        u2 = u * u
+        u3 = u2 * u
+        pq = p * q
+        slope = sign * pq / u2
+        second = 2.0 * pq * abs(p - q) / u3
+        scale = np.array([_pow_1_5(x) for x in (1.0 + slope * slope).tolist()])
+        return np.where((u3 != 0.0) & ~np.isnan(scale), second / scale, np.nan)
+
+
 def _kappa_grid(profile: DiagnosticProfile, curve: Curve, xs: np.ndarray) -> np.ndarray:
     """Vectorized curvature over a prevalence grid (same algebra as curvature_at)."""
     p, q, _ = _curve_coefficients(profile, curve)

@@ -1,0 +1,147 @@
+"""Row-by-row reference for the CSV emitters, the prediction writer and ingest.
+
+dataio evaluates the curve grids as numpy arrays, writes prediction
+rows in blocks and tallies ingest through memoized token pairs. This
+module keeps the per-row code those replaced: one guarded scalar call
+(ppv_at, npv_at, curvature_at, accuracy_divergence_curve) per cell, one
+csv row per prediction, and _parse_binary on every ingested row, so the
+bulk paths can be checked byte for byte and ParseError row for row
+against the scalar functions.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+from typing import IO, Iterable
+
+from prevthresh.bounds import RatioMetric, accuracy_divergence_curve
+from prevthresh.dataio import Source, _as_text_stream, _parse_binary, _phi_grid
+from prevthresh.errors import DegenerateDenominator, EmptyInput, ParseError
+from prevthresh.metrics import ConfusionCounts, DiagnosticProfile, FBetaWeight, _as_weight, npv_at, ppv_at
+from prevthresh.thresholds import Curve, curvature_at, threshold_summary
+
+
+def ingest_predictions_scalar(source: Source) -> ConfusionCounts:
+    """ingest_predictions parsing every row's tokens (no BOM handling)."""
+    stream, owns = _as_text_stream(source)
+    try:
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyInput("prediction file is empty")
+        columns = [name.strip().lower() for name in header]
+        try:
+            label_idx = columns.index("label")
+            pred_idx = columns.index("prediction")
+        except ValueError:
+            raise ParseError(
+                f"row 1: header must name 'label' and 'prediction' columns, got {header!r}",
+                row=1,
+            ) from None
+        tp = fp = fn = tn = 0
+        rows = 0
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) <= max(label_idx, pred_idx):
+                raise ParseError(
+                    f"row {line}: expected at least {max(label_idx, pred_idx) + 1} fields, got {len(row)}",
+                    row=line,
+                )
+            label = _parse_binary(row[label_idx], "label", line)
+            prediction = _parse_binary(row[pred_idx], "prediction", line)
+            rows += 1
+            if label == 1 and prediction == 1:
+                tp += 1
+            elif label == 0 and prediction == 1:
+                fp += 1
+            elif label == 1 and prediction == 0:
+                fn += 1
+            else:
+                tn += 1
+        if rows == 0:
+            raise EmptyInput("prediction file has a header but no data rows")
+        return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    finally:
+        if owns:
+            stream.close()
+
+
+def write_predictions_scalar(counts: ConfusionCounts, sink: IO) -> int:
+    """write_predictions as one csv row per confusion-matrix element."""
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(["label", "prediction"])
+    for _ in range(counts.tp):
+        writer.writerow(["1", "1"])
+    for _ in range(counts.fp):
+        writer.writerow(["0", "1"])
+    for _ in range(counts.fn):
+        writer.writerow(["1", "0"])
+    for _ in range(counts.tn):
+        writer.writerow(["0", "0"])
+    return counts.n
+
+
+def _cell(value: float | None) -> str:
+    return "" if value is None else repr(float(value))
+
+
+def emit_curves_scalar(
+    profile: DiagnosticProfile,
+    step: float,
+    sink: IO,
+    sidecar: IO | None = None,
+) -> int:
+    """emit_curves with one guarded ppv_at/npv_at/curvature_at call per cell."""
+    grid = _phi_grid(step)
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"])
+    for phi in grid:
+        cells = [repr(float(phi))]
+        try:
+            cells.append(_cell(ppv_at(profile, phi)))
+        except DegenerateDenominator:
+            cells.append("")
+        try:
+            cells.append(_cell(npv_at(profile, phi)))
+        except DegenerateDenominator:
+            cells.append("")
+        for curve in (Curve.PPV, Curve.NPV):
+            try:
+                cells.append(_cell(curvature_at(profile, phi, curve).kappa))
+            except DegenerateDenominator:
+                cells.append("")
+        writer.writerow(cells)
+
+    if sidecar is not None:
+        json.dump(threshold_summary(profile), sidecar, indent=2)
+        sidecar.write("\n")
+    return len(grid)
+
+
+def emit_ratio_curves_scalar(
+    profile: DiagnosticProfile,
+    betas: Iterable[float],
+    step: float,
+    sink: IO,
+) -> int:
+    """emit_ratio_curves through accuracy_divergence_curve, one cell at a time."""
+    weights = [_as_weight(b) for b in betas]
+    grid = _phi_grid(step)
+
+    columns: list[tuple[str, list[float | None]]] = []
+    specs: list[tuple[str, RatioMetric, FBetaWeight | None]] = [("f1_chi", RatioMetric.F1, None)]
+    for w in weights:
+        specs.append((f"fbeta_{w.beta:g}_chi", RatioMetric.F_BETA, w))
+    specs.append(("fm_chi", RatioMetric.FM, None))
+    for name, metric, w in specs:
+        pairs = accuracy_divergence_curve(profile, metric, grid, beta=w)
+        columns.append((name, [ratio for _, ratio in pairs]))
+
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(["phi"] + [name for name, _ in columns])
+    for i, phi in enumerate(grid):
+        writer.writerow([repr(float(phi))] + [_cell(col[i]) for _, col in columns])
+    return len(grid)

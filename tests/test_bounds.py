@@ -378,7 +378,7 @@ class TestSweepOracleParity:
         # paths, so that each extremum is shared by many cells.
         arrays = bounds._ratio_arrays
         monkeypatch.setattr(
-            bounds, "_ratio_arrays", lambda a, b: {k: np.floor(v * 10.0) for k, v in arrays(a, b).items()}
+            bounds, "_ratio_arrays", lambda a, b: ((k, np.floor(v * 10.0)) for k, v in arrays(a, b))
         )
         table = sweep_oracle.ratio_table
         monkeypatch.setattr(
@@ -391,7 +391,7 @@ class TestSweepOracleParity:
         # on both paths: NaN in the arrays, a raise in the oracle.
         arrays = bounds._ratio_arrays
         monkeypatch.setattr(
-            bounds, "_ratio_arrays", lambda a, b: {k: np.where(a == 1.0, np.nan, v) for k, v in arrays(a, b).items()}
+            bounds, "_ratio_arrays", lambda a, b: ((k, np.where(a == 1.0, np.nan, v)) for k, v in arrays(a, b))
         )
 
         def undefined_at_full_sensitivity(f):

@@ -1,9 +1,16 @@
 """End-to-end CLI behavior: output shapes, exit codes, error grammar."""
 
 import json
+import os
+import stat
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import prevthresh
 import prevthresh.cli as cli
 from prevthresh import BoundRecord, BoundsReport, BoundViolation
 from prevthresh.cli import run_cli
@@ -362,6 +369,92 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             cli.main()
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("module", ["prevthresh", "prevthresh.cli"])
+    def test_python_dash_m(self, capsys, module):
+        src = str(Path(prevthresh.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def python_m(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120
+            )
+
+        argv = ["thresholds", "--sensitivity", "0.9", "--specificity", "0.95", "--json"]
+        proc = python_m(*argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run(capsys, *argv)[1]
+        proc = python_m("thresholds", "--sensitivity", "2", "--specificity", "0.95")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:validation:") and proc.stderr.count("\n") == 1
+
+
+CURVES_ARGV = ("curves", "--sensitivity", "0.9", "--specificity", "0.95", "--step", "0.25")
+RATIOS_ARGV = ("ratios", "--sensitivity", "0.9", "--specificity", "0.95", "--step", "0.25")
+
+
+class TestOutputFile:
+    """--output publishes a complete file on success and leaves nothing on failure."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ratios", "--sensitivity", "0", "--specificity", "0.95"),
+            ("curves", "--sensitivity", "0.9", "--specificity", "0.95", "--step", "1e-9"),
+        ],
+    )
+    def test_failure_leaves_no_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "out.csv"
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_previous_contents(self, capsys, tmp_path):
+        target = tmp_path / "c.csv"
+        target.write_text("old\n")
+        (tmp_path / "c.csv.json").write_text("{}\n")
+        argv = ("curves", "--sensitivity", "0.9", "--specificity", "0.95", "--step", "1e-9")
+        code, _, _ = run(capsys, *argv, "--output", str(target))
+        assert code == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.csv.json"]
+        assert target.read_text() == "old\n"
+        assert (tmp_path / "c.csv.json").read_text() == "{}\n"
+
+    @pytest.mark.parametrize("argv", [CURVES_ARGV, RATIOS_ARGV])
+    def test_success_writes_stdout_bytes(self, capsys, tmp_path, argv):
+        target = tmp_path / "out.csv"
+        target.write_text("stale contents that are longer than the new file\n" * 100)
+        _, expected, _ = run(capsys, *argv)
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert target.read_bytes() == expected.encode()
+        names = ["out.csv", "out.csv.json"] if argv[0] == "curves" else ["out.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+    def test_missing_directory_names_given_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.csv"
+        code, _, err = run(capsys, *RATIOS_ARGV, "--output", str(target))
+        assert code == 1
+        assert err.startswith("error:io:") and str(target) in err and ".tmp" not in err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_written_in_place(self, capsys, tmp_path):
+        argv = ("thresholds", "--sensitivity", "0.9", "--specificity", "0.95", "--json")
+        _, expected, _ = run(capsys, *argv)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+        reader.start()
+        code, _, _ = run(capsys, *argv, "--output", str(pipe))
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert code == 0
+        assert received == [expected]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
 
 
 # Exact stdout of edge profiles and counts. The payloads mix nulls,

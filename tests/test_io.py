@@ -4,12 +4,22 @@ import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import prevthresh.dataio as dataio
+from emit_oracle import (
+    emit_curves_scalar,
+    emit_ratio_curves_scalar,
+    ingest_predictions_scalar,
+    write_predictions_scalar,
+)
 from prevthresh import (
     ConfusionCounts,
     DiagnosticProfile,
     EmptyInput,
     ParseError,
+    PrevthreshError,
     emit_curves,
     emit_ratio_curves,
     ingest_predictions,
@@ -91,6 +101,74 @@ class TestIngest:
         with pytest.raises(TypeError):
             ingest_predictions(42)
 
+    def test_bom_header_reads_like_plain_header(self, tmp_path):
+        body = "label,prediction\n1,1\n0,1\n1,0\n0,0\n0,0\n"
+        expected = ConfusionCounts(1, 1, 1, 2)
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff" + body, encoding="utf-8")
+        assert ingest_predictions(path) == expected
+        assert ingest_predictions(io.BytesIO(path.read_bytes())) == expected
+        assert ingest_predictions(io.StringIO("\ufeff" + body)) == expected
+        assert ingest_predictions(io.StringIO(body)) == expected
+
+    def test_bom_in_data_row_is_parse_error(self):
+        with pytest.raises(ParseError) as exc:
+            ingest_predictions(io.StringIO("\ufefflabel,prediction\n1,1\n\ufeff0,0\n"))
+        assert exc.value.row == 3
+        assert "label" in str(exc.value)
+
+
+def _ingest_outcome(ingest, text: str):
+    """Counts, or the error type, row and message, of one ingest of text."""
+    try:
+        return ingest(io.StringIO(text))
+    except (ParseError, EmptyInput) as exc:
+        return type(exc).__name__, getattr(exc, "row", None), str(exc)
+
+
+HEADER = "label,prediction\n"
+
+
+class TestIngestOracleParity:
+    """ingest_predictions against the row-by-row parse of tests/emit_oracle.py."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(HEADER + "1,1\n\n0,0\n\n\n1,0\n0,1\n\n", id="blank-lines"),
+            pytest.param(HEADER + "\n\n", id="only-blank-lines"),
+            pytest.param(HEADER + " 1 , 1\n1,1\n0 ,1\n\t0,0\n1,\t0 \n", id="padded-tokens"),
+            pytest.param(HEADER + "1,1\n1,1\n1\n", id="short-row"),
+            pytest.param(HEADER + "1,1\n1\n2,2\n", id="short-row-before-bad-tokens"),
+            pytest.param(HEADER + "1,1\n2,0\n", id="bad-label"),
+            pytest.param(HEADER + "1,1\n0,yes\n", id="bad-prediction"),
+            pytest.param(HEADER + "1,1\nx,y\n", id="bad-label-and-prediction"),
+            pytest.param(HEADER + "1,1\n0,0\n" * 5000 + "1,x\n", id="bad-after-10000-rows"),
+            pytest.param(HEADER + "1,1\n0,1\n1,1\n1, 1\n0,1\n1, 1\n1,2\n", id="seen-pair-then-new-bad-pair"),
+            pytest.param('id,label,prediction\n"a\nb",1,1\nc,1,1\n"d\ne\nf",0,0\ng,0,9\n', id="multiline-field"),
+            pytest.param("id,label,prediction,score\nx,1,1,0.9\ny,0,0,0.1\nz,0,1\nw,1,0,0.5,extra\n", id="extra-columns"),
+            pytest.param("prediction,label\n1,0\n0,1\n1,1\n0,0\n", id="swapped-columns"),
+            pytest.param("prediction,label\n1,0\nx,y\n", id="swapped-columns-bad-row"),
+            pytest.param("id,prediction,label\nx,1,1\ny,0\n", id="swapped-columns-short-row"),
+        ],
+    )
+    def test_matches_row_by_row_parse(self, text):
+        assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(""),
+                st.just("1"),
+                st.tuples(*[st.sampled_from(["0", "1", " 1", "0 ", "2", "", "x"])] * 2).map(",".join),
+            ),
+            max_size=40,
+        )
+    )
+    def test_matches_row_by_row_parse_on_random_tables(self, rows):
+        text = HEADER + "".join(row + "\n" for row in rows)
+        assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
+
 
 class TestWritePredictions:
     def test_round_trip(self):
@@ -103,6 +181,18 @@ class TestWritePredictions:
         sink = io.StringIO()
         write_predictions(ConfusionCounts(1, 1, 0, 1), sink)
         assert sink.getvalue() == "label,prediction\n1,1\n0,1\n0,0\n"
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            ConfusionCounts(0, 0, 0, 0),
+            ConfusionCounts(2 * dataio._BLOCK_ROWS + 3, 0, dataio._BLOCK_ROWS, 5),
+        ],
+    )
+    def test_matches_row_by_row_writer(self, counts):
+        sink, expected = io.StringIO(), io.StringIO()
+        assert write_predictions(counts, sink) == write_predictions_scalar(counts, expected)
+        assert sink.getvalue() == expected.getvalue()
 
 
 class TestEmitCurves:
@@ -236,3 +326,74 @@ class TestEmitRatioCurves:
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             emit_ratio_curves(P_9095, [0.0], 0.5, io.StringIO())
+
+
+# Profiles of the emitter parity matrix: interior, flat and vanishing
+# curves, chance, and the kappa underflow (1e-300, 1e-120) and overflow
+# (1e-104 at specificity 0) profiles.
+PARITY_PROFILES = [
+    (0.83, 0.71),
+    (0.9, 1.0),
+    (1.0, 0.9),
+    (0.5, 0.5),
+    (0.01, 0.99),
+    (1e-300, 1.0),
+    (1e-120, 1.0),
+    (1e-104, 0.0),
+    (1.0, 1.0),
+    (0.0, 0.3),
+    (0.3, 0.0),
+    (1.0, 0.0),
+    (0.999999, 1e-6),
+]
+PARITY_BETAS = (0.5, 2.0, 1.0, 3.7)
+
+
+def _emit_outcome(emit, *args):
+    """Bytes written, return value or error of one emitter call."""
+    sink = io.StringIO()
+    try:
+        result = emit(*args, sink)
+    except (PrevthreshError, ValueError) as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, sink.getvalue()
+
+
+class TestEmitOracleParity:
+    """The array emitters against the per-cell ones of tests/emit_oracle.py, byte for byte."""
+
+    @pytest.mark.parametrize("step", [5e-4, 0.013, 0.5])
+    @pytest.mark.parametrize("a, b", PARITY_PROFILES)
+    def test_curves_bytes_match(self, a, b, step):
+        profile = DiagnosticProfile(a, b)
+        sink, sidecar = io.StringIO(), io.StringIO()
+        expected, expected_sidecar = io.StringIO(), io.StringIO()
+        assert emit_curves(profile, step, sink, sidecar) == emit_curves_scalar(profile, step, expected, expected_sidecar)
+        assert sink.getvalue() == expected.getvalue()
+        assert sidecar.getvalue() == expected_sidecar.getvalue()
+
+    @pytest.mark.parametrize("step", [5e-4, 0.013, 0.5])
+    @pytest.mark.parametrize("a, b", PARITY_PROFILES)
+    def test_ratio_bytes_match(self, a, b, step):
+        profile = DiagnosticProfile(a, b)
+        got = _emit_outcome(emit_ratio_curves, profile, PARITY_BETAS, step)
+        assert got == _emit_outcome(emit_ratio_curves_scalar, profile, PARITY_BETAS, step)
+
+    def test_fine_step_bytes_match(self):
+        profile = DiagnosticProfile(0.83, 0.71)
+        assert _emit_outcome(emit_curves, profile, 1e-5) == _emit_outcome(emit_curves_scalar, profile, 1e-5)
+        assert _emit_outcome(emit_ratio_curves, profile, (3.7,), 1e-5) == _emit_outcome(
+            emit_ratio_curves_scalar, profile, (3.7,), 1e-5
+        )
+
+    @pytest.mark.parametrize("betas, step", [((0.5, 0.0), 0.5), ((0.5,), 0.6), ((float("nan"),), 0.5)])
+    def test_errors_match_before_any_output(self, betas, step):
+        for profile in (P_9095, DiagnosticProfile(0.0, 0.9)):
+            got = _emit_outcome(emit_ratio_curves, profile, betas, step)
+            assert got == _emit_outcome(emit_ratio_curves_scalar, profile, betas, step)
+            assert got[1] == ""
+
+    def test_zero_sensitivity_raises_before_any_output(self):
+        got = _emit_outcome(emit_ratio_curves, DiagnosticProfile(0.0, 0.9), (2.0,), 0.5)
+        assert got == _emit_outcome(emit_ratio_curves_scalar, DiagnosticProfile(0.0, 0.9), (2.0,), 0.5)
+        assert got == (("DegenerateProfile", "reference value at full prevalence is undefined when sensitivity is 0"), "")
