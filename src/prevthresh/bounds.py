@@ -34,6 +34,7 @@ from .errors import (
     DegenerateProfile,
     PrevthreshError,
     ZeroDenominator,
+    value_or_none,
 )
 from .metrics import (
     DiagnosticProfile,
@@ -47,7 +48,14 @@ from .metrics import (
     npv_at,
     ppv_at,
 )
-from .thresholds import ThresholdKind, negative_threshold, positive_threshold
+from .thresholds import (
+    Curve,
+    ThresholdKind,
+    _curve_coefficients,
+    _predictive_arrays,
+    _radical_split,
+    _threshold_phi,
+)
 
 __all__ = [
     "RatioMetric",
@@ -154,34 +162,27 @@ def fm_ratio(profile: DiagnosticProfile) -> RatioValue:
     return RatioValue(value=value, metric=RatioMetric.FM, profile=profile)
 
 
-def _ppv_extended(profile: DiagnosticProfile, phi: Rate) -> float:
-    """PPV at phi, with constant curves extended by continuity.
+def _extended(profile: DiagnosticProfile, phi: Rate) -> tuple[float, float]:
+    """PPV and NPV at phi, each flat curve extended by continuity.
 
-    With specificity 1 the PPV curve is identically 1 on (0, 1] but
-    0/0 at 0; with sensitivity 0 it is identically 0 on [0, 1) but 0/0
-    at 1. Both limits are plugged so threshold compositions stay
-    defined at edge profiles where the curve itself is flat.
+    Where Bayes' rule is 0/0 the curve is flat, and its constant is
+    hits / (hits + misses) of its rates: 1 with no misses (PPV at
+    specificity 1, NPV at sensitivity 1), 0 with no hits (PPV at
+    sensitivity 0, NPV at specificity 0). That constant is plugged so
+    threshold compositions stay defined at edge profiles; a curve with
+    neither hits nor misses still raises.
     """
-    try:
-        return float(ppv_at(profile, phi))
-    except DegenerateDenominator:
-        if float(profile.specificity) == 1.0 and float(profile.sensitivity) > 0.0:
-            return 1.0
-        if float(profile.sensitivity) == 0.0 and float(profile.specificity) < 1.0:
-            return 0.0
-        raise
-
-
-def _npv_extended(profile: DiagnosticProfile, phi: Rate) -> float:
-    """NPV counterpart of _ppv_extended (flat at sensitivity 1 or specificity 0)."""
-    try:
-        return float(npv_at(profile, phi))
-    except DegenerateDenominator:
-        if float(profile.sensitivity) == 1.0 and float(profile.specificity) > 0.0:
-            return 1.0
-        if float(profile.specificity) == 0.0 and float(profile.sensitivity) < 1.0:
-            return 0.0
-        raise
+    a = float(profile.sensitivity)
+    b = float(profile.specificity)
+    values = []
+    for value_at, hits, misses in ((ppv_at, a, 1.0 - b), (npv_at, b, 1.0 - a)):
+        try:
+            values.append(float(value_at(profile, phi)))
+        except DegenerateDenominator:
+            if hits + misses == 0.0:
+                raise
+            values.append(hits / (hits + misses))
+    return values[0], values[1]
 
 
 def mcc_at_threshold(profile: DiagnosticProfile, which: ThresholdKind | str) -> float:
@@ -195,12 +196,8 @@ def mcc_at_threshold(profile: DiagnosticProfile, which: ThresholdKind | str) -> 
     either threshold.
     """
     which = ThresholdKind(which)
-    if which == ThresholdKind.POSITIVE:
-        phi = positive_threshold(profile).phi
-    else:
-        phi = negative_threshold(profile).phi
-    rho = _ppv_extended(profile, phi)
-    sigma = _npv_extended(profile, phi)
+    phi = _threshold_phi(profile, Curve.PPV if which == ThresholdKind.POSITIVE else Curve.NPV)
+    rho, sigma = _extended(profile, phi)
     return mcc_from_rates(rho, profile.sensitivity, profile.specificity, sigma)
 
 
@@ -220,37 +217,6 @@ def mcc_ratio(profile: DiagnosticProfile) -> RatioValue:
     return RatioValue(value=numerator / denominator, metric=RatioMetric.MCC, profile=profile)
 
 
-def _divergence_metric(
-    profile: DiagnosticProfile,
-    metric: RatioMetric | str,
-    beta: float | FBetaWeight | None = None,
-) -> Callable[[float], float]:
-    """The pointwise metric of accuracy_divergence_curve, once its arguments are checked.
-
-    Raises ValueError for a metric without a full-prevalence reference
-    or a missing, invalid or misplaced beta, and DegenerateProfile at
-    sensitivity 0, where the reference is undefined.
-    """
-    metric = RatioMetric(metric)
-    if metric not in (RatioMetric.F1, RatioMetric.F_BETA, RatioMetric.FM):
-        raise ValueError(f"no full-prevalence reference for metric {metric.value!r}")
-    if metric == RatioMetric.F_BETA:
-        if beta is None:
-            raise ValueError("beta is required for the f_beta divergence curve")
-        w = _as_weight(beta)
-    elif beta is not None:
-        raise ValueError(f"beta is only meaningful for f_beta, not {metric.value!r}")
-
-    if float(profile.sensitivity) == 0.0:
-        raise DegenerateProfile("reference value at full prevalence is undefined when sensitivity is 0")
-
-    if metric == RatioMetric.F1:
-        return lambda phi: float(f1_at(profile, phi))
-    if metric == RatioMetric.F_BETA:
-        return lambda phi: float(f_beta_at(profile, phi, w))
-    return lambda phi: float(fm_at(profile, phi))
-
-
 def accuracy_divergence_curve(
     profile: DiagnosticProfile,
     metric: RatioMetric | str,
@@ -265,9 +231,29 @@ def accuracy_divergence_curve(
     metric is zero or undefined are recorded with a None ratio rather
     than dropped, so emitted curves keep one row per grid point. MCC is
     rejected because its NPV factor vanishes at full prevalence and no
-    reference value exists there.
+    reference value exists there. Raises ValueError for a missing,
+    invalid or misplaced beta, and DegenerateProfile at sensitivity 0,
+    where the reference is undefined.
     """
-    at = _divergence_metric(profile, metric, beta)
+    metric = RatioMetric(metric)
+    if metric not in (RatioMetric.F1, RatioMetric.F_BETA, RatioMetric.FM):
+        raise ValueError(f"no full-prevalence reference for metric {metric.value!r}")
+    if metric == RatioMetric.F_BETA:
+        if beta is None:
+            raise ValueError("beta is required for the f_beta divergence curve")
+        w = _as_weight(beta)
+    elif beta is not None:
+        raise ValueError(f"beta is only meaningful for f_beta, not {metric.value!r}")
+    if float(profile.sensitivity) == 0.0:
+        raise DegenerateProfile("reference value at full prevalence is undefined when sensitivity is 0")
+
+    def at(phi: float) -> float:
+        if metric == RatioMetric.F1:
+            return float(f1_at(profile, phi))
+        if metric == RatioMetric.F_BETA:
+            return float(f_beta_at(profile, phi, w))
+        return float(fm_at(profile, phi))
+
     reference = at(1.0)
 
     out: list[tuple[Rate, float | None]] = []
@@ -396,54 +382,33 @@ def ratio_table(
     return table
 
 
-def _predictive_arrays(
-    hit: np.ndarray, miss: np.ndarray, flat: np.ndarray | bool, vanishing: np.ndarray | bool
-) -> np.ndarray:
-    """Bayes' rule hit / (hit + miss) per cell, extended where the denominator is 0.
-
-    The array form of _ppv_extended and _npv_extended: cells on a flat
-    curve take its constant value (1 where ``flat``, 0 where
-    ``vanishing``), and every other zero-denominator cell is NaN, the
-    marker of a cell whose scalar evaluation raises. With both masks
-    False it is the array form of ppv_at or npv_at themselves. Call it
-    under np.errstate(divide="ignore", invalid="ignore").
-    """
-    den = hit + miss
-    return np.where(den != 0.0, hit / den, np.where(flat, 1.0, np.where(vanishing, 0.0, np.nan)))
-
-
-def _mcc_at_arrays(a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """mcc_at_threshold per cell, at the threshold prevalences phi.
-
-    Bayes' rule as in ppv_at and npv_at, the continuity extensions of
-    _ppv_extended and _npv_extended, then mcc_from_rates with its
-    left-to-right products. Call it under np.errstate(divide="ignore",
-    invalid="ignore").
-    """
-    rho = _predictive_arrays(a * phi, (1.0 - b) * (1.0 - phi), (b == 1.0) & (a > 0.0), (a == 0.0) & (b < 1.0))
-    sigma = _predictive_arrays(b * (1.0 - phi), (1.0 - a) * phi, (a == 1.0) & (b > 0.0), (b == 0.0) & (a < 1.0))
-    return np.sqrt(rho * a * b * sigma) - np.sqrt((1.0 - rho) * (1.0 - a) * (1.0 - b) * (1.0 - sigma))
+def _ratio_values(profile: DiagnosticProfile, betas: Iterable[float | FBetaWeight]) -> dict[str, float | None]:
+    """Every ratio of ratio_table(betas) at one profile, keyed <key>_ratio; None where undefined."""
+    return {f"{key}_ratio": value_or_none(evaluate, profile) for key, evaluate in ratio_table(betas)}
 
 
 def _mcc_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """mcc_ratio at every cell (a[i], b[i]); NaN where the scalar path raises.
 
-    The thresholds are positive_threshold's and negative_threshold's
-    closed forms; a 0/0 there (the profiles those functions reject) is
-    NaN and stays NaN. At a = 1, phi_n is 1, the NPV denominator is 0
-    and sigma takes the flat curve's value 1.
+    At each threshold (the radical of _threshold_phi for the PPV curve,
+    then the NPV curve; NaN at the profiles it rejects) the MCC is
+    mcc_from_rates' left-to-right products over the PPV and NPV with
+    mcc_at_threshold's continuity extension. At a = 1, phi_n is 1, the
+    NPV denominator is 0 and sigma takes the flat curve's value 1.
     """
+    mcc = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Each threshold array is dropped once its MCC is known, to bound peak memory.
-        sc = np.sqrt(1.0 - b)
-        phi = sc / (np.sqrt(a) + sc)
-        del sc
-        denominator = _mcc_at_arrays(a, b, phi)
-        sb = np.sqrt(b)
-        phi = sb / (np.sqrt(1.0 - a) + sb)
-        del sb
-        numerator = _mcc_at_arrays(a, b, phi)
-        del phi
+        # Each temporary is dropped as soon as it is used, to bound peak memory.
+        for curve in (Curve.PPV, Curve.NPV):
+            p, q, _ = _curve_coefficients(a, b, curve)
+            phi = _radical_split(p, q)
+            del p, q
+            rho = _predictive_arrays(a, b, Curve.PPV, phi, extend=True)
+            sigma = _predictive_arrays(a, b, Curve.NPV, phi, extend=True)
+            del phi
+            mcc.append(np.sqrt(rho * a * b * sigma) - np.sqrt((1.0 - rho) * (1.0 - a) * (1.0 - b) * (1.0 - sigma)))
+            del rho, sigma
+        denominator, numerator = mcc
         return np.where(denominator != 0.0, numerator / denominator, np.nan)
 
 

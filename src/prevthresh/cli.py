@@ -16,7 +16,7 @@ import sys
 from contextlib import contextmanager, suppress
 from typing import Sequence
 
-from .bounds import SWEEP_BETAS, ratio_table, verify_bounds
+from .bounds import SWEEP_BETAS, _ratio_values, verify_bounds
 from .dataio import emit_curves, emit_ratio_curves, ingest_predictions
 from .errors import PrevthreshError, UsageError, value_or_none
 from .metrics import ConfusionCounts, DiagnosticProfile, Rate, npv_at, ppv_at
@@ -209,13 +209,11 @@ def _cmd_curves(args) -> int:
 
 
 def _ratio_summary(profile: DiagnosticProfile, betas: Sequence[float]) -> dict:
-    payload: dict = {
+    return {
         "sensitivity": float(profile.sensitivity),
         "specificity": float(profile.specificity),
+        **_ratio_values(profile, betas),
     }
-    for key, evaluate in ratio_table(betas):
-        payload[f"{key}_ratio"] = value_or_none(evaluate, profile)
-    return payload
 
 
 def _cmd_ratios(args) -> int:

@@ -7,12 +7,13 @@ Undefined cells are written as empty fields so every grid point keeps
 its row.
 
 Every stage is a bulk operation. The curve emitters evaluate their
-prevalence grid as numpy arrays that repeat the scalar per-point
-functions' floating-point operations in order (ppv_at, npv_at,
-curvature_at and accuracy_divergence_curve, which stay public and are
-the oracle the test suite checks the emitted bytes against). The
-prediction writer writes identical rows in blocks, and ingest parses
-each distinct token pair once.
+prevalence grid as numpy arrays through the curve-keyed kernels of
+thresholds, which repeat the scalar per-point functions' floating-point
+operations in order (ppv_at, npv_at, curvature_at, and f1_at, f_beta_at
+and fm_at as accuracy_divergence_curve composes them; these stay public
+and are the oracle the test suite checks the emitted bytes against).
+The prediction writer writes identical rows in blocks, and ingest
+parses each distinct token pair once.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from typing import IO, Iterable, Union
 
 import numpy as np
 
-from .bounds import RatioMetric, _divergence_metric, _predictive_arrays
-from .errors import EmptyInput, ParseError
-from .metrics import ConfusionCounts, DiagnosticProfile, FBetaWeight, _as_weight
-from .thresholds import Curve, _curvature_arrays, threshold_summary
+from .errors import DegenerateProfile, EmptyInput, ParseError
+from .metrics import ConfusionCounts, DiagnosticProfile, Rate, _as_weight
+from .thresholds import Curve, _curvature_arrays, _predictive_arrays, threshold_summary
 
 __all__ = [
     "ingest_predictions",
@@ -129,6 +129,9 @@ def ingest_predictions(source: Source) -> ConfusionCounts:
     finally:
         if owns:
             stream.close()
+        elif stream is not source:
+            # Unhook our text wrapper, which would close the caller's byte stream when collected.
+            stream.detach()
 
 
 def write_predictions(counts: ConfusionCounts, sink: IO) -> int:
@@ -210,13 +213,8 @@ def emit_curves(
     phi = np.array(grid)
     a = float(profile.sensitivity)
     b = float(profile.specificity)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # No flat-curve extension: a zero Bayes denominator is an empty cell.
-        columns = [
-            _predictive_arrays(a * phi, (1.0 - b) * (1.0 - phi), False, False),
-            _predictive_arrays(b * (1.0 - phi), (1.0 - a) * phi, False, False),
-        ]
-    columns += [_curvature_arrays(profile, curve, phi) for curve in (Curve.PPV, Curve.NPV)]
+    columns = [_predictive_arrays(a, b, curve, phi) for curve in Curve]
+    columns += [_curvature_arrays(a, b, curve, phi) for curve in Curve]
     _write_grid(sink, ["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"], grid, columns)
 
     if sidecar is not None:
@@ -240,34 +238,35 @@ def emit_ratio_curves(
     rows. Raises before writing anything for an invalid beta or step,
     and DegenerateProfile at sensitivity 0.
 
-    Each reference is the scalar f1_at, f_beta_at or fm_at at phi = 1;
-    the grid is evaluated as numpy arrays from one PPV array, with
-    f_beta_score's harmonic form (1 + beta^2) / (beta^2/a + 1/ppv) and
-    fm_at's sqrt(a * ppv), so every cell is bit-equal to what
+    Each column's score is a formula in the PPV rho: f_beta_score's
+    harmonic form (1 + beta^2) / (beta^2/a + 1/rho) (f1 is beta = 1) and
+    fm_at's sqrt(a * rho). Its reference is that formula at rho = 1,
+    since ppv_at(profile, 1) is a/a = 1.0 exactly, and the grid is one
+    PPV array, so every cell is bit-equal to what
     accuracy_divergence_curve, the oracle the test suite checks the
     bytes against, gives there.
     """
     weights = [_as_weight(b) for b in betas]
     grid = _phi_grid(step)
+    a = float(profile.sensitivity)
+    if a == 0.0:
+        raise DegenerateProfile("reference value at full prevalence is undefined when sensitivity is 0")
 
-    specs: list[tuple[str, RatioMetric, FBetaWeight | None]] = [("f1_chi", RatioMetric.F1, None)]
-    for w in weights:
-        specs.append((f"fbeta_{w.beta:g}_chi", RatioMetric.F_BETA, w))
-    specs.append(("fm_chi", RatioMetric.FM, None))
-    references = [_divergence_metric(profile, metric, w)(1.0) for _, metric, w in specs]
+    def f_score(beta_sq: float):
+        return lambda rho: (1.0 + beta_sq) / (beta_sq / a + 1.0 / rho)
+
+    scores = [("f1_chi", f_score(1.0))]
+    scores += [(f"fbeta_{w.beta:g}_chi", f_score(w.beta * w.beta)) for w in weights]
+    scores.append(("fm_chi", lambda rho: np.sqrt(a * rho)))
+    # A reference is a rate, like the scalar metric's; an overflowing beta**2 makes it NaN.
+    references = [Rate(score(1.0)) for _, score in scores]
 
     phi = np.array(grid)
-    a = float(profile.sensitivity)
-    b = float(profile.specificity)
+    rho = _predictive_arrays(a, float(profile.specificity), Curve.PPV, phi)
     columns = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rho = _predictive_arrays(a * phi, (1.0 - b) * (1.0 - phi), False, False)
-        for (_, metric, w), reference in zip(specs, references):
-            if metric == RatioMetric.FM:
-                score = np.sqrt(a * rho)
-            else:
-                beta_sq = 1.0 if w is None else w.beta * w.beta
-                score = (1.0 + beta_sq) / (beta_sq / a + 1.0 / rho)
-            columns.append(np.where(score > 0.0, reference / score, np.nan))
-    _write_grid(sink, ["phi"] + [name for name, _, _ in specs], grid, columns)
+        for (_, score), reference in zip(scores, references):
+            values = score(rho)
+            columns.append(np.where(values > 0.0, reference / values, np.nan))
+    _write_grid(sink, ["phi"] + [name for name, _ in scores], grid, columns)
     return len(grid)

@@ -269,7 +269,9 @@ def mcc_from_counts(counts: ConfusionCounts) -> float:
     (tp*tn - fp*fn) / sqrt of the product of the four marginals. Serves
     as the independent cross-check of :func:`mcc_from_rates`; the two
     agree to floating-point tolerance whenever all marginals are
-    positive.
+    positive. Where that product overflows a float, the MCC is the
+    signed square root of the exact integer ratio (tp*tn - fp*fn)**2 /
+    product instead.
     """
     tp, fp, fn, tn = counts.tp, counts.fp, counts.fn, counts.tn
     pred_pos = tp + fp
@@ -278,20 +280,32 @@ def mcc_from_counts(counts: ConfusionCounts) -> float:
     pred_neg = tn + fn
     if min(pred_pos, obs_pos, obs_neg, pred_neg) == 0:
         raise UndefinedMetric("MCC undefined: a confusion-matrix marginal is zero")
-    return (tp * tn - fp * fn) / math.sqrt(float(pred_pos) * obs_pos * obs_neg * pred_neg)
+    numerator = tp * tn - fp * fn
+    try:
+        product = float(pred_pos) * obs_pos * obs_neg * pred_neg
+    except OverflowError:  # a marginal itself is beyond float range
+        product = math.inf
+    if math.isfinite(product):
+        return numerator / math.sqrt(product)
+    magnitude = math.sqrt(numerator * numerator / (pred_pos * obs_pos * obs_neg * pred_neg))
+    return -magnitude if numerator < 0 else magnitude
 
 
 def chi_square_from_mcc(mcc: float, n: int) -> float:
     """Chi-square statistic of the 2x2 table implied by an MCC on n elements.
 
     Inverts |phi_coefficient| = sqrt(chi2 / n) to chi2 = n * mcc**2.
+    Raises ValueError where n is too large for a float.
     """
     m = float(mcc)
     if not math.isfinite(m) or abs(m) > 1.0:
         raise ValueError(f"mcc must lie in [-1, 1], got {mcc!r}")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    return n * m * m
+    try:
+        return n * m * m
+    except OverflowError:
+        raise ValueError(f"n is too large for a float ({n.bit_length()} bits)") from None
 
 
 def accuracy_from_counts(counts: ConfusionCounts) -> Rate:

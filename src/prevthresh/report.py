@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bounds import SWEEP_BETAS, ratio_table
+from .bounds import SWEEP_BETAS, _ratio_values
 from .errors import UndefinedMetric, value_or_none
 from .metrics import (
     ConfusionCounts,
@@ -110,9 +110,7 @@ def analyze_counts(
     thresholds: dict[str, float | None] = {
         key: summary[key] for key in ("phi_e", "ppv_at_phi_e", "phi_n", "npv_at_phi_n")
     }
-    ratios: dict[str, float | None] = {
-        f"{key}_ratio": value_or_none(evaluate, profile) for key, evaluate in ratio_table(weights)
-    }
+    ratios = _ratio_values(profile, weights)
 
     phi_e = thresholds["phi_e"]
     flags: dict[str, bool | None] = {

@@ -97,6 +97,89 @@ class CurvaturePoint:
         return 1.0 / self.kappa
 
 
+def _curve_coefficients(a, b, curve: Curve):
+    """Quotient-form coefficients (p, q, sign) of the chosen curve, for floats or arrays.
+
+    Both curves are Bayes' rule over the denominator
+    u = p*phi + q*(1-phi): PPV = p*phi / u with (p, q) = (a, 1-b), and
+    NPV = q*(1-phi) / u with (p, q) = (1-a, b). sign is the sign of the
+    slope (+1 for PPV, -1 for NPV); the derivative magnitudes depend
+    only on the product p*q and on u.
+    """
+    if curve == Curve.PPV:
+        return a, 1.0 - b, 1.0
+    return 1.0 - a, b, -1.0
+
+
+def _radical_split(p, q):
+    """sqrt(q) / (sqrt(p) + sqrt(q)), for floats or arrays (NaN where p = q = 0).
+
+    With a curve's coefficients this is its maximum-curvature
+    prevalence: phi_e from (a, 1-b), phi_n from (1-a, b). With p and q
+    swapped it is the PPV at phi_e.
+    """
+    sqrt = np.sqrt if isinstance(q, np.ndarray) else math.sqrt
+    sq = sqrt(q)
+    return sq / (sqrt(p) + sq)
+
+
+def _predictive_arrays(a, b, curve: Curve, phi: np.ndarray, extend: bool = False) -> np.ndarray:
+    """The curve's predictive value at every phi by Bayes' rule; NaN where its denominator is 0.
+
+    PPV is p*phi / u and NPV is q*(1-phi) / u (see _curve_coefficients),
+    ppv_at's and npv_at's operations, so every defined value is
+    bit-equal to theirs (IEEE addition commutes). With extend (a and b
+    arrays), a zero-denominator cell is a flat curve and takes its
+    constant value, hits / (hits + misses) of the rates: 1 where the
+    curve has no misses, 0 where it has no hits, NaN where it has
+    neither; this is mcc_at_threshold's continuity extension.
+    """
+    p, q, _ = _curve_coefficients(a, b, curve)
+    hit = 0 if curve == Curve.PPV else 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (p * phi, q * (1.0 - phi))
+        den = terms[0] + terms[1]
+        values = terms[hit] / den
+        del terms
+        if extend:
+            gap = np.flatnonzero(den == 0.0)
+            rates = (p[gap], q[gap])
+            values[gap] = rates[hit] / (rates[0] + rates[1])
+    return values
+
+
+def _threshold_phi(profile: DiagnosticProfile, curve: Curve) -> Rate:
+    """The curve's maximum-curvature prevalence, from its radical closed form.
+
+    _radical_split of the curve's coefficients; raises DegenerateProfile
+    where p = q = 0, since the curve is then 0/0 at every prevalence.
+    """
+    a = float(profile.sensitivity)
+    b = float(profile.specificity)
+    p, q, sign = _curve_coefficients(a, b, curve)
+    if p == 0.0 and q == 0.0:
+        side = "positive" if sign > 0.0 else "negative"
+        raise DegenerateProfile(f"{side} threshold undefined: sensitivity {a:g} with specificity {b:g}")
+    return Rate(_radical_split(p, q))
+
+
+def _closed_form_threshold(profile: DiagnosticProfile, curve: Curve) -> ThresholdResult:
+    """positive_threshold for the PPV curve, negative_threshold for the NPV curve."""
+    phi = _threshold_phi(profile, curve)
+    positive = curve == Curve.PPV
+    try:
+        value: Rate | None = ppv_at_threshold(profile) if positive else npv_at(profile, phi)
+    except (DegenerateProfile, DegenerateDenominator):
+        value = None
+    return ThresholdResult(
+        phi=phi,
+        metric_value=value,
+        kind=ThresholdKind.POSITIVE if positive else ThresholdKind.NEGATIVE,
+        method=ThresholdMethod.CLOSED_FORM,
+        degenerate=profile.is_degenerate(),
+    )
+
+
 def positive_threshold(profile: DiagnosticProfile) -> ThresholdResult:
     """Prevalence below which positive predictions become unreliable.
 
@@ -105,41 +188,21 @@ def positive_threshold(profile: DiagnosticProfile) -> ThresholdResult:
     specificity is 1, where the curve is constant and the value at
     phi_e = 0 is undefined).
     """
-    a = float(profile.sensitivity)
-    b = float(profile.specificity)
-    if a == 0.0 and b == 1.0:
-        raise DegenerateProfile("positive threshold undefined: sensitivity 0 with specificity 1")
-    sa = math.sqrt(a)
-    sc = math.sqrt(1.0 - b)
-    phi = Rate(sc / (sa + sc))
-    try:
-        value: Rate | None = ppv_at_threshold(profile)
-    except DegenerateProfile:
-        value = None
-    return ThresholdResult(
-        phi=phi,
-        metric_value=value,
-        kind=ThresholdKind.POSITIVE,
-        method=ThresholdMethod.CLOSED_FORM,
-        degenerate=profile.is_degenerate(),
-    )
+    return _closed_form_threshold(profile, Curve.PPV)
 
 
 def ppv_at_threshold(profile: DiagnosticProfile) -> Rate:
     """Positive predictive value at the positive threshold.
 
     Equals sqrt(a/(1-b)) * phi_e, computed in the algebraically equal
-    but better-conditioned form sqrt(a) / (sqrt(a) + sqrt(1-b));
-    evaluating the PPV curve directly at phi_e gives the same number to
-    1e-12.
+    but better-conditioned form sqrt(a) / (sqrt(a) + sqrt(1-b)), which
+    is phi_e's radical with the coefficients swapped; evaluating the
+    PPV curve directly at phi_e gives the same number to 1e-12.
     """
-    a = float(profile.sensitivity)
     b = float(profile.specificity)
     if b == 1.0:
         raise DegenerateProfile("PPV at threshold undefined when specificity is 1")
-    sa = math.sqrt(a)
-    sc = math.sqrt(1.0 - b)
-    return Rate(sa / (sa + sc))
+    return Rate(_radical_split(1.0 - b, float(profile.sensitivity)))
 
 
 def negative_threshold(profile: DiagnosticProfile) -> ThresholdResult:
@@ -151,24 +214,7 @@ def negative_threshold(profile: DiagnosticProfile) -> ThresholdResult:
     (None at edge profiles where that evaluation is undefined:
     sensitivity 1 puts phi_n at 1, specificity 0 puts it at 0).
     """
-    a = float(profile.sensitivity)
-    b = float(profile.specificity)
-    if a == 1.0 and b == 0.0:
-        raise DegenerateProfile("negative threshold undefined: sensitivity 1 with specificity 0")
-    sd = math.sqrt(1.0 - a)
-    sb = math.sqrt(b)
-    phi = Rate(sb / (sd + sb))
-    try:
-        value: Rate | None = npv_at(profile, phi)
-    except DegenerateDenominator:
-        value = None
-    return ThresholdResult(
-        phi=phi,
-        metric_value=value,
-        kind=ThresholdKind.NEGATIVE,
-        method=ThresholdMethod.CLOSED_FORM,
-        degenerate=profile.is_degenerate(),
-    )
+    return _closed_form_threshold(profile, Curve.NPV)
 
 
 def threshold_summary(profile: DiagnosticProfile) -> dict:
@@ -187,38 +233,18 @@ def threshold_summary(profile: DiagnosticProfile) -> dict:
         "informative": profile.is_informative(),
         "degenerate": profile.is_degenerate(),
     }
-    try:
-        positive = positive_threshold(profile)
-    except DegenerateProfile:
-        pass
-    else:
-        payload["phi_e"] = float(positive.phi)
-        if positive.metric_value is not None:
-            payload["ppv_at_phi_e"] = float(positive.metric_value)
-    try:
-        negative = negative_threshold(profile)
-    except DegenerateProfile:
-        pass
-    else:
-        payload["phi_n"] = float(negative.phi)
-        if negative.metric_value is not None:
-            payload["npv_at_phi_n"] = float(negative.metric_value)
+    for threshold, phi_key, value_key in (
+        (positive_threshold, "phi_e", "ppv_at_phi_e"),
+        (negative_threshold, "phi_n", "npv_at_phi_n"),
+    ):
+        try:
+            result = threshold(profile)
+        except DegenerateProfile:
+            continue
+        payload[phi_key] = float(result.phi)
+        if result.metric_value is not None:
+            payload[value_key] = float(result.metric_value)
     return payload
-
-
-def _curve_coefficients(profile: DiagnosticProfile, curve: Curve) -> tuple[float, float, float]:
-    """Quotient-form coefficients of the chosen curve.
-
-    Both curves can be written f(phi) = (num at phi) / (p*phi + q*(1-phi));
-    returns (p, q, sign) where p, q are the denominator weights and sign
-    is the sign of the slope (+1 for PPV, -1 for NPV). The derivative
-    magnitudes depend only on the product p*q and the denominator.
-    """
-    a = float(profile.sensitivity)
-    b = float(profile.specificity)
-    if curve == Curve.PPV:
-        return a, 1.0 - b, 1.0
-    return 1.0 - a, b, -1.0
 
 
 def curvature_at(profile: DiagnosticProfile, phi: float, curve: Curve | str = Curve.PPV) -> CurvaturePoint:
@@ -234,7 +260,7 @@ def curvature_at(profile: DiagnosticProfile, phi: float, curve: Curve | str = Cu
     """
     curve = Curve(curve)
     phi = Rate(phi)
-    p, q, sign = _curve_coefficients(profile, curve)
+    p, q, sign = _curve_coefficients(float(profile.sensitivity), float(profile.specificity), curve)
     u = p * float(phi) + q * (1.0 - float(phi))
     if u == 0.0:
         raise DegenerateDenominator(
@@ -265,15 +291,15 @@ def _pow_1_5(x: float) -> float:
         return math.nan
 
 
-def _curvature_arrays(profile: DiagnosticProfile, curve: Curve, phi: np.ndarray) -> np.ndarray:
-    """curvature_at(profile, phi[i], curve).kappa at every i; NaN where it raises.
+def _curvature_arrays(a: float, b: float, curve: Curve, phi: np.ndarray) -> np.ndarray:
+    """curvature_at(DiagnosticProfile(a, b), phi[i], curve).kappa at every i; NaN where it raises.
 
     Repeats curvature_at's operations in its order, so every defined
     value is bit-equal to the scalar one. The power (1 + slope**2)**1.5
     is taken with Python floats, because numpy's vectorized power is
     not the platform pow and differs from it in the last digit.
     """
-    p, q, sign = _curve_coefficients(profile, curve)
+    p, q, sign = _curve_coefficients(a, b, curve)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = p * phi + q * (1.0 - phi)
         u2 = u * u
@@ -285,9 +311,8 @@ def _curvature_arrays(profile: DiagnosticProfile, curve: Curve, phi: np.ndarray)
         return np.where((u3 != 0.0) & ~np.isnan(scale), second / scale, np.nan)
 
 
-def _kappa_grid(profile: DiagnosticProfile, curve: Curve, xs: np.ndarray) -> np.ndarray:
-    """Vectorized curvature over a prevalence grid (same algebra as curvature_at)."""
-    p, q, _ = _curve_coefficients(profile, curve)
+def _kappa_grid(p: float, q: float, xs: np.ndarray) -> np.ndarray:
+    """Vectorized curvature of the curve with coefficients (p, q) over a prevalence grid (same algebra as curvature_at)."""
     u = p * xs + q * (1.0 - xs)
     pq = p * q
     # kappa = 2*pq*|p-q|/u^3 / (1 + (pq)^2/u^4)^(3/2), cleared of negative powers.
@@ -309,7 +334,7 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
         raise DegenerateProfile(
             "curvature is zero everywhere when sensitivity + specificity = 1"
         )
-    p, q, _ = _curve_coefficients(profile, curve)
+    p, q, _ = _curve_coefficients(float(profile.sensitivity), float(profile.specificity), curve)
     if p * q == 0.0:
         raise DegenerateProfile(
             f"{curve.value} curve is constant for {profile}; no curvature maximum"
@@ -317,7 +342,7 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
 
     n = round(1.0 / COARSE_STEP)
     xs = np.linspace(0.0, 1.0, n + 1)
-    i = int(np.argmax(_kappa_grid(profile, curve, xs)))
+    i = int(np.argmax(_kappa_grid(p, q, xs)))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, n)]
 
@@ -339,20 +364,15 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
             k1 = kappa(x1)
     phi = Rate(0.5 * (lo + hi))
 
-    if curve == Curve.PPV:
-        kind = ThresholdKind.POSITIVE
-        value_fn = ppv_at
-    else:
-        kind = ThresholdKind.NEGATIVE
-        value_fn = npv_at
+    positive = curve == Curve.PPV
     try:
-        value: Rate | None = value_fn(profile, phi)
+        value: Rate | None = (ppv_at if positive else npv_at)(profile, phi)
     except DegenerateDenominator:
         value = None
     return ThresholdResult(
         phi=phi,
         metric_value=value,
-        kind=kind,
+        kind=ThresholdKind.POSITIVE if positive else ThresholdKind.NEGATIVE,
         method=ThresholdMethod.CURVATURE_ORACLE,
         degenerate=False,
     )

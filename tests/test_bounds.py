@@ -135,6 +135,16 @@ class TestMccAtThreshold:
         assert mcc_at_threshold(p, "positive") == 1.0
         assert mcc_at_threshold(p, "negative") == 1.0
 
+    @pytest.mark.parametrize(
+        "a, b, which",
+        [(0.0, 0.5, "positive"), (0.5, 0.0, "negative")],
+        ids=["ppv-without-hits", "npv-without-hits"],
+    )
+    def test_vanishing_curve_extends_to_zero(self, a, b, which):
+        # The threshold lands on the 0/0 edge of a curve with no hits, whose
+        # continuous extension is 0; the other curve is 0 there too.
+        assert mcc_at_threshold(DiagnosticProfile(a, b), which) == -math.sqrt(0.5)
+
     def test_composes_from_curve_values(self):
         from prevthresh import mcc_from_rates
 

@@ -1,14 +1,19 @@
 """End-to-end CLI behavior: output shapes, exit codes, error grammar."""
 
+import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
 import threading
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prevthresh
 import prevthresh.cli as cli
@@ -236,6 +241,14 @@ class TestAnalyze:
         assert code == 1
         assert err.startswith("error:usage:")
 
+    def test_counts_beyond_float_range(self, capsys):
+        # n has 1,330 bits: the MCC is still computed, the chi-square statistic is not representable.
+        big = "1" + "0" * 400
+        code, out, err = run(capsys, "analyze", "--counts", f"{big},1,1,{big}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:validation: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     ARGS = (
@@ -388,6 +401,83 @@ class TestTopLevel:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:validation:") and proc.stderr.count("\n") == 1
+
+
+# Vocabulary of the argv fuzz: each subcommand's flags with a valid value
+# (None for switches), every flag again for stray use, and values that are
+# out of range, NaN, infinite, negative, huge or not numbers. Every numeric
+# value is either >= 0.01 or below the smallest accepted step, so no drawn
+# --step or --grid-step builds a large grid.
+OUT = "{dir}/out.csv"
+FUZZ_COMMANDS = {
+    "thresholds": {"--sensitivity": "0.9", "--specificity": "0.95", "--json": None, "--output": OUT},
+    "curves": {"--sensitivity": "0.9", "--specificity": "0.95", "--step": "0.05", "--output": OUT},
+    "ratios": {
+        "--sensitivity": "0.9", "--specificity": "0.95", "--step": "0.05", "--betas": "0.5,2", "--json": None,
+        "--output": OUT,
+    },
+    "analyze": {
+        "--counts": "9,1,1,9", "--predictions": "{dir}/good.csv", "--betas": "1,3", "--json": None, "--output": OUT,
+    },
+    "simulate": {
+        "--prevalence": "0.3", "--sensitivity": "0.9", "--specificity": "0.95", "--n": "1000", "--seed": "7",
+        "--json": None, "--output": OUT,
+    },
+    "verify-bounds": {"--grid-step": "0.05", "--delta": "0.01", "--tolerance": "0", "--output": OUT},
+    "frobnicate": {},
+    "--help": {},
+}
+FUZZ_FLAGS = sorted({flag for flags in FUZZ_COMMANDS.values() for flag in flags} | {"--help", "--bogus"})
+FUZZ_VALUES = (
+    "0", "1", "0.5", "0.05", "0.01", "2", "-1", "-0.5", "1.5", "1e-300", "1e-9", "1e308", "1e200",
+    "nan", "-nan", "inf", "-inf", "9" * 30, "1" + "0" * 400, "abc", "", "0x10",
+    "0.5,,2", "1,nan", "5,0,5,0", "0,0,0,0", "1,2,3", "-1,1,1,1", "1.5,1,1,1", ",".join(["1" + "0" * 400] * 4),
+    "{dir}/bad.csv", "{dir}/missing.csv", "{dir}/no-such-dir/out.csv",
+)
+ERROR_LINE = re.compile(r"error:[a-z-]+: [^\n]*\n")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv-fuzz")
+    (root / "good.csv").write_text("label,prediction\n1,1\n0,1\n1,0\n0,0\n0,0\n", encoding="utf-8")
+    (root / "bad.csv").write_text("label,prediction\n1,1\n1,7\n", encoding="utf-8")
+    return root
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_argv_fuzz_keeps_error_contract(fuzz_dir, data):
+    """Any argv from the vocabulary exits 0, 1 or 2 without a traceback, with one error line on exit 1."""
+    command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    options = []
+    for flag, valid in FUZZ_COMMANDS[command].items():
+        # Mostly the valid value; sometimes a vocabulary value, a missing value or no flag at all.
+        how = data.draw(st.integers(0, 4))
+        if how < 3:
+            options.append([flag] if valid is None else [flag, valid])
+        elif how == 3:
+            value = data.draw(st.one_of(st.none(), st.sampled_from(FUZZ_VALUES)))
+            options.append([flag] if value is None else [flag, value])
+    for flag in data.draw(st.lists(st.sampled_from(FUZZ_FLAGS), max_size=1)):
+        options.append([flag, data.draw(st.sampled_from(FUZZ_VALUES))])
+    argv = [command] + [token.format(dir=fuzz_dir) for option in data.draw(st.permutations(options)) for token in option]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)  # a stray "--output VALUE" writes a file named VALUE
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 1:
+        assert ERROR_LINE.fullmatch(err.getvalue())
+    else:
+        assert err.getvalue() == ""
+    if code == 2:
+        assert command == "verify-bounds"
 
 
 CURVES_ARGV = ("curves", "--sensitivity", "0.9", "--specificity", "0.95", "--step", "0.25")

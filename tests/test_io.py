@@ -1,5 +1,6 @@
 """CSV ingestion/emission round trips and the fixed output dialect."""
 
+import gc
 import io
 import json
 
@@ -90,6 +91,19 @@ class TestIngest:
     def test_reads_byte_streams(self):
         counts = ingest_predictions(io.BytesIO(b"label,prediction\n1,1\n0,0\n"))
         assert counts == ConfusionCounts(1, 0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "body", [b"label,prediction\n1,1\n0,0\n", b"label,prediction\n1,1\n7,0\n"], ids=["counts", "parse-error"]
+    )
+    def test_leaves_caller_byte_stream_open(self, body):
+        stream = io.BytesIO(body)
+        try:
+            ingest_predictions(stream)
+        except ParseError:
+            pass
+        gc.collect()
+        assert not stream.closed
+        assert stream.getvalue() == body
 
     def test_reads_paths(self, tmp_path):
         path = tmp_path / "preds.csv"
@@ -326,6 +340,12 @@ class TestEmitRatioCurves:
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             emit_ratio_curves(P_9095, [0.0], 0.5, io.StringIO())
+
+    def test_overflowing_beta_square_raises_like_oracle(self):
+        # beta**2 overflows, so the f_beta reference at full prevalence is inf/inf.
+        got = _emit_outcome(emit_ratio_curves, P_9095, (2.0, 1e200), 0.5)
+        assert got == _emit_outcome(emit_ratio_curves_scalar, P_9095, (2.0, 1e200), 0.5)
+        assert got == (("ValueError", "rate must be a finite number in [0, 1], got nan"), "")
 
 
 # Profiles of the emitter parity matrix: interior, flat and vanishing

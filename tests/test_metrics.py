@@ -8,6 +8,7 @@ algebraically different evaluation path.
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -304,6 +305,29 @@ class TestMcc:
         with pytest.raises(UndefinedMetric):
             mcc_from_counts(ConfusionCounts(*cells))
 
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            (10**200, 1, 1, 1),
+            (10**400, 1, 1, 10**400),
+            (1, 10**400, 10**400, 1),
+            (10**150, 10**150 - 7, 3, 10**150),
+            (10**400, 10**400, 10**400, 10**400),
+        ],
+        ids=["1e200-tp", "1e400-diagonal", "1e400-off-diagonal", "1e150-mixed", "1e400-all"],
+    )
+    def test_counts_beyond_float_range(self, cells):
+        # The product of the marginals overflows a float; compare with 50-digit arithmetic.
+        with mpmath.workdps(50):
+            tp, fp, fn, tn = (mpmath.mpf(c) for c in cells)
+            exact = (tp * tn - fp * fn) / mpmath.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
+        assert mcc_from_counts(ConfusionCounts(*cells)) == pytest.approx(float(exact), abs=1e-15)
+
+    def test_counts_keep_float_bits_where_the_product_is_finite(self):
+        tp, fp, fn, tn = 10**75, 3 * 10**74, 7, 10**75 + 11
+        direct = (tp * tn - fp * fn) / math.sqrt(float(tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
+        assert mcc_from_counts(ConfusionCounts(tp, fp, fn, tn)) == direct
+
     @given(
         tp=st.integers(min_value=1, max_value=500),
         fp=st.integers(min_value=1, max_value=500),
@@ -331,6 +355,8 @@ class TestChiSquareAndAccuracy:
             chi_square_from_mcc(0.5, 0)
         with pytest.raises(ValueError):
             chi_square_from_mcc(float("nan"), 10)
+        with pytest.raises(ValueError, match="too large for a float"):
+            chi_square_from_mcc(0.5, 10**400)
 
     def test_accuracy(self):
         assert float(accuracy_from_counts(ConfusionCounts(50, 0, 0, 50))) == 1.0
