@@ -18,6 +18,10 @@ point operations in the same order, and the per-profile functions
 (f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio) are the oracle the suite
 checks those arrays against, byte for byte on the report. The finest
 grid step it accepts is MIN_GRID_STEP = 0.001 (499,500 cells).
+
+The array path of the sweep (cell builder, ratio arrays, per-metric
+records) lives in _arrays, which verify_bounds imports on first call;
+the per-profile ratios and ratio_table load no numpy.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator
-
-import numpy as np
+from typing import Callable, Iterable
 
 from .errors import (
     DegenerateDenominator,
@@ -48,14 +50,7 @@ from .metrics import (
     npv_at,
     ppv_at,
 )
-from .thresholds import (
-    Curve,
-    ThresholdKind,
-    _curve_coefficients,
-    _predictive_arrays,
-    _radical_split,
-    _threshold_phi,
-)
+from .thresholds import Curve, ThresholdKind, _threshold_phi
 
 __all__ = [
     "RatioMetric",
@@ -387,80 +382,6 @@ def _ratio_values(profile: DiagnosticProfile, betas: Iterable[float | FBetaWeigh
     return {f"{key}_ratio": value_or_none(evaluate, profile) for key, evaluate in ratio_table(betas)}
 
 
-def _mcc_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """mcc_ratio at every cell (a[i], b[i]); NaN where the scalar path raises.
-
-    At each threshold (the radical of _threshold_phi for the PPV curve,
-    then the NPV curve; NaN at the profiles it rejects) the MCC is
-    mcc_from_rates' left-to-right products over the PPV and NPV with
-    mcc_at_threshold's continuity extension. At a = 1, phi_n is 1, the
-    NPV denominator is 0 and sigma takes the flat curve's value 1.
-    """
-    mcc = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Each temporary is dropped as soon as it is used, to bound peak memory.
-        for curve in (Curve.PPV, Curve.NPV):
-            p, q, _ = _curve_coefficients(a, b, curve)
-            phi = _radical_split(p, q)
-            del p, q
-            rho = _predictive_arrays(a, b, Curve.PPV, phi, extend=True)
-            sigma = _predictive_arrays(a, b, Curve.NPV, phi, extend=True)
-            del phi
-            mcc.append(np.sqrt(rho * a * b * sigma) - np.sqrt((1.0 - rho) * (1.0 - a) * (1.0 - b) * (1.0 - sigma)))
-            del rho, sigma
-        denominator, numerator = mcc
-        return np.where(denominator != 0.0, numerator / denominator, np.nan)
-
-
-def _ratio_arrays(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
-    """Every ratio of ratio_table() as (key, values at every cell), keyed alike and in its order.
-
-    The closed forms of f1_ratio, f_beta_ratio, fm_ratio and mcc_ratio
-    as array expressions with the same operations in the same order, so
-    each value is bit-equal to the per-profile function's. Needs a > 0,
-    which the swept region guarantees. Yields one array at a time so a
-    consumer that drops each before asking for the next holds at most
-    one ratio array at once.
-    """
-    root = np.sqrt(a * (1.0 - b))
-    yield "f1", 1.0 + root / (1.0 + a)
-    for beta in SWEEP_BETAS:
-        yield f"f_beta_{beta:g}", 1.0 + root / (beta * beta + a)
-    del root
-    yield "fm", np.sqrt(1.0 + np.sqrt((1.0 - b) / a))
-    yield "mcc", _mcc_ratio_arrays(a, b)
-
-
-def _bound_record(key: str, values: np.ndarray, a: np.ndarray, b: np.ndarray, tolerance: float) -> BoundRecord:
-    """Extrema, violations and skipped (NaN) cells of one ratio over the swept cells, in sweep order."""
-    lower, upper = RATIO_BOUNDS[key]
-    ok = ~np.isnan(values)
-    v, va, vb = values[ok], a[ok], b[ok]
-    observed_min = observed_max = argmin = argmax = None
-    if v.size:
-        # argmin/argmax return the first occurrence: the earliest cell in sweep order.
-        i, j = int(np.argmin(v)), int(np.argmax(v))
-        observed_min, argmin = float(v[i]), (float(va[i]), float(vb[i]))
-        observed_max, argmax = float(v[j]), (float(va[j]), float(vb[j]))
-    bad = (v < lower - tolerance) | (v > upper + tolerance)
-    violations = tuple(
-        BoundViolation(sensitivity=sa, specificity=sb, value=value, lower=lower, upper=upper)
-        for sa, sb, value in zip(va[bad].tolist(), vb[bad].tolist(), v[bad].tolist())
-    )
-    return BoundRecord(
-        metric=key,
-        lower=lower,
-        upper=upper,
-        cells=int(v.size),
-        observed_min=observed_min,
-        observed_max=observed_max,
-        argmin=argmin,
-        argmax=argmax,
-        violations=violations,
-        skipped=tuple(zip(a[~ok].tolist(), b[~ok].tolist())),
-    )
-
-
 def verify_bounds(grid_step: float = 0.01, delta: float = 1e-6, tolerance: float = 1e-9) -> BoundsReport:
     """Sweep every ratio identity over an (a, b) grid and check its bounds.
 
@@ -482,23 +403,23 @@ def verify_bounds(grid_step: float = 0.01, delta: float = 1e-6, tolerance: float
     so the report is identical to calling those functions cell by cell
     (the test suite checks this against them). grid_step must lie in
     [MIN_GRID_STEP, 0.05]; the finest grid, 0.001, sweeps 499,500 cells.
+    delta must be positive and tolerance non-negative, both finite:
+    ValueError otherwise, before any grid is built.
     """
     if not (MIN_GRID_STEP <= grid_step <= 0.05):
         raise ValueError(f"grid_step must be in [{MIN_GRID_STEP!r}, 0.05], got {grid_step!r}")
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    if tolerance < 0.0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance!r}")
+    if not (0.0 < delta < math.inf):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    if not (0.0 <= tolerance < math.inf):
+        raise ValueError(f"tolerance must be non-negative and finite, got {tolerance!r}")
+
+    from . import _arrays
 
     floor = 1.0 + delta
-    axis = np.array(_grid_axis(grid_step))
-    # Row-major order of the kept (a, b) pairs is the sweep order: a outer, b inner.
-    rows, cols = np.nonzero((axis[None, :] < 1.0) & (axis[:, None] + axis[None, :] >= floor))
-    a, b = axis[rows], axis[cols]
-    del rows, cols
+    a, b = _arrays.sweep_cells(_grid_axis(grid_step), floor)
     records = []
-    for key, values in _ratio_arrays(a, b):
-        records.append(_bound_record(key, values, a, b, tolerance))
+    for key, values in _arrays.ratio_arrays(a, b):
+        records.append(_arrays.bound_record(key, values, a, b, tolerance))
         del values
     return BoundsReport(
         grid_step=grid_step,

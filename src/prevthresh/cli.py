@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands map one-to-one onto the library surface: thresholds,
-curves, ratios, analyze, simulate, verify-bounds. Output goes to
-stdout or --output; errors go to stderr as one machine-parsable line
-`error:<kind>: <message>`. Exit codes: 0 success, 1 for any usage,
-validation, parse or I/O error, 2 when verify-bounds found violations.
+curves, ratios, analyze, simulate, verify-bounds; --version prints the
+package version. Output goes to stdout or --output; errors go to
+stderr as one machine-parsable line `error:<kind>: <message>`. Exit
+codes: 0 success, 1 for any usage, validation, parse or I/O error, 2
+when verify-bounds found violations. JSON output never holds NaN or an
+infinity; such a payload is a validation error.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import sys
 from contextlib import contextmanager, suppress
 from typing import Sequence
 
+from . import __version__
 from .bounds import SWEEP_BETAS, _ratio_values, verify_bounds
 from .dataio import emit_curves, emit_ratio_curves, ingest_predictions
 from .errors import PrevthreshError, UsageError, value_or_none
@@ -74,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="prevthresh",
         description="Prevalence thresholds and accuracy-ratio bounds for binary classifiers.",
     )
+    parser.add_argument("--version", action="version", version=f"prevthresh {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("thresholds", help="closed-form prevalence thresholds of a profile")
@@ -169,7 +173,8 @@ def _sink(path: str | None):
 
 
 def _write_json(out, payload: dict) -> None:
-    out.write(json.dumps(payload, indent=2) + "\n")
+    # NaN and infinities are not JSON; refuse them rather than print them.
+    out.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _fmt(value) -> str:
@@ -313,7 +318,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
-        # argparse --help exits on its own; normalize its code.
+        # argparse --help and --version exit on their own; normalize the code.
         code = exc.code
         if code is None:
             return 0

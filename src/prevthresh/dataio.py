@@ -8,12 +8,14 @@ its row.
 
 Every stage is a bulk operation. The curve emitters evaluate their
 prevalence grid as numpy arrays through the curve-keyed kernels of
-thresholds, which repeat the scalar per-point functions' floating-point
+_arrays, which repeat the scalar per-point functions' floating-point
 operations in order (ppv_at, npv_at, curvature_at, and f1_at, f_beta_at
 and fm_at as accuracy_divergence_curve composes them; these stay public
 and are the oracle the test suite checks the emitted bytes against).
-The prediction writer writes identical rows in blocks, and ingest
-parses each distinct token pair once.
+_arrays also formats the grid rows; the emitters import it on first
+call, so ingest and the prediction writer load no numpy. The prediction
+writer writes identical rows in blocks, and ingest parses each distinct
+token pair once.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ import math
 from pathlib import Path
 from typing import IO, Iterable, Union
 
-import numpy as np
-
 from .errors import DegenerateProfile, EmptyInput, ParseError
-from .metrics import ConfusionCounts, DiagnosticProfile, Rate, _as_weight
-from .thresholds import Curve, _curvature_arrays, _predictive_arrays, threshold_summary
+from .metrics import ConfusionCounts, DiagnosticProfile, _as_weight
+from .thresholds import threshold_summary
 
 __all__ = [
     "ingest_predictions",
@@ -169,25 +169,6 @@ def _phi_grid(step: float) -> list[float]:
     return values
 
 
-def _cells(values: np.ndarray) -> list[str]:
-    """repr of each value; NaN, the mark of an undefined cell, becomes an empty field."""
-    return ["" if v != v else repr(v) for v in values.tolist()]
-
-
-def _write_grid(sink: IO, header: list[str], grid: list[float], columns: list[np.ndarray]) -> None:
-    """Write the header, then one row per grid point: phi and each column's cell there.
-
-    Rows are formatted and written _BLOCK_ROWS at a time. No field
-    needs csv quoting: the header names are plain words and every cell
-    is a float repr or empty.
-    """
-    sink.write(",".join(header) + "\n")
-    for start in range(0, len(grid), _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        fields = [list(map(repr, grid[start:stop]))] + [_cells(col[start:stop]) for col in columns]
-        sink.write("\n".join(map(",".join, zip(*fields))) + "\n")
-
-
 def emit_curves(
     profile: DiagnosticProfile,
     step: float,
@@ -210,16 +191,14 @@ def emit_curves(
     test suite checks the bytes against.
     """
     grid = _phi_grid(step)
-    phi = np.array(grid)
-    a = float(profile.sensitivity)
-    b = float(profile.specificity)
-    columns = [_predictive_arrays(a, b, curve, phi) for curve in Curve]
-    columns += [_curvature_arrays(a, b, curve, phi) for curve in Curve]
-    _write_grid(sink, ["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"], grid, columns)
+
+    from . import _arrays
+
+    columns = _arrays.curve_columns(float(profile.sensitivity), float(profile.specificity), grid)
+    _arrays.write_grid(sink, ["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"], grid, columns)
 
     if sidecar is not None:
-        json.dump(threshold_summary(profile), sidecar, indent=2)
-        sidecar.write("\n")
+        sidecar.write(json.dumps(threshold_summary(profile), indent=2, allow_nan=False) + "\n")
     return len(grid)
 
 
@@ -252,21 +231,10 @@ def emit_ratio_curves(
     if a == 0.0:
         raise DegenerateProfile("reference value at full prevalence is undefined when sensitivity is 0")
 
-    def f_score(beta_sq: float):
-        return lambda rho: (1.0 + beta_sq) / (beta_sq / a + 1.0 / rho)
+    from . import _arrays
 
-    scores = [("f1_chi", f_score(1.0))]
-    scores += [(f"fbeta_{w.beta:g}_chi", f_score(w.beta * w.beta)) for w in weights]
-    scores.append(("fm_chi", lambda rho: np.sqrt(a * rho)))
-    # A reference is a rate, like the scalar metric's; an overflowing beta**2 makes it NaN.
-    references = [Rate(score(1.0)) for _, score in scores]
-
-    phi = np.array(grid)
-    rho = _predictive_arrays(a, float(profile.specificity), Curve.PPV, phi)
-    columns = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for (_, score), reference in zip(scores, references):
-            values = score(rho)
-            columns.append(np.where(values > 0.0, reference / values, np.nan))
-    _write_grid(sink, ["phi"] + [name for name, _ in scores], grid, columns)
+    beta_squares = [1.0] + [w.beta * w.beta for w in weights]
+    columns = _arrays.ratio_curve_columns(a, float(profile.specificity), beta_squares, grid)
+    header = ["phi", "f1_chi"] + [f"fbeta_{w.beta:g}_chi" for w in weights] + ["fm_chi"]
+    _arrays.write_grid(sink, header, grid, columns)
     return len(grid)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .metrics import ConfusionCounts, DiagnosticProfile, Rate
 
 __all__ = ["SimulationConfig", "simulate_population"]
@@ -56,9 +54,12 @@ def simulate_population(config: SimulationConfig) -> ConfusionCounts:
     how many of those are detected, how many negatives are cleared),
     which has exactly the same distribution as n independent
     per-subject draws but costs O(1) RNG calls. Deterministic for a
-    fixed seed.
+    fixed seed. The generator is numpy's, reached through _arrays, which
+    is imported on the first call.
     """
-    rng = np.random.default_rng(config.seed)
+    from . import _arrays
+
+    rng = _arrays.np.random.default_rng(config.seed)
     positives = int(rng.binomial(config.n, float(config.prevalence)))
     negatives = config.n - positives
     tp = int(rng.binomial(positives, float(config.profile.sensitivity)))

@@ -8,6 +8,11 @@ forms as the primary outputs and an independent numeric maximizer of
 the curvature as a cross-check oracle. For this curve family the
 maximum-curvature point is exactly the point where the curve's slope
 has magnitude 1, which is what the tests assert.
+
+The closed forms run on Python floats. The oracle's coarse curvature
+scan and the array forms of these curves, which the bulk paths use,
+live in _arrays; curvature_argmax imports it on first call, so the
+closed forms load no numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import DegenerateDenominator, DegenerateProfile
 from .metrics import DEGENERATE_EPS  # noqa: F401  re-exported; DiagnosticProfile.is_degenerate applies it
@@ -111,41 +114,15 @@ def _curve_coefficients(a, b, curve: Curve):
     return 1.0 - a, b, -1.0
 
 
-def _radical_split(p, q):
-    """sqrt(q) / (sqrt(p) + sqrt(q)), for floats or arrays (NaN where p = q = 0).
+def _radical_split(p, q, sqrt=math.sqrt):
+    """sqrt(q) / (sqrt(p) + sqrt(q)); arrays take sqrt=np.sqrt and give NaN where p = q = 0.
 
     With a curve's coefficients this is its maximum-curvature
     prevalence: phi_e from (a, 1-b), phi_n from (1-a, b). With p and q
     swapped it is the PPV at phi_e.
     """
-    sqrt = np.sqrt if isinstance(q, np.ndarray) else math.sqrt
     sq = sqrt(q)
     return sq / (sqrt(p) + sq)
-
-
-def _predictive_arrays(a, b, curve: Curve, phi: np.ndarray, extend: bool = False) -> np.ndarray:
-    """The curve's predictive value at every phi by Bayes' rule; NaN where its denominator is 0.
-
-    PPV is p*phi / u and NPV is q*(1-phi) / u (see _curve_coefficients),
-    ppv_at's and npv_at's operations, so every defined value is
-    bit-equal to theirs (IEEE addition commutes). With extend (a and b
-    arrays), a zero-denominator cell is a flat curve and takes its
-    constant value, hits / (hits + misses) of the rates: 1 where the
-    curve has no misses, 0 where it has no hits, NaN where it has
-    neither; this is mcc_at_threshold's continuity extension.
-    """
-    p, q, _ = _curve_coefficients(a, b, curve)
-    hit = 0 if curve == Curve.PPV else 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = (p * phi, q * (1.0 - phi))
-        den = terms[0] + terms[1]
-        values = terms[hit] / den
-        del terms
-        if extend:
-            gap = np.flatnonzero(den == 0.0)
-            rates = (p[gap], q[gap])
-            values[gap] = rates[hit] / (rates[0] + rates[1])
-    return values
 
 
 def _threshold_phi(profile: DiagnosticProfile, curve: Curve) -> Rate:
@@ -284,41 +261,6 @@ def curvature_at(profile: DiagnosticProfile, phi: float, curve: Curve | str = Cu
     return CurvaturePoint(phi=phi, kappa=kappa, slope=slope)
 
 
-def _pow_1_5(x: float) -> float:
-    try:
-        return x**1.5
-    except OverflowError:
-        return math.nan
-
-
-def _curvature_arrays(a: float, b: float, curve: Curve, phi: np.ndarray) -> np.ndarray:
-    """curvature_at(DiagnosticProfile(a, b), phi[i], curve).kappa at every i; NaN where it raises.
-
-    Repeats curvature_at's operations in its order, so every defined
-    value is bit-equal to the scalar one. The power (1 + slope**2)**1.5
-    is taken with Python floats, because numpy's vectorized power is
-    not the platform pow and differs from it in the last digit.
-    """
-    p, q, sign = _curve_coefficients(a, b, curve)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = p * phi + q * (1.0 - phi)
-        u2 = u * u
-        u3 = u2 * u
-        pq = p * q
-        slope = sign * pq / u2
-        second = 2.0 * pq * abs(p - q) / u3
-        scale = np.array([_pow_1_5(x) for x in (1.0 + slope * slope).tolist()])
-        return np.where((u3 != 0.0) & ~np.isnan(scale), second / scale, np.nan)
-
-
-def _kappa_grid(p: float, q: float, xs: np.ndarray) -> np.ndarray:
-    """Vectorized curvature of the curve with coefficients (p, q) over a prevalence grid (same algebra as curvature_at)."""
-    u = p * xs + q * (1.0 - xs)
-    pq = p * q
-    # kappa = 2*pq*|p-q|/u^3 / (1 + (pq)^2/u^4)^(3/2), cleared of negative powers.
-    return 2.0 * pq * abs(p - q) * u**3 / (u**4 + pq * pq) ** 1.5
-
-
 def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV) -> ThresholdResult:
     """Numerically locate the maximum-curvature prevalence of a curve.
 
@@ -340,11 +282,9 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
             f"{curve.value} curve is constant for {profile}; no curvature maximum"
         )
 
-    n = round(1.0 / COARSE_STEP)
-    xs = np.linspace(0.0, 1.0, n + 1)
-    i = int(np.argmax(_kappa_grid(p, q, xs)))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, n)]
+    from . import _arrays
+
+    lo, hi = _arrays.curvature_bracket(p, q, COARSE_STEP)
 
     def kappa(phi: float) -> float:
         return curvature_at(profile, phi, curve).kappa

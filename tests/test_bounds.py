@@ -32,6 +32,7 @@ from prevthresh import (
     verify_bounds,
 )
 
+import prevthresh._arrays as _arrays
 import prevthresh.bounds as bounds
 import sweep_oracle
 from mcc_oracles import MccRatioTerms, mcc_ratio_decomposed, mcc_ratio_long_form
@@ -342,6 +343,15 @@ class TestVerifyBounds:
         with pytest.raises(ValueError):
             verify_bounds(grid_step=0.05, tolerance=-1e-9)
 
+    @pytest.mark.parametrize(
+        "margin",
+        [{"delta": math.nan}, {"delta": math.inf}, {"tolerance": math.nan}, {"tolerance": math.inf}],
+        ids=["delta-nan", "delta-inf", "tolerance-nan", "tolerance-inf"],
+    )
+    def test_rejects_non_finite_delta_and_tolerance(self, margin):
+        with pytest.raises(ValueError, match="finite"):
+            verify_bounds(grid_step=0.05, **margin)
+
     def test_informativeness_constraint_is_necessary(self):
         # Dropping the constraint admits profiles that break the F-beta
         # upper bound, so the sweep region is not a convenience choice.
@@ -386,9 +396,9 @@ class TestSweepOracleParity:
     def test_ties_go_to_the_first_swept_cell(self, monkeypatch):
         # Coarsen every ratio to floor(10 * value), identically on both
         # paths, so that each extremum is shared by many cells.
-        arrays = bounds._ratio_arrays
+        arrays = _arrays.ratio_arrays
         monkeypatch.setattr(
-            bounds, "_ratio_arrays", lambda a, b: ((k, np.floor(v * 10.0)) for k, v in arrays(a, b))
+            _arrays, "ratio_arrays", lambda a, b: ((k, np.floor(v * 10.0)) for k, v in arrays(a, b))
         )
         table = sweep_oracle.ratio_table
         monkeypatch.setattr(
@@ -399,9 +409,9 @@ class TestSweepOracleParity:
     def test_skipped_cells_match(self, monkeypatch):
         # No swept cell is undefined, so mark the a = 1 row as undefined
         # on both paths: NaN in the arrays, a raise in the oracle.
-        arrays = bounds._ratio_arrays
+        arrays = _arrays.ratio_arrays
         monkeypatch.setattr(
-            bounds, "_ratio_arrays", lambda a, b: ((k, np.where(a == 1.0, np.nan, v)) for k, v in arrays(a, b))
+            _arrays, "ratio_arrays", lambda a, b: ((k, np.where(a == 1.0, np.nan, v)) for k, v in arrays(a, b))
         )
 
         def undefined_at_full_sensitivity(f):

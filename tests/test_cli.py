@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import prevthresh
 import prevthresh.cli as cli
+import prevthresh.dataio as dataio
 from prevthresh import BoundRecord, BoundsReport, BoundViolation
 from prevthresh.cli import run_cli
 
@@ -28,6 +29,12 @@ def run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def source_env() -> dict:
+    """The environment for a child interpreter that imports prevthresh from this source tree."""
+    src = str(Path(prevthresh.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 class TestThresholds:
@@ -336,6 +343,16 @@ class TestVerifyBounds:
         assert err.startswith("error:validation:")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--delta", "nan"), ("--delta", "inf"), ("--tolerance", "nan"), ("--tolerance", "inf")]
+    )
+    def test_non_finite_margin_is_rejected(self, capsys, tmp_path, flag, value):
+        target = tmp_path / "report.json"
+        code, out, err = run(capsys, "verify-bounds", "--grid-step", "0.05", flag, value, "--output", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:validation:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_violations_exit_two(self, capsys, monkeypatch):
         # The bounds are theorems, so a violating report cannot be produced
         # honestly; fabricate one to exercise the exit-code contract.
@@ -364,6 +381,10 @@ class TestTopLevel:
         assert code == 0
         assert "verify-bounds" in out
 
+    def test_version(self, capsys):
+        code, out, err = run(capsys, "--version")
+        assert (code, out, err) == (0, f"prevthresh {prevthresh.__version__}\n", "")
+
     def test_no_command(self, capsys):
         code, _, err = run(capsys)
         assert code == 1
@@ -385,12 +406,9 @@ class TestTopLevel:
 
     @pytest.mark.parametrize("module", ["prevthresh", "prevthresh.cli"])
     def test_python_dash_m(self, capsys, module):
-        src = str(Path(prevthresh.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
         def python_m(*argv):
             return subprocess.run(
-                [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120
+                [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=source_env(), timeout=120
             )
 
         argv = ["thresholds", "--sensitivity", "0.9", "--specificity", "0.95", "--json"]
@@ -401,6 +419,53 @@ class TestTopLevel:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:validation:") and proc.stderr.count("\n") == 1
+
+
+# Calls that need no array, run in one fresh interpreter; the last one
+# builds a grid, so the probe shows that it would see numpy load.
+NUMPY_FREE_ARGV = [
+    ["thresholds", "--sensitivity", "0.9", "--specificity", "0.95"],
+    ["ratios", "--sensitivity", "0.9", "--specificity", "0.95", "--json"],
+    ["analyze", "--counts", "9,1,1,9"],
+    ["thresholds", "--sensitivity", "1.5", "--specificity", "0.95"],
+    ["--help"],
+    ["--version"],
+]
+GRID_ARGV = ["curves", "--sensitivity", "0.9", "--specificity", "0.95", "--step", "0.5"]
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import prevthresh
+[getattr(prevthresh, name) for name in prevthresh.__all__]
+report = {"import": "numpy" in sys.modules, "codes": [], "numpy": []}
+from prevthresh.cli import run_cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        report["codes"].append(run_cli(argv))
+    report["numpy"].append("numpy" in sys.modules)
+report["metadata"] = "importlib.metadata" in sys.modules
+print(json.dumps(report))
+"""
+
+
+class TestColdStart:
+    """The scalar subcommands, --help and --version run without importing numpy."""
+
+    @pytest.fixture(scope="class")
+    def probe(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, json.dumps(NUMPY_FREE_ARGV + [GRID_ARGV])],
+            capture_output=True, text=True, env=source_env(), timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return json.loads(proc.stdout)
+
+    def test_package_namespace_loads_no_numpy(self, probe):
+        assert probe["import"] is False
+
+    def test_scalar_subcommands_load_no_numpy(self, probe):
+        assert probe["codes"] == [0, 0, 0, 1, 0, 0, 0]
+        assert probe["numpy"] == [False] * len(NUMPY_FREE_ARGV) + [True]
+        assert probe["metadata"] is False
 
 
 # Vocabulary of the argv fuzz: each subcommand's flags with a valid value
@@ -437,6 +502,10 @@ FUZZ_VALUES = (
 ERROR_LINE = re.compile(r"error:[a-z-]+: [^\n]*\n")
 
 
+def reject_constant(name: str):
+    raise ValueError(f"output holds {name}, which is not JSON")
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("argv-fuzz")
@@ -448,7 +517,7 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=300)
 @given(data=st.data())
 def test_argv_fuzz_keeps_error_contract(fuzz_dir, data):
-    """Any argv from the vocabulary exits 0, 1 or 2 without a traceback, with one error line on exit 1."""
+    """Any argv from the vocabulary exits 0, 1 or 2 without a traceback, with one error line on exit 1 and strict JSON."""
     command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
     options = []
     for flag, valid in FUZZ_COMMANDS[command].items():
@@ -478,10 +547,34 @@ def test_argv_fuzz_keeps_error_contract(fuzz_dir, data):
         assert err.getvalue() == ""
     if code == 2:
         assert command == "verify-bounds"
+    if code in (0, 2) and ("--json" in argv or command == "verify-bounds") and "--help" not in argv:
+        # The JSON went to the last --output path, or to stdout without one.
+        if "--output" in argv:
+            text = Path(fuzz_dir, argv[len(argv) - argv[::-1].index("--output")]).read_text(encoding="utf-8")
+        else:
+            text = out.getvalue()
+        json.loads(text, parse_constant=reject_constant)
 
 
 CURVES_ARGV = ("curves", "--sensitivity", "0.9", "--specificity", "0.95", "--step", "0.25")
 RATIOS_ARGV = ("ratios", "--sensitivity", "0.9", "--specificity", "0.95", "--step", "0.25")
+
+
+class TestNonFiniteJson:
+    """A payload holding NaN or an infinity is refused, never written as bare NaN or Infinity."""
+
+    def test_stdout_payload(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "threshold_summary", lambda profile: {"phi_e": float("nan")})
+        code, out, err = run(capsys, "thresholds", "--sensitivity", "0.9", "--specificity", "0.95", "--json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:validation:") and err.count("\n") == 1
+
+    def test_curves_sidecar(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(dataio, "threshold_summary", lambda profile: {"phi_e": float("inf")})
+        code, out, err = run(capsys, *CURVES_ARGV, "--output", str(tmp_path / "c.csv"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:validation:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputFile:
