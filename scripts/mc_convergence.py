@@ -4,7 +4,9 @@
 For each population size, draws `--seeds` independent populations at
 the given prevalence/profile and reports the mean absolute deviation of
 the empirical PPV and NPV from the analytic curve values. The error
-should fall roughly like 1/sqrt(n).
+should fall roughly like 1/sqrt(n). A draw counts only when both of its
+empirical values are defined (it predicted each class at least once);
+a size with no such draw prints n/a.
 """
 
 import argparse
@@ -20,6 +22,7 @@ from prevthresh import (
 
 
 def mean_abs_errors(prevalence, profile, n, seeds):
+    """Mean |empirical - analytic| PPV and NPV over the draws where both are defined; None without one."""
     analytic_ppv = float(ppv_at(profile, prevalence))
     analytic_npv = float(npv_at(profile, prevalence))
     ppv_errs, npv_errs = [], []
@@ -27,13 +30,19 @@ def mean_abs_errors(prevalence, profile, n, seeds):
         config = SimulationConfig(prevalence=prevalence, profile=profile, n=n, seed=seed)
         counts = simulate_population(config)
         try:
-            ppv_errs.append(abs(float(counts.ppv()) - analytic_ppv))
-            npv_errs.append(abs(float(counts.npv()) - analytic_npv))
+            ppv, npv = float(counts.ppv()), float(counts.npv())
         except UndefinedMetric:
-            # A draw with no predictions of one sign; only possible for
-            # tiny n at extreme prevalence, skip it.
+            # A draw with no predictions of one class (likely only for tiny n).
             continue
+        ppv_errs.append(abs(ppv - analytic_ppv))
+        npv_errs.append(abs(npv - analytic_npv))
+    if not ppv_errs:
+        return None, None
     return sum(ppv_errs) / len(ppv_errs), sum(npv_errs) / len(npv_errs)
+
+
+def _cell(err) -> str:
+    return f"{'n/a':>15}" if err is None else f"{err:>15.6f}"
 
 
 def main() -> None:
@@ -55,7 +64,7 @@ def main() -> None:
     print(f"{'n':>10}  {'mean |ppv err|':>15}  {'mean |npv err|':>15}")
     for n in args.sizes:
         ppv_err, npv_err = mean_abs_errors(args.prevalence, profile, n, args.seeds)
-        print(f"{n:>10}  {ppv_err:>15.6f}  {npv_err:>15.6f}")
+        print(f"{n:>10}  {_cell(ppv_err)}  {_cell(npv_err)}")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,6 @@ from .bounds import (
     BoundRecord,
     BoundsReport,
     BoundViolation,
-    RatioMetric,
-    RatioValue,
     accuracy_divergence_curve,
     f1_ratio,
     f_beta_ratio,
@@ -86,8 +84,6 @@ __all__ = [
     "ThresholdMethod",
     "ThresholdResult",
     "CurvaturePoint",
-    "RatioMetric",
-    "RatioValue",
     "BoundViolation",
     "BoundRecord",
     "BoundsReport",

@@ -7,11 +7,13 @@ first called, so the scalar paths (the thresholds, the ratio summary,
 analyze_counts and the CLI subcommands built on them) start without
 loading numpy.
 
-Each kernel repeats the floating-point operations of the scalar
-function it stands for, in that function's order, so every value it
-gives is bit-equal to the scalar one; the scalar functions are the
-oracle the test suite checks these arrays and the bytes written from
-them against.
+The ratio and MCC closed forms are not repeated here: the sweep calls
+the float-or-array kernels the scalar functions use (bounds._f_beta_form,
+bounds._fm_form, metrics._mcc_form) with np.sqrt. Every other kernel
+repeats the floating-point operations of the scalar function it stands
+for, in that function's order. Either way every value is bit-equal to
+the scalar one; the scalar functions are the oracle the test suite
+checks these arrays and the bytes written from them against.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .bounds import RATIO_BOUNDS, SWEEP_BETAS, BoundRecord, BoundViolation
+from .bounds import RATIO_BOUNDS, SWEEP_BETAS, BoundRecord, BoundViolation, _f_beta_form, _fm_form
 from .dataio import _BLOCK_ROWS
-from .metrics import Rate
+from .metrics import Rate, _mcc_form
 from .thresholds import Curve, _curve_coefficients, _radical_split
 
 
@@ -121,7 +123,7 @@ def _mcc_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     At each threshold (the radical of _threshold_phi for the PPV curve,
     then the NPV curve; NaN at the profiles it rejects) the MCC is
-    mcc_from_rates' left-to-right products over the PPV and NPV with
+    mcc_from_rates' kernel _mcc_form over the PPV and NPV with
     mcc_at_threshold's continuity extension. At a = 1, phi_n is 1, the
     NPV denominator is 0 and sigma takes the flat curve's value 1.
     """
@@ -135,7 +137,7 @@ def _mcc_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             rho = predictive_arrays(a, b, Curve.PPV, phi, extend=True)
             sigma = predictive_arrays(a, b, Curve.NPV, phi, extend=True)
             del phi
-            mcc.append(np.sqrt(rho * a * b * sigma) - np.sqrt((1.0 - rho) * (1.0 - a) * (1.0 - b) * (1.0 - sigma)))
+            mcc.append(_mcc_form(rho, a, b, sigma, np.sqrt))
             del rho, sigma
         denominator, numerator = mcc
         return np.where(denominator != 0.0, numerator / denominator, np.nan)
@@ -144,19 +146,17 @@ def _mcc_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def ratio_arrays(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
     """Every ratio of ratio_table() as (key, values at every cell), keyed alike and in its order.
 
-    The closed forms of f1_ratio, f_beta_ratio, fm_ratio and mcc_ratio
-    as array expressions with the same operations in the same order, so
-    each value is bit-equal to the per-profile function's. Needs a > 0,
+    f1_ratio's, f_beta_ratio's and fm_ratio's kernels (_f_beta_form,
+    _fm_form) with np.sqrt, then _mcc_ratio_arrays, so each value is
+    bit-equal to the per-profile function's. Needs a > 0,
     which the swept region guarantees. Yields one array at a time so a
     consumer that drops each before asking for the next holds at most
     one ratio array at once.
     """
-    root = np.sqrt(a * (1.0 - b))
-    yield "f1", 1.0 + root / (1.0 + a)
+    yield "f1", _f_beta_form(a, b, 1.0, np.sqrt)
     for beta in SWEEP_BETAS:
-        yield f"f_beta_{beta:g}", 1.0 + root / (beta * beta + a)
-    del root
-    yield "fm", np.sqrt(1.0 + np.sqrt((1.0 - b) / a))
+        yield f"f_beta_{beta:g}", _f_beta_form(a, b, beta * beta, np.sqrt)
+    yield "fm", _fm_form(a, b, np.sqrt)
     yield "mcc", _mcc_ratio_arrays(a, b)
 
 

@@ -11,24 +11,26 @@ because NPV vanishes at full prevalence and no reference exists there.
 The test suite checks every closed form here against the direct
 composition of the pointwise metrics (and the MCC ratio also against a
 decomposed square-root form and a fully inlined long form).
+Each ratio is a plain float, and each closed form is written once,
+over floats or arrays with sqrt as a parameter: _f_beta_form,
+_fm_form, and metrics._mcc_form for the MCC rate form. The
+per-profile functions (f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio)
+call them with math.sqrt and raise ValueError on a non-finite result.
 verify_bounds sweeps them all over a sensitivity/specificity grid
-against their bounding intervals. It evaluates the same closed forms
-as numpy arrays over every grid cell at once, with the same floating
-point operations in the same order, and the per-profile functions
-(f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio) are the oracle the suite
-checks those arrays against, byte for byte on the report. The finest
-grid step it accepts is MIN_GRID_STEP = 0.001 (499,500 cells).
-
-The array path of the sweep (cell builder, ratio arrays, per-metric
-records) lives in _arrays, which verify_bounds imports on first call;
-the per-profile ratios and ratio_table load no numpy.
+against their bounding intervals; its array path (cell builder, ratio
+arrays, per-metric records) lives in _arrays, which calls the same
+kernels with np.sqrt over every grid cell at once and which
+verify_bounds imports on first call. The per-profile functions are
+the oracle the suite checks those arrays against, byte for byte on
+the report. The finest grid step it accepts is MIN_GRID_STEP = 0.001
+(499,500 cells).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from functools import partial
 from typing import Callable, Iterable
 
 from .errors import (
@@ -50,11 +52,9 @@ from .metrics import (
     npv_at,
     ppv_at,
 )
-from .thresholds import Curve, ThresholdKind, _threshold_phi
+from .thresholds import _THRESHOLD_CURVES, ThresholdKind, _threshold_phi
 
 __all__ = [
-    "RatioMetric",
-    "RatioValue",
     "f1_ratio",
     "f_beta_ratio",
     "fm_ratio",
@@ -90,27 +90,6 @@ RATIO_BOUNDS: dict[str, tuple[float, float]] = {
 }
 
 
-class RatioMetric(str, Enum):
-    F1 = "f1"
-    F_BETA = "f_beta"
-    FM = "fm"
-    MCC = "mcc"
-
-
-@dataclass(frozen=True)
-class RatioValue:
-    """One accuracy-ratio evaluation, tagged with its metric and profile."""
-
-    value: float
-    metric: RatioMetric
-    profile: DiagnosticProfile
-    beta: float | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"ratio value must be finite, got {self.value!r}")
-
-
 def _require_positive_recall(profile: DiagnosticProfile) -> tuple[float, float]:
     a = float(profile.sensitivity)
     b = float(profile.specificity)
@@ -119,42 +98,57 @@ def _require_positive_recall(profile: DiagnosticProfile) -> tuple[float, float]:
     return a, b
 
 
-def f1_ratio(profile: DiagnosticProfile) -> RatioValue:
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"ratio value must be finite, got {value!r}")
+    return value
+
+
+def _f_beta_form(a, b, beta_sq, sqrt=math.sqrt):
+    """1 + sqrt(a*(1-b)) / (beta_sq + a), for floats or arrays (sqrt=np.sqrt)."""
+    return 1.0 + sqrt(a * (1.0 - b)) / (beta_sq + a)
+
+
+def _fm_form(a, b, sqrt=math.sqrt):
+    """sqrt(1 + sqrt((1-b)/a)), for floats or arrays (sqrt=np.sqrt)."""
+    return sqrt(1.0 + sqrt((1.0 - b) / a))
+
+
+def f1_ratio(profile: DiagnosticProfile) -> float:
     """F1 at full prevalence over F1 at the positive threshold.
 
-    Closed form 1 + sqrt(a*(1-b)) / (1 + a); equals the direct ratio
-    f1_at(profile, 1) / f1_at(profile, phi_e) wherever the latter is
-    defined, and extends it continuously to specificity 1 (value 1).
-    Lies in [1, 1.5] for informative profiles.
+    Closed form 1 + sqrt(a*(1-b)) / (1 + a), _f_beta_form at beta = 1;
+    equals the direct ratio f1_at(profile, 1) / f1_at(profile, phi_e)
+    wherever the latter is defined, and extends it continuously to
+    specificity 1 (value 1). Lies in [1, 1.5] for informative profiles.
     """
     a, b = _require_positive_recall(profile)
-    value = 1.0 + math.sqrt(a * (1.0 - b)) / (1.0 + a)
-    return RatioValue(value=value, metric=RatioMetric.F1, profile=profile)
+    return _finite(_f_beta_form(a, b, 1.0))
 
 
-def f_beta_ratio(profile: DiagnosticProfile, beta: float | FBetaWeight) -> RatioValue:
+def f_beta_ratio(profile: DiagnosticProfile, beta: float | FBetaWeight) -> float:
     """F-beta at full prevalence over F-beta at the positive threshold.
 
-    Closed form 1 + sqrt(a*(1-b)) / (beta^2 + a), reducing bit for bit
-    to f1_ratio at beta = 1. For informative profiles it lies in
-    [1, 1 + 1/(beta^2 + 1)]; without that restriction the upper bound
-    fails (see the constraint-necessity test in the suite).
+    Closed form 1 + sqrt(a*(1-b)) / (beta^2 + a) (_f_beta_form),
+    reducing bit for bit to f1_ratio at beta = 1. For informative
+    profiles it lies in [1, 1 + 1/(beta^2 + 1)]; without that
+    restriction the upper bound fails (see the constraint-necessity
+    test in the suite).
     """
     w = _as_weight(beta)
     a, b = _require_positive_recall(profile)
-    value = 1.0 + math.sqrt(a * (1.0 - b)) / (w.beta * w.beta + a)
-    return RatioValue(value=value, metric=RatioMetric.F_BETA, profile=profile, beta=w.beta)
+    return _finite(_f_beta_form(a, b, w.beta * w.beta))
 
 
-def fm_ratio(profile: DiagnosticProfile) -> RatioValue:
+def fm_ratio(profile: DiagnosticProfile) -> float:
     """Fowlkes-Mallows at full prevalence over its value at the positive threshold.
 
-    Closed form sqrt(1 + sqrt((1-b)/a)), in [1, sqrt(2)] for
-    informative profiles.
+    Closed form sqrt(1 + sqrt((1-b)/a)) (_fm_form), in [1, sqrt(2)] for
+    informative profiles. Raises ValueError where it overflows, as at
+    sensitivity 5e-324 with specificity 0.
     """
     a, b = _require_positive_recall(profile)
-    value = math.sqrt(1.0 + math.sqrt((1.0 - b) / a))
-    return RatioValue(value=value, metric=RatioMetric.FM, profile=profile)
+    return _finite(_fm_form(a, b))
 
 
 def _extended(profile: DiagnosticProfile, phi: Rate) -> tuple[float, float]:
@@ -190,13 +184,12 @@ def mcc_at_threshold(profile: DiagnosticProfile, which: ThresholdKind | str) -> 
     continuous extension is used, so a perfect test scores 1.0 at
     either threshold.
     """
-    which = ThresholdKind(which)
-    phi = _threshold_phi(profile, Curve.PPV if which == ThresholdKind.POSITIVE else Curve.NPV)
+    phi = _threshold_phi(profile, _THRESHOLD_CURVES[ThresholdKind(which)])
     rho, sigma = _extended(profile, phi)
     return mcc_from_rates(rho, profile.sensitivity, profile.specificity, sigma)
 
 
-def mcc_ratio(profile: DiagnosticProfile) -> RatioValue:
+def mcc_ratio(profile: DiagnosticProfile) -> float:
     """MCC at the negative threshold over MCC at the positive threshold.
 
     The direct composition; the test suite checks it to 1e-10 against
@@ -209,43 +202,43 @@ def mcc_ratio(profile: DiagnosticProfile) -> RatioValue:
     denominator = mcc_at_threshold(profile, ThresholdKind.POSITIVE)
     if denominator == 0.0:
         raise ZeroDenominator("MCC at the positive threshold is zero")
-    return RatioValue(value=numerator / denominator, metric=RatioMetric.MCC, profile=profile)
+    return _finite(numerator / denominator)
 
 
 def accuracy_divergence_curve(
     profile: DiagnosticProfile,
-    metric: RatioMetric | str,
+    metric: str,
     phis: Iterable[float],
     beta: float | FBetaWeight | None = None,
 ) -> list[tuple[Rate, float | None]]:
     """Reference-over-current ratio of a metric along a prevalence grid.
 
-    For f1, f_beta and fm the reference is the metric at full
-    prevalence, so each entry is metric(1) / metric(phi); the ratio
-    grows without bound as phi falls toward 0. Grid points where the
-    metric is zero or undefined are recorded with a None ratio rather
-    than dropped, so emitted curves keep one row per grid point. MCC is
-    rejected because its NPV factor vanishes at full prevalence and no
-    reference value exists there. Raises ValueError for a missing,
+    metric is "f1", "f_beta" or "fm"; the reference is the metric at
+    full prevalence, so each entry is metric(1) / metric(phi), and the
+    ratio grows without bound as phi falls toward 0. Grid points where
+    the metric is zero or undefined are recorded with a None ratio
+    rather than dropped, so emitted curves keep one row per grid point.
+    "mcc" is rejected because its NPV factor vanishes at full
+    prevalence and no reference value exists there; so is any other
+    name. Raises ValueError for those, for a missing,
     invalid or misplaced beta, and DegenerateProfile at sensitivity 0,
     where the reference is undefined.
     """
-    metric = RatioMetric(metric)
-    if metric not in (RatioMetric.F1, RatioMetric.F_BETA, RatioMetric.FM):
-        raise ValueError(f"no full-prevalence reference for metric {metric.value!r}")
-    if metric == RatioMetric.F_BETA:
+    if metric not in ("f1", "f_beta", "fm"):
+        raise ValueError(f"no full-prevalence reference for metric {metric!r}")
+    if metric == "f_beta":
         if beta is None:
             raise ValueError("beta is required for the f_beta divergence curve")
         w = _as_weight(beta)
     elif beta is not None:
-        raise ValueError(f"beta is only meaningful for f_beta, not {metric.value!r}")
+        raise ValueError(f"beta is only meaningful for f_beta, not {metric!r}")
     if float(profile.sensitivity) == 0.0:
         raise DegenerateProfile("reference value at full prevalence is undefined when sensitivity is 0")
 
     def at(phi: float) -> float:
-        if metric == RatioMetric.F1:
+        if metric == "f1":
             return float(f1_at(profile, phi))
-        if metric == RatioMetric.F_BETA:
+        if metric == "f_beta":
             return float(f_beta_at(profile, phi, w))
         return float(fm_at(profile, phi))
 
@@ -363,17 +356,15 @@ def ratio_table(
     """The bounded ratios as (key, evaluator) pairs, in reporting order.
 
     Keys are f1, f_beta_<beta:g> for each beta, fm and mcc. Each
-    evaluator returns the ratio value of a profile and raises a
+    evaluator is the ratio function itself (f_beta_ratio bound to its
+    beta): it returns the ratio of a profile as a float and raises a
     PrevthreshError where the ratio is undefined. Invalid betas raise
     ValueError here, before any ratio is evaluated.
     """
-    table: list[tuple[str, Callable[[DiagnosticProfile], float]]] = [
-        ("f1", lambda p: f1_ratio(p).value)
-    ]
+    table: list[tuple[str, Callable[[DiagnosticProfile], float]]] = [("f1", f1_ratio)]
     for w in map(_as_weight, betas):
-        table.append((f"f_beta_{w.beta:g}", lambda p, _w=w: f_beta_ratio(p, _w).value))
-    table.append(("fm", lambda p: fm_ratio(p).value))
-    table.append(("mcc", lambda p: mcc_ratio(p).value))
+        table.append((f"f_beta_{w.beta:g}", partial(f_beta_ratio, beta=w)))
+    table += [("fm", fm_ratio), ("mcc", mcc_ratio)]
     return table
 
 

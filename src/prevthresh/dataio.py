@@ -12,6 +12,9 @@ _arrays, which repeat the scalar per-point functions' floating-point
 operations in order (ppv_at, npv_at, curvature_at, and f1_at, f_beta_at
 and fm_at as accuracy_divergence_curve composes them; these stay public
 and are the oracle the test suite checks the emitted bytes against).
+A ratio cell is the repr of a plain float. These divergence curves
+share no code with the closed-form ratios of bounds, whose kernels
+(_f_beta_form, _fm_form) serve only those ratios and the bound sweep.
 _arrays also formats the grid rows; the emitters import it on first
 call, so ingest and the prediction writer load no numpy. The prediction
 writer writes identical rows in blocks, and ingest parses each distinct
@@ -221,9 +224,9 @@ def emit_ratio_curves(
     harmonic form (1 + beta^2) / (beta^2/a + 1/rho) (f1 is beta = 1) and
     fm_at's sqrt(a * rho). Its reference is that formula at rho = 1,
     since ppv_at(profile, 1) is a/a = 1.0 exactly, and the grid is one
-    PPV array, so every cell is bit-equal to what
-    accuracy_divergence_curve, the oracle the test suite checks the
-    bytes against, gives there.
+    PPV array, so every cell is bit-equal to the float that
+    accuracy_divergence_curve with metric "f1", "f_beta" or "fm", the
+    oracle the test suite checks the bytes against, gives there.
     """
     weights = [_as_weight(b) for b in betas]
     grid = _phi_grid(step)

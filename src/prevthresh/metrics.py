@@ -249,18 +249,18 @@ def fm_at(profile: DiagnosticProfile, phi: float) -> Rate:
     return Rate(math.sqrt(float(profile.sensitivity) * rho))
 
 
+def _mcc_form(rho, a, b, sigma, sqrt=math.sqrt):
+    """sqrt(rho*a*b*sigma) - sqrt((1-rho)*(1-a)*(1-b)*(1-sigma)), for floats or arrays (sqrt=np.sqrt)."""
+    return sqrt(rho * a * b * sigma) - sqrt((1.0 - rho) * (1.0 - a) * (1.0 - b) * (1.0 - sigma))
+
+
 def mcc_from_rates(ppv: float, sensitivity: float, specificity: float, npv: float) -> float:
     """Matthews correlation coefficient from the four characteristic rates.
 
-    mcc = sqrt(ppv*a*b*npv) - sqrt((1-ppv)*(1-a)*(1-b)*(1-npv)), in [-1, 1].
+    mcc = sqrt(ppv*a*b*npv) - sqrt((1-ppv)*(1-a)*(1-b)*(1-npv)), in [-1, 1]
+    (_mcc_form, after each rate is validated as a Rate).
     """
-    rho = float(Rate(ppv))
-    a = float(Rate(sensitivity))
-    b = float(Rate(specificity))
-    sigma = float(Rate(npv))
-    concordant = math.sqrt(rho * a * b * sigma)
-    discordant = math.sqrt((1.0 - rho) * (1.0 - a) * (1.0 - b) * (1.0 - sigma))
-    return concordant - discordant
+    return _mcc_form(float(Rate(ppv)), float(Rate(sensitivity)), float(Rate(specificity)), float(Rate(npv)))
 
 
 def mcc_from_counts(counts: ConfusionCounts) -> float:

@@ -58,6 +58,11 @@ class ThresholdKind(str, Enum):
     NEGATIVE = "negative"
 
 
+# The threshold each curve's maximum-curvature point defines, and back.
+_THRESHOLD_KINDS = {Curve.PPV: ThresholdKind.POSITIVE, Curve.NPV: ThresholdKind.NEGATIVE}
+_THRESHOLD_CURVES = {kind: curve for curve, kind in _THRESHOLD_KINDS.items()}
+
+
 class ThresholdMethod(str, Enum):
     """How a threshold was obtained: radical closed form, or numeric curvature maximization."""
 
@@ -143,15 +148,14 @@ def _threshold_phi(profile: DiagnosticProfile, curve: Curve) -> Rate:
 def _closed_form_threshold(profile: DiagnosticProfile, curve: Curve) -> ThresholdResult:
     """positive_threshold for the PPV curve, negative_threshold for the NPV curve."""
     phi = _threshold_phi(profile, curve)
-    positive = curve == Curve.PPV
     try:
-        value: Rate | None = ppv_at_threshold(profile) if positive else npv_at(profile, phi)
+        value: Rate | None = ppv_at_threshold(profile) if curve == Curve.PPV else npv_at(profile, phi)
     except (DegenerateProfile, DegenerateDenominator):
         value = None
     return ThresholdResult(
         phi=phi,
         metric_value=value,
-        kind=ThresholdKind.POSITIVE if positive else ThresholdKind.NEGATIVE,
+        kind=_THRESHOLD_KINDS[curve],
         method=ThresholdMethod.CLOSED_FORM,
         degenerate=profile.is_degenerate(),
     )
@@ -304,15 +308,14 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
             k1 = kappa(x1)
     phi = Rate(0.5 * (lo + hi))
 
-    positive = curve == Curve.PPV
     try:
-        value: Rate | None = (ppv_at if positive else npv_at)(profile, phi)
+        value: Rate | None = (ppv_at if curve == Curve.PPV else npv_at)(profile, phi)
     except DegenerateDenominator:
         value = None
     return ThresholdResult(
         phi=phi,
         metric_value=value,
-        kind=ThresholdKind.POSITIVE if positive else ThresholdKind.NEGATIVE,
+        kind=_THRESHOLD_KINDS[curve],
         method=ThresholdMethod.CURVATURE_ORACLE,
         degenerate=False,
     )

@@ -15,7 +15,7 @@ import csv
 import json
 from typing import IO, Iterable
 
-from prevthresh.bounds import RatioMetric, accuracy_divergence_curve
+from prevthresh.bounds import accuracy_divergence_curve
 from prevthresh.dataio import Source, _as_text_stream, _parse_binary, _phi_grid
 from prevthresh.errors import DegenerateDenominator, EmptyInput, ParseError
 from prevthresh.metrics import ConfusionCounts, DiagnosticProfile, FBetaWeight, _as_weight, npv_at, ppv_at
@@ -132,10 +132,10 @@ def emit_ratio_curves_scalar(
     grid = _phi_grid(step)
 
     columns: list[tuple[str, list[float | None]]] = []
-    specs: list[tuple[str, RatioMetric, FBetaWeight | None]] = [("f1_chi", RatioMetric.F1, None)]
+    specs: list[tuple[str, str, FBetaWeight | None]] = [("f1_chi", "f1", None)]
     for w in weights:
-        specs.append((f"fbeta_{w.beta:g}_chi", RatioMetric.F_BETA, w))
-    specs.append(("fm_chi", RatioMetric.FM, None))
+        specs.append((f"fbeta_{w.beta:g}_chi", "f_beta", w))
+    specs.append(("fm_chi", "fm", None))
     for name, metric, w in specs:
         pairs = accuracy_divergence_curve(profile, metric, grid, beta=w)
         columns.append((name, [ratio for _, ratio in pairs]))

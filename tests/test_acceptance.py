@@ -113,12 +113,12 @@ def test_criterion_03_ratio_identities_on_random_profiles():
         p = DiagnosticProfile(a, b)
         phi_e = positive_threshold(p).phi
         direct_f1 = float(f1_at(p, 1.0)) / float(f1_at(p, phi_e))
-        worst = max(worst, abs(f1_ratio(p).value - direct_f1) / direct_f1)
+        worst = max(worst, abs(f1_ratio(p) - direct_f1) / direct_f1)
         for beta in (0.5, 1.0, 2.0):
             direct = float(f_beta_at(p, 1.0, beta)) / float(f_beta_at(p, phi_e, beta))
-            worst = max(worst, abs(f_beta_ratio(p, beta).value - direct) / direct)
+            worst = max(worst, abs(f_beta_ratio(p, beta) - direct) / direct)
         direct_fm = float(fm_at(p, 1.0)) / float(fm_at(p, phi_e))
-        worst = max(worst, abs(fm_ratio(p).value - direct_fm) / direct_fm)
+        worst = max(worst, abs(fm_ratio(p) - direct_fm) / direct_fm)
     elapsed = time.perf_counter() - start
     _criterion(
         3,
@@ -135,8 +135,8 @@ def test_criterion_04_f_ratio_bounds_hold_on_fine_grid():
     violation_count = sum(len(report.record(m).violations) for m in f_metrics)
     extreme = DiagnosticProfile(1.0, 0.0)
     spot_ok = (
-        abs(f1_ratio(extreme).value - 1.5) <= 1e-12
-        and abs(fm_ratio(extreme).value - SQRT2) <= 1e-12
+        abs(f1_ratio(extreme) - 1.5) <= 1e-12
+        and abs(fm_ratio(extreme) - SQRT2) <= 1e-12
     )
     elapsed = time.perf_counter() - start
     _criterion(
@@ -166,7 +166,7 @@ def test_criterion_05_mcc_ratio_bound_and_three_way_agreement():
             if b >= 1.0 or a + b < 1.0 + 1e-6:
                 continue
             p = DiagnosticProfile(a, b)
-            direct = mcc_ratio(p).value
+            direct = mcc_ratio(p)
             try:
                 decomposed = mcc_ratio_decomposed(p)
                 long_form = mcc_ratio_long_form(p)
@@ -299,7 +299,7 @@ def test_criterion_09_monte_carlo_ppv_recovery():
 
 def test_criterion_10_informativeness_constraint_is_necessary():
     start = time.perf_counter()
-    value = f_beta_ratio(DiagnosticProfile(0.25, 0.0), 0.5).value
+    value = f_beta_ratio(DiagnosticProfile(0.25, 0.0), 0.5)
     elapsed = time.perf_counter() - start
     _criterion(
         10,

@@ -13,8 +13,6 @@ from prevthresh import (
     BoundsReport,
     DegenerateProfile,
     DiagnosticProfile,
-    RatioMetric,
-    RatioValue,
     ZeroDenominator,
     accuracy_divergence_curve,
     f1_at,
@@ -55,23 +53,23 @@ interior = st.floats(min_value=1e-3, max_value=1.0 - 1e-3, allow_nan=False)
 
 class TestClosedFormRatios:
     def test_f1_oracle(self):
-        assert f1_ratio(P_9095).value == pytest.approx(F1_RATIO, abs=1e-15)
+        assert f1_ratio(P_9095) == pytest.approx(F1_RATIO, abs=1e-15)
 
     def test_f_beta_oracles(self):
-        assert f_beta_ratio(P_9095, 0.5).value == pytest.approx(FB05_RATIO, abs=1e-15)
-        assert f_beta_ratio(P_9095, 2.0).value == pytest.approx(FB2_RATIO, abs=1e-15)
+        assert f_beta_ratio(P_9095, 0.5) == pytest.approx(FB05_RATIO, abs=1e-15)
+        assert f_beta_ratio(P_9095, 2.0) == pytest.approx(FB2_RATIO, abs=1e-15)
 
     def test_f_beta_at_one_equals_f1(self):
-        assert f_beta_ratio(P_9095, 1.0).value == f1_ratio(P_9095).value
+        assert f_beta_ratio(P_9095, 1.0) == f1_ratio(P_9095)
 
     def test_fm_oracle(self):
-        assert fm_ratio(P_9095).value == pytest.approx(FM_RATIO, abs=1e-15)
+        assert fm_ratio(P_9095) == pytest.approx(FM_RATIO, abs=1e-15)
 
     def test_extremal_spot_values(self):
         extreme = DiagnosticProfile(1.0, 0.0)
-        assert f1_ratio(extreme).value == 1.5
-        assert fm_ratio(extreme).value == math.sqrt(2.0)
-        assert f_beta_ratio(DiagnosticProfile(0.25, 0.0), 0.5).value == pytest.approx(
+        assert f1_ratio(extreme) == 1.5
+        assert fm_ratio(extreme) == math.sqrt(2.0)
+        assert f_beta_ratio(DiagnosticProfile(0.25, 0.0), 0.5) == pytest.approx(
             2.0, abs=1e-15
         )
 
@@ -79,9 +77,9 @@ class TestClosedFormRatios:
         # With no false positives both thresholds carry the same F scores,
         # so every ratio is exactly 1.
         p = DiagnosticProfile(0.7, 1.0)
-        assert f1_ratio(p).value == 1.0
-        assert f_beta_ratio(p, 2.0).value == 1.0
-        assert fm_ratio(p).value == 1.0
+        assert f1_ratio(p) == 1.0
+        assert f_beta_ratio(p, 2.0) == 1.0
+        assert fm_ratio(p) == 1.0
 
     def test_zero_sensitivity_rejected(self):
         p = DiagnosticProfile(0.0, 0.8)
@@ -89,16 +87,14 @@ class TestClosedFormRatios:
             with pytest.raises(DegenerateProfile):
                 call()
 
-    def test_ratio_value_metadata(self):
-        r = f_beta_ratio(P_9095, 0.5)
-        assert r.metric is RatioMetric.F_BETA
-        assert r.beta == 0.5
-        assert r.profile == P_9095
-        assert f1_ratio(P_9095).beta is None
+    def test_ratios_are_plain_floats(self):
+        for value in (f1_ratio(P_9095), f_beta_ratio(P_9095, 0.5), fm_ratio(P_9095), mcc_ratio(P_9095)):
+            assert type(value) is float
 
-    def test_ratio_value_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            RatioValue(float("nan"), RatioMetric.F1, P_9095)
+    def test_overflowing_ratio_rejected(self):
+        # (1 - b) / a overflows to inf at the smallest subnormal sensitivity.
+        with pytest.raises(ValueError, match="finite"):
+            fm_ratio(DiagnosticProfile(5e-324, 0.0))
 
     @given(a=interior, b=interior)
     def test_f1_identity_against_direct_evaluation(self, a, b):
@@ -107,21 +103,21 @@ class TestClosedFormRatios:
         p = DiagnosticProfile(a, b)
         phi_e = positive_threshold(p).phi
         direct = float(f1_at(p, 1.0)) / float(f1_at(p, phi_e))
-        assert f1_ratio(p).value == pytest.approx(direct, rel=1e-12)
+        assert f1_ratio(p) == pytest.approx(direct, rel=1e-12)
 
     @given(a=interior, b=interior, beta=st.sampled_from([0.5, 1.0, 2.0, 3.5]))
     def test_f_beta_identity_against_direct_evaluation(self, a, b, beta):
         p = DiagnosticProfile(a, b)
         phi_e = positive_threshold(p).phi
         direct = float(f_beta_at(p, 1.0, beta)) / float(f_beta_at(p, phi_e, beta))
-        assert f_beta_ratio(p, beta).value == pytest.approx(direct, rel=1e-12)
+        assert f_beta_ratio(p, beta) == pytest.approx(direct, rel=1e-12)
 
     @given(a=interior, b=interior)
     def test_fm_identity_against_direct_evaluation(self, a, b):
         p = DiagnosticProfile(a, b)
         phi_e = positive_threshold(p).phi
         direct = float(fm_at(p, 1.0)) / float(fm_at(p, phi_e))
-        assert fm_ratio(p).value == pytest.approx(direct, rel=1e-12)
+        assert fm_ratio(p) == pytest.approx(direct, rel=1e-12)
 
 
 class TestMccAtThreshold:
@@ -158,14 +154,14 @@ class TestMccAtThreshold:
 
 class TestMccRatio:
     def test_oracle_value(self):
-        assert mcc_ratio(P_9095).value == pytest.approx(MCC_RATIO, abs=1e-14)
+        assert mcc_ratio(P_9095) == pytest.approx(MCC_RATIO, abs=1e-14)
 
     def test_zero_denominator_at_chance(self):
         with pytest.raises(ZeroDenominator):
             mcc_ratio(DiagnosticProfile(0.5, 0.5))
 
     def test_three_paths_agree_on_oracle_profile(self):
-        direct = mcc_ratio(P_9095).value
+        direct = mcc_ratio(P_9095)
         decomposed = mcc_ratio_decomposed(P_9095)
         long_form = mcc_ratio_long_form(P_9095)
         assert abs(direct - decomposed) <= 1e-10
@@ -176,7 +172,7 @@ class TestMccRatio:
     def test_three_paths_agree_generally(self, a, b):
         assume(abs(a + b - 1.0) > 1e-3)
         p = DiagnosticProfile(a, b)
-        direct = mcc_ratio(p).value
+        direct = mcc_ratio(p)
         decomposed = mcc_ratio_decomposed(p)
         long_form = mcc_ratio_long_form(p)
         assert abs(direct - decomposed) <= 1e-10
@@ -317,7 +313,7 @@ class TestVerifyBounds:
         report = verify_bounds(grid_step=0.05)
         f1 = report.record("f1")
         a, b = f1.argmax
-        assert f1_ratio(DiagnosticProfile(a, b)).value == f1.observed_max
+        assert f1_ratio(DiagnosticProfile(a, b)) == f1.observed_max
 
     def test_unknown_metric_lookup(self):
         with pytest.raises(KeyError):
@@ -355,7 +351,7 @@ class TestVerifyBounds:
     def test_informativeness_constraint_is_necessary(self):
         # Dropping the constraint admits profiles that break the F-beta
         # upper bound, so the sweep region is not a convenience choice.
-        assert f_beta_ratio(DiagnosticProfile(0.25, 0.0), 0.5).value > 1.8
+        assert f_beta_ratio(DiagnosticProfile(0.25, 0.0), 0.5) > 1.8
 
 
 def _report_json(report: BoundsReport) -> str:

@@ -185,6 +185,17 @@ class TestRatios:
         assert code == 1
         assert err.startswith("error:usage:")
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_overflowing_ratio_is_a_validation_error(self, capsys, tmp_path, to_file):
+        # fm_ratio overflows to inf at sensitivity 5e-324, specificity 0.
+        argv = ["ratios", "--json", "--sensitivity", "5e-324", "--specificity", "0"]
+        if to_file:
+            argv += ["--output", str(tmp_path / "ratios.json")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert ERROR_LINE.fullmatch(err) and err.startswith("error:validation:")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAnalyze:
     def test_counts_text(self, capsys):
@@ -470,9 +481,12 @@ class TestColdStart:
 
 # Vocabulary of the argv fuzz: each subcommand's flags with a valid value
 # (None for switches), every flag again for stray use, and values that are
-# out of range, NaN, infinite, negative, huge or not numbers. Every numeric
-# value is either >= 0.01 or below the smallest accepted step, so no drawn
-# --step or --grid-step builds a large grid.
+# out of range, NaN, infinite, negative, huge, subnormal or not numbers.
+# Every numeric value is either >= 0.01 or below the smallest accepted step,
+# so no drawn --step or --grid-step builds a large grid. verify-bounds'
+# --delta and --tolerance take a non-finite value in place of their valid
+# one a fifth of the time, since a NaN or inf sweep margin is what a JSON
+# report could otherwise carry.
 OUT = "{dir}/out.csv"
 FUZZ_COMMANDS = {
     "thresholds": {"--sensitivity": "0.9", "--specificity": "0.95", "--json": None, "--output": OUT},
@@ -494,11 +508,13 @@ FUZZ_COMMANDS = {
 }
 FUZZ_FLAGS = sorted({flag for flags in FUZZ_COMMANDS.values() for flag in flags} | {"--help", "--bogus"})
 FUZZ_VALUES = (
-    "0", "1", "0.5", "0.05", "0.01", "2", "-1", "-0.5", "1.5", "1e-300", "1e-9", "1e308", "1e200",
+    "0", "1", "0.5", "0.05", "0.01", "2", "-1", "-0.5", "1.5", "1e-300", "1e-9", "5e-324", "1e308", "1e200",
     "nan", "-nan", "inf", "-inf", "9" * 30, "1" + "0" * 400, "abc", "", "0x10",
     "0.5,,2", "1,nan", "5,0,5,0", "0,0,0,0", "1,2,3", "-1,1,1,1", "1.5,1,1,1", ",".join(["1" + "0" * 400] * 4),
     "{dir}/bad.csv", "{dir}/missing.csv", "{dir}/no-such-dir/out.csv",
 )
+NON_FINITE = ("nan", "inf", "NaN", "Infinity")
+NON_FINITE_FLAGS = {"--delta", "--tolerance"}
 ERROR_LINE = re.compile(r"error:[a-z-]+: [^\n]*\n")
 
 
@@ -523,7 +539,9 @@ def test_argv_fuzz_keeps_error_contract(fuzz_dir, data):
     for flag, valid in FUZZ_COMMANDS[command].items():
         # Mostly the valid value; sometimes a vocabulary value, a missing value or no flag at all.
         how = data.draw(st.integers(0, 4))
-        if how < 3:
+        if how == 2 and flag in NON_FINITE_FLAGS:
+            options.append([flag, data.draw(st.sampled_from(NON_FINITE))])
+        elif how < 3:
             options.append([flag] if valid is None else [flag, valid])
         elif how == 3:
             value = data.draw(st.one_of(st.none(), st.sampled_from(FUZZ_VALUES)))
@@ -543,6 +561,8 @@ def test_argv_fuzz_keeps_error_contract(fuzz_dir, data):
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 1:
         assert ERROR_LINE.fullmatch(err.getvalue())
+        # Input validation names a non-finite value first; the JSON writers' refusal is a last resort.
+        assert "not JSON compliant" not in err.getvalue()
     else:
         assert err.getvalue() == ""
     if code == 2:
