@@ -45,14 +45,26 @@ def _cell(err) -> str:
     return f"{'n/a':>15}" if err is None else f"{err:>15.6f}"
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--prevalence", type=float, default=0.190743)
     parser.add_argument("--sensitivity", type=float, default=0.9)
     parser.add_argument("--specificity", type=float, default=0.95)
-    parser.add_argument("--seeds", type=int, default=20)
+    parser.add_argument("--seeds", type=_int_at_least(0), default=20)
     parser.add_argument(
-        "--sizes", type=int, nargs="+", default=[10**3, 10**4, 10**5, 10**6]
+        "--sizes", type=_int_at_least(1), nargs="+", default=[10**3, 10**4, 10**5, 10**6]
     )
     args = parser.parse_args()
 

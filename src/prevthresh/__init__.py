@@ -40,7 +40,6 @@ from .metrics import (
     DEGENERATE_EPS,
     ConfusionCounts,
     DiagnosticProfile,
-    FBetaWeight,
     Rate,
     accuracy_from_counts,
     chi_square_from_mcc,
@@ -59,8 +58,6 @@ from .thresholds import (
     REFINE_WIDTH,
     Curve,
     CurvaturePoint,
-    ThresholdKind,
-    ThresholdMethod,
     ThresholdResult,
     curvature_argmax,
     curvature_at,
@@ -78,10 +75,7 @@ __all__ = [
     "Rate",
     "DiagnosticProfile",
     "ConfusionCounts",
-    "FBetaWeight",
     "Curve",
-    "ThresholdKind",
-    "ThresholdMethod",
     "ThresholdResult",
     "CurvaturePoint",
     "BoundViolation",

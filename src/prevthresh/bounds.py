@@ -42,9 +42,8 @@ from .errors import (
 )
 from .metrics import (
     DiagnosticProfile,
-    FBetaWeight,
     Rate,
-    _as_weight,
+    _beta,
     f1_at,
     f_beta_at,
     fm_at,
@@ -52,7 +51,7 @@ from .metrics import (
     npv_at,
     ppv_at,
 )
-from .thresholds import _THRESHOLD_CURVES, ThresholdKind, _threshold_phi
+from .thresholds import Curve, _threshold_phi
 
 __all__ = [
     "f1_ratio",
@@ -126,7 +125,7 @@ def f1_ratio(profile: DiagnosticProfile) -> float:
     return _finite(_f_beta_form(a, b, 1.0))
 
 
-def f_beta_ratio(profile: DiagnosticProfile, beta: float | FBetaWeight) -> float:
+def f_beta_ratio(profile: DiagnosticProfile, beta: float) -> float:
     """F-beta at full prevalence over F-beta at the positive threshold.
 
     Closed form 1 + sqrt(a*(1-b)) / (beta^2 + a) (_f_beta_form),
@@ -135,9 +134,9 @@ def f_beta_ratio(profile: DiagnosticProfile, beta: float | FBetaWeight) -> float
     restriction the upper bound fails (see the constraint-necessity
     test in the suite).
     """
-    w = _as_weight(beta)
+    beta = _beta(beta)
     a, b = _require_positive_recall(profile)
-    return _finite(_f_beta_form(a, b, w.beta * w.beta))
+    return _finite(_f_beta_form(a, b, beta * beta))
 
 
 def fm_ratio(profile: DiagnosticProfile) -> float:
@@ -174,17 +173,25 @@ def _extended(profile: DiagnosticProfile, phi: Rate) -> tuple[float, float]:
     return values[0], values[1]
 
 
-def mcc_at_threshold(profile: DiagnosticProfile, which: ThresholdKind | str) -> float:
+def mcc_at_threshold(profile: DiagnosticProfile, which: str) -> float:
     """MCC of the population at one of the two prevalence thresholds.
 
-    Composes the rate form of the MCC with the predictive values that
-    Bayes' rule gives at the chosen threshold prevalence. When a
+    which is "positive" (phi_e, on the PPV curve) or "negative" (phi_n,
+    on the NPV curve); anything else raises ValueError. Composes the
+    rate form of the MCC with the predictive values that Bayes' rule
+    gives at the chosen threshold prevalence. When a
     predictive-value curve is constant (sensitivity or specificity at
     an endpoint) and the threshold lands on its undefined edge, the
     continuous extension is used, so a perfect test scores 1.0 at
     either threshold.
     """
-    phi = _threshold_phi(profile, _THRESHOLD_CURVES[ThresholdKind(which)])
+    if which == "positive":
+        curve = Curve.PPV
+    elif which == "negative":
+        curve = Curve.NPV
+    else:
+        raise ValueError(f"which must be 'positive' or 'negative', got {which!r}")
+    phi = _threshold_phi(profile, curve)
     rho, sigma = _extended(profile, phi)
     return mcc_from_rates(rho, profile.sensitivity, profile.specificity, sigma)
 
@@ -198,8 +205,8 @@ def mcc_ratio(profile: DiagnosticProfile) -> float:
     the ratios here its lower bound sits below 1, since NPV falls while
     PPV rises with prevalence.
     """
-    numerator = mcc_at_threshold(profile, ThresholdKind.NEGATIVE)
-    denominator = mcc_at_threshold(profile, ThresholdKind.POSITIVE)
+    numerator = mcc_at_threshold(profile, "negative")
+    denominator = mcc_at_threshold(profile, "positive")
     if denominator == 0.0:
         raise ZeroDenominator("MCC at the positive threshold is zero")
     return _finite(numerator / denominator)
@@ -209,7 +216,7 @@ def accuracy_divergence_curve(
     profile: DiagnosticProfile,
     metric: str,
     phis: Iterable[float],
-    beta: float | FBetaWeight | None = None,
+    beta: float | None = None,
 ) -> list[tuple[Rate, float | None]]:
     """Reference-over-current ratio of a metric along a prevalence grid.
 
@@ -229,7 +236,7 @@ def accuracy_divergence_curve(
     if metric == "f_beta":
         if beta is None:
             raise ValueError("beta is required for the f_beta divergence curve")
-        w = _as_weight(beta)
+        beta = _beta(beta)
     elif beta is not None:
         raise ValueError(f"beta is only meaningful for f_beta, not {metric!r}")
     if float(profile.sensitivity) == 0.0:
@@ -239,7 +246,7 @@ def accuracy_divergence_curve(
         if metric == "f1":
             return float(f1_at(profile, phi))
         if metric == "f_beta":
-            return float(f_beta_at(profile, phi, w))
+            return float(f_beta_at(profile, phi, beta))
         return float(fm_at(profile, phi))
 
     reference = at(1.0)
@@ -351,7 +358,7 @@ def _grid_axis(step: float) -> list[float]:
 
 
 def ratio_table(
-    betas: Iterable[float | FBetaWeight] = SWEEP_BETAS,
+    betas: Iterable[float] = SWEEP_BETAS,
 ) -> list[tuple[str, Callable[[DiagnosticProfile], float]]]:
     """The bounded ratios as (key, evaluator) pairs, in reporting order.
 
@@ -362,13 +369,13 @@ def ratio_table(
     ValueError here, before any ratio is evaluated.
     """
     table: list[tuple[str, Callable[[DiagnosticProfile], float]]] = [("f1", f1_ratio)]
-    for w in map(_as_weight, betas):
-        table.append((f"f_beta_{w.beta:g}", partial(f_beta_ratio, beta=w)))
+    for beta in map(_beta, betas):
+        table.append((f"f_beta_{beta:g}", partial(f_beta_ratio, beta=beta)))
     table += [("fm", fm_ratio), ("mcc", mcc_ratio)]
     return table
 
 
-def _ratio_values(profile: DiagnosticProfile, betas: Iterable[float | FBetaWeight]) -> dict[str, float | None]:
+def _ratio_values(profile: DiagnosticProfile, betas: Iterable[float]) -> dict[str, float | None]:
     """Every ratio of ratio_table(betas) at one profile, keyed <key>_ratio; None where undefined."""
     return {f"{key}_ratio": value_or_none(evaluate, profile) for key, evaluate in ratio_table(betas)}
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager, suppress
 from typing import Sequence
@@ -29,6 +30,8 @@ from .thresholds import threshold_summary
 
 __all__ = ["build_parser", "run_cli", "main"]
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage failures raise instead of exiting.
@@ -36,7 +39,19 @@ class _Parser(argparse.ArgumentParser):
     The stock parser exits with status 2, which this CLI reserves for
     bound violations; usage problems must exit 1 like every other
     input error.
+
+    The stock parser also takes only -1 and -1.5 for negative numbers
+    and reads any other argument that starts with "-" as an option, so
+    "--delta -1e-5" or "--delta -inf" would fail with "expected one
+    argument". Every argument that starts like a negative number,
+    including -inf, -nan and comma lists such as -1,1,1,1, is a value
+    here, so it reaches the flag's own validation as it does in the
+    "--delta=-1e-5" form. No option of this CLI looks like a number.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise UsageError(message)

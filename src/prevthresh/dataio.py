@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import IO, Iterable, Union
 
 from .errors import DegenerateProfile, EmptyInput, ParseError
-from .metrics import ConfusionCounts, DiagnosticProfile, _as_weight
+from .metrics import ConfusionCounts, DiagnosticProfile, _beta
 from .thresholds import threshold_summary
 
 __all__ = [
@@ -228,7 +228,7 @@ def emit_ratio_curves(
     accuracy_divergence_curve with metric "f1", "f_beta" or "fm", the
     oracle the test suite checks the bytes against, gives there.
     """
-    weights = [_as_weight(b) for b in betas]
+    betas = [_beta(b) for b in betas]
     grid = _phi_grid(step)
     a = float(profile.sensitivity)
     if a == 0.0:
@@ -236,8 +236,8 @@ def emit_ratio_curves(
 
     from . import _arrays
 
-    beta_squares = [1.0] + [w.beta * w.beta for w in weights]
+    beta_squares = [1.0] + [beta * beta for beta in betas]
     columns = _arrays.ratio_curve_columns(a, float(profile.specificity), beta_squares, grid)
-    header = ["phi", "f1_chi"] + [f"fbeta_{w.beta:g}_chi" for w in weights] + ["fm_chi"]
+    header = ["phi", "f1_chi"] + [f"fbeta_{beta:g}_chi" for beta in betas] + ["fm_chi"]
     _arrays.write_grid(sink, header, grid, columns)
     return len(grid)

@@ -19,7 +19,6 @@ __all__ = [
     "Rate",
     "DiagnosticProfile",
     "ConfusionCounts",
-    "FBetaWeight",
     "ppv_at",
     "npv_at",
     "f1_at",
@@ -77,17 +76,6 @@ class DiagnosticProfile:
     def epsilon(self) -> float:
         """Informedness sum sensitivity + specificity, in [0, 2]."""
         return float(self.sensitivity) + float(self.specificity)
-
-    @property
-    def lr_positive(self) -> float | None:
-        """Positive likelihood ratio sensitivity / (1 - specificity).
-
-        Reported as None (not infinity) when specificity is exactly 1.
-        """
-        b = float(self.specificity)
-        if b == 1.0:
-            return None
-        return float(self.sensitivity) / (1.0 - b)
 
     def is_informative(self) -> bool:
         """True when the classifier beats chance: sensitivity + specificity > 1."""
@@ -151,25 +139,15 @@ class ConfusionCounts:
         return DiagnosticProfile(self.sensitivity(), self.specificity())
 
 
-@dataclass(frozen=True)
-class FBetaWeight:
-    """Precision/recall trade-off weight of the F-beta score.
+def _beta(beta: float) -> float:
+    """The F-beta weight as a float: beta < 1 favours precision, beta > 1 recall.
 
-    beta < 1 favours precision, beta > 1 favours recall; must be finite
-    and strictly positive.
+    Raises ValueError unless beta is finite and strictly positive.
     """
-
-    beta: float
-
-    def __post_init__(self):
-        v = float(self.beta)
-        if not math.isfinite(v) or v <= 0.0:
-            raise ValueError(f"beta must be finite and > 0, got {self.beta!r}")
-        object.__setattr__(self, "beta", v)
-
-
-def _as_weight(beta: float | FBetaWeight) -> FBetaWeight:
-    return beta if isinstance(beta, FBetaWeight) else FBetaWeight(beta)
+    v = float(beta)
+    if not math.isfinite(v) or v <= 0.0:
+        raise ValueError(f"beta must be finite and > 0, got {beta!r}")
+    return v
 
 
 def ppv_at(profile: DiagnosticProfile, phi: float) -> Rate:
@@ -231,13 +209,13 @@ def f1_at(profile: DiagnosticProfile, phi: float) -> Rate:
     return Rate(f_beta_score(1.0, a, rho))
 
 
-def f_beta_at(profile: DiagnosticProfile, phi: float, beta: float | FBetaWeight) -> Rate:
+def f_beta_at(profile: DiagnosticProfile, phi: float, beta: float) -> Rate:
     """F-beta score at prevalence ``phi``: weighted harmonic mean of precision and recall.
 
     Reduces exactly (bit for bit) to :func:`f1_at` when beta = 1.
     """
-    w = _as_weight(beta)
-    value = f_beta_score(w.beta * w.beta, float(profile.sensitivity), float(ppv_at(profile, phi)))
+    beta = _beta(beta)
+    value = f_beta_score(beta * beta, float(profile.sensitivity), float(ppv_at(profile, phi)))
     if value is None:
         raise UndefinedMetric("F-beta undefined: recall and precision both zero")
     return Rate(value)

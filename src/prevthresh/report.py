@@ -20,9 +20,8 @@ from .errors import UndefinedMetric, value_or_none
 from .metrics import (
     ConfusionCounts,
     DiagnosticProfile,
-    FBetaWeight,
     Rate,
-    _as_weight,
+    _beta,
     accuracy_from_counts,
     chi_square_from_mcc,
     f_beta_score,
@@ -73,7 +72,7 @@ class AnalysisReport:
 
 def analyze_counts(
     counts: ConfusionCounts,
-    betas: Sequence[float | FBetaWeight] = SWEEP_BETAS,
+    betas: Sequence[float] = SWEEP_BETAS,
 ) -> AnalysisReport:
     """Derive the full report for one confusion matrix.
 
@@ -83,7 +82,7 @@ def analyze_counts(
     """
     if counts.n == 0:
         raise UndefinedMetric("cannot analyze empty counts")
-    weights = [_as_weight(b) for b in betas]
+    betas = [_beta(b) for b in betas]
     profile = counts.profile()
     prevalence = counts.prevalence()
     a = float(profile.sensitivity)
@@ -99,8 +98,8 @@ def analyze_counts(
         "npv": value_or_none(counts.npv),
         "f1": f_score(1.0),
     }
-    for w in weights:
-        metrics[f"f_beta_{w.beta:g}"] = f_score(w.beta * w.beta)
+    for beta in betas:
+        metrics[f"f_beta_{beta:g}"] = f_score(beta * beta)
     metrics["fm"] = None if precision is None else math.sqrt(a * precision)
     mcc = value_or_none(mcc_from_counts, counts)
     metrics["mcc"] = mcc
@@ -110,7 +109,7 @@ def analyze_counts(
     thresholds: dict[str, float | None] = {
         key: summary[key] for key in ("phi_e", "ppv_at_phi_e", "phi_n", "npv_at_phi_n")
     }
-    ratios = _ratio_values(profile, weights)
+    ratios = _ratio_values(profile, betas)
 
     phi_e = thresholds["phi_e"]
     flags: dict[str, bool | None] = {

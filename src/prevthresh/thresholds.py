@@ -27,8 +27,6 @@ from .metrics import DiagnosticProfile, Rate, npv_at, ppv_at
 
 __all__ = [
     "Curve",
-    "ThresholdKind",
-    "ThresholdMethod",
     "ThresholdResult",
     "CurvaturePoint",
     "positive_threshold",
@@ -53,40 +51,18 @@ class Curve(str, Enum):
     NPV = "npv"
 
 
-class ThresholdKind(str, Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-
-
-# The threshold each curve's maximum-curvature point defines, and back.
-_THRESHOLD_KINDS = {Curve.PPV: ThresholdKind.POSITIVE, Curve.NPV: ThresholdKind.NEGATIVE}
-_THRESHOLD_CURVES = {kind: curve for curve, kind in _THRESHOLD_KINDS.items()}
-
-
-class ThresholdMethod(str, Enum):
-    """How a threshold was obtained: radical closed form, or numeric curvature maximization."""
-
-    CLOSED_FORM = "closed_form"
-    CURVATURE_ORACLE = "curvature_oracle"
-
-
 @dataclass(frozen=True)
 class ThresholdResult:
-    """A prevalence threshold, its predictive value, and how it was derived.
+    """A prevalence threshold and the predictive value there.
 
     metric_value is the predictive value of the relevant curve at phi,
     or None when that value is undefined there (edge profiles such as
     specificity 1 for the positive threshold, or sensitivity 1 for the
-    negative one). degenerate marks profiles whose curves are straight
-    lines (sensitivity + specificity = 1), where the formula still
-    evaluates but the threshold carries no geometric meaning.
+    negative one).
     """
 
     phi: Rate
     metric_value: Rate | None
-    kind: ThresholdKind
-    method: ThresholdMethod
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -152,13 +128,7 @@ def _closed_form_threshold(profile: DiagnosticProfile, curve: Curve) -> Threshol
         value: Rate | None = ppv_at_threshold(profile) if curve == Curve.PPV else npv_at(profile, phi)
     except (DegenerateProfile, DegenerateDenominator):
         value = None
-    return ThresholdResult(
-        phi=phi,
-        metric_value=value,
-        kind=_THRESHOLD_KINDS[curve],
-        method=ThresholdMethod.CLOSED_FORM,
-        degenerate=profile.is_degenerate(),
-    )
+    return ThresholdResult(phi=phi, metric_value=value)
 
 
 def positive_threshold(profile: DiagnosticProfile) -> ThresholdResult:
@@ -312,10 +282,4 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
         value: Rate | None = (ppv_at if curve == Curve.PPV else npv_at)(profile, phi)
     except DegenerateDenominator:
         value = None
-    return ThresholdResult(
-        phi=phi,
-        metric_value=value,
-        kind=_THRESHOLD_KINDS[curve],
-        method=ThresholdMethod.CURVATURE_ORACLE,
-        degenerate=False,
-    )
+    return ThresholdResult(phi=phi, metric_value=value)

@@ -18,7 +18,7 @@ from typing import IO, Iterable
 from prevthresh.bounds import accuracy_divergence_curve
 from prevthresh.dataio import Source, _as_text_stream, _parse_binary, _phi_grid
 from prevthresh.errors import DegenerateDenominator, EmptyInput, ParseError
-from prevthresh.metrics import ConfusionCounts, DiagnosticProfile, FBetaWeight, _as_weight, npv_at, ppv_at
+from prevthresh.metrics import ConfusionCounts, DiagnosticProfile, _beta, npv_at, ppv_at
 from prevthresh.thresholds import Curve, curvature_at, threshold_summary
 
 
@@ -128,16 +128,16 @@ def emit_ratio_curves_scalar(
     sink: IO,
 ) -> int:
     """emit_ratio_curves through accuracy_divergence_curve, one cell at a time."""
-    weights = [_as_weight(b) for b in betas]
+    betas = [_beta(b) for b in betas]
     grid = _phi_grid(step)
 
     columns: list[tuple[str, list[float | None]]] = []
-    specs: list[tuple[str, str, FBetaWeight | None]] = [("f1_chi", "f1", None)]
-    for w in weights:
-        specs.append((f"fbeta_{w.beta:g}_chi", "f_beta", w))
+    specs: list[tuple[str, str, float | None]] = [("f1_chi", "f1", None)]
+    for beta in betas:
+        specs.append((f"fbeta_{beta:g}_chi", "f_beta", beta))
     specs.append(("fm_chi", "fm", None))
-    for name, metric, w in specs:
-        pairs = accuracy_divergence_curve(profile, metric, grid, beta=w)
+    for name, metric, beta in specs:
+        pairs = accuracy_divergence_curve(profile, metric, grid, beta=beta)
         columns.append((name, [ratio for _, ratio in pairs]))
 
     writer = csv.writer(sink, lineterminator="\n")

@@ -151,6 +151,10 @@ class TestMccAtThreshold:
         )
         assert mcc_at_threshold(P_9095, "positive") == pytest.approx(expected, abs=1e-15)
 
+    def test_rejects_unknown_threshold(self):
+        with pytest.raises(ValueError, match="sideways"):
+            mcc_at_threshold(P_9095, "sideways")
+
 
 class TestMccRatio:
     def test_oracle_value(self):

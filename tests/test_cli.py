@@ -386,6 +386,29 @@ class TestVerifyBounds:
         assert json.loads(out)["violation_count"] == 1
 
 
+class TestNegativeValues:
+    """A value that starts with "-" reaches its flag's validation in both argv spellings."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (("verify-bounds",), "--delta", "-inf"),
+            (("verify-bounds",), "--delta", "-1e-5"),
+            (("verify-bounds",), "--tolerance", "-nan"),
+            (("curves", "--sensitivity", "0.9", "--specificity", "0.95"), "--step", "-1e-6"),
+            (("thresholds", "--specificity", "0.95"), "--sensitivity", "-1e-3"),
+        ],
+        ids=["delta-inf", "delta-1e-5", "tolerance-nan", "step-1e-6", "sensitivity-1e-3"],
+    )
+    def test_separate_value_matches_equals_form(self, capsys, command, flag, value):
+        joined = run(capsys, *command, f"{flag}={value}")
+        separate = run(capsys, *command, flag, value)
+        code, out, err = separate
+        assert separate == joined
+        assert (code, out) == (1, "")
+        assert err.startswith("error:validation:") and err.count("\n") == 1
+
+
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")

@@ -17,19 +17,20 @@ from prevthresh import (
     ConfusionCounts,
     DegenerateDenominator,
     DiagnosticProfile,
-    FBetaWeight,
     Rate,
     UndefinedMetric,
     accuracy_from_counts,
     chi_square_from_mcc,
     f1_at,
     f_beta_at,
+    f_beta_ratio,
     fm_at,
     mcc_from_counts,
     mcc_from_rates,
     npv_at,
     ppv_at,
 )
+from prevthresh.bounds import ratio_table
 
 # Oracle constants for sensitivity 0.9, specificity 0.95 (50-digit arithmetic).
 PHI_E = 0.1907435698305462
@@ -77,12 +78,6 @@ class TestDiagnosticProfile:
 
     def test_epsilon(self):
         assert DiagnosticProfile(0.9, 0.95).epsilon == pytest.approx(1.85, abs=1e-15)
-
-    def test_lr_positive(self):
-        assert P_9095.lr_positive == pytest.approx(18.0, rel=1e-12)
-
-    def test_lr_positive_absent_at_perfect_specificity(self):
-        assert DiagnosticProfile(0.9, 1.0).lr_positive is None
 
     def test_is_informative(self):
         assert P_9095.is_informative()
@@ -136,13 +131,24 @@ class TestConfusionCounts:
 
 
 class TestFBetaWeight:
+    """The F-beta weight is a plain float, checked by every function that takes one."""
+
     def test_accepts_positive(self):
-        assert FBetaWeight(0.5).beta == 0.5
+        assert 0.0 < f_beta_at(P_9095, 0.5, 0.5) <= 1.0
+        assert f_beta_ratio(P_9095, 0.5) > 1.0
+        assert [key for key, _ in ratio_table([0.5])] == ["f1", "f_beta_0.5", "fm", "mcc"]
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive(self, bad):
-        with pytest.raises(ValueError):
-            FBetaWeight(bad)
+        message = f"beta must be finite and > 0, got {bad!r}"
+        for call in (
+            lambda: f_beta_at(P_9095, 0.5, bad),
+            lambda: f_beta_ratio(P_9095, bad),
+            lambda: ratio_table([2.0, bad]),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
 
 
 class TestPredictiveValues:
@@ -239,9 +245,6 @@ class TestFScores:
 
     def test_f_beta_at_full_prevalence(self):
         assert float(f_beta_at(P_9095, 1.0, 0.5)) == pytest.approx(FB05_FULL, abs=1e-15)
-
-    def test_f_beta_accepts_weight_object(self):
-        assert f_beta_at(P_9095, 0.5, FBetaWeight(2.0)) == f_beta_at(P_9095, 0.5, 2.0)
 
     def test_f_beta_zero_precision(self):
         # Recall positive but precision zero: score is 0, not an error.

@@ -42,3 +42,15 @@ def test_mc_convergence_runs(args, sizes):
             assert cells == ["n/a", "n/a"]
         else:
             assert all(0.0 <= float(cell) < 0.1 for cell in cells)
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [(("--sizes", "0", "--seeds", "2"), "--sizes"), (("--sizes", "1000", "-5"), "--sizes"), (("--seeds", "-1"), "--seeds")],
+)
+def test_mc_convergence_rejects_out_of_range_counts(args, flag):
+    proc = run_script(MC_CONVERGENCE, *args)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert f"error: argument {flag}: must be an integer >= " in proc.stderr
+    assert "Traceback" not in proc.stderr

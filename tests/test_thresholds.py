@@ -20,8 +20,6 @@ from prevthresh import (
     DegenerateProfile,
     DiagnosticProfile,
     Rate,
-    ThresholdKind,
-    ThresholdMethod,
     curvature_argmax,
     curvature_at,
     negative_threshold,
@@ -58,8 +56,6 @@ class TestPositiveThreshold:
         r = positive_threshold(P_9095)
         assert float(r.phi) == pytest.approx(PHI_E, abs=1e-15)
         assert float(r.metric_value) == pytest.approx(RHO_E, abs=1e-15)
-        assert r.kind is ThresholdKind.POSITIVE
-        assert r.method is ThresholdMethod.CLOSED_FORM
 
     def test_second_profile(self):
         r = positive_threshold(P_6095)
@@ -92,10 +88,6 @@ class TestPositiveThreshold:
         with pytest.raises(DegenerateProfile):
             ppv_at_threshold(DiagnosticProfile(0.3, 1.0))
 
-    def test_degenerate_flag_at_chance(self):
-        assert positive_threshold(DiagnosticProfile(0.5, 0.5)).degenerate
-        assert not positive_threshold(P_9095).degenerate
-
 
 class TestNegativeThreshold:
     def test_oracle_value(self):
@@ -103,7 +95,6 @@ class TestNegativeThreshold:
         assert float(r.phi) == pytest.approx(PHI_N, abs=1e-15)
         # At this threshold the curve value equals the threshold itself.
         assert float(r.metric_value) == pytest.approx(PHI_N, abs=1e-15)
-        assert r.kind is ThresholdKind.NEGATIVE
 
     def test_second_profile(self):
         r = negative_threshold(P_6095)
@@ -255,7 +246,6 @@ class TestCurvatureArgmax:
     def test_matches_closed_form_positive(self, a, b):
         p = DiagnosticProfile(a, b)
         r = curvature_argmax(p, Curve.PPV)
-        assert r.method is ThresholdMethod.CURVATURE_ORACLE
         assert abs(float(r.phi) - closed_phi_e(a, b)) <= 1e-6
 
     @pytest.mark.parametrize(
