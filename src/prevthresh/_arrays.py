@@ -14,10 +14,21 @@ repeats the floating-point operations of the scalar function it stands
 for, in that function's order. Either way every value is bit-equal to
 the scalar one; the scalar functions are the oracle the test suite
 checks these arrays and the bytes written from them against.
+
+The curvature scan is the exception: _kappa_grid is its own cleared
+form of the curvature, and curvature_bracket's contract is the argmax
+of _kappa_grid over the whole cached grid. It evaluates _kappa_grid on
+a strided subsample for a hint and then on a window of ~330 grid points
+around it, and accepts the window's argmax only when it is certified
+to be the whole grid's (_window_argmax: normal intermediates, inner
+window edges clearly below the maximum of a unimodal curvature);
+otherwise it falls back to the full 10,001-point scan. The test suite
+checks the bracket against a full scan on a dense profile set.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import IO, Iterator
 
@@ -92,16 +103,84 @@ def _kappa_grid(p: float, q: float, xs: np.ndarray) -> np.ndarray:
     return 2.0 * pq * abs(p - q) * u**3 / (u**4 + pq * pq) ** 1.5
 
 
+# The certified window of curvature_bracket: the hint comes from every
+# _HINT_STRIDE-th grid point, the window reaches _WINDOW_SLACK points past
+# a stride on each side of it, and a window edge must lie below the
+# window's maximum by the relative _EDGE_MARGIN, far above the few-ulp
+# error of a _kappa_grid value.
+_HINT_STRIDE = 100
+_WINDOW_SLACK = 64
+_EDGE_MARGIN = 1e-9
+# Floor on the smallest numerator and denominator of _kappa_grid over
+# [0, 1], some 1e8 above the smallest normal float: above it every value
+# and intermediate is a normal float, except that one of u**4 and pq**2
+# may underflow where it is negligible beside the other.
+_NORMAL_FLOOR = 1e-300
+
+
+@functools.cache
+def _coarse_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scan grid {0, step, ..., 1} and its every _HINT_STRIDE-th point, both read-only."""
+    xs = np.linspace(0.0, 1.0, round(1.0 / step) + 1)
+    hint_xs = xs[::_HINT_STRIDE].copy()
+    xs.flags.writeable = hint_xs.flags.writeable = False
+    return xs, hint_xs
+
+
+def _window_argmax(p: float, q: float, step: float) -> int | None:
+    """The full scan's argmax, read off a window of the grid; None where the window is not certified.
+
+    kappa is unimodal in phi: with u = p*phi + q*(1-phi) and k = p*q,
+    dkappa/du is proportional to u**2 * (k**2 - u**4), and u is monotone
+    in phi. So once the window's edges (other than the grid's ends) lie
+    below its maximum by _EDGE_MARGIN, every value outside it is below
+    that maximum too, and the window's first argmax is the full scan's.
+    The window's values are the full grid's at the same indices, bit for
+    bit, because _kappa_grid acts elementwise on a contiguous slice. The
+    margin bounds rounding error only when every intermediate is a
+    normal float, which _NORMAL_FLOOR checks at u's smallest value,
+    min(p, q), where both the numerator and the denominator are smallest
+    (p and q are a curve's coefficients, in [0, 1]).
+    """
+    k = p * q
+    u_min = min(p, q)
+    if not (2.0 * k * abs(p - q) * u_min**3 >= _NORMAL_FLOOR and (u_min**4 + k * k) ** 1.5 >= _NORMAL_FLOOR):
+        return None
+    xs, hint_xs = _coarse_grid(step)
+    hint = int(_kappa_grid(p, q, hint_xs).argmax()) * _HINT_STRIDE
+    start = max(hint - _HINT_STRIDE - _WINDOW_SLACK, 0)
+    stop = min(hint + _HINT_STRIDE + _WINDOW_SLACK + 1, xs.size)
+    window = _kappa_grid(p, q, xs[start:stop])
+    i = int(window.argmax())
+    top = float(window[i])
+    # argmax picks a NaN or an infinity if there is one (no value is negative),
+    # so a finite maximum means every window value is finite.
+    if not math.isfinite(top):
+        return None
+    floor = top * (1.0 - _EDGE_MARGIN)
+    if (start > 0 and float(window[0]) >= floor) or (stop < xs.size and float(window[-1]) >= floor):
+        return None
+    return start + i
+
+
 def curvature_bracket(p: float, q: float, step: float) -> tuple[float, float]:
     """The coarse scan of curvature_argmax: the grid neighbours of the largest curvature.
 
-    Scans {0, step, ..., 1}; ties go to the smaller prevalence, and the
-    bracket is clipped to [0, 1].
+    Scans {0, step, ..., 1} with _kappa_grid; ties go to the smaller
+    prevalence, a NaN value counts as largest (numpy's argmax), and the
+    bracket is clipped to [0, 1]. The scan reads the argmax off a
+    certified window around a strided hint (_window_argmax) and falls
+    back to evaluating every grid point where the window is not
+    certified; either way the bracket is the full scan's. numpy's
+    floating-point warnings are silenced: a NaN or underflow here is
+    part of the scan's result, not an error.
     """
-    n = round(1.0 / step)
-    xs = np.linspace(0.0, 1.0, n + 1)
-    i = int(np.argmax(_kappa_grid(p, q, xs)))
-    return float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n)])
+    xs, _ = _coarse_grid(step)
+    with np.errstate(all="ignore"):
+        i = _window_argmax(p, q, step)
+        if i is None:
+            i = int(np.argmax(_kappa_grid(p, q, xs)))
+    return float(xs[max(i - 1, 0)]), float(xs[min(i + 1, xs.size - 1)])
 
 
 # --- the bound sweep (bounds) ----------------------------------------------------

@@ -44,12 +44,10 @@ from .metrics import (
     DiagnosticProfile,
     Rate,
     _beta,
+    _mcc_form,
     f1_at,
     f_beta_at,
     fm_at,
-    mcc_from_rates,
-    npv_at,
-    ppv_at,
 )
 from .thresholds import Curve, _threshold_phi
 
@@ -150,26 +148,33 @@ def fm_ratio(profile: DiagnosticProfile) -> float:
     return _finite(_fm_form(a, b))
 
 
-def _extended(profile: DiagnosticProfile, phi: Rate) -> tuple[float, float]:
+def _extended(profile: DiagnosticProfile, phi: float) -> tuple[float, float]:
     """PPV and NPV at phi, each flat curve extended by continuity.
 
-    Where Bayes' rule is 0/0 the curve is flat, and its constant is
+    Bayes' rule with ppv_at's and npv_at's operations in their order,
+    on plain floats, so each defined value is bit-equal to theirs. Where
+    Bayes' rule is 0/0 the curve is flat, and its constant is
     hits / (hits + misses) of its rates: 1 with no misses (PPV at
     specificity 1, NPV at sensitivity 1), 0 with no hits (PPV at
     sensitivity 0, NPV at specificity 0). That constant is plugged so
     threshold compositions stay defined at edge profiles; a curve with
-    neither hits nor misses still raises.
+    neither hits nor misses raises ppv_at's or npv_at's
+    DegenerateDenominator.
     """
     a = float(profile.sensitivity)
     b = float(profile.specificity)
     values = []
-    for value_at, hits, misses in ((ppv_at, a, 1.0 - b), (npv_at, b, 1.0 - a)):
-        try:
-            values.append(float(value_at(profile, phi)))
-        except DegenerateDenominator:
-            if hits + misses == 0.0:
-                raise
+    for side, hits, misses, true_share, false_share in (
+        ("positive", a, 1.0 - b, a * phi, (1.0 - b) * (1.0 - phi)),
+        ("negative", b, 1.0 - a, b * (1.0 - phi), (1.0 - a) * phi),
+    ):
+        den = true_share + false_share
+        if den != 0.0:
+            values.append(true_share / den)
+        elif hits + misses != 0.0:
             values.append(hits / (hits + misses))
+        else:
+            raise DegenerateDenominator(f"no {side} predictions at phi={phi!r} for {profile}")
     return values[0], values[1]
 
 
@@ -178,8 +183,10 @@ def mcc_at_threshold(profile: DiagnosticProfile, which: str) -> float:
 
     which is "positive" (phi_e, on the PPV curve) or "negative" (phi_n,
     on the NPV curve); anything else raises ValueError. Composes the
-    rate form of the MCC with the predictive values that Bayes' rule
-    gives at the chosen threshold prevalence. When a
+    rate form of the MCC (mcc_from_rates' kernel _mcc_form) with the
+    predictive values that Bayes' rule gives at the chosen threshold
+    prevalence, all on plain floats: the profile's rates are valid
+    already and every derived one lies in [0, 1]. When a
     predictive-value curve is constant (sensitivity or specificity at
     an endpoint) and the threshold lands on its undefined edge, the
     continuous extension is used, so a perfect test scores 1.0 at
@@ -193,7 +200,7 @@ def mcc_at_threshold(profile: DiagnosticProfile, which: str) -> float:
         raise ValueError(f"which must be 'positive' or 'negative', got {which!r}")
     phi = _threshold_phi(profile, curve)
     rho, sigma = _extended(profile, phi)
-    return mcc_from_rates(rho, profile.sensitivity, profile.specificity, sigma)
+    return _mcc_form(rho, float(profile.sensitivity), float(profile.specificity), sigma)
 
 
 def mcc_ratio(profile: DiagnosticProfile) -> float:

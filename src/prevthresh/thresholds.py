@@ -106,8 +106,8 @@ def _radical_split(p, q, sqrt=math.sqrt):
     return sq / (sqrt(p) + sq)
 
 
-def _threshold_phi(profile: DiagnosticProfile, curve: Curve) -> Rate:
-    """The curve's maximum-curvature prevalence, from its radical closed form.
+def _threshold_phi(profile: DiagnosticProfile, curve: Curve) -> float:
+    """The curve's maximum-curvature prevalence, from its radical closed form, as a float in [0, 1].
 
     _radical_split of the curve's coefficients; raises DegenerateProfile
     where p = q = 0, since the curve is then 0/0 at every prevalence.
@@ -118,12 +118,12 @@ def _threshold_phi(profile: DiagnosticProfile, curve: Curve) -> Rate:
     if p == 0.0 and q == 0.0:
         side = "positive" if sign > 0.0 else "negative"
         raise DegenerateProfile(f"{side} threshold undefined: sensitivity {a:g} with specificity {b:g}")
-    return Rate(_radical_split(p, q))
+    return _radical_split(p, q)
 
 
 def _closed_form_threshold(profile: DiagnosticProfile, curve: Curve) -> ThresholdResult:
     """positive_threshold for the PPV curve, negative_threshold for the NPV curve."""
-    phi = _threshold_phi(profile, curve)
+    phi = Rate(_threshold_phi(profile, curve))
     try:
         value: Rate | None = ppv_at_threshold(profile) if curve == Curve.PPV else npv_at(profile, phi)
     except (DegenerateProfile, DegenerateDenominator):
@@ -235,6 +235,34 @@ def curvature_at(profile: DiagnosticProfile, phi: float, curve: Curve | str = Cu
     return CurvaturePoint(phi=phi, kappa=kappa, slope=slope)
 
 
+def _kappa_kernel(profile: DiagnosticProfile, curve: Curve):
+    """curvature_at(profile, phi, curve).kappa as a function of a float phi in [0, 1], bit for bit.
+
+    Repeats curvature_at's operations in its order on plain floats, with
+    the phi-free factors computed once, and builds no Rate or
+    CurvaturePoint. Where u**3 is 0 (u is 0 or u**3 underflows) or the
+    power overflows, it calls curvature_at, which raises the matching
+    DegenerateDenominator.
+    """
+    p, q, _ = _curve_coefficients(float(profile.sensitivity), float(profile.specificity), curve)
+    pq = p * q
+    gap = 2.0 * pq * abs(p - q)
+
+    def kappa(phi: float) -> float:
+        u = p * phi + q * (1.0 - phi)
+        u2 = u * u
+        u3 = u2 * u
+        if u3 != 0.0:
+            slope = pq / u2  # curvature_at's slope up to its sign, which slope * slope drops
+            try:
+                return gap / u3 / (1.0 + slope * slope) ** 1.5
+            except OverflowError:
+                pass
+        return curvature_at(profile, phi, curve).kappa
+
+    return kappa
+
+
 def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV) -> ThresholdResult:
     """Numerically locate the maximum-curvature prevalence of a curve.
 
@@ -244,6 +272,16 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
     bracket below 1e-10. The protocol is fixed so repeated runs agree
     bit for bit. Agrees with the closed form to well under 1e-6 for
     every informative profile.
+
+    The scan evaluates the curvature only on a window of the grid
+    around the largest value of a strided subsample of it, and accepts
+    the window's argmax only when it is certified to be the whole
+    grid's: every intermediate is a normal float and each inner window
+    edge lies clearly below the window's maximum (the curvature is
+    unimodal in prevalence). Otherwise it scans the whole grid, as for
+    near-degenerate profiles. Neither path consults the closed forms.
+    The search evaluates curvature_at's arithmetic on plain floats
+    (_kappa_kernel), so each probe's value is curvature_at's.
     """
     curve = Curve(curve)
     if profile.is_degenerate():
@@ -259,9 +297,8 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
     from . import _arrays
 
     lo, hi = _arrays.curvature_bracket(p, q, COARSE_STEP)
-
-    def kappa(phi: float) -> float:
-        return curvature_at(profile, phi, curve).kappa
+    # Every probe lies in [lo, hi], inside [0, 1], so curvature_at would accept it as a Rate.
+    kappa = _kappa_kernel(profile, curve)
 
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)

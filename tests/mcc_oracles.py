@@ -1,16 +1,64 @@
 """Cross-check evaluation paths of the MCC ratio, used only by the tests.
 
 bounds.mcc_ratio composes the MCC at each threshold from the pointwise
-predictive values. The two forms here reach the same ratio by other
-routes: a difference-of-square-roots decomposition and one fully
-inlined expression. Agreement of all three to 1e-10 guards against a
-transcription error in any single one.
+predictive values, on plain floats. mcc_at_threshold_composed and
+mcc_ratio_composed make the same composition from the public,
+validating functions (the threshold, ppv_at and npv_at, mcc_from_rates),
+so they must agree bit for bit. The two forms after them reach the
+same ratio by other routes: a difference-of-square-roots decomposition
+and one fully inlined expression. Agreement of all three to 1e-10
+guards against a transcription error in any single one.
 """
 
 import math
 from dataclasses import dataclass
 
-from prevthresh import DegenerateProfile, DiagnosticProfile, Rate, ZeroDenominator
+from prevthresh import (
+    DegenerateDenominator,
+    DegenerateProfile,
+    DiagnosticProfile,
+    Rate,
+    ZeroDenominator,
+    mcc_from_rates,
+    negative_threshold,
+    npv_at,
+    positive_threshold,
+    ppv_at,
+)
+
+
+def mcc_at_threshold_composed(profile: DiagnosticProfile, which: str) -> float:
+    """bounds.mcc_at_threshold through the public functions, each flat curve extended by continuity.
+
+    Where Bayes' rule is 0/0 at the threshold the predictive value is
+    hits / (hits + misses) of the curve's rates; a curve with neither
+    re-raises ppv_at's or npv_at's DegenerateDenominator.
+    """
+    threshold = {"positive": positive_threshold, "negative": negative_threshold}[which]
+    phi = threshold(profile).phi
+    a = float(profile.sensitivity)
+    b = float(profile.specificity)
+    values = []
+    for value_at, hits, misses in ((ppv_at, a, 1.0 - b), (npv_at, b, 1.0 - a)):
+        try:
+            values.append(float(value_at(profile, phi)))
+        except DegenerateDenominator:
+            if hits + misses == 0.0:
+                raise
+            values.append(hits / (hits + misses))
+    return mcc_from_rates(values[0], profile.sensitivity, profile.specificity, values[1])
+
+
+def mcc_ratio_composed(profile: DiagnosticProfile) -> float:
+    """bounds.mcc_ratio over mcc_at_threshold_composed, with its zero and finiteness checks."""
+    numerator = mcc_at_threshold_composed(profile, "negative")
+    denominator = mcc_at_threshold_composed(profile, "positive")
+    if denominator == 0.0:
+        raise ZeroDenominator("MCC at the positive threshold is zero")
+    value = numerator / denominator
+    if not math.isfinite(value):
+        raise ValueError(f"ratio value must be finite, got {value!r}")
+    return value
 
 
 def _require_interior(profile: DiagnosticProfile) -> tuple[float, float]:

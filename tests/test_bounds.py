@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from prevthresh import (
     RATIO_BOUNDS,
     BoundsReport,
+    DegenerateDenominator,
     DegenerateProfile,
     DiagnosticProfile,
+    PrevthreshError,
     ZeroDenominator,
     accuracy_divergence_curve,
     f1_at,
@@ -33,7 +35,13 @@ from prevthresh import (
 import prevthresh._arrays as _arrays
 import prevthresh.bounds as bounds
 import sweep_oracle
-from mcc_oracles import MccRatioTerms, mcc_ratio_decomposed, mcc_ratio_long_form
+from mcc_oracles import (
+    MccRatioTerms,
+    mcc_at_threshold_composed,
+    mcc_ratio_composed,
+    mcc_ratio_decomposed,
+    mcc_ratio_long_form,
+)
 from sweep_oracle import verify_bounds_scalar
 
 # Oracle constants for sensitivity 0.9, specificity 0.95 (50-digit arithmetic).
@@ -120,6 +128,20 @@ class TestClosedFormRatios:
         assert fm_ratio(p) == pytest.approx(direct, rel=1e-12)
 
 
+# Rates for the MCC parity grid: both endpoints, values next to them, and interior points.
+MCC_GRID_RATES = [
+    0.0, 5e-324, 1e-300, 1e-9, 0.05, 0.1, 0.3, 0.5, 0.5 + 1e-12, 0.7, 0.9, 0.95, 1.0 - 1e-9, 1.0 - 2**-53, 1.0,
+]
+
+
+def outcome(function, *args):
+    """repr of the result, or the type and message of the error it raises."""
+    try:
+        return repr(function(*args))
+    except (PrevthreshError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestMccAtThreshold:
     def test_oracle_values(self):
         assert mcc_at_threshold(P_9095, "positive") == pytest.approx(MCC_E, abs=1e-14)
@@ -154,6 +176,26 @@ class TestMccAtThreshold:
     def test_rejects_unknown_threshold(self):
         with pytest.raises(ValueError, match="sideways"):
             mcc_at_threshold(P_9095, "sideways")
+
+    @pytest.mark.parametrize("a", MCC_GRID_RATES)
+    def test_equals_public_composition(self, a):
+        # The float path gives the public functions' values bit for bit, and
+        # their exception type and message wherever they raise.
+        for b in MCC_GRID_RATES:
+            profile = DiagnosticProfile(a, b)
+            for which in ("positive", "negative"):
+                assert outcome(mcc_at_threshold, profile, which) == outcome(
+                    mcc_at_threshold_composed, profile, which
+                ), (a, b, which)
+            assert outcome(mcc_ratio, profile) == outcome(mcc_ratio_composed, profile), (a, b)
+
+    def test_chance_corner_keeps_its_error(self):
+        with pytest.raises(DegenerateDenominator) as excinfo:
+            mcc_at_threshold(DiagnosticProfile(0.0, 1.0), "negative")
+        assert str(excinfo.value) == (
+            "no positive predictions at phi=0.5 for "
+            "DiagnosticProfile(sensitivity=Rate(0.0), specificity=Rate(1.0))"
+        )
 
 
 class TestMccRatio:

@@ -1,5 +1,7 @@
 """Smoke tests of the scripts under scripts/, each run as a fresh process on this source tree."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import prevthresh
 
 ROOT = Path(__file__).resolve().parents[1]
 MC_CONVERGENCE = ROOT / "scripts" / "mc_convergence.py"
+BENCH_TRAJECTORY = ROOT / "scripts" / "bench_trajectory.py"
 
 
 def run_script(script: Path, *args: str) -> subprocess.CompletedProcess:
@@ -53,4 +56,56 @@ def test_mc_convergence_rejects_out_of_range_counts(args, flag):
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert f"error: argument {flag}: must be an integer >= " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def load_script(script: Path):
+    spec = importlib.util.spec_from_file_location(script.stem, script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The standard output of `python3 perfbench/run.py --workload validate --seed 0 --trace 0`.
+CANNED_RUN_OUTPUT = """\
+workload validate, seed 0, 549 rounds
+  setup_s = 0.121225835999212 s
+  round_p50_norm = 4.7269754476138734 x
+  peak_rss_mb = 39.80078125 MB
+  (round_p90_norm = 5.546525512401993 x)
+  (wall clock round_p50_ms = 43.44402800052194 ms)
+  (stage.oracle_profiles_per_s = 1314.5111621653184 1/s)
+  (ops_failed_frac = 0/88409)
+provenance {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "git_commit": "cf0e7f8", "pinned_cpus": [0]}
+{"correct": true, "attempted": 88409, "failed": 0, "metrics": {"setup_s": {"value": 0.121225835999212, "unit": "s"}, \
+"round_p50_norm": {"value": 4.7269754476138734, "unit": "x"}, "peak_rss_mb": {"value": 39.80078125, "unit": "MB"}}}
+"""
+
+
+def test_bench_trajectory_parses_run_output():
+    bench = load_script(BENCH_TRAJECTORY)
+    end_to_end = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    record = bench.parse_run_output(CANNED_RUN_OUTPUT, end_to_end)
+    assert record == {
+        "metrics": {
+            "setup_s": {"value": 0.121225835999212, "unit": "s"},
+            "round_p50_norm": {"value": 4.7269754476138734, "unit": "x"},
+            "peak_rss_mb": {"value": 39.80078125, "unit": "MB"},
+        },
+        "attempted": 88409,
+        "failed": 0,
+        "provenance": {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "git_commit": "cf0e7f8", "pinned_cpus": [0]},
+    }
+    with pytest.raises(ValueError, match="no value for wall_s"):
+        bench.parse_run_output(CANNED_RUN_OUTPUT, [*end_to_end, "wall_s"])
+    without_provenance = "\n".join(line for line in CANNED_RUN_OUTPUT.splitlines() if not line.startswith("provenance"))
+    with pytest.raises(ValueError, match="one provenance line"):
+        bench.parse_run_output(without_provenance, end_to_end)
+
+
+@pytest.mark.parametrize("label", ["../escape", "", "a/b", "-x"])
+def test_bench_trajectory_rejects_unsafe_labels(label):
+    proc = run_script(BENCH_TRAJECTORY, "--label", label)
+    assert proc.returncode == 2
+    assert "argument --label" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -5,8 +5,11 @@ forms: it never consults them, only the curvature evaluations.
 """
 
 import math
+import random
+import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -28,6 +31,9 @@ from prevthresh import (
     ppv_at,
     ppv_at_threshold,
 )
+from prevthresh import _arrays, thresholds
+
+from test_threshold_bits import PINNED
 
 # Oracle constants (50-digit arithmetic, correctly rounded).
 PHI_E = 0.1907435698305462       # sensitivity 0.9, specificity 0.95
@@ -279,3 +285,153 @@ class TestCurvatureArgmax:
         for curve in (Curve.PPV, Curve.NPV):
             r = curvature_argmax(P_6095, curve)
             assert abs(abs(curvature_at(P_6095, r.phi, curve).slope) - 1.0) <= 1e-5
+
+    def test_scan_leaks_no_numpy_warning(self):
+        # At sensitivity 1e-200 the scan's last grid value is 0/0. The
+        # bracket ends there (numpy's argmax takes the NaN), and the scan
+        # must not emit numpy's RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = curvature_argmax(DiagnosticProfile(1e-200, 0.5), Curve.PPV)
+        assert (repr(float(r.phi)), repr(float(r.metric_value))) == ("0.9999999999565161", "4.599405238288206e-190")
+
+
+def full_scan_bracket(p: float, q: float) -> tuple[float, float]:
+    """The coarse scan's bracket from every grid point: the reference for the certified window."""
+    n = round(1.0 / COARSE_STEP)
+    xs = np.linspace(0.0, 1.0, n + 1)
+    with np.errstate(all="ignore"):
+        i = int(np.argmax(_arrays._kappa_grid(p, q, xs)))
+    return float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n)])
+
+
+def scan_profiles() -> list[tuple[float, float]]:
+    """A dense seeded profile set: interior, near-degenerate, tiny-rate and endpoint profiles."""
+    rng = random.Random(20211227)
+    edges = [0.0, 1.0, 5e-324, 1e-300, 1e-200, 1e-100, 1e-8, 0.5, 1.0 - 1e-8, 1.0 - 2**-53]
+    profiles = [(rng.random(), rng.random()) for _ in range(300)]
+    for gap in (1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-11, 1e-12, 2e-12):
+        for _ in range(15):
+            a = rng.uniform(0.01, 0.99)
+            profiles.append((a, 1.0 - a + rng.choice((-1.0, 1.0)) * gap))
+    for _ in range(150):
+        tiny = 10.0 ** rng.uniform(-300, -8)
+        other = rng.random()
+        profiles += [(tiny, other), (other, tiny), (1.0 - tiny, other), (other, 1.0 - tiny)]
+    profiles += [(a, b) for a in edges for b in edges]
+    profiles += [(edge, rng.random()) for edge in (0.0, 1.0) for _ in range(20)]
+    profiles += [(rng.random(), edge) for edge in (0.0, 1.0) for _ in range(20)]
+    return [(a, b) for a, b in profiles if 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0]
+
+
+def curve_coefficients(a: float, b: float, curve: Curve) -> tuple[float, float]:
+    return (a, 1.0 - b) if curve == Curve.PPV else (1.0 - a, b)
+
+
+class TestCurvatureBracket:
+    def test_window_equals_full_scan(self):
+        served = {"window": 0, "fallback": 0}
+        for a, b in scan_profiles():
+            for curve in Curve:
+                p, q = curve_coefficients(a, b, curve)
+                assert _arrays.curvature_bracket(p, q, COARSE_STEP) == full_scan_bracket(p, q), (a, b, curve)
+                with np.errstate(all="ignore"):
+                    served["window" if _arrays._window_argmax(p, q, COARSE_STEP) is not None else "fallback"] += 1
+        # Both paths are exercised by the profile set.
+        assert served["window"] > 1000 and served["fallback"] > 100, served
+
+    def test_window_serves_the_pinned_profiles(self):
+        for ((a, b), name), pinned in PINNED.items():
+            if not name.startswith("curvature_argmax") or pinned == "DegenerateProfile":
+                continue
+            p, q = curve_coefficients(a, b, Curve.PPV if name.endswith("ppv") else Curve.NPV)
+            assert _arrays._window_argmax(p, q, COARSE_STEP) is not None, (a, b, name)
+            assert _arrays.curvature_bracket(p, q, COARSE_STEP) == full_scan_bracket(p, q)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (0.5, 0.5 + 2e-12),  # near-degenerate: the curvature is flat to 1e-12
+            (0.3, 0.7 - 1e-11),
+            (1e-200, 0.5),  # 0/0 at phi = 1
+            (1e-90, 0.0),  # finite everywhere, but the numerator underflows at phi = 1
+        ],
+    )
+    def test_fallback_serves_near_degenerate_and_tiny_profiles(self, a, b):
+        p, q = curve_coefficients(a, b, Curve.PPV)
+        with np.errstate(all="ignore"):
+            assert _arrays._window_argmax(p, q, COARSE_STEP) is None
+        assert _arrays.curvature_bracket(p, q, COARSE_STEP) == full_scan_bracket(p, q)
+
+    @pytest.mark.parametrize("shift", [-3, 3])
+    def test_misplaced_hint_is_rejected(self, monkeypatch, shift):
+        # The hint only saves time: a window placed strides away from the
+        # peak has its maximum on an inner edge, and the full scan serves.
+        p, q = curve_coefficients(0.9, 0.95, Curve.PPV)
+        hint_xs = _arrays._coarse_grid(COARSE_STEP)[1]
+        kappa_grid = _arrays._kappa_grid
+
+        def misplaced(p, q, xs):
+            values = kappa_grid(p, q, xs)
+            return np.roll(values, shift) if xs is hint_xs else values
+
+        monkeypatch.setattr(_arrays, "_kappa_grid", misplaced)
+        assert _arrays._window_argmax(p, q, COARSE_STEP) is None
+        assert _arrays.curvature_bracket(p, q, COARSE_STEP) == full_scan_bracket(p, q)
+
+    def test_grid_is_cached_and_read_only(self):
+        xs, hint_xs = _arrays._coarse_grid(COARSE_STEP)
+        assert _arrays._coarse_grid(COARSE_STEP)[0] is xs
+        assert xs.tolist() == np.linspace(0.0, 1.0, 10001).tolist()
+        assert hint_xs.tolist() == xs[:: _arrays._HINT_STRIDE].tolist()
+        with pytest.raises(ValueError):
+            xs[0] = 1.0
+
+
+class TestKappaKernel:
+    @pytest.mark.parametrize(
+        "a, b, curve",
+        [
+            *((a, b, curve) for a, b in ((0.9, 0.95), (0.6, 0.95), (0.999999, 0.999999), (0.7, 0.31)) for curve in Curve),
+            (0.0, 0.5, Curve.NPV),
+            (0.9, 0.0, Curve.PPV),
+            (1e-200, 0.5, Curve.PPV),
+            (0.5, 1e-200, Curve.NPV),
+        ],
+    )
+    def test_every_search_probe_matches_curvature_at(self, monkeypatch, a, b, curve):
+        profile = DiagnosticProfile(a, b)
+        probes = []
+        kernel = thresholds._kappa_kernel
+
+        def recording_kernel(profile, curve):
+            kappa = kernel(profile, curve)
+
+            def record(phi):
+                probes.append((phi, kappa(phi)))
+                return probes[-1][1]
+
+            return record
+
+        monkeypatch.setattr(thresholds, "_kappa_kernel", recording_kernel)
+        curvature_argmax(profile, curve)
+        assert len(probes) > 30
+        for phi, value in probes:
+            assert repr(value) == repr(curvature_at(profile, phi, curve).kappa), phi
+
+    @pytest.mark.parametrize(
+        "a, b, phi",
+        [
+            (1e-300, 1.0, 0.05),  # u * u underflows to 0
+            (1e-120, 1.0, 0.05),  # u * u is normal, u * u * u underflows
+            (1e-104, 0.0, 1.0),  # slope ** 2 ~ 1e208, its 1.5th power overflows
+            (0.0, 1.0, 0.5),  # u is 0
+        ],
+    )
+    def test_unrepresentable_curvature_raises_as_curvature_at(self, a, b, phi):
+        profile = DiagnosticProfile(a, b)
+        with pytest.raises(DegenerateDenominator) as expected:
+            curvature_at(profile, phi, Curve.PPV)
+        with pytest.raises(DegenerateDenominator) as got:
+            thresholds._kappa_kernel(profile, Curve.PPV)(phi)
+        assert str(got.value) == str(expected.value)
