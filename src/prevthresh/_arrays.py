@@ -7,23 +7,29 @@ first called, so the scalar paths (the thresholds, the ratio summary,
 analyze_counts and the CLI subcommands built on them) start without
 loading numpy.
 
-The ratio and MCC closed forms are not repeated here: the sweep calls
-the float-or-array kernels the scalar functions use (bounds._f_beta_form,
-bounds._fm_form, metrics._mcc_form) with np.sqrt. Every other kernel
-repeats the floating-point operations of the scalar function it stands
-for, in that function's order. Either way every value is bit-equal to
-the scalar one; the scalar functions are the oracle the test suite
-checks these arrays and the bytes written from them against.
+The ratio, MCC and curvature formulas are not repeated here: the sweep
+calls the float-or-array kernels the scalar functions use
+(bounds._f_beta_form, bounds._fm_form, metrics._mcc_form, and
+thresholds._radical_split for the thresholds) with np.sqrt, and the
+emitters' kappa columns map the scalar thresholds._kappa_kernel over
+the grid. The rest repeat the floating-point operations of the scalar
+functions they stand for, in their order: predictive_arrays those of
+ppv_at and npv_at, ratio_curve_columns those of f_beta_score and fm_at
+as accuracy_divergence_curve composes them. Either way every value is
+bit-equal to the scalar one; the scalar functions are the oracle the
+test suite checks these arrays and the bytes written from them against.
 
-The curvature scan is the exception: _kappa_grid is its own cleared
-form of the curvature, and curvature_bracket's contract is the argmax
-of _kappa_grid over the whole cached grid. It evaluates _kappa_grid on
-a strided subsample for a hint and then on a window of ~330 grid points
-around it, and accepts the window's argmax only when it is certified
-to be the whole grid's (_window_argmax: normal intermediates, inner
-window edges clearly below the maximum of a unimodal curvature);
-otherwise it falls back to the full 10,001-point scan. The test suite
-checks the bracket against a full scan on a dense profile set.
+The curvature scan is the exception: _kappa_grid, the package's only
+array form of the curvature, is a cleared form of its own, and
+curvature_bracket's contract is the argmax of _kappa_grid over the
+whole cached grid, so its values define the oracle's bracket. It
+evaluates _kappa_grid on a strided subsample for a hint and then on a
+window of ~330 grid points around it, and accepts the window's argmax
+only when it is certified to be the whole grid's (_window_argmax:
+normal intermediates, inner window edges clearly below the maximum of a
+unimodal curvature); otherwise it falls back to the full 10,001-point
+scan. The test suite checks the bracket against a full scan on a dense
+profile set.
 """
 
 from __future__ import annotations
@@ -36,11 +42,12 @@ import numpy as np
 
 from .bounds import RATIO_BOUNDS, SWEEP_BETAS, BoundRecord, BoundViolation, _f_beta_form, _fm_form
 from .dataio import _BLOCK_ROWS
-from .metrics import Rate, _mcc_form
-from .thresholds import Curve, _curve_coefficients, _radical_split
+from .errors import DegenerateDenominator
+from .metrics import DiagnosticProfile, Rate, _mcc_form
+from .thresholds import Curve, _curve_coefficients, _kappa_kernel, _radical_split
 
 
-# --- predictive values and curvature (thresholds) -------------------------------
+# --- predictive values and the curvature scan (thresholds) -----------------------
 
 
 def predictive_arrays(a, b, curve: Curve, phi: np.ndarray, extend: bool = False) -> np.ndarray:
@@ -68,35 +75,13 @@ def predictive_arrays(a, b, curve: Curve, phi: np.ndarray, extend: bool = False)
     return values
 
 
-def _pow_1_5(x: float) -> float:
-    try:
-        return x**1.5
-    except OverflowError:
-        return math.nan
-
-
-def curvature_arrays(a: float, b: float, curve: Curve, phi: np.ndarray) -> np.ndarray:
-    """curvature_at(DiagnosticProfile(a, b), phi[i], curve).kappa at every i; NaN where it raises.
-
-    Repeats curvature_at's operations in its order, so every defined
-    value is bit-equal to the scalar one. The power (1 + slope**2)**1.5
-    is taken with Python floats, because numpy's vectorized power is
-    not the platform pow and differs from it in the last digit.
-    """
-    p, q, sign = _curve_coefficients(a, b, curve)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = p * phi + q * (1.0 - phi)
-        u2 = u * u
-        u3 = u2 * u
-        pq = p * q
-        slope = sign * pq / u2
-        second = 2.0 * pq * abs(p - q) / u3
-        scale = np.array([_pow_1_5(x) for x in (1.0 + slope * slope).tolist()])
-        return np.where((u3 != 0.0) & ~np.isnan(scale), second / scale, np.nan)
-
-
 def _kappa_grid(p: float, q: float, xs: np.ndarray) -> np.ndarray:
-    """Vectorized curvature of the curve with coefficients (p, q) over a prevalence grid (same algebra as curvature_at)."""
+    """Curvature of the curve with coefficients (p, q) at every prevalence of xs, for the coarse scan.
+
+    _kappa_kernel's formula cleared of negative powers of u, so its
+    values round differently from the kernel's; the scan's bracket, and
+    so curvature_argmax's result, is defined by these values.
+    """
     u = p * xs + q * (1.0 - xs)
     pq = p * q
     # kappa = 2*pq*|p-q|/u^3 / (1 + (pq)^2/u^4)^(3/2), cleared of negative powers.
@@ -223,7 +208,7 @@ def _mcc_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def ratio_arrays(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
-    """Every ratio of ratio_table() as (key, values at every cell), keyed alike and in its order.
+    """Every swept ratio as (key, values at every cell), keyed and ordered as RATIO_BOUNDS.
 
     f1_ratio's, f_beta_ratio's and fm_ratio's kernels (_f_beta_form,
     _fm_form) with np.sqrt, then _mcc_ratio_arrays, so each value is
@@ -272,11 +257,24 @@ def bound_record(key: str, values: np.ndarray, a: np.ndarray, b: np.ndarray, tol
 # --- the curve emitters (dataio) ---------------------------------------------------
 
 
-def curve_columns(a: float, b: float, grid: list[float]) -> list[np.ndarray]:
+def _kappa_column(profile: DiagnosticProfile, curve: Curve, grid: list[float]) -> np.ndarray:
+    """thresholds._kappa_kernel at every grid point; NaN where it raises."""
+    kappa = _kappa_kernel(profile, curve)
+    values = []
+    for phi in grid:
+        try:
+            values.append(kappa(phi))
+        except DegenerateDenominator:
+            values.append(math.nan)
+    return np.array(values)
+
+
+def curve_columns(profile: DiagnosticProfile, grid: list[float]) -> list[np.ndarray]:
     """emit_curves' ppv, npv, kappa_ppv and kappa_npv columns over the prevalence grid."""
+    a, b = float(profile.sensitivity), float(profile.specificity)
     phi = np.array(grid)
     columns = [predictive_arrays(a, b, curve, phi) for curve in Curve]
-    columns += [curvature_arrays(a, b, curve, phi) for curve in Curve]
+    columns += [_kappa_column(profile, curve, grid) for curve in Curve]
     return columns
 
 

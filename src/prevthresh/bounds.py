@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import (
     DegenerateDenominator,
@@ -364,27 +363,19 @@ def _grid_axis(step: float) -> list[float]:
     return values
 
 
-def ratio_table(
-    betas: Iterable[float] = SWEEP_BETAS,
-) -> list[tuple[str, Callable[[DiagnosticProfile], float]]]:
-    """The bounded ratios as (key, evaluator) pairs, in reporting order.
-
-    Keys are f1, f_beta_<beta:g> for each beta, fm and mcc. Each
-    evaluator is the ratio function itself (f_beta_ratio bound to its
-    beta): it returns the ratio of a profile as a float and raises a
-    PrevthreshError where the ratio is undefined. Invalid betas raise
-    ValueError here, before any ratio is evaluated.
-    """
-    table: list[tuple[str, Callable[[DiagnosticProfile], float]]] = [("f1", f1_ratio)]
-    for beta in map(_beta, betas):
-        table.append((f"f_beta_{beta:g}", partial(f_beta_ratio, beta=beta)))
-    table += [("fm", fm_ratio), ("mcc", mcc_ratio)]
-    return table
-
-
 def _ratio_values(profile: DiagnosticProfile, betas: Iterable[float]) -> dict[str, float | None]:
-    """Every ratio of ratio_table(betas) at one profile, keyed <key>_ratio; None where undefined."""
-    return {f"{key}_ratio": value_or_none(evaluate, profile) for key, evaluate in ratio_table(betas)}
+    """Every bounded ratio at one profile, keyed <key>_ratio; None where undefined.
+
+    Keys are f1, f_beta_<beta:g> for each beta, fm and mcc, in that
+    order. Invalid betas raise ValueError before any ratio is evaluated.
+    """
+    betas = [_beta(beta) for beta in betas]
+    values = {"f1_ratio": value_or_none(f1_ratio, profile)}
+    for beta in betas:
+        values[f"f_beta_{beta:g}_ratio"] = value_or_none(f_beta_ratio, profile, beta)
+    values["fm_ratio"] = value_or_none(fm_ratio, profile)
+    values["mcc_ratio"] = value_or_none(mcc_ratio, profile)
+    return values
 
 
 def verify_bounds(grid_step: float = 0.01, delta: float = 1e-6, tolerance: float = 1e-9) -> BoundsReport:

@@ -7,11 +7,13 @@ Undefined cells are written as empty fields so every grid point keeps
 its row.
 
 Every stage is a bulk operation. The curve emitters evaluate their
-prevalence grid as numpy arrays through the curve-keyed kernels of
-_arrays, which repeat the scalar per-point functions' floating-point
-operations in order (ppv_at, npv_at, curvature_at, and f1_at, f_beta_at
-and fm_at as accuracy_divergence_curve composes them; these stay public
-and are the oracle the test suite checks the emitted bytes against).
+prevalence grid through _arrays: the predictive values and ratios as
+numpy arrays that repeat the scalar per-point functions' floating-point
+operations in order (ppv_at, npv_at, and f1_at, f_beta_at and fm_at as
+accuracy_divergence_curve composes them; these stay public and are the
+oracle the test suite checks the emitted bytes against), and the
+curvature through curvature_at's own kernel, thresholds._kappa_kernel,
+mapped over the grid.
 A ratio cell is the repr of a plain float. These divergence curves
 share no code with the closed-form ratios of bounds, whose kernels
 (_f_beta_form, _fm_form) serve only those ratios and the bound sweep.
@@ -187,17 +189,19 @@ def emit_curves(
     curve datasets stay paired with the analytic landmarks they should
     exhibit. Returns the number of data rows.
 
-    The grid is evaluated as numpy arrays with the operations of
-    ppv_at, npv_at and curvature_at in their order, so each cell holds
-    the repr of what that scalar function returns there, and is empty
-    exactly where it raises. Those scalar functions are the oracle the
-    test suite checks the bytes against.
+    The ppv and npv columns are numpy arrays with the operations of
+    ppv_at and npv_at in their order; the kappa columns are
+    thresholds._kappa_kernel, which curvature_at also evaluates, at
+    each grid point. So each cell holds the repr of what ppv_at, npv_at
+    or curvature_at(...).kappa returns there, and is empty exactly where
+    it raises. The test suite checks the bytes against per-cell scalar
+    calls, with its own copy of the curvature arithmetic.
     """
     grid = _phi_grid(step)
 
     from . import _arrays
 
-    columns = _arrays.curve_columns(float(profile.sensitivity), float(profile.specificity), grid)
+    columns = _arrays.curve_columns(profile, grid)
     _arrays.write_grid(sink, ["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"], grid, columns)
 
     if sidecar is not None:

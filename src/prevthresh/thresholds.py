@@ -201,48 +201,34 @@ def threshold_summary(profile: DiagnosticProfile) -> dict:
 def curvature_at(profile: DiagnosticProfile, phi: float, curve: Curve | str = Curve.PPV) -> CurvaturePoint:
     """Slope and curvature of a predictive-value curve at one prevalence.
 
+    kappa is _kappa_kernel's value at phi; where kappa is not
+    representable, the kernel's DegenerateDenominator propagates. The
+    slope is the signed first derivative of the quotient form,
+    sign * p*q / u**2 with u = p*phi + q*(1-phi) (see
+    _curve_coefficients).
+    """
+    curve = Curve(curve)
+    phi = Rate(phi)
+    x = float(phi)
+    kappa = _kappa_kernel(profile, curve)(x)
+    p, q, sign = _curve_coefficients(float(profile.sensitivity), float(profile.specificity), curve)
+    u = p * x + q * (1.0 - x)
+    return CurvaturePoint(phi=phi, kappa=kappa, slope=sign * (p * q) / (u * u))
+
+
+def _kappa_kernel(profile: DiagnosticProfile, curve: Curve):
+    """The curve's curvature as a function of a float phi in [0, 1]: the package's one scalar curvature.
+
     Derivatives are analytic from the quotient form (with denominator
     u = p*phi + q*(1-phi): |f'| = p*q/u^2, |f''| = 2*p*q*|p-q|/u^3),
     then kappa = |f''| / (1 + f'^2)^(3/2). Analytic rather than
     finite-difference because curvature amplifies rounding noise
-    through the second derivative. Raises DegenerateDenominator where
-    u is 0, and where u is so small that u**3 underflows or the slope
-    term overflows, since kappa is not representable there.
-    """
-    curve = Curve(curve)
-    phi = Rate(phi)
-    p, q, sign = _curve_coefficients(float(profile.sensitivity), float(profile.specificity), curve)
-    u = p * float(phi) + q * (1.0 - float(phi))
-    if u == 0.0:
-        raise DegenerateDenominator(
-            f"{curve.value} curve undefined at phi={float(phi)!r} for {profile}"
-        )
-    u2 = u * u
-    u3 = u2 * u
-    if u3 == 0.0:
-        raise DegenerateDenominator(
-            f"{curve.value} curvature not representable at phi={float(phi)!r} for {profile}: u**3 underflows"
-        )
-    pq = p * q
-    slope = sign * pq / u2
-    second = 2.0 * pq * abs(p - q) / u3
-    try:
-        kappa = second / (1.0 + slope * slope) ** 1.5
-    except OverflowError:
-        raise DegenerateDenominator(
-            f"{curve.value} curvature not representable at phi={float(phi)!r} for {profile}: slope**3 overflows"
-        ) from None
-    return CurvaturePoint(phi=phi, kappa=kappa, slope=slope)
-
-
-def _kappa_kernel(profile: DiagnosticProfile, curve: Curve):
-    """curvature_at(profile, phi, curve).kappa as a function of a float phi in [0, 1], bit for bit.
-
-    Repeats curvature_at's operations in its order on plain floats, with
-    the phi-free factors computed once, and builds no Rate or
-    CurvaturePoint. Where u**3 is 0 (u is 0 or u**3 underflows) or the
-    power overflows, it calls curvature_at, which raises the matching
-    DegenerateDenominator.
+    through the second derivative. The phi-free factors are computed
+    once per curve, and no Rate or CurvaturePoint is built, so
+    curvature_at, curvature_argmax's search and emit_curves' kappa
+    columns all evaluate this closure. Raises DegenerateDenominator
+    where u is 0, and where u is so small that u**3 underflows or the
+    slope term overflows, since kappa is not representable there.
     """
     p, q, _ = _curve_coefficients(float(profile.sensitivity), float(profile.specificity), curve)
     pq = p * q
@@ -252,13 +238,19 @@ def _kappa_kernel(profile: DiagnosticProfile, curve: Curve):
         u = p * phi + q * (1.0 - phi)
         u2 = u * u
         u3 = u2 * u
-        if u3 != 0.0:
-            slope = pq / u2  # curvature_at's slope up to its sign, which slope * slope drops
-            try:
-                return gap / u3 / (1.0 + slope * slope) ** 1.5
-            except OverflowError:
-                pass
-        return curvature_at(profile, phi, curve).kappa
+        if u3 == 0.0:
+            if u == 0.0:
+                raise DegenerateDenominator(f"{curve.value} curve undefined at phi={phi!r} for {profile}")
+            raise DegenerateDenominator(
+                f"{curve.value} curvature not representable at phi={phi!r} for {profile}: u**3 underflows"
+            )
+        slope = pq / u2  # the slope up to its sign, which slope * slope drops
+        try:
+            return gap / u3 / (1.0 + slope * slope) ** 1.5
+        except OverflowError:
+            raise DegenerateDenominator(
+                f"{curve.value} curvature not representable at phi={phi!r} for {profile}: slope**3 overflows"
+            ) from None
 
     return kappa
 
@@ -280,8 +272,8 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
     edge lies clearly below the window's maximum (the curvature is
     unimodal in prevalence). Otherwise it scans the whole grid, as for
     near-degenerate profiles. Neither path consults the closed forms.
-    The search evaluates curvature_at's arithmetic on plain floats
-    (_kappa_kernel), so each probe's value is curvature_at's.
+    The search evaluates _kappa_kernel, the arithmetic of curvature_at,
+    so each probe's value is curvature_at's kappa there.
     """
     curve = Curve(curve)
     if profile.is_degenerate():
@@ -297,7 +289,7 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
     from . import _arrays
 
     lo, hi = _arrays.curvature_bracket(p, q, COARSE_STEP)
-    # Every probe lies in [lo, hi], inside [0, 1], so curvature_at would accept it as a Rate.
+    # Every probe lies in [lo, hi], inside [0, 1], the kernel's domain.
     kappa = _kappa_kernel(profile, curve)
 
     x1 = hi - _INV_PHI * (hi - lo)

@@ -3,10 +3,16 @@
 dataio evaluates the curve grids as numpy arrays, writes prediction
 rows in blocks and tallies ingest through memoized token pairs. This
 module keeps the per-row code those replaced: one guarded scalar call
-(ppv_at, npv_at, curvature_at, accuracy_divergence_curve) per cell, one
-csv row per prediction, and _parse_binary on every ingested row, so the
-bulk paths can be checked byte for byte and ParseError row for row
+(ppv_at, npv_at, curvature_scalar, accuracy_divergence_curve) per cell,
+one csv row per prediction, and _parse_binary on every ingested row, so
+the bulk paths can be checked byte for byte and ParseError row for row
 against the scalar functions.
+
+curvature_scalar is curvature_at's arithmetic written out on its own.
+It shares no code with thresholds._kappa_kernel, which curvature_at,
+curvature_argmax's search and the emitted kappa columns all evaluate,
+so those are checked against an independent copy, not against
+themselves.
 """
 
 from __future__ import annotations
@@ -18,8 +24,44 @@ from typing import IO, Iterable
 from prevthresh.bounds import accuracy_divergence_curve
 from prevthresh.dataio import Source, _as_text_stream, _parse_binary, _phi_grid
 from prevthresh.errors import DegenerateDenominator, EmptyInput, ParseError
-from prevthresh.metrics import ConfusionCounts, DiagnosticProfile, _beta, npv_at, ppv_at
-from prevthresh.thresholds import Curve, curvature_at, threshold_summary
+from prevthresh.metrics import ConfusionCounts, DiagnosticProfile, Rate, _beta, npv_at, ppv_at
+from prevthresh.thresholds import Curve, CurvaturePoint, threshold_summary
+
+
+def curvature_scalar(profile: DiagnosticProfile, phi: float, curve: Curve | str = Curve.PPV) -> CurvaturePoint:
+    """Slope and curvature of a predictive-value curve at one prevalence, as curvature_at returns them.
+
+    Derivatives are analytic from the quotient form (with denominator
+    u = p*phi + q*(1-phi): |f'| = p*q/u^2, |f''| = 2*p*q*|p-q|/u^3),
+    then kappa = |f''| / (1 + f'^2)^(3/2). Raises curvature_at's
+    DegenerateDenominator, message for message, where u is 0, and where
+    u is so small that u**3 underflows or the slope term overflows.
+    """
+    curve = Curve(curve)
+    phi = Rate(phi)
+    a, b = float(profile.sensitivity), float(profile.specificity)
+    p, q, sign = (a, 1.0 - b, 1.0) if curve == Curve.PPV else (1.0 - a, b, -1.0)
+    u = p * float(phi) + q * (1.0 - float(phi))
+    if u == 0.0:
+        raise DegenerateDenominator(
+            f"{curve.value} curve undefined at phi={float(phi)!r} for {profile}"
+        )
+    u2 = u * u
+    u3 = u2 * u
+    if u3 == 0.0:
+        raise DegenerateDenominator(
+            f"{curve.value} curvature not representable at phi={float(phi)!r} for {profile}: u**3 underflows"
+        )
+    pq = p * q
+    slope = sign * pq / u2
+    second = 2.0 * pq * abs(p - q) / u3
+    try:
+        kappa = second / (1.0 + slope * slope) ** 1.5
+    except OverflowError:
+        raise DegenerateDenominator(
+            f"{curve.value} curvature not representable at phi={float(phi)!r} for {profile}: slope**3 overflows"
+        ) from None
+    return CurvaturePoint(phi=phi, kappa=kappa, slope=slope)
 
 
 def ingest_predictions_scalar(source: Source) -> ConfusionCounts:
@@ -94,7 +136,7 @@ def emit_curves_scalar(
     sink: IO,
     sidecar: IO | None = None,
 ) -> int:
-    """emit_curves with one guarded ppv_at/npv_at/curvature_at call per cell."""
+    """emit_curves with one guarded ppv_at/npv_at/curvature_scalar call per cell."""
     grid = _phi_grid(step)
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"])
@@ -110,7 +152,7 @@ def emit_curves_scalar(
             cells.append("")
         for curve in (Curve.PPV, Curve.NPV):
             try:
-                cells.append(_cell(curvature_at(profile, phi, curve).kappa))
+                cells.append(_cell(curvature_scalar(profile, phi, curve).kappa))
             except DegenerateDenominator:
                 cells.append("")
         writer.writerow(cells)

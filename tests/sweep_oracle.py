@@ -7,16 +7,41 @@ so the vectorized report can be checked byte for byte against the
 scalar functions.
 """
 
+from functools import partial
+from typing import Callable, Iterable
+
 from prevthresh.bounds import (
     RATIO_BOUNDS,
+    SWEEP_BETAS,
     BoundRecord,
     BoundsReport,
     BoundViolation,
     _grid_axis,
-    ratio_table,
+    f1_ratio,
+    f_beta_ratio,
+    fm_ratio,
+    mcc_ratio,
 )
 from prevthresh.errors import PrevthreshError
-from prevthresh.metrics import DiagnosticProfile, Rate
+from prevthresh.metrics import DiagnosticProfile, Rate, _beta
+
+
+def ratio_table(
+    betas: Iterable[float] = SWEEP_BETAS,
+) -> list[tuple[str, Callable[[DiagnosticProfile], float]]]:
+    """The bounded ratios as (key, evaluator) pairs, in reporting order.
+
+    Keys are f1, f_beta_<beta:g> for each beta, fm and mcc. Each
+    evaluator is the ratio function itself (f_beta_ratio bound to its
+    beta): it returns the ratio of a profile as a float and raises a
+    PrevthreshError where the ratio is undefined. Invalid betas raise
+    ValueError here, before any ratio is evaluated.
+    """
+    table: list[tuple[str, Callable[[DiagnosticProfile], float]]] = [("f1", f1_ratio)]
+    for beta in map(_beta, betas):
+        table.append((f"f_beta_{beta:g}", partial(f_beta_ratio, beta=beta)))
+    table += [("fm", fm_ratio), ("mcc", mcc_ratio)]
+    return table
 
 
 def verify_bounds_scalar(grid_step: float = 0.01, delta: float = 1e-6, tolerance: float = 1e-9) -> BoundsReport:

@@ -259,6 +259,21 @@ class TestAnalyze:
         assert code == 1
         assert err.startswith("error:usage:")
 
+    def test_overflowing_beta_square_text(self, capsys):
+        # 1e200**2 overflows, so the F-beta score's harmonic form would be inf/inf.
+        code, out, err = run(capsys, "analyze", "--counts", "5,1,1,5", "--betas", "1e200")
+        assert (code, err) == (0, "")
+        assert "  f_beta_1e+200 = n/a\n" in out
+        assert "  f_beta_1e+200_ratio = 1.0\n" in out
+        assert "nan" not in out
+
+    def test_overflowing_beta_square_json(self, capsys):
+        code, out, err = run(capsys, "analyze", "--counts", "5,1,1,5", "--betas", "1e200", "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["metrics"]["f_beta_1e+200"] is None
+        assert payload["ratios"]["f_beta_1e+200_ratio"] == 1.0
+
     def test_counts_beyond_float_range(self, capsys):
         # n has 1,330 bits: the MCC is still computed, the chi-square statistic is not representable.
         big = "1" + "0" * 400

@@ -30,7 +30,7 @@ from prevthresh import (
     npv_at,
     ppv_at,
 )
-from prevthresh.bounds import ratio_table
+from prevthresh.bounds import _ratio_values
 
 # Oracle constants for sensitivity 0.9, specificity 0.95 (50-digit arithmetic).
 PHI_E = 0.1907435698305462
@@ -136,7 +136,7 @@ class TestFBetaWeight:
     def test_accepts_positive(self):
         assert 0.0 < f_beta_at(P_9095, 0.5, 0.5) <= 1.0
         assert f_beta_ratio(P_9095, 0.5) > 1.0
-        assert [key for key, _ in ratio_table([0.5])] == ["f1", "f_beta_0.5", "fm", "mcc"]
+        assert list(_ratio_values(P_9095, [0.5])) == ["f1_ratio", "f_beta_0.5_ratio", "fm_ratio", "mcc_ratio"]
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive(self, bad):
@@ -144,7 +144,7 @@ class TestFBetaWeight:
         for call in (
             lambda: f_beta_at(P_9095, 0.5, bad),
             lambda: f_beta_ratio(P_9095, bad),
-            lambda: ratio_table([2.0, bad]),
+            lambda: _ratio_values(P_9095, [2.0, bad]),
         ):
             with pytest.raises(ValueError) as excinfo:
                 call()

@@ -41,6 +41,14 @@ class TestAnalyzeCounts:
         assert "f_beta_0.25_ratio" in report.ratios
         assert "f_beta_1" not in report.metrics
 
+    def test_overflowing_beta_square_is_undefined(self):
+        # beta**2 = inf leaves the F-beta score inf/inf; the entry is None, not NaN.
+        report = analyze_counts(ConfusionCounts(5, 1, 1, 5), betas=[1e200, 2.0])
+        assert report.metrics["f_beta_1e+200"] is None
+        assert report.metrics["f_beta_2"] == pytest.approx(5 / 6, abs=1e-15)
+        assert report.ratios["f_beta_1e+200_ratio"] == 1.0
+        json.dumps(report.to_dict(), allow_nan=False)
+
     def test_uninformative_profile_has_none_entries(self):
         report = analyze_counts(ConfusionCounts(5, 5, 5, 5))
         assert report.flags["degenerate"] is True

@@ -33,6 +33,7 @@ from prevthresh import (
 )
 from prevthresh import _arrays, thresholds
 
+from emit_oracle import curvature_scalar
 from test_threshold_bits import PINNED
 
 # Oracle constants (50-digit arithmetic, correctly rounded).
@@ -413,10 +414,14 @@ class TestKappaKernel:
 
             return record
 
-        monkeypatch.setattr(thresholds, "_kappa_kernel", recording_kernel)
-        curvature_argmax(profile, curve)
+        # Record only while the search runs: curvature_at evaluates the same
+        # kernel, so each check below would record another probe.
+        with monkeypatch.context() as patch:
+            patch.setattr(thresholds, "_kappa_kernel", recording_kernel)
+            curvature_argmax(profile, curve)
         assert len(probes) > 30
         for phi, value in probes:
+            assert repr(value) == repr(curvature_scalar(profile, phi, curve).kappa), phi
             assert repr(value) == repr(curvature_at(profile, phi, curve).kappa), phi
 
     @pytest.mark.parametrize(
@@ -431,7 +436,37 @@ class TestKappaKernel:
     def test_unrepresentable_curvature_raises_as_curvature_at(self, a, b, phi):
         profile = DiagnosticProfile(a, b)
         with pytest.raises(DegenerateDenominator) as expected:
-            curvature_at(profile, phi, Curve.PPV)
-        with pytest.raises(DegenerateDenominator) as got:
-            thresholds._kappa_kernel(profile, Curve.PPV)(phi)
-        assert str(got.value) == str(expected.value)
+            curvature_scalar(profile, phi, Curve.PPV)
+        for call in (
+            lambda: curvature_at(profile, phi, Curve.PPV),
+            lambda: thresholds._kappa_kernel(profile, Curve.PPV)(phi),
+        ):
+            with pytest.raises(DegenerateDenominator) as got:
+                call()
+            assert str(got.value) == str(expected.value)
+
+    def test_curvature_at_matches_independent_arithmetic(self):
+        # curvature_at's kappa, slope and errors against the tests-side copy
+        # of its arithmetic, over the scan's profile set and edge prevalences.
+        rng = random.Random(2112)
+        edge_phis = [0.0, 5e-324, 1e-300, 1e-120, 1e-8, 0.5, 1.0 - 1e-8, 1.0 - 2**-53, 1.0]
+        outcomes = {"value": 0, "error": 0}
+        for a, b in scan_profiles():
+            profile = DiagnosticProfile(a, b)
+            for phi in edge_phis + [rng.random() for _ in range(3)]:
+                for curve in Curve:
+                    try:
+                        expected = curvature_scalar(profile, phi, curve)
+                    except DegenerateDenominator as exc:
+                        with pytest.raises(DegenerateDenominator) as got:
+                            curvature_at(profile, phi, curve)
+                        assert str(got.value) == str(exc), (a, b, phi, curve)
+                        outcomes["error"] += 1
+                        continue
+                    point = curvature_at(profile, phi, curve)
+                    assert repr(point.phi) == repr(expected.phi), (a, b, phi, curve)
+                    assert repr(point.kappa) == repr(expected.kappa), (a, b, phi, curve)
+                    assert repr(point.slope) == repr(expected.slope), (a, b, phi, curve)
+                    outcomes["value"] += 1
+        # Both the defined and the unrepresentable cases are exercised.
+        assert outcomes["value"] > 20000 and outcomes["error"] > 100, outcomes
