@@ -43,7 +43,7 @@ import numpy as np
 from .bounds import RATIO_BOUNDS, SWEEP_BETAS, BoundRecord, BoundViolation, _f_beta_form, _fm_form
 from .dataio import _BLOCK_ROWS
 from .errors import DegenerateDenominator
-from .metrics import DiagnosticProfile, Rate, _mcc_form
+from .metrics import DiagnosticProfile, _mcc_form
 from .thresholds import Curve, _curve_coefficients, _kappa_kernel, _radical_split
 
 
@@ -282,17 +282,20 @@ def ratio_curve_columns(a: float, b: float, beta_squares: list[float], grid: lis
     """emit_ratio_curves' columns: an F-score for each beta**2 in beta_squares, then FM.
 
     A cell is reference / score over the PPV array rho, NaN where the
-    score is not positive; emit_ratio_curves gives the formulas. Needs
-    a > 0.
+    score is not positive or undefined; emit_ratio_curves gives the
+    formulas. Needs a > 0.
     """
 
     def f_score(beta_sq: float):
+        if beta_sq / a == math.inf and beta_sq != math.inf:
+            # f_beta_score's form for this branch, multiplied through by the recall a.
+            return lambda rho: a * (1.0 + beta_sq) / (beta_sq + a / rho)
         return lambda rho: (1.0 + beta_sq) / (beta_sq / a + 1.0 / rho)
 
     scores = [f_score(beta_sq) for beta_sq in beta_squares]
     scores.append(lambda rho: np.sqrt(a * rho))
-    # A reference is a rate, like the scalar metric's; an overflowing beta**2 makes it NaN.
-    references = [Rate(score(1.0)) for score in scores]
+    # An infinite beta**2 makes a reference inf/inf, and so its whole column, NaN.
+    references = [score(1.0) for score in scores]
 
     rho = predictive_arrays(a, b, Curve.PPV, np.array(grid))
     columns = []

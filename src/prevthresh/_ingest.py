@@ -1,0 +1,177 @@
+"""Ingest's block pass over a labelled-prediction CSV, behind dataio.ingest_predictions.
+
+dataio.ingest_predictions imports this module on its first call, so
+importing the package, and every CLI call that reads no prediction
+file, compiles none of it.
+
+tally_blocks reads _READ_CHARS characters at a time and cuts each read
+after its last line feed. A block with no quote, and whose carriage
+returns all end CRLF pairs, is split at its line feeds; its lines are
+counted, and csv parses each distinct line once. From the first other
+block, or the first whose lines are mostly distinct, on, _tally_csv
+reads the rest row by row with csv.reader and parses each distinct raw
+(label, prediction) token pair once. Either way the first invalid row
+is the first sighting of an invalid line or token pair, so the reported
+row is that of a row-by-row parse; a csv.Error is a ParseError at the
+row where csv failed.
+"""
+
+from __future__ import annotations
+
+import csv
+import itertools
+import re
+from collections import Counter
+
+from .dataio import _parse_binary
+from .errors import EmptyInput, ParseError
+
+# Stripped (label, prediction) tokens -> index of their cell in a tally (tp, fp, fn, tn).
+_CELLS = {("1", "1"): 0, ("0", "1"): 1, ("1", "0"): 2, ("0", "0"): 3}
+
+# Characters ingest reads per block; a block is then cut at its last newline.
+_READ_CHARS = 16_384
+
+
+def _header_columns(header: list[str]) -> tuple[int, int]:
+    """Indices of the label and prediction columns in the header row (line 1)."""
+    if header and header[0].startswith("\ufeff"):
+        header[0] = header[0][1:]
+    columns = [name.strip().lower() for name in header]
+    try:
+        return columns.index("label"), columns.index("prediction")
+    except ValueError:
+        raise ParseError(
+            f"row 1: header must name 'label' and 'prediction' columns, got {header!r}",
+            row=1,
+        ) from None
+
+
+def _csv_error(exc: csv.Error, row: int) -> ParseError:
+    return ParseError(f"row {row}: {exc}", row=row)
+
+
+def _cell(row: list[str], columns: tuple[int, int], row_of) -> int:
+    """Index in a tally (tp, fp, fn, tn) of a parsed data row; row_of() numbers it for an error."""
+    label_idx, pred_idx = columns
+    if len(row) <= max(columns):
+        at = row_of()
+        raise ParseError(f"row {at}: expected at least {max(columns) + 1} fields, got {len(row)}", row=at)
+    cell = _CELLS.get((row[label_idx].strip(), row[pred_idx].strip()))
+    if cell is None:
+        at = row_of()
+        _parse_binary(row[label_idx], "label", at)
+        _parse_binary(row[pred_idx], "prediction", at)
+    return cell
+
+
+def _tally_csv(reader, offset: int, columns: tuple[int, int] | None, tally: list[int]) -> None:
+    """Add the rows of reader to tally, parsing each distinct raw token pair once.
+
+    offset is the number of physical lines before the reader's first
+    one; columns is None when the reader starts at the header.
+    """
+    try:
+        if columns is None:
+            header = next(reader, None)
+            if header is None:
+                raise EmptyInput("prediction file is empty")
+            columns = _header_columns(header)
+        label_idx, pred_idx = columns
+        width = max(columns) + 1
+        # Raw token pair -> index of its confusion cell in tally; a short row has no pair.
+        cells: dict[tuple[str, str] | None, int] = {}
+        for row in reader:
+            if not row:
+                continue
+            tokens = (row[label_idx], row[pred_idx]) if len(row) >= width else None
+            cell = cells.get(tokens)
+            if cell is None:
+                cell = cells[tokens] = _cell(row, columns, lambda: offset + reader.line_num)
+            tally[cell] += 1
+    except csv.Error as exc:
+        raise _csv_error(exc, offset + reader.line_num) from None
+
+
+# A line with its end, or a last line without one: where a stream with
+# universal newlines ends its lines, and where any stream ends the lines
+# of text without a carriage return.
+_UNIVERSAL_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+_LF_LINE = re.compile(r"[^\n]*\n|[^\n]+")
+
+
+def _replay(stream, text: str):
+    """The lines of text, read from stream but not yet tallied, then the stream's own lines.
+
+    text is completed to a whole line first and split where the stream
+    would have split it: a lone carriage return ends a line only where
+    the stream reads universal newlines, and the stream has then
+    recorded it in its newlines attribute. The stream is never rewound.
+    """
+    text += next(stream, "")
+    line = _UNIVERSAL_LINE if "\r" in text and getattr(stream, "newlines", None) else _LF_LINE
+    return itertools.chain((match.group() for match in line.finditer(text)), stream)
+
+
+def tally_blocks(stream, tally: list[int]) -> None:
+    """Add every data row of stream to tally, one block of whole lines at a time.
+
+    A block without a quote, and whose carriage returns all end CRLF
+    pairs, is split at line feeds only. Every stream and csv end its
+    lines there too (str.splitlines would also split at form feeds,
+    U+2028 and more), and csv reads a line's trailing carriage return
+    as part of its end. Each distinct line is parsed once and counted as
+    often as it occurs. From the first other block, or the first whose
+    lines are mostly distinct, on, the rest of the stream goes line by
+    line through _tally_csv.
+    """
+    columns = None
+    offset = 0  # physical lines before the current block
+    rest = ""  # a line begun by the last read
+    while True:
+        chunk = stream.read(_READ_CHARS)
+        cut = chunk.rfind("\n") + 1
+        if chunk and not cut:
+            rest += chunk
+            continue
+        block, rest = rest + chunk[:cut], chunk[cut:]
+        if not block:
+            break
+        if '"' in block or "\r" in block and block.count("\r") != block.count("\r\n"):
+            _tally_csv(csv.reader(_replay(stream, block + rest)), offset, columns, tally)
+            return
+        lines = block.split("\n")
+        del block  # lines hold the same text
+        if not lines[-1]:
+            lines.pop()  # the empty piece after the block's final newline
+        if columns is None:
+            try:
+                header = next(csv.reader(lines[:1]))
+            except csv.Error as exc:
+                raise _csv_error(exc, 1) from None
+            columns = _header_columns(header)
+            del lines[0]
+            offset = 1
+        counts = Counter(lines)
+        if 4 * len(counts) > len(lines):
+            # Mostly distinct lines (an id or a score column, say) are
+            # cheaper to parse row by row than to count first.
+            _tally_csv(csv.reader(itertools.chain(lines, _replay(stream, rest))), offset, columns, tally)
+            return
+        # One reader over the distinct lines, in order of first sighting: the
+        # first invalid one is first seen on the row a row-by-row parse reports.
+        reader = csv.reader(counts)
+        for line, count in counts.items():
+
+            def row_of():
+                return offset + lines.index(line) + 1
+
+            try:
+                row = next(reader)
+            except csv.Error as exc:
+                raise _csv_error(exc, row_of()) from None
+            if row:
+                tally[_cell(row, columns, row_of)] += count
+        offset += len(lines)
+    if columns is None:
+        raise EmptyInput("prediction file is empty")

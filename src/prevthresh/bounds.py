@@ -36,6 +36,7 @@ from .errors import (
     DegenerateDenominator,
     DegenerateProfile,
     PrevthreshError,
+    UndefinedMetric,
     ZeroDenominator,
     value_or_none,
 )
@@ -230,7 +231,9 @@ def accuracy_divergence_curve(
     full prevalence, so each entry is metric(1) / metric(phi), and the
     ratio grows without bound as phi falls toward 0. Grid points where
     the metric is zero or undefined are recorded with a None ratio
-    rather than dropped, so emitted curves keep one row per grid point.
+    rather than dropped, so emitted curves keep one row per grid point;
+    every point is, where the reference itself is undefined (an F-beta
+    whose beta**2 overflows).
     "mcc" is rejected because its NPV factor vanishes at full
     prevalence and no reference value exists there; so is any other
     name. Raises ValueError for those, for a missing,
@@ -255,7 +258,11 @@ def accuracy_divergence_curve(
             return float(f_beta_at(profile, phi, beta))
         return float(fm_at(profile, phi))
 
-    reference = at(1.0)
+    try:
+        reference = at(1.0)
+    except UndefinedMetric:
+        # Only an F-beta whose beta**2 overflows has no reference: no ratio is defined.
+        return [(Rate(phi), None) for phi in phis]
 
     out: list[tuple[Rate, float | None]] = []
     for phi in phis:

@@ -19,13 +19,13 @@ share no code with the closed-form ratios of bounds, whose kernels
 (_f_beta_form, _fm_form) serve only those ratios and the bound sweep.
 _arrays also formats the grid rows; the emitters import it on first
 call, so ingest and the prediction writer load no numpy. The prediction
-writer writes identical rows in blocks, and ingest parses each distinct
-token pair once.
+writer writes identical rows in blocks. Ingest's block pass lives in
+_ingest, which ingest_predictions imports on its first call, so the
+CLI compiles it only when it reads a prediction file.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -82,51 +82,29 @@ def ingest_predictions(source: Source) -> ConfusionCounts:
     "prediction", both holding 0/1 values; 1 means the positive class.
     One leading UTF-8 byte-order mark on the header is ignored. Rows are
     tallied as tp for (label 1, prediction 1), fp for (0, 1), fn for
-    (1, 0) and tn for (0, 0). Malformed rows raise ParseError carrying
-    the 1-based physical row number (the header is row 1); a file with
-    no data rows raises EmptyInput.
+    (1, 0) and tn for (0, 0). Malformed rows, and rows csv cannot read
+    (a field over csv's field size limit, say), raise ParseError
+    carrying the 1-based physical row number (the header is row 1,
+    blank lines count); a file with no data rows raises EmptyInput.
 
-    The file is read in one streaming pass. Each distinct raw (label,
-    prediction) token pair is parsed once, on the row where it first
-    appears, and every later row with the same tokens only bumps its
-    cell's count; the first invalid row is always the first sighting of
-    an invalid pair, so the reported row is that of a row-by-row parse.
+    The source is read once, in blocks of 16,384 characters cut after
+    their last line feed (_ingest.tally_blocks), so memory is bounded by
+    a block plus the longest line. A block with no quote and no carriage
+    return outside a CRLF pair is split at its line feeds and its lines
+    are counted; csv parses each distinct line once, and its count goes
+    to its cell. The first other block, or the first whose lines are
+    mostly distinct, and everything after it, is read row by row by
+    csv.reader, which parses each distinct raw (label, prediction)
+    token pair once; the stream is never rewound. Either way the first
+    invalid row is the first sighting of an invalid line or token pair,
+    so the reported row is that of a row-by-row parse.
     """
+    from . import _ingest
+
     stream, owns = _as_text_stream(source)
     try:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyInput("prediction file is empty")
-        if header and header[0].startswith("\ufeff"):
-            header[0] = header[0][1:]
-        columns = [name.strip().lower() for name in header]
-        try:
-            label_idx = columns.index("label")
-            pred_idx = columns.index("prediction")
-        except ValueError:
-            raise ParseError(
-                f"row 1: header must name 'label' and 'prediction' columns, got {header!r}",
-                row=1,
-            ) from None
-        width = max(label_idx, pred_idx) + 1
-        # Raw token pair -> index of its confusion cell in tally (tp, fp, fn, tn).
-        cells: dict[tuple[str, str], int] = {}
         tally = [0, 0, 0, 0]
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                line = reader.line_num
-                raise ParseError(f"row {line}: expected at least {width} fields, got {len(row)}", row=line)
-            tokens = (row[label_idx], row[pred_idx])
-            cell = cells.get(tokens)
-            if cell is None:
-                line = reader.line_num
-                label = _parse_binary(tokens[0], "label", line)
-                prediction = _parse_binary(tokens[1], "prediction", line)
-                cell = cells[tokens] = (1 - label) + 2 * (1 - prediction)
-            tally[cell] += 1
+        _ingest.tally_blocks(stream, tally)
         if sum(tally) == 0:
             raise EmptyInput("prediction file has a header but no data rows")
         tp, fp, fn, tn = tally
@@ -220,12 +198,14 @@ def emit_ratio_curves(
     One column per ratio (f1, each requested f_beta, fm), evaluated on
     the grid {0, step, ..., 1} against the metric's value at full
     prevalence. Cells are empty where the underlying metric is zero or
-    undefined (always the case at phi = 0). Returns the number of data
+    undefined (always the case at phi = 0, and in every row of an
+    F-beta column whose beta**2 overflows). Returns the number of data
     rows. Raises before writing anything for an invalid beta or step,
     and DegenerateProfile at sensitivity 0.
 
     Each column's score is a formula in the PPV rho: f_beta_score's
-    harmonic form (1 + beta^2) / (beta^2/a + 1/rho) (f1 is beta = 1) and
+    harmonic form (1 + beta^2) / (beta^2/a + 1/rho) (f1 is beta = 1;
+    where beta^2/a overflows, that form multiplied through by a) and
     fm_at's sqrt(a * rho). Its reference is that formula at rho = 1,
     since ppv_at(profile, 1) is a/a = 1.0 exactly, and the grid is one
     PPV array, so every cell is bit-equal to the float that

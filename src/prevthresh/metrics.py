@@ -188,16 +188,20 @@ def npv_at(profile: DiagnosticProfile, phi: float) -> Rate:
 def f_beta_score(beta_sq: float, recall: float, precision: float) -> float | None:
     """F-beta score from recall and precision, with beta_sq = beta**2.
 
-    None when recall and precision are both zero (the score is 0/0);
-    0.0 when exactly one of them is.
+    None when recall and precision are both zero (the score is 0/0) or
+    beta_sq is infinite (inf/inf); 0.0 when exactly one of them is zero.
     """
-    if beta_sq * precision + recall == 0.0:
+    if beta_sq == math.inf or beta_sq * precision + recall == 0.0:
         return None
     if recall == 0.0 or precision == 0.0:
         return 0.0
     # Harmonic form rather than (1+b2)*p*r/(b2*p + r): keeps the result
     # inside [0, 1] under rounding and makes the beta = 1 case identical to F1.
-    return (1.0 + beta_sq) / (beta_sq / recall + 1.0 / precision)
+    scaled = beta_sq / recall
+    if scaled == math.inf:
+        # The form multiplied through by recall keeps the large-beta limit, the recall.
+        return recall * (1.0 + beta_sq) / (beta_sq + recall / precision)
+    return (1.0 + beta_sq) / (scaled + 1.0 / precision)
 
 
 def f1_at(profile: DiagnosticProfile, phi: float) -> Rate:
@@ -217,6 +221,8 @@ def f_beta_at(profile: DiagnosticProfile, phi: float, beta: float) -> Rate:
     beta = _beta(beta)
     value = f_beta_score(beta * beta, float(profile.sensitivity), float(ppv_at(profile, phi)))
     if value is None:
+        if beta * beta == math.inf:
+            raise UndefinedMetric(f"F-beta undefined: beta**2 overflows at beta={beta!r}")
         raise UndefinedMetric("F-beta undefined: recall and precision both zero")
     return Rate(value)
 

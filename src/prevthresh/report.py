@@ -90,10 +90,7 @@ def analyze_counts(
     precision = value_or_none(counts.ppv)
 
     def f_score(beta_sq: float) -> float | None:
-        # Where beta**2 overflows, the harmonic form is inf/inf: undefined.
-        if precision is None or beta_sq == math.inf:
-            return None
-        return f_beta_score(beta_sq, a, precision)
+        return None if precision is None else f_beta_score(beta_sq, a, precision)
 
     metrics: dict[str, float | None] = {
         "accuracy": value_or_none(accuracy_from_counts, counts),

@@ -185,6 +185,23 @@ class TestRatios:
         assert code == 1
         assert err.startswith("error:usage:")
 
+    def test_large_beta_column_keeps_its_limit(self, capsys):
+        # beta**2 is finite, beta**2 / sensitivity overflows: F-beta tends to the recall, each ratio to 1.
+        code, out, err = run(capsys, *RATIOS_ARGV, "--betas", "1.3e154")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()]
+        assert rows[0] == ["phi", "f1_chi", "fbeta_1.3e+154_chi", "fm_chi"]
+        assert [row[2] for row in rows[1:]] == ["", "1.0", "1.0", "1.0", "1.0"]
+
+    def test_overflowing_beta_square_column_is_empty(self, capsys):
+        # beta**2 overflows: the score is inf/inf, as analyze's n/a, so every cell of its column is empty.
+        code, out, err = run(capsys, *RATIOS_ARGV, "--betas", "2,1e200")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()]
+        assert rows[0] == ["phi", "f1_chi", "fbeta_2_chi", "fbeta_1e+200_chi", "fm_chi"]
+        assert [row[3] for row in rows[1:]] == [""] * 5
+        assert all(row[2] for row in rows[2:])
+
     @pytest.mark.parametrize("to_file", [False, True])
     def test_overflowing_ratio_is_a_validation_error(self, capsys, tmp_path, to_file):
         # fm_ratio overflows to inf at sensitivity 5e-324, specificity 0.
@@ -273,6 +290,20 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["metrics"]["f_beta_1e+200"] is None
         assert payload["ratios"]["f_beta_1e+200_ratio"] == 1.0
+
+    def test_large_beta_tends_to_recall(self, capsys):
+        # 1.3e154**2 is finite but its quotient by the recall 5/6 overflows.
+        code, out, err = run(capsys, "analyze", "--counts", "5,1,1,5", "--betas", "1.3e154", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["metrics"]["f_beta_1.3e+154"] == pytest.approx(5 / 6, rel=1e-15)
+
+    def test_oversized_field_is_a_parse_error(self, capsys, tmp_path):
+        # A field over csv's 131,072-character limit on row 3.
+        path = tmp_path / "wide.csv"
+        path.write_text("label,prediction\n1,1\n0," + "1" * 140_000 + "\n0,0\n", encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--predictions", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error:parse: row 3: field larger than field limit (131072)\n"
 
     def test_counts_beyond_float_range(self, capsys):
         # n has 1,330 bits: the MCC is still computed, the chi-square statistic is not representable.
@@ -492,6 +523,7 @@ for argv in json.loads(sys.argv[1]):
         report["codes"].append(run_cli(argv))
     report["numpy"].append("numpy" in sys.modules)
 report["metadata"] = "importlib.metadata" in sys.modules
+report["ingest"] = "prevthresh._ingest" in sys.modules
 print(json.dumps(report))
 """
 
@@ -510,6 +542,9 @@ class TestColdStart:
 
     def test_package_namespace_loads_no_numpy(self, probe):
         assert probe["import"] is False
+
+    def test_ingest_block_pass_loads_only_to_read_a_prediction_file(self, probe):
+        assert probe["ingest"] is False
 
     def test_scalar_subcommands_load_no_numpy(self, probe):
         assert probe["codes"] == [0, 0, 0, 1, 0, 0, 0]
@@ -547,9 +582,11 @@ FUZZ_COMMANDS = {
 FUZZ_FLAGS = sorted({flag for flags in FUZZ_COMMANDS.values() for flag in flags} | {"--help", "--bogus"})
 FUZZ_VALUES = (
     "0", "1", "0.5", "0.05", "0.01", "2", "-1", "-0.5", "1.5", "1e-300", "1e-9", "5e-324", "1e308", "1e200",
+    "1.3e154",
     "nan", "-nan", "inf", "-inf", "9" * 30, "1" + "0" * 400, "abc", "", "0x10",
     "0.5,,2", "1,nan", "5,0,5,0", "0,0,0,0", "1,2,3", "-1,1,1,1", "1.5,1,1,1", ",".join(["1" + "0" * 400] * 4),
-    "{dir}/bad.csv", "{dir}/missing.csv", "{dir}/no-such-dir/out.csv",
+    "{dir}/bad.csv", "{dir}/crlf.csv", "{dir}/quoted.csv", "{dir}/wide.csv", "{dir}/missing.csv",
+    "{dir}/no-such-dir/out.csv",
 )
 NON_FINITE = ("nan", "inf", "NaN", "Infinity")
 NON_FINITE_FLAGS = {"--delta", "--tolerance"}
@@ -565,6 +602,10 @@ def fuzz_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("argv-fuzz")
     (root / "good.csv").write_text("label,prediction\n1,1\n0,1\n1,0\n0,0\n0,0\n", encoding="utf-8")
     (root / "bad.csv").write_text("label,prediction\n1,1\n1,7\n", encoding="utf-8")
+    # CRLF line ends, a quoted field across lines (read row by row) and a field over csv's limit (a ParseError).
+    (root / "crlf.csv").write_bytes(b"label,prediction\r\n1,1\r\n0,0\r\n\r\n1,0\r\n")
+    (root / "quoted.csv").write_text('id,label,prediction\n"a\nb",1,1\n"c",0,"0"\n', encoding="utf-8")
+    (root / "wide.csv").write_text("label,prediction\n1,1\n0," + "1" * 140_000 + "\n", encoding="utf-8")
     return root
 
 

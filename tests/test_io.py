@@ -1,14 +1,18 @@
 """CSV ingestion/emission round trips and the fixed output dialect."""
 
+import csv
 import gc
 import io
 import json
+import types
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import emit_oracle
 import prevthresh.dataio as dataio
+from prevthresh import _ingest
 from emit_oracle import (
     emit_curves_scalar,
     emit_ratio_curves_scalar,
@@ -184,6 +188,182 @@ class TestIngestOracleParity:
         assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
 
 
+# Tables larger than one ingest block (_ingest._READ_CHARS characters).
+BLOCK = _ingest._READ_CHARS
+ROWS = "1,1\n0,0\n1,0\n0,1\n" * 1500  # 24,000 characters
+EARLY = "1,1\n" * 4090  # ends 17 characters short of a block after HEADER
+
+
+def _crlf_split_across_reads() -> str:
+    """A CRLF table whose first read ends between a carriage return and its line feed."""
+    head = "label,prediction\r\n1,1,"
+    pad = next(n for n in range(5) if (BLOCK - 4 - len(head) - n - 2) % 5 == 0)
+    text = head + "x" * pad + "\r\n" + "0,0\r\n" * 4000 + "1,7\r\n"
+    assert text[BLOCK - 1 : BLOCK + 1] == "\r\n"
+    return text
+
+
+class _Unseekable(io.BytesIO):
+    """A byte stream that cannot seek or tell, like a pipe."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+def _source(text: str, kind: str, tmp_path):
+    if kind == "path":
+        path = tmp_path / "predictions.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+    if kind == "text":
+        return io.StringIO(text)
+    if kind == "bytes":
+        return io.BytesIO(text.encode("utf-8"))
+    return _Unseekable(text.encode("utf-8"))
+
+
+def _oracle_outcome(source, monkeypatch):
+    """The row-by-row parse's counts, or its error as ingest_predictions reports it.
+
+    Where csv itself fails, the expected error is a ParseError at the
+    oracle reader's line_num, carrying csv's message.
+    """
+    readers = []
+
+    def reader(stream):
+        readers.append(csv.reader(stream))
+        return readers[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(emit_oracle, "csv", types.SimpleNamespace(reader=reader))
+        try:
+            return ingest_predictions_scalar(source)
+        except (ParseError, EmptyInput) as exc:
+            return type(exc).__name__, getattr(exc, "row", None), str(exc)
+        except csv.Error as exc:
+            row = readers[-1].line_num
+            return "ParseError", row, f"row {row}: {exc}"
+
+
+def _outcome(source):
+    try:
+        return ingest_predictions(source)
+    except (ParseError, EmptyInput) as exc:
+        return type(exc).__name__, getattr(exc, "row", None), str(exc)
+
+
+BLOCK_TABLES = [
+    pytest.param(HEADER + ROWS, id="rows"),
+    pytest.param(HEADER + EARLY + "0,1,straddles-the-block-boundary\n" + ROWS, id="line-straddles-block"),
+    pytest.param(HEADER + EARLY + "0,1,straddles\n" + ROWS + "1,1,straddles\n0,9,straddles\n", id="straddler-then-bad"),
+    pytest.param(HEADER + EARLY + "1," + "0" * 3 * BLOCK + "\n" + ROWS, id="line-longer-than-blocks"),
+    pytest.param(HEADER + ROWS + "1,1\n1,7\n" + ROWS, id="bad-row-in-second-block"),
+    pytest.param(HEADER + ROWS + "1\n" + ROWS, id="short-row-in-second-block"),
+    pytest.param(HEADER + ROWS + "1,2\n" * 3, id="bad-row-repeated"),
+    pytest.param(HEADER + ROWS + "label,prediction\n", id="header-repeated-as-row"),
+    pytest.param("id,label,prediction\n" + "a,1,1\n" * 4000 + '"q\nr",0,1\nb,0,0\nc,1,x\n', id="quote-in-later-block"),
+    pytest.param(HEADER + ROWS + "0,0\r\n" * 10 + "1,x\r\n", id="crlf-in-later-block"),
+    pytest.param(HEADER + ROWS + "0,0\r1,1\n" + ROWS + "1,x\n", id="lone-cr-in-later-block"),
+    pytest.param("id,label,prediction\n" + "a,1,0\n" * 4000 + '"a\rb",1,1\n' + "c,0,0\n" * 5 + "d,5,0\n", id="quoted-cr"),
+    pytest.param(HEADER + ROWS + '1,1\n"1\r2",0\n', id="lone-cr-inside-quoted-token"),
+    pytest.param("id,label,prediction\r\n" + "a,1,0\r\n" * 4000 + "d,1,0,\r\n", id="crlf-throughout"),
+    pytest.param(_crlf_split_across_reads(), id="crlf-split-across-reads"),
+    pytest.param(HEADER + ROWS + "1,1\r", id="cr-at-end-of-file"),
+    pytest.param(HEADER + ROWS + "\r\n\r\n" + ROWS + "1,1\r\n\r0,0\n", id="crlf-blank-lines-then-lone-cr"),
+    pytest.param(HEADER + ROWS + '1,1\n"1",0\n' + ROWS[:BLOCK] + "5,5\n", id="quoted-token-then-bad"),
+    pytest.param(HEADER + ROWS + "\ufeff0,0\n", id="bom-in-data-row"),
+    pytest.param(HEADER + "\n\n" + ROWS.replace("0,0\n", "0,0\n\n") + "\n\n0,x\n", id="blank-lines"),
+    pytest.param(HEADER + ROWS.replace("1,0\n", " 1 ,\t0\n") + " 1, 1\n", id="padded-tokens"),
+    pytest.param(
+        "id,label,prediction,score\n" + "x,1,1,0.9\ny,0,0,0.1\nw,1,0,0.5,extra\n" * 800 + "z,0,1\nv,1\n",
+        id="extra-columns",
+    ),
+    pytest.param("prediction,label\n" + ROWS + "x,y\n", id="swapped-columns"),
+    pytest.param(HEADER + ROWS + "1,1", id="no-final-newline"),
+    pytest.param(HEADER + ROWS + "1,x", id="bad-row-without-final-newline"),
+    pytest.param(HEADER + ROWS + "1,1\x0c\n0,0\u2028\n0\u2029,1\n1\x0c1,0\n", id="formfeed-and-line-separator"),
+    pytest.param(HEADER + ROWS + "1 ,0\n" + ROWS + "1\x0b\x1c\x1d\x1e\x85,1\n1\u20280,1\n", id="unicode-line-breaks"),
+    pytest.param(HEADER + "\n" * (2 * BLOCK), id="header-and-blank-lines"),
+    pytest.param(HEADER, id="header-only"),
+    pytest.param("", id="empty"),
+    pytest.param("\n" * BLOCK + HEADER, id="blank-header"),
+    pytest.param(
+        "id,label,prediction\n" + "".join(f"{i},{i % 2},1\n" for i in range(4000)) + "x,1,2\n", id="distinct-lines"
+    ),
+    pytest.param(
+        "id,label,prediction\n" + "a,1,1\n" * 4000 + "".join(f"{i},1,{i % 2}\n" for i in range(4000)) + "x,0,\n",
+        id="distinct-lines-from-second-block",
+    ),
+    pytest.param(HEADER + ROWS + "1," + "9" * 140_000 + "\n", id="oversized-field"),
+    pytest.param(HEADER + ROWS + "1," + "9" * 140_000 + "\n" + ROWS, id="oversized-field-among-repeated-lines"),
+    pytest.param("label,prediction," + "h" * 140_000 + "\n" + ROWS, id="oversized-header-field"),
+    pytest.param(HEADER + ROWS + '1,1\n"' + "9" * 140_000 + '",1\n', id="oversized-quoted-field"),
+    pytest.param(HEADER + ROWS + '"' + "9\n" * 70_000 + '",1\n', id="oversized-multiline-field"),
+    pytest.param(HEADER + ROWS + "1,1\x00\n", id="nul"),
+]
+
+
+class TestIngestBlockParity:
+    """ingest_predictions on tables over a block long against the row-by-row oracle, from every kind of source."""
+
+    @pytest.mark.parametrize("kind", ["path", "text", "bytes", "unseekable"])
+    @pytest.mark.parametrize("text", BLOCK_TABLES)
+    def test_matches_row_by_row_parse(self, text, kind, tmp_path, monkeypatch):
+        expected = _oracle_outcome(_source(text, kind, tmp_path), monkeypatch)
+        assert _outcome(_source(text, kind, tmp_path)) == expected
+
+    @pytest.mark.parametrize("kind", ["path", "text", "bytes"])
+    @pytest.mark.parametrize("text", BLOCK_TABLES[:8])
+    def test_bom_header_matches_parse_without_it(self, text, kind, tmp_path, monkeypatch):
+        # The oracle reads no byte-order mark; ingest ignores one on the header.
+        expected = _oracle_outcome(_source(text, kind, tmp_path), monkeypatch)
+        assert _outcome(_source("\ufeff" + text, kind, tmp_path)) == expected
+
+    def test_each_distinct_line_is_parsed_once_per_block(self, monkeypatch):
+        parsed = []
+        real_reader = csv.reader
+
+        def reader(lines):
+            lines = list(lines)
+            parsed.extend(lines)
+            return real_reader(lines)
+
+        monkeypatch.setattr(_ingest.csv, "reader", reader)
+        assert ingest_predictions(io.StringIO(HEADER + ROWS)) == ConfusionCounts(1500, 1500, 1500, 1500)
+        assert len(parsed) <= 1 + 4 * (len(ROWS) // BLOCK + 2)
+
+    def test_reads_in_blocks(self):
+        class Recording(io.StringIO):
+            sizes = []
+
+            def read(self, size=-1):
+                self.sizes.append(size)
+                return super().read(size)
+
+        stream = Recording(HEADER + ROWS * 4)
+        assert ingest_predictions(stream) == ConfusionCounts(6000, 6000, 6000, 6000)
+        assert BLOCK in stream.sizes and set(stream.sizes) <= {0, BLOCK}
+
+    @given(
+        st.lists(
+            st.sampled_from(["1,1", "0,0", "1,0", "0,1", "", " 1,0", "1", "2,0", '"1",0', "0,0\r", '"x\ny",1', "1,1,"]),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(0, 3000),
+    )
+    def test_random_tables_past_a_block(self, rows, repeat):
+        # A long valid run, then random rows; quotes and carriage returns force the fallback mid-stream.
+        text = HEADER + "0,1\n" * repeat + "".join(row + "\n" for row in rows)
+        assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
+
+
 class TestWritePredictions:
     def test_round_trip(self):
         counts = ConfusionCounts(tp=3, fp=2, fn=1, tn=4)
@@ -341,11 +521,26 @@ class TestEmitRatioCurves:
         with pytest.raises(ValueError):
             emit_ratio_curves(P_9095, [0.0], 0.5, io.StringIO())
 
-    def test_overflowing_beta_square_raises_like_oracle(self):
-        # beta**2 overflows, so the f_beta reference at full prevalence is inf/inf.
+    def test_overflowing_beta_square_column_is_empty_like_oracle(self):
+        # beta**2 overflows, so the f_beta reference at full prevalence is inf/inf: no cell is defined.
         got = _emit_outcome(emit_ratio_curves, P_9095, (2.0, 1e200), 0.5)
         assert got == _emit_outcome(emit_ratio_curves_scalar, P_9095, (2.0, 1e200), 0.5)
-        assert got == (("ValueError", "rate must be a finite number in [0, 1], got nan"), "")
+        rows = [line.split(",") for line in got[1].splitlines()]
+        assert got[0] == 3 and rows[0][3] == "fbeta_1e+200_chi"
+        assert [row[3] for row in rows[1:]] == ["", "", ""]
+        assert rows[-1] == ["1.0", "1.0", "1.0", "", "1.0"]
+
+    @pytest.mark.parametrize("a, b", [(0.9, 0.95), (0.83, 0.71), (1e-300, 0.5), (1.0, 0.0)])
+    def test_large_beta_keeps_its_limit_like_oracle(self, a, b):
+        # beta**2 is finite but beta**2 / sensitivity overflows; F-beta tends to the recall, so each ratio to 1.
+        profile = DiagnosticProfile(a, b)
+        got = _emit_outcome(emit_ratio_curves, profile, (1.3e154, 1e154), 0.25)
+        assert got == _emit_outcome(emit_ratio_curves_scalar, profile, (1.3e154, 1e154), 0.25)
+        rows = [line.split(",") for line in got[1].splitlines()]
+        assert rows[0][2:4] == ["fbeta_1.3e+154_chi", "fbeta_1e+154_chi"]
+        for row in rows[2:]:
+            assert float(row[2]) == pytest.approx(1.0, abs=1e-15)
+            assert float(row[3]) == pytest.approx(1.0, abs=1e-15)
 
 
 # Profiles of the emitter parity matrix: interior, flat and vanishing

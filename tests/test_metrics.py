@@ -31,6 +31,7 @@ from prevthresh import (
     ppv_at,
 )
 from prevthresh.bounds import _ratio_values
+from prevthresh.metrics import f_beta_score
 
 # Oracle constants for sensitivity 0.9, specificity 0.95 (50-digit arithmetic).
 PHI_E = 0.1907435698305462
@@ -253,6 +254,42 @@ class TestFScores:
     def test_f_beta_undefined_when_both_zero(self):
         with pytest.raises(UndefinedMetric):
             f_beta_at(DiagnosticProfile(0.0, 0.5), 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "beta_sq, recall, precision",
+        [
+            (1.69e308, 5 / 6, 5 / 6),
+            (1.69e308, 0.9, 1e-300),
+            (1e300, 1e-9, 0.3),
+            (1e10, 1e-300, 0.7),
+            (1e10, 1e-300, 1e-320),
+            (1.7976931348623157e308, 0.999, 1.0),
+        ],
+    )
+    def test_f_beta_score_keeps_large_beta_limit(self, beta_sq, recall, precision):
+        # beta_sq / recall overflows; compare with the harmonic form in 50-digit arithmetic.
+        assert beta_sq / recall == math.inf
+        with mpmath.workdps(50):
+            b2, r, p = mpmath.mpf(beta_sq), mpmath.mpf(recall), mpmath.mpf(precision)
+            exact = (1 + b2) / (b2 / r + 1 / p)
+        assert f_beta_score(beta_sq, recall, precision) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+    @given(
+        beta_sq=st.floats(min_value=1e-6, max_value=1e300),
+        recall=st.floats(min_value=1e-6, max_value=1.0),
+        precision=st.floats(min_value=1e-6, max_value=1.0),
+    )
+    def test_f_beta_score_ordinary_bits(self, beta_sq, recall, precision):
+        # Wherever beta_sq / recall is finite the score is the harmonic form's float, bit for bit.
+        assume(beta_sq / recall < math.inf)
+        expected = (1.0 + beta_sq) / (beta_sq / recall + 1.0 / precision)
+        assert f_beta_score(beta_sq, recall, precision) == expected
+
+    def test_f_beta_score_undefined_for_infinite_beta_square(self):
+        assert f_beta_score(math.inf, 0.9, 0.8) is None
+        assert f_beta_score(math.inf, 0.0, 0.0) is None
+        with pytest.raises(UndefinedMetric, match="beta\\*\\*2 overflows"):
+            f_beta_at(P_9095, 0.5, 1e200)
 
     @given(phi=open_rates, beta=st.floats(min_value=0.1, max_value=10.0))
     def test_f_beta_between_zero_and_one(self, phi, beta):
