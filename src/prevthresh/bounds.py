@@ -29,8 +29,7 @@ the report. The finest grid step it accepts is MIN_GRID_STEP = 0.001
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import (
     DegenerateDenominator,
@@ -45,6 +44,8 @@ from .metrics import (
     Rate,
     _beta,
     _mcc_form,
+    _Record,
+    _set,
     f1_at,
     f_beta_at,
     fm_at,
@@ -276,15 +277,17 @@ def accuracy_divergence_curve(
     return out
 
 
-@dataclass(frozen=True)
-class BoundViolation:
+class BoundViolation(_Record):
     """A swept grid cell whose ratio landed outside its bounding interval."""
 
-    sensitivity: float
-    specificity: float
-    value: float
-    lower: float
-    upper: float
+    __slots__ = _fields = ("sensitivity", "specificity", "value", "lower", "upper")
+
+    def __init__(self, sensitivity: float, specificity: float, value: float, lower: float, upper: float):
+        _set(self, "sensitivity", sensitivity)
+        _set(self, "specificity", specificity)
+        _set(self, "value", value)
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
 
     def to_dict(self) -> dict:
         return {
@@ -296,20 +299,36 @@ class BoundViolation:
         }
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(_Record):
     """Sweep outcome for one ratio metric: extrema, violations, skipped cells."""
 
-    metric: str
-    lower: float
-    upper: float
-    cells: int
-    observed_min: float | None
-    observed_max: float | None
-    argmin: tuple[float, float] | None
-    argmax: tuple[float, float] | None
-    violations: tuple[BoundViolation, ...]
-    skipped: tuple[tuple[float, float], ...]
+    __slots__ = _fields = (
+        "metric", "lower", "upper", "cells", "observed_min", "observed_max", "argmin", "argmax", "violations", "skipped"
+    )
+
+    def __init__(
+        self,
+        metric: str,
+        lower: float,
+        upper: float,
+        cells: int,
+        observed_min: float | None,
+        observed_max: float | None,
+        argmin: tuple[float, float] | None,
+        argmax: tuple[float, float] | None,
+        violations: tuple[BoundViolation, ...],
+        skipped: tuple[tuple[float, float], ...],
+    ):
+        _set(self, "metric", metric)
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "cells", cells)
+        _set(self, "observed_min", observed_min)
+        _set(self, "observed_max", observed_max)
+        _set(self, "argmin", argmin)
+        _set(self, "argmax", argmax)
+        _set(self, "violations", violations)
+        _set(self, "skipped", skipped)
 
     def to_dict(self) -> dict:
         return {
@@ -325,16 +344,26 @@ class BoundRecord:
         }
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(_Record):
     """Result of sweeping every ratio bound over a sensitivity/specificity grid."""
 
-    grid_step: float
-    delta: float
-    tolerance: float
-    constraint: str
-    cells_swept: int
-    records: tuple[BoundRecord, ...]
+    __slots__ = _fields = ("grid_step", "delta", "tolerance", "constraint", "cells_swept", "records")
+
+    def __init__(
+        self,
+        grid_step: float,
+        delta: float,
+        tolerance: float,
+        constraint: str,
+        cells_swept: int,
+        records: tuple[BoundRecord, ...],
+    ):
+        _set(self, "grid_step", grid_step)
+        _set(self, "delta", delta)
+        _set(self, "tolerance", tolerance)
+        _set(self, "constraint", constraint)
+        _set(self, "cells_swept", cells_swept)
+        _set(self, "records", records)
 
     @property
     def has_violations(self) -> bool:

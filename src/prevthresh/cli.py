@@ -17,7 +17,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager, suppress
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import __version__
 from .bounds import SWEEP_BETAS, _ratio_values, verify_bounds

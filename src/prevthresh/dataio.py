@@ -29,8 +29,8 @@ from __future__ import annotations
 import io
 import json
 import math
-from pathlib import Path
-from typing import IO, Iterable, Union
+import os
+from collections.abc import Iterable
 
 from .errors import DegenerateProfile, EmptyInput, ParseError
 from .metrics import ConfusionCounts, DiagnosticProfile, _beta
@@ -43,7 +43,9 @@ __all__ = [
     "emit_ratio_curves",
 ]
 
-Source = Union[str, Path, IO]
+# What ingest reads: a path (str or os.PathLike), a text stream or a byte
+# stream. A string, so annotations name it without importing typing.
+Source = "str | os.PathLike | io.IOBase"
 
 # Finest prevalence grid step of the curve emitters: a million rows.
 MIN_PHI_STEP = 1e-6
@@ -53,8 +55,8 @@ _BLOCK_ROWS = 65_536
 
 
 def _as_text_stream(source: Source):
-    """Normalize a path / text stream / byte stream into (text stream, needs_close)."""
-    if isinstance(source, (str, Path)):
+    """Normalize a path (str or os.PathLike) / text stream / byte stream into (text stream, needs_close)."""
+    if isinstance(source, (str, os.PathLike)):
         return open(source, "r", encoding="utf-8", newline=""), True
     if isinstance(source, io.TextIOBase):
         return source, False
@@ -86,6 +88,9 @@ def ingest_predictions(source: Source) -> ConfusionCounts:
     (a field over csv's field size limit, say), raise ParseError
     carrying the 1-based physical row number (the header is row 1,
     blank lines count); a file with no data rows raises EmptyInput.
+    Paths and byte streams are decoded as UTF-8; bytes that are not
+    UTF-8 raise ParseError, with the count of data rows tallied before
+    the read that failed, and no row number.
 
     The source is read once, in blocks of 16,384 characters cut after
     their last line feed (_ingest.tally_blocks), so memory is bounded by
@@ -104,7 +109,13 @@ def ingest_predictions(source: Source) -> ConfusionCounts:
     stream, owns = _as_text_stream(source)
     try:
         tally = [0, 0, 0, 0]
-        _ingest.tally_blocks(stream, tally)
+        try:
+            _ingest.tally_blocks(stream, tally)
+        except UnicodeDecodeError as exc:
+            # exc.start counts from the decoder's chunk, not the file, so it is left out.
+            tallied = sum(tally)
+            where = f"after data row {tallied}" if tallied else "before any data row was tallied"
+            raise ParseError(f"input is not UTF-8 ({exc.reason}); decoding failed {where}") from None
         if sum(tally) == 0:
             raise EmptyInput("prediction file has a header but no data rows")
         tp, fp, fn, tn = tally
@@ -117,7 +128,7 @@ def ingest_predictions(source: Source) -> ConfusionCounts:
             stream.detach()
 
 
-def write_predictions(counts: ConfusionCounts, sink: IO) -> int:
+def write_predictions(counts: ConfusionCounts, sink: io.TextIOBase) -> int:
     """Write one prediction row per confusion-matrix element; inverse of ingest.
 
     Rows are grouped tp, fp, fn, tn so output is deterministic; returns
@@ -155,8 +166,8 @@ def _phi_grid(step: float) -> list[float]:
 def emit_curves(
     profile: DiagnosticProfile,
     step: float,
-    sink: IO,
-    sidecar: IO | None = None,
+    sink: io.TextIOBase,
+    sidecar: io.TextIOBase | None = None,
 ) -> int:
     """Write the predictive-value and curvature curves as CSV.
 
@@ -191,7 +202,7 @@ def emit_ratio_curves(
     profile: DiagnosticProfile,
     betas: Iterable[float],
     step: float,
-    sink: IO,
+    sink: io.TextIOBase,
 ) -> int:
     """Write reference-over-current accuracy ratios along prevalence as CSV.
 

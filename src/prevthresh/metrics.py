@@ -11,7 +11,6 @@ degeneracy apart from a genuine bound violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateDenominator, UndefinedMetric
 
@@ -55,8 +54,49 @@ class Rate(float):
         return f"Rate({float(self)!r})"
 
 
-@dataclass(frozen=True)
-class DiagnosticProfile:
+# Sets a field of a record in its __init__, past _Record.__setattr__.
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable value types; each lists its fields, in order, as __slots__ and _fields.
+
+    A subclass's __init__ validates its arguments and stores each field
+    with _set. Instances compare equal when they are of the same class
+    with equal field tuples, hash as that tuple, show as
+    Name(field=value!r, ...), and copy or pickle by calling the class
+    on their fields. Assigning or deleting any attribute raises
+    AttributeError.
+    """
+
+    __slots__ = _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class DiagnosticProfile(_Record):
     """The prevalence-free characteristics of a binary classifier.
 
     sensitivity
@@ -65,12 +105,11 @@ class DiagnosticProfile:
         Probability that a negative element is predicted negative.
     """
 
-    sensitivity: Rate
-    specificity: Rate
+    __slots__ = _fields = ("sensitivity", "specificity")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sensitivity", Rate(self.sensitivity))
-        object.__setattr__(self, "specificity", Rate(self.specificity))
+    def __init__(self, sensitivity: float, specificity: float):
+        _set(self, "sensitivity", Rate(sensitivity))
+        _set(self, "specificity", Rate(specificity))
 
     @property
     def epsilon(self) -> float:
@@ -86,8 +125,7 @@ class DiagnosticProfile:
         return abs(self.epsilon - 1.0) <= DEGENERATE_EPS
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(_Record):
     """Non-negative cell counts of a 2x2 confusion matrix.
 
     tp / fp / fn / tn follow the usual convention: the first letter says
@@ -97,18 +135,15 @@ class ConfusionCounts:
     positive.
     """
 
-    tp: int
-    fp: int
-    fn: int
-    tn: int
+    __slots__ = _fields = ("tp", "fp", "fn", "tn")
 
-    def __post_init__(self):
-        for name in ("tp", "fp", "fn", "tn"):
-            v = getattr(self, name)
+    def __init__(self, tp: int, fp: int, fn: int, tn: int):
+        for name, v in (("tp", tp), ("fp", fp), ("fn", fn), ("tn", tn)):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
             if v < 0:
                 raise ValueError(f"{name} must be non-negative, got {v}")
+            _set(self, name, v)
 
     @property
     def n(self) -> int:

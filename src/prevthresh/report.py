@@ -12,8 +12,7 @@ rest of the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .bounds import SWEEP_BETAS, _ratio_values
 from .errors import UndefinedMetric, value_or_none
@@ -22,6 +21,8 @@ from .metrics import (
     DiagnosticProfile,
     Rate,
     _beta,
+    _Record,
+    _set,
     accuracy_from_counts,
     chi_square_from_mcc,
     f_beta_score,
@@ -32,21 +33,32 @@ from .thresholds import threshold_summary
 __all__ = ["AnalysisReport", "analyze_counts"]
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(_Record):
     """Metrics, thresholds, ratios and flags derived from one confusion matrix.
 
     Every number is re-derivable from counts alone. Map values are None
     where the corresponding quantity is undefined for these counts.
     """
 
-    counts: ConfusionCounts
-    profile: DiagnosticProfile
-    prevalence: Rate
-    metrics: dict[str, float | None]
-    thresholds: dict[str, float | None]
-    ratios: dict[str, float | None]
-    flags: dict[str, bool | None]
+    __slots__ = _fields = ("counts", "profile", "prevalence", "metrics", "thresholds", "ratios", "flags")
+
+    def __init__(
+        self,
+        counts: ConfusionCounts,
+        profile: DiagnosticProfile,
+        prevalence: Rate,
+        metrics: dict[str, float | None],
+        thresholds: dict[str, float | None],
+        ratios: dict[str, float | None],
+        flags: dict[str, bool | None],
+    ):
+        _set(self, "counts", counts)
+        _set(self, "profile", profile)
+        _set(self, "prevalence", prevalence)
+        _set(self, "metrics", metrics)
+        _set(self, "thresholds", thresholds)
+        _set(self, "ratios", ratios)
+        _set(self, "flags", flags)
 
     def to_dict(self) -> dict:
         return {

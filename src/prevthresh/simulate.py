@@ -10,9 +10,7 @@ test suite uses to validate the algebra end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .metrics import ConfusionCounts, DiagnosticProfile, Rate
+from .metrics import ConfusionCounts, DiagnosticProfile, Rate, _Record, _set
 
 __all__ = ["SimulationConfig", "simulate_population"]
 
@@ -21,8 +19,7 @@ _SEED_LIMIT = 2**64
 _N_LIMIT = 2**63
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(_Record):
     """Population size, class balance, classifier profile and RNG seed.
 
     The same config produces the same counts on every run within one
@@ -30,21 +27,22 @@ class SimulationConfig:
     promised (the tolerances in play are statistical, not golden).
     """
 
-    prevalence: Rate
-    profile: DiagnosticProfile
-    n: int
-    seed: int
+    __slots__ = _fields = ("prevalence", "profile", "n", "seed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "prevalence", Rate(self.prevalence))
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if self.n >= _N_LIMIT:
-            raise ValueError(f"n must fit in a signed 64-bit integer, got {self.n!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < _SEED_LIMIT:
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
+    def __init__(self, prevalence: float, profile: DiagnosticProfile, n: int, seed: int):
+        prevalence = Rate(prevalence)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        if n >= _N_LIMIT:
+            raise ValueError(f"n must fit in a signed 64-bit integer, got {n!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if not 0 <= seed < _SEED_LIMIT:
+            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed!r}")
+        _set(self, "prevalence", prevalence)
+        _set(self, "profile", profile)
+        _set(self, "n", n)
+        _set(self, "seed", seed)
 
 
 def simulate_population(config: SimulationConfig) -> ConfusionCounts:

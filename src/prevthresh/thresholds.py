@@ -18,12 +18,11 @@ closed forms load no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegenerateDenominator, DegenerateProfile
 from .metrics import DEGENERATE_EPS  # noqa: F401  re-exported; DiagnosticProfile.is_degenerate applies it
-from .metrics import DiagnosticProfile, Rate, npv_at, ppv_at
+from .metrics import DiagnosticProfile, Rate, _Record, _set, npv_at, ppv_at
 
 __all__ = [
     "Curve",
@@ -51,8 +50,7 @@ class Curve(str, Enum):
     NPV = "npv"
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(_Record):
     """A prevalence threshold and the predictive value there.
 
     metric_value is the predictive value of the relevant curve at phi,
@@ -61,17 +59,22 @@ class ThresholdResult:
     negative one).
     """
 
-    phi: Rate
-    metric_value: Rate | None
+    __slots__ = _fields = ("phi", "metric_value")
+
+    def __init__(self, phi: Rate, metric_value: Rate | None):
+        _set(self, "phi", phi)
+        _set(self, "metric_value", metric_value)
 
 
-@dataclass(frozen=True)
-class CurvaturePoint:
+class CurvaturePoint(_Record):
     """Curvature and slope of a predictive-value curve at one prevalence."""
 
-    phi: Rate
-    kappa: float
-    slope: float
+    __slots__ = _fields = ("phi", "kappa", "slope")
+
+    def __init__(self, phi: Rate, kappa: float, slope: float):
+        _set(self, "phi", phi)
+        _set(self, "kappa", kappa)
+        _set(self, "slope", slope)
 
     @property
     def radius(self) -> float | None:

@@ -305,6 +305,18 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert err == "error:parse: row 3: field larger than field limit (131072)\n"
 
+    def test_non_utf8_file_is_one_parse_error_line(self, capsys, tmp_path):
+        # 5,001 data rows, the last holding a byte that is not UTF-8.
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"label,prediction\n" + b"1,1\n0,0\n" * 2500 + b"1,\xff\n")
+        code, out, err = run(capsys, "analyze", "--predictions", str(path), "--output", str(tmp_path / "out.txt"))
+        assert (code, out) == (1, "")
+        assert re.fullmatch(
+            r"error:parse: input is not UTF-8 \(invalid start byte\); decoding failed after data row \d+\n", err
+        )
+        assert "position" not in err and "Traceback" not in err
+        assert not (tmp_path / "out.txt").exists()
+
     def test_counts_beyond_float_range(self, capsys):
         # n has 1,330 bits: the MCC is still computed, the chi-square statistic is not representable.
         big = "1" + "0" * 400
@@ -524,21 +536,33 @@ for argv in json.loads(sys.argv[1]):
     report["numpy"].append("numpy" in sys.modules)
 report["metadata"] = "importlib.metadata" in sys.modules
 report["ingest"] = "prevthresh._ingest" in sys.modules
+report["unused_stdlib"] = [name for name in json.loads(sys.argv[2]) if name in sys.modules]
 print(json.dumps(report))
 """
+# Standard-library modules that no CLI call needs; each costs milliseconds to import.
+UNUSED_STDLIB = ("dataclasses", "inspect", "typing", "pathlib")
 
 
 class TestColdStart:
-    """The scalar subcommands, --help and --version run without importing numpy."""
+    """The scalar subcommands, --help and --version run without importing numpy or UNUSED_STDLIB."""
 
-    @pytest.fixture(scope="class")
-    def probe(self):
+    @staticmethod
+    def run_probe(*flags, argvs):
         proc = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, json.dumps(NUMPY_FREE_ARGV + [GRID_ARGV])],
+            [sys.executable, *flags, "-c", IMPORT_PROBE, json.dumps(argvs), json.dumps(UNUSED_STDLIB)],
             capture_output=True, text=True, env=source_env(), timeout=120,
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         return json.loads(proc.stdout)
+
+    @pytest.fixture(scope="class")
+    def probe(self):
+        return self.run_probe(argvs=NUMPY_FREE_ARGV + [GRID_ARGV])
+
+    @pytest.fixture(scope="class")
+    def bare_probe(self):
+        # -S skips site, whose .pth files may preload typing or pathlib and so hide an import of them.
+        return self.run_probe("-S", argvs=NUMPY_FREE_ARGV)
 
     def test_package_namespace_loads_no_numpy(self, probe):
         assert probe["import"] is False
@@ -550,6 +574,10 @@ class TestColdStart:
         assert probe["codes"] == [0, 0, 0, 1, 0, 0, 0]
         assert probe["numpy"] == [False] * len(NUMPY_FREE_ARGV) + [True]
         assert probe["metadata"] is False
+
+    def test_scalar_subcommands_load_no_unused_stdlib(self, bare_probe):
+        assert bare_probe["codes"] == [0, 0, 0, 1, 0, 0]
+        assert bare_probe["unused_stdlib"] == []
 
 
 # Vocabulary of the argv fuzz: each subcommand's flags with a valid value

@@ -4,6 +4,9 @@ import csv
 import gc
 import io
 import json
+import os
+import pathlib
+import re
 import types
 
 import pytest
@@ -114,6 +117,42 @@ class TestIngest:
         path.write_text("label,prediction\n1,1\n1,0\n", encoding="utf-8")
         assert ingest_predictions(path) == ConfusionCounts(1, 0, 1, 0)
         assert ingest_predictions(str(path)) == ConfusionCounts(1, 0, 1, 0)
+
+    def test_reads_path_like_objects(self, tmp_path):
+        class Located:
+            def __init__(self, path):
+                self.path = path
+
+            def __fspath__(self):
+                return str(self.path)
+
+        path = tmp_path / "preds.csv"
+        path.write_text("label,prediction\n1,1\n1,0\n", encoding="utf-8")
+        assert isinstance(Located(path), os.PathLike)
+        assert ingest_predictions(pathlib.Path(str(path))) == ConfusionCounts(1, 0, 1, 0)
+        assert ingest_predictions(Located(path)) == ConfusionCounts(1, 0, 1, 0)
+
+    @pytest.mark.parametrize("pairs", [2_500, 25_000])
+    def test_non_utf8_bytes_are_a_parse_error_without_an_offset(self, tmp_path, pairs):
+        # The last of 2 * pairs + 1 data rows holds a byte that is not UTF-8.
+        body = b"label,prediction\n" + b"1,1\n0,0\n" * pairs + b"1,\xff\n"
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(body)
+        for source in (path, io.BytesIO(body)):
+            with pytest.raises(ParseError) as exc:
+                ingest_predictions(source)
+            message = str(exc.value)
+            match = re.fullmatch(r"input is not UTF-8 \(invalid start byte\); decoding failed after data row (\d+)",
+                                 message)
+            assert match and 0 < int(match[1]) <= 2 * pairs
+            assert "position" not in message and exc.value.row is None
+
+    def test_non_utf8_header_is_a_parse_error(self):
+        with pytest.raises(ParseError) as exc:
+            ingest_predictions(io.BytesIO(b"label,predicti\xf3n\n1,1\n"))
+        assert str(exc.value) == (
+            "input is not UTF-8 (invalid continuation byte); decoding failed before any data row was tallied"
+        )
 
     def test_rejects_unreadable_source(self):
         with pytest.raises(TypeError):
