@@ -35,8 +35,9 @@ profile set.
 from __future__ import annotations
 
 import functools
+import io
 import math
-from typing import IO, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -311,7 +312,7 @@ def _cells(values: np.ndarray) -> list[str]:
     return ["" if v != v else repr(v) for v in values.tolist()]
 
 
-def write_grid(sink: IO, header: list[str], grid: list[float], columns: list[np.ndarray]) -> None:
+def write_grid(sink: io.TextIOBase, header: list[str], grid: list[float], columns: list[np.ndarray]) -> None:
     """Write the header, then one row per grid point: phi and each column's cell there.
 
     Rows are formatted and written _BLOCK_ROWS at a time. No field

@@ -64,7 +64,6 @@ __all__ = [
     "BoundsReport",
     "verify_bounds",
     "RATIO_BOUNDS",
-    "SWEEP_BETAS",
 ]
 
 SQRT2 = math.sqrt(2.0)

@@ -5,6 +5,17 @@ can report failures in a machine-parsable way without matching on class
 names or message text.
 """
 
+__all__ = [
+    "PrevthreshError",
+    "DegenerateDenominator",
+    "UndefinedMetric",
+    "DegenerateProfile",
+    "ZeroDenominator",
+    "ParseError",
+    "EmptyInput",
+    "UsageError",
+]
+
 
 class PrevthreshError(Exception):
     """Base class for all library errors."""

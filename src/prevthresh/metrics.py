@@ -27,6 +27,7 @@ __all__ = [
     "mcc_from_counts",
     "chi_square_from_mcc",
     "accuracy_from_counts",
+    "DEGENERATE_EPS",
 ]
 
 # Tolerance inside which sensitivity + specificity counts as exactly 1,

@@ -21,7 +21,6 @@ import math
 from enum import Enum
 
 from .errors import DegenerateDenominator, DegenerateProfile
-from .metrics import DEGENERATE_EPS  # noqa: F401  re-exported; DiagnosticProfile.is_degenerate applies it
 from .metrics import DiagnosticProfile, Rate, _Record, _set, npv_at, ppv_at
 
 __all__ = [
@@ -34,6 +33,8 @@ __all__ = [
     "curvature_at",
     "curvature_argmax",
     "threshold_summary",
+    "COARSE_STEP",
+    "REFINE_WIDTH",
 ]
 
 # Numeric search protocol, fixed so repeated runs agree bit for bit:
