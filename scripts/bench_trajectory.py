@@ -7,7 +7,11 @@ one workload after another, and writes BENCH_<label>.json at the root of
 the checkout. Per workload the file holds the end-to-end metrics that
 BENCHMARK.json names, the gate's attempted and failed operation counts,
 and the provenance line run.py prints (versions, git commit, source
-digest). One file per labelled state of the code keeps the performance
+digest), and its bytecode state: the value of PYTHONDONTWRITEBYTECODE
+and whether any __pycache__ directory exists under src/prevthresh when
+the run starts. Cached bytecode spares a run compiling the package and
+so moves cli-burst's figures; the script warns on stderr when caches
+exist. One file per labelled state of the code keeps the performance
 trajectory next to the code. Nothing is written unless every run exits 0.
 
 Usage, from anywhere in a source checkout::
@@ -19,12 +23,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "prevthresh"
 SEED = 0
 PROVENANCE_PREFIX = "provenance "
 
@@ -55,6 +61,14 @@ def parse_run_output(stdout: str, end_to_end: list[str]) -> dict:
     }
 
 
+def bytecode_state(package: Path, environ) -> dict:
+    """PYTHONDONTWRITEBYTECODE in environ (None when unset) and whether package holds any __pycache__."""
+    return {
+        "PYTHONDONTWRITEBYTECODE": environ.get("PYTHONDONTWRITEBYTECODE"),
+        "pycache": any(package.rglob("__pycache__")),
+    }
+
+
 def _label(text: str) -> str:
     """argparse type: a label that is safe inside a file name."""
     if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*", text):
@@ -73,12 +87,15 @@ def main(argv: list[str] | None = None) -> int:
     for workload in (w["name"] for w in spec["workloads"]):
         command = [*spec["command"], "--workload", workload, "--seed", str(SEED), "--trace", "0"]
         print(f"running {' '.join(command)}", file=sys.stderr)
+        bytecode = bytecode_state(PACKAGE, os.environ)
+        if bytecode["pycache"]:
+            print(f"warning: {PACKAGE} holds __pycache__ directories; this run reads cached bytecode", file=sys.stderr)
         proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
         if proc.returncode != 0:
             sys.stderr.write(proc.stderr)
             print(f"error: {' '.join(command)} exited {proc.returncode}", file=sys.stderr)
             return 1
-        record["workloads"][workload] = parse_run_output(proc.stdout, end_to_end)
+        record["workloads"][workload] = {**parse_run_output(proc.stdout, end_to_end), "bytecode": bytecode}
 
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

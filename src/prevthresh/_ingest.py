@@ -5,21 +5,26 @@ importing the package, and every CLI call that reads no prediction
 file, compiles none of it.
 
 tally_blocks reads _READ_CHARS characters at a time and cuts each read
-after its last line feed. A block with no quote, and whose carriage
-returns all end CRLF pairs, is split at its line feeds; its lines are
-counted, and csv parses each distinct line once. From the first other
-block, or the first whose lines are mostly distinct, on, _tally_csv
-reads the rest row by row with csv.reader and parses each distinct raw
-(label, prediction) token pair once. Either way the first invalid row
-is the first sighting of an invalid line or token pair, so the reported
-row is that of a row-by-row parse; a csv.Error is a ParseError at the
-row where csv failed.
+after its last line feed. A block made only of the distinct lines of
+the last block it counted (at most four, none blank and none a suffix
+of another) is tallied with one str.count per line; the counts cover
+the whole block exactly when no other line is in it. Any other block
+with no quote, and whose carriage returns all end CRLF pairs, is split
+at its line feeds; its lines are counted, and csv parses each distinct
+line once. From the first other block, or the first with enough lines
+to judge whose lines are mostly distinct, on, _tally_csv reads the rest
+row by row with csv.reader and parses each distinct raw (label,
+prediction) token pair once. Either way the first invalid row is the
+first sighting of an invalid line or token pair, so the reported row is
+that of a row-by-row parse; a csv.Error is a ParseError at the row where
+csv failed.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
 import re
 from collections import Counter
 
@@ -31,6 +36,11 @@ _CELLS = {("1", "1"): 0, ("0", "1"): 1, ("1", "0"): 2, ("0", "0"): 3}
 
 # Characters ingest reads per block; a block is then cut at its last newline.
 _READ_CHARS = 16_384
+
+# Fewest lines a block needs before its share of distinct lines is judged:
+# the lines read before a line longer than a block, or that line alone,
+# say nothing about the rest of the file.
+_JUDGED_LINES = 64
 
 
 def _header_columns(header: list[str]) -> tuple[int, int]:
@@ -113,21 +123,39 @@ def _replay(stream, text: str):
     return itertools.chain((match.group() for match in line.finditer(text)), stream)
 
 
+def _has_suffix_pair(kept: list[tuple[str, int]]) -> bool:
+    """Whether one kept line ends in another, so that one line feed could end two counted lines."""
+    return any(a.endswith(b) for (a, _), (b, _) in itertools.permutations(kept, 2))
+
+
 def tally_blocks(stream, tally: list[int]) -> None:
     """Add every data row of stream to tally, one block of whole lines at a time.
 
-    A block without a quote, and whose carriage returns all end CRLF
-    pairs, is split at line feeds only. Every stream and csv end its
-    lines there too (str.splitlines would also split at form feeds,
-    U+2028 and more), and csv reads a line's trailing carriage return
-    as part of its end. Each distinct line is parsed once and counted as
-    often as it occurs. From the first other block, or the first whose
-    lines are mostly distinct, on, the rest of the stream goes line by
-    line through _tally_csv.
+    A block is first offered to the count path: when the last block the
+    Counter path tallied had at most len(_CELLS) distinct lines, none
+    blank and none a suffix of another, each such kept line is counted
+    in the block with str.count(line + "\n"). An occurrence holds no
+    line feed but its last, so it is the end of one line of the block
+    with that line's feed, and no line ends in two kept lines. The
+    counts, each times its line's length plus one, thus add up to at
+    most the block's length, and to exactly that length only when every
+    line of the block, the last one included, is a kept line; only then
+    are the counts taken. Any other block is split at line feeds only.
+    Every stream and csv end their lines there too (str.splitlines would
+    also split at form feeds, U+2028 and more), and csv reads a line's
+    trailing carriage return as part of its end. Its lines are counted
+    with Counter, and each distinct line is parsed once and counted as
+    often as it occurs. From the first block that holds a quote or a
+    carriage return outside a CRLF pair, or that has at least
+    _JUDGED_LINES lines, mostly distinct, on, the rest of the stream goes
+    line by line through _tally_csv.
     """
     columns = None
     offset = 0  # physical lines before the current block
     rest = ""  # a line begun by the last read
+    # (line + "\n", cell) for each distinct line of the last block that the
+    # Counter path tallied, when the count path may use them; empty otherwise.
+    kept: list[tuple[str, int]] = []
     while True:
         chunk = stream.read(_READ_CHARS)
         cut = chunk.rfind("\n") + 1
@@ -137,6 +165,15 @@ def tally_blocks(stream, tally: list[int]) -> None:
         block, rest = rest + chunk[:cut], chunk[cut:]
         if not block:
             break
+        # The counts times the kept lengths can only add up to a multiple of
+        # those lengths' gcd: a block holding one other line seldom is one.
+        if kept and len(block) % math.gcd(*[len(end) for end, _ in kept]) == 0:
+            found = [block.count(end) for end, _ in kept]
+            if sum(n * len(end) for n, (end, _) in zip(found, kept)) == len(block):
+                for n, (_, cell) in zip(found, kept):
+                    tally[cell] += n
+                offset += sum(found)
+                continue
         if '"' in block or "\r" in block and block.count("\r") != block.count("\r\n"):
             _tally_csv(csv.reader(_replay(stream, block + rest)), offset, columns, tally)
             return
@@ -153,7 +190,7 @@ def tally_blocks(stream, tally: list[int]) -> None:
             del lines[0]
             offset = 1
         counts = Counter(lines)
-        if 4 * len(counts) > len(lines):
+        if len(lines) >= _JUDGED_LINES and 4 * len(counts) > len(lines):
             # Mostly distinct lines (an id or a score column, say) are
             # cheaper to parse row by row than to count first.
             _tally_csv(csv.reader(itertools.chain(lines, _replay(stream, rest))), offset, columns, tally)
@@ -161,6 +198,8 @@ def tally_blocks(stream, tally: list[int]) -> None:
         # One reader over the distinct lines, in order of first sighting: the
         # first invalid one is first seen on the row a row-by-row parse reports.
         reader = csv.reader(counts)
+        kept = []
+        few = len(counts) <= len(_CELLS)  # else none is kept, and none is built
         for line, count in counts.items():
 
             def row_of():
@@ -171,7 +210,13 @@ def tally_blocks(stream, tally: list[int]) -> None:
             except csv.Error as exc:
                 raise _csv_error(exc, row_of()) from None
             if row:
-                tally[_cell(row, columns, row_of)] += count
+                cell = _cell(row, columns, row_of)
+                tally[cell] += count
+                if few:
+                    kept.append((line + "\n", cell))
+        # None is kept when a line was blank (it has no cell) or ends in another.
+        if len(kept) != len(counts) or _has_suffix_pair(kept):
+            kept = []
         offset += len(lines)
     if columns is None:
         raise EmptyInput("prediction file is empty")

@@ -94,15 +94,21 @@ def ingest_predictions(source: Source) -> ConfusionCounts:
 
     The source is read once, in blocks of 16,384 characters cut after
     their last line feed (_ingest.tally_blocks), so memory is bounded by
-    a block plus the longest line. A block with no quote and no carriage
-    return outside a CRLF pair is split at its line feeds and its lines
-    are counted; csv parses each distinct line once, and its count goes
-    to its cell. The first other block, or the first whose lines are
-    mostly distinct, and everything after it, is read row by row by
-    csv.reader, which parses each distinct raw (label, prediction)
-    token pair once; the stream is never rewound. Either way the first
-    invalid row is the first sighting of an invalid line or token pair,
-    so the reported row is that of a row-by-row parse.
+    a block plus the longest line. When the last block that was counted
+    had at most four distinct lines, none blank and none ending in
+    another, the next block is first tallied with one str.count of each
+    such line and its line feed; as no line can end in two of them, the
+    counts cover the block's whole length only when every line of it is
+    one of them, and only then are they taken. Any other block with no
+    quote and no carriage return outside a CRLF pair is split at its
+    line feeds and its lines are counted; csv parses each distinct line
+    once, and its count goes to its cell. The first other block, or the
+    first with enough lines to judge whose lines are mostly distinct,
+    and everything after it, is read row by row by csv.reader, which
+    parses each distinct raw (label, prediction) token pair once; the
+    stream is never rewound. Either way the first invalid row is the
+    first sighting of an invalid line or token pair, so the reported
+    row is that of a row-by-row parse.
     """
     from . import _ingest
 

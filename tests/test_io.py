@@ -242,6 +242,18 @@ def _crlf_split_across_reads() -> str:
     return text
 
 
+def _runs_meeting_at_a_read(first: str, second: str) -> str:
+    """A table whose second read ends where a run of first ends and a run of second begins.
+
+    Blank lines after the header pad the first run to end the read, so
+    the blocks after the first hold the lines of one run each.
+    """
+    pad = (2 * BLOCK - len(HEADER)) % len(first)
+    text = HEADER + "\n" * pad + first * ((2 * BLOCK - len(HEADER)) // len(first))
+    assert len(text) == 2 * BLOCK
+    return text + second * 6000
+
+
 class _Unseekable(io.BytesIO):
     """A byte stream that cannot seek or tell, like a pipe."""
 
@@ -345,6 +357,10 @@ BLOCK_TABLES = [
     pytest.param(HEADER + ROWS + '1,1\n"' + "9" * 140_000 + '",1\n', id="oversized-quoted-field"),
     pytest.param(HEADER + ROWS + '"' + "9\n" * 70_000 + '",1\n', id="oversized-multiline-field"),
     pytest.param(HEADER + ROWS + "1,1\x00\n", id="nul"),
+    # Kept lines of which one ends in the other would count "0,1,1" (" 1,1")
+    # twice, as often as "0,0" occurs and no count covers it.
+    pytest.param(_runs_meeting_at_a_read("1,1\n0,1,1\n", "0,1,1\n0,0\n"), id="suffix-pair-then-other-line"),
+    pytest.param(_runs_meeting_at_a_read("1,1\n 1,1\n", " 1,1\n0,0\n"), id="padded-pair-then-other-line"),
 ]
 
 
@@ -401,6 +417,97 @@ class TestIngestBlockParity:
         # A long valid run, then random rows; quotes and carriage returns force the fallback mid-stream.
         text = HEADER + "0,1\n" * repeat + "".join(row + "\n" for row in rows)
         assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
+
+
+def _long_row_tables() -> list:
+    """Repetitive tables with a row longer than a block, which makes a block of few lines."""
+    head = HEADER + "1,1\n0,0\n"
+    long_row = "1,1," + "9" * (100_000 - 4)
+    # After a first block of many lines, a long row padded so that its line
+    # feed ends a read: its block is that line alone.
+    many = HEADER + "1,1\n0,0\n" * 100
+    alone = "1,1," + "9" * (7 * BLOCK - len(many) - 5)
+    assert len(many + alone + "\n") == 7 * BLOCK
+    return [
+        pytest.param(head + long_row + "\n" + ROWS * 2, id="few-lines-then-long-row"),
+        pytest.param(many + alone + "\n" + ROWS * 2, id="long-row-alone-in-its-block"),
+    ]
+
+
+def _record_tally_csv(monkeypatch) -> list:
+    """Patch _ingest._tally_csv to record the offset of each call, then run as before."""
+    offsets = []
+    real = _ingest._tally_csv
+
+    def tally_csv(reader, offset, columns, tally):
+        offsets.append(offset)
+        return real(reader, offset, columns, tally)
+
+    monkeypatch.setattr(_ingest, "_tally_csv", tally_csv)
+    return offsets
+
+
+# Lines of the count-path tables: "1,1" is a suffix of "0,1,1" and of the
+# padded " 1,1", a blank line keeps no line for the count path, and a
+# carriage return before the line feed makes a CRLF row.
+COUNT_PATH_LINES = ["1,1", "0,1,1", " 1,1", "0,0", "1, 0 ", "", "0,0\r", "1,1\r"]
+# Rows that end a table with an error, or send the rest of it row by row.
+LATE_ROWS = ["\ufeff0,0", "1,7", "1", "0,1,", '"1",0']
+
+
+class TestIngestCountPath:
+    """Blocks made only of the last counted block's distinct lines, tallied with str.count."""
+
+    @given(
+        st.lists(
+            st.tuples(st.lists(st.sampled_from(COUNT_PATH_LINES), min_size=1, max_size=3), st.integers(1, 2)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.one_of(st.none(), st.tuples(st.sampled_from(LATE_ROWS), st.floats(0.4, 1.0))),
+    )
+    def test_matches_row_by_row_parse(self, runs, late):
+        # Each run repeats a group of lines over one or two blocks; the
+        # runs are repeated to fill at least three blocks.
+        body = ""
+        for lines, blocks in runs:
+            group = "".join(line + "\n" for line in lines)
+            body += group * -(-blocks * BLOCK // len(group))
+        body *= -(-3 * BLOCK // len(body))
+        if late is not None:
+            # At a line start past the first block.
+            row, where = late
+            at = body.find("\n", int(where * (len(body) - 1))) + 1
+            body = body[:at] + row + "\n" + body[at:]
+        text = HEADER + body
+        assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
+
+    def test_csv_parses_only_the_first_blocks_distinct_lines(self, monkeypatch):
+        parsed = []
+        real_reader = csv.reader
+
+        def reader(lines):
+            lines = list(lines)
+            parsed.extend(lines)
+            return real_reader(lines)
+
+        monkeypatch.setattr(_ingest.csv, "reader", reader)
+        text = HEADER + ROWS * 8
+        assert len(text) > 11 * BLOCK
+        assert ingest_predictions(io.StringIO(text)) == ConfusionCounts(12000, 12000, 12000, 12000)
+        assert parsed == ["label,prediction", "1,1", "0,0", "1,0", "0,1"]
+
+    @pytest.mark.parametrize("text", _long_row_tables())
+    def test_few_lines_before_a_long_row_stay_on_the_block_path(self, text, monkeypatch):
+        offsets = _record_tally_csv(monkeypatch)
+        assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
+        assert offsets == []
+
+    def test_mostly_distinct_lines_still_go_row_by_row(self, monkeypatch):
+        offsets = _record_tally_csv(monkeypatch)
+        text = "id,label,prediction\n" + "".join(f"{i},{i % 2},1\n" for i in range(4000))
+        assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
+        assert offsets == [1]
 
 
 class TestWritePredictions:

@@ -14,6 +14,7 @@ import prevthresh
 ROOT = Path(__file__).resolve().parents[1]
 MC_CONVERGENCE = ROOT / "scripts" / "mc_convergence.py"
 BENCH_TRAJECTORY = ROOT / "scripts" / "bench_trajectory.py"
+BENCH_INGEST = ROOT / "scripts" / "bench_ingest.py"
 
 
 def run_script(script: Path, *args: str) -> subprocess.CompletedProcess:
@@ -109,3 +110,26 @@ def test_bench_trajectory_rejects_unsafe_labels(label):
     assert proc.returncode == 2
     assert "argument --label" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_bench_trajectory_bytecode_state(tmp_path):
+    bench = load_script(BENCH_TRAJECTORY)
+    package = tmp_path / "prevthresh"
+    (package / "sub").mkdir(parents=True)
+    (package / "sub" / "mod.py").write_text("")
+    assert bench.bytecode_state(package, {}) == {"PYTHONDONTWRITEBYTECODE": None, "pycache": False}
+    (package / "sub" / "__pycache__").mkdir()
+    assert bench.bytecode_state(package, {"PYTHONDONTWRITEBYTECODE": "1"}) == {
+        "PYTHONDONTWRITEBYTECODE": "1",
+        "pycache": True,
+    }
+
+
+def test_bench_ingest_runs_every_table():
+    proc = run_script(BENCH_INGEST, "--rows", "300", "--calls", "2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    bench = load_script(BENCH_INGEST)
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == list(bench.TABLES)
+    assert [int(row[1]) for row in rows] == [300] * (len(rows) - 1) + [303]
+    assert all(float(row[2]) > 0 for row in rows)
