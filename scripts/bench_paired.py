@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Compare this tree's prevthresh with another tree's, call by call, in one process.
+
+Loads this tree's package (src/ beside this script) as ``prevthresh``
+and the one in SRC_DIR (a directory holding a ``prevthresh`` package,
+such as another checkout's src/) as ``prevthresh_base``. For each call
+it times a batch on one side, then a batch of the same size on the
+other, alternating which side goes first, for --rounds rounds; each
+round gives one paired ratio, this tree's batch time over the base's.
+It prints, per call, the smallest and the median of those ratios (below
+1 means this tree is faster), the median time of one call on each side
+in microseconds, and whether both sides returned the same result (by
+repr, or the CSV text for emit_ratio_curves).
+
+The calls: ThresholdResult(...), positive_threshold, curvature_argmax,
+mcc_ratio, f_beta_at, analyze_counts, verify_bounds(0.01),
+emit_ratio_curves, and ingest_predictions on bench_ingest.py's
+four-lines and distinct-100pct tables of --rows rows. Pairing calls in
+one process cancels most of the drift between separate runs; pin it to
+one core (taskset -c 0) all the same::
+
+    python3 scripts/bench_paired.py ../parent/src
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import io
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent
+sys.path[:0] = [str(SCRIPTS.parent / "src"), str(SCRIPTS)]
+
+import prevthresh  # noqa: E402  (this tree's, from the path set above)
+from bench_ingest import TABLES, _positive  # noqa: E402
+
+INGEST_TABLES = ("four-lines", "distinct-100pct")
+
+
+def load_package(name: str, src_dir: Path):
+    """Import src_dir/prevthresh as a package named name; its relative imports stay inside it."""
+    init = src_dir / "prevthresh" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"error: no prevthresh package in {src_dir}")
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def calls(pkg, tables: dict[str, Path]) -> dict:
+    """Each timed call of pkg as a function of no arguments, by name."""
+    profile = pkg.DiagnosticProfile(0.9, 0.95)
+    counts = pkg.ConfusionCounts(90, 5, 10, 95)
+
+    def ratio_curves() -> str:
+        sink = io.StringIO()
+        pkg.emit_ratio_curves(profile, [0.5, 2.0], 0.001, sink)
+        return sink.getvalue()
+
+    named = {
+        "ThresholdResult(...)": lambda: pkg.ThresholdResult(0.19, 0.78),
+        "positive_threshold": lambda: pkg.positive_threshold(profile),
+        "curvature_argmax": lambda: pkg.curvature_argmax(profile),
+        "mcc_ratio": lambda: pkg.mcc_ratio(profile),
+        "f_beta_at": lambda: pkg.f_beta_at(profile, 0.19, 2.0),
+        "analyze_counts": lambda: pkg.analyze_counts(counts),
+        "verify_bounds(0.01)": lambda: pkg.verify_bounds(0.01),
+        "emit_ratio_curves": ratio_curves,
+    }
+    for table, path in tables.items():
+        named[f"ingest {table}"] = lambda path=path: pkg.ingest_predictions(path)
+    return named
+
+
+def batch_seconds(fn, number: int) -> float:
+    """Wall time of number calls of fn, with the garbage collector off as in timeit."""
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        for _ in range(number):
+            fn()
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
+def paired(this, base, rounds: int, batch_s: float) -> tuple[list[float], int, list[float], list[float]]:
+    """Per-round ratios this/base, the batch size, and each side's per-call times.
+
+    The batch size is the smallest power of two whose base batch takes
+    at least batch_s; the sides alternate in going first.
+    """
+    number = 1
+    while batch_seconds(base, number) < batch_s:
+        number *= 2
+    ratios, this_times, base_times = [], [], []
+    for i in range(rounds):
+        if i % 2:
+            b = batch_seconds(base, number)
+            t = batch_seconds(this, number)
+        else:
+            t = batch_seconds(this, number)
+            b = batch_seconds(base, number)
+        ratios.append(t / b)
+        this_times.append(t / number)
+        base_times.append(b / number)
+    return ratios, number, this_times, base_times
+
+
+def _shown(result) -> str:
+    return result if isinstance(result, str) else repr(result)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src_dir", metavar="SRC_DIR", type=Path, help="directory holding the base prevthresh package")
+    parser.add_argument("--rounds", type=_positive, default=15, help="paired batches per call (default 15)")
+    parser.add_argument("--batch-ms", type=float, default=20.0, help="least time of one batch in ms (default 20)")
+    parser.add_argument("--rows", type=_positive, default=20_000, help="data rows per ingest table (default 20000)")
+    args = parser.parse_args(argv)
+    if not args.batch_ms > 0.0:
+        parser.error(f"argument --batch-ms: must be positive, got {args.batch_ms!r}")
+
+    base_pkg = load_package("prevthresh_base", args.src_dir.resolve())
+    print(f"this: {Path(prevthresh.__file__).parent}")
+    print(f"base: {Path(base_pkg.__file__).parent}")
+    print(f"{'call':<24} {'min_ratio':>9} {'med_ratio':>9} {'this_us':>11} {'base_us':>11} {'batch':>6} same")
+    with tempfile.TemporaryDirectory() as tmp:
+        tables = {}
+        for table in INGEST_TABLES:
+            tables[table] = Path(tmp) / f"{table}.csv"
+            tables[table].write_bytes(TABLES[table](args.rows)[0].encode("utf-8"))
+        this_calls = calls(prevthresh, tables)
+        base_calls = calls(base_pkg, tables)
+        for name, this in this_calls.items():
+            base = base_calls[name]
+            same = "yes" if _shown(this()) == _shown(base()) else "NO"
+            ratios, number, this_times, base_times = paired(this, base, args.rounds, args.batch_ms / 1e3)
+            print(
+                f"{name:<24} {min(ratios):>9.3f} {statistics.median(ratios):>9.3f}"
+                f" {statistics.median(this_times) * 1e6:>11.2f} {statistics.median(base_times) * 1e6:>11.2f}"
+                f" {number:>6} {same}"
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,15 +7,17 @@ first called, so the scalar paths (the thresholds, the ratio summary,
 analyze_counts and the CLI subcommands built on them) start without
 loading numpy.
 
-The ratio, MCC and curvature formulas are not repeated here: the sweep
-calls the float-or-array kernels the scalar functions use
+The ratio, MCC, F-beta and curvature formulas are not repeated here:
+the sweep calls the float-or-array kernels the scalar functions use
 (bounds._f_beta_form, bounds._fm_form, metrics._mcc_form, and
-thresholds._radical_split for the thresholds) with np.sqrt, and the
-emitters' kappa columns map the scalar thresholds._kappa_kernel over
-the grid. The rest repeat the floating-point operations of the scalar
-functions they stand for, in their order: predictive_arrays those of
-ppv_at and npv_at, ratio_curve_columns those of f_beta_score and fm_at
-as accuracy_divergence_curve composes them. Either way every value is
+thresholds._radical_split for the thresholds) with np.sqrt,
+ratio_curve_columns calls f_beta_score's harmonic form,
+metrics._f_beta_harmonic, on the PPV array, and the emitters' kappa
+columns map the scalar thresholds._kappa_kernel over the grid. The rest
+repeat the floating-point operations of the scalar functions they stand
+for, in their order: predictive_arrays those of ppv_at and npv_at,
+ratio_curve_columns' FM column that of fm_at, as
+accuracy_divergence_curve composes them. Either way every value is
 bit-equal to the scalar one; the scalar functions are the oracle the
 test suite checks these arrays and the bytes written from them against.
 
@@ -44,7 +46,7 @@ import numpy as np
 from .bounds import RATIO_BOUNDS, SWEEP_BETAS, BoundRecord, BoundViolation, _f_beta_form, _fm_form
 from .dataio import _BLOCK_ROWS
 from .errors import DegenerateDenominator
-from .metrics import DiagnosticProfile, _mcc_form
+from .metrics import DiagnosticProfile, _f_beta_harmonic, _mcc_form
 from .thresholds import Curve, _curve_coefficients, _kappa_kernel, _radical_split
 
 
@@ -283,17 +285,12 @@ def ratio_curve_columns(a: float, b: float, beta_squares: list[float], grid: lis
     """emit_ratio_curves' columns: an F-score for each beta**2 in beta_squares, then FM.
 
     A cell is reference / score over the PPV array rho, NaN where the
-    score is not positive or undefined; emit_ratio_curves gives the
-    formulas. Needs a > 0.
+    score is not positive or undefined. Each F-score is
+    metrics._f_beta_harmonic(beta_sq, a, rho), f_beta_score's kernel;
+    the FM score is fm_at's sqrt(a * rho). Needs a > 0.
     """
 
-    def f_score(beta_sq: float):
-        if beta_sq / a == math.inf and beta_sq != math.inf:
-            # f_beta_score's form for this branch, multiplied through by the recall a.
-            return lambda rho: a * (1.0 + beta_sq) / (beta_sq + a / rho)
-        return lambda rho: (1.0 + beta_sq) / (beta_sq / a + 1.0 / rho)
-
-    scores = [f_score(beta_sq) for beta_sq in beta_squares]
+    scores = [functools.partial(_f_beta_harmonic, beta_sq, a) for beta_sq in beta_squares]
     scores.append(lambda rho: np.sqrt(a * rho))
     # An infinite beta**2 makes a reference inf/inf, and so its whole column, NaN.
     references = [score(1.0) for score in scores]

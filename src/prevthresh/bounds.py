@@ -45,7 +45,6 @@ from .metrics import (
     _beta,
     _mcc_form,
     _Record,
-    _set,
     f1_at,
     f_beta_at,
     fm_at,
@@ -281,13 +280,6 @@ class BoundViolation(_Record):
 
     __slots__ = _fields = ("sensitivity", "specificity", "value", "lower", "upper")
 
-    def __init__(self, sensitivity: float, specificity: float, value: float, lower: float, upper: float):
-        _set(self, "sensitivity", sensitivity)
-        _set(self, "specificity", specificity)
-        _set(self, "value", value)
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
-
     def to_dict(self) -> dict:
         return {
             "sensitivity": self.sensitivity,
@@ -304,30 +296,6 @@ class BoundRecord(_Record):
     __slots__ = _fields = (
         "metric", "lower", "upper", "cells", "observed_min", "observed_max", "argmin", "argmax", "violations", "skipped"
     )
-
-    def __init__(
-        self,
-        metric: str,
-        lower: float,
-        upper: float,
-        cells: int,
-        observed_min: float | None,
-        observed_max: float | None,
-        argmin: tuple[float, float] | None,
-        argmax: tuple[float, float] | None,
-        violations: tuple[BoundViolation, ...],
-        skipped: tuple[tuple[float, float], ...],
-    ):
-        _set(self, "metric", metric)
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
-        _set(self, "cells", cells)
-        _set(self, "observed_min", observed_min)
-        _set(self, "observed_max", observed_max)
-        _set(self, "argmin", argmin)
-        _set(self, "argmax", argmax)
-        _set(self, "violations", violations)
-        _set(self, "skipped", skipped)
 
     def to_dict(self) -> dict:
         return {
@@ -347,22 +315,6 @@ class BoundsReport(_Record):
     """Result of sweeping every ratio bound over a sensitivity/specificity grid."""
 
     __slots__ = _fields = ("grid_step", "delta", "tolerance", "constraint", "cells_swept", "records")
-
-    def __init__(
-        self,
-        grid_step: float,
-        delta: float,
-        tolerance: float,
-        constraint: str,
-        cells_swept: int,
-        records: tuple[BoundRecord, ...],
-    ):
-        _set(self, "grid_step", grid_step)
-        _set(self, "delta", delta)
-        _set(self, "tolerance", tolerance)
-        _set(self, "constraint", constraint)
-        _set(self, "cells_swept", cells_swept)
-        _set(self, "records", records)
 
     @property
     def has_violations(self) -> bool:

@@ -10,9 +10,10 @@ Every stage is a bulk operation. The curve emitters evaluate their
 prevalence grid through _arrays: the predictive values and ratios as
 numpy arrays that repeat the scalar per-point functions' floating-point
 operations in order (ppv_at, npv_at, and f1_at, f_beta_at and fm_at as
-accuracy_divergence_curve composes them; these stay public and are the
-oracle the test suite checks the emitted bytes against), and the
-curvature through curvature_at's own kernel, thresholds._kappa_kernel,
+accuracy_divergence_curve composes them, the F-scores through
+f_beta_score's own kernel, metrics._f_beta_harmonic; these stay public
+and are the oracle the test suite checks the emitted bytes against), and
+the curvature through curvature_at's own kernel, thresholds._kappa_kernel,
 mapped over the grid.
 A ratio cell is the repr of a plain float. These divergence curves
 share no code with the closed-form ratios of bounds, whose kernels
@@ -221,9 +222,10 @@ def emit_ratio_curves(
     and DegenerateProfile at sensitivity 0.
 
     Each column's score is a formula in the PPV rho: f_beta_score's
-    harmonic form (1 + beta^2) / (beta^2/a + 1/rho) (f1 is beta = 1;
-    where beta^2/a overflows, that form multiplied through by a) and
-    fm_at's sqrt(a * rho). Its reference is that formula at rho = 1,
+    harmonic form (1 + beta^2) / (beta^2/a + 1/rho), the one kernel
+    metrics._f_beta_harmonic that f_beta_score itself calls (f1 is
+    beta = 1; where beta^2/a overflows, that form multiplied through by
+    a), and fm_at's sqrt(a * rho). Its reference is that formula at rho = 1,
     since ppv_at(profile, 1) is a/a = 1.0 exactly, and the grid is one
     PPV array, so every cell is bit-equal to the float that
     accuracy_divergence_curve with metric "f1", "f_beta" or "fm", the

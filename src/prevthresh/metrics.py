@@ -55,22 +55,34 @@ class Rate(float):
         return f"Rate({float(self)!r})"
 
 
-# Sets a field of a record in its __init__, past _Record.__setattr__.
+# Sets a field of a record in its __init__, hand-written or generated, past _Record.__setattr__.
 _set = object.__setattr__
 
 
 class _Record:
     """Base of the package's immutable value types; each lists its fields, in order, as __slots__ and _fields.
 
-    A subclass's __init__ validates its arguments and stores each field
-    with _set. Instances compare equal when they are of the same class
-    with equal field tuples, hash as that tuple, show as
-    Name(field=value!r, ...), and copy or pickle by calling the class
-    on their fields. Assigning or deleting any attribute raises
-    AttributeError.
+    A subclass that validates its arguments writes its own __init__ and
+    stores each field with _set. For one that declares _fields but no
+    __init__, __init_subclass__ compiles the __init__(self, <fields>)
+    that one written by hand would be, one _set per field. Instances
+    compare equal when they are of the same class with equal field
+    tuples, hash as that tuple, show as Name(field=value!r, ...), and
+    copy or pickle by calling the class on their fields. Assigning or
+    deleting any attribute raises AttributeError.
     """
 
     __slots__ = _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
+            # Compiled inside a `class <Name>:` body, so its TypeErrors read <Name>.__init__().
+            stores = "".join([f"\n        _set(self, {name!r}, {name})" for name in cls._fields])
+            source = f"class {cls.__name__}:\n    def __init__(self, {', '.join(cls._fields)}):{stores}\n"
+            namespace = {}
+            exec(source, {"__name__": cls.__module__, "_set": _set}, namespace)
+            cls.__init__ = namespace[cls.__name__].__init__
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -221,8 +233,23 @@ def npv_at(profile: DiagnosticProfile, phi: float) -> Rate:
     return Rate(true_neg / den)
 
 
+def _f_beta_harmonic(beta_sq: float, recall: float, precision):
+    """(1 + beta_sq) / (beta_sq/recall + 1/precision), for a float or an array of precisions.
+
+    The harmonic form rather than (1+b2)*p*r/(b2*p + r): it keeps the
+    result inside [0, 1] under rounding and makes the beta = 1 case
+    identical to F1. Where beta_sq/recall overflows for a finite beta_sq,
+    the form multiplied through by the recall keeps the large-beta
+    limit, the recall. An infinite beta_sq gives inf/inf, NaN.
+    """
+    scaled = beta_sq / recall
+    if scaled == math.inf and beta_sq != math.inf:
+        return recall * (1.0 + beta_sq) / (beta_sq + recall / precision)
+    return (1.0 + beta_sq) / (scaled + 1.0 / precision)
+
+
 def f_beta_score(beta_sq: float, recall: float, precision: float) -> float | None:
-    """F-beta score from recall and precision, with beta_sq = beta**2.
+    """F-beta score from recall and precision, with beta_sq = beta**2 (_f_beta_harmonic).
 
     None when recall and precision are both zero (the score is 0/0) or
     beta_sq is infinite (inf/inf); 0.0 when exactly one of them is zero.
@@ -231,13 +258,7 @@ def f_beta_score(beta_sq: float, recall: float, precision: float) -> float | Non
         return None
     if recall == 0.0 or precision == 0.0:
         return 0.0
-    # Harmonic form rather than (1+b2)*p*r/(b2*p + r): keeps the result
-    # inside [0, 1] under rounding and makes the beta = 1 case identical to F1.
-    scaled = beta_sq / recall
-    if scaled == math.inf:
-        # The form multiplied through by recall keeps the large-beta limit, the recall.
-        return recall * (1.0 + beta_sq) / (beta_sq + recall / precision)
-    return (1.0 + beta_sq) / (scaled + 1.0 / precision)
+    return _f_beta_harmonic(beta_sq, recall, precision)
 
 
 def f1_at(profile: DiagnosticProfile, phi: float) -> Rate:

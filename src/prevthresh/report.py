@@ -22,7 +22,6 @@ from .metrics import (
     Rate,
     _beta,
     _Record,
-    _set,
     accuracy_from_counts,
     chi_square_from_mcc,
     f_beta_score,
@@ -41,24 +40,6 @@ class AnalysisReport(_Record):
     """
 
     __slots__ = _fields = ("counts", "profile", "prevalence", "metrics", "thresholds", "ratios", "flags")
-
-    def __init__(
-        self,
-        counts: ConfusionCounts,
-        profile: DiagnosticProfile,
-        prevalence: Rate,
-        metrics: dict[str, float | None],
-        thresholds: dict[str, float | None],
-        ratios: dict[str, float | None],
-        flags: dict[str, bool | None],
-    ):
-        _set(self, "counts", counts)
-        _set(self, "profile", profile)
-        _set(self, "prevalence", prevalence)
-        _set(self, "metrics", metrics)
-        _set(self, "thresholds", thresholds)
-        _set(self, "ratios", ratios)
-        _set(self, "flags", flags)
 
     def to_dict(self) -> dict:
         return {
@@ -90,7 +71,9 @@ def analyze_counts(
 
     Needs both classes present in the data (otherwise sensitivity or
     specificity has a zero denominator and UndefinedMetric propagates);
-    everything further down is per-entry guarded instead.
+    everything further down is per-entry guarded instead. chi_square,
+    for one, is None where the MCC is undefined and where n is too
+    large for a float (chi_square_from_mcc's ValueError).
     """
     if counts.n == 0:
         raise UndefinedMetric("cannot analyze empty counts")
@@ -115,7 +98,10 @@ def analyze_counts(
     metrics["fm"] = None if precision is None else math.sqrt(a * precision)
     mcc = value_or_none(mcc_from_counts, counts)
     metrics["mcc"] = mcc
-    metrics["chi_square"] = None if mcc is None else chi_square_from_mcc(mcc, counts.n)
+    try:
+        metrics["chi_square"] = None if mcc is None else chi_square_from_mcc(mcc, counts.n)
+    except ValueError:  # n is too large for a float
+        metrics["chi_square"] = None
 
     summary = threshold_summary(profile)
     thresholds: dict[str, float | None] = {

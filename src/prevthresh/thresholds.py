@@ -21,7 +21,7 @@ import math
 from enum import Enum
 
 from .errors import DegenerateDenominator, DegenerateProfile
-from .metrics import DiagnosticProfile, Rate, _Record, _set, npv_at, ppv_at
+from .metrics import DiagnosticProfile, Rate, _Record, npv_at, ppv_at
 
 __all__ = [
     "Curve",
@@ -62,20 +62,11 @@ class ThresholdResult(_Record):
 
     __slots__ = _fields = ("phi", "metric_value")
 
-    def __init__(self, phi: Rate, metric_value: Rate | None):
-        _set(self, "phi", phi)
-        _set(self, "metric_value", metric_value)
-
 
 class CurvaturePoint(_Record):
     """Curvature and slope of a predictive-value curve at one prevalence."""
 
     __slots__ = _fields = ("phi", "kappa", "slope")
-
-    def __init__(self, phi: Rate, kappa: float, slope: float):
-        _set(self, "phi", phi)
-        _set(self, "kappa", kappa)
-        _set(self, "slope", slope)
 
     @property
     def radius(self) -> float | None:

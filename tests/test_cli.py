@@ -321,9 +321,28 @@ class TestAnalyze:
         # n has 1,330 bits: the MCC is still computed, the chi-square statistic is not representable.
         big = "1" + "0" * 400
         code, out, err = run(capsys, "analyze", "--counts", f"{big},1,1,{big}")
-        assert (code, out) == (1, "")
-        assert err.startswith("error:validation: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert (code, err) == (0, "")
+        assert "  mcc = 1.0\n" in out
+        assert "  chi_square = n/a\n" in out
+
+    def test_total_beyond_float_range_text(self, capsys):
+        # n = 10**309 + 3: only the chi-square statistic is n/a, the rest of the report stands.
+        code, out, err = run(capsys, "analyze", "--counts", f"{10**309},1,1,1")
+        assert (code, err) == (0, "")
+        assert "  mcc = 0.5\n" in out
+        assert "  chi_square = n/a\n" in out
+        assert "  f1 = 1.0\n" in out
+        assert "  phi_e = 0.4142135623730951\n" in out
+        assert out.count("n/a") == 2  # chi_square and npv_at_phi_n, which is undefined at sensitivity 1
+
+    def test_total_beyond_float_range_json(self, capsys):
+        code, out, err = run(capsys, "analyze", "--counts", f"{10**309},1,1,1", "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["counts"]["n"] == 10**309 + 3
+        assert payload["metrics"]["mcc"] == 0.5
+        assert payload["metrics"]["chi_square"] is None
+        assert payload["ratios"]["mcc_ratio"] is not None
 
 
 class TestSimulate:

@@ -9,6 +9,7 @@ Name(field=value!r, ...), and copied or pickled by value.
 """
 
 import copy
+import inspect
 import math
 import pickle
 
@@ -124,12 +125,34 @@ class TestRecordContract:
         assert by_position == by_keyword
 
     def test_missing_and_unknown_arguments_raise_type_error(self, cls, fields, other):
-        with pytest.raises(TypeError):
+        name, last, count = cls.__name__, list(fields)[-1], len(fields)
+        with pytest.raises(TypeError) as missing:
             cls(*list(fields.values())[:-1])
-        with pytest.raises(TypeError):
+        assert str(missing.value) == f"{name}.__init__() missing 1 required positional argument: {last!r}"
+        with pytest.raises(TypeError) as surplus:
             cls(*fields.values(), None)
-        with pytest.raises(TypeError):
+        assert str(surplus.value) == (
+            f"{name}.__init__() takes {count + 1} positional arguments but {count + 2} were given"
+        )
+        with pytest.raises(TypeError) as unknown:
             cls(**fields, extra=None)
+        assert str(unknown.value) == f"{name}.__init__() got an unexpected keyword argument 'extra'"
+
+    def test_signature_lists_the_fields_in_order(self, cls, fields, other):
+        assert cls._fields == tuple(fields)
+        assert list(inspect.signature(cls).parameters) == list(cls._fields)
+
+    def test_subclass_without_fields_builds_from_the_parents(self, cls, fields, other):
+        sub_cls = type(f"Sub{cls.__name__}", (cls,), {"__slots__": ()})
+        for sub in (sub_cls(*fields.values()), sub_cls(**fields)):
+            assert type(sub) is sub_cls
+            assert [getattr(sub, name) for name in fields] == list(fields.values())
+            assert sub == sub_cls(**fields)
+            shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+            assert repr(sub) == f"Sub{cls.__name__}({shown})"
+        with pytest.raises(TypeError) as missing:
+            sub_cls(*list(fields.values())[:-1])
+        assert str(missing.value).startswith(f"{cls.__name__}.__init__() missing 1 required positional argument")
 
     def test_repr_names_every_field_in_order(self, cls, fields, other):
         shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())

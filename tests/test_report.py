@@ -64,6 +64,19 @@ class TestAnalyzeCounts:
         assert report.metrics["mcc"] is None
         assert report.metrics["accuracy"] == 0.5
 
+    def test_total_beyond_float_range_leaves_only_chi_square_undefined(self):
+        # n = 10**309 + 3 overflows a float: chi-square = n * mcc**2 is not representable,
+        # while the MCC and every other entry are.
+        report = analyze_counts(ConfusionCounts(10**309, 1, 1, 1))
+        assert report.metrics["chi_square"] is None
+        assert report.metrics["mcc"] == pytest.approx(0.5, abs=1e-15)
+        assert report.metrics["accuracy"] == 1.0
+        assert report.thresholds["phi_e"] == pytest.approx(2**0.5 - 1, abs=1e-15)
+        assert all(value is not None for value in report.ratios.values())
+        undefined = {key for key, value in {**report.metrics, **report.thresholds}.items() if value is None}
+        assert undefined == {"chi_square", "npv_at_phi_n"}
+        json.dumps(report.to_dict(), allow_nan=False)
+
     def test_single_class_raises(self):
         with pytest.raises(UndefinedMetric):
             analyze_counts(ConfusionCounts(5, 0, 5, 0))

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MC_CONVERGENCE = ROOT / "scripts" / "mc_convergence.py"
 BENCH_TRAJECTORY = ROOT / "scripts" / "bench_trajectory.py"
 BENCH_INGEST = ROOT / "scripts" / "bench_ingest.py"
+BENCH_PAIRED = ROOT / "scripts" / "bench_paired.py"
 
 
 def run_script(script: Path, *args: str) -> subprocess.CompletedProcess:
@@ -133,3 +134,27 @@ def test_bench_ingest_runs_every_table():
     assert [row[0] for row in rows] == list(bench.TABLES)
     assert [int(row[1]) for row in rows] == [300] * (len(rows) - 1) + [303]
     assert all(float(row[2]) > 0 for row in rows)
+
+
+def test_bench_paired_against_the_same_tree():
+    src = Path(prevthresh.__file__).resolve().parents[1]
+    proc = run_script(BENCH_PAIRED, str(src), "--rounds", "2", "--batch-ms", "1", "--rows", "300")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"this: {ROOT / 'src' / 'prevthresh'}"
+    assert lines[1] == f"base: {src / 'prevthresh'}"
+    rows = [line.rsplit(None, 6) for line in lines[3:]]
+    assert [row[0] for row in rows] == [
+        "ThresholdResult(...)", "positive_threshold", "curvature_argmax", "mcc_ratio", "f_beta_at",
+        "analyze_counts", "verify_bounds(0.01)", "emit_ratio_curves", "ingest four-lines", "ingest distinct-100pct",
+    ]
+    for _, min_ratio, median_ratio, this_us, base_us, batch, same in rows:
+        assert 0 < float(min_ratio) <= float(median_ratio)
+        assert float(this_us) > 0 and float(base_us) > 0 and int(batch) >= 1
+        assert same == "yes"
+
+
+def test_bench_paired_rejects_a_tree_without_the_package(tmp_path):
+    proc = run_script(BENCH_PAIRED, str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: no prevthresh package in {tmp_path}\n"
