@@ -14,10 +14,12 @@ repr, or the CSV text for emit_ratio_curves).
 
 The calls: ThresholdResult(...), positive_threshold, curvature_argmax,
 mcc_ratio, f_beta_at, analyze_counts, verify_bounds(0.01),
-emit_ratio_curves, and ingest_predictions on bench_ingest.py's
-four-lines and distinct-100pct tables of --rows rows. Pairing calls in
-one process cancels most of the drift between separate runs; pin it to
-one core (taskset -c 0) all the same::
+emit_ratio_curves, ingest_predictions on bench_ingest.py's four-lines
+and distinct-100pct tables of --rows rows, and run_cli of
+``thresholds --json`` and of ``analyze --counts 9,1,1,9`` (text) in
+process, with stdout sent to a StringIO. Pairing calls in one process
+cancels most of the drift between separate runs; pin it to one core
+(taskset -c 0) all the same::
 
     python3 scripts/bench_paired.py ../parent/src
 """
@@ -25,6 +27,7 @@ one core (taskset -c 0) all the same::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib.util
 import io
@@ -41,6 +44,10 @@ import prevthresh  # noqa: E402  (this tree's, from the path set above)
 from bench_ingest import TABLES, _positive  # noqa: E402
 
 INGEST_TABLES = ("four-lines", "distinct-100pct")
+CLI_CALLS = {
+    "cli thresholds --json": ["thresholds", "--sensitivity", "0.9", "--specificity", "0.95", "--json"],
+    "cli analyze 9,1,1,9": ["analyze", "--counts", "9,1,1,9"],
+}
 
 
 def load_package(name: str, src_dir: Path):
@@ -77,6 +84,16 @@ def calls(pkg, tables: dict[str, Path]) -> dict:
     }
     for table, path in tables.items():
         named[f"ingest {table}"] = lambda path=path: pkg.ingest_predictions(path)
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
+    for name, argv in CLI_CALLS.items():
+
+        def run_cli(argv=argv) -> str:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli.run_cli(argv)
+            return out.getvalue()
+
+        named[name] = run_cli
     return named
 
 

@@ -39,12 +39,11 @@ from __future__ import annotations
 import functools
 import io
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
 from .bounds import RATIO_BOUNDS, SWEEP_BETAS, BoundRecord, BoundViolation, _f_beta_form, _fm_form
-from .dataio import _BLOCK_ROWS
 from .errors import DegenerateDenominator
 from .metrics import DiagnosticProfile, _f_beta_harmonic, _mcc_form
 from .thresholds import Curve, _curve_coefficients, _kappa_kernel, _radical_split
@@ -260,9 +259,8 @@ def bound_record(key: str, values: np.ndarray, a: np.ndarray, b: np.ndarray, tol
 # --- the curve emitters (dataio) ---------------------------------------------------
 
 
-def _kappa_column(profile: DiagnosticProfile, curve: Curve, grid: list[float]) -> np.ndarray:
-    """thresholds._kappa_kernel at every grid point; NaN where it raises."""
-    kappa = _kappa_kernel(profile, curve)
+def _kappa_column(kappa, grid: list[float]) -> np.ndarray:
+    """The curvature closure kappa (thresholds._kappa_kernel) at every grid point; NaN where it raises."""
     values = []
     for phi in grid:
         try:
@@ -272,17 +270,24 @@ def _kappa_column(profile: DiagnosticProfile, curve: Curve, grid: list[float]) -
     return np.array(values)
 
 
-def curve_columns(profile: DiagnosticProfile, grid: list[float]) -> list[np.ndarray]:
-    """emit_curves' ppv, npv, kappa_ppv and kappa_npv columns over the prevalence grid."""
+# The columns of an emitter's CSV at a block of its prevalence grid.
+Columns = Callable[[list[float]], list[np.ndarray]]
+
+
+def curve_columns(profile: DiagnosticProfile) -> Columns:
+    """emit_curves' ppv, npv, kappa_ppv and kappa_npv columns, as a function of a block of the grid."""
     a, b = float(profile.sensitivity), float(profile.specificity)
-    phi = np.array(grid)
-    columns = [predictive_arrays(a, b, curve, phi) for curve in Curve]
-    columns += [_kappa_column(profile, curve, grid) for curve in Curve]
-    return columns
+    kappas = [_kappa_kernel(profile, curve) for curve in Curve]
+
+    def columns_at(grid: list[float]) -> list[np.ndarray]:
+        phi = np.array(grid)
+        return [predictive_arrays(a, b, curve, phi) for curve in Curve] + [_kappa_column(k, grid) for k in kappas]
+
+    return columns_at
 
 
-def ratio_curve_columns(a: float, b: float, beta_squares: list[float], grid: list[float]) -> list[np.ndarray]:
-    """emit_ratio_curves' columns: an F-score for each beta**2 in beta_squares, then FM.
+def ratio_curve_columns(a: float, b: float, beta_squares: list[float]) -> Columns:
+    """emit_ratio_curves' columns, as a function of a block of the grid: an F-score for each beta**2, then FM.
 
     A cell is reference / score over the PPV array rho, NaN where the
     score is not positive or undefined. Each F-score is
@@ -295,13 +300,16 @@ def ratio_curve_columns(a: float, b: float, beta_squares: list[float], grid: lis
     # An infinite beta**2 makes a reference inf/inf, and so its whole column, NaN.
     references = [score(1.0) for score in scores]
 
-    rho = predictive_arrays(a, b, Curve.PPV, np.array(grid))
-    columns = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for score, reference in zip(scores, references):
-            values = score(rho)
-            columns.append(np.where(values > 0.0, reference / values, np.nan))
-    return columns
+    def columns_at(grid: list[float]) -> list[np.ndarray]:
+        rho = predictive_arrays(a, b, Curve.PPV, np.array(grid))
+        columns = []
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for score, reference in zip(scores, references):
+                values = score(rho)
+                columns.append(np.where(values > 0.0, reference / values, np.nan))
+        return columns
+
+    return columns_at
 
 
 def _cells(values: np.ndarray) -> list[str]:
@@ -309,15 +317,28 @@ def _cells(values: np.ndarray) -> list[str]:
     return ["" if v != v else repr(v) for v in values.tolist()]
 
 
-def write_grid(sink: io.TextIOBase, header: list[str], grid: list[float], columns: list[np.ndarray]) -> None:
+# Most cells, the phi column's included, that write_grid evaluates and
+# formats at once: some 160 bytes of memory each at the peak, 10 MB in all.
+_BLOCK_CELLS = 65_536
+
+
+def write_grid(sink: io.TextIOBase, header: list[str], grid: list[float], columns_at: Columns) -> None:
     """Write the header, then one row per grid point: phi and each column's cell there.
 
-    Rows are formatted and written _BLOCK_ROWS at a time. No field
+    columns_at(block) gives every column's values at a block of the grid.
+    The grid is evaluated, formatted and written a block of rows at a
+    time, _BLOCK_CELLS // len(header) rows but at least one, so memory
+    does not grow with the number of rows; numpy's elementwise
+    operations, and the scalar kappa kernel, give the same bits on a
+    block as on the whole grid. Nothing after the header may raise but
+    the sink: every argument is checked before, and the columns ignore
+    floating-point errors and mark an undefined cell NaN. No field
     needs csv quoting: the header names are plain words and every cell
     is a float repr or empty.
     """
     sink.write(",".join(header) + "\n")
-    for start in range(0, len(grid), _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        fields = [list(map(repr, grid[start:stop]))] + [_cells(col[start:stop]) for col in columns]
+    rows = max(1, _BLOCK_CELLS // len(header))
+    for start in range(0, len(grid), rows):
+        block = grid[start : start + rows]
+        fields = [list(map(repr, block))] + [_cells(col) for col in columns_at(block)]
         sink.write("\n".join(map(",".join, zip(*fields))) + "\n")

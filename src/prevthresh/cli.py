@@ -5,8 +5,21 @@ curves, ratios, analyze, simulate, verify-bounds; --version prints the
 package version. Output goes to stdout or --output; errors go to
 stderr as one machine-parsable line `error:<kind>: <message>`. Exit
 codes: 0 success, 1 for any usage, validation, parse or I/O error, 2
-when verify-bounds found violations. JSON output never holds NaN or an
-infinity; such a payload is a validation error.
+when verify-bounds found violations.
+
+Every subcommand but the CSV emitters (curves, and ratios without
+--json) returns one payload dict, which run_cli writes once: as JSON
+with --json (verify-bounds always), else as its text form, the same
+payload as key = value lines, a section as its name and indented
+lines. JSON output never holds NaN or an infinity; such a payload is a
+validation error. The CSV emitters write their grid a block of rows at
+a time, so their memory does not grow with the number of rows.
+
+An integer argument (--counts, --n, --seed) longer than the
+interpreter's digit limit, sys.get_int_max_str_digits() (4,300 digits
+by default), is a usage error, and so are counts whose total is: no
+output could print it. These usage errors, and those of a malformed
+--counts, --n or --seed, echo a long argument only in part.
 """
 
 from __future__ import annotations
@@ -57,14 +70,51 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# An integer literal as int() reads it. int() refuses one only where it has
+# more digits than the interpreter's limit, sys.get_int_max_str_digits(),
+# which also bounds the integers str() writes; 0 means no limit. Compiled
+# on the first error, not at every start.
+_INT_LITERAL = r"\s*[+-]?\d+(?:_\d+)*\s*"
+# Longest argument an error message echoes whole; a longer one is cut.
+_ECHO_CHARS = 64
+
+
+def _echo(text: str) -> str:
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
+def _over_limit(what: str, shown: str) -> argparse.ArgumentTypeError:
+    limit = sys.get_int_max_str_digits()
+    return argparse.ArgumentTypeError(
+        f"{what} may have at most {limit} digits (sys.get_int_max_str_digits()), got {_echo(shown)}"
+    )
+
+
+def _int(text: str, reason: str, shown: str) -> int:
+    """int(text); else an ArgumentTypeError of reason and shown, or of the digit limit where that is why."""
+    try:
+        return int(text)
+    except ValueError:
+        if re.fullmatch(_INT_LITERAL, text):
+            raise _over_limit("integers", shown) from None
+        raise argparse.ArgumentTypeError(reason + _echo(shown)) from None
+
+
+def _int_arg(text: str) -> int:
+    return _int(text, "invalid int value: ", text)
+
+
 def _counts_arg(text: str) -> tuple[int, int, int, int]:
     parts = text.split(",")
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"expected tp,fp,fn,tn, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected tp,fp,fn,tn, got {_echo(text)}")
+    tp, fp, fn, tn = (_int(part, "counts must be integers, got ", text) for part in parts)
     try:
-        tp, fp, fn, tn = (int(part.strip()) for part in parts)
+        str(tp + fp + fn + tn)  # the total n is part of every output
     except ValueError:
-        raise argparse.ArgumentTypeError(f"counts must be integers, got {text!r}") from None
+        raise _over_limit("the counts' total", text) from None
     return tp, fp, fn, tn
 
 
@@ -137,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw a seeded synthetic population and report its counts")
     p.add_argument("--prevalence", type=float, required=True, help="positive-class rate, in [0, 1]")
     _add_profile_args(p)
-    p.add_argument("--n", type=int, required=True, help="population size")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--n", type=_int_arg, required=True, help="population size")
+    p.add_argument("--seed", type=_int_arg, default=0, help="RNG seed (default 0)")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     _add_output_arg(p)
     p.set_defaults(func=_cmd_simulate)
@@ -148,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=1e-6, help="informativeness margin (default 1e-6)")
     p.add_argument("--tolerance", type=float, default=1e-9, help="violation tolerance (default 1e-9)")
     _add_output_arg(p)
-    p.set_defaults(func=_cmd_verify_bounds)
+    p.set_defaults(func=_cmd_verify_bounds, json=True)
 
     return parser
 
@@ -187,11 +237,6 @@ def _sink(path: str | None):
         raise
 
 
-def _write_json(out, payload: dict) -> None:
-    # NaN and infinities are not JSON; refuse them rather than print them.
-    out.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-
-
 def _fmt(value) -> str:
     if value is None:
         return "n/a"
@@ -202,22 +247,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_text(out, payload: dict) -> None:
+    """Write a payload's text form: key = value for a scalar, name: and indented lines for a section.
+
+    The counts and profile sections go on one line, as name: k=v ...,
+    and simulate's config section, which repeats its arguments, is left
+    out. The text is built whole before it is written, so a value that
+    cannot be formatted leaves no partial output.
+    """
+    lines = []
+    for key, value in payload.items():
+        if not isinstance(value, dict):
+            lines.append(f"{key} = {_fmt(value)}")
+        elif key in ("counts", "profile"):
+            lines.append(f"{key}: " + " ".join(f"{k}={_fmt(v)}" for k, v in value.items()))
+        elif key != "config":
+            lines.append(f"{key}:")
+            lines.extend(f"  {k} = {_fmt(v)}" for k, v in value.items())
+    out.write("\n".join(lines) + "\n")
+
+
 def _profile_from(args) -> DiagnosticProfile:
-    return DiagnosticProfile(Rate(args.sensitivity), Rate(args.specificity))
+    return DiagnosticProfile(args.sensitivity, args.specificity)
 
 
-def _cmd_thresholds(args) -> int:
-    payload = threshold_summary(_profile_from(args))
-    with _sink(args.output) as out:
-        if args.json:
-            _write_json(out, payload)
-        else:
-            for key, value in payload.items():
-                out.write(f"{key} = {_fmt(value)}\n")
-    return 0
+def _cmd_thresholds(args) -> dict:
+    return threshold_summary(_profile_from(args))
 
 
-def _cmd_curves(args) -> int:
+def _cmd_curves(args) -> None:
     profile = _profile_from(args)
     if args.output is None:
         emit_curves(profile, args.step, sys.stdout)
@@ -225,69 +283,31 @@ def _cmd_curves(args) -> int:
         # The curve CSV gets a companion <output>.json recording the thresholds.
         with _sink(args.output) as out, _sink(args.output + ".json") as side:
             emit_curves(profile, args.step, out, sidecar=side)
-    return 0
 
 
-def _ratio_summary(profile: DiagnosticProfile, betas: Sequence[float]) -> dict:
-    return {
-        "sensitivity": float(profile.sensitivity),
-        "specificity": float(profile.specificity),
-        **_ratio_values(profile, betas),
-    }
-
-
-def _cmd_ratios(args) -> int:
+def _cmd_ratios(args) -> dict | None:
     profile = _profile_from(args)
+    if args.json:
+        return {
+            "sensitivity": float(profile.sensitivity),
+            "specificity": float(profile.specificity),
+            **_ratio_values(profile, args.betas),
+        }
     with _sink(args.output) as out:
-        if args.json:
-            _write_json(out, _ratio_summary(profile, args.betas))
-        else:
-            emit_ratio_curves(profile, args.betas, args.step, out)
-    return 0
+        emit_ratio_curves(profile, args.betas, args.step, out)
 
 
-def _render_report(report) -> str:
-    c = report.counts
-    lines = [
-        f"counts: tp={c.tp} fp={c.fp} fn={c.fn} tn={c.tn} n={c.n}",
-        "profile: sensitivity={} specificity={} epsilon={}".format(
-            _fmt(float(report.profile.sensitivity)),
-            _fmt(float(report.profile.specificity)),
-            _fmt(report.profile.epsilon),
-        ),
-        f"prevalence = {_fmt(float(report.prevalence))}",
-    ]
-    for section in ("metrics", "thresholds", "ratios", "flags"):
-        lines.append(f"{section}:")
-        for key, value in getattr(report, section).items():
-            lines.append(f"  {key} = {_fmt(value)}")
-    return "\n".join(lines) + "\n"
+def _cmd_analyze(args) -> dict:
+    counts = ConfusionCounts(*args.counts) if args.predictions is None else ingest_predictions(args.predictions)
+    return analyze_counts(counts, betas=args.betas).to_dict()
 
 
-def _cmd_analyze(args) -> int:
-    if args.counts is not None:
-        tp, fp, fn, tn = args.counts
-        counts = ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
-    else:
-        counts = ingest_predictions(args.predictions)
-    report = analyze_counts(counts, betas=args.betas)
-    with _sink(args.output) as out:
-        if args.json:
-            _write_json(out, report.to_dict())
-        else:
-            out.write(_render_report(report))
-    return 0
-
-
-def _cmd_simulate(args) -> int:
-    config = SimulationConfig(
-        prevalence=Rate(args.prevalence),
-        profile=_profile_from(args),
-        n=args.n,
-        seed=args.seed,
-    )
+def _cmd_simulate(args) -> dict:
+    # SimulationConfig checks the prevalence too, but only after the profile
+    # is built: Rate here reports a bad --prevalence before a bad profile.
+    config = SimulationConfig(prevalence=Rate(args.prevalence), profile=_profile_from(args), n=args.n, seed=args.seed)
     counts = simulate_population(config)
-    payload = {
+    return {
         "config": {
             "prevalence": float(config.prevalence),
             "sensitivity": float(config.profile.sensitivity),
@@ -308,30 +328,26 @@ def _cmd_simulate(args) -> int:
             "npv": value_or_none(npv_at, config.profile, config.prevalence),
         },
     }
-    with _sink(args.output) as out:
-        if args.json:
-            _write_json(out, payload)
-        else:
-            out.write(f"counts: tp={counts.tp} fp={counts.fp} fn={counts.fn} tn={counts.tn} n={counts.n}\n")
-            for section in ("empirical", "analytic"):
-                out.write(f"{section}:\n")
-                for key, value in payload[section].items():
-                    out.write(f"  {key} = {_fmt(value)}\n")
-    return 0
 
 
-def _cmd_verify_bounds(args) -> int:
-    report = verify_bounds(grid_step=args.grid_step, delta=args.delta, tolerance=args.tolerance)
-    with _sink(args.output) as out:
-        _write_json(out, report.to_dict())
-    return 2 if report.has_violations else 0
+def _cmd_verify_bounds(args) -> dict:
+    return verify_bounds(grid_step=args.grid_step, delta=args.delta, tolerance=args.tolerance).to_dict()
 
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        payload = args.func(args)
+        if payload is None:  # the command wrote its CSV itself
+            return 0
+        with _sink(args.output) as out:
+            if args.json:
+                # NaN and infinities are not JSON; refuse them rather than print them.
+                out.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+            else:
+                _write_text(out, payload)
+        return 2 if payload.get("violation_count") else 0
     except SystemExit as exc:
         # argparse --help and --version exit on their own; normalize the code.
         code = exc.code

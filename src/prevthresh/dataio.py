@@ -18,9 +18,11 @@ mapped over the grid.
 A ratio cell is the repr of a plain float. These divergence curves
 share no code with the closed-form ratios of bounds, whose kernels
 (_f_beta_form, _fm_form) serve only those ratios and the bound sweep.
-_arrays also formats the grid rows; the emitters import it on first
-call, so ingest and the prediction writer load no numpy. The prediction
-writer writes identical rows in blocks. Ingest's block pass lives in
+_arrays also formats the grid rows, evaluating and writing a block of
+rows at a time, so an emitter's memory does not grow with the number
+of rows; the emitters import it on first call, so ingest and the
+prediction writer load no numpy. The prediction writer writes
+identical rows in blocks. Ingest's block pass lives in
 _ingest, which ingest_predictions imports on its first call, so the
 CLI compiles it only when it reads a prediction file.
 """
@@ -51,7 +53,7 @@ Source = "str | os.PathLike | io.IOBase"
 # Finest prevalence grid step of the curve emitters: a million rows.
 MIN_PHI_STEP = 1e-6
 
-# Most rows the writers format into one string before writing it.
+# Most rows write_predictions formats into one string before writing it.
 _BLOCK_ROWS = 65_536
 
 
@@ -197,7 +199,7 @@ def emit_curves(
 
     from . import _arrays
 
-    columns = _arrays.curve_columns(profile, grid)
+    columns = _arrays.curve_columns(profile)
     _arrays.write_grid(sink, ["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"], grid, columns)
 
     if sidecar is not None:
@@ -240,7 +242,7 @@ def emit_ratio_curves(
     from . import _arrays
 
     beta_squares = [1.0] + [beta * beta for beta in betas]
-    columns = _arrays.ratio_curve_columns(a, float(profile.specificity), beta_squares, grid)
+    columns = _arrays.ratio_curve_columns(a, float(profile.specificity), beta_squares)
     header = ["phi", "f1_chi"] + [f"fbeta_{beta:g}_chi" for beta in betas] + ["fm_chi"]
     _arrays.write_grid(sink, header, grid, columns)
     return len(grid)

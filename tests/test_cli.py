@@ -335,6 +335,38 @@ class TestAnalyze:
         assert "  phi_e = 0.4142135623730951\n" in out
         assert out.count("n/a") == 2  # chi_square and npv_at_phi_n, which is undefined at sensitivity 1
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            "1" * 5000 + ",1,1,1",
+            "1,1,1," + "1" * 5000,
+            # Each count fits, their total has one digit too many for any output to print it.
+            ",".join(["9" * 4300] * 4),
+        ],
+        ids=["count-over-limit", "last-count-over-limit", "total-over-limit"],
+    )
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_integers_over_the_digit_limit_are_usage_errors(self, capsys, counts, json_flag):
+        code, out, err = run(capsys, "analyze", "--counts", counts, *json_flag)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:usage: argument --counts: ") and err.count("\n") == 1
+        assert f"at most {sys.get_int_max_str_digits()} digits" in err
+        assert len(err) < 300
+
+    def test_limit_is_the_interpreters(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert run(capsys, "analyze", "--counts", "1,1,1," + "1" * 641)[2].count("at most 640 digits") == 1
+            assert run(capsys, "analyze", "--counts", "1,1,1," + "1" * 640)[0] == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_long_malformed_counts_are_echoed_in_part(self, capsys):
+        code, out, err = run(capsys, "analyze", "--counts", "1" * 5000 + "x,1,1,1")
+        assert (code, out) == (1, "")
+        assert err == f"error:usage: argument --counts: counts must be integers, got {'1' * 64!r}... (5007 characters)\n"
+
     def test_total_beyond_float_range_json(self, capsys):
         code, out, err = run(capsys, "analyze", "--counts", f"{10**309},1,1,1", "--json")
         assert (code, err) == (0, "")
@@ -390,6 +422,24 @@ class TestSimulate:
         )
         assert code == 1
         assert err.startswith("error:validation:")
+
+    def test_bad_prevalence_is_reported_before_a_bad_profile(self, capsys):
+        code, out, err = run(
+            capsys,
+            "simulate", "--prevalence", "3", "--sensitivity", "2", "--specificity", "0.9", "--n", "10",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error:validation: rate must be a finite number in [0, 1], got 3.0\n"
+
+    @pytest.mark.parametrize("flag", ["--n", "--seed"])
+    def test_integer_over_the_digit_limit_is_a_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, *self.ARGS[:7], "--n", "10", flag, "2" * 5000)
+        assert (code, out) == (1, "")
+        limit = sys.get_int_max_str_digits()
+        assert err == (
+            f"error:usage: argument {flag}: integers may have at most {limit} digits"
+            f" (sys.get_int_max_str_digits()), got {'2' * 64!r}... (5000 characters)\n"
+        )
 
     def test_n_beyond_int64(self, capsys):
         code, out, err = run(
@@ -769,6 +819,19 @@ class TestOutputFile:
         assert code == 1
         assert err.startswith("error:io:") and str(target) in err and ".tmp" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            RATIOS_ARGV + ("--json", "--betas", "0"),
+            ("thresholds", "--sensitivity", "2", "--specificity", "0.95"),
+            ("simulate", "--prevalence", "3", "--sensitivity", "0.9", "--specificity", "0.95", "--n", "10"),
+        ],
+    )
+    def test_payload_is_validated_before_the_output_is_opened(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--output", str(tmp_path / "missing" / "out"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:validation:")
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_is_written_in_place(self, capsys, tmp_path):
         argv = ("thresholds", "--sensitivity", "0.9", "--specificity", "0.95", "--json")
@@ -901,3 +964,91 @@ def test_edge_case_output_bytes(capsys, argv, payload):
     assert code == 0
     assert err == ""
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+# Exact stdout of the text form, which is the JSON payload as key = value
+# lines: counts and profile on one line, every other section indented
+# under its name, simulate's config left out.
+TEXT_CASES = [
+    (
+        ["thresholds", "--sensitivity", "0.9", "--specificity", "0.95"],
+        "sensitivity = 0.9\nspecificity = 0.95\nphi_e = 0.19074356983054624\nppv_at_phi_e = 0.8092564301694537\n"
+        "phi_n = 0.7550344704135896\nnpv_at_phi_n = 0.7550344704135896\ninformative = yes\ndegenerate = no\n",
+    ),
+    (
+        ["thresholds", "--sensitivity", "0", "--specificity", "1"],
+        "sensitivity = 0.0\nspecificity = 1.0\nphi_e = n/a\nppv_at_phi_e = n/a\n"
+        "phi_n = 0.5\nnpv_at_phi_n = 0.5\ninformative = no\ndegenerate = yes\n",
+    ),
+    (
+        ["analyze", "--counts", "0,0,5,5"],
+        "counts: tp=0 fp=0 fn=5 tn=5 n=10\n"
+        "profile: sensitivity=0.0 specificity=1.0 epsilon=1.0\n"
+        "prevalence = 0.5\n"
+        "metrics:\n"
+        "  accuracy = 0.5\n  ppv = n/a\n  npv = 0.5\n  f1 = n/a\n  f_beta_0.5 = n/a\n  f_beta_1 = n/a\n"
+        "  f_beta_2 = n/a\n  fm = n/a\n  mcc = n/a\n  chi_square = n/a\n"
+        "thresholds:\n"
+        "  phi_e = n/a\n  ppv_at_phi_e = n/a\n  phi_n = 0.5\n  npv_at_phi_n = 0.5\n"
+        "ratios:\n"
+        "  f1_ratio = n/a\n  f_beta_0.5_ratio = n/a\n  f_beta_1_ratio = n/a\n  f_beta_2_ratio = n/a\n"
+        "  fm_ratio = n/a\n  mcc_ratio = n/a\n"
+        "flags:\n"
+        "  informative = no\n  degenerate = yes\n  below_positive_threshold = n/a\n",
+    ),
+    (
+        ["analyze", "--counts", "5,0,0,5"],
+        "counts: tp=5 fp=0 fn=0 tn=5 n=10\n"
+        "profile: sensitivity=1.0 specificity=1.0 epsilon=2.0\n"
+        "prevalence = 0.5\n"
+        "metrics:\n"
+        "  accuracy = 1.0\n  ppv = 1.0\n  npv = 1.0\n  f1 = 1.0\n  f_beta_0.5 = 1.0\n  f_beta_1 = 1.0\n"
+        "  f_beta_2 = 1.0\n  fm = 1.0\n  mcc = 1.0\n  chi_square = 10.0\n"
+        "thresholds:\n"
+        "  phi_e = 0.0\n  ppv_at_phi_e = n/a\n  phi_n = 1.0\n  npv_at_phi_n = n/a\n"
+        "ratios:\n"
+        "  f1_ratio = 1.0\n  f_beta_0.5_ratio = 1.0\n  f_beta_1_ratio = 1.0\n  f_beta_2_ratio = 1.0\n"
+        "  fm_ratio = 1.0\n  mcc_ratio = 1.0\n"
+        "flags:\n"
+        "  informative = yes\n  degenerate = no\n  below_positive_threshold = no\n",
+    ),
+    (
+        ["analyze", "--counts", f"{10**309},1,1,1"],
+        f"counts: tp={10**309} fp=1 fn=1 tn=1 n={10**309 + 3}\n"
+        "profile: sensitivity=1.0 specificity=0.5 epsilon=1.5\n"
+        "prevalence = 1.0\n"
+        "metrics:\n"
+        "  accuracy = 1.0\n  ppv = 1.0\n  npv = 0.5\n  f1 = 1.0\n  f_beta_0.5 = 1.0\n  f_beta_1 = 1.0\n"
+        "  f_beta_2 = 1.0\n  fm = 1.0\n  mcc = 0.5\n  chi_square = n/a\n"
+        "thresholds:\n"
+        "  phi_e = 0.4142135623730951\n  ppv_at_phi_e = 0.585786437626905\n  phi_n = 1.0\n  npv_at_phi_n = n/a\n"
+        "ratios:\n"
+        "  f1_ratio = 1.3535533905932737\n  f_beta_0.5_ratio = 1.565685424949238\n"
+        "  f_beta_1_ratio = 1.3535533905932737\n  f_beta_2_ratio = 1.1414213562373094\n"
+        "  fm_ratio = 1.3065629648763766\n  mcc_ratio = 1.3065629648763766\n"
+        "flags:\n"
+        "  informative = yes\n  degenerate = no\n  below_positive_threshold = no\n",
+    ),
+    (
+        list(TestSimulate.ARGS),
+        "counts: tp=848 fp=185 fn=84 tn=3883 n=5000\n"
+        "empirical:\n"
+        "  prevalence = 0.1864\n  sensitivity = 0.9098712446351931\n  specificity = 0.9545231071779744\n"
+        "  ppv = 0.8209099709583737\n  npv = 0.97882530879758\n"
+        "analytic:\n"
+        "  ppv = 0.8085106382978722\n  npv = 0.9759036144578314\n",
+    ),
+    (
+        ["simulate", "--prevalence", "0", "--sensitivity", "0.9", "--specificity", "0.95", "--n", "10"],
+        "counts: tp=0 fp=1 fn=0 tn=9 n=10\n"
+        "empirical:\n"
+        "  prevalence = 0.0\n  sensitivity = n/a\n  specificity = 0.9\n  ppv = 0.0\n  npv = 1.0\n"
+        "analytic:\n"
+        "  ppv = 0.0\n  npv = 1.0\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text", TEXT_CASES, ids=[" ".join(argv)[:60] for argv, _ in TEXT_CASES])
+def test_text_output_bytes(capsys, argv, text):
+    assert run(capsys, *argv) == (0, text, "")

@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import re
+import tracemalloc
 import types
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import emit_oracle
 import prevthresh.dataio as dataio
-from prevthresh import _ingest
+from prevthresh import _arrays, _ingest
 from emit_oracle import (
     emit_curves_scalar,
     emit_ratio_curves_scalar,
@@ -330,6 +331,8 @@ BLOCK_TABLES = [
     pytest.param(HEADER + ROWS + '1,1\n"1",0\n' + ROWS[:BLOCK] + "5,5\n", id="quoted-token-then-bad"),
     pytest.param(HEADER + ROWS + "\ufeff0,0\n", id="bom-in-data-row"),
     pytest.param(HEADER + "\n\n" + ROWS.replace("0,0\n", "0,0\n\n") + "\n\n0,x\n", id="blank-lines"),
+    pytest.param(HEADER + ROWS.replace("\n", "\n\n") * 2 + "1,1\n\n1,x\n", id="blank-line-after-each-row"),
+    pytest.param(HEADER + ROWS.replace("\n", "\n\n") + ROWS.replace("\n", "\n\r\n") + "0,x\n", id="blank-crlf-lines"),
     pytest.param(HEADER + ROWS.replace("1,0\n", " 1 ,\t0\n") + " 1, 1\n", id="padded-tokens"),
     pytest.param(
         "id,label,prediction,score\n" + "x,1,1,0.9\ny,0,0,0.1\nw,1,0,0.5,extra\n" * 800 + "z,0,1\nv,1\n",
@@ -381,15 +384,7 @@ class TestIngestBlockParity:
         assert _outcome(_source("\ufeff" + text, kind, tmp_path)) == expected
 
     def test_each_distinct_line_is_parsed_once_per_block(self, monkeypatch):
-        parsed = []
-        real_reader = csv.reader
-
-        def reader(lines):
-            lines = list(lines)
-            parsed.extend(lines)
-            return real_reader(lines)
-
-        monkeypatch.setattr(_ingest.csv, "reader", reader)
+        parsed = _record_parsed_lines(monkeypatch)
         assert ingest_predictions(io.StringIO(HEADER + ROWS)) == ConfusionCounts(1500, 1500, 1500, 1500)
         assert len(parsed) <= 1 + 4 * (len(ROWS) // BLOCK + 2)
 
@@ -434,6 +429,20 @@ def _long_row_tables() -> list:
     ]
 
 
+def _record_parsed_lines(monkeypatch) -> list:
+    """Patch csv.reader, as _ingest calls it, to record every line it is given to parse."""
+    parsed = []
+    real_reader = csv.reader
+
+    def reader(lines):
+        lines = list(lines)
+        parsed.extend(lines)
+        return real_reader(lines)
+
+    monkeypatch.setattr(_ingest.csv, "reader", reader)
+    return parsed
+
+
 def _record_tally_csv(monkeypatch) -> list:
     """Patch _ingest._tally_csv to record the offset of each call, then run as before."""
     offsets = []
@@ -448,9 +457,10 @@ def _record_tally_csv(monkeypatch) -> list:
 
 
 # Lines of the count-path tables: "1,1" is a suffix of "0,1,1" and of the
-# padded " 1,1", a blank line keeps no line for the count path, and a
-# carriage return before the line feed makes a CRLF row.
-COUNT_PATH_LINES = ["1,1", "0,1,1", " 1,1", "0,0", "1, 0 ", "", "0,0\r", "1,1\r"]
+# padded " 1,1", a blank line, or a blank CRLF line ("\r"), keeps no line
+# for the count path, and a carriage return before the line feed makes a
+# CRLF row.
+COUNT_PATH_LINES = ["1,1", "0,1,1", " 1,1", "0,0", "1, 0 ", "", "\r", "0,0\r", "1,1\r"]
 # Rows that end a table with an error, or send the rest of it row by row.
 LATE_ROWS = ["\ufeff0,0", "1,7", "1", "0,1,", '"1",0']
 
@@ -483,15 +493,7 @@ class TestIngestCountPath:
         assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
 
     def test_csv_parses_only_the_first_blocks_distinct_lines(self, monkeypatch):
-        parsed = []
-        real_reader = csv.reader
-
-        def reader(lines):
-            lines = list(lines)
-            parsed.extend(lines)
-            return real_reader(lines)
-
-        monkeypatch.setattr(_ingest.csv, "reader", reader)
+        parsed = _record_parsed_lines(monkeypatch)
         text = HEADER + ROWS * 8
         assert len(text) > 11 * BLOCK
         assert ingest_predictions(io.StringIO(text)) == ConfusionCounts(12000, 12000, 12000, 12000)
@@ -746,6 +748,36 @@ class TestEmitOracleParity:
         assert _emit_outcome(emit_ratio_curves, profile, (3.7,), 1e-5) == _emit_outcome(
             emit_ratio_curves_scalar, profile, (3.7,), 1e-5
         )
+
+    def test_block_boundaries_keep_the_bytes(self, monkeypatch):
+        # Blocks of 7 and 3 rows (for 5 and 17 columns) cut the grids at rows no other test reaches.
+        monkeypatch.setattr(_arrays, "_BLOCK_CELLS", 37)
+        profile = DiagnosticProfile(0.83, 0.71)
+        assert _emit_outcome(emit_curves, profile, 0.01) == _emit_outcome(emit_curves_scalar, profile, 0.01)
+        betas = [0.5 * (i + 1) for i in range(14)]
+        assert _emit_outcome(emit_ratio_curves, profile, betas, 0.01) == _emit_outcome(
+            emit_ratio_curves_scalar, profile, betas, 0.01
+        )
+
+    def test_memory_does_not_grow_with_the_rows(self):
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        profile = DiagnosticProfile(0.9, 0.95)
+        betas = [0.25 * (i + 1) for i in range(30)]  # 33 columns with phi, f1 and fm
+        emit_ratio_curves(profile, betas, 0.5, Discard())  # numpy's first-use allocations
+        peaks = []
+        for step in (1 / 2000, 1 / 20000):
+            tracemalloc.start()
+            try:
+                emit_ratio_curves(profile, betas, step, Discard())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Only the grid list grows, by 18,000 floats (under 1 MB); computing
+        # every column first would add about 18,000 rows x 33 cells x 100 bytes.
+        assert peaks[1] - peaks[0] < 4_000_000
 
     @pytest.mark.parametrize("betas, step", [((0.5, 0.0), 0.5), ((0.5,), 0.6), ((float("nan"),), 0.5)])
     def test_errors_match_before_any_output(self, betas, step):

@@ -146,7 +146,8 @@ def test_bench_paired_against_the_same_tree():
     rows = [line.rsplit(None, 6) for line in lines[3:]]
     assert [row[0] for row in rows] == [
         "ThresholdResult(...)", "positive_threshold", "curvature_argmax", "mcc_ratio", "f_beta_at",
-        "analyze_counts", "verify_bounds(0.01)", "emit_ratio_curves", "ingest four-lines", "ingest distinct-100pct",
+        "analyze_counts", "verify_bounds(0.01)", "emit_ratio_curves", "ingest four-lines",
+        "ingest distinct-100pct", "cli thresholds --json", "cli analyze 9,1,1,9",
     ]
     for _, min_ratio, median_ratio, this_us, base_us, batch, same in rows:
         assert 0 < float(min_ratio) <= float(median_ratio)
