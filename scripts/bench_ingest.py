@@ -1,12 +1,12 @@
-#!/usr/bin/env python3
-"""Time prevthresh.ingest_predictions on prediction tables of several shapes.
+"""Prediction tables of several shapes, for timing prevthresh.ingest_predictions.
 
-Writes each table to a file in a temporary directory, ingests it from
-its path --calls times, checks every call's confusion counts against
-the ones the table was built with, and prints the fastest call per
-table. The tables have --rows data rows each and differ in what decides
-ingest's path (prevthresh._ingest): how many distinct lines they hold,
-line endings, quotes, and one line longer than ingest's read block.
+TABLES maps each table's name to a function of a row count that returns
+the table's CSV text and the confusion counts it was built with.
+scripts/bench_paired.py writes each table to a file and times ingest
+on it, checking every call's counts against those. The tables differ
+in what decides ingest's path (prevthresh._ingest): how many distinct
+lines they hold, line endings, quotes, and one line longer than
+ingest's read block.
 
 - four-lines, four-lines-crlf: the four label/prediction lines, LF or CRLF.
 - distinct-20pct, distinct-50pct, distinct-100pct: a score column that
@@ -18,23 +18,11 @@ line endings, quotes, and one line longer than ingest's read block.
   5,000th row.
 - long-row: two short rows and one 100,000-character row, then the four
   lines.
-
-Timings are minima over calls in one process; run it pinned to one core
-(taskset -c 0) and interleave runs to compare two states of the code.
-It times whichever prevthresh the interpreter imports, so::
-
-    PYTHONPATH=src python3 scripts/bench_ingest.py --rows 50000 --calls 40
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-import tempfile
-import time
-from pathlib import Path
-
-from prevthresh import ConfusionCounts, ingest_predictions
+from prevthresh import ConfusionCounts
 
 # (label, prediction) of each confusion cell, in ConfusionCounts' field order.
 PAIRS = (("1", "1"), ("0", "1"), ("1", "0"), ("0", "0"))
@@ -95,39 +83,3 @@ TABLES = {
     "padded-every-5000": _padded,
     "long-row": _long_row,
 }
-
-
-def _positive(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rows", type=_positive, default=50_000, help="data rows per table (default 50000)")
-    parser.add_argument("--calls", type=_positive, default=40, help="timed calls per table (default 40)")
-    args = parser.parse_args(argv)
-
-    print(f"{'table':<18} {'rows':>8} {'min_ms':>9}")
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, build in TABLES.items():
-            text, expected = build(args.rows)
-            path = Path(tmp) / f"{name}.csv"
-            path.write_bytes(text.encode("utf-8"))
-            best = float("inf")
-            for _ in range(args.calls):
-                start = time.perf_counter()
-                counts = ingest_predictions(path)
-                best = min(best, time.perf_counter() - start)
-                if counts != expected:
-                    print(f"error: {name}: ingest gave {counts}, expected {expected}", file=sys.stderr)
-                    return 1
-            print(f"{name:<18} {expected.n:>8} {best * 1e3:>9.3f}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -7,19 +7,22 @@ such as another checkout's src/) as ``prevthresh_base``. For each call
 it times a batch on one side, then a batch of the same size on the
 other, alternating which side goes first, for --rounds rounds; each
 round gives one paired ratio, this tree's batch time over the base's.
-It prints, per call, the smallest and the median of those ratios (below
-1 means this tree is faster), the median time of one call on each side
-in microseconds, and whether both sides returned the same result (by
-repr, or the CSV text for emit_ratio_curves).
+It prints, per call, the first quartile, the median and the third
+quartile of those ratios (below 1 means this tree is faster), the
+median time of one call on each side in microseconds, and whether both
+sides returned the same result (by repr, or the CSV text for
+emit_ratio_curves).
 
-The calls: ThresholdResult(...), positive_threshold, curvature_argmax,
-mcc_ratio, f_beta_at, analyze_counts, verify_bounds(0.01),
-emit_ratio_curves, ingest_predictions on bench_ingest.py's four-lines
-and distinct-100pct tables of --rows rows, and run_cli of
-``thresholds --json`` and of ``analyze --counts 9,1,1,9`` (text) in
-process, with stdout sent to a StringIO. Pairing calls in one process
-cancels most of the drift between separate runs; pin it to one core
-(taskset -c 0) all the same::
+The calls: ThresholdResult(...), ppv_at, npv_at, positive_threshold,
+curvature_argmax, mcc_at_threshold, mcc_ratio, f_beta_at,
+analyze_counts, verify_bounds(0.01), emit_ratio_curves,
+ingest_predictions on each of bench_ingest.py's nine tables of --rows
+rows, and run_cli of ``thresholds --json`` and of
+``analyze --counts 9,1,1,9`` (text) in process, with stdout sent to a
+StringIO. Every ingest call's counts are checked against the ones its
+table was built with; a mismatch ends the run with exit code 1.
+Pairing calls in one process cancels most of the drift between
+separate runs; pin it to one core (taskset -c 0) all the same::
 
     python3 scripts/bench_paired.py ../parent/src
 """
@@ -41,9 +44,8 @@ SCRIPTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(SCRIPTS.parent / "src"), str(SCRIPTS)]
 
 import prevthresh  # noqa: E402  (this tree's, from the path set above)
-from bench_ingest import TABLES, _positive  # noqa: E402
+from bench_ingest import TABLES  # noqa: E402
 
-INGEST_TABLES = ("four-lines", "distinct-100pct")
 CLI_CALLS = {
     "cli thresholds --json": ["thresholds", "--sensitivity", "0.9", "--specificity", "0.95", "--json"],
     "cli analyze 9,1,1,9": ["analyze", "--counts", "9,1,1,9"],
@@ -62,8 +64,12 @@ def load_package(name: str, src_dir: Path):
     return module
 
 
-def calls(pkg, tables: dict[str, Path]) -> dict:
-    """Each timed call of pkg as a function of no arguments, by name."""
+def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]]) -> dict:
+    """Each timed call of pkg as a function of no arguments, by name.
+
+    tables maps a table's name to its file and its expected counts as
+    (tp, fp, fn, tn).
+    """
     profile = pkg.DiagnosticProfile(0.9, 0.95)
     counts = pkg.ConfusionCounts(90, 5, 10, 95)
 
@@ -74,16 +80,26 @@ def calls(pkg, tables: dict[str, Path]) -> dict:
 
     named = {
         "ThresholdResult(...)": lambda: pkg.ThresholdResult(0.19, 0.78),
+        "ppv_at": lambda: pkg.ppv_at(profile, 0.19),
+        "npv_at": lambda: pkg.npv_at(profile, 0.19),
         "positive_threshold": lambda: pkg.positive_threshold(profile),
         "curvature_argmax": lambda: pkg.curvature_argmax(profile),
+        "mcc_at_threshold": lambda: pkg.mcc_at_threshold(profile, "negative"),
         "mcc_ratio": lambda: pkg.mcc_ratio(profile),
         "f_beta_at": lambda: pkg.f_beta_at(profile, 0.19, 2.0),
         "analyze_counts": lambda: pkg.analyze_counts(counts),
         "verify_bounds(0.01)": lambda: pkg.verify_bounds(0.01),
         "emit_ratio_curves": ratio_curves,
     }
-    for table, path in tables.items():
-        named[f"ingest {table}"] = lambda path=path: pkg.ingest_predictions(path)
+    for table, (path, expected) in tables.items():
+
+        def ingest(table=table, path=path, expected=expected):
+            counts = pkg.ingest_predictions(path)
+            if (counts.tp, counts.fp, counts.fn, counts.tn) != expected:
+                raise SystemExit(f"error: {pkg.__name__} ingest {table}: got {counts}, expected {expected}")
+            return counts
+
+        named[f"ingest {table}"] = ingest
     cli = importlib.import_module(f"{pkg.__name__}.cli")
     for name, argv in CLI_CALLS.items():
 
@@ -136,6 +152,14 @@ def _shown(result) -> str:
     return result if isinstance(result, str) else repr(result)
 
 
+def _positive(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src_dir", metavar="SRC_DIR", type=Path, help="directory holding the base prevthresh package")
@@ -149,20 +173,23 @@ def main(argv: list[str] | None = None) -> int:
     base_pkg = load_package("prevthresh_base", args.src_dir.resolve())
     print(f"this: {Path(prevthresh.__file__).parent}")
     print(f"base: {Path(base_pkg.__file__).parent}")
-    print(f"{'call':<24} {'min_ratio':>9} {'med_ratio':>9} {'this_us':>11} {'base_us':>11} {'batch':>6} same")
+    print(f"{'call':<24} {'q1_ratio':>9} {'med_ratio':>9} {'q3_ratio':>9} {'this_us':>11} {'base_us':>11} {'batch':>6} same")
     with tempfile.TemporaryDirectory() as tmp:
         tables = {}
-        for table in INGEST_TABLES:
-            tables[table] = Path(tmp) / f"{table}.csv"
-            tables[table].write_bytes(TABLES[table](args.rows)[0].encode("utf-8"))
+        for table, build in TABLES.items():
+            text, expected = build(args.rows)
+            path = Path(tmp) / f"{table}.csv"
+            path.write_bytes(text.encode("utf-8"))
+            tables[table] = path, (expected.tp, expected.fp, expected.fn, expected.tn)
         this_calls = calls(prevthresh, tables)
         base_calls = calls(base_pkg, tables)
         for name, this in this_calls.items():
             base = base_calls[name]
             same = "yes" if _shown(this()) == _shown(base()) else "NO"
             ratios, number, this_times, base_times = paired(this, base, args.rounds, args.batch_ms / 1e3)
+            q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
             print(
-                f"{name:<24} {min(ratios):>9.3f} {statistics.median(ratios):>9.3f}"
+                f"{name:<24} {q1:>9.3f} {median:>9.3f} {q3:>9.3f}"
                 f" {statistics.median(this_times) * 1e6:>11.2f} {statistics.median(base_times) * 1e6:>11.2f}"
                 f" {number:>6} {same}"
             )

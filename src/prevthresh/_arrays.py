@@ -7,19 +7,20 @@ first called, so the scalar paths (the thresholds, the ratio summary,
 analyze_counts and the CLI subcommands built on them) start without
 loading numpy.
 
-The ratio, MCC, F-beta and curvature formulas are not repeated here:
-the sweep calls the float-or-array kernels the scalar functions use
-(bounds._f_beta_form, bounds._fm_form, metrics._mcc_form, and
-thresholds._radical_split for the thresholds) with np.sqrt,
-ratio_curve_columns calls f_beta_score's harmonic form,
+The predictive-value, ratio, MCC, F-beta and curvature formulas are
+not repeated here: predictive_arrays calls Bayes' rule and its flat-curve
+extension as ppv_at, npv_at and mcc_at_threshold do (metrics._bayes,
+metrics._flat_value), the sweep calls the float-or-array kernels the
+scalar functions use (bounds._f_beta_form, bounds._fm_form,
+metrics._mcc_form, and thresholds._radical_split for the thresholds)
+with np.sqrt, ratio_curve_columns calls f_beta_score's harmonic form,
 metrics._f_beta_harmonic, on the PPV array, and the emitters' kappa
-columns map the scalar thresholds._kappa_kernel over the grid. The rest
-repeat the floating-point operations of the scalar functions they stand
-for, in their order: predictive_arrays those of ppv_at and npv_at,
-ratio_curve_columns' FM column that of fm_at, as
-accuracy_divergence_curve composes them. Either way every value is
-bit-equal to the scalar one; the scalar functions are the oracle the
-test suite checks these arrays and the bytes written from them against.
+columns map the scalar thresholds._kappa_kernel over the grid. Only
+ratio_curve_columns' FM column repeats fm_at's floating-point
+operations, in their order, as accuracy_divergence_curve composes them.
+Either way every value is bit-equal to the scalar one; the scalar
+functions are the oracle the test suite checks these arrays and the
+bytes written from them against.
 
 The curvature scan is the exception: _kappa_grid, the package's only
 array form of the curvature, is a cleared form of its own, and
@@ -45,35 +46,29 @@ import numpy as np
 
 from .bounds import RATIO_BOUNDS, SWEEP_BETAS, BoundRecord, BoundViolation, _f_beta_form, _fm_form
 from .errors import DegenerateDenominator
-from .metrics import DiagnosticProfile, _f_beta_harmonic, _mcc_form
-from .thresholds import Curve, _curve_coefficients, _kappa_kernel, _radical_split
+from .metrics import DiagnosticProfile, _bayes, _curve_coefficients, _f_beta_harmonic, _flat_value, _mcc_form
+from .thresholds import COARSE_STEP, Curve, _kappa_kernel, _radical_split
 
 
 # --- predictive values and the curvature scan (thresholds) -----------------------
 
 
 def predictive_arrays(a, b, curve: Curve, phi: np.ndarray, extend: bool = False) -> np.ndarray:
-    """The curve's predictive value at every phi by Bayes' rule; NaN where its denominator is 0.
+    """The curve's predictive value at every phi by Bayes' rule (metrics._bayes); NaN where its u is 0.
 
-    PPV is p*phi / u and NPV is q*(1-phi) / u (see _curve_coefficients),
-    ppv_at's and npv_at's operations, so every defined value is
-    bit-equal to theirs (IEEE addition commutes). With extend (a and b
-    arrays), a zero-denominator cell is a flat curve and takes its
-    constant value, hits / (hits + misses) of the rates: 1 where the
-    curve has no misses, 0 where it has no hits, NaN where it has
-    neither; this is mcc_at_threshold's continuity extension.
+    ppv_at's and npv_at's kernel, so every defined value is bit-equal to
+    theirs. With extend (a and b arrays), a zero-u cell is a flat curve
+    and takes its constant value, metrics._flat_value: 1 where the curve
+    has no misses, 0 where it has no hits, NaN where it has neither;
+    this is mcc_at_threshold's continuity extension.
     """
-    p, q, _ = _curve_coefficients(a, b, curve)
-    hit = 0 if curve == Curve.PPV else 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = (p * phi, q * (1.0 - phi))
-        den = terms[0] + terms[1]
-        values = terms[hit] / den
-        del terms
+        num, den = _bayes(a, b, curve, phi)
+        values = num / den
+        del num
         if extend:
             gap = np.flatnonzero(den == 0.0)
-            rates = (p[gap], q[gap])
-            values[gap] = rates[hit] / (rates[0] + rates[1])
+            values[gap] = _flat_value(a[gap], b[gap], curve)
     return values
 
 
@@ -106,15 +101,15 @@ _NORMAL_FLOOR = 1e-300
 
 
 @functools.cache
-def _coarse_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The scan grid {0, step, ..., 1} and its every _HINT_STRIDE-th point, both read-only."""
-    xs = np.linspace(0.0, 1.0, round(1.0 / step) + 1)
+def _coarse_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The scan grid {0, COARSE_STEP, ..., 1} and its every _HINT_STRIDE-th point, both read-only."""
+    xs = np.linspace(0.0, 1.0, round(1.0 / COARSE_STEP) + 1)
     hint_xs = xs[::_HINT_STRIDE].copy()
     xs.flags.writeable = hint_xs.flags.writeable = False
     return xs, hint_xs
 
 
-def _window_argmax(p: float, q: float, step: float) -> int | None:
+def _window_argmax(p: float, q: float) -> int | None:
     """The full scan's argmax, read off a window of the grid; None where the window is not certified.
 
     kappa is unimodal in phi: with u = p*phi + q*(1-phi) and k = p*q,
@@ -133,7 +128,7 @@ def _window_argmax(p: float, q: float, step: float) -> int | None:
     u_min = min(p, q)
     if not (2.0 * k * abs(p - q) * u_min**3 >= _NORMAL_FLOOR and (u_min**4 + k * k) ** 1.5 >= _NORMAL_FLOOR):
         return None
-    xs, hint_xs = _coarse_grid(step)
+    xs, hint_xs = _coarse_grid()
     hint = int(_kappa_grid(p, q, hint_xs).argmax()) * _HINT_STRIDE
     start = max(hint - _HINT_STRIDE - _WINDOW_SLACK, 0)
     stop = min(hint + _HINT_STRIDE + _WINDOW_SLACK + 1, xs.size)
@@ -150,10 +145,10 @@ def _window_argmax(p: float, q: float, step: float) -> int | None:
     return start + i
 
 
-def curvature_bracket(p: float, q: float, step: float) -> tuple[float, float]:
+def curvature_bracket(p: float, q: float) -> tuple[float, float]:
     """The coarse scan of curvature_argmax: the grid neighbours of the largest curvature.
 
-    Scans {0, step, ..., 1} with _kappa_grid; ties go to the smaller
+    Scans {0, COARSE_STEP, ..., 1} with _kappa_grid; ties go to the smaller
     prevalence, a NaN value counts as largest (numpy's argmax), and the
     bracket is clipped to [0, 1]. The scan reads the argmax off a
     certified window around a strided hint (_window_argmax) and falls
@@ -162,9 +157,9 @@ def curvature_bracket(p: float, q: float, step: float) -> tuple[float, float]:
     floating-point warnings are silenced: a NaN or underflow here is
     part of the scan's result, not an error.
     """
-    xs, _ = _coarse_grid(step)
+    xs, _ = _coarse_grid()
     with np.errstate(all="ignore"):
-        i = _window_argmax(p, q, step)
+        i = _window_argmax(p, q)
         if i is None:
             i = int(np.argmax(_kappa_grid(p, q, xs)))
     return float(xs[max(i - 1, 0)]), float(xs[min(i + 1, xs.size - 1)])

@@ -2,22 +2,7 @@
 
 dataio.ingest_predictions imports this module on its first call, so
 importing the package, and every CLI call that reads no prediction
-file, compiles none of it.
-
-tally_blocks reads _READ_CHARS characters at a time and cuts each read
-after its last line feed. A block made only of the distinct lines of
-the last block it counted (at most four, none blank and none a suffix
-of another) is tallied with one str.count per line; the counts cover
-the whole block exactly when no other line is in it. Any other block
-with no quote, and whose carriage returns all end CRLF pairs, is split
-at its line feeds; its lines are counted, and csv parses each distinct
-line once. From the first other block, or the first with enough lines
-to judge whose lines are mostly distinct, on, _tally_csv reads the rest
-row by row with csv.reader and parses each distinct raw (label,
-prediction) token pair once. Either way the first invalid row is the
-first sighting of an invalid line or token pair, so the reported row is
-that of a row-by-row parse; a csv.Error is a ParseError at the row where
-csv failed.
+file, compiles none of it. tally_blocks describes the pass.
 """
 
 from __future__ import annotations
@@ -131,24 +116,31 @@ def _has_suffix_pair(kept: list[tuple[str, int]]) -> bool:
 def tally_blocks(stream, tally: list[int]) -> None:
     """Add every data row of stream to tally, one block of whole lines at a time.
 
-    A block is first offered to the count path: when the last block the
-    Counter path tallied had at most len(_CELLS) distinct lines, none
-    blank and none a suffix of another, each such kept line is counted
-    in the block with str.count(line + "\n"). An occurrence holds no
-    line feed but its last, so it is the end of one line of the block
-    with that line's feed, and no line ends in two kept lines. The
-    counts, each times its line's length plus one, thus add up to at
-    most the block's length, and to exactly that length only when every
-    line of the block, the last one included, is a kept line; only then
-    are the counts taken. Any other block is split at line feeds only.
-    Every stream and csv end their lines there too (str.splitlines would
-    also split at form feeds, U+2028 and more), and csv reads a line's
-    trailing carriage return as part of its end. Its lines are counted
-    with Counter, and each distinct line is parsed once and counted as
-    often as it occurs. From the first block that holds a quote or a
-    carriage return outside a CRLF pair, or that has at least
-    _JUDGED_LINES lines, mostly distinct, on, the rest of the stream goes
-    line by line through _tally_csv.
+    Each read of _READ_CHARS characters is cut after its last line feed,
+    so a block holds whole lines and memory is bounded by a read plus
+    the longest line. A block is first offered to the count path: when
+    the last block the Counter path tallied had at most len(_CELLS)
+    distinct lines, none blank and none a suffix of another, each such
+    kept line is counted in the block with str.count(line + "\n"). An
+    occurrence holds no line feed but its last, so it is the end of one
+    line of the block with that line's feed, and no line ends in two
+    kept lines. The counts, each times its line's length plus one, thus
+    add up to at most the block's length, and to exactly that length
+    only when every line of the block, the last one included, is a kept
+    line; only then are the counts taken. Any other block is split at
+    line feeds only. Every stream and csv end their lines there too
+    (str.splitlines would also split at form feeds, U+2028 and more),
+    and csv reads a line's trailing carriage return as part of its end.
+    Its lines are counted with Counter, and each distinct line is parsed
+    once and counted as often as it occurs. From the first block that
+    holds a quote or a carriage return outside a CRLF pair, or that has
+    at least _JUDGED_LINES lines, mostly distinct, on, the rest of the
+    stream goes line by line through _tally_csv, which parses each
+    distinct raw (label, prediction) token pair once; the stream is
+    never rewound. Either way the first invalid row is the first
+    sighting of an invalid line or token pair, so the reported row is
+    that of a row-by-row parse; a csv.Error is a ParseError at the row
+    where csv failed.
     """
     columns = None
     offset = 0  # physical lines before the current block

@@ -13,7 +13,8 @@ composition of the pointwise metrics (and the MCC ratio also against a
 decomposed square-root form and a fully inlined long form).
 Each ratio is a plain float, and each closed form is written once,
 over floats or arrays with sqrt as a parameter: _f_beta_form,
-_fm_form, and metrics._mcc_form for the MCC rate form. The
+_fm_form, and metrics._mcc_form for the MCC rate form, whose PPV and
+NPV come from metrics._bayes and metrics._flat_value. The
 per-profile functions (f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio)
 call them with math.sqrt and raise ValueError on a non-finite result.
 verify_bounds sweeps them all over a sensitivity/specificity grid
@@ -42,7 +43,9 @@ from .errors import (
 from .metrics import (
     DiagnosticProfile,
     Rate,
+    _bayes,
     _beta,
+    _flat_value,
     _mcc_form,
     _Record,
     f1_at,
@@ -147,49 +150,20 @@ def fm_ratio(profile: DiagnosticProfile) -> float:
     return _finite(_fm_form(a, b))
 
 
-def _extended(profile: DiagnosticProfile, phi: float) -> tuple[float, float]:
-    """PPV and NPV at phi, each flat curve extended by continuity.
-
-    Bayes' rule with ppv_at's and npv_at's operations in their order,
-    on plain floats, so each defined value is bit-equal to theirs. Where
-    Bayes' rule is 0/0 the curve is flat, and its constant is
-    hits / (hits + misses) of its rates: 1 with no misses (PPV at
-    specificity 1, NPV at sensitivity 1), 0 with no hits (PPV at
-    sensitivity 0, NPV at specificity 0). That constant is plugged so
-    threshold compositions stay defined at edge profiles; a curve with
-    neither hits nor misses raises ppv_at's or npv_at's
-    DegenerateDenominator.
-    """
-    a = float(profile.sensitivity)
-    b = float(profile.specificity)
-    values = []
-    for side, hits, misses, true_share, false_share in (
-        ("positive", a, 1.0 - b, a * phi, (1.0 - b) * (1.0 - phi)),
-        ("negative", b, 1.0 - a, b * (1.0 - phi), (1.0 - a) * phi),
-    ):
-        den = true_share + false_share
-        if den != 0.0:
-            values.append(true_share / den)
-        elif hits + misses != 0.0:
-            values.append(hits / (hits + misses))
-        else:
-            raise DegenerateDenominator(f"no {side} predictions at phi={phi!r} for {profile}")
-    return values[0], values[1]
-
-
 def mcc_at_threshold(profile: DiagnosticProfile, which: str) -> float:
     """MCC of the population at one of the two prevalence thresholds.
 
     which is "positive" (phi_e, on the PPV curve) or "negative" (phi_n,
     on the NPV curve); anything else raises ValueError. Composes the
     rate form of the MCC (mcc_from_rates' kernel _mcc_form) with the
-    predictive values that Bayes' rule gives at the chosen threshold
-    prevalence, all on plain floats: the profile's rates are valid
-    already and every derived one lies in [0, 1]. When a
+    PPV and NPV of ppv_at's and npv_at's kernel, metrics._bayes, at the
+    chosen threshold prevalence, all on plain floats: the profile's
+    rates are valid already and every derived one lies in [0, 1]. When a
     predictive-value curve is constant (sensitivity or specificity at
-    an endpoint) and the threshold lands on its undefined edge, the
-    continuous extension is used, so a perfect test scores 1.0 at
-    either threshold.
+    an endpoint) and the threshold lands on its undefined edge, its
+    continuous extension metrics._flat_value is used, so a perfect test
+    scores 1.0 at either threshold; where that is 0/0 too, the PPV's
+    first, ppv_at's or npv_at's DegenerateDenominator is raised.
     """
     if which == "positive":
         curve = Curve.PPV
@@ -198,8 +172,16 @@ def mcc_at_threshold(profile: DiagnosticProfile, which: str) -> float:
     else:
         raise ValueError(f"which must be 'positive' or 'negative', got {which!r}")
     phi = _threshold_phi(profile, curve)
-    rho, sigma = _extended(profile, phi)
-    return _mcc_form(rho, float(profile.sensitivity), float(profile.specificity), sigma)
+    a = profile.sensitivity
+    b = profile.specificity
+    rates = []
+    for side, rate_curve in (("positive", "ppv"), ("negative", "npv")):
+        num, den = _bayes(a, b, rate_curve, phi)
+        try:
+            rates.append(num / den if den != 0.0 else _flat_value(a, b, rate_curve))
+        except ZeroDivisionError:
+            raise DegenerateDenominator(f"no {side} predictions at phi={phi!r} for {profile}") from None
+    return _mcc_form(rates[0], a, b, rates[1])
 
 
 def mcc_ratio(profile: DiagnosticProfile) -> float:

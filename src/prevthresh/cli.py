@@ -18,8 +18,10 @@ a time, so their memory does not grow with the number of rows.
 An integer argument (--counts, --n, --seed) longer than the
 interpreter's digit limit, sys.get_int_max_str_digits() (4,300 digits
 by default), is a usage error, and so are counts whose total is: no
-output could print it. These usage errors, and those of a malformed
---counts, --n or --seed, echo a long argument only in part.
+output could print it. An error line about a malformed or
+out-of-range argument, an unknown subcommand or an unrecognized
+argument echoes an argument of more than 64 characters by its first 64
+and its length (errors._echo).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from collections.abc import Sequence
 from . import __version__
 from .bounds import SWEEP_BETAS, _ratio_values, verify_bounds
 from .dataio import emit_curves, emit_ratio_curves, ingest_predictions
-from .errors import PrevthreshError, UsageError, value_or_none
+from .errors import _ECHO_CHARS, PrevthreshError, UsageError, _echo, value_or_none
 from .metrics import ConfusionCounts, DiagnosticProfile, Rate, npv_at, ppv_at
 from .report import analyze_counts
 from .simulate import SimulationConfig, simulate_population
@@ -60,6 +62,10 @@ class _Parser(argparse.ArgumentParser):
     including -inf, -nan and comma lists such as -1,1,1,1, is a value
     here, so it reaches the flag's own validation as it does in the
     "--delta=-1e-5" form. No option of this CLI looks like a number.
+
+    The stock parser echoes an invalid subcommand and unrecognized
+    arguments whole; this one cuts one longer than _ECHO_CHARS as _echo
+    does.
     """
 
     def __init__(self, *args, **kwargs):
@@ -69,20 +75,24 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices and len(value) > _ECHO_CHARS:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {_echo(value)} (choose from {choices})")
+        super()._check_value(action, value)
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(_echo(extra, str) for extra in extras))
+        return args
+
 
 # An integer literal as int() reads it. int() refuses one only where it has
 # more digits than the interpreter's limit, sys.get_int_max_str_digits(),
 # which also bounds the integers str() writes; 0 means no limit. Compiled
 # on the first error, not at every start.
 _INT_LITERAL = r"\s*[+-]?\d+(?:_\d+)*\s*"
-# Longest argument an error message echoes whole; a longer one is cut.
-_ECHO_CHARS = 64
-
-
-def _echo(text: str) -> str:
-    if len(text) <= _ECHO_CHARS:
-        return repr(text)
-    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
 def _over_limit(what: str, shown: str) -> argparse.ArgumentTypeError:
@@ -100,6 +110,13 @@ def _int(text: str, reason: str, shown: str) -> int:
         if re.fullmatch(_INT_LITERAL, text):
             raise _over_limit("integers", shown) from None
         raise argparse.ArgumentTypeError(reason + _echo(shown)) from None
+
+
+def _float_arg(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {_echo(text)}") from None
 
 
 def _int_arg(text: str) -> int:
@@ -122,15 +139,15 @@ def _betas_arg(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part.strip()) for part in text.split(",") if part.strip())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"betas must be numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"betas must be numbers, got {_echo(text)}") from None
     if not values:
         raise argparse.ArgumentTypeError("at least one beta is required")
     return values
 
 
 def _add_profile_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sensitivity", type=float, required=True, help="true-positive rate, in [0, 1]")
-    p.add_argument("--specificity", type=float, required=True, help="true-negative rate, in [0, 1]")
+    p.add_argument("--sensitivity", type=_float_arg, required=True, help="true-positive rate, in [0, 1]")
+    p.add_argument("--specificity", type=_float_arg, required=True, help="true-negative rate, in [0, 1]")
 
 
 def _add_output_arg(p: argparse.ArgumentParser) -> None:
@@ -153,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curves", help="predictive-value and curvature curves as CSV")
     _add_profile_args(p)
-    p.add_argument("--step", type=float, default=0.001, help="prevalence grid step in [1e-6, 0.5] (default 0.001)")
+    p.add_argument("--step", type=_float_arg, default=0.001, help="prevalence grid step in [1e-6, 0.5] (default 0.001)")
     _add_output_arg(p)
     p.set_defaults(func=_cmd_curves)
 
@@ -165,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=(0.5, 2.0),
         help="comma-separated F-beta weights (default 0.5,2)",
     )
-    p.add_argument("--step", type=float, default=0.001, help="prevalence grid step in [1e-6, 0.5] (default 0.001)")
+    p.add_argument("--step", type=_float_arg, default=0.001, help="prevalence grid step in [1e-6, 0.5] (default 0.001)")
     p.add_argument("--json", action="store_true", help="emit the closed-form ratio summary as JSON")
     _add_output_arg(p)
     p.set_defaults(func=_cmd_ratios)
@@ -185,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("simulate", help="draw a seeded synthetic population and report its counts")
-    p.add_argument("--prevalence", type=float, required=True, help="positive-class rate, in [0, 1]")
+    p.add_argument("--prevalence", type=_float_arg, required=True, help="positive-class rate, in [0, 1]")
     _add_profile_args(p)
     p.add_argument("--n", type=_int_arg, required=True, help="population size")
     p.add_argument("--seed", type=_int_arg, default=0, help="RNG seed (default 0)")
@@ -194,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify-bounds", help="sweep the ratio bounds over a profile grid (JSON report)")
-    p.add_argument("--grid-step", type=float, default=0.01, help="sensitivity/specificity grid step in [0.001, 0.05] (default 0.01)")
-    p.add_argument("--delta", type=float, default=1e-6, help="informativeness margin (default 1e-6)")
-    p.add_argument("--tolerance", type=float, default=1e-9, help="violation tolerance (default 1e-9)")
+    p.add_argument("--grid-step", type=_float_arg, default=0.01, help="sensitivity/specificity grid step in [0.001, 0.05] (default 0.01)")
+    p.add_argument("--delta", type=_float_arg, default=1e-6, help="informativeness margin (default 1e-6)")
+    p.add_argument("--tolerance", type=_float_arg, default=1e-9, help="violation tolerance (default 1e-9)")
     _add_output_arg(p)
     p.set_defaults(func=_cmd_verify_bounds, json=True)
 

@@ -8,13 +8,13 @@ its row.
 
 Every stage is a bulk operation. The curve emitters evaluate their
 prevalence grid through _arrays: the predictive values and ratios as
-numpy arrays that repeat the scalar per-point functions' floating-point
-operations in order (ppv_at, npv_at, and f1_at, f_beta_at and fm_at as
-accuracy_divergence_curve composes them, the F-scores through
-f_beta_score's own kernel, metrics._f_beta_harmonic; these stay public
-and are the oracle the test suite checks the emitted bytes against), and
-the curvature through curvature_at's own kernel, thresholds._kappa_kernel,
-mapped over the grid.
+numpy arrays through the scalar per-point functions' own kernels
+(ppv_at's and npv_at's Bayes' rule, metrics._bayes, and f_beta_score's
+metrics._f_beta_harmonic) or with their floating-point operations in
+order (fm_at as accuracy_divergence_curve composes it); the scalar
+functions stay public and are the oracle the test suite checks the
+emitted bytes against. The curvature goes through curvature_at's own
+kernel, thresholds._kappa_kernel, mapped over the grid.
 A ratio cell is the repr of a plain float. These divergence curves
 share no code with the closed-form ratios of bounds, whose kernels
 (_f_beta_form, _fm_form) serve only those ratios and the bound sweep.
@@ -95,23 +95,11 @@ def ingest_predictions(source: Source) -> ConfusionCounts:
     UTF-8 raise ParseError, with the count of data rows tallied before
     the read that failed, and no row number.
 
-    The source is read once, in blocks of 16,384 characters cut after
-    their last line feed (_ingest.tally_blocks), so memory is bounded by
-    a block plus the longest line. When the last block that was counted
-    had at most four distinct lines, none blank and none ending in
-    another, the next block is first tallied with one str.count of each
-    such line and its line feed; as no line can end in two of them, the
-    counts cover the block's whole length only when every line of it is
-    one of them, and only then are they taken. Any other block with no
-    quote and no carriage return outside a CRLF pair is split at its
-    line feeds and its lines are counted; csv parses each distinct line
-    once, and its count goes to its cell. The first other block, or the
-    first with enough lines to judge whose lines are mostly distinct,
-    and everything after it, is read row by row by csv.reader, which
-    parses each distinct raw (label, prediction) token pair once; the
-    stream is never rewound. Either way the first invalid row is the
-    first sighting of an invalid line or token pair, so the reported
-    row is that of a row-by-row parse.
+    The source is read once, and never rewound, in blocks of 16,384
+    characters cut after their last line feed, so memory is bounded by
+    a block plus the longest line; _ingest.tally_blocks describes how a
+    block is tallied. The row an error reports is the one a row-by-row
+    parse would.
     """
     from . import _ingest
 

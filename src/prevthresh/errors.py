@@ -69,6 +69,17 @@ class UsageError(PrevthreshError):
     kind = "usage"
 
 
+# Longest argument an error message echoes whole; a longer one is cut.
+_ECHO_CHARS = 64
+
+
+def _echo(text: str, show=repr) -> str:
+    """show(text) for an error message; a text over _ECHO_CHARS characters is shown by its first ones and its length."""
+    if len(text) <= _ECHO_CHARS:
+        return show(text)
+    return f"{show(text[:_ECHO_CHARS])}... ({len(text)} characters)"
+
+
 def value_or_none(fn, *args) -> float | None:
     """fn(*args) as a float, or None where it raises a PrevthreshError.
 

@@ -47,9 +47,9 @@ class Rate(float):
 
     def __new__(cls, value: float) -> "Rate":
         v = float(value)
-        if not math.isfinite(v) or v < 0.0 or v > 1.0:
+        if not 0.0 <= v <= 1.0:  # also false for NaN
             raise ValueError(f"rate must be a finite number in [0, 1], got {value!r}")
-        return super().__new__(cls, v)
+        return float.__new__(cls, v)
 
     def __repr__(self) -> str:
         return f"Rate({float(self)!r})"
@@ -198,39 +198,71 @@ def _beta(beta: float) -> float:
     return v
 
 
+def _curve_coefficients(a, b, curve):
+    """Quotient-form coefficients (p, q, sign) of the "ppv" or "npv" curve (or Curve member), for floats or arrays.
+
+    Both curves are Bayes' rule over the denominator
+    u = p*phi + q*(1-phi): PPV = p*phi / u with (p, q) = (a, 1-b), and
+    NPV = q*(1-phi) / u with (p, q) = (1-a, b). sign is the sign of the
+    slope (+1 for PPV, -1 for NPV); the derivative magnitudes depend
+    only on the product p*q and on u.
+    """
+    if curve == "ppv":
+        return a, 1.0 - b, 1.0
+    return 1.0 - a, b, -1.0
+
+
+def _bayes(a, b, curve, phi):
+    """Bayes' rule for the "ppv" or "npv" curve at phi as (numerator, u), for floats or arrays.
+
+    PPV = a*phi / (a*phi + (1-b)*(1-phi)) and NPV = b*(1-phi) / (b*(1-phi) + (1-a)*phi);
+    u is p*phi + q*(1-phi) of _curve_coefficients. Each caller decides what u = 0 gives.
+    """
+    if curve == "ppv":
+        true_pos = a * phi
+        return true_pos, true_pos + (1.0 - b) * (1.0 - phi)
+    true_neg = b * (1.0 - phi)
+    return true_neg, true_neg + (1.0 - a) * phi
+
+
+def _flat_value(a, b, curve):
+    """The curve's value by continuity where _bayes' u is 0, which only a flat curve has, for floats or arrays.
+
+    That is hits / (hits + misses) of the rates: 1 with no misses (PPV
+    at specificity 1, NPV at sensitivity 1), 0 with no hits (PPV at
+    sensitivity 0, NPV at specificity 0). With neither it is 0/0:
+    ZeroDivisionError for floats, NaN for arrays.
+    """
+    if curve == "ppv":
+        return a / (a + (1.0 - b))
+    return b / (b + (1.0 - a))
+
+
 def ppv_at(profile: DiagnosticProfile, phi: float) -> Rate:
     """Positive predictive value at prevalence ``phi`` via Bayes' rule.
 
     ppv = a*phi / (a*phi + (1-b)*(1-phi)) with a = sensitivity and
-    b = specificity. Monotone non-decreasing in phi for informative
-    profiles, with the invariant endpoint ppv(1) = 1.
+    b = specificity (_bayes). Monotone non-decreasing in phi for
+    informative profiles, with the invariant endpoint ppv(1) = 1.
     """
     phi = Rate(phi)
-    true_pos = float(profile.sensitivity) * float(phi)
-    false_pos = (1.0 - float(profile.specificity)) * (1.0 - float(phi))
-    den = true_pos + false_pos
+    num, den = _bayes(profile.sensitivity, profile.specificity, "ppv", phi)
     if den == 0.0:
-        raise DegenerateDenominator(
-            f"no positive predictions at phi={float(phi)!r} for {profile}"
-        )
-    return Rate(true_pos / den)
+        raise DegenerateDenominator(f"no positive predictions at phi={float(phi)!r} for {profile}")
+    return Rate(num / den)
 
 
 def npv_at(profile: DiagnosticProfile, phi: float) -> Rate:
     """Negative predictive value at prevalence ``phi`` via Bayes' rule.
 
-    npv = b*(1-phi) / (b*(1-phi) + (1-a)*phi). Monotone non-increasing
-    in phi for informative profiles, with npv(0) = 1.
+    npv = b*(1-phi) / (b*(1-phi) + (1-a)*phi) (_bayes). Monotone
+    non-increasing in phi for informative profiles, with npv(0) = 1.
     """
     phi = Rate(phi)
-    true_neg = float(profile.specificity) * (1.0 - float(phi))
-    false_neg = (1.0 - float(profile.sensitivity)) * float(phi)
-    den = true_neg + false_neg
+    num, den = _bayes(profile.sensitivity, profile.specificity, "npv", phi)
     if den == 0.0:
-        raise DegenerateDenominator(
-            f"no negative predictions at phi={float(phi)!r} for {profile}"
-        )
-    return Rate(true_neg / den)
+        raise DegenerateDenominator(f"no negative predictions at phi={float(phi)!r} for {profile}")
+    return Rate(num / den)
 
 
 def _f_beta_harmonic(beta_sq: float, recall: float, precision):

@@ -10,6 +10,7 @@ test suite uses to validate the algebra end to end.
 
 from __future__ import annotations
 
+from .errors import _echo
 from .metrics import ConfusionCounts, DiagnosticProfile, Rate, _Record, _set
 
 __all__ = ["SimulationConfig", "simulate_population"]
@@ -32,13 +33,13 @@ class SimulationConfig(_Record):
     def __init__(self, prevalence: float, profile: DiagnosticProfile, n: int, seed: int):
         prevalence = Rate(prevalence)
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
+            raise ValueError(f"n must be a positive integer, got {_echo(repr(n), str)}")
         if n >= _N_LIMIT:
-            raise ValueError(f"n must fit in a signed 64-bit integer, got {n!r}")
+            raise ValueError(f"n must fit in a signed 64-bit integer, got {_echo(repr(n), str)}")
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         if not 0 <= seed < _SEED_LIMIT:
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed!r}")
+            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {_echo(repr(seed), str)}")
         _set(self, "prevalence", prevalence)
         _set(self, "profile", profile)
         _set(self, "n", n)

@@ -9,10 +9,11 @@ the curvature as a cross-check oracle. For this curve family the
 maximum-curvature point is exactly the point where the curve's slope
 has magnitude 1, which is what the tests assert.
 
-The closed forms run on Python floats. The oracle's coarse curvature
-scan and the array forms of these curves, which the bulk paths use,
-live in _arrays; curvature_argmax imports it on first call, so the
-closed forms load no numpy.
+The curves' Bayes' rule and quotient-form coefficients live in metrics
+(_bayes, _curve_coefficients). The closed forms run on Python floats.
+The oracle's coarse curvature scan and the array forms of the curves,
+which the bulk paths use, live in _arrays; curvature_argmax imports it
+on first call, so the closed forms load no numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from enum import Enum
 
 from .errors import DegenerateDenominator, DegenerateProfile
-from .metrics import DiagnosticProfile, Rate, _Record, npv_at, ppv_at
+from .metrics import DiagnosticProfile, Rate, _bayes, _curve_coefficients, _Record, npv_at, ppv_at
 
 __all__ = [
     "Curve",
@@ -74,20 +75,6 @@ class CurvaturePoint(_Record):
         if self.kappa == 0.0:
             return None
         return 1.0 / self.kappa
-
-
-def _curve_coefficients(a, b, curve: Curve):
-    """Quotient-form coefficients (p, q, sign) of the chosen curve, for floats or arrays.
-
-    Both curves are Bayes' rule over the denominator
-    u = p*phi + q*(1-phi): PPV = p*phi / u with (p, q) = (a, 1-b), and
-    NPV = q*(1-phi) / u with (p, q) = (1-a, b). sign is the sign of the
-    slope (+1 for PPV, -1 for NPV); the derivative magnitudes depend
-    only on the product p*q and on u.
-    """
-    if curve == Curve.PPV:
-        return a, 1.0 - b, 1.0
-    return 1.0 - a, b, -1.0
 
 
 def _radical_split(p, q, sqrt=math.sqrt):
@@ -199,15 +186,16 @@ def curvature_at(profile: DiagnosticProfile, phi: float, curve: Curve | str = Cu
     kappa is _kappa_kernel's value at phi; where kappa is not
     representable, the kernel's DegenerateDenominator propagates. The
     slope is the signed first derivative of the quotient form,
-    sign * p*q / u**2 with u = p*phi + q*(1-phi) (see
-    _curve_coefficients).
+    sign * p*q / u**2 with Bayes' denominator u (metrics._bayes,
+    metrics._curve_coefficients).
     """
     curve = Curve(curve)
     phi = Rate(phi)
     x = float(phi)
     kappa = _kappa_kernel(profile, curve)(x)
-    p, q, sign = _curve_coefficients(float(profile.sensitivity), float(profile.specificity), curve)
-    u = p * x + q * (1.0 - x)
+    a, b = float(profile.sensitivity), float(profile.specificity)
+    p, q, sign = _curve_coefficients(a, b, curve)
+    _, u = _bayes(a, b, curve, x)
     return CurvaturePoint(phi=phi, kappa=kappa, slope=sign * (p * q) / (u * u))
 
 
@@ -283,7 +271,7 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
 
     from . import _arrays
 
-    lo, hi = _arrays.curvature_bracket(p, q, COARSE_STEP)
+    lo, hi = _arrays.curvature_bracket(p, q)
     # Every probe lies in [lo, hi], inside [0, 1], the kernel's domain.
     kappa = _kappa_kernel(profile, curve)
 

@@ -185,6 +185,10 @@ class TestRatios:
         assert code == 1
         assert err.startswith("error:usage:")
 
+    def test_empty_betas(self, capsys):
+        code, out, err = run(capsys, "ratios", "--sensitivity", "0.9", "--specificity", "0.95", "--betas", ",")
+        assert (code, out, err) == (1, "", "error:usage: argument --betas: at least one beta is required\n")
+
     def test_large_beta_column_keeps_its_limit(self, capsys):
         # beta**2 is finite, beta**2 / sensitivity overflows: F-beta tends to the recall, each ratio to 1.
         code, out, err = run(capsys, *RATIOS_ARGV, "--betas", "1.3e154")
@@ -584,6 +588,53 @@ class TestTopLevel:
 
 # Calls that need no array, run in one fresh interpreter; the last one
 # builds a grid, so the probe shows that it would see numpy load.
+PROFILE_ARGV = ("--sensitivity", "0.9", "--specificity", "0.95")
+SIMULATE_ARGV = ("simulate", "--prevalence", "0.1", *PROFILE_ARGV)
+# Each case: the argv before the echoed argument, its text at a given length,
+# how a whole argument is shown, and the error line with {} where it is shown.
+ECHO_CASES = {
+    "betas": (
+        ("ratios", *PROFILE_ARGV, "--betas"), lambda k: "x" * k, repr,
+        "error:usage: argument --betas: betas must be numbers, got {}\n",
+    ),
+    "float": (
+        ("thresholds", "--specificity", "0.95", "--sensitivity"), lambda k: "x" * k, repr,
+        "error:usage: argument --sensitivity: invalid float value: {}\n",
+    ),
+    "command": (
+        (), lambda k: "x" * k, repr,
+        "error:usage: argument command: invalid choice: {} (choose from 'thresholds', 'curves', 'ratios',"
+        " 'analyze', 'simulate', 'verify-bounds')\n",
+    ),
+    "unrecognized": (
+        ("thresholds", *PROFILE_ARGV), lambda k: "x" * k, str,
+        "error:usage: unrecognized arguments: {}\n",
+    ),
+    "n": (
+        (*SIMULATE_ARGV, "--n"), lambda k: "9" * k, str,
+        "error:validation: n must fit in a signed 64-bit integer, got {}\n",
+    ),
+    "negative-n": (
+        (*SIMULATE_ARGV, "--n"), lambda k: "-" + "9" * (k - 1), str,
+        "error:validation: n must be a positive integer, got {}\n",
+    ),
+    "seed": (
+        (*SIMULATE_ARGV, "--n", "10", "--seed"), lambda k: "9" * k, str,
+        "error:validation: seed must fit in an unsigned 64-bit integer, got {}\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("length", [64, 65, 4000])
+@pytest.mark.parametrize("case", list(ECHO_CASES))
+def test_error_line_echoes_at_most_64_characters_of_an_argument(capsys, case, length):
+    # Up to 64 characters an argument is echoed whole, as before; a longer one by its first 64 and its length.
+    argv, make, show, line = ECHO_CASES[case]
+    arg = make(length)
+    shown = show(arg) if length <= 64 else f"{show(arg[:64])}... ({length} characters)"
+    assert run(capsys, *argv, arg) == (1, "", line.format(shown))
+
+
 NUMPY_FREE_ARGV = [
     ["thresholds", "--sensitivity", "0.9", "--specificity", "0.95"],
     ["ratios", "--sensitivity", "0.9", "--specificity", "0.95", "--json"],

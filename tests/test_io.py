@@ -155,6 +155,18 @@ class TestIngest:
             "input is not UTF-8 (invalid continuation byte); decoding failed before any data row was tallied"
         )
 
+    def test_reads_text_streams_that_are_not_text_io(self):
+        class Reader:
+            def __init__(self, text):
+                self._text = io.StringIO(text)
+
+            def read(self, size=-1):
+                return self._text.read(size)
+
+        source = Reader("label,prediction\n1,1\n0,1\n1,0\n0,0\n0,0\n")
+        assert not isinstance(source, io.TextIOBase)
+        assert ingest_predictions(source) == ConfusionCounts(1, 1, 1, 2)
+
     def test_rejects_unreadable_source(self):
         with pytest.raises(TypeError):
             ingest_predictions(42)

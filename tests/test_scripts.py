@@ -126,14 +126,15 @@ def test_bench_trajectory_bytecode_state(tmp_path):
     }
 
 
-def test_bench_ingest_runs_every_table():
-    proc = run_script(BENCH_INGEST, "--rows", "300", "--calls", "2")
-    assert (proc.returncode, proc.stderr) == (0, "")
+def test_bench_ingest_runs_every_table(tmp_path):
+    # Each table, written as bench_paired.py writes it, ingests to the counts it was built with.
     bench = load_script(BENCH_INGEST)
-    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-    assert [row[0] for row in rows] == list(bench.TABLES)
-    assert [int(row[1]) for row in rows] == [300] * (len(rows) - 1) + [303]
-    assert all(float(row[2]) > 0 for row in rows)
+    for name, build in bench.TABLES.items():
+        text, expected = build(300)
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert prevthresh.ingest_predictions(path) == expected, name
+        assert expected.n == (303 if name == "long-row" else 300), name
 
 
 def test_bench_paired_against_the_same_tree():
@@ -143,16 +144,28 @@ def test_bench_paired_against_the_same_tree():
     lines = proc.stdout.splitlines()
     assert lines[0] == f"this: {ROOT / 'src' / 'prevthresh'}"
     assert lines[1] == f"base: {src / 'prevthresh'}"
-    rows = [line.rsplit(None, 6) for line in lines[3:]]
+    rows = [line.rsplit(None, 7) for line in lines[3:]]
     assert [row[0] for row in rows] == [
-        "ThresholdResult(...)", "positive_threshold", "curvature_argmax", "mcc_ratio", "f_beta_at",
-        "analyze_counts", "verify_bounds(0.01)", "emit_ratio_curves", "ingest four-lines",
-        "ingest distinct-100pct", "cli thresholds --json", "cli analyze 9,1,1,9",
+        "ThresholdResult(...)", "ppv_at", "npv_at", "positive_threshold", "curvature_argmax", "mcc_at_threshold",
+        "mcc_ratio", "f_beta_at", "analyze_counts", "verify_bounds(0.01)", "emit_ratio_curves",
+        *[f"ingest {table}" for table in load_script(BENCH_INGEST).TABLES],
+        "cli thresholds --json", "cli analyze 9,1,1,9",
     ]
-    for _, min_ratio, median_ratio, this_us, base_us, batch, same in rows:
-        assert 0 < float(min_ratio) <= float(median_ratio)
+    for _, q1_ratio, median_ratio, q3_ratio, this_us, base_us, batch, same in rows:
+        assert 0 < float(q1_ratio) <= float(median_ratio) <= float(q3_ratio)
         assert float(this_us) > 0 and float(base_us) > 0 and int(batch) >= 1
         assert same == "yes"
+
+
+def test_bench_paired_checks_each_ingest_call(tmp_path):
+    bench = load_script(BENCH_PAIRED)
+    path = tmp_path / "t.csv"
+    path.write_text("label,prediction\n1,1\n0,1\n")
+    ingest = bench.calls(prevthresh, {"t": (path, (1, 1, 0, 1))})["ingest t"]
+    with pytest.raises(SystemExit, match=r"ingest t: got ConfusionCounts\(tp=1, fp=1, fn=0, tn=0\), expected \(1, 1, 0, 1\)"):
+        ingest()
+    path.write_text("label,prediction\n1,1\n0,1\n0,0\n")
+    assert ingest() == prevthresh.ConfusionCounts(1, 1, 0, 1)
 
 
 def test_bench_paired_rejects_a_tree_without_the_package(tmp_path):

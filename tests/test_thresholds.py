@@ -335,9 +335,9 @@ class TestCurvatureBracket:
         for a, b in scan_profiles():
             for curve in Curve:
                 p, q = curve_coefficients(a, b, curve)
-                assert _arrays.curvature_bracket(p, q, COARSE_STEP) == full_scan_bracket(p, q), (a, b, curve)
+                assert _arrays.curvature_bracket(p, q) == full_scan_bracket(p, q), (a, b, curve)
                 with np.errstate(all="ignore"):
-                    served["window" if _arrays._window_argmax(p, q, COARSE_STEP) is not None else "fallback"] += 1
+                    served["window" if _arrays._window_argmax(p, q) is not None else "fallback"] += 1
         # Both paths are exercised by the profile set.
         assert served["window"] > 1000 and served["fallback"] > 100, served
 
@@ -346,8 +346,8 @@ class TestCurvatureBracket:
             if not name.startswith("curvature_argmax") or pinned == "DegenerateProfile":
                 continue
             p, q = curve_coefficients(a, b, Curve.PPV if name.endswith("ppv") else Curve.NPV)
-            assert _arrays._window_argmax(p, q, COARSE_STEP) is not None, (a, b, name)
-            assert _arrays.curvature_bracket(p, q, COARSE_STEP) == full_scan_bracket(p, q)
+            assert _arrays._window_argmax(p, q) is not None, (a, b, name)
+            assert _arrays.curvature_bracket(p, q) == full_scan_bracket(p, q)
 
     @pytest.mark.parametrize(
         "a, b",
@@ -361,15 +361,15 @@ class TestCurvatureBracket:
     def test_fallback_serves_near_degenerate_and_tiny_profiles(self, a, b):
         p, q = curve_coefficients(a, b, Curve.PPV)
         with np.errstate(all="ignore"):
-            assert _arrays._window_argmax(p, q, COARSE_STEP) is None
-        assert _arrays.curvature_bracket(p, q, COARSE_STEP) == full_scan_bracket(p, q)
+            assert _arrays._window_argmax(p, q) is None
+        assert _arrays.curvature_bracket(p, q) == full_scan_bracket(p, q)
 
     @pytest.mark.parametrize("shift", [-3, 3])
     def test_misplaced_hint_is_rejected(self, monkeypatch, shift):
         # The hint only saves time: a window placed strides away from the
         # peak has its maximum on an inner edge, and the full scan serves.
         p, q = curve_coefficients(0.9, 0.95, Curve.PPV)
-        hint_xs = _arrays._coarse_grid(COARSE_STEP)[1]
+        hint_xs = _arrays._coarse_grid()[1]
         kappa_grid = _arrays._kappa_grid
 
         def misplaced(p, q, xs):
@@ -377,12 +377,12 @@ class TestCurvatureBracket:
             return np.roll(values, shift) if xs is hint_xs else values
 
         monkeypatch.setattr(_arrays, "_kappa_grid", misplaced)
-        assert _arrays._window_argmax(p, q, COARSE_STEP) is None
-        assert _arrays.curvature_bracket(p, q, COARSE_STEP) == full_scan_bracket(p, q)
+        assert _arrays._window_argmax(p, q) is None
+        assert _arrays.curvature_bracket(p, q) == full_scan_bracket(p, q)
 
     def test_grid_is_cached_and_read_only(self):
-        xs, hint_xs = _arrays._coarse_grid(COARSE_STEP)
-        assert _arrays._coarse_grid(COARSE_STEP)[0] is xs
+        xs, hint_xs = _arrays._coarse_grid()
+        assert _arrays._coarse_grid()[0] is xs
         assert xs.tolist() == np.linspace(0.0, 1.0, 10001).tolist()
         assert hint_xs.tolist() == xs[:: _arrays._HINT_STRIDE].tolist()
         with pytest.raises(ValueError):
