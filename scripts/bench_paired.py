@@ -14,10 +14,10 @@ sides returned the same result (by repr, or the CSV text for
 emit_ratio_curves).
 
 The calls: ThresholdResult(...), ppv_at, npv_at, positive_threshold,
-curvature_argmax, mcc_at_threshold, mcc_ratio, f_beta_at,
-analyze_counts, verify_bounds(0.01), emit_ratio_curves,
+threshold_summary, curvature_argmax, mcc_at_threshold, mcc_ratio,
+f_beta_at, analyze_counts, verify_bounds(0.01), emit_ratio_curves,
 ingest_predictions on each of bench_ingest.py's nine tables of --rows
-rows, and run_cli of ``thresholds --json`` and of
+rows, and run_cli of ``thresholds --json``, ``ratios --json`` and
 ``analyze --counts 9,1,1,9`` (text) in process, with stdout sent to a
 StringIO. Every ingest call's counts are checked against the ones its
 table was built with; a mismatch ends the run with exit code 1.
@@ -48,6 +48,7 @@ from bench_ingest import TABLES  # noqa: E402
 
 CLI_CALLS = {
     "cli thresholds --json": ["thresholds", "--sensitivity", "0.9", "--specificity", "0.95", "--json"],
+    "cli ratios --json": ["ratios", "--sensitivity", "0.9", "--specificity", "0.95", "--json"],
     "cli analyze 9,1,1,9": ["analyze", "--counts", "9,1,1,9"],
 }
 
@@ -83,6 +84,7 @@ def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]]) -> dic
         "ppv_at": lambda: pkg.ppv_at(profile, 0.19),
         "npv_at": lambda: pkg.npv_at(profile, 0.19),
         "positive_threshold": lambda: pkg.positive_threshold(profile),
+        "threshold_summary": lambda: pkg.threshold_summary(profile),
         "curvature_argmax": lambda: pkg.curvature_argmax(profile),
         "mcc_at_threshold": lambda: pkg.mcc_at_threshold(profile, "negative"),
         "mcc_ratio": lambda: pkg.mcc_ratio(profile),

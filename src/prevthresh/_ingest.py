@@ -14,7 +14,7 @@ import re
 from collections import Counter
 
 from .dataio import _parse_binary
-from .errors import EmptyInput, ParseError
+from .errors import EmptyInput, ParseError, _echo
 
 # Stripped (label, prediction) tokens -> index of their cell in a tally (tp, fp, fn, tn).
 _CELLS = {("1", "1"): 0, ("0", "1"): 1, ("1", "0"): 2, ("0", "0"): 3}
@@ -37,7 +37,7 @@ def _header_columns(header: list[str]) -> tuple[int, int]:
         return columns.index("label"), columns.index("prediction")
     except ValueError:
         raise ParseError(
-            f"row 1: header must name 'label' and 'prediction' columns, got {header!r}",
+            f"row 1: header must name 'label' and 'prediction' columns, got {_echo(repr(header), str)}",
             row=1,
         ) from None
 

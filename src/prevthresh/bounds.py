@@ -17,6 +17,9 @@ _fm_form, and metrics._mcc_form for the MCC rate form, whose PPV and
 NPV come from metrics._bayes and metrics._flat_value. The
 per-profile functions (f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio)
 call them with math.sqrt and raise ValueError on a non-finite result.
+_ratio_values, which analyze_counts and `ratios --json` report, calls
+the same kernels on plain floats in one pass, with None for an
+undefined ratio and a non-finite one left to its caller.
 verify_bounds sweeps them all over a sensitivity/specificity grid
 against their bounding intervals; its array path (cell builder, ratio
 arrays, per-metric records) lives in _arrays, which calls the same
@@ -38,7 +41,6 @@ from .errors import (
     PrevthreshError,
     UndefinedMetric,
     ZeroDenominator,
-    value_or_none,
 )
 from .metrics import (
     DiagnosticProfile,
@@ -52,7 +54,7 @@ from .metrics import (
     f_beta_at,
     fm_at,
 )
-from .thresholds import Curve, _threshold_phi
+from .thresholds import Curve, _radical_split, _threshold_phi
 
 __all__ = [
     "f1_ratio",
@@ -332,18 +334,51 @@ def _grid_axis(step: float) -> list[float]:
     return values
 
 
+def _threshold_mcc(a: float, b: float, phi: float) -> float:
+    """mcc_at_threshold's value at a threshold prevalence phi, for a profile off the chance corners.
+
+    _mcc_form over the PPV and NPV of _bayes at phi, each its curve's
+    _flat_value where u is 0. Off the corners (0, 1) and (1, 0) no flat
+    value is 0/0, so this never raises. mcc_at_threshold keeps its own
+    loop, which names the side that fails at a corner; it is the oracle
+    the tests check _ratio_values against.
+    """
+    num, u = _bayes(a, b, "ppv", phi)
+    rho = num / u if u != 0.0 else _flat_value(a, b, "ppv")
+    num, u = _bayes(a, b, "npv", phi)
+    sigma = num / u if u != 0.0 else _flat_value(a, b, "npv")
+    return _mcc_form(rho, a, b, sigma)
+
+
 def _ratio_values(profile: DiagnosticProfile, betas: Iterable[float]) -> dict[str, float | None]:
     """Every bounded ratio at one profile, keyed <key>_ratio; None where undefined.
 
     Keys are f1, f_beta_<beta:g> for each beta, fm and mcc, in that
     order. Invalid betas raise ValueError before any ratio is evaluated.
+    One pass over plain floats with the kernels of f1_ratio,
+    f_beta_ratio, fm_ratio and mcc_ratio, giving their values. An entry
+    is None where its function raises a PrevthreshError, decided by
+    comparison: the F-family and FM ratios at sensitivity 0 (no
+    recall); the MCC ratio at the chance corners (0, 1) and (1, 0),
+    where a threshold has p = q = 0 or a flat curve's value is 0/0, and
+    where the MCC at phi_e is 0. A ratio that overflows (fm_ratio's inf
+    at sensitivity 5e-324 with specificity 0) is returned as it is, not
+    raised: each caller applies its own policy to it.
     """
     betas = [_beta(beta) for beta in betas]
-    values = {"f1_ratio": value_or_none(f1_ratio, profile)}
+    a = float(profile.sensitivity)
+    b = float(profile.specificity)
+    recall = a != 0.0
+    values = {"f1_ratio": _f_beta_form(a, b, 1.0) if recall else None}
     for beta in betas:
-        values[f"f_beta_{beta:g}_ratio"] = value_or_none(f_beta_ratio, profile, beta)
-    values["fm_ratio"] = value_or_none(fm_ratio, profile)
-    values["mcc_ratio"] = value_or_none(mcc_ratio, profile)
+        values[f"f_beta_{beta:g}_ratio"] = _f_beta_form(a, b, beta * beta) if recall else None
+    values["fm_ratio"] = _fm_form(a, b) if recall else None
+    mcc = None
+    if (a != 0.0 or b != 1.0) and (a != 1.0 or b != 0.0):
+        denominator = _threshold_mcc(a, b, _radical_split(a, 1.0 - b))
+        if denominator != 0.0:
+            mcc = _threshold_mcc(a, b, _radical_split(1.0 - a, b)) / denominator
+    values["mcc_ratio"] = mcc
     return values
 
 

@@ -35,7 +35,7 @@ from contextlib import contextmanager, suppress
 from collections.abc import Sequence
 
 from . import __version__
-from .bounds import SWEEP_BETAS, _ratio_values, verify_bounds
+from .bounds import SWEEP_BETAS, _finite, _ratio_values, verify_bounds
 from .dataio import emit_curves, emit_ratio_curves, ingest_predictions
 from .errors import _ECHO_CHARS, PrevthreshError, UsageError, _echo, value_or_none
 from .metrics import ConfusionCounts, DiagnosticProfile, Rate, npv_at, ppv_at
@@ -305,11 +305,11 @@ def _cmd_curves(args) -> None:
 def _cmd_ratios(args) -> dict | None:
     profile = _profile_from(args)
     if args.json:
-        return {
-            "sensitivity": float(profile.sensitivity),
-            "specificity": float(profile.specificity),
-            **_ratio_values(profile, args.betas),
-        }
+        ratios = _ratio_values(profile, args.betas)
+        for value in ratios.values():
+            if value is not None:
+                _finite(value)  # a ratio that overflows is a validation error here
+        return {"sensitivity": float(profile.sensitivity), "specificity": float(profile.specificity), **ratios}
     with _sink(args.output) as out:
         emit_ratio_curves(profile, args.betas, args.step, out)
 

@@ -35,7 +35,7 @@ import math
 import os
 from collections.abc import Iterable
 
-from .errors import DegenerateProfile, EmptyInput, ParseError
+from .errors import DegenerateProfile, EmptyInput, ParseError, _echo
 from .metrics import ConfusionCounts, DiagnosticProfile, _beta
 from .thresholds import threshold_summary
 
@@ -77,7 +77,7 @@ def _parse_binary(token: str, column: str, row: int) -> int:
         return 1
     if value == "0":
         return 0
-    raise ParseError(f"row {row}: {column} must be 0 or 1, got {token!r}", row=row)
+    raise ParseError(f"row {row}: {column} must be 0 or 1, got {_echo(token)}", row=row)
 
 
 def ingest_predictions(source: Source) -> ConfusionCounts:
@@ -91,6 +91,9 @@ def ingest_predictions(source: Source) -> ConfusionCounts:
     (a field over csv's field size limit, say), raise ParseError
     carrying the 1-based physical row number (the header is row 1,
     blank lines count); a file with no data rows raises EmptyInput.
+    Their messages show a bad token, or the repr of a header's columns,
+    of more than 64 characters by its first 64 and its length
+    (errors._echo).
     Paths and byte streams are decoded as UTF-8; bytes that are not
     UTF-8 raise ParseError, with the count of data rows tallied before
     the read that failed, and no row number.

@@ -6,7 +6,9 @@ of the derived profile, the closed-form accuracy ratios, and the
 qualitative flags (informative? degenerate? sitting below the positive
 threshold?). Entries that are undefined for the given counts are
 reported as None rather than raising, so one bad cell does not hide the
-rest of the report.
+rest of the report. Whether an entry is defined is decided by comparing
+the counts or rates (a zero denominator, a zero recall), not by
+catching an error; a ratio that overflows a float is None too.
 """
 
 from __future__ import annotations
@@ -15,14 +17,11 @@ import math
 from collections.abc import Sequence
 
 from .bounds import SWEEP_BETAS, _ratio_values
-from .errors import UndefinedMetric, value_or_none
+from .errors import UndefinedMetric
 from .metrics import (
     ConfusionCounts,
-    DiagnosticProfile,
-    Rate,
     _beta,
     _Record,
-    accuracy_from_counts,
     chi_square_from_mcc,
     f_beta_score,
     mcc_from_counts,
@@ -70,46 +69,59 @@ def analyze_counts(
     """Derive the full report for one confusion matrix.
 
     Needs both classes present in the data (otherwise sensitivity or
-    specificity has a zero denominator and UndefinedMetric propagates);
-    everything further down is per-entry guarded instead. chi_square,
-    for one, is None where the MCC is undefined and where n is too
-    large for a float (chi_square_from_mcc's ValueError).
+    specificity has a zero denominator and UndefinedMetric propagates),
+    and raises ValueError for an invalid beta; every other entry is
+    None where it is undefined, decided by comparison in one pass over
+    plain floats:
+
+    - ppv and npv, where no element is predicted positive or negative;
+      with the ppv go f1, each f_beta and fm, and with either goes mcc,
+      whose determinant form has that marginal as a factor;
+    - an f_beta score where beta**2 overflows or recall and precision
+      are both 0 (f_beta_score);
+    - chi_square where the MCC is undefined and where n is too large
+      for a float (chi_square_from_mcc's ValueError);
+    - thresholds as threshold_summary gives them, and
+      below_positive_threshold with phi_e;
+    - ratios as _ratio_values gives them, and a ratio that overflows a
+      float, as fm_ratio does at sensitivity 5e-324 with specificity 0.
     """
-    if counts.n == 0:
+    n = counts.n
+    if n == 0:
         raise UndefinedMetric("cannot analyze empty counts")
     betas = [_beta(b) for b in betas]
     profile = counts.profile()
     prevalence = counts.prevalence()
     a = float(profile.sensitivity)
+    tp, fp, fn, tn = counts.tp, counts.fp, counts.fn, counts.tn
 
-    precision = value_or_none(counts.ppv)
-
-    def f_score(beta_sq: float) -> float | None:
-        return None if precision is None else f_beta_score(beta_sq, a, precision)
-
-    metrics: dict[str, float | None] = {
-        "accuracy": value_or_none(accuracy_from_counts, counts),
-        "ppv": precision,
-        "npv": value_or_none(counts.npv),
-        "f1": f_score(1.0),
-    }
+    # ConfusionCounts' rates, by its formulas, where their denominators are positive.
+    precision = tp / (tp + fp) if tp + fp else None
+    npv = tn / (tn + fn) if tn + fn else None
+    metrics: dict[str, float | None] = {"accuracy": (tp + tn) / n, "ppv": precision, "npv": npv}
+    metrics["f1"] = None if precision is None else f_beta_score(1.0, a, precision)
     for beta in betas:
-        metrics[f"f_beta_{beta:g}"] = f_score(beta * beta)
+        metrics[f"f_beta_{beta:g}"] = None if precision is None else f_beta_score(beta * beta, a, precision)
     metrics["fm"] = None if precision is None else math.sqrt(a * precision)
-    mcc = value_or_none(mcc_from_counts, counts)
+    mcc = None if precision is None or npv is None else mcc_from_counts(counts)
     metrics["mcc"] = mcc
     try:
-        metrics["chi_square"] = None if mcc is None else chi_square_from_mcc(mcc, counts.n)
+        metrics["chi_square"] = None if mcc is None else chi_square_from_mcc(mcc, n)
     except ValueError:  # n is too large for a float
         metrics["chi_square"] = None
 
     summary = threshold_summary(profile)
+    phi_e = summary["phi_e"]
     thresholds: dict[str, float | None] = {
-        key: summary[key] for key in ("phi_e", "ppv_at_phi_e", "phi_n", "npv_at_phi_n")
+        "phi_e": phi_e,
+        "ppv_at_phi_e": summary["ppv_at_phi_e"],
+        "phi_n": summary["phi_n"],
+        "npv_at_phi_n": summary["npv_at_phi_n"],
     }
     ratios = _ratio_values(profile, betas)
-
-    phi_e = thresholds["phi_e"]
+    for key, value in ratios.items():
+        if value is not None and not math.isfinite(value):
+            ratios[key] = None
     flags: dict[str, bool | None] = {
         "informative": summary["informative"],
         "degenerate": summary["degenerate"],

@@ -154,30 +154,35 @@ def threshold_summary(profile: DiagnosticProfile) -> dict:
     """Both thresholds and their predictive values as one JSON-ready mapping.
 
     Entries that are undefined for the given profile are None, so edge
-    profiles still produce a complete object.
+    profiles still produce a complete object. One pass over plain
+    floats with the kernels of positive_threshold and
+    negative_threshold, and the same values: a threshold is None where
+    its curve's coefficients p and q are both 0, the PPV at phi_e where
+    specificity is 1, and the NPV at phi_n where its Bayes denominator
+    u is 0.
     """
-    payload: dict = {
-        "sensitivity": float(profile.sensitivity),
-        "specificity": float(profile.specificity),
-        "phi_e": None,
-        "ppv_at_phi_e": None,
-        "phi_n": None,
-        "npv_at_phi_n": None,
+    a = float(profile.sensitivity)
+    b = float(profile.specificity)
+    phi_e = ppv_at_phi_e = phi_n = npv_at_phi_n = None
+    if a != 0.0 or b != 1.0:  # the PPV curve's (p, q) = (a, 1-b)
+        phi_e = _radical_split(a, 1.0 - b)
+        if b != 1.0:
+            ppv_at_phi_e = _radical_split(1.0 - b, a)
+    if a != 1.0 or b != 0.0:  # the NPV curve's (p, q) = (1-a, b)
+        phi_n = _radical_split(1.0 - a, b)
+        num, u = _bayes(a, b, "npv", phi_n)
+        if u != 0.0:
+            npv_at_phi_n = num / u
+    return {
+        "sensitivity": a,
+        "specificity": b,
+        "phi_e": phi_e,
+        "ppv_at_phi_e": ppv_at_phi_e,
+        "phi_n": phi_n,
+        "npv_at_phi_n": npv_at_phi_n,
         "informative": profile.is_informative(),
         "degenerate": profile.is_degenerate(),
     }
-    for threshold, phi_key, value_key in (
-        (positive_threshold, "phi_e", "ppv_at_phi_e"),
-        (negative_threshold, "phi_n", "npv_at_phi_n"),
-    ):
-        try:
-            result = threshold(profile)
-        except DegenerateProfile:
-            continue
-        payload[phi_key] = float(result.phi)
-        if result.metric_value is not None:
-            payload[value_key] = float(result.metric_value)
-    return payload
 
 
 def curvature_at(profile: DiagnosticProfile, phi: float, curve: Curve | str = Curve.PPV) -> CurvaturePoint:

@@ -23,7 +23,7 @@ from typing import IO, Iterable
 
 from prevthresh.bounds import accuracy_divergence_curve
 from prevthresh.dataio import Source, _as_text_stream, _parse_binary, _phi_grid
-from prevthresh.errors import DegenerateDenominator, EmptyInput, ParseError
+from prevthresh.errors import DegenerateDenominator, EmptyInput, ParseError, _echo
 from prevthresh.metrics import ConfusionCounts, DiagnosticProfile, Rate, _beta, npv_at, ppv_at
 from prevthresh.thresholds import Curve, CurvaturePoint, threshold_summary
 
@@ -78,7 +78,7 @@ def ingest_predictions_scalar(source: Source) -> ConfusionCounts:
             pred_idx = columns.index("prediction")
         except ValueError:
             raise ParseError(
-                f"row 1: header must name 'label' and 'prediction' columns, got {header!r}",
+                f"row 1: header must name 'label' and 'prediction' columns, got {_echo(repr(header), str)}",
                 row=1,
             ) from None
         tp = fp = fn = tn = 0

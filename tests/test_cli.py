@@ -213,8 +213,7 @@ class TestRatios:
         if to_file:
             argv += ["--output", str(tmp_path / "ratios.json")]
         code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert ERROR_LINE.fullmatch(err) and err.startswith("error:validation:")
+        assert (code, out, err) == (1, "", "error:validation: ratio value must be finite, got inf\n")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -265,6 +264,18 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--predictions", str(path))
         assert code == 1
         assert err.startswith("error:parse: row 3:")
+
+    def test_overflowing_fm_ratio_is_undefined(self, capsys):
+        # Sensitivity 5e-324 with specificity 0 overflows fm_ratio; ratios --json calls that an
+        # error (test_overflowing_ratio_is_a_validation_error), while the report shows it undefined.
+        counts = f"1,5,{2**1074 - 1},0"
+        code, out, err = run(capsys, "analyze", "--counts", counts, "--json")
+        assert (code, err) == (0, "")
+        ratios = json.loads(out)["ratios"]
+        assert ratios["fm_ratio"] is None and ratios["f1_ratio"] == 1.0
+        code, out, err = run(capsys, "analyze", "--counts", counts)
+        assert (code, err) == (0, "")
+        assert "  fm_ratio = n/a\n" in out
 
     def test_single_class_input(self, capsys):
         code, _, err = run(capsys, "analyze", "--counts", "5,0,5,0")
@@ -633,6 +644,46 @@ def test_error_line_echoes_at_most_64_characters_of_an_argument(capsys, case, le
     arg = make(length)
     shown = show(arg) if length <= 64 else f"{show(arg[:64])}... ({length} characters)"
     assert run(capsys, *argv, arg) == (1, "", line.format(shown))
+
+
+# Per bad part of a prediction file: the file around it, and the error line's start.
+INGEST_ECHO_CASES = {
+    "label": (lambda t: f"label,prediction\n1,1\n{t},1\n", "error:parse: row 3: label must be 0 or 1, got "),
+    "prediction": (lambda t: f"label,prediction\n0,{t}\n", "error:parse: row 2: prediction must be 0 or 1, got "),
+    "header": (
+        lambda t: f"{t},prediction\n1,1\n",
+        "error:parse: row 1: header must name 'label' and 'prediction' columns, got ",
+    ),
+}
+
+
+@pytest.mark.parametrize("length", [3, 64, 65, 100_000])
+@pytest.mark.parametrize("case", list(INGEST_ECHO_CASES))
+def test_ingest_error_line_echoes_at_most_64_characters(capsys, tmp_path, case, length):
+    # A token up to 64 characters is echoed whole, as before; a longer one (or a
+    # header whose repr is longer) by its first 64 characters and its length.
+    make, start = INGEST_ECHO_CASES[case]
+    token = "7" * length
+    path = tmp_path / "predictions.csv"
+    path.write_text(make(token), encoding="utf-8")
+    if case == "header":
+        header = repr([token, "prediction"])
+        shown = header if len(header) <= 64 else f"{header[:64]}... ({len(header)} characters)"
+    else:
+        shown = repr(token) if length <= 64 else f"{token[:64]!r}... ({length} characters)"
+    assert run(capsys, "analyze", "--predictions", str(path)) == (1, "", start + shown + "\n")
+
+
+def test_short_ingest_tokens_are_echoed_as_before(capsys, tmp_path):
+    path = tmp_path / "predictions.csv"
+    path.write_text("label,prediction\n1,1\n0,yes\n", encoding="utf-8")
+    assert run(capsys, "analyze", "--predictions", str(path)) == (
+        1, "", "error:parse: row 3: prediction must be 0 or 1, got 'yes'\n"
+    )
+    path.write_text("lbl,pred\n1,1\n", encoding="utf-8")
+    assert run(capsys, "analyze", "--predictions", str(path)) == (
+        1, "", "error:parse: row 1: header must name 'label' and 'prediction' columns, got ['lbl', 'pred']\n"
+    )
 
 
 NUMPY_FREE_ARGV = [

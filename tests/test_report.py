@@ -1,10 +1,15 @@
 """The aggregate confusion-matrix report."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prevthresh import ConfusionCounts, UndefinedMetric, analyze_counts
+import report_oracle
+from prevthresh import ConfusionCounts, DiagnosticProfile, UndefinedMetric, analyze_counts, threshold_summary
+from prevthresh.bounds import _finite, _ratio_values
 
 
 class TestAnalyzeCounts:
@@ -77,6 +82,14 @@ class TestAnalyzeCounts:
         assert undefined == {"chi_square", "npv_at_phi_n"}
         json.dumps(report.to_dict(), allow_nan=False)
 
+    def test_overflowing_fm_ratio_is_undefined(self):
+        # Sensitivity 1 / 2**1074 = 5e-324 with specificity 0: fm_ratio's sqrt((1-b)/a) overflows.
+        report = analyze_counts(ConfusionCounts(1, 5, 2**1074 - 1, 0))
+        assert float(report.profile.sensitivity) == 5e-324
+        assert report.ratios["fm_ratio"] is None
+        assert report.ratios["f1_ratio"] == 1.0
+        json.dumps(report.to_dict(), allow_nan=False)
+
     def test_single_class_raises(self):
         with pytest.raises(UndefinedMetric):
             analyze_counts(ConfusionCounts(5, 0, 5, 0))
@@ -90,3 +103,86 @@ class TestAnalyzeCounts:
         assert set(payload) == {
             "counts", "profile", "prevalence", "metrics", "thresholds", "ratios", "flags",
         }
+
+
+# Edge values drawn beside random ones: the counts 0, 1 and integers past
+# float range, the rates 0, 1, the least subnormal and the float below 1, and
+# betas whose square overflows or underflows, or that are invalid.
+COUNTS = st.one_of(
+    st.sampled_from([0, 1, 2, 10**18, 2**53 + 1, 2**1074 - 1, 2**1100]),
+    st.integers(0, 10**6),
+    st.integers(0, 2**1200),
+)
+RATES = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2**-53, 0.5, 1e-300, 2.0**-1022]), st.floats(0.0, 1.0))
+BETAS = st.lists(
+    st.one_of(
+        st.sampled_from([1e200, 1.3e154, 0.5, 1.0, 2.0, 5e-324, 1e-160]),
+        st.floats(min_value=5e-324, max_value=1e300),
+        st.sampled_from([0.0, -1.0, math.inf, math.nan]),
+    ),
+    max_size=4,
+)
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or the type and message of its error."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _finite_ratios(values: dict) -> dict:
+    """The values, after `ratios --json`'s check that each defined ratio is finite."""
+    for value in values.values():
+        if value is not None:
+            _finite(value)
+    return values
+
+
+def _defined_ratios(values: dict) -> dict:
+    """The values with analyze_counts' policy: a ratio that is not finite is None."""
+    return {key: None if value is not None and not math.isfinite(value) else value for key, value in values.items()}
+
+
+class TestOnePassMatchesComposition:
+    """threshold_summary, _ratio_values and analyze_counts against tests/report_oracle.py, by repr."""
+
+    @given(RATES, RATES)
+    @settings(max_examples=400)
+    def test_threshold_summary(self, a, b):
+        profile = DiagnosticProfile(a, b)
+        assert repr(threshold_summary(profile)) == repr(report_oracle.threshold_summary(profile))
+
+    @given(RATES, RATES, BETAS)
+    @settings(max_examples=400)
+    def test_ratio_values(self, a, b, betas):
+        profile = DiagnosticProfile(a, b)
+        assert _outcome(lambda: _finite_ratios(_ratio_values(profile, betas))) == _outcome(
+            report_oracle.ratio_values, profile, betas
+        )
+        assert _outcome(lambda: _defined_ratios(_ratio_values(profile, betas))) == _outcome(
+            report_oracle.ratio_values, profile, betas, True
+        )
+
+    @given(COUNTS, COUNTS, COUNTS, COUNTS, BETAS)
+    @settings(max_examples=400)
+    def test_analyze_counts(self, tp, fp, fn, tn, betas):
+        counts = ConfusionCounts(tp, fp, fn, tn)
+        assert _outcome(lambda: analyze_counts(counts, betas).to_dict()) == _outcome(
+            lambda: report_oracle.analyze_counts(counts, betas).to_dict()
+        )
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            (1, 5, 2**1074 - 1, 0), (0, 0, 5, 5), (5, 5, 0, 0), (5, 0, 0, 5), (0, 5, 5, 0),
+            (10**309, 1, 1, 1), (9, 1, 1, 9),
+        ],
+    )
+    def test_analyze_counts_at_edge_counts(self, counts):
+        counts = ConfusionCounts(*counts)
+        for betas in ((0.5, 1.0, 2.0), (1e200, 1.3e154), ()):
+            assert repr(analyze_counts(counts, betas).to_dict()) == repr(
+                report_oracle.analyze_counts(counts, betas).to_dict()
+            )
