@@ -54,7 +54,7 @@ from .metrics import (
     f_beta_at,
     fm_at,
 )
-from .thresholds import Curve, _radical_split, _threshold_phi
+from .thresholds import Curve, _threshold_phi, _threshold_phis
 
 __all__ = [
     "f1_ratio",
@@ -152,6 +152,20 @@ def fm_ratio(profile: DiagnosticProfile) -> float:
     return _finite(_fm_form(a, b))
 
 
+def _threshold_mcc(a: float, b: float, phi: float) -> float:
+    """The MCC of the population at prevalence phi: mcc_at_threshold's and _ratio_values' one kernel.
+
+    _mcc_form over the PPV and NPV of _bayes at phi, each its curve's
+    _flat_value where u is 0. That flat value is 0/0, raising
+    ZeroDivisionError, only at the chance corners (0, 1) and (1, 0).
+    """
+    num, u = _bayes(a, b, "ppv", phi)
+    rho = num / u if u != 0.0 else _flat_value(a, b, "ppv")
+    num, u = _bayes(a, b, "npv", phi)
+    sigma = num / u if u != 0.0 else _flat_value(a, b, "npv")
+    return _mcc_form(rho, a, b, sigma)
+
+
 def mcc_at_threshold(profile: DiagnosticProfile, which: str) -> float:
     """MCC of the population at one of the two prevalence thresholds.
 
@@ -164,8 +178,8 @@ def mcc_at_threshold(profile: DiagnosticProfile, which: str) -> float:
     predictive-value curve is constant (sensitivity or specificity at
     an endpoint) and the threshold lands on its undefined edge, its
     continuous extension metrics._flat_value is used, so a perfect test
-    scores 1.0 at either threshold; where that is 0/0 too, the PPV's
-    first, ppv_at's or npv_at's DegenerateDenominator is raised.
+    scores 1.0 at either threshold; where that is 0/0 too, at the
+    chance corners, DegenerateDenominator is raised naming that side.
     """
     if which == "positive":
         curve = Curve.PPV
@@ -176,14 +190,12 @@ def mcc_at_threshold(profile: DiagnosticProfile, which: str) -> float:
     phi = _threshold_phi(profile, curve)
     a = profile.sensitivity
     b = profile.specificity
-    rates = []
-    for side, rate_curve in (("positive", "ppv"), ("negative", "npv")):
-        num, den = _bayes(a, b, rate_curve, phi)
-        try:
-            rates.append(num / den if den != 0.0 else _flat_value(a, b, rate_curve))
-        except ZeroDivisionError:
-            raise DegenerateDenominator(f"no {side} predictions at phi={phi!r} for {profile}") from None
-    return _mcc_form(rates[0], a, b, rates[1])
+    try:
+        return _threshold_mcc(a, b, phi)
+    except ZeroDivisionError:
+        # A flat value is 0/0 only at the chance corners: the PPV's at (0, 1), the NPV's at (1, 0).
+        side = "positive" if a == 0.0 else "negative"
+        raise DegenerateDenominator(f"no {side} predictions at phi={phi!r} for {profile}") from None
 
 
 def mcc_ratio(profile: DiagnosticProfile) -> float:
@@ -334,22 +346,6 @@ def _grid_axis(step: float) -> list[float]:
     return values
 
 
-def _threshold_mcc(a: float, b: float, phi: float) -> float:
-    """mcc_at_threshold's value at a threshold prevalence phi, for a profile off the chance corners.
-
-    _mcc_form over the PPV and NPV of _bayes at phi, each its curve's
-    _flat_value where u is 0. Off the corners (0, 1) and (1, 0) no flat
-    value is 0/0, so this never raises. mcc_at_threshold keeps its own
-    loop, which names the side that fails at a corner; it is the oracle
-    the tests check _ratio_values against.
-    """
-    num, u = _bayes(a, b, "ppv", phi)
-    rho = num / u if u != 0.0 else _flat_value(a, b, "ppv")
-    num, u = _bayes(a, b, "npv", phi)
-    sigma = num / u if u != 0.0 else _flat_value(a, b, "npv")
-    return _mcc_form(rho, a, b, sigma)
-
-
 def _ratio_values(profile: DiagnosticProfile, betas: Iterable[float]) -> dict[str, float | None]:
     """Every bounded ratio at one profile, keyed <key>_ratio; None where undefined.
 
@@ -374,10 +370,11 @@ def _ratio_values(profile: DiagnosticProfile, betas: Iterable[float]) -> dict[st
         values[f"f_beta_{beta:g}_ratio"] = _f_beta_form(a, b, beta * beta) if recall else None
     values["fm_ratio"] = _fm_form(a, b) if recall else None
     mcc = None
-    if (a != 0.0 or b != 1.0) and (a != 1.0 or b != 0.0):
-        denominator = _threshold_mcc(a, b, _radical_split(a, 1.0 - b))
+    phi_e, phi_n = _threshold_phis(a, b)
+    if phi_e is not None and phi_n is not None:
+        denominator = _threshold_mcc(a, b, phi_e)
         if denominator != 0.0:
-            mcc = _threshold_mcc(a, b, _radical_split(1.0 - a, b)) / denominator
+            mcc = _threshold_mcc(a, b, phi_n) / denominator
     values["mcc_ratio"] = mcc
     return values
 

@@ -150,6 +150,17 @@ def negative_threshold(profile: DiagnosticProfile) -> ThresholdResult:
     return _closed_form_threshold(profile, Curve.NPV)
 
 
+def _threshold_phis(a: float, b: float) -> tuple[float | None, float | None]:
+    """(phi_e, phi_n) of plain-float rates, each None where its curve's p = q = 0, as _threshold_phi raises.
+
+    The PPV curve's (p, q) is (a, 1-b) and the NPV curve's (1-a, b), so
+    phi_e is undefined only at (0, 1) and phi_n only at (1, 0).
+    """
+    phi_e = _radical_split(a, 1.0 - b) if a != 0.0 or b != 1.0 else None
+    phi_n = _radical_split(1.0 - a, b) if a != 1.0 or b != 0.0 else None
+    return phi_e, phi_n
+
+
 def threshold_summary(profile: DiagnosticProfile) -> dict:
     """Both thresholds and their predictive values as one JSON-ready mapping.
 
@@ -163,13 +174,10 @@ def threshold_summary(profile: DiagnosticProfile) -> dict:
     """
     a = float(profile.sensitivity)
     b = float(profile.specificity)
-    phi_e = ppv_at_phi_e = phi_n = npv_at_phi_n = None
-    if a != 0.0 or b != 1.0:  # the PPV curve's (p, q) = (a, 1-b)
-        phi_e = _radical_split(a, 1.0 - b)
-        if b != 1.0:
-            ppv_at_phi_e = _radical_split(1.0 - b, a)
-    if a != 1.0 or b != 0.0:  # the NPV curve's (p, q) = (1-a, b)
-        phi_n = _radical_split(1.0 - a, b)
+    phi_e, phi_n = _threshold_phis(a, b)
+    ppv_at_phi_e = _radical_split(1.0 - b, a) if b != 1.0 else None
+    npv_at_phi_n = None
+    if phi_n is not None:
         num, u = _bayes(a, b, "npv", phi_n)
         if u != 0.0:
             npv_at_phi_n = num / u

@@ -197,6 +197,14 @@ class TestMccAtThreshold:
             "DiagnosticProfile(sensitivity=Rate(0.0), specificity=Rate(1.0))"
         )
 
+    def test_other_chance_corner_names_the_negative_side(self):
+        with pytest.raises(DegenerateDenominator) as excinfo:
+            mcc_at_threshold(DiagnosticProfile(1.0, 0.0), "positive")
+        assert str(excinfo.value) == (
+            "no negative predictions at phi=0.5 for "
+            "DiagnosticProfile(sensitivity=Rate(1.0), specificity=Rate(0.0))"
+        )
+
 
 class TestMccRatio:
     def test_oracle_value(self):
