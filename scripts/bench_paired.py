@@ -14,8 +14,10 @@ sides returned the same result (by repr, or the CSV text for
 emit_ratio_curves).
 
 The calls: ThresholdResult(...), ppv_at, npv_at, positive_threshold,
-threshold_summary, curvature_argmax, mcc_at_threshold, mcc_ratio,
-f_beta_at, analyze_counts, verify_bounds(0.01), emit_ratio_curves,
+threshold_summary, curvature_argmax on the PPV and the NPV curve and on
+the PPV curve of the broad-peak profile (0.6, 0.401), whose coarse scan
+evaluates the whole grid, mcc_at_threshold, mcc_ratio, f_beta_at,
+analyze_counts, verify_bounds(0.01), emit_ratio_curves,
 ingest_predictions on each of bench_ingest.py's nine tables of --rows
 rows, and run_cli of ``thresholds --json``, ``ratios --json`` and
 ``analyze --counts 9,1,1,9`` (text) in process, with stdout sent to a
@@ -72,6 +74,7 @@ def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]]) -> dic
     (tp, fp, fn, tn).
     """
     profile = pkg.DiagnosticProfile(0.9, 0.95)
+    broad_peak = pkg.DiagnosticProfile(0.6, 0.401)
     counts = pkg.ConfusionCounts(90, 5, 10, 95)
 
     def ratio_curves() -> str:
@@ -86,6 +89,8 @@ def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]]) -> dic
         "positive_threshold": lambda: pkg.positive_threshold(profile),
         "threshold_summary": lambda: pkg.threshold_summary(profile),
         "curvature_argmax": lambda: pkg.curvature_argmax(profile),
+        "curvature_argmax(npv)": lambda: pkg.curvature_argmax(profile, "npv"),
+        "curvature_argmax(broad)": lambda: pkg.curvature_argmax(broad_peak),
         "mcc_at_threshold": lambda: pkg.mcc_at_threshold(profile, "negative"),
         "mcc_ratio": lambda: pkg.mcc_ratio(profile),
         "f_beta_at": lambda: pkg.f_beta_at(profile, 0.19, 2.0),

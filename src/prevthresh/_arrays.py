@@ -25,14 +25,15 @@ bytes written from them against.
 The curvature scan is the exception: _kappa_grid, the package's only
 array form of the curvature, is a cleared form of its own, and
 curvature_bracket's contract is the argmax of _kappa_grid over the
-whole cached grid, so its values define the oracle's bracket. It
-evaluates _kappa_grid on a strided subsample for a hint and then on a
-window of ~330 grid points around it, and accepts the window's argmax
-only when it is certified to be the whole grid's (_window_argmax:
-normal intermediates, inner window edges clearly below the maximum of a
-unimodal curvature); otherwise it falls back to the full 10,001-point
-scan. The test suite checks the bracket against a full scan on a dense
-profile set.
+whole cached grid, so its values define the oracle's bracket. The same
+_kappa_grid function also takes a Python float: curvature_bracket
+finds the argmax on floats at a few grid points (a golden-section hint,
+a climb, then _certified_argmax's check that the point exceeds both
+grid neighbours by a margin far above the few-ulp gap between the two
+evaluations) and evaluates the whole 10,001-point grid with numpy only
+where that check fails. The test suite checks the bracket against a
+full scan on a dense profile set, and the gap between the float and
+the array values.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from .bounds import RATIO_BOUNDS, SWEEP_BETAS, BoundRecord, BoundViolation, _f_beta_form, _fm_form
 from .errors import DegenerateDenominator
 from .metrics import DiagnosticProfile, _bayes, _curve_coefficients, _f_beta_harmonic, _flat_value, _mcc_form
-from .thresholds import COARSE_STEP, Curve, _kappa_kernel, _radical_split
+from .thresholds import COARSE_STEP, Curve, _golden_section, _kappa_kernel, _radical_split
 
 
 # --- predictive values and the curvature scan (thresholds) -----------------------
@@ -72,27 +73,38 @@ def predictive_arrays(a, b, curve: Curve, phi: np.ndarray, extend: bool = False)
     return values
 
 
-def _kappa_grid(p: float, q: float, xs: np.ndarray) -> np.ndarray:
-    """Curvature of the curve with coefficients (p, q) at every prevalence of xs, for the coarse scan.
+def _kappa_grid(p: float, q: float) -> Callable:
+    """Curvature of the curve with coefficients (p, q) as a function of prevalence, for the coarse scan.
 
+    The function takes a float or an array of prevalences and applies the
+    same floating-point operations in the same order to either, with
+    the prevalence-free factors computed once per curve. It is
     _kappa_kernel's formula cleared of negative powers of u, so its
     values round differently from the kernel's; the scan's bracket, and
-    so curvature_argmax's result, is defined by these values.
+    so curvature_argmax's result, is defined by its values on the grid
+    array.
     """
-    u = p * xs + q * (1.0 - xs)
     pq = p * q
-    # kappa = 2*pq*|p-q|/u^3 / (1 + (pq)^2/u^4)^(3/2), cleared of negative powers.
-    return 2.0 * pq * abs(p - q) * u**3 / (u**4 + pq * pq) ** 1.5
+    gap = 2.0 * pq * abs(p - q)
+    pq2 = pq * pq
+
+    def kappa(xs):
+        u = p * xs + q * (1.0 - xs)
+        # kappa = 2*pq*|p-q|/u^3 / (1 + (pq)^2/u^4)^(3/2), cleared of negative powers.
+        return gap * u**3 / (u**4 + pq2) ** 1.5
+
+    return kappa
 
 
-# The certified window of curvature_bracket: the hint comes from every
-# _HINT_STRIDE-th grid point, the window reaches _WINDOW_SLACK points past
-# a stride on each side of it, and a window edge must lie below the
-# window's maximum by the relative _EDGE_MARGIN, far above the few-ulp
-# error of a _kappa_grid value.
-_HINT_STRIDE = 100
-_WINDOW_SLACK = 64
-_EDGE_MARGIN = 1e-9
+# The Python path of curvature_bracket: golden-section search narrows the
+# peak to _HINT_WIDTH, and a grid index is accepted only where its value
+# exceeds both grid neighbours' by the relative _TIE_MARGIN, far above the
+# few-ulp gap between numpy's and Python's _kappa_grid values at a point.
+_HINT_WIDTH = 4 * COARSE_STEP
+_TIE_MARGIN = 1e-12
+# Grid points the full scan evaluates at once: its temporaries stay a few
+# kilobytes, so a scan does not grow the heap as 10,001-point ones would.
+_SCAN_BLOCK = 1024
 # Floor on the smallest numerator and denominator of _kappa_grid over
 # [0, 1], some 1e8 above the smallest normal float: above it every value
 # and intermediate is a normal float, except that one of u**4 and pq**2
@@ -101,48 +113,95 @@ _NORMAL_FLOOR = 1e-300
 
 
 @functools.cache
-def _coarse_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The scan grid {0, COARSE_STEP, ..., 1} and its every _HINT_STRIDE-th point, both read-only."""
+def _coarse_grid() -> np.ndarray:
+    """The scan grid {0, COARSE_STEP, ..., 1}, read-only."""
     xs = np.linspace(0.0, 1.0, round(1.0 / COARSE_STEP) + 1)
-    hint_xs = xs[::_HINT_STRIDE].copy()
-    xs.flags.writeable = hint_xs.flags.writeable = False
-    return xs, hint_xs
+    xs.flags.writeable = False
+    return xs
 
 
-def _window_argmax(p: float, q: float) -> int | None:
-    """The full scan's argmax, read off a window of the grid; None where the window is not certified.
+def _grid_hint(kappa: Callable[[float], float], n: int) -> int:
+    """The index, on a grid of n steps over [0, 1], of the middle of a golden-section bracket of kappa's peak."""
+    lo, hi = _golden_section(kappa, 0.0, 1.0, _HINT_WIDTH)
+    return round(0.5 * (lo + hi) * n)
 
-    kappa is unimodal in phi: with u = p*phi + q*(1-phi) and k = p*q,
-    dkappa/du is proportional to u**2 * (k**2 - u**4), and u is monotone
-    in phi. So once the window's edges (other than the grid's ends) lie
-    below its maximum by _EDGE_MARGIN, every value outside it is below
-    that maximum too, and the window's first argmax is the full scan's.
-    The window's values are the full grid's at the same indices, bit for
-    bit, because _kappa_grid acts elementwise on a contiguous slice. The
-    margin bounds rounding error only when every intermediate is a
-    normal float, which _NORMAL_FLOOR checks at u's smallest value,
-    min(p, q), where both the numerator and the denominator are smallest
-    (p and q are a curve's coefficients, in [0, 1]).
+
+def _scan_is_normal(p: float, q: float) -> bool:
+    """Whether _kappa_grid's numerator and denominator clear _NORMAL_FLOOR at every prevalence in [0, 1].
+
+    Both grow with u = p*phi + q*(1-phi), so they are checked at u's
+    smallest value, min(p, q) (p and q are a curve's coefficients, in
+    [0, 1]).
     """
     k = p * q
     u_min = min(p, q)
-    if not (2.0 * k * abs(p - q) * u_min**3 >= _NORMAL_FLOOR and (u_min**4 + k * k) ** 1.5 >= _NORMAL_FLOOR):
+    return 2.0 * k * abs(p - q) * u_min**3 >= _NORMAL_FLOOR and (u_min**4 + k * k) ** 1.5 >= _NORMAL_FLOOR
+
+
+def _certified_argmax(p: float, q: float) -> int | None:
+    """The full scan's argmax, from _kappa_grid on Python floats; None where it is not certified.
+
+    From _grid_hint's index the search climbs the grid to a local
+    maximum of the Python values, then accepts it only where it exceeds
+    both grid neighbours by the relative _TIE_MARGIN. kappa is unimodal
+    in phi: with u = p*phi + q*(1-phi) and k = p*q, dkappa/du is
+    proportional to u**2 * (k**2 - u**4), and u is monotone in phi. The
+    Python values are within a few ulps of the exact ones, so the exact
+    grid values, which rise to one peak and then fall, peak at that
+    index too, and every other grid value lies at or below the
+    neighbour on its side, so below the peak by the margin less a few
+    ulps. numpy's values on the grid array differ from the exact ones by
+    a few ulps as well (u is bit-equal, and only the powers and the
+    quotient round apart), so the index is numpy's argmax, with no tie.
+    The ulp bound holds only when every intermediate is a normal float,
+    which _scan_is_normal checks first; then no value is NaN or
+    infinite either.
+    """
+    if not _scan_is_normal(p, q):
         return None
-    xs, hint_xs = _coarse_grid()
-    hint = int(_kappa_grid(p, q, hint_xs).argmax()) * _HINT_STRIDE
-    start = max(hint - _HINT_STRIDE - _WINDOW_SLACK, 0)
-    stop = min(hint + _HINT_STRIDE + _WINDOW_SLACK + 1, xs.size)
-    window = _kappa_grid(p, q, xs[start:stop])
-    i = int(window.argmax())
-    top = float(window[i])
-    # argmax picks a NaN or an infinity if there is one (no value is negative),
-    # so a finite maximum means every window value is finite.
-    if not math.isfinite(top):
+    kappa = _kappa_grid(p, q)
+    xs = _coarse_grid()
+    n = xs.size - 1
+
+    def at(i: int) -> float:
+        return kappa(xs.item(i)) if 0 <= i <= n else -math.inf
+
+    j = _grid_hint(kappa, n)
+    left, top, right = at(j - 1), at(j), at(j + 1)
+    while left > top:
+        j -= 1
+        left, top, right = at(j - 1), left, top
+    while right > top:
+        j += 1
+        left, top, right = top, right, at(j + 1)
+    bar = top * (1.0 - _TIE_MARGIN)
+    if not (math.isfinite(top) and left < bar and right < bar):
         return None
-    floor = top * (1.0 - _EDGE_MARGIN)
-    if (start > 0 and float(window[0]) >= floor) or (stop < xs.size and float(window[-1]) >= floor):
-        return None
-    return start + i
+    return j
+
+
+def _full_scan_argmax(p: float, q: float) -> int:
+    """np.argmax of _kappa_grid over the whole grid: the first NaN, else the first largest value.
+
+    Evaluated with numpy a block of _SCAN_BLOCK grid points at a time;
+    _kappa_grid acts elementwise, so a block's values are the whole
+    grid's at the same indices, bit for bit. numpy's floating-point
+    warnings are silenced: a NaN or underflow here is part of the scan's
+    result, not an error.
+    """
+    kappa = _kappa_grid(p, q)
+    xs = _coarse_grid()
+    best, top = 0, -math.inf
+    with np.errstate(all="ignore"):
+        for start in range(0, xs.size, _SCAN_BLOCK):
+            values = kappa(xs[start : start + _SCAN_BLOCK])
+            i = int(values.argmax())
+            value = values.item(i)
+            if value != value:
+                return start + i
+            if value > top:
+                best, top = start + i, value
+    return best
 
 
 def curvature_bracket(p: float, q: float) -> tuple[float, float]:
@@ -150,19 +209,16 @@ def curvature_bracket(p: float, q: float) -> tuple[float, float]:
 
     Scans {0, COARSE_STEP, ..., 1} with _kappa_grid; ties go to the smaller
     prevalence, a NaN value counts as largest (numpy's argmax), and the
-    bracket is clipped to [0, 1]. The scan reads the argmax off a
-    certified window around a strided hint (_window_argmax) and falls
-    back to evaluating every grid point where the window is not
-    certified; either way the bracket is the full scan's. numpy's
-    floating-point warnings are silenced: a NaN or underflow here is
-    part of the scan's result, not an error.
+    bracket is clipped to [0, 1]. The argmax comes from Python floats at
+    a few grid points where _certified_argmax certifies it, and
+    otherwise from evaluating every grid point with numpy
+    (_full_scan_argmax); either way the bracket is the full scan's.
     """
-    xs, _ = _coarse_grid()
-    with np.errstate(all="ignore"):
-        i = _window_argmax(p, q)
-        if i is None:
-            i = int(np.argmax(_kappa_grid(p, q, xs)))
-    return float(xs[max(i - 1, 0)]), float(xs[min(i + 1, xs.size - 1)])
+    xs = _coarse_grid()
+    i = _certified_argmax(p, q)
+    if i is None:
+        i = _full_scan_argmax(p, q)
+    return xs.item(max(i - 1, 0)), xs.item(min(i + 1, xs.size - 1))
 
 
 # --- the bound sweep (bounds) ----------------------------------------------------

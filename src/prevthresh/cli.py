@@ -19,9 +19,10 @@ An integer argument (--counts, --n, --seed) longer than the
 interpreter's digit limit, sys.get_int_max_str_digits() (4,300 digits
 by default), is a usage error, and so are counts whose total is: no
 output could print it. An error line about a malformed or
-out-of-range argument, an unknown subcommand or an unrecognized
-argument echoes an argument of more than 64 characters by its first 64
-and its length (errors._echo).
+out-of-range argument, an unknown subcommand, an unrecognized or
+ambiguous option or a value given to a flag that takes none echoes
+an argument of more than 64 characters by its first 64 and its length
+(errors._echo).
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ class _Parser(argparse.ArgumentParser):
     here, so it reaches the flag's own validation as it does in the
     "--delta=-1e-5" form. No option of this CLI looks like a number.
 
-    The stock parser echoes an invalid subcommand and unrecognized
-    arguments whole; this one cuts one longer than _ECHO_CHARS as _echo
-    does.
+    The stock parser echoes an invalid subcommand, unrecognized
+    arguments, an ambiguous option and the value of a --flag=value
+    whose flag takes none whole; this one cuts one longer than
+    _ECHO_CHARS as _echo does.
     """
 
     def __init__(self, *args, **kwargs):
@@ -80,6 +82,21 @@ class _Parser(argparse.ArgumentParser):
             choices = ", ".join(map(repr, action.choices))
             raise argparse.ArgumentError(action, f"invalid choice: {_echo(value)} (choose from {choices})")
         super()._check_value(action, value)
+
+    def _parse_optional(self, arg_string):
+        # The stock parser raises "ambiguous option" here, and "ignored
+        # explicit argument" (a --flag=value whose flag takes no value) as
+        # it consumes the flag. A cut value's error is raised here instead,
+        # on the first scan of the arguments, as the ambiguous option's is.
+        try:
+            parsed = super()._parse_optional(arg_string)
+        except UsageError as err:
+            raise UsageError(str(err).replace(arg_string, _echo(arg_string, str), 1)) from None
+        if parsed and parsed[0] is not None:
+            action, option_string, explicit = parsed[0], parsed[1], parsed[-1]
+            if action.nargs == 0 and option_string[1] in self.prefix_chars and explicit and len(explicit) > _ECHO_CHARS:
+                raise argparse.ArgumentError(action, f"ignored explicit argument {_echo(explicit)}")
+        return parsed
 
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)

@@ -342,9 +342,12 @@ def mcc_from_counts(counts: ConfusionCounts) -> float:
     (tp*tn - fp*fn) / sqrt of the product of the four marginals. Serves
     as the independent cross-check of :func:`mcc_from_rates`; the two
     agree to floating-point tolerance whenever all marginals are
-    positive. Where that product overflows a float, the MCC is the
-    signed square root of the exact integer ratio (tp*tn - fp*fn)**2 /
-    product instead.
+    positive. The product is rounded to a float before its square
+    root, so a perfect table such as (679773874, 0, 0, 93) can come out
+    a rounding outside [-1, 1]; the result is clamped to [-1, 1]. Where
+    that product overflows a float, the MCC is the signed square root of
+    the exact integer ratio (tp*tn - fp*fn)**2 / product instead, which
+    lies in [-1, 1] as it is.
     """
     tp, fp, fn, tn = counts.tp, counts.fp, counts.fn, counts.tn
     pred_pos = tp + fp
@@ -359,7 +362,8 @@ def mcc_from_counts(counts: ConfusionCounts) -> float:
     except OverflowError:  # a marginal itself is beyond float range
         product = math.inf
     if math.isfinite(product):
-        return numerator / math.sqrt(product)
+        mcc = numerator / math.sqrt(product)
+        return mcc if -1.0 <= mcc <= 1.0 else math.copysign(1.0, mcc)
     magnitude = math.sqrt(numerator * numerator / (pred_pos * obs_pos * obs_neg * pred_neg))
     return -magnitude if numerator < 0 else magnitude
 

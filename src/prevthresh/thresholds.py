@@ -251,6 +251,28 @@ def _kappa_kernel(profile: DiagnosticProfile, curve: Curve):
     return kappa
 
 
+def _golden_section(kappa, lo: float, hi: float, width: float) -> tuple[float, float]:
+    """Golden-section search for the maximum of kappa: [lo, hi] shrunk until it is at most width wide.
+
+    A tie between the two probes keeps the lower part. Both the oracle's
+    refinement and its coarse scan's hint (_arrays._grid_hint) run it.
+    """
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    k1 = kappa(x1)
+    k2 = kappa(x2)
+    while hi - lo > width:
+        if k1 < k2:
+            lo, x1, k1 = x1, x2, k2
+            x2 = lo + _INV_PHI * (hi - lo)
+            k2 = kappa(x2)
+        else:
+            hi, x2, k2 = x2, x1, k1
+            x1 = hi - _INV_PHI * (hi - lo)
+            k1 = kappa(x1)
+    return lo, hi
+
+
 def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV) -> ThresholdResult:
     """Numerically locate the maximum-curvature prevalence of a curve.
 
@@ -261,15 +283,16 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
     bit for bit. Agrees with the closed form to well under 1e-6 for
     every informative profile.
 
-    The scan evaluates the curvature only on a window of the grid
-    around the largest value of a strided subsample of it, and accepts
-    the window's argmax only when it is certified to be the whole
-    grid's: every intermediate is a normal float and each inner window
-    edge lies clearly below the window's maximum (the curvature is
-    unimodal in prevalence). Otherwise it scans the whole grid, as for
-    near-degenerate profiles. Neither path consults the closed forms.
-    The search evaluates _kappa_kernel, the arithmetic of curvature_at,
-    so each probe's value is curvature_at's kappa there.
+    The scan's argmax is found on Python floats: golden-section search
+    narrows the curvature's peak to four grid steps, a climb over the
+    grid reaches a local maximum, and that grid point is accepted only
+    when every intermediate is a normal float and it exceeds both grid
+    neighbours by a relative 1e-12 (the curvature is unimodal in
+    prevalence, so it is then the whole grid's argmax). Otherwise numpy
+    scans the whole grid, as for near-degenerate profiles, broad peaks
+    and near-ties. Neither path consults the closed forms.
+    The refinement evaluates _kappa_kernel, the arithmetic of
+    curvature_at, so each probe's value is curvature_at's kappa there.
     """
     curve = Curve(curve)
     if profile.is_degenerate():
@@ -288,19 +311,7 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
     # Every probe lies in [lo, hi], inside [0, 1], the kernel's domain.
     kappa = _kappa_kernel(profile, curve)
 
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    k1 = kappa(x1)
-    k2 = kappa(x2)
-    while hi - lo > REFINE_WIDTH:
-        if k1 < k2:
-            lo, x1, k1 = x1, x2, k2
-            x2 = lo + _INV_PHI * (hi - lo)
-            k2 = kappa(x2)
-        else:
-            hi, x2, k2 = x2, x1, k1
-            x1 = hi - _INV_PHI * (hi - lo)
-            k1 = kappa(x1)
+    lo, hi = _golden_section(kappa, lo, hi, REFINE_WIDTH)
     phi = Rate(0.5 * (lo + hi))
 
     try:

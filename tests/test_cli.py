@@ -277,6 +277,12 @@ class TestAnalyze:
         assert (code, err) == (0, "")
         assert "  fm_ratio = n/a\n" in out
 
+    def test_perfect_table_keeps_its_chi_square(self, capsys):
+        # The unclamped MCC of this table rounds to 1.0000000000000002, which left chi_square n/a.
+        code, out, err = run(capsys, "analyze", "--counts", "679773874,0,0,93")
+        assert (code, err) == (0, "")
+        assert "  mcc = 1.0\n  chi_square = 679773967.0\n" in out
+
     def test_single_class_input(self, capsys):
         code, _, err = run(capsys, "analyze", "--counts", "5,0,5,0")
         assert code == 1
@@ -644,6 +650,20 @@ def test_error_line_echoes_at_most_64_characters_of_an_argument(capsys, case, le
     arg = make(length)
     shown = show(arg) if length <= 64 else f"{show(arg[:64])}... ({length} characters)"
     assert run(capsys, *argv, arg) == (1, "", line.format(shown))
+
+
+@pytest.mark.parametrize("length", [3, 64, 65, 4000])
+def test_option_parsing_errors_echo_at_most_64_characters(capsys, length):
+    # argparse's own "ignored explicit argument" and "ambiguous option" lines,
+    # byte for byte as argparse words them up to 64 characters.
+    value = "x" * length
+    shown = repr(value) if length <= 64 else f"{value[:64]!r}... ({length} characters)"
+    line = f"error:usage: argument --json: ignored explicit argument {shown}\n"
+    assert run(capsys, "thresholds", *PROFILE_ARGV, f"--json={value}") == (1, "", line)
+    option = ("--s=" + value)[:length]
+    shown = option if length <= 64 else f"{option[:64]}... ({length} characters)"
+    line = f"error:usage: ambiguous option: {shown} could match --sensitivity, --specificity\n"
+    assert run(capsys, "thresholds", option) == (1, "", line)
 
 
 # Per bad part of a prediction file: the file around it, and the error line's start.

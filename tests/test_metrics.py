@@ -368,6 +368,20 @@ class TestMcc:
         direct = (tp * tn - fp * fn) / math.sqrt(float(tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
         assert mcc_from_counts(ConfusionCounts(tp, fp, fn, tn)) == direct
 
+    def test_counts_perfect_table_rounding_above_one_is_clamped(self):
+        # The rounded product of the marginals puts the unclamped quotient at 1.0000000000000002.
+        tp, tn = 679773874, 93
+        assert tp * tn / math.sqrt(float(tp) * tp * tn * tn) > 1.0
+        assert mcc_from_counts(ConfusionCounts(tp, 0, 0, tn)) == 1.0
+        assert mcc_from_counts(ConfusionCounts(0, tp, tn, 0)) == -1.0
+
+    @given(tp=st.integers(min_value=1, max_value=2**80), tn=st.integers(min_value=1, max_value=2**80))
+    def test_counts_perfect_tables_stay_in_range(self, tp, tn):
+        mcc = mcc_from_counts(ConfusionCounts(tp, 0, 0, tn))
+        assert 1.0 - 1e-15 <= mcc <= 1.0
+        assert -1.0 <= mcc_from_counts(ConfusionCounts(0, tp, tn, 0)) <= -1.0 + 1e-15
+        assert chi_square_from_mcc(mcc, tp + tn) == (tp + tn) * mcc * mcc
+
     @given(
         tp=st.integers(min_value=1, max_value=500),
         fp=st.integers(min_value=1, max_value=500),
