@@ -66,8 +66,10 @@ class _Parser(argparse.ArgumentParser):
 
     The stock parser echoes an invalid subcommand, unrecognized
     arguments, an ambiguous option and the value of a --flag=value
-    whose flag takes none whole; this one cuts one longer than
-    _ECHO_CHARS as _echo does.
+    whose flag takes none whole; this one cuts, in the message of any
+    usage error, an argument longer than _ECHO_CHARS as _echo does.
+    It reads only the message, not argparse's internals, whose shapes
+    differ between Python versions.
     """
 
     def __init__(self, *args, **kwargs):
@@ -77,32 +79,26 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
-    def _check_value(self, action, value):
-        if action.choices is not None and value not in action.choices and len(value) > _ECHO_CHARS:
-            choices = ", ".join(map(repr, action.choices))
-            raise argparse.ArgumentError(action, f"invalid choice: {_echo(value)} (choose from {choices})")
-        super()._check_value(action, value)
-
-    def _parse_optional(self, arg_string):
-        # The stock parser raises "ambiguous option" here, and "ignored
-        # explicit argument" (a --flag=value whose flag takes no value) as
-        # it consumes the flag. A cut value's error is raised here instead,
-        # on the first scan of the arguments, as the ambiguous option's is.
-        try:
-            parsed = super()._parse_optional(arg_string)
-        except UsageError as err:
-            raise UsageError(str(err).replace(arg_string, _echo(arg_string, str), 1)) from None
-        if parsed and parsed[0] is not None:
-            action, option_string, explicit = parsed[0], parsed[1], parsed[-1]
-            if action.nargs == 0 and option_string[1] in self.prefix_chars and explicit and len(explicit) > _ECHO_CHARS:
-                raise argparse.ArgumentError(action, f"ignored explicit argument {_echo(explicit)}")
-        return parsed
-
     def parse_args(self, args=None, namespace=None):
-        args, extras = self.parse_known_args(args, namespace)
-        if extras:
-            self.error("unrecognized arguments: " + " ".join(_echo(extra, str) for extra in extras))
-        return args
+        args = sys.argv[1:] if args is None else list(args)
+        try:
+            return super().parse_args(args, namespace)
+        except UsageError as err:
+            raise UsageError(_cut_arguments(str(err), args)) from None
+
+
+def _cut_arguments(message: str, argv: Sequence[str]) -> str:
+    """message with each argument of argv over _ECHO_CHARS characters cut as _echo does.
+
+    The value argparse reads from an --option=value or a -xvalue counts
+    as an argument. Where message shows a text by its repr, the cut
+    keeps the quotes. Longer texts go first, so a text inside another
+    is not cut within it.
+    """
+    texts = {text for arg in argv for text in (arg, arg.partition("=")[2], arg[2:]) if len(text) > _ECHO_CHARS}
+    for text in sorted(texts, key=len, reverse=True):
+        message = message.replace(repr(text), _echo(text)).replace(text, _echo(text, str))
+    return message
 
 
 # An integer literal as int() reads it. int() refuses one only where it has

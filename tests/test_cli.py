@@ -654,8 +654,9 @@ def test_error_line_echoes_at_most_64_characters_of_an_argument(capsys, case, le
 
 @pytest.mark.parametrize("length", [3, 64, 65, 4000])
 def test_option_parsing_errors_echo_at_most_64_characters(capsys, length):
-    # argparse's own "ignored explicit argument" and "ambiguous option" lines,
-    # byte for byte as argparse words them up to 64 characters.
+    # argparse's own "ignored explicit argument" (of --flag=value and -hvalue)
+    # and "ambiguous option" lines, byte for byte as argparse words them up to
+    # 64 characters.
     value = "x" * length
     shown = repr(value) if length <= 64 else f"{value[:64]!r}... ({length} characters)"
     line = f"error:usage: argument --json: ignored explicit argument {shown}\n"
@@ -664,6 +665,15 @@ def test_option_parsing_errors_echo_at_most_64_characters(capsys, length):
     shown = option if length <= 64 else f"{option[:64]}... ({length} characters)"
     line = f"error:usage: ambiguous option: {shown} could match --sensitivity, --specificity\n"
     assert run(capsys, "thresholds", option) == (1, "", line)
+    shown = repr(value) if length <= 64 else f"{value[:64]!r}... ({length} characters)"
+    line = f"error:usage: argument -h/--help: ignored explicit argument {shown}\n"
+    assert run(capsys, "thresholds", f"-h{value}") == (1, "", line)
+
+
+def test_an_argument_inside_a_longer_one_is_cut_on_its_own(capsys):
+    short, long = "x" * 100, "x" * 200
+    line = f"error:usage: unrecognized arguments: {'x' * 64}... (100 characters) {'x' * 64}... (200 characters)\n"
+    assert run(capsys, "thresholds", *PROFILE_ARGV, short, long) == (1, "", line)
 
 
 # Per bad part of a prediction file: the file around it, and the error line's start.
