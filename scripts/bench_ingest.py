@@ -5,8 +5,8 @@ the table's CSV text and the confusion counts it was built with.
 scripts/bench_paired.py writes each table to a file and times ingest
 on it, checking every call's counts against those. The tables differ
 in what decides ingest's path (prevthresh._ingest): how many distinct
-lines they hold, line endings, quotes, and one line longer than
-ingest's read block.
+lines they hold, line endings, quotes, one line longer than ingest's
+read block, and the order of their rows.
 
 - four-lines, four-lines-crlf: the four label/prediction lines, LF or CRLF.
 - distinct-20pct, distinct-50pct, distinct-100pct: a score column that
@@ -18,6 +18,8 @@ ingest's read block.
   5,000th row.
 - long-row: two short rows and one 100,000-character row, then the four
   lines.
+- grouped: every tp row, then the fp, fn and tn rows, 40%, 10%, 15% and
+  35% of them, in write_predictions' order, as curves-io writes them.
 """
 
 from __future__ import annotations
@@ -72,6 +74,13 @@ def _long_row(rows: int) -> tuple[str, ConfusionCounts]:
     return head + text.split("\n", 1)[1], ConfusionCounts(counts.tp + 2, counts.fp, counts.fn, counts.tn + 1)
 
 
+def _grouped(rows: int) -> tuple[str, ConfusionCounts]:
+    tp, fp, fn = rows * 4 // 10, rows // 10, rows * 3 // 20
+    cells = (tp, fp, fn, rows - tp - fp - fn)
+    body = "".join(f"{label},{pred}\n" * count for (label, pred), count in zip(PAIRS, cells))
+    return "label,prediction\n" + body, ConfusionCounts(*cells)
+
+
 TABLES = {
     "four-lines": _four_lines,
     "four-lines-crlf": lambda rows: _four_lines(rows, "\r\n"),
@@ -82,4 +91,5 @@ TABLES = {
     "eight-lines": _eight_lines,
     "padded-every-5000": _padded,
     "long-row": _long_row,
+    "grouped": _grouped,
 }

@@ -18,7 +18,7 @@ threshold_summary, curvature_argmax on the PPV and the NPV curve and on
 the PPV curve of the broad-peak profile (0.6, 0.401), whose coarse scan
 evaluates the whole grid, mcc_at_threshold, mcc_ratio, f_beta_at,
 analyze_counts, verify_bounds(0.01), emit_ratio_curves,
-ingest_predictions on each of bench_ingest.py's nine tables of --rows
+ingest_predictions on each of bench_ingest.py's ten tables of --rows
 rows, and run_cli of ``thresholds --json``, ``ratios --json`` and
 ``analyze --counts 9,1,1,9`` (text) in process, with stdout sent to a
 StringIO. Every ingest call's counts are checked against the ones its

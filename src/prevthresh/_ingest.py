@@ -2,14 +2,14 @@
 
 dataio.ingest_predictions imports this module on its first call, so
 importing the package, and every CLI call that reads no prediction
-file, compiles none of it. tally_blocks describes the pass.
+file, compiles none of it. tally_blocks describes the pass: it counts
+the data lines the header implies, then splits blocks, then parses rows.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import math
 import re
 from collections import Counter
 
@@ -108,9 +108,16 @@ def _replay(stream, text: str):
     return itertools.chain((match.group() for match in line.finditer(text)), stream)
 
 
-def _has_suffix_pair(kept: list[tuple[str, int]]) -> bool:
-    """Whether one kept line ends in another, so that one line feed could end two counted lines."""
-    return any(a.endswith(b) for (a, _), (b, _) in itertools.permutations(kept, 2))
+def _irregular(block: str) -> bool:
+    """Whether block holds a quote or a carriage return outside a CRLF pair, which only csv reads."""
+    return '"' in block or "\r" in block and block.count("\r") != block.count("\r\n")
+
+
+def _implied_lines(columns: tuple[int, int], end: str) -> dict[str, int]:
+    """Each line of two bare 0/1 tokens, with end, to its cell; none unless label and prediction are columns 0 and 1."""
+    if sorted(columns) != [0, 1]:
+        return {}
+    return {",".join(pair if columns == (0, 1) else reversed(pair)) + end: cell for pair, cell in _CELLS.items()}
 
 
 def tally_blocks(stream, tally: list[int]) -> None:
@@ -118,36 +125,33 @@ def tally_blocks(stream, tally: list[int]) -> None:
 
     Each read of _READ_CHARS characters is cut after its last line feed,
     so a block holds whole lines and memory is bounded by a read plus
-    the longest line. A block is first offered to the count path: when
-    the last block the Counter path tallied had at most len(_CELLS)
-    distinct lines, none blank and none a suffix of another, each such
-    kept line is counted in the block with str.count(line + "\n"). An
-    occurrence holds no line feed but its last, so it is the end of one
-    line of the block with that line's feed, and no line ends in two
-    kept lines. The counts, each times its line's length plus one, thus
-    add up to at most the block's length, and to exactly that length
-    only when every line of the block, the last one included, is a kept
-    line; only then are the counts taken. Any other block is split at
-    line feeds only. Every stream and csv end their lines there too
-    (str.splitlines would also split at form feeds, U+2028 and more),
-    and csv reads a line's trailing carriage return as part of its end.
-    Its lines are counted with Counter, and each distinct line is parsed
-    once and counted as often as it occurs. From the first block that
-    holds a quote or a carriage return outside a CRLF pair, or that has
-    at least _JUDGED_LINES lines, mostly distinct, on, the rest of the
-    stream goes line by line through _tally_csv, which parses each
-    distinct raw (label, prediction) token pair once; the stream is
-    never rewound. Either way the first invalid row is the first
-    sighting of an invalid line or token pair, so the reported row is
-    that of a row-by-row parse; a csv.Error is a ParseError at the row
-    where csv failed.
+    the longest line. Unless the first block goes to csv (below), its
+    first line, the header, is parsed and implies the four lines of
+    _implied_lines, each ending like the header (LF or CRLF). Each block,
+    the first one's rest included, is first tallied with one str.count
+    per implied line. These lines have one width and no line feed but
+    their last, so no two occurrences overlap and the counts cover the
+    block's length exactly when every line of the block, the last one
+    included, is an implied line; only then are they taken. Any other
+    block is split at line feeds only. Every stream and csv end their
+    lines there too (str.splitlines would also split at form feeds,
+    U+2028 and more), and csv reads a line's trailing carriage return as
+    part of its end. Its lines are counted with Counter, and each
+    distinct line is parsed once and counted as often as it occurs.
+    From the first block that holds a quote or a carriage return outside
+    a CRLF pair, or that has at least _JUDGED_LINES lines, mostly
+    distinct, on, the rest of the stream goes line by line through
+    _tally_csv, which parses each distinct raw (label, prediction) token
+    pair once; the stream is never rewound. Either way the first invalid
+    row is the first sighting of an invalid line or token pair, so the
+    reported row is that of a row-by-row parse; a csv.Error is a
+    ParseError at the row where csv failed.
     """
     columns = None
     offset = 0  # physical lines before the current block
     rest = ""  # a line begun by the last read
-    # (line + "\n", cell) for each distinct line of the last block that the
-    # Counter path tallied, when the count path may use them; empty otherwise.
-    kept: list[tuple[str, int]] = []
+    implied: dict[str, int] = {}  # the header's implied lines, with their ends, to their cells
+    width = 0  # the length of each implied line
     while True:
         chunk = stream.read(_READ_CHARS)
         cut = chunk.rfind("\n") + 1
@@ -157,30 +161,31 @@ def tally_blocks(stream, tally: list[int]) -> None:
         block, rest = rest + chunk[:cut], chunk[cut:]
         if not block:
             break
-        # The counts times the kept lengths can only add up to a multiple of
-        # those lengths' gcd: a block holding one other line seldom is one.
-        if kept and len(block) % math.gcd(*[len(end) for end, _ in kept]) == 0:
-            found = [block.count(end) for end, _ in kept]
-            if sum(n * len(end) for n, (end, _) in zip(found, kept)) == len(block):
-                for n, (_, cell) in zip(found, kept):
+        if columns is None and not _irregular(block):
+            head, _, block = block.partition("\n")
+            try:
+                header = next(csv.reader([head]))
+            except csv.Error as exc:
+                raise _csv_error(exc, 1) from None
+            columns = _header_columns(header)
+            offset = 1
+            implied = _implied_lines(columns, "\r\n" if head.endswith("\r") else "\n")
+            width = len(next(iter(implied), ""))
+        # Checking the first line first spares the counts on blocks of other lines.
+        if block[:width] in implied and len(block) % width == 0:
+            found = [(block.count(line), cell) for line, cell in implied.items()]
+            if sum(n for n, _ in found) * width == len(block):
+                for n, cell in found:
                     tally[cell] += n
-                offset += sum(found)
+                offset += len(block) // width
                 continue
-        if '"' in block or "\r" in block and block.count("\r") != block.count("\r\n"):
+        if _irregular(block):
             _tally_csv(csv.reader(_replay(stream, block + rest)), offset, columns, tally)
             return
         lines = block.split("\n")
         del block  # lines hold the same text
         if not lines[-1]:
             lines.pop()  # the empty piece after the block's final newline
-        if columns is None:
-            try:
-                header = next(csv.reader(lines[:1]))
-            except csv.Error as exc:
-                raise _csv_error(exc, 1) from None
-            columns = _header_columns(header)
-            del lines[0]
-            offset = 1
         counts = Counter(lines)
         if len(lines) >= _JUDGED_LINES and 4 * len(counts) > len(lines):
             # Mostly distinct lines (an id or a score column, say) are
@@ -190,8 +195,6 @@ def tally_blocks(stream, tally: list[int]) -> None:
         # One reader over the distinct lines, in order of first sighting: the
         # first invalid one is first seen on the row a row-by-row parse reports.
         reader = csv.reader(counts)
-        kept = []
-        few = len(counts) <= len(_CELLS)  # else none is kept, and none is built
         for line, count in counts.items():
 
             def row_of():
@@ -202,13 +205,7 @@ def tally_blocks(stream, tally: list[int]) -> None:
             except csv.Error as exc:
                 raise _csv_error(exc, row_of()) from None
             if row:
-                cell = _cell(row, columns, row_of)
-                tally[cell] += count
-                if few:
-                    kept.append((line + "\n", cell))
-        # None is kept when a line was blank (it has no cell) or ends in another.
-        if len(kept) != len(counts) or _has_suffix_pair(kept):
-            kept = []
+                tally[_cell(row, columns, row_of)] += count
         offset += len(lines)
     if columns is None:
         raise EmptyInput("prediction file is empty")

@@ -372,7 +372,7 @@ BLOCK_TABLES = [
     pytest.param(HEADER + ROWS + '1,1\n"' + "9" * 140_000 + '",1\n', id="oversized-quoted-field"),
     pytest.param(HEADER + ROWS + '"' + "9\n" * 70_000 + '",1\n', id="oversized-multiline-field"),
     pytest.param(HEADER + ROWS + "1,1\x00\n", id="nul"),
-    # Kept lines of which one ends in the other would count "0,1,1" (" 1,1")
+    # Counted lines of which one ends in the other would count "0,1,1" (" 1,1")
     # twice, as often as "0,0" occurs and no count covers it.
     pytest.param(_runs_meeting_at_a_read("1,1\n0,1,1\n", "0,1,1\n0,0\n"), id="suffix-pair-then-other-line"),
     pytest.param(_runs_meeting_at_a_read("1,1\n 1,1\n", " 1,1\n0,0\n"), id="padded-pair-then-other-line"),
@@ -469,16 +469,15 @@ def _record_tally_csv(monkeypatch) -> list:
 
 
 # Lines of the count-path tables: "1,1" is a suffix of "0,1,1" and of the
-# padded " 1,1", a blank line, or a blank CRLF line ("\r"), keeps no line
-# for the count path, and a carriage return before the line feed makes a
-# CRLF row.
+# padded " 1,1", a blank line, or a blank CRLF line ("\r"), has no cell,
+# and a carriage return before the line feed makes a CRLF row.
 COUNT_PATH_LINES = ["1,1", "0,1,1", " 1,1", "0,0", "1, 0 ", "", "\r", "0,0\r", "1,1\r"]
 # Rows that end a table with an error, or send the rest of it row by row.
 LATE_ROWS = ["\ufeff0,0", "1,7", "1", "0,1,", '"1",0']
 
 
 class TestIngestCountPath:
-    """Blocks made only of the last counted block's distinct lines, tallied with str.count."""
+    """Blocks made only of the data lines the header implies, tallied with str.count."""
 
     @given(
         st.lists(
@@ -504,12 +503,83 @@ class TestIngestCountPath:
         text = HEADER + body
         assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
 
-    def test_csv_parses_only_the_first_blocks_distinct_lines(self, monkeypatch):
+    def test_csv_parses_only_the_header(self, monkeypatch):
         parsed = _record_parsed_lines(monkeypatch)
         text = HEADER + ROWS * 8
         assert len(text) > 11 * BLOCK
         assert ingest_predictions(io.StringIO(text)) == ConfusionCounts(12000, 12000, 12000, 12000)
-        assert parsed == ["label,prediction", "1,1", "0,0", "1,0", "0,1"]
+        assert parsed == ["label,prediction"]
+
+    @pytest.mark.parametrize(
+        "header, rows",
+        [
+            # More "0,1" than "1,0" rows, so that a swap of fp and fn shows.
+            pytest.param("prediction,label\n", ROWS.replace("0,1\n", "0,1\n0,1\n"), id="prediction-first"),
+            pytest.param("label,prediction\r\n", ROWS.replace("\n", "\r\n"), id="crlf"),
+            pytest.param("label,prediction,score\n", ROWS, id="extra-column"),
+        ],
+    )
+    def test_counts_the_lines_the_header_implies(self, header, rows, monkeypatch):
+        text = header + rows * 3
+        expected = _ingest_outcome(ingest_predictions_scalar, text)
+        parsed = _record_parsed_lines(monkeypatch)
+        assert _ingest_outcome(ingest_predictions, text) == expected
+        assert parsed == [header.split("\n")[0]]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('"id\nx",label,prediction\n' + ROWS.replace("\n", ",1\n"), id="quoted-line-feed"),
+            pytest.param("label,prediction\r" + ROWS.replace("\n", "\r"), id="lone-cr"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["path", "text"])
+    def test_header_csv_reads_across_lines_before_any_count(self, text, kind, tmp_path, monkeypatch):
+        expected = _oracle_outcome(_source(text, kind, tmp_path), monkeypatch)
+        assert _outcome(_source(text, kind, tmp_path)) == expected
+
+    def test_label_past_column_1_implies_no_lines(self, monkeypatch):
+        # Every block is split and counted, so each parses its distinct lines.
+        text = "prediction,flag,label\n" + ROWS.replace("\n", ",1\n") * 3
+        expected = _ingest_outcome(ingest_predictions_scalar, text)
+        parsed = _record_parsed_lines(monkeypatch)
+        assert _ingest_outcome(ingest_predictions, text) == expected
+        assert parsed[0] == "prediction,flag,label"
+        assert parsed.count("1,1,1") >= len(text) // BLOCK
+        # Under this header the lines a label-first one implies are short rows.
+        short = "prediction,flag,label\n" + ROWS * 3
+        assert _ingest_outcome(ingest_predictions, short) == _ingest_outcome(ingest_predictions_scalar, short)
+
+    def test_counts_again_after_a_padded_row(self, monkeypatch):
+        text = HEADER + ROWS + " 1,0\n" + ROWS * 2
+        expected = _ingest_outcome(ingest_predictions_scalar, text)
+        parsed = _record_parsed_lines(monkeypatch)
+        assert _ingest_outcome(ingest_predictions, text) == expected
+        # Only the padded row's block is split: csv sees its distinct lines once.
+        assert parsed[0] == "label,prediction"
+        assert sorted(parsed[1:]) == sorted(["1,1", "0,0", "1,0", "0,1", " 1,0"])
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 40),
+                st.sampled_from([BLOCK // 4 - 5, BLOCK // 4 - 4, BLOCK // 4, BLOCK // 4 + 1, 2 * BLOCK // 4]),
+                st.integers(0, 2 * BLOCK),
+            ),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    def test_written_predictions_parse_only_the_header(self, cells):
+        counts = ConfusionCounts(*cells)
+        sink = io.StringIO()
+        write_predictions(counts, sink)
+        with pytest.MonkeyPatch.context() as patch:
+            parsed = _record_parsed_lines(patch)
+            outcome = _ingest_outcome(ingest_predictions, sink.getvalue())
+        empty = ("EmptyInput", None, "prediction file has a header but no data rows")
+        assert outcome == (counts if counts.n else empty)
+        assert parsed == ["label,prediction"]
 
     @pytest.mark.parametrize("text", _long_row_tables())
     def test_few_lines_before_a_long_row_stay_on_the_block_path(self, text, monkeypatch):
