@@ -18,6 +18,8 @@ threshold_summary, curvature_argmax on the PPV and the NPV curve and on
 the PPV curve of the broad-peak profile (0.6, 0.401), whose coarse scan
 evaluates the whole grid, mcc_at_threshold, mcc_ratio, f_beta_at,
 analyze_counts, verify_bounds(0.01), emit_ratio_curves,
+simulate_population (after the grid calls have loaded numpy, so its
+draws are numpy's Generator's, as in the validate workload),
 ingest_predictions on each of bench_ingest.py's ten tables of --rows
 rows, and run_cli of ``thresholds --json``, ``ratios --json`` and
 ``analyze --counts 9,1,1,9`` (text) in process, with stdout sent to a
@@ -76,6 +78,7 @@ def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]]) -> dic
     profile = pkg.DiagnosticProfile(0.9, 0.95)
     broad_peak = pkg.DiagnosticProfile(0.6, 0.401)
     counts = pkg.ConfusionCounts(90, 5, 10, 95)
+    population = pkg.SimulationConfig(0.19, profile, 10**6, 7)
 
     def ratio_curves() -> str:
         sink = io.StringIO()
@@ -97,6 +100,7 @@ def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]]) -> dic
         "analyze_counts": lambda: pkg.analyze_counts(counts),
         "verify_bounds(0.01)": lambda: pkg.verify_bounds(0.01),
         "emit_ratio_curves": ratio_curves,
+        "simulate_population": lambda: pkg.simulate_population(population),
     }
     for table, (path, expected) in tables.items():
 

@@ -108,9 +108,21 @@ def _replay(stream, text: str):
     return itertools.chain((match.group() for match in line.finditer(text)), stream)
 
 
-def _irregular(block: str) -> bool:
-    """Whether block holds a quote or a carriage return outside a CRLF pair, which only csv reads."""
-    return '"' in block or "\r" in block and block.count("\r") != block.count("\r\n")
+def _irregular(block: str, lines=None) -> bool:
+    """Whether block holds a quote or a carriage return outside a CRLF pair, which only csv reads.
+
+    lines, where given, are the block's distinct lines, split at line
+    feeds: a carriage return is then outside a pair where it is not the
+    last character of its line, and only those lines are searched. The
+    last line of a stream may end with one and no line feed; csv reads
+    it as that line's end all the same. Otherwise the block is scanned
+    twice, for carriage returns and for CRLF pairs.
+    """
+    if '"' in block or "\r" not in block:
+        return '"' in block
+    if lines is not None:
+        return any("\r" in line[:-1] for line in lines)
+    return block.count("\r") != block.count("\r\n")
 
 
 def _implied_lines(columns: tuple[int, int], end: str) -> dict[str, int]:
@@ -161,7 +173,10 @@ def tally_blocks(stream, tally: list[int]) -> None:
         block, rest = rest + chunk[:cut], chunk[cut:]
         if not block:
             break
-        if columns is None and not _irregular(block):
+        if columns is None:
+            if _irregular(block):
+                _tally_csv(csv.reader(_replay(stream, block + rest)), offset, columns, tally)
+                return
             head, _, block = block.partition("\n")
             try:
                 header = next(csv.reader([head]))
@@ -179,15 +194,17 @@ def tally_blocks(stream, tally: list[int]) -> None:
                     tally[cell] += n
                 offset += len(block) // width
                 continue
-        if _irregular(block):
-            _tally_csv(csv.reader(_replay(stream, block + rest)), offset, columns, tally)
-            return
         lines = block.split("\n")
-        del block  # lines hold the same text
         if not lines[-1]:
             lines.pop()  # the empty piece after the block's final newline
         counts = Counter(lines)
-        if len(lines) >= _JUDGED_LINES and 4 * len(counts) > len(lines):
+        distinct = len(lines) >= _JUDGED_LINES and 4 * len(counts) > len(lines)
+        # A mostly distinct block is scanned whole rather than line by line.
+        if _irregular(block, None if distinct else counts):
+            _tally_csv(csv.reader(_replay(stream, block + rest)), offset, columns, tally)
+            return
+        del block  # lines hold the same text
+        if distinct:
             # Mostly distinct lines (an id or a score column, say) are
             # cheaper to parse row by row than to count first.
             _tally_csv(csv.reader(itertools.chain(lines, _replay(stream, rest))), offset, columns, tally)

@@ -223,8 +223,11 @@ def accuracy_divergence_curve(
     """Reference-over-current ratio of a metric along a prevalence grid.
 
     metric is "f1", "f_beta" or "fm"; the reference is the metric at
-    full prevalence, so each entry is metric(1) / metric(phi), and the
-    ratio grows without bound as phi falls toward 0. Grid points where
+    full prevalence, so each entry is metric(1) / metric(phi). Below
+    specificity 1 the ratio grows without bound as phi falls toward 0,
+    as 1/phi for F1 and F-beta and as 1/sqrt(phi) for FM. At
+    specificity 1 the PPV is 1 at every phi > 0, so every ratio is
+    exactly 1.0 however small phi is. Grid points where
     the metric is zero or undefined are recorded with a None ratio
     rather than dropped, so emitted curves keep one row per grid point;
     every point is, where the reference itself is undefined (an F-beta

@@ -70,6 +70,11 @@ class _Parser(argparse.ArgumentParser):
     usage error, an argument longer than _ECHO_CHARS as _echo does.
     It reads only the message, not argparse's internals, whose shapes
     differ between Python versions.
+
+    Python 3.10 to 3.12 drop the value of "--flag=--" and store [] for
+    the flag without calling its type; 3.13 hands "--" to the type. This
+    parser does as 3.13 does on each of them, so "--sensitivity=--" is
+    an invalid float value and "--output=--" names a file "--".
     """
 
     def __init__(self, *args, **kwargs):
@@ -78,6 +83,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
     def parse_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)

@@ -285,6 +285,12 @@ class TestAccuracyDivergenceCurve:
         [(_, value)] = accuracy_divergence_curve(P_9095, "f1", [1e-6])
         assert value > 1e3
 
+    @pytest.mark.parametrize("metric, beta", [("f1", None), ("f_beta", 2.0), ("fm", None)])
+    def test_no_divergence_at_specificity_1(self, metric, beta):
+        phis = [10.0**-k for k in range(11)]
+        rows = accuracy_divergence_curve(DiagnosticProfile(0.9, 1.0), metric, phis, beta=beta)
+        assert [value for _, value in rows] == [1.0] * len(phis)
+
     def test_undefined_cells_become_none(self):
         rows = accuracy_divergence_curve(P_9095, "f1", [0.0, 0.5])
         assert rows[0][1] is None

@@ -557,6 +557,54 @@ class TestNegativeValues:
         assert err.startswith("error:validation:") and err.count("\n") == 1
 
 
+PROFILE_ARGS = ("--sensitivity", "0.9", "--specificity", "0.95")
+SIMULATE_ARGS = ("simulate", "--prevalence", "0.2", *PROFILE_ARGS)
+FLOAT_ERROR = "invalid float value: '--'"
+INT_ERROR = "invalid int value: '--'"
+BETAS_ERROR = "betas must be numbers, got '--'"
+DOUBLE_DASH_CASES = [
+    (("thresholds", "--specificity", "0.9"), "--sensitivity", FLOAT_ERROR),
+    (("thresholds", "--sensitivity", "0.9"), "--specificity", FLOAT_ERROR),
+    (("curves", *PROFILE_ARGS), "--step", FLOAT_ERROR),
+    (("ratios", *PROFILE_ARGS, "--json"), "--betas", BETAS_ERROR),
+    (("ratios", *PROFILE_ARGS), "--step", FLOAT_ERROR),
+    (("analyze",), "--counts", "expected tp,fp,fn,tn, got '--'"),
+    (("analyze", "--counts", "9,1,1,9"), "--betas", BETAS_ERROR),
+    (("simulate", *PROFILE_ARGS, "--n", "10"), "--prevalence", FLOAT_ERROR),
+    (SIMULATE_ARGS, "--n", INT_ERROR),
+    ((*SIMULATE_ARGS, "--n", "10"), "--seed", INT_ERROR),
+    (("verify-bounds",), "--grid-step", FLOAT_ERROR),
+    (("verify-bounds",), "--delta", FLOAT_ERROR),
+    (("verify-bounds",), "--tolerance", FLOAT_ERROR),
+]
+
+
+class TestDoubleDashValue:
+    """"--flag=--" hands "--" to the flag's own type on every supported Python, as 3.13 does.
+
+    3.10 to 3.12 stored [] for the flag without calling its type: a
+    traceback, a silently empty --betas or "got []".
+    """
+
+    @pytest.mark.parametrize(
+        "command, flag, message", DOUBLE_DASH_CASES, ids=[command[0] + flag for command, flag, _ in DOUBLE_DASH_CASES]
+    )
+    def test_value_reaches_the_flags_type(self, capsys, command, flag, message):
+        assert run(capsys, *command, f"{flag}=--") == (1, "", f"error:usage: argument {flag}: {message}\n")
+
+    def test_predictions_names_a_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "analyze", "--predictions=--") == (
+            1, "", "error:io: [Errno 2] No such file or directory: '--'\n"
+        )
+
+    def test_output_names_a_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _, text, _ = run(capsys, "thresholds", *PROFILE_ARGS)
+        assert run(capsys, "thresholds", *PROFILE_ARGS, "--output=--") == (0, "", "")
+        assert (tmp_path / "--").read_text(encoding="utf-8") == text
+
+
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
@@ -720,6 +768,7 @@ NUMPY_FREE_ARGV = [
     ["thresholds", "--sensitivity", "0.9", "--specificity", "0.95"],
     ["ratios", "--sensitivity", "0.9", "--specificity", "0.95", "--json"],
     ["analyze", "--counts", "9,1,1,9"],
+    ["simulate", "--prevalence", "0.19", "--sensitivity", "0.9", "--specificity", "0.95", "--n", "1000000", "--json"],
     ["thresholds", "--sensitivity", "1.5", "--specificity", "0.95"],
     ["--help"],
     ["--version"],
@@ -731,6 +780,7 @@ import prevthresh
 [getattr(prevthresh, name) for name in prevthresh.__all__]
 report = {"import": "numpy" in sys.modules, "codes": [], "numpy": []}
 from prevthresh.cli import run_cli
+report["rng"] = "prevthresh._rng" in sys.modules
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         report["codes"].append(run_cli(argv))
@@ -745,7 +795,7 @@ UNUSED_STDLIB = ("dataclasses", "inspect", "typing", "pathlib")
 
 
 class TestColdStart:
-    """The scalar subcommands, --help and --version run without importing numpy or UNUSED_STDLIB."""
+    """The scalar subcommands, simulate, --help and --version run without importing numpy or UNUSED_STDLIB."""
 
     @staticmethod
     def run_probe(*flags, argvs):
@@ -771,19 +821,25 @@ class TestColdStart:
     def test_ingest_block_pass_loads_only_to_read_a_prediction_file(self, probe):
         assert probe["ingest"] is False
 
+    def test_pure_python_generator_loads_only_to_simulate(self, probe):
+        assert probe["rng"] is False
+
     def test_scalar_subcommands_load_no_numpy(self, probe):
-        assert probe["codes"] == [0, 0, 0, 1, 0, 0, 0]
+        assert probe["codes"] == [0, 0, 0, 0, 1, 0, 0, 0]
         assert probe["numpy"] == [False] * len(NUMPY_FREE_ARGV) + [True]
         assert probe["metadata"] is False
 
     def test_scalar_subcommands_load_no_unused_stdlib(self, bare_probe):
-        assert bare_probe["codes"] == [0, 0, 0, 1, 0, 0]
+        assert bare_probe["codes"] == [0, 0, 0, 0, 1, 0, 0]
         assert bare_probe["unused_stdlib"] == []
 
 
 # Vocabulary of the argv fuzz: each subcommand's flags with a valid value
 # (None for switches), every flag again for stray use, and values that are
-# out of range, NaN, infinite, negative, huge, subnormal or not numbers.
+# out of range, NaN, infinite, negative, huge, subnormal or not numbers, or
+# "--" and "-". A flag takes its value as the next argument or as
+# "--flag=value", which passes a value such as "--" that the other form
+# cannot.
 # Every numeric value is either >= 0.01 or below the smallest accepted step,
 # so no drawn --step or --grid-step builds a large grid. verify-bounds'
 # --delta and --tolerance take a non-finite value in place of their valid
@@ -815,7 +871,7 @@ FUZZ_VALUES = (
     "nan", "-nan", "inf", "-inf", "9" * 30, "1" + "0" * 400, "abc", "", "0x10",
     "0.5,,2", "1,nan", "5,0,5,0", "0,0,0,0", "1,2,3", "-1,1,1,1", "1.5,1,1,1", ",".join(["1" + "0" * 400] * 4),
     "{dir}/bad.csv", "{dir}/crlf.csv", "{dir}/quoted.csv", "{dir}/wide.csv", "{dir}/missing.csv",
-    "{dir}/no-such-dir/out.csv",
+    "{dir}/no-such-dir/out.csv", "--", "-",
 )
 NON_FINITE = ("nan", "inf", "NaN", "Infinity")
 NON_FINITE_FLAGS = {"--delta", "--tolerance"}
@@ -856,7 +912,14 @@ def test_argv_fuzz_keeps_error_contract(fuzz_dir, data):
             options.append([flag] if value is None else [flag, value])
     for flag in data.draw(st.lists(st.sampled_from(FUZZ_FLAGS), max_size=1)):
         options.append([flag, data.draw(st.sampled_from(FUZZ_VALUES))])
-    argv = [command] + [token.format(dir=fuzz_dir) for option in data.draw(st.permutations(options)) for token in option]
+    argv = [command]
+    outputs = []
+    for option in data.draw(st.permutations(options)):
+        option = [token.format(dir=fuzz_dir) for token in option]
+        if option[0] == "--output" and len(option) == 2:
+            outputs.append(option[1])
+        # A flag and its value as two arguments, or as one: "--flag=value".
+        argv += ["=".join(option)] if len(option) == 2 and data.draw(st.booleans()) else option
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(fuzz_dir)  # a stray "--output VALUE" writes a file named VALUE
@@ -877,8 +940,8 @@ def test_argv_fuzz_keeps_error_contract(fuzz_dir, data):
         assert command == "verify-bounds"
     if code in (0, 2) and ("--json" in argv or command == "verify-bounds") and "--help" not in argv:
         # The JSON went to the last --output path, or to stdout without one.
-        if "--output" in argv:
-            text = Path(fuzz_dir, argv[len(argv) - argv[::-1].index("--output")]).read_text(encoding="utf-8")
+        if outputs:
+            text = Path(fuzz_dir, outputs[-1]).read_text(encoding="utf-8")
         else:
             text = out.getvalue()
         json.loads(text, parse_constant=reject_constant)

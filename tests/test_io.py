@@ -587,6 +587,16 @@ class TestIngestCountPath:
         assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
         assert offsets == []
 
+    @pytest.mark.parametrize("last", ["", "0,1,0\r"], ids=["crlf", "crlf-then-unterminated-cr"])
+    def test_crlf_lines_stay_on_the_block_path(self, last, monkeypatch):
+        # Label past column 1 implies no lines, so every block is split and
+        # counted; a CRLF pair ends each of its few distinct lines, and a
+        # carriage return with no line feed after it ends the last line.
+        offsets = _record_tally_csv(monkeypatch)
+        text = "prediction,flag,label\r\n" + ROWS.replace("\n", ",1\r\n") * 3 + last
+        assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
+        assert offsets == []
+
     def test_mostly_distinct_lines_still_go_row_by_row(self, monkeypatch):
         offsets = _record_tally_csv(monkeypatch)
         text = "id,label,prediction\n" + "".join(f"{i},{i % 2},1\n" for i in range(4000))

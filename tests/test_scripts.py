@@ -148,7 +148,7 @@ def test_bench_paired_against_the_same_tree():
     assert [row[0] for row in rows] == [
         "ThresholdResult(...)", "ppv_at", "npv_at", "positive_threshold", "threshold_summary", "curvature_argmax",
         "curvature_argmax(npv)", "curvature_argmax(broad)", "mcc_at_threshold", "mcc_ratio", "f_beta_at",
-        "analyze_counts", "verify_bounds(0.01)", "emit_ratio_curves",
+        "analyze_counts", "verify_bounds(0.01)", "emit_ratio_curves", "simulate_population",
         *[f"ingest {table}" for table in load_script(BENCH_INGEST).TABLES],
         "cli thresholds --json", "cli ratios --json", "cli analyze 9,1,1,9",
     ]
