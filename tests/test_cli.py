@@ -894,6 +894,47 @@ def fuzz_dir(tmp_path_factory):
     return root
 
 
+def fuzz_argv(fuzz_dir, command: str, options: list[list[str]], joins: list[bool]) -> tuple[list[str], str | None]:
+    """The argv of command and options, and the last --output path in it.
+
+    Each option is [flag] or [flag, value]; a value goes in its own
+    argument, or in the flag's as "--flag=value" where joins says so.
+    """
+    argv, output = [command], None
+    for option, join in zip(options, joins):
+        option = [token.format(dir=fuzz_dir) for token in option]
+        if option[0] == "--output" and len(option) == 2:
+            output = option[1]
+        argv += ["=".join(option)] if join and len(option) == 2 else option
+    return argv, output
+
+
+def assert_error_contract(fuzz_dir, argv: list[str], output: str | None) -> None:
+    """run_cli(argv) exits 0, 1 or 2 without a traceback, with one error line on exit 1 and strict JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)  # a stray "--output VALUE" writes a file named VALUE
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    if code == 1:
+        assert ERROR_LINE.fullmatch(err.getvalue()), argv
+        # Input validation names a non-finite value first; the JSON writers' refusal is a last resort.
+        assert "not JSON compliant" not in err.getvalue(), argv
+    else:
+        assert err.getvalue() == "", argv
+    if code == 2:
+        assert argv[0] == "verify-bounds"
+    if code in (0, 2) and ("--json" in argv or argv[0] == "verify-bounds") and "--help" not in argv:
+        # The JSON went to the last --output path, or to stdout without one.
+        text = out.getvalue() if output is None else Path(fuzz_dir, output).read_text(encoding="utf-8")
+        json.loads(text, parse_constant=reject_constant)
+
+
 @settings(max_examples=300)
 @given(data=st.data())
 def test_argv_fuzz_keeps_error_contract(fuzz_dir, data):
@@ -912,39 +953,26 @@ def test_argv_fuzz_keeps_error_contract(fuzz_dir, data):
             options.append([flag] if value is None else [flag, value])
     for flag in data.draw(st.lists(st.sampled_from(FUZZ_FLAGS), max_size=1)):
         options.append([flag, data.draw(st.sampled_from(FUZZ_VALUES))])
-    argv = [command]
-    outputs = []
-    for option in data.draw(st.permutations(options)):
-        option = [token.format(dir=fuzz_dir) for token in option]
-        if option[0] == "--output" and len(option) == 2:
-            outputs.append(option[1])
-        # A flag and its value as two arguments, or as one: "--flag=value".
-        argv += ["=".join(option)] if len(option) == 2 and data.draw(st.booleans()) else option
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(fuzz_dir)  # a stray "--output VALUE" writes a file named VALUE
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = run_cli(argv)
-    finally:
-        os.chdir(cwd)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
-    if code == 1:
-        assert ERROR_LINE.fullmatch(err.getvalue())
-        # Input validation names a non-finite value first; the JSON writers' refusal is a last resort.
-        assert "not JSON compliant" not in err.getvalue()
-    else:
-        assert err.getvalue() == ""
-    if code == 2:
-        assert command == "verify-bounds"
-    if code in (0, 2) and ("--json" in argv or command == "verify-bounds") and "--help" not in argv:
-        # The JSON went to the last --output path, or to stdout without one.
-        if outputs:
-            text = Path(fuzz_dir, outputs[-1]).read_text(encoding="utf-8")
-        else:
-            text = out.getvalue()
-        json.loads(text, parse_constant=reject_constant)
+    options = data.draw(st.permutations(options))
+    joins = [len(option) == 2 and data.draw(st.booleans()) for option in options]
+    assert_error_contract(fuzz_dir, *fuzz_argv(fuzz_dir, command, options, joins))
+
+
+def test_each_vocabulary_value_in_an_otherwise_valid_argv_keeps_error_contract(fuzz_dir):
+    """Every value-taking flag, given every vocabulary value as "--flag=value", last in an argv of valid values.
+
+    A bad value reaches its flag's type only when no other argument
+    fails first, which a random argv of the vocabulary seldom allows.
+    The joined form passes every value, "--" included, to the flag.
+    """
+    for command, flags in FUZZ_COMMANDS.items():
+        for bad in [flag for flag, valid in flags.items() if valid is not None]:
+            # --counts and --predictions exclude each other; only one of them is given.
+            left_out = {bad, "--counts" if bad == "--predictions" else "--predictions"}
+            rest = [[flag] if valid is None else [flag, valid] for flag, valid in flags.items() if flag not in left_out]
+            for value in FUZZ_VALUES:
+                argv, output = fuzz_argv(fuzz_dir, command, [*rest, [bad, value]], [False] * len(rest) + [True])
+                assert_error_contract(fuzz_dir, argv, output)
 
 
 CURVES_ARGV = ("curves", "--sensitivity", "0.9", "--specificity", "0.95", "--step", "0.25")
