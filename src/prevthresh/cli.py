@@ -18,11 +18,12 @@ a time, so their memory does not grow with the number of rows.
 An integer argument (--counts, --n, --seed) longer than the
 interpreter's digit limit, sys.get_int_max_str_digits() (4,300 digits
 by default), is a usage error, and so are counts whose total is: no
-output could print it. An error line about a malformed or
-out-of-range argument, an unknown subcommand, an unrecognized or
-ambiguous option or a value given to a flag that takes none echoes
-an argument of more than 64 characters by its first 64 and its length
-(errors._echo).
+output could print it. The argument types show a bad argument whole;
+_Parser.parse_args passes every usage message through _cut_arguments,
+so an error line about a malformed or out-of-range argument, an
+unknown subcommand, an unrecognized or ambiguous option or a value
+given to a flag that takes none echoes an argument of more than 64
+characters by its first 64 and its length (errors._echo).
 """
 
 from __future__ import annotations
@@ -66,10 +67,11 @@ class _Parser(argparse.ArgumentParser):
 
     The stock parser echoes an invalid subcommand, unrecognized
     arguments, an ambiguous option and the value of a --flag=value
-    whose flag takes none whole; this one cuts, in the message of any
-    usage error, an argument longer than _ECHO_CHARS as _echo does.
-    It reads only the message, not argparse's internals, whose shapes
-    differ between Python versions.
+    whose flag takes none whole, and so do this CLI's argument types
+    with a bad value; parse_args passes the message of every usage
+    error through _cut_arguments, which cuts an argument longer than
+    _ECHO_CHARS as _echo does. It reads only the message, not
+    argparse's internals, whose shapes differ between Python versions.
 
     Python 3.10 to 3.12 drop the value of "--flag=--" and store [] for
     the flag without calling its type; 3.13 hands "--" to the type. This
@@ -123,7 +125,7 @@ _INT_LITERAL = r"\s*[+-]?\d+(?:_\d+)*\s*"
 def _over_limit(what: str, shown: str) -> argparse.ArgumentTypeError:
     limit = sys.get_int_max_str_digits()
     return argparse.ArgumentTypeError(
-        f"{what} may have at most {limit} digits (sys.get_int_max_str_digits()), got {_echo(shown)}"
+        f"{what} may have at most {limit} digits (sys.get_int_max_str_digits()), got {shown!r}"
     )
 
 
@@ -134,14 +136,7 @@ def _int(text: str, reason: str, shown: str) -> int:
     except ValueError:
         if re.fullmatch(_INT_LITERAL, text):
             raise _over_limit("integers", shown) from None
-        raise argparse.ArgumentTypeError(reason + _echo(shown)) from None
-
-
-def _float_arg(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {_echo(text)}") from None
+        raise argparse.ArgumentTypeError(f"{reason}{shown!r}") from None
 
 
 def _int_arg(text: str) -> int:
@@ -151,7 +146,7 @@ def _int_arg(text: str) -> int:
 def _counts_arg(text: str) -> tuple[int, int, int, int]:
     parts = text.split(",")
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"expected tp,fp,fn,tn, got {_echo(text)}")
+        raise argparse.ArgumentTypeError(f"expected tp,fp,fn,tn, got {text!r}")
     tp, fp, fn, tn = (_int(part, "counts must be integers, got ", text) for part in parts)
     try:
         str(tp + fp + fn + tn)  # the total n is part of every output
@@ -164,15 +159,15 @@ def _betas_arg(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part.strip()) for part in text.split(",") if part.strip())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"betas must be numbers, got {_echo(text)}") from None
+        raise argparse.ArgumentTypeError(f"betas must be numbers, got {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("at least one beta is required")
     return values
 
 
 def _add_profile_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sensitivity", type=_float_arg, required=True, help="true-positive rate, in [0, 1]")
-    p.add_argument("--specificity", type=_float_arg, required=True, help="true-negative rate, in [0, 1]")
+    p.add_argument("--sensitivity", type=float, required=True, help="true-positive rate, in [0, 1]")
+    p.add_argument("--specificity", type=float, required=True, help="true-negative rate, in [0, 1]")
 
 
 def _add_output_arg(p: argparse.ArgumentParser) -> None:
@@ -195,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curves", help="predictive-value and curvature curves as CSV")
     _add_profile_args(p)
-    p.add_argument("--step", type=_float_arg, default=0.001, help="prevalence grid step in [1e-6, 0.5] (default 0.001)")
+    p.add_argument("--step", type=float, default=0.001, help="prevalence grid step in [1e-6, 0.5] (default 0.001)")
     _add_output_arg(p)
     p.set_defaults(func=_cmd_curves)
 
@@ -207,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=(0.5, 2.0),
         help="comma-separated F-beta weights (default 0.5,2)",
     )
-    p.add_argument("--step", type=_float_arg, default=0.001, help="prevalence grid step in [1e-6, 0.5] (default 0.001)")
+    p.add_argument("--step", type=float, default=0.001, help="prevalence grid step in [1e-6, 0.5] (default 0.001)")
     p.add_argument("--json", action="store_true", help="emit the closed-form ratio summary as JSON")
     _add_output_arg(p)
     p.set_defaults(func=_cmd_ratios)
@@ -227,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("simulate", help="draw a seeded synthetic population and report its counts")
-    p.add_argument("--prevalence", type=_float_arg, required=True, help="positive-class rate, in [0, 1]")
+    p.add_argument("--prevalence", type=float, required=True, help="positive-class rate, in [0, 1]")
     _add_profile_args(p)
     p.add_argument("--n", type=_int_arg, required=True, help="population size")
     p.add_argument("--seed", type=_int_arg, default=0, help="RNG seed (default 0)")
@@ -236,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify-bounds", help="sweep the ratio bounds over a profile grid (JSON report)")
-    p.add_argument("--grid-step", type=_float_arg, default=0.01, help="sensitivity/specificity grid step in [0.001, 0.05] (default 0.01)")
-    p.add_argument("--delta", type=_float_arg, default=1e-6, help="informativeness margin (default 1e-6)")
-    p.add_argument("--tolerance", type=_float_arg, default=1e-9, help="violation tolerance (default 1e-9)")
+    p.add_argument("--grid-step", type=float, default=0.01, help="sensitivity/specificity grid step in [0.001, 0.05] (default 0.01)")
+    p.add_argument("--delta", type=float, default=1e-6, help="informativeness margin (default 1e-6)")
+    p.add_argument("--tolerance", type=float, default=1e-9, help="violation tolerance (default 1e-9)")
     _add_output_arg(p)
     p.set_defaults(func=_cmd_verify_bounds, json=True)
 

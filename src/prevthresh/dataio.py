@@ -56,6 +56,10 @@ MIN_PHI_STEP = 1e-6
 # Most rows write_predictions formats into one string before writing it.
 _BLOCK_ROWS = 65_536
 
+# Most cells (rows times columns) emit_ratio_curves writes, some 190 MB of
+# CSV: about twice the 5,000,005 of the default betas at MIN_PHI_STEP.
+_MAX_CELLS = 10_000_000
+
 
 def _as_text_stream(source: Source):
     """Normalize a path (str or os.PathLike) / text stream / byte stream into (text stream, needs_close)."""
@@ -212,7 +216,9 @@ def emit_ratio_curves(
     undefined (always the case at phi = 0, and in every row of an
     F-beta column whose beta**2 overflows). Returns the number of data
     rows. Raises before writing anything for an invalid beta or step,
-    and DegenerateProfile at sensitivity 0.
+    DegenerateProfile at sensitivity 0, and ValueError when the CSV
+    would hold more than _MAX_CELLS cells, rows times (len(betas) + 3)
+    columns: up to 6 betas at MIN_PHI_STEP, or 9,987 at step 0.001.
 
     Each column's score is a formula in the PPV rho: f_beta_score's
     harmonic form (1 + beta^2) / (beta^2/a + 1/rho), the one kernel
@@ -229,6 +235,9 @@ def emit_ratio_curves(
     a = float(profile.sensitivity)
     if a == 0.0:
         raise DegenerateProfile("reference value at full prevalence is undefined when sensitivity is 0")
+    width = len(betas) + 3  # phi, f1, each f_beta and fm
+    if len(grid) * width > _MAX_CELLS:
+        raise ValueError(f"a ratio CSV may have at most {_MAX_CELLS} cells, got {len(grid)} rows of {width} columns")
 
     from . import _arrays
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output shapes, exit codes, error grammar."""
 
+import argparse
 import io
 import json
 import os
@@ -216,6 +217,24 @@ class TestRatios:
         assert (code, out, err) == (1, "", "error:validation: ratio value must be finite, got inf\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_csv_over_the_cell_cap_is_refused_before_writing(self, capsys, tmp_path):
+        # 1,000,001 rows of phi, f1, seven f_beta and fm columns: 10,000,010 cells.
+        argv = ["ratios", *PROFILE_ARGV, "--step", "1e-6", "--betas", "1,2,3,4,5,6,7"]
+        line = "error:validation: a ratio CSV may have at most 10000000 cells, got 1000001 rows of 10 columns\n"
+        assert run(capsys, *argv) == (1, "", line)
+        assert run(capsys, *argv, "--output", str(tmp_path / "ratios.csv")) == (1, "", line)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_at_the_cell_cap_is_written(self, capsys, monkeypatch):
+        # Step 0.5 and the default betas: 3 rows of phi, f1, two f_beta and fm columns, 15 cells.
+        argv = ["ratios", *PROFILE_ARGV, "--step", "0.5"]
+        monkeypatch.setattr(dataio, "_MAX_CELLS", 15)
+        code, out, err = run(capsys, *argv)
+        assert (code, err, len(out.splitlines())) == (0, "", 4)
+        monkeypatch.setattr(dataio, "_MAX_CELLS", 14)
+        line = "error:validation: a ratio CSV may have at most 14 cells, got 3 rows of 5 columns\n"
+        assert run(capsys, *argv) == (1, "", line)
+
 
 class TestAnalyze:
     def test_counts_text(self, capsys):
@@ -357,22 +376,22 @@ class TestAnalyze:
         assert out.count("n/a") == 2  # chi_square and npv_at_phi_n, which is undefined at sensitivity 1
 
     @pytest.mark.parametrize(
-        "counts",
+        "counts, what",
         [
-            "1" * 5000 + ",1,1,1",
-            "1,1,1," + "1" * 5000,
+            ("1" * 5000 + ",1,1,1", "integers"),
+            ("1,1,1," + "1" * 5000, "integers"),
             # Each count fits, their total has one digit too many for any output to print it.
-            ",".join(["9" * 4300] * 4),
+            (",".join(["9" * 4300] * 4), "the counts' total"),
         ],
         ids=["count-over-limit", "last-count-over-limit", "total-over-limit"],
     )
     @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
-    def test_integers_over_the_digit_limit_are_usage_errors(self, capsys, counts, json_flag):
-        code, out, err = run(capsys, "analyze", "--counts", counts, *json_flag)
-        assert (code, out) == (1, "")
-        assert err.startswith("error:usage: argument --counts: ") and err.count("\n") == 1
-        assert f"at most {sys.get_int_max_str_digits()} digits" in err
-        assert len(err) < 300
+    def test_integers_over_the_digit_limit_are_usage_errors(self, capsys, counts, what, json_flag):
+        line = (
+            f"error:usage: argument --counts: {what} may have at most {sys.get_int_max_str_digits()} digits"
+            f" (sys.get_int_max_str_digits()), got {counts[:64]!r}... ({len(counts)} characters)\n"
+        )
+        assert run(capsys, "analyze", "--counts", counts, *json_flag) == (1, "", line)
 
     def test_limit_is_the_interpreters(self, capsys):
         limit = sys.get_int_max_str_digits()
@@ -649,6 +668,8 @@ class TestTopLevel:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:validation:") and proc.stderr.count("\n") == 1
+        proc = python_m("--version")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"prevthresh {prevthresh.__version__}\n", "")
 
 
 # Calls that need no array, run in one fresh interpreter; the last one
@@ -665,6 +686,14 @@ ECHO_CASES = {
     "float": (
         ("thresholds", "--specificity", "0.95", "--sensitivity"), lambda k: "x" * k, repr,
         "error:usage: argument --sensitivity: invalid float value: {}\n",
+    ),
+    "counts": (
+        ("analyze", "--counts"), lambda k: "x" * k, repr,
+        "error:usage: argument --counts: expected tp,fp,fn,tn, got {}\n",
+    ),
+    "int": (
+        (*SIMULATE_ARGV, "--n"), lambda k: "x" * k, repr,
+        "error:usage: argument --n: invalid int value: {}\n",
     ),
     "command": (
         (), lambda k: "x" * k, repr,
@@ -700,11 +729,25 @@ def test_error_line_echoes_at_most_64_characters_of_an_argument(capsys, case, le
     assert run(capsys, *argv, arg) == (1, "", line.format(shown))
 
 
+def _short_flag_sets_its_tail_aside() -> bool:
+    """Whether argparse reads -ax, for a flag -a that takes no value, as -a and an unrecognized -x.
+
+    Python 3.13 does; 3.10 to 3.12 refuse it with "ignored explicit argument 'x'".
+    """
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("-a", action="store_true")
+    try:
+        return probe.parse_known_args(["-ax"])[1] == ["-x"]
+    except argparse.ArgumentError:
+        return False
+
+
 @pytest.mark.parametrize("length", [3, 64, 65, 4000])
 def test_option_parsing_errors_echo_at_most_64_characters(capsys, length):
     # argparse's own "ignored explicit argument" (of --flag=value and -hvalue)
     # and "ambiguous option" lines, byte for byte as argparse words them up to
-    # 64 characters.
+    # 64 characters. Where argparse runs -h and sets the tail of -hvalue aside,
+    # the help is printed and the tail never reported, as for a bare -h.
     value = "x" * length
     shown = repr(value) if length <= 64 else f"{value[:64]!r}... ({length} characters)"
     line = f"error:usage: argument --json: ignored explicit argument {shown}\n"
@@ -713,9 +756,14 @@ def test_option_parsing_errors_echo_at_most_64_characters(capsys, length):
     shown = option if length <= 64 else f"{option[:64]}... ({length} characters)"
     line = f"error:usage: ambiguous option: {shown} could match --sensitivity, --specificity\n"
     assert run(capsys, "thresholds", option) == (1, "", line)
-    shown = repr(value) if length <= 64 else f"{value[:64]!r}... ({length} characters)"
-    line = f"error:usage: argument -h/--help: ignored explicit argument {shown}\n"
-    assert run(capsys, "thresholds", f"-h{value}") == (1, "", line)
+    if _short_flag_sets_its_tail_aside():
+        code, help_text, err = run(capsys, "thresholds", "-h")
+        assert (code, err) == (0, "") and help_text.startswith("usage: prevthresh thresholds ")
+        assert run(capsys, "thresholds", f"-h{value}") == (0, help_text, "")
+    else:
+        shown = repr(value) if length <= 64 else f"{value[:64]!r}... ({length} characters)"
+        line = f"error:usage: argument -h/--help: ignored explicit argument {shown}\n"
+        assert run(capsys, "thresholds", f"-h{value}") == (1, "", line)
 
 
 def test_an_argument_inside_a_longer_one_is_cut_on_its_own(capsys):
