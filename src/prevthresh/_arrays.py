@@ -240,8 +240,8 @@ def sweep_cells(axis: list[float], floor: float) -> tuple[np.ndarray, np.ndarray
 def _mcc_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """mcc_ratio at every cell (a[i], b[i]); NaN where the scalar path raises.
 
-    At each threshold (the radical of _threshold_phi for the PPV curve,
-    then the NPV curve; NaN at the profiles it rejects) the MCC is
+    At each threshold (the radical of thresholds._positive_side, then
+    _negative_side; NaN where their phi is None) the MCC is
     mcc_from_rates' kernel _mcc_form over the PPV and NPV with
     mcc_at_threshold's continuity extension. At a = 1, phi_n is 1, the
     NPV denominator is 0 and sigma takes the flat curve's value 1.

@@ -19,7 +19,9 @@ per-profile functions (f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio)
 call them with math.sqrt and raise ValueError on a non-finite result.
 _ratio_values, which analyze_counts and `ratios --json` report, calls
 the same kernels on plain floats in one pass, with None for an
-undefined ratio and a non-finite one left to its caller.
+undefined ratio and a non-finite one left to its caller; the MCC's
+thresholds come from the threshold kernels, thresholds._positive_side
+and _negative_side.
 verify_bounds sweeps them all over a sensitivity/specificity grid
 against their bounding intervals; its array path (cell builder, ratio
 arrays, per-metric records) lives in _arrays, which calls the same
@@ -54,7 +56,7 @@ from .metrics import (
     f_beta_at,
     fm_at,
 )
-from .thresholds import Curve, _threshold_phi, _threshold_phis
+from .thresholds import _negative_side, _positive_side, _side
 
 __all__ = [
     "f1_ratio",
@@ -181,15 +183,11 @@ def mcc_at_threshold(profile: DiagnosticProfile, which: str) -> float:
     scores 1.0 at either threshold; where that is 0/0 too, at the
     chance corners, DegenerateDenominator is raised naming that side.
     """
-    if which == "positive":
-        curve = Curve.PPV
-    elif which == "negative":
-        curve = Curve.NPV
-    else:
+    if which not in ("positive", "negative"):
         raise ValueError(f"which must be 'positive' or 'negative', got {which!r}")
-    phi = _threshold_phi(profile, curve)
-    a = profile.sensitivity
-    b = profile.specificity
+    a = float(profile.sensitivity)
+    b = float(profile.specificity)
+    phi, _ = _side(which, a, b)
     try:
         return _threshold_mcc(a, b, phi)
     except ZeroDivisionError:
@@ -373,7 +371,8 @@ def _ratio_values(profile: DiagnosticProfile, betas: Iterable[float]) -> dict[st
         values[f"f_beta_{beta:g}_ratio"] = _f_beta_form(a, b, beta * beta) if recall else None
     values["fm_ratio"] = _fm_form(a, b) if recall else None
     mcc = None
-    phi_e, phi_n = _threshold_phis(a, b)
+    phi_e, _ = _positive_side(a, b)
+    phi_n, _ = _negative_side(a, b)
     if phi_e is not None and phi_n is not None:
         denominator = _threshold_mcc(a, b, phi_e)
         if denominator != 0.0:

@@ -40,7 +40,7 @@ from . import __version__
 from .bounds import SWEEP_BETAS, _finite, _ratio_values, verify_bounds
 from .dataio import emit_curves, emit_ratio_curves, ingest_predictions
 from .errors import _ECHO_CHARS, PrevthreshError, UsageError, _echo, value_or_none
-from .metrics import ConfusionCounts, DiagnosticProfile, Rate, npv_at, ppv_at
+from .metrics import ConfusionCounts, DiagnosticProfile, Rate, _predictive_value
 from .report import analyze_counts
 from .simulate import SimulationConfig, simulate_population
 from .thresholds import threshold_summary
@@ -344,11 +344,12 @@ def _cmd_simulate(args) -> dict:
     # is built: Rate here reports a bad --prevalence before a bad profile.
     config = SimulationConfig(prevalence=Rate(args.prevalence), profile=_profile_from(args), n=args.n, seed=args.seed)
     counts = simulate_population(config)
+    phi, a, b = float(config.prevalence), float(config.profile.sensitivity), float(config.profile.specificity)
     return {
         "config": {
-            "prevalence": float(config.prevalence),
-            "sensitivity": float(config.profile.sensitivity),
-            "specificity": float(config.profile.specificity),
+            "prevalence": phi,
+            "sensitivity": a,
+            "specificity": b,
             "n": config.n,
             "seed": config.seed,
         },
@@ -361,8 +362,8 @@ def _cmd_simulate(args) -> dict:
             "npv": value_or_none(counts.npv),
         },
         "analytic": {
-            "ppv": value_or_none(ppv_at, config.profile, config.prevalence),
-            "npv": value_or_none(npv_at, config.profile, config.prevalence),
+            "ppv": _predictive_value(a, b, "ppv", phi),
+            "npv": _predictive_value(a, b, "npv", phi),
         },
     }
 

@@ -225,6 +225,12 @@ def _bayes(a, b, curve, phi):
     return true_neg, true_neg + (1.0 - a) * phi
 
 
+def _predictive_value(a: float, b: float, curve, phi: float) -> float | None:
+    """The "ppv" or "npv" curve at phi by Bayes' rule (_bayes); None where its u is 0, where ppv_at and npv_at raise."""
+    num, u = _bayes(a, b, curve, phi)
+    return num / u if u != 0.0 else None
+
+
 def _flat_value(a, b, curve):
     """The curve's value by continuity where _bayes' u is 0, which only a flat curve has, for floats or arrays.
 
@@ -246,10 +252,10 @@ def ppv_at(profile: DiagnosticProfile, phi: float) -> Rate:
     informative profiles, with the invariant endpoint ppv(1) = 1.
     """
     phi = Rate(phi)
-    num, den = _bayes(profile.sensitivity, profile.specificity, "ppv", phi)
-    if den == 0.0:
+    value = _predictive_value(profile.sensitivity, profile.specificity, "ppv", phi)
+    if value is None:
         raise DegenerateDenominator(f"no positive predictions at phi={float(phi)!r} for {profile}")
-    return Rate(num / den)
+    return Rate(value)
 
 
 def npv_at(profile: DiagnosticProfile, phi: float) -> Rate:
@@ -259,10 +265,10 @@ def npv_at(profile: DiagnosticProfile, phi: float) -> Rate:
     non-increasing in phi for informative profiles, with npv(0) = 1.
     """
     phi = Rate(phi)
-    num, den = _bayes(profile.sensitivity, profile.specificity, "npv", phi)
-    if den == 0.0:
+    value = _predictive_value(profile.sensitivity, profile.specificity, "npv", phi)
+    if value is None:
         raise DegenerateDenominator(f"no negative predictions at phi={float(phi)!r} for {profile}")
-    return Rate(num / den)
+    return Rate(value)
 
 
 def _f_beta_harmonic(beta_sq: float, recall: float, precision):

@@ -10,7 +10,8 @@ maximum-curvature point is exactly the point where the curve's slope
 has magnitude 1, which is what the tests assert.
 
 The curves' Bayes' rule and quotient-form coefficients live in metrics
-(_bayes, _curve_coefficients). The closed forms run on Python floats.
+(_bayes, _curve_coefficients). The closed forms are float kernels, None
+where undefined, that the raising functions and the reports both read.
 The oracle's coarse curvature scan and the array forms of the curves,
 which the bulk paths use, live in _arrays; curvature_argmax imports it
 on first call, so the closed forms load no numpy.
@@ -22,7 +23,7 @@ import math
 from enum import Enum
 
 from .errors import DegenerateDenominator, DegenerateProfile
-from .metrics import DiagnosticProfile, Rate, _bayes, _curve_coefficients, _Record, npv_at, ppv_at
+from .metrics import DiagnosticProfile, Rate, _bayes, _curve_coefficients, _predictive_value, _Record
 
 __all__ = [
     "Curve",
@@ -88,29 +89,37 @@ def _radical_split(p, q, sqrt=math.sqrt):
     return sq / (sqrt(p) + sq)
 
 
-def _threshold_phi(profile: DiagnosticProfile, curve: Curve) -> float:
-    """The curve's maximum-curvature prevalence, from its radical closed form, as a float in [0, 1].
+def _positive_side(a: float, b: float) -> tuple[float | None, float | None]:
+    """phi_e and the PPV there, for plain-float rates; each None where undefined.
 
-    _radical_split of the curve's coefficients; raises DegenerateProfile
-    where p = q = 0, since the curve is then 0/0 at every prevalence.
+    phi_e is _radical_split of the PPV curve's (p, q) = (a, 1-b), None where
+    p = q = 0; the PPV there is the swapped radical, None where q = 0.
     """
-    a = float(profile.sensitivity)
-    b = float(profile.specificity)
-    p, q, sign = _curve_coefficients(a, b, curve)
-    if p == 0.0 and q == 0.0:
-        side = "positive" if sign > 0.0 else "negative"
-        raise DegenerateProfile(f"{side} threshold undefined: sensitivity {a:g} with specificity {b:g}")
-    return _radical_split(p, q)
+    q = 1.0 - b
+    if a == 0.0 and q == 0.0:
+        return None, None
+    return _radical_split(a, q), _radical_split(q, a) if q != 0.0 else None
 
 
-def _closed_form_threshold(profile: DiagnosticProfile, curve: Curve) -> ThresholdResult:
-    """positive_threshold for the PPV curve, negative_threshold for the NPV curve."""
-    phi = Rate(_threshold_phi(profile, curve))
-    try:
-        value: Rate | None = ppv_at_threshold(profile) if curve == Curve.PPV else npv_at(profile, phi)
-    except (DegenerateProfile, DegenerateDenominator):
-        value = None
-    return ThresholdResult(phi=phi, metric_value=value)
+def _negative_side(a: float, b: float) -> tuple[float | None, float | None]:
+    """phi_n and the NPV there, for plain-float rates; each None where undefined.
+
+    phi_n is _radical_split of the NPV curve's (p, q) = (1-a, b), None where
+    p = q = 0; the NPV there is _predictive_value's, None where its u is 0.
+    """
+    p = 1.0 - a
+    if p == 0.0 and b == 0.0:
+        return None, None
+    phi = _radical_split(p, b)
+    return phi, _predictive_value(a, b, "npv", phi)
+
+
+def _side(which: str, a: float, b: float) -> tuple[float, float | None]:
+    """The "positive" or "negative" kernel's pair; DegenerateProfile where its phi is None."""
+    phi, value = (_positive_side if which == "positive" else _negative_side)(a, b)
+    if phi is None:
+        raise DegenerateProfile(f"{which} threshold undefined: sensitivity {a:g} with specificity {b:g}")
+    return phi, value
 
 
 def positive_threshold(profile: DiagnosticProfile) -> ThresholdResult:
@@ -121,7 +130,8 @@ def positive_threshold(profile: DiagnosticProfile) -> ThresholdResult:
     specificity is 1, where the curve is constant and the value at
     phi_e = 0 is undefined).
     """
-    return _closed_form_threshold(profile, Curve.PPV)
+    phi, ppv = _side("positive", float(profile.sensitivity), float(profile.specificity))
+    return ThresholdResult(phi=Rate(phi), metric_value=None if ppv is None else Rate(ppv))
 
 
 def ppv_at_threshold(profile: DiagnosticProfile) -> Rate:
@@ -132,10 +142,10 @@ def ppv_at_threshold(profile: DiagnosticProfile) -> Rate:
     is phi_e's radical with the coefficients swapped; evaluating the
     PPV curve directly at phi_e gives the same number to 1e-12.
     """
-    b = float(profile.specificity)
-    if b == 1.0:
+    _, ppv = _positive_side(float(profile.sensitivity), float(profile.specificity))
+    if ppv is None:
         raise DegenerateProfile("PPV at threshold undefined when specificity is 1")
-    return Rate(_radical_split(1.0 - b, float(profile.sensitivity)))
+    return Rate(ppv)
 
 
 def negative_threshold(profile: DiagnosticProfile) -> ThresholdResult:
@@ -147,40 +157,22 @@ def negative_threshold(profile: DiagnosticProfile) -> ThresholdResult:
     (None at edge profiles where that evaluation is undefined:
     sensitivity 1 puts phi_n at 1, specificity 0 puts it at 0).
     """
-    return _closed_form_threshold(profile, Curve.NPV)
-
-
-def _threshold_phis(a: float, b: float) -> tuple[float | None, float | None]:
-    """(phi_e, phi_n) of plain-float rates, each None where its curve's p = q = 0, as _threshold_phi raises.
-
-    The PPV curve's (p, q) is (a, 1-b) and the NPV curve's (1-a, b), so
-    phi_e is undefined only at (0, 1) and phi_n only at (1, 0).
-    """
-    phi_e = _radical_split(a, 1.0 - b) if a != 0.0 or b != 1.0 else None
-    phi_n = _radical_split(1.0 - a, b) if a != 1.0 or b != 0.0 else None
-    return phi_e, phi_n
+    phi, npv = _side("negative", float(profile.sensitivity), float(profile.specificity))
+    return ThresholdResult(phi=Rate(phi), metric_value=None if npv is None else Rate(npv))
 
 
 def threshold_summary(profile: DiagnosticProfile) -> dict:
     """Both thresholds and their predictive values as one JSON-ready mapping.
 
     Entries that are undefined for the given profile are None, so edge
-    profiles still produce a complete object. One pass over plain
-    floats with the kernels of positive_threshold and
-    negative_threshold, and the same values: a threshold is None where
-    its curve's coefficients p and q are both 0, the PPV at phi_e where
-    specificity is 1, and the NPV at phi_n where its Bayes denominator
-    u is 0.
+    profiles still produce a complete object: the pairs of _positive_side
+    and _negative_side, which positive_threshold and negative_threshold
+    return as Rates.
     """
     a = float(profile.sensitivity)
     b = float(profile.specificity)
-    phi_e, phi_n = _threshold_phis(a, b)
-    ppv_at_phi_e = _radical_split(1.0 - b, a) if b != 1.0 else None
-    npv_at_phi_n = None
-    if phi_n is not None:
-        num, u = _bayes(a, b, "npv", phi_n)
-        if u != 0.0:
-            npv_at_phi_n = num / u
+    phi_e, ppv_at_phi_e = _positive_side(a, b)
+    phi_n, npv_at_phi_n = _negative_side(a, b)
     return {
         "sensitivity": a,
         "specificity": b,
@@ -299,7 +291,9 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
         raise DegenerateProfile(
             "curvature is zero everywhere when sensitivity + specificity = 1"
         )
-    p, q, _ = _curve_coefficients(float(profile.sensitivity), float(profile.specificity), curve)
+    a = float(profile.sensitivity)
+    b = float(profile.specificity)
+    p, q, _ = _curve_coefficients(a, b, curve)
     if p * q == 0.0:
         raise DegenerateProfile(
             f"{curve.value} curve is constant for {profile}; no curvature maximum"
@@ -313,9 +307,5 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
 
     lo, hi = _golden_section(kappa, lo, hi, REFINE_WIDTH)
     phi = Rate(0.5 * (lo + hi))
-
-    try:
-        value: Rate | None = (ppv_at if curve == Curve.PPV else npv_at)(profile, phi)
-    except DegenerateDenominator:
-        value = None
-    return ThresholdResult(phi=phi, metric_value=value)
+    value = _predictive_value(a, b, curve, phi)
+    return ThresholdResult(phi=phi, metric_value=None if value is None else Rate(value))
