@@ -14,9 +14,10 @@ sides returned the same result (by repr, or the CSV text for
 emit_ratio_curves).
 
 The calls: ThresholdResult(...), ppv_at, npv_at, positive_threshold,
-threshold_summary, curvature_argmax on the PPV and the NPV curve and on
-the PPV curve of the broad-peak profile (0.6, 0.401), whose coarse scan
-evaluates the whole grid, mcc_at_threshold, mcc_ratio, f_beta_at,
+negative_threshold, ppv_at_threshold, threshold_summary,
+curvature_argmax on the PPV and the NPV curve and on the PPV curve of
+the broad-peak profile (0.6, 0.401), whose coarse scan evaluates the
+whole grid, mcc_at_threshold, mcc_ratio, f_beta_at,
 analyze_counts, verify_bounds(0.01), emit_ratio_curves,
 simulate_population (after the grid calls have loaded numpy, so its
 draws are numpy's Generator's, as in the validate workload),
@@ -90,6 +91,8 @@ def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]]) -> dic
         "ppv_at": lambda: pkg.ppv_at(profile, 0.19),
         "npv_at": lambda: pkg.npv_at(profile, 0.19),
         "positive_threshold": lambda: pkg.positive_threshold(profile),
+        "negative_threshold": lambda: pkg.negative_threshold(profile),
+        "ppv_at_threshold": lambda: pkg.ppv_at_threshold(profile),
         "threshold_summary": lambda: pkg.threshold_summary(profile),
         "curvature_argmax": lambda: pkg.curvature_argmax(profile),
         "curvature_argmax(npv)": lambda: pkg.curvature_argmax(profile, "npv"),

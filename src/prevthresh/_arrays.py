@@ -45,7 +45,7 @@ from collections.abc import Callable, Iterator
 
 import numpy as np
 
-from .bounds import RATIO_BOUNDS, SWEEP_BETAS, BoundRecord, BoundViolation, _f_beta_form, _fm_form
+from .bounds import _SWEEP_BETAS_BY_LABEL, RATIO_BOUNDS, BoundRecord, BoundViolation, _f_beta_form, _fm_form
 from .errors import DegenerateDenominator
 from .metrics import DiagnosticProfile, _bayes, _curve_coefficients, _f_beta_harmonic, _flat_value, _mcc_form
 from .thresholds import COARSE_STEP, Curve, _golden_section, _kappa_kernel, _radical_split
@@ -273,8 +273,8 @@ def ratio_arrays(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[str, np.ndarray
     one ratio array at once.
     """
     yield "f1", _f_beta_form(a, b, 1.0, np.sqrt)
-    for beta in SWEEP_BETAS:
-        yield f"f_beta_{beta:g}", _f_beta_form(a, b, beta * beta, np.sqrt)
+    for label, beta in _SWEEP_BETAS_BY_LABEL.items():
+        yield f"f_beta_{label}", _f_beta_form(a, b, beta * beta, np.sqrt)
     yield "fm", _fm_form(a, b, np.sqrt)
     yield "mcc", _mcc_ratio_arrays(a, b)
 

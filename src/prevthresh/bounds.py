@@ -50,6 +50,7 @@ from .metrics import (
     _bayes,
     _beta,
     _flat_value,
+    _labelled_betas,
     _mcc_form,
     _Record,
     f1_at,
@@ -81,13 +82,14 @@ MIN_GRID_STEP = 0.001
 # F-beta weights swept by verify_bounds and reported by analyze_counts
 # by default.
 SWEEP_BETAS = (0.5, 1.0, 2.0)
+_SWEEP_BETAS_BY_LABEL = _labelled_betas(SWEEP_BETAS)
 
 # Bounding interval of each ratio for informative profiles, keyed the
 # way verify_bounds reports them. The F-beta upper bound is
 # 1 + 1/(beta^2 + 1); F1 is the beta = 1 case.
 RATIO_BOUNDS: dict[str, tuple[float, float]] = {
     "f1": (1.0, 1.5),
-    **{f"f_beta_{b:g}": (1.0, 1.0 + 1.0 / (b * b + 1.0)) for b in SWEEP_BETAS},
+    **{f"f_beta_{label}": (1.0, 1.0 + 1.0 / (b * b + 1.0)) for label, b in _SWEEP_BETAS_BY_LABEL.items()},
     "fm": (1.0, SQRT2),
     "mcc": (SQRT2 / 2.0, SQRT2),
 }
@@ -351,7 +353,8 @@ def _ratio_values(profile: DiagnosticProfile, betas: Iterable[float]) -> dict[st
     """Every bounded ratio at one profile, keyed <key>_ratio; None where undefined.
 
     Keys are f1, f_beta_<beta:g> for each beta, fm and mcc, in that
-    order. Invalid betas raise ValueError before any ratio is evaluated.
+    order. Invalid betas, and betas with one label (metrics._labelled_betas),
+    raise ValueError before any ratio is evaluated.
     One pass over plain floats with the kernels of f1_ratio,
     f_beta_ratio, fm_ratio and mcc_ratio, giving their values. An entry
     is None where its function raises a PrevthreshError, decided by
@@ -362,13 +365,13 @@ def _ratio_values(profile: DiagnosticProfile, betas: Iterable[float]) -> dict[st
     at sensitivity 5e-324 with specificity 0) is returned as it is, not
     raised: each caller applies its own policy to it.
     """
-    betas = [_beta(beta) for beta in betas]
+    betas = _labelled_betas(betas)
     a = float(profile.sensitivity)
     b = float(profile.specificity)
     recall = a != 0.0
     values = {"f1_ratio": _f_beta_form(a, b, 1.0) if recall else None}
-    for beta in betas:
-        values[f"f_beta_{beta:g}_ratio"] = _f_beta_form(a, b, beta * beta) if recall else None
+    for label, beta in betas.items():
+        values[f"f_beta_{label}_ratio"] = _f_beta_form(a, b, beta * beta) if recall else None
     values["fm_ratio"] = _fm_form(a, b) if recall else None
     mcc = None
     phi_e, _ = _positive_side(a, b)

@@ -240,6 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _in_place(path: str) -> bool:
+    """Whether _sink writes path in place: it exists but is not a regular file, as /dev/null or a pipe."""
+    target = os.path.realpath(path)
+    return os.path.exists(target) and not os.path.isfile(target)
+
+
 @contextmanager
 def _sink(path: str | None):
     """Text stream for --output PATH (stdout without one), published only on success.
@@ -253,11 +259,11 @@ def _sink(path: str | None):
     if path is None:
         yield sys.stdout
         return
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
+    if _in_place(path):
         with open(path, "w", encoding="utf-8", newline="") as stream:
             yield stream
         return
+    target = os.path.realpath(path)
     temp = f"{target}.{os.getpid()}.tmp"
     try:
         stream = open(temp, "x", encoding="utf-8", newline="")
@@ -314,10 +320,11 @@ def _cmd_thresholds(args) -> dict:
 
 def _cmd_curves(args) -> None:
     profile = _profile_from(args)
-    if args.output is None:
-        emit_curves(profile, args.step, sys.stdout)
+    if args.output is None or _in_place(args.output):
+        with _sink(args.output) as out:
+            emit_curves(profile, args.step, out)
     else:
-        # The curve CSV gets a companion <output>.json recording the thresholds.
+        # A curve CSV published by rename gets a companion <output>.json recording the thresholds.
         with _sink(args.output) as out, _sink(args.output + ".json") as side:
             emit_curves(profile, args.step, out, sidecar=side)
 

@@ -36,7 +36,7 @@ import os
 from collections.abc import Iterable
 
 from .errors import DegenerateProfile, EmptyInput, ParseError, _echo
-from .metrics import ConfusionCounts, DiagnosticProfile, _beta
+from .metrics import ConfusionCounts, DiagnosticProfile, _labelled_betas
 from .thresholds import threshold_summary
 
 __all__ = [
@@ -215,7 +215,8 @@ def emit_ratio_curves(
     prevalence. Cells are empty where the underlying metric is zero or
     undefined (always the case at phi = 0, and in every row of an
     F-beta column whose beta**2 overflows). Returns the number of data
-    rows. Raises before writing anything for an invalid beta or step,
+    rows. Raises before writing anything: ValueError for an invalid beta
+    or step and for two betas with one label (metrics._labelled_betas),
     DegenerateProfile at sensitivity 0, and ValueError when the CSV
     would hold more than _MAX_CELLS cells, rows times (len(betas) + 3)
     columns: up to 6 betas at MIN_PHI_STEP, or 9,987 at step 0.001.
@@ -230,7 +231,7 @@ def emit_ratio_curves(
     accuracy_divergence_curve with metric "f1", "f_beta" or "fm", the
     oracle the test suite checks the bytes against, gives there.
     """
-    betas = [_beta(b) for b in betas]
+    betas = _labelled_betas(betas)
     grid = _phi_grid(step)
     a = float(profile.sensitivity)
     if a == 0.0:
@@ -241,8 +242,8 @@ def emit_ratio_curves(
 
     from . import _arrays
 
-    beta_squares = [1.0] + [beta * beta for beta in betas]
+    beta_squares = [1.0] + [beta * beta for beta in betas.values()]
     columns = _arrays.ratio_curve_columns(a, float(profile.specificity), beta_squares)
-    header = ["phi", "f1_chi"] + [f"fbeta_{beta:g}_chi" for beta in betas] + ["fm_chi"]
+    header = ["phi", "f1_chi"] + [f"fbeta_{label}_chi" for label in betas] + ["fm_chi"]
     _arrays.write_grid(sink, header, grid, columns)
     return len(grid)

@@ -198,6 +198,23 @@ def _beta(beta: float) -> float:
     return v
 
 
+def _labelled_betas(betas) -> dict[str, float]:
+    """Each beta's _beta weight by its label f"{beta:g}", which keys its report entries and CSV columns.
+
+    Raises ValueError for an invalid beta, and for two betas with one
+    label, naming both, since their entries would overwrite each other.
+    """
+    labelled: dict[str, float] = {}
+    for beta in betas:
+        value = _beta(beta)
+        label = f"{value:g}"
+        if label in labelled:
+            first = labelled[label]
+            raise ValueError(f"betas {first!r} and {value!r} share the label {label!r} (labels keep 6 significant digits)")
+        labelled[label] = value
+    return labelled
+
+
 def _curve_coefficients(a, b, curve):
     """Quotient-form coefficients (p, q, sign) of the "ppv" or "npv" curve (or Curve member), for floats or arrays.
 

@@ -20,7 +20,7 @@ from .bounds import SWEEP_BETAS, _ratio_values
 from .errors import UndefinedMetric
 from .metrics import (
     ConfusionCounts,
-    _beta,
+    _labelled_betas,
     _Record,
     chi_square_from_mcc,
     f_beta_score,
@@ -70,7 +70,8 @@ def analyze_counts(
 
     Needs both classes present in the data (otherwise sensitivity or
     specificity has a zero denominator and UndefinedMetric propagates),
-    and raises ValueError for an invalid beta; every other entry is
+    and raises ValueError for an invalid beta and for betas with one
+    label (metrics._labelled_betas); every other entry is
     None where it is undefined, decided by comparison in one pass over
     plain floats:
 
@@ -89,7 +90,7 @@ def analyze_counts(
     n = counts.n
     if n == 0:
         raise UndefinedMetric("cannot analyze empty counts")
-    betas = [_beta(b) for b in betas]
+    betas = _labelled_betas(betas)
     profile = counts.profile()
     prevalence = counts.prevalence()
     a = float(profile.sensitivity)
@@ -100,8 +101,8 @@ def analyze_counts(
     npv = tn / (tn + fn) if tn + fn else None
     metrics: dict[str, float | None] = {"accuracy": (tp + tn) / n, "ppv": precision, "npv": npv}
     metrics["f1"] = None if precision is None else f_beta_score(1.0, a, precision)
-    for beta in betas:
-        metrics[f"f_beta_{beta:g}"] = None if precision is None else f_beta_score(beta * beta, a, precision)
+    for label, beta in betas.items():
+        metrics[f"f_beta_{label}"] = None if precision is None else f_beta_score(beta * beta, a, precision)
     metrics["fm"] = None if precision is None else math.sqrt(a * precision)
     mcc = None if precision is None or npv is None else mcc_from_counts(counts)
     metrics["mcc"] = mcc
@@ -118,7 +119,7 @@ def analyze_counts(
         "phi_n": summary["phi_n"],
         "npv_at_phi_n": summary["npv_at_phi_n"],
     }
-    ratios = _ratio_values(profile, betas)
+    ratios = _ratio_values(profile, betas.values())
     for key, value in ratios.items():
         if value is not None and not math.isfinite(value):
             ratios[key] = None

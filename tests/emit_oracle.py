@@ -24,8 +24,9 @@ from typing import IO, Iterable
 from prevthresh.bounds import accuracy_divergence_curve
 from prevthresh.dataio import Source, _as_text_stream, _parse_binary, _phi_grid
 from prevthresh.errors import DegenerateDenominator, EmptyInput, ParseError, _echo
-from prevthresh.metrics import ConfusionCounts, DiagnosticProfile, Rate, _beta, npv_at, ppv_at
+from prevthresh.metrics import ConfusionCounts, DiagnosticProfile, Rate, npv_at, ppv_at
 from prevthresh.thresholds import Curve, CurvaturePoint, threshold_summary
+from report_oracle import checked_betas
 
 
 def curvature_scalar(profile: DiagnosticProfile, phi: float, curve: Curve | str = Curve.PPV) -> CurvaturePoint:
@@ -170,7 +171,7 @@ def emit_ratio_curves_scalar(
     sink: IO,
 ) -> int:
     """emit_ratio_curves through accuracy_divergence_curve, one cell at a time."""
-    betas = [_beta(b) for b in betas]
+    betas = checked_betas(betas)
     grid = _phi_grid(step)
 
     columns: list[tuple[str, list[float | None]]] = []

@@ -9,7 +9,8 @@ ConfusionCounts rates, accuracy_from_counts and mcc_from_counts), with
 an entry None where its function raises a PrevthreshError
 (errors.value_or_none). A ratio that overflows a float raises the
 ratio functions' ValueError: ratio_values lets it propagate, as
-`ratios --json` reports it, and analyze_counts takes it as None.
+`ratios --json` reports it, and analyze_counts takes it as None. Both
+refuse two betas whose f"{beta:g}" keys are equal (checked_betas).
 """
 
 from __future__ import annotations
@@ -58,13 +59,27 @@ def threshold_summary(profile: DiagnosticProfile) -> dict:
     return payload
 
 
+def checked_betas(betas: Iterable[float]) -> list[float]:
+    """Each beta as metrics._beta checks it; ValueError for the first beta whose key an earlier one has, naming both."""
+    checked: list[float] = []
+    for beta in betas:
+        beta = _beta(beta)
+        for earlier in checked:
+            if f"{earlier:g}" == f"{beta:g}":
+                raise ValueError(
+                    f"betas {earlier!r} and {beta!r} share the label '{beta:g}' (labels keep 6 significant digits)"
+                )
+        checked.append(beta)
+    return checked
+
+
 def ratio_values(profile: DiagnosticProfile, betas: Iterable[float], overflow_as_none: bool = False) -> dict:
     """bounds._ratio_values from the per-profile ratio functions.
 
     A ratio that overflows raises their ValueError, or is None with
     overflow_as_none.
     """
-    betas = [_beta(beta) for beta in betas]
+    betas = checked_betas(betas)
 
     def ratio(fn, *args) -> float | None:
         try:
@@ -86,7 +101,7 @@ def analyze_counts(counts: ConfusionCounts, betas: Sequence[float] = SWEEP_BETAS
     """report.analyze_counts from the ConfusionCounts methods and the functions above."""
     if counts.n == 0:
         raise UndefinedMetric("cannot analyze empty counts")
-    betas = [_beta(b) for b in betas]
+    betas = checked_betas(betas)
     profile = counts.profile()
     prevalence = counts.prevalence()
     a = float(profile.sensitivity)

@@ -118,6 +118,14 @@ class TestCurves:
         sidecar = json.loads((tmp_path / "curves.csv.json").read_text())
         assert sidecar["phi_e"] == pytest.approx(PHI_E, abs=1e-15)
 
+    def test_output_that_is_not_a_regular_file_gets_no_sidecar(self, capsys, tmp_path):
+        # The CSV is written in place through the link; no <link>.json is made beside it.
+        link = tmp_path / "null"
+        link.symlink_to(os.devnull)
+        code, out, err = run(capsys, *CURVES_ARGV, "--output", str(link))
+        assert (code, out, err) == (0, "", "")
+        assert list(tmp_path.iterdir()) == [link]
+
     def test_bad_step(self, capsys):
         code, _, err = run(
             capsys,
@@ -177,6 +185,21 @@ class TestRatios:
         assert code == 0
         assert payload["mcc_ratio"] is None
         assert payload["f1_ratio"] is not None
+
+    @pytest.mark.parametrize(
+        "betas, line",
+        [
+            ("0.5,0.5000001", "betas 0.5 and 0.5000001 share the label '0.5'"),
+            ("1,2,1", "betas 1.0 and 1.0 share the label '1'"),
+        ],
+    )
+    def test_betas_with_one_label_are_refused(self, capsys, tmp_path, betas, line):
+        # Each beta keys its own entry or column; two with one label would overwrite each other.
+        line = f"error:validation: {line} (labels keep 6 significant digits)\n"
+        assert run(capsys, *RATIOS_ARGV, "--betas", betas, "--json") == (1, "", line)
+        assert run(capsys, *RATIOS_ARGV, "--betas", betas) == (1, "", line)
+        assert run(capsys, *RATIOS_ARGV, "--betas", betas, "--output", str(tmp_path / "ratios.csv")) == (1, "", line)
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_betas(self, capsys):
         code, _, err = run(
@@ -251,6 +274,11 @@ class TestAnalyze:
         assert code == 0
         assert payload["metrics"]["mcc"] == pytest.approx(0.8, abs=1e-12)
         assert payload["flags"]["informative"] is True
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_betas_with_one_label_are_refused(self, capsys, json_flag):
+        line = "error:validation: betas 2.0 and 2.0000001 share the label '2' (labels keep 6 significant digits)\n"
+        assert run(capsys, "analyze", "--counts", "9,1,1,9", "--betas", "2,2.0000001", *json_flag) == (1, "", line)
 
     def test_malformed_counts(self, capsys):
         code, _, err = run(capsys, "analyze", "--counts", "9,1,1")
@@ -645,13 +673,13 @@ class TestTopLevel:
         assert err.startswith("error:usage:")
 
     def test_main_raises_system_exit(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            "sys.argv",
-            ["prevthresh", "thresholds", "--sensitivity", "0.9", "--specificity", "0.95"],
-        )
+        argv = ["thresholds", "--sensitivity", "0.9", "--specificity", "0.95"]
+        monkeypatch.setattr("sys.argv", ["prevthresh", *argv])
         with pytest.raises(SystemExit) as exc:
             cli.main()
-        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.err) == (0, "")
+        assert captured.out == run(capsys, *argv)[1]
 
     @pytest.mark.parametrize("module", ["prevthresh", "prevthresh.cli"])
     def test_python_dash_m(self, capsys, module):

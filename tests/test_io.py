@@ -871,7 +871,9 @@ class TestEmitOracleParity:
         # every column first would add about 18,000 rows x 33 cells x 100 bytes.
         assert peaks[1] - peaks[0] < 4_000_000
 
-    @pytest.mark.parametrize("betas, step", [((0.5, 0.0), 0.5), ((0.5,), 0.6), ((float("nan"),), 0.5)])
+    @pytest.mark.parametrize(
+        "betas, step", [((0.5, 0.0), 0.5), ((0.5,), 0.6), ((float("nan"),), 0.5), ((2.0, 3.0, 2.0000001), 0.5)]
+    )
     def test_errors_match_before_any_output(self, betas, step):
         for profile in (P_9095, DiagnosticProfile(0.0, 0.9)):
             got = _emit_outcome(emit_ratio_curves, profile, betas, step)

@@ -1,5 +1,6 @@
 """The aggregate confusion-matrix report."""
 
+import io
 import json
 import math
 
@@ -8,8 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import report_oracle
-from prevthresh import ConfusionCounts, DiagnosticProfile, UndefinedMetric, analyze_counts, threshold_summary
-from prevthresh.bounds import _finite, _ratio_values
+from prevthresh import (
+    ConfusionCounts,
+    DiagnosticProfile,
+    UndefinedMetric,
+    analyze_counts,
+    emit_ratio_curves,
+    threshold_summary,
+)
+from prevthresh.bounds import _finite, _ratio_values, f_beta_ratio
 
 
 class TestAnalyzeCounts:
@@ -45,6 +53,28 @@ class TestAnalyzeCounts:
         assert "f_beta_0.25" in report.metrics
         assert "f_beta_0.25_ratio" in report.ratios
         assert "f_beta_1" not in report.metrics
+
+    def test_beta_is_used_whole_under_its_shorter_label(self):
+        # The label keeps 6 significant digits; the scores and ratios use every digit of the beta.
+        report = analyze_counts(ConfusionCounts(9, 1, 1, 9), betas=[1.23456789])
+        profile = DiagnosticProfile(0.9, 0.9)
+        assert report.metrics["f_beta_1.23457"] == report_oracle.analyze_counts(
+            ConfusionCounts(9, 1, 1, 9), [1.23456789]
+        ).metrics["f_beta_1.23457"]
+        assert report.ratios["f_beta_1.23457_ratio"] == f_beta_ratio(profile, 1.23456789) != f_beta_ratio(profile, 1.23457)
+
+    @pytest.mark.parametrize("betas", [[2.0, 2.0000001], [2, 2.0]])
+    def test_betas_with_one_label_are_refused(self, betas):
+        # Every report keys a beta by f"{beta:g}"; each caller refuses two betas with one key.
+        message = r"^betas 2\.0 and 2\.0\d* share the label '2' \(labels keep 6 significant digits\)$"
+        with pytest.raises(ValueError, match=message):
+            analyze_counts(ConfusionCounts(9, 1, 1, 9), betas=betas)
+        with pytest.raises(ValueError, match=message):
+            _ratio_values(DiagnosticProfile(0.9, 0.95), betas)
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match=message):
+            emit_ratio_curves(DiagnosticProfile(0.9, 0.95), betas, 0.5, sink)
+        assert sink.getvalue() == ""
 
     def test_overflowing_beta_square_is_undefined(self):
         # beta**2 = inf leaves the F-beta score inf/inf; the entry is None, not NaN.
@@ -107,7 +137,9 @@ class TestAnalyzeCounts:
 
 # Edge values drawn beside random ones: the counts 0, 1 and integers past
 # float range, the rates 0, 1, the least subnormal and the float below 1, and
-# betas whose square overflows or underflows, or that are invalid.
+# betas whose square overflows or underflows, or that are invalid. Betas
+# near 1 move the F-beta scores and ratios in every digit that their
+# 6-digit labels drop.
 COUNTS = st.one_of(
     st.sampled_from([0, 1, 2, 10**18, 2**53 + 1, 2**1074 - 1, 2**1100]),
     st.integers(0, 10**6),
@@ -118,6 +150,7 @@ BETAS = st.lists(
     st.one_of(
         st.sampled_from([1e200, 1.3e154, 0.5, 1.0, 2.0, 5e-324, 1e-160]),
         st.floats(min_value=5e-324, max_value=1e300),
+        st.floats(min_value=0.1, max_value=10.0),
         st.sampled_from([0.0, -1.0, math.inf, math.nan]),
     ),
     max_size=4,
