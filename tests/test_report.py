@@ -17,7 +17,7 @@ from prevthresh import (
     emit_ratio_curves,
     threshold_summary,
 )
-from prevthresh.bounds import _finite, _ratio_values, f_beta_ratio
+from prevthresh.bounds import _finite, _ratio_values
 
 
 class TestAnalyzeCounts:
@@ -53,15 +53,6 @@ class TestAnalyzeCounts:
         assert "f_beta_0.25" in report.metrics
         assert "f_beta_0.25_ratio" in report.ratios
         assert "f_beta_1" not in report.metrics
-
-    def test_beta_is_used_whole_under_its_shorter_label(self):
-        # The label keeps 6 significant digits; the scores and ratios use every digit of the beta.
-        report = analyze_counts(ConfusionCounts(9, 1, 1, 9), betas=[1.23456789])
-        profile = DiagnosticProfile(0.9, 0.9)
-        assert report.metrics["f_beta_1.23457"] == report_oracle.analyze_counts(
-            ConfusionCounts(9, 1, 1, 9), [1.23456789]
-        ).metrics["f_beta_1.23457"]
-        assert report.ratios["f_beta_1.23457_ratio"] == f_beta_ratio(profile, 1.23456789) != f_beta_ratio(profile, 1.23457)
 
     @pytest.mark.parametrize("betas", [[2.0, 2.0000001], [2, 2.0]])
     def test_betas_with_one_label_are_refused(self, betas):
