@@ -3,7 +3,7 @@
 dataio.ingest_predictions imports this module on its first call, so
 importing the package, and every CLI call that reads no prediction
 file, compiles none of it. tally_blocks describes the pass: it counts
-the data lines the header implies, then splits blocks, then parses rows.
+the data lines the header implies, and gives every other block to csv.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import itertools
 import re
-from collections import Counter
 
 from .dataio import _parse_binary
 from .errors import EmptyInput, ParseError, _echo
@@ -21,11 +20,6 @@ _CELLS = {("1", "1"): 0, ("0", "1"): 1, ("1", "0"): 2, ("0", "0"): 3}
 
 # Characters ingest reads per block; a block is then cut at its last newline.
 _READ_CHARS = 16_384
-
-# Fewest lines a block needs before its share of distinct lines is judged:
-# the lines read before a line longer than a block, or that line alone,
-# say nothing about the rest of the file.
-_JUDGED_LINES = 64
 
 
 def _header_columns(header: list[str]) -> tuple[int, int]:
@@ -46,15 +40,13 @@ def _csv_error(exc: csv.Error, row: int) -> ParseError:
     return ParseError(f"row {row}: {exc}", row=row)
 
 
-def _cell(row: list[str], columns: tuple[int, int], row_of) -> int:
-    """Index in a tally (tp, fp, fn, tn) of a parsed data row; row_of() numbers it for an error."""
+def _cell(row: list[str], columns: tuple[int, int], at: int) -> int:
+    """Index in a tally (tp, fp, fn, tn) of a parsed data row, which is physical row at."""
     label_idx, pred_idx = columns
     if len(row) <= max(columns):
-        at = row_of()
         raise ParseError(f"row {at}: expected at least {max(columns) + 1} fields, got {len(row)}", row=at)
     cell = _CELLS.get((row[label_idx].strip(), row[pred_idx].strip()))
     if cell is None:
-        at = row_of()
         _parse_binary(row[label_idx], "label", at)
         _parse_binary(row[pred_idx], "prediction", at)
     return cell
@@ -82,7 +74,7 @@ def _tally_csv(reader, offset: int, columns: tuple[int, int] | None, tally: list
             tokens = (row[label_idx], row[pred_idx]) if len(row) >= width else None
             cell = cells.get(tokens)
             if cell is None:
-                cell = cells[tokens] = _cell(row, columns, lambda: offset + reader.line_num)
+                cell = cells[tokens] = _cell(row, columns, offset + reader.line_num)
             tally[cell] += 1
     except csv.Error as exc:
         raise _csv_error(exc, offset + reader.line_num) from None
@@ -108,21 +100,14 @@ def _replay(stream, text: str):
     return itertools.chain((match.group() for match in line.finditer(text)), stream)
 
 
-def _irregular(block: str, lines=None) -> bool:
+def _irregular(block: str) -> bool:
     """Whether block holds a quote or a carriage return outside a CRLF pair, which only csv reads.
 
-    lines, where given, are the block's distinct lines, split at line
-    feeds: a carriage return is then outside a pair where it is not the
-    last character of its line, and only those lines are searched. The
-    last line of a stream may end with one and no line feed; csv reads
-    it as that line's end all the same. Otherwise the block is scanned
-    twice, for carriage returns and for CRLF pairs.
+    Only the stream's last block may end with a carriage return, which csv reads as that line's end.
     """
     if '"' in block or "\r" not in block:
         return '"' in block
-    if lines is not None:
-        return any("\r" in line[:-1] for line in lines)
-    return block.count("\r") != block.count("\r\n")
+    return block.count("\r") != block.count("\r\n") + block.endswith("\r")
 
 
 def _implied_lines(columns: tuple[int, int], end: str) -> dict[str, int]:
@@ -145,19 +130,14 @@ def tally_blocks(stream, tally: list[int]) -> None:
     their last, so no two occurrences overlap and the counts cover the
     block's length exactly when every line of the block, the last one
     included, is an implied line; only then are they taken. Any other
-    block is split at line feeds only. Every stream and csv end their
-    lines there too (str.splitlines would also split at form feeds,
-    U+2028 and more), and csv reads a line's trailing carriage return as
-    part of its end. Its lines are counted with Counter, and each
-    distinct line is parsed once and counted as often as it occurs.
-    From the first block that holds a quote or a carriage return outside
-    a CRLF pair, or that has at least _JUDGED_LINES lines, mostly
-    distinct, on, the rest of the stream goes line by line through
-    _tally_csv, which parses each distinct raw (label, prediction) token
-    pair once; the stream is never rewound. Either way the first invalid
-    row is the first sighting of an invalid line or token pair, so the
-    reported row is that of a row-by-row parse; a csv.Error is a
-    ParseError at the row where csv failed.
+    block is split at line feeds only, as streams and csv split lines
+    (str.splitlines would also split at form feeds, U+2028 and more;
+    csv reads a carriage return left at a line's end as part of its
+    end), and _tally_csv parses the lines. A quote or a carriage return
+    outside a CRLF pair may join lines into one row, so from the first
+    block that holds one on, _tally_csv reads the rest of the stream,
+    which is never rewound. csv parses every row not counted, in order:
+    an error's type, row and message are those of a row-by-row parse.
     """
     columns = None
     offset = 0  # physical lines before the current block
@@ -173,10 +153,7 @@ def tally_blocks(stream, tally: list[int]) -> None:
         block, rest = rest + chunk[:cut], chunk[cut:]
         if not block:
             break
-        if columns is None:
-            if _irregular(block):
-                _tally_csv(csv.reader(_replay(stream, block + rest)), offset, columns, tally)
-                return
+        if columns is None and not _irregular(block):
             head, _, block = block.partition("\n")
             try:
                 header = next(csv.reader([head]))
@@ -194,35 +171,13 @@ def tally_blocks(stream, tally: list[int]) -> None:
                     tally[cell] += n
                 offset += len(block) // width
                 continue
+        if columns is None or _irregular(block):
+            _tally_csv(csv.reader(_replay(stream, block + rest)), offset, columns, tally)
+            return
         lines = block.split("\n")
         if not lines[-1]:
             lines.pop()  # the empty piece after the block's final newline
-        counts = Counter(lines)
-        distinct = len(lines) >= _JUDGED_LINES and 4 * len(counts) > len(lines)
-        # A mostly distinct block is scanned whole rather than line by line.
-        if _irregular(block, None if distinct else counts):
-            _tally_csv(csv.reader(_replay(stream, block + rest)), offset, columns, tally)
-            return
-        del block  # lines hold the same text
-        if distinct:
-            # Mostly distinct lines (an id or a score column, say) are
-            # cheaper to parse row by row than to count first.
-            _tally_csv(csv.reader(itertools.chain(lines, _replay(stream, rest))), offset, columns, tally)
-            return
-        # One reader over the distinct lines, in order of first sighting: the
-        # first invalid one is first seen on the row a row-by-row parse reports.
-        reader = csv.reader(counts)
-        for line, count in counts.items():
-
-            def row_of():
-                return offset + lines.index(line) + 1
-
-            try:
-                row = next(reader)
-            except csv.Error as exc:
-                raise _csv_error(exc, row_of()) from None
-            if row:
-                tally[_cell(row, columns, row_of)] += count
+        _tally_csv(csv.reader(lines), offset, columns, tally)
         offset += len(lines)
     if columns is None:
         raise EmptyInput("prediction file is empty")

@@ -349,12 +349,12 @@ def _grid_axis(step: float) -> list[float]:
     return values
 
 
-def _ratio_values(profile: DiagnosticProfile, betas: Iterable[float]) -> dict[str, float | None]:
+def _ratio_values(profile: DiagnosticProfile, betas: dict[str, float]) -> dict[str, float | None]:
     """Every bounded ratio at one profile, keyed <key>_ratio; None where undefined.
 
-    Keys are f1, f_beta_<beta:g> for each beta, fm and mcc, in that
-    order. Invalid betas, and betas with one label (metrics._labelled_betas),
-    raise ValueError before any ratio is evaluated.
+    betas maps each label to its weight, as metrics._labelled_betas
+    gives them. Keys are f1, f_beta_<label> for each beta, fm and mcc,
+    in that order.
     One pass over plain floats with the kernels of f1_ratio,
     f_beta_ratio, fm_ratio and mcc_ratio, giving their values. An entry
     is None where its function raises a PrevthreshError, decided by
@@ -365,7 +365,6 @@ def _ratio_values(profile: DiagnosticProfile, betas: Iterable[float]) -> dict[st
     at sensitivity 5e-324 with specificity 0) is returned as it is, not
     raised: each caller applies its own policy to it.
     """
-    betas = _labelled_betas(betas)
     a = float(profile.sensitivity)
     b = float(profile.specificity)
     recall = a != 0.0

@@ -40,7 +40,7 @@ from . import __version__
 from .bounds import SWEEP_BETAS, _finite, _ratio_values, verify_bounds
 from .dataio import emit_curves, emit_ratio_curves, ingest_predictions
 from .errors import _ECHO_CHARS, PrevthreshError, UsageError, _echo, value_or_none
-from .metrics import ConfusionCounts, DiagnosticProfile, Rate, _predictive_value
+from .metrics import ConfusionCounts, DiagnosticProfile, Rate, _labelled_betas, _predictive_value
 from .report import analyze_counts
 from .simulate import SimulationConfig, simulate_population
 from .thresholds import threshold_summary
@@ -332,7 +332,7 @@ def _cmd_curves(args) -> None:
 def _cmd_ratios(args) -> dict | None:
     profile = _profile_from(args)
     if args.json:
-        ratios = _ratio_values(profile, args.betas)
+        ratios = _ratio_values(profile, _labelled_betas(args.betas))
         for value in ratios.values():
             if value is not None:
                 _finite(value)  # a ratio that overflows is a validation error here

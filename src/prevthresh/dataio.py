@@ -24,7 +24,9 @@ of rows; the emitters import it on first call, so ingest and the
 prediction writer load no numpy. The prediction writer writes
 identical rows in blocks. Ingest's block pass lives in
 _ingest, which ingest_predictions imports on its first call, so the
-CLI compiles it only when it reads a prediction file.
+CLI compiles it only when it reads a prediction file. The pass counts
+a block made only of the data lines the header implies, and parses
+every other block with csv.
 """
 
 from __future__ import annotations
@@ -104,9 +106,11 @@ def ingest_predictions(source: Source) -> ConfusionCounts:
 
     The source is read once, and never rewound, in blocks of 16,384
     characters cut after their last line feed, so memory is bounded by
-    a block plus the longest line; _ingest.tally_blocks describes how a
-    block is tallied. The row an error reports is the one a row-by-row
-    parse would.
+    a block plus the longest line. A block made only of the four data
+    lines the header implies is tallied with str.count; csv parses
+    every other block, and from a block with a quote or a lone carriage
+    return on, the rest of the source (_ingest.tally_blocks). The row an
+    error reports is the one a row-by-row parse would.
     """
     from . import _ingest
 

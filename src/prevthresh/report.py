@@ -119,7 +119,7 @@ def analyze_counts(
         "phi_n": summary["phi_n"],
         "npv_at_phi_n": summary["npv_at_phi_n"],
     }
-    ratios = _ratio_values(profile, betas.values())
+    ratios = _ratio_values(profile, betas)
     for key, value in ratios.items():
         if value is not None and not math.isfinite(value):
             ratios[key] = None

@@ -10,7 +10,9 @@ an entry None where its function raises a PrevthreshError
 (errors.value_or_none). A ratio that overflows a float raises the
 ratio functions' ValueError: ratio_values lets it propagate, as
 `ratios --json` reports it, and analyze_counts takes it as None. Both
-refuse two betas whose f"{beta:g}" keys are equal (checked_betas).
+refuse two betas whose f"{beta:g}" keys are equal (checked_betas), as
+metrics._labelled_betas does for bounds._ratio_values, which takes the
+betas labelled.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def checked_betas(betas: Iterable[float]) -> list[float]:
 
 
 def ratio_values(profile: DiagnosticProfile, betas: Iterable[float], overflow_as_none: bool = False) -> dict:
-    """bounds._ratio_values from the per-profile ratio functions.
+    """bounds._ratio_values over metrics._labelled_betas(betas), from the per-profile ratio functions.
 
     A ratio that overflows raises their ValueError, or is None with
     overflow_as_none.

@@ -176,6 +176,13 @@ class TestRatios:
         assert payload["f_beta_0.5_ratio"] == pytest.approx(1.1844626385704038, abs=1e-15)
         assert payload["mcc_ratio"] == pytest.approx(0.9691321758103707, abs=1e-14)
 
+    def test_json_ignores_step(self, capsys):
+        # The JSON summary evaluates one profile and builds no grid, so a step outside its range goes unchecked.
+        argv = ["ratios", "--sensitivity", ".9", "--specificity", ".95", "--json"]
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        assert run(capsys, *argv, "--step", "7") == expected
+
     def test_json_uses_null_when_undefined(self, capsys):
         code, out, _ = run(
             capsys,

@@ -3,6 +3,7 @@
 import csv
 import gc
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -455,6 +456,26 @@ def _record_parsed_lines(monkeypatch) -> list:
     return parsed
 
 
+def _record_replays(monkeypatch) -> list:
+    """Patch _ingest._replay to record the text of each call, which hands the rest of the stream to csv."""
+    texts = []
+    real = _ingest._replay
+
+    def replay(stream, text):
+        texts.append(text)
+        return real(stream, text)
+
+    monkeypatch.setattr(_ingest, "_replay", replay)
+    return texts
+
+
+def _blocks(text: str) -> list[str]:
+    """text cut as ingest cuts it: after the last line feed of each read of BLOCK characters."""
+    ends = range(BLOCK, len(text) + BLOCK, BLOCK)
+    cuts = sorted({0, len(text)} | {text.rfind("\n", 0, end) + 1 for end in ends})
+    return [text[start:end] for start, end in zip(cuts, cuts[1:])]
+
+
 def _record_tally_csv(monkeypatch) -> list:
     """Patch _ingest._tally_csv to record the offset of each call, then run as before."""
     offsets = []
@@ -539,7 +560,7 @@ class TestIngestCountPath:
         assert _outcome(_source(text, kind, tmp_path)) == expected
 
     def test_label_past_column_1_implies_no_lines(self, monkeypatch):
-        # Every block is split and counted, so each parses its distinct lines.
+        # No block is counted, so csv parses every line of each.
         text = "prediction,flag,label\n" + ROWS.replace("\n", ",1\n") * 3
         expected = _ingest_outcome(ingest_predictions_scalar, text)
         parsed = _record_parsed_lines(monkeypatch)
@@ -555,9 +576,17 @@ class TestIngestCountPath:
         expected = _ingest_outcome(ingest_predictions_scalar, text)
         parsed = _record_parsed_lines(monkeypatch)
         assert _ingest_outcome(ingest_predictions, text) == expected
-        # Only the padded row's block is split: csv sees its distinct lines once.
-        assert parsed[0] == "label,prediction"
-        assert sorted(parsed[1:]) == sorted(["1,1", "0,0", "1,0", "0,1", " 1,0"])
+        # csv parses the lines of the padded row's block; the blocks after it are counted.
+        padded = next(block for block in _blocks(text) if " 1,0\n" in block)
+        assert parsed == ["label,prediction"] + padded.split("\n")[:-1]
+
+    def test_counts_again_after_distinct_lines(self, monkeypatch):
+        text = HEADER + "".join(f"{i % 2},1,{i}\n" for i in range(4000)) + ROWS * 3
+        expected = _ingest_outcome(ingest_predictions_scalar, text)
+        parsed = _record_parsed_lines(monkeypatch)
+        assert _ingest_outcome(ingest_predictions, text) == expected
+        # Only the blocks that hold distinct lines are parsed, not the 18,000 repeated ones.
+        assert len(parsed) < 8000
 
     @given(
         st.lists(
@@ -583,25 +612,33 @@ class TestIngestCountPath:
 
     @pytest.mark.parametrize("text", _long_row_tables())
     def test_few_lines_before_a_long_row_stay_on_the_block_path(self, text, monkeypatch):
-        offsets = _record_tally_csv(monkeypatch)
-        assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
-        assert offsets == []
+        expected = _ingest_outcome(ingest_predictions_scalar, text)
+        parsed = _record_parsed_lines(monkeypatch)
+        replays = _record_replays(monkeypatch)
+        assert _ingest_outcome(ingest_predictions, text) == expected
+        # csv parses the lines of the long row's block, never the stream; the other blocks are counted.
+        long_block = next(block for block in _blocks(text) if len(block) > BLOCK)
+        assert parsed == ["label,prediction"] + long_block.split("\n")[:-1]
+        assert replays == []
 
     @pytest.mark.parametrize("last", ["", "0,1,0\r"], ids=["crlf", "crlf-then-unterminated-cr"])
     def test_crlf_lines_stay_on_the_block_path(self, last, monkeypatch):
-        # Label past column 1 implies no lines, so every block is split and
-        # counted; a CRLF pair ends each of its few distinct lines, and a
-        # carriage return with no line feed after it ends the last line.
-        offsets = _record_tally_csv(monkeypatch)
+        # Label past column 1 implies no lines, so csv parses every block
+        # on its own; a CRLF pair ends each line, and a carriage return
+        # with no line feed after it ends the last line.
+        replays = _record_replays(monkeypatch)
         text = "prediction,flag,label\r\n" + ROWS.replace("\n", ",1\r\n") * 3 + last
         assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
-        assert offsets == []
+        assert replays == []
 
     def test_mostly_distinct_lines_still_go_row_by_row(self, monkeypatch):
         offsets = _record_tally_csv(monkeypatch)
         text = "id,label,prediction\n" + "".join(f"{i},{i % 2},1\n" for i in range(4000))
         assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
-        assert offsets == [1]
+        # One call per block, each at the physical lines before it (the header's, for the first).
+        blocks = _blocks(text)
+        assert len(blocks) == 3
+        assert offsets == [1, *itertools.accumulate(block.count("\n") for block in blocks[:-1])]
 
 
 class TestWritePredictions:

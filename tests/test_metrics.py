@@ -31,7 +31,7 @@ from prevthresh import (
     ppv_at,
 )
 from prevthresh.bounds import _ratio_values
-from prevthresh.metrics import f_beta_score
+from prevthresh.metrics import _labelled_betas, f_beta_score
 
 # Oracle constants for sensitivity 0.9, specificity 0.95 (50-digit arithmetic).
 PHI_E = 0.1907435698305462
@@ -137,7 +137,8 @@ class TestFBetaWeight:
     def test_accepts_positive(self):
         assert 0.0 < f_beta_at(P_9095, 0.5, 0.5) <= 1.0
         assert f_beta_ratio(P_9095, 0.5) > 1.0
-        assert list(_ratio_values(P_9095, [0.5])) == ["f1_ratio", "f_beta_0.5_ratio", "fm_ratio", "mcc_ratio"]
+        keys = ["f1_ratio", "f_beta_0.5_ratio", "fm_ratio", "mcc_ratio"]
+        assert list(_ratio_values(P_9095, _labelled_betas([0.5]))) == keys
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive(self, bad):
@@ -145,7 +146,7 @@ class TestFBetaWeight:
         for call in (
             lambda: f_beta_at(P_9095, 0.5, bad),
             lambda: f_beta_ratio(P_9095, bad),
-            lambda: _ratio_values(P_9095, [2.0, bad]),
+            lambda: _labelled_betas([2.0, bad]),
         ):
             with pytest.raises(ValueError) as excinfo:
                 call()

@@ -18,6 +18,7 @@ from prevthresh import (
     threshold_summary,
 )
 from prevthresh.bounds import _finite, _ratio_values
+from prevthresh.metrics import _labelled_betas
 
 
 class TestAnalyzeCounts:
@@ -61,7 +62,7 @@ class TestAnalyzeCounts:
         with pytest.raises(ValueError, match=message):
             analyze_counts(ConfusionCounts(9, 1, 1, 9), betas=betas)
         with pytest.raises(ValueError, match=message):
-            _ratio_values(DiagnosticProfile(0.9, 0.95), betas)
+            _labelled_betas(betas)
         sink = io.StringIO()
         with pytest.raises(ValueError, match=message):
             emit_ratio_curves(DiagnosticProfile(0.9, 0.95), betas, 0.5, sink)
@@ -182,10 +183,10 @@ class TestOnePassMatchesComposition:
     @settings(max_examples=400)
     def test_ratio_values(self, a, b, betas):
         profile = DiagnosticProfile(a, b)
-        assert _outcome(lambda: _finite_ratios(_ratio_values(profile, betas))) == _outcome(
+        assert _outcome(lambda: _finite_ratios(_ratio_values(profile, _labelled_betas(betas)))) == _outcome(
             report_oracle.ratio_values, profile, betas
         )
-        assert _outcome(lambda: _defined_ratios(_ratio_values(profile, betas))) == _outcome(
+        assert _outcome(lambda: _defined_ratios(_ratio_values(profile, _labelled_betas(betas)))) == _outcome(
             report_oracle.ratio_values, profile, betas, True
         )
 
