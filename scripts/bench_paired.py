@@ -5,8 +5,10 @@ Loads this tree's package (src/ beside this script) as ``prevthresh``
 and the one in SRC_DIR (a directory holding a ``prevthresh`` package,
 such as another checkout's src/) as ``prevthresh_base``. For each call
 it times a batch on one side, then a batch of the same size on the
-other, alternating which side goes first, for --rounds rounds; each
-round gives one paired ratio, this tree's batch time over the base's.
+other, alternating which side goes first, for --rounds rounds (31 by
+default: at 15, 1.0 could fall outside [q1, q3] for a call neither tree
+changed); each round gives one paired ratio, this tree's batch time
+over the base's.
 It prints, per call, the first quartile, the median and the third
 quartile of those ratios (below 1 means this tree is faster), the
 median time of one call on each side in microseconds, and whether both
@@ -177,7 +179,7 @@ def _positive(text: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src_dir", metavar="SRC_DIR", type=Path, help="directory holding the base prevthresh package")
-    parser.add_argument("--rounds", type=_positive, default=15, help="paired batches per call (default 15)")
+    parser.add_argument("--rounds", type=_positive, default=31, help="paired batches per call (default 31)")
     parser.add_argument("--batch-ms", type=float, default=20.0, help="least time of one batch in ms (default 20)")
     parser.add_argument("--rows", type=_positive, default=20_000, help="data rows per ingest table (default 20000)")
     args = parser.parse_args(argv)

@@ -1,11 +1,12 @@
 """Array kernels of the bulk paths: the bound sweep, the curve emitters, the curvature scan.
 
 Every numpy expression of the package lives here. No module imports
-this one at load time: verify_bounds, emit_curves, emit_ratio_curves,
-curvature_argmax and simulate_population import it when they are
-first called, so the scalar paths (the thresholds, the ratio summary,
-analyze_counts and the CLI subcommands built on them) start without
-loading numpy.
+this one at load time: verify_bounds, emit_curves, emit_ratio_curves
+and curvature_argmax import it when they are first called, so the
+scalar paths (the thresholds, the ratio summary, analyze_counts and the
+CLI subcommands built on them) start without loading numpy.
+simulate_population does not import it at all: it takes numpy from
+sys.modules where numpy is loaded already.
 
 The predictive-value, ratio, MCC, F-beta and curvature formulas are
 not repeated here: predictive_arrays calls Bayes' rule and its flat-curve
@@ -31,9 +32,13 @@ finds the argmax on floats at a few grid points (a golden-section hint,
 a climb, then _certified_argmax's check that the point exceeds both
 grid neighbours by a margin far above the few-ulp gap between the two
 evaluations) and evaluates the whole 10,001-point grid with numpy only
-where that check fails. The test suite checks the bracket against a
-full scan on a dense profile set, and the gap between the float and
-the array values.
+where that check fails. The hint alone searches another function,
+_hint_ratio's r = u**2 / (u**4 + (pq)**2), which is (kappa / gap)**(2/3)
+and so peaks where kappa does, with no power per probe; the climb and
+the check read _kappa_grid's values, so the hint only sets where the
+climb starts. The test suite checks the bracket against a full scan on
+a dense profile set, the hint's distance from the full scan's argmax,
+and the gap between the float and the array values.
 """
 
 from __future__ import annotations
@@ -122,9 +127,28 @@ def _coarse_grid() -> np.ndarray:
     return xs
 
 
-def _grid_hint(kappa: Callable[[float], float], n: int) -> int:
-    """The index, on a grid of n steps over [0, 1], of the middle of a golden-section bracket of kappa's peak."""
-    lo, hi = _golden_section(kappa, 0.0, 1.0, _HINT_WIDTH)
+def _hint_ratio(p: float, q: float) -> Callable[[float], float]:
+    """r(phi) = u**2 / (u**4 + (pq)**2), u = p*phi + q*(1-phi): (_kappa_grid / its gap)**(2/3), with no powers.
+
+    A monotone function of the curvature, so it peaks where kappa does;
+    _certified_argmax runs the golden-section hint on it. Only after
+    _scan_is_normal has passed, which keeps the denominator at 1e-200
+    or more.
+    """
+    pq = p * q
+    pq2 = pq * pq
+
+    def r(phi: float) -> float:
+        u = p * phi + q * (1.0 - phi)
+        u2 = u * u
+        return u2 / (u2 * u2 + pq2)
+
+    return r
+
+
+def _grid_hint(peaked: Callable[[float], float], n: int) -> int:
+    """The index, on a grid of n steps over [0, 1], of the middle of a golden-section bracket of peaked's peak."""
+    lo, hi = _golden_section(peaked, 0.0, 1.0, _HINT_WIDTH)
     return round(0.5 * (lo + hi) * n)
 
 
@@ -143,10 +167,12 @@ def _scan_is_normal(p: float, q: float) -> bool:
 def _certified_argmax(p: float, q: float) -> int | None:
     """The full scan's argmax, from _kappa_grid on Python floats; None where it is not certified.
 
-    From _grid_hint's index the search climbs the grid to a local
-    maximum of the Python values, then accepts it only where it exceeds
-    both grid neighbours by the relative _TIE_MARGIN. kappa is unimodal
-    in phi: with u = p*phi + q*(1-phi) and k = p*q, dkappa/du is
+    _grid_hint searches _hint_ratio's r, which peaks where kappa does
+    but takes no powers. From its index the search climbs the grid to a
+    local maximum of kappa's Python values (_kappa_grid's, so the
+    hint's rounding cannot move the result), then accepts it only where
+    it exceeds both grid neighbours by the relative _TIE_MARGIN. kappa
+    is unimodal in phi: with u = p*phi + q*(1-phi) and k = p*q, dkappa/du is
     proportional to u**2 * (k**2 - u**4), and u is monotone in phi. The
     Python values are within a few ulps of the exact ones, so the exact
     grid values, which rise to one peak and then fall, peak at that
@@ -168,7 +194,7 @@ def _certified_argmax(p: float, q: float) -> int | None:
     def at(i: int) -> float:
         return kappa(xs.item(i)) if 0 <= i <= n else -math.inf
 
-    j = _grid_hint(kappa, n)
+    j = _grid_hint(_hint_ratio(p, q), n)
     left, top, right = at(j - 1), at(j), at(j + 1)
     while left > top:
         j -= 1

@@ -19,9 +19,9 @@ per-profile functions (f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio)
 call them with math.sqrt and raise ValueError on a non-finite result.
 _ratio_values, which analyze_counts and `ratios --json` report, calls
 the same kernels on plain floats in one pass, with None for an
-undefined ratio and a non-finite one left to its caller; the MCC's
-thresholds come from the threshold kernels, thresholds._positive_side
-and _negative_side.
+undefined ratio and a non-finite one left to its caller; its callers
+pass the MCC's thresholds, as threshold_summary gives them, so they
+are derived once per call (analyze_counts reports them as well).
 verify_bounds sweeps them all over a sensitivity/specificity grid
 against their bounding intervals; its array path (cell builder, ratio
 arrays, per-metric records) lives in _arrays, which calls the same
@@ -57,7 +57,7 @@ from .metrics import (
     f_beta_at,
     fm_at,
 )
-from .thresholds import _negative_side, _positive_side, _side
+from .thresholds import _side
 
 __all__ = [
     "f1_ratio",
@@ -349,12 +349,17 @@ def _grid_axis(step: float) -> list[float]:
     return values
 
 
-def _ratio_values(profile: DiagnosticProfile, betas: dict[str, float]) -> dict[str, float | None]:
+def _ratio_values(
+    profile: DiagnosticProfile, betas: dict[str, float], phi_e: float | None, phi_n: float | None
+) -> dict[str, float | None]:
     """Every bounded ratio at one profile, keyed <key>_ratio; None where undefined.
 
     betas maps each label to its weight, as metrics._labelled_betas
-    gives them. Keys are f1, f_beta_<label> for each beta, fm and mcc,
-    in that order.
+    gives them. phi_e and phi_n are the profile's thresholds as
+    threshold_summary gives them (the kernels thresholds._positive_side
+    and _negative_side), None where undefined; the caller has them
+    already, so they are not derived again here. Keys are f1,
+    f_beta_<label> for each beta, fm and mcc, in that order.
     One pass over plain floats with the kernels of f1_ratio,
     f_beta_ratio, fm_ratio and mcc_ratio, giving their values. An entry
     is None where its function raises a PrevthreshError, decided by
@@ -373,8 +378,6 @@ def _ratio_values(profile: DiagnosticProfile, betas: dict[str, float]) -> dict[s
         values[f"f_beta_{label}_ratio"] = _f_beta_form(a, b, beta * beta) if recall else None
     values["fm_ratio"] = _fm_form(a, b) if recall else None
     mcc = None
-    phi_e, _ = _positive_side(a, b)
-    phi_n, _ = _negative_side(a, b)
     if phi_e is not None and phi_n is not None:
         denominator = _threshold_mcc(a, b, phi_e)
         if denominator != 0.0:

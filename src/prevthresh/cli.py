@@ -332,11 +332,12 @@ def _cmd_curves(args) -> None:
 def _cmd_ratios(args) -> dict | None:
     profile = _profile_from(args)
     if args.json:
-        ratios = _ratio_values(profile, _labelled_betas(args.betas))
+        summary = threshold_summary(profile)
+        ratios = _ratio_values(profile, _labelled_betas(args.betas), summary["phi_e"], summary["phi_n"])
         for value in ratios.values():
             if value is not None:
                 _finite(value)  # a ratio that overflows is a validation error here
-        return {"sensitivity": float(profile.sensitivity), "specificity": float(profile.specificity), **ratios}
+        return {"sensitivity": summary["sensitivity"], "specificity": summary["specificity"], **ratios}
     with _sink(args.output) as out:
         emit_ratio_curves(profile, args.betas, args.step, out)
 

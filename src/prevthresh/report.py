@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .bounds import SWEEP_BETAS, _ratio_values
+from .bounds import _SWEEP_BETAS_BY_LABEL, SWEEP_BETAS, _ratio_values
 from .errors import UndefinedMetric
 from .metrics import (
     ConfusionCounts,
@@ -71,9 +71,11 @@ def analyze_counts(
     Needs both classes present in the data (otherwise sensitivity or
     specificity has a zero denominator and UndefinedMetric propagates),
     and raises ValueError for an invalid beta and for betas with one
-    label (metrics._labelled_betas); every other entry is
-    None where it is undefined, decided by comparison in one pass over
-    plain floats:
+    label (metrics._labelled_betas). The default, SWEEP_BETAS itself,
+    is valid and labelled once, at import, as bounds._SWEEP_BETAS_BY_LABEL,
+    so only betas a caller passes are checked and labelled here. Every
+    other entry is None where it is undefined, decided by comparison in
+    one pass over plain floats:
 
     - ppv and npv, where no element is predicted positive or negative;
       with the ppv go f1, each f_beta and fm, and with either goes mcc,
@@ -84,13 +86,14 @@ def analyze_counts(
       for a float (chi_square_from_mcc's ValueError);
     - thresholds as threshold_summary gives them, and
       below_positive_threshold with phi_e;
-    - ratios as _ratio_values gives them, and a ratio that overflows a
-      float, as fm_ratio does at sensitivity 5e-324 with specificity 0.
+    - ratios as _ratio_values gives them from those thresholds, and a
+      ratio that overflows a float, as fm_ratio does at sensitivity
+      5e-324 with specificity 0.
     """
     n = counts.n
     if n == 0:
         raise UndefinedMetric("cannot analyze empty counts")
-    betas = _labelled_betas(betas)
+    betas = _SWEEP_BETAS_BY_LABEL if betas is SWEEP_BETAS else _labelled_betas(betas)
     profile = counts.profile()
     prevalence = counts.prevalence()
     a = float(profile.sensitivity)
@@ -112,14 +115,14 @@ def analyze_counts(
         metrics["chi_square"] = None
 
     summary = threshold_summary(profile)
-    phi_e = summary["phi_e"]
+    phi_e, phi_n = summary["phi_e"], summary["phi_n"]
     thresholds: dict[str, float | None] = {
         "phi_e": phi_e,
         "ppv_at_phi_e": summary["ppv_at_phi_e"],
-        "phi_n": summary["phi_n"],
+        "phi_n": phi_n,
         "npv_at_phi_n": summary["npv_at_phi_n"],
     }
-    ratios = _ratio_values(profile, betas)
+    ratios = _ratio_values(profile, betas, phi_e, phi_n)
     for key, value in ratios.items():
         if value is not None and not math.isfinite(value):
             ratios[key] = None

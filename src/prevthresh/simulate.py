@@ -61,14 +61,16 @@ def simulate_population(config: SimulationConfig) -> ConfusionCounts:
     fixed seed, and the same counts as numpy's
     np.random.default_rng(seed).binomial gives. Where numpy is already
     loaded, as in a process that ran a grid path, the draws are numpy's
-    Generator's, reached through _arrays; otherwise they are _rng's,
-    its pure-Python copy (30-40 us a call against numpy's ~20 us, but
-    without numpy's import). Either module is imported on the first
-    call that needs it.
+    Generator's, with numpy taken from sys.modules, so no import
+    statement runs and _arrays is not loaded; otherwise, numpy never
+    imported or its import blocked (sys.modules["numpy"] = None), they
+    are _rng's, its pure-Python copy (~30 us a call against numpy's
+    ~14 us on validate's configurations, on one core of a shared 2-core
+    machine, but without numpy's import), imported on the first call
+    that needs it.
     """
-    if "numpy" in sys.modules:
-        from ._arrays import np
-
+    np = sys.modules.get("numpy")
+    if np is not None:
         rng = np.random.default_rng(config.seed)
     else:
         from ._rng import Generator

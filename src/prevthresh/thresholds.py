@@ -247,7 +247,8 @@ def _golden_section(kappa, lo: float, hi: float, width: float) -> tuple[float, f
     """Golden-section search for the maximum of kappa: [lo, hi] shrunk until it is at most width wide.
 
     A tie between the two probes keeps the lower part. Both the oracle's
-    refinement and its coarse scan's hint (_arrays._grid_hint) run it.
+    refinement, on kappa, and its coarse scan's hint (_arrays._grid_hint),
+    on _arrays._hint_ratio, run it.
     """
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
@@ -276,8 +277,10 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
     every informative profile.
 
     The scan's argmax is found on Python floats: golden-section search
-    narrows the curvature's peak to four grid steps, a climb over the
-    grid reaches a local maximum, and that grid point is accepted only
+    on r = u**2 / (u**4 + (pq)**2), a power-free function of the
+    curvature with the same peak (_arrays._hint_ratio), narrows that
+    peak to four grid steps, a climb over the grid's curvature values
+    reaches a local maximum, and that grid point is accepted only
     when every intermediate is a normal float and it exceeds both grid
     neighbours by a relative 1e-12 (the curvature is unimodal in
     prevalence, so it is then the whole grid's argmax). Otherwise numpy

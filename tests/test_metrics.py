@@ -29,6 +29,7 @@ from prevthresh import (
     mcc_from_rates,
     npv_at,
     ppv_at,
+    threshold_summary,
 )
 from prevthresh.bounds import _ratio_values
 from prevthresh.metrics import _labelled_betas, f_beta_score
@@ -138,7 +139,8 @@ class TestFBetaWeight:
         assert 0.0 < f_beta_at(P_9095, 0.5, 0.5) <= 1.0
         assert f_beta_ratio(P_9095, 0.5) > 1.0
         keys = ["f1_ratio", "f_beta_0.5_ratio", "fm_ratio", "mcc_ratio"]
-        assert list(_ratio_values(P_9095, _labelled_betas([0.5]))) == keys
+        summary = threshold_summary(P_9095)
+        assert list(_ratio_values(P_9095, _labelled_betas([0.5]), summary["phi_e"], summary["phi_n"])) == keys
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive(self, bad):

@@ -183,10 +183,15 @@ class TestOnePassMatchesComposition:
     @settings(max_examples=400)
     def test_ratio_values(self, a, b, betas):
         profile = DiagnosticProfile(a, b)
-        assert _outcome(lambda: _finite_ratios(_ratio_values(profile, _labelled_betas(betas)))) == _outcome(
-            report_oracle.ratio_values, profile, betas
-        )
-        assert _outcome(lambda: _defined_ratios(_ratio_values(profile, _labelled_betas(betas)))) == _outcome(
+
+        def ratio_values():
+            # The betas labelled and the thresholds given, as its callers pass them; the thresholds
+            # from the oracle's summary, so the MCC ratio's comparison stays independent.
+            summary = report_oracle.threshold_summary(profile)
+            return _ratio_values(profile, _labelled_betas(betas), summary["phi_e"], summary["phi_n"])
+
+        assert _outcome(lambda: _finite_ratios(ratio_values())) == _outcome(report_oracle.ratio_values, profile, betas)
+        assert _outcome(lambda: _defined_ratios(ratio_values())) == _outcome(
             report_oracle.ratio_values, profile, betas, True
         )
 
@@ -196,6 +201,15 @@ class TestOnePassMatchesComposition:
         counts = ConfusionCounts(tp, fp, fn, tn)
         assert _outcome(lambda: analyze_counts(counts, betas).to_dict()) == _outcome(
             lambda: report_oracle.analyze_counts(counts, betas).to_dict()
+        )
+
+    @given(COUNTS, COUNTS, COUNTS, COUNTS)
+    @settings(max_examples=400)
+    def test_analyze_counts_with_the_default_betas(self, tp, fp, fn, tn):
+        # The default takes the labels bounds._SWEEP_BETAS_BY_LABEL holds, not _labelled_betas.
+        counts = ConfusionCounts(tp, fp, fn, tn)
+        assert _outcome(lambda: analyze_counts(counts).to_dict()) == _outcome(
+            lambda: report_oracle.analyze_counts(counts).to_dict()
         )
 
     @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ fails these tests; _rng must then follow it, and simulate's counts
 change with it.
 """
 
+import json
+import subprocess
 import sys
 from contextlib import contextmanager
 
@@ -14,6 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from prevthresh import DiagnosticProfile, SimulationConfig, _rng, simulate_population
+from test_cli import source_env
 
 SEEDS = st.integers(0, 2**64 - 1)
 SIZES = st.integers(1, 2**63 - 1)
@@ -124,3 +127,30 @@ def test_simulate_population_draws_with_rng_without_numpy(monkeypatch):
     with numpy_unloaded():
         assert simulate_population(config) == numpy_counts
     assert made == [7]
+
+
+# A fresh interpreter draws once with numpy blocked or imported first, and
+# reports its counts and which of prevthresh's array modules it loaded.
+DRAW_PROBE = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # every import of numpy now raises ModuleNotFoundError
+else:
+    import numpy
+from prevthresh import DiagnosticProfile, SimulationConfig, simulate_population
+counts = simulate_population(SimulationConfig(0.19, DiagnosticProfile(0.9, 0.95), 10**6, 7))
+loaded = sorted(name for name in ("prevthresh._arrays", "prevthresh._rng") if name in sys.modules)
+print(json.dumps({"counts": [counts.tp, counts.fp, counts.fn, counts.tn], "loaded": loaded}))
+"""
+
+
+@pytest.mark.parametrize("numpy_state, loaded", [("blocked", ["prevthresh._rng"]), ("imported", [])])
+def test_simulate_population_in_a_fresh_process(numpy_state, loaded):
+    # Blocked, numpy is not loaded and _rng draws; imported, numpy is taken
+    # from sys.modules, with no import of _arrays (nor of _rng).
+    proc = subprocess.run(
+        [sys.executable, "-c", DRAW_PROBE, numpy_state], capture_output=True, text=True, env=source_env(), timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    counts = simulate_population(SimulationConfig(0.19, DiagnosticProfile(0.9, 0.95), 10**6, 7))
+    assert json.loads(proc.stdout) == {"counts": [counts.tp, counts.fp, counts.fn, counts.tn], "loaded": loaded}

@@ -395,6 +395,18 @@ class TestCurvatureBracket:
                 curves += 1
         assert served >= 0.999 * curves, (served, curves)
 
+    def test_hint_lands_within_two_grid_steps_of_the_full_scan(self):
+        # A hint off the peak still gives the right bracket, only after a longer climb.
+        rng = random.Random(25)
+        n = _arrays._coarse_grid().size - 1
+        worst = 0
+        for _ in range(1000):
+            a, b = draw_profile(rng)
+            for curve in Curve:
+                p, q = curve_coefficients(a, b, curve)
+                worst = max(worst, abs(_arrays._grid_hint(_arrays._hint_ratio(p, q), n) - full_scan_argmax(p, q)))
+        assert worst <= 2, worst
+
     @pytest.mark.parametrize(
         "a, b",
         [
