@@ -13,16 +13,18 @@ It prints, per call, the first quartile, the median and the third
 quartile of those ratios (below 1 means this tree is faster), the
 median time of one call on each side in microseconds, and whether both
 sides returned the same result (by repr, or the CSV text for
-emit_ratio_curves).
+emit_curves and emit_ratio_curves).
 
 The calls: ThresholdResult(...), ppv_at, npv_at, positive_threshold,
 negative_threshold, ppv_at_threshold, threshold_summary,
 curvature_argmax on the PPV and the NPV curve and on the PPV curve of
 the broad-peak profile (0.6, 0.401), whose coarse scan evaluates the
 whole grid, mcc_at_threshold, mcc_ratio, f_beta_at,
-analyze_counts, verify_bounds(0.01), emit_ratio_curves,
-simulate_population (after the grid calls have loaded numpy, so its
-draws are numpy's Generator's, as in the validate workload),
+analyze_counts, verify_bounds(0.01), emit_curves at step 5e-4 (the
+curves-io workload's step), emit_ratio_curves at step 0.001,
+simulate_population (after verify_bounds and curvature_argmax have
+loaded numpy, so its draws are numpy's Generator's, as in the
+validate workload),
 ingest_predictions on each of bench_ingest.py's ten tables of --rows
 rows, and run_cli of ``thresholds --json``, ``ratios --json`` and
 ``analyze --counts 9,1,1,9`` (text) in process, with stdout sent to a
@@ -83,6 +85,11 @@ def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]]) -> dic
     counts = pkg.ConfusionCounts(90, 5, 10, 95)
     population = pkg.SimulationConfig(0.19, profile, 10**6, 7)
 
+    def curves() -> str:
+        sink = io.StringIO()
+        pkg.emit_curves(profile, 5e-4, sink)
+        return sink.getvalue()
+
     def ratio_curves() -> str:
         sink = io.StringIO()
         pkg.emit_ratio_curves(profile, [0.5, 2.0], 0.001, sink)
@@ -104,6 +111,7 @@ def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]]) -> dic
         "f_beta_at": lambda: pkg.f_beta_at(profile, 0.19, 2.0),
         "analyze_counts": lambda: pkg.analyze_counts(counts),
         "verify_bounds(0.01)": lambda: pkg.verify_bounds(0.01),
+        "emit_curves": curves,
         "emit_ratio_curves": ratio_curves,
         "simulate_population": lambda: pkg.simulate_population(population),
     }

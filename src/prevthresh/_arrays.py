@@ -1,27 +1,22 @@
-"""Array kernels of the bulk paths: the bound sweep, the curve emitters, the curvature scan.
+"""Array kernels of the bulk paths: the bound sweep and the curvature scan.
 
 Every numpy expression of the package lives here. No module imports
-this one at load time: verify_bounds, emit_curves, emit_ratio_curves
-and curvature_argmax import it when they are first called, so the
-scalar paths (the thresholds, the ratio summary, analyze_counts and the
-CLI subcommands built on them) start without loading numpy.
+this one at load time: verify_bounds and curvature_argmax import it
+when they are first called, so the scalar paths (the thresholds, the
+ratio summary, analyze_counts, the curve emitters and the CLI
+subcommands built on them) start without loading numpy.
 simulate_population does not import it at all: it takes numpy from
 sys.modules where numpy is loaded already.
 
-The predictive-value, ratio, MCC, F-beta and curvature formulas are
-not repeated here: predictive_arrays calls Bayes' rule and its flat-curve
-extension as ppv_at, npv_at and mcc_at_threshold do (metrics._bayes,
-metrics._flat_value), the sweep calls the float-or-array kernels the
-scalar functions use (bounds._f_beta_form, bounds._fm_form,
+The predictive-value, ratio and MCC formulas are not repeated here:
+predictive_arrays calls Bayes' rule and its flat-curve extension as
+ppv_at, npv_at and mcc_at_threshold do (metrics._bayes,
+metrics._flat_value), and the sweep calls the float-or-array kernels
+the scalar functions use (bounds._f_beta_form, bounds._fm_form,
 metrics._mcc_form, and thresholds._radical_split for the thresholds)
-with np.sqrt, ratio_curve_columns calls f_beta_score's harmonic form,
-metrics._f_beta_harmonic, on the PPV array, and the emitters' kappa
-columns map the scalar thresholds._kappa_kernel over the grid. Only
-ratio_curve_columns' FM column repeats fm_at's floating-point
-operations, in their order, as accuracy_divergence_curve composes them.
-Either way every value is bit-equal to the scalar one; the scalar
-functions are the oracle the test suite checks these arrays and the
-bytes written from them against.
+with np.sqrt. So every value is bit-equal to the scalar one; the
+scalar functions are the oracle the test suite checks these arrays
+against.
 
 The curvature scan is the exception: _kappa_grid, the package's only
 array form of the curvature, is a cleared form of its own, and
@@ -44,38 +39,17 @@ and the gap between the float and the array values.
 from __future__ import annotations
 
 import functools
-import io
 import math
 from collections.abc import Callable, Iterator
 
 import numpy as np
 
 from .bounds import _SWEEP_BETAS_BY_LABEL, RATIO_BOUNDS, BoundRecord, BoundViolation, _f_beta_form, _fm_form
-from .errors import DegenerateDenominator
-from .metrics import DiagnosticProfile, _bayes, _curve_coefficients, _f_beta_harmonic, _flat_value, _mcc_form
-from .thresholds import COARSE_STEP, Curve, _golden_section, _kappa_kernel, _radical_split
+from .metrics import _bayes, _curve_coefficients, _flat_value, _mcc_form
+from .thresholds import COARSE_STEP, Curve, _golden_section, _radical_split
 
 
-# --- predictive values and the curvature scan (thresholds) -----------------------
-
-
-def predictive_arrays(a, b, curve: Curve, phi: np.ndarray, extend: bool = False) -> np.ndarray:
-    """The curve's predictive value at every phi by Bayes' rule (metrics._bayes); NaN where its u is 0.
-
-    ppv_at's and npv_at's kernel, so every defined value is bit-equal to
-    theirs. With extend (a and b arrays), a zero-u cell is a flat curve
-    and takes its constant value, metrics._flat_value: 1 where the curve
-    has no misses, 0 where it has no hits, NaN where it has neither;
-    this is mcc_at_threshold's continuity extension.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num, den = _bayes(a, b, curve, phi)
-        values = num / den
-        del num
-        if extend:
-            gap = np.flatnonzero(den == 0.0)
-            values[gap] = _flat_value(a[gap], b[gap], curve)
-    return values
+# --- the curvature scan (thresholds) ----------------------------------------------
 
 
 def _kappa_grid(p: float, q: float) -> Callable:
@@ -263,6 +237,24 @@ def sweep_cells(axis: list[float], floor: float) -> tuple[np.ndarray, np.ndarray
     return values[rows], values[cols]
 
 
+def predictive_arrays(a: np.ndarray, b: np.ndarray, curve: Curve, phi: np.ndarray) -> np.ndarray:
+    """The curve's predictive value at every cell by Bayes' rule (metrics._bayes), extended where its u is 0.
+
+    ppv_at's and npv_at's kernel, so every value where u is not 0 is
+    bit-equal to theirs. A zero-u cell is a flat curve and takes its
+    constant value, metrics._flat_value: 1 where the curve has no
+    misses, 0 where it has no hits, NaN where it has neither; this is
+    mcc_at_threshold's continuity extension.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num, den = _bayes(a, b, curve, phi)
+        values = num / den
+        del num
+        gap = np.flatnonzero(den == 0.0)
+        values[gap] = _flat_value(a[gap], b[gap], curve)
+    return values
+
+
 def _mcc_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """mcc_ratio at every cell (a[i], b[i]); NaN where the scalar path raises.
 
@@ -279,8 +271,8 @@ def _mcc_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             p, q, _ = _curve_coefficients(a, b, curve)
             phi = _radical_split(p, q, np.sqrt)
             del p, q
-            rho = predictive_arrays(a, b, Curve.PPV, phi, extend=True)
-            sigma = predictive_arrays(a, b, Curve.NPV, phi, extend=True)
+            rho = predictive_arrays(a, b, Curve.PPV, phi)
+            sigma = predictive_arrays(a, b, Curve.NPV, phi)
             del phi
             mcc.append(_mcc_form(rho, a, b, sigma, np.sqrt))
             del rho, sigma
@@ -333,91 +325,3 @@ def bound_record(key: str, values: np.ndarray, a: np.ndarray, b: np.ndarray, tol
         violations=violations,
         skipped=tuple(zip(a[~ok].tolist(), b[~ok].tolist())),
     )
-
-
-# --- the curve emitters (dataio) ---------------------------------------------------
-
-
-def _kappa_column(kappa, grid: list[float]) -> np.ndarray:
-    """The curvature closure kappa (thresholds._kappa_kernel) at every grid point; NaN where it raises."""
-    values = []
-    for phi in grid:
-        try:
-            values.append(kappa(phi))
-        except DegenerateDenominator:
-            values.append(math.nan)
-    return np.array(values)
-
-
-# The columns of an emitter's CSV at a block of its prevalence grid.
-Columns = Callable[[list[float]], list[np.ndarray]]
-
-
-def curve_columns(profile: DiagnosticProfile) -> Columns:
-    """emit_curves' ppv, npv, kappa_ppv and kappa_npv columns, as a function of a block of the grid."""
-    a, b = float(profile.sensitivity), float(profile.specificity)
-    kappas = [_kappa_kernel(profile, curve) for curve in Curve]
-
-    def columns_at(grid: list[float]) -> list[np.ndarray]:
-        phi = np.array(grid)
-        return [predictive_arrays(a, b, curve, phi) for curve in Curve] + [_kappa_column(k, grid) for k in kappas]
-
-    return columns_at
-
-
-def ratio_curve_columns(a: float, b: float, beta_squares: list[float]) -> Columns:
-    """emit_ratio_curves' columns, as a function of a block of the grid: an F-score for each beta**2, then FM.
-
-    A cell is reference / score over the PPV array rho, NaN where the
-    score is not positive or undefined. Each F-score is
-    metrics._f_beta_harmonic(beta_sq, a, rho), f_beta_score's kernel;
-    the FM score is fm_at's sqrt(a * rho). Needs a > 0.
-    """
-
-    scores = [functools.partial(_f_beta_harmonic, beta_sq, a) for beta_sq in beta_squares]
-    scores.append(lambda rho: np.sqrt(a * rho))
-    # An infinite beta**2 makes a reference inf/inf, and so its whole column, NaN.
-    references = [score(1.0) for score in scores]
-
-    def columns_at(grid: list[float]) -> list[np.ndarray]:
-        rho = predictive_arrays(a, b, Curve.PPV, np.array(grid))
-        columns = []
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for score, reference in zip(scores, references):
-                values = score(rho)
-                columns.append(np.where(values > 0.0, reference / values, np.nan))
-        return columns
-
-    return columns_at
-
-
-def _cells(values: np.ndarray) -> list[str]:
-    """repr of each value; NaN, the mark of an undefined cell, becomes an empty field."""
-    return ["" if v != v else repr(v) for v in values.tolist()]
-
-
-# Most cells, the phi column's included, that write_grid evaluates and
-# formats at once: some 160 bytes of memory each at the peak, 10 MB in all.
-_BLOCK_CELLS = 65_536
-
-
-def write_grid(sink: io.TextIOBase, header: list[str], grid: list[float], columns_at: Columns) -> None:
-    """Write the header, then one row per grid point: phi and each column's cell there.
-
-    columns_at(block) gives every column's values at a block of the grid.
-    The grid is evaluated, formatted and written a block of rows at a
-    time, _BLOCK_CELLS // len(header) rows but at least one, so memory
-    does not grow with the number of rows; numpy's elementwise
-    operations, and the scalar kappa kernel, give the same bits on a
-    block as on the whole grid. Nothing after the header may raise but
-    the sink: every argument is checked before, and the columns ignore
-    floating-point errors and mark an undefined cell NaN. No field
-    needs csv quoting: the header names are plain words and every cell
-    is a float repr or empty.
-    """
-    sink.write(",".join(header) + "\n")
-    rows = max(1, _BLOCK_CELLS // len(header))
-    for start in range(0, len(grid), rows):
-        block = grid[start : start + rows]
-        fields = [list(map(repr, block))] + [_cells(col) for col in columns_at(block)]
-        sink.write("\n".join(map(",".join, zip(*fields))) + "\n")

@@ -7,26 +7,22 @@ Undefined cells are written as empty fields so every grid point keeps
 its row.
 
 Every stage is a bulk operation. The curve emitters evaluate their
-prevalence grid through _arrays: the predictive values and ratios as
-numpy arrays through the scalar per-point functions' own kernels
-(ppv_at's and npv_at's Bayes' rule, metrics._bayes, and f_beta_score's
-metrics._f_beta_harmonic) or with their floating-point operations in
-order (fm_at as accuracy_divergence_curve composes it); the scalar
-functions stay public and are the oracle the test suite checks the
-emitted bytes against. The curvature goes through curvature_at's own
-kernel, thresholds._kappa_kernel, mapped over the grid.
-A ratio cell is the repr of a plain float. These divergence curves
-share no code with the closed-form ratios of bounds, whose kernels
-(_f_beta_form, _fm_form) serve only those ratios and the bound sweep.
-_arrays also formats the grid rows, evaluating and writing a block of
-rows at a time, so an emitter's memory does not grow with the number
-of rows; the emitters import it on first call, so ingest and the
-prediction writer load no numpy. The prediction writer writes
-identical rows in blocks. Ingest's block pass lives in
-_ingest, which ingest_predictions imports on its first call, so the
-CLI compiles it only when it reads a prediction file. The pass counts
-a block made only of the data lines the header implies, and parses
-every other block with csv.
+prevalence grid a column at a time, as lists of Python floats, with
+the operations of ppv_at's and npv_at's Bayes' rule (metrics._bayes),
+of f_beta_score's harmonic form (metrics._f_beta_harmonic) and of fm_at
+in their order, and the curvature through curvature_at's own kernel,
+thresholds._kappa_kernel. So every cell is bit-equal to the scalar
+functions' value there; they stay public and are the oracle the test
+suite checks the emitted bytes against. These divergence curves share
+no code with the closed-form ratios of bounds (_f_beta_form, _fm_form),
+which serve only those ratios and the bound sweep. write_grid writes
+a block of rows at a time, so an emitter's memory does not grow with
+the number of rows; no emitter loads numpy. The prediction writer
+writes identical rows in blocks. Ingest's block pass lives in _ingest,
+which ingest_predictions imports on its first call, so the CLI
+compiles it only when it reads a prediction file. The pass counts a
+block made only of the data lines the header implies, and parses every
+other block with csv.
 """
 
 from __future__ import annotations
@@ -35,11 +31,11 @@ import io
 import json
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
-from .errors import DegenerateProfile, EmptyInput, ParseError, _echo
-from .metrics import ConfusionCounts, DiagnosticProfile, _labelled_betas
-from .thresholds import threshold_summary
+from .errors import DegenerateDenominator, DegenerateProfile, EmptyInput, ParseError, _echo
+from .metrics import ConfusionCounts, DiagnosticProfile, _f_beta_harmonic, _labelled_betas
+from .thresholds import Curve, _kappa_kernel, threshold_summary
 
 __all__ = [
     "ingest_predictions",
@@ -57,6 +53,10 @@ MIN_PHI_STEP = 1e-6
 
 # Most rows write_predictions formats into one string before writing it.
 _BLOCK_ROWS = 65_536
+
+# Most cells, the phi column's included, that write_grid evaluates and
+# formats at once: some 160 bytes of memory each at the peak, 10 MB in all.
+_BLOCK_CELLS = 65_536
 
 # Most cells (rows times columns) emit_ratio_curves writes, some 190 MB of
 # CSV: about twice the 5,000,005 of the default betas at MIN_PHI_STEP.
@@ -171,6 +171,99 @@ def _phi_grid(step: float) -> list[float]:
     return values
 
 
+def _ppv_column(a: float, nb: float, grid: list[float]) -> list[float]:
+    """ppv_at's Bayes' rule (metrics._bayes) at every grid point, with nb = 1 - b; NaN where its u is 0."""
+    return [t / u if (u := (t := a * x) + nb * (1.0 - x)) else math.nan for x in grid]
+
+
+def _kappa_column(kappa, grid: list[float]) -> list[float]:
+    """The curvature closure kappa (thresholds._kappa_kernel) at every grid point; NaN where it raises."""
+    values = []
+    for phi in grid:
+        try:
+            values.append(kappa(phi))
+        except DegenerateDenominator:
+            values.append(math.nan)
+    return values
+
+
+def _curve_columns(profile: DiagnosticProfile) -> Callable:
+    """emit_curves' ppv, npv, kappa_ppv and kappa_npv columns, as a function of a block of the grid."""
+    a, b = float(profile.sensitivity), float(profile.specificity)
+    na, nb = 1.0 - a, 1.0 - b
+    kappas = [_kappa_kernel(profile, curve) for curve in Curve]
+
+    def columns_at(grid: list[float]) -> list[list[float]]:
+        # npv_at's Bayes' rule: b*(1-phi) / (b*(1-phi) + (1-a)*phi).
+        npv = [t / u if (u := (t := b * (1.0 - x)) + na * x) else math.nan for x in grid]
+        return [_ppv_column(a, nb, grid), npv] + [_kappa_column(k, grid) for k in kappas]
+
+    return columns_at
+
+
+def _ratio_columns(a: float, b: float, beta_squares: list[float]) -> Callable:
+    """emit_ratio_curves' columns, as a function of a block of the grid: an F-score for each beta**2, then FM.
+
+    A cell is reference / score at the PPV rho, NaN where the score is
+    not positive or undefined. Each F-score is f_beta_score's kernel
+    metrics._f_beta_harmonic(beta_sq, a, rho), its operations repeated
+    in their order with 1/rho computed once per row; only a column whose
+    beta_sq/a overflows calls it per cell. The FM score is fm_at's
+    sqrt(a * rho). Needs a > 0.
+    """
+    nb = 1.0 - b
+
+    def columns_at(grid: list[float]) -> list[list[float]]:
+        rho = _ppv_column(a, nb, grid)
+        # Where rho is 0 or NaN every score is 0 or NaN, so every cell of the row is NaN.
+        inv = [1.0 / r if r > 0.0 else math.nan for r in rho]
+        columns = []
+        for beta_sq in beta_squares:
+            # An infinite beta**2 makes the reference inf/inf, and so its whole column, NaN.
+            reference = _f_beta_harmonic(beta_sq, a, 1.0)
+            scaled = beta_sq / a
+            if scaled == math.inf and beta_sq != math.inf:
+                columns.append(
+                    [reference / s if r > 0.0 and (s := _f_beta_harmonic(beta_sq, a, r)) > 0.0 else math.nan for r in rho]
+                )
+            else:
+                top = 1.0 + beta_sq
+                columns.append([reference / s if (s := top / (scaled + v)) > 0.0 else math.nan for v in inv])
+        reference = math.sqrt(a)  # fm_at's sqrt(a * rho) at rho = 1
+        columns.append([reference / s if (s := math.sqrt(a * r)) > 0.0 else math.nan for r in rho])
+        return columns
+
+    return columns_at
+
+
+def _cells(values: list[float]) -> list[str]:
+    """repr of each value; NaN, the mark of an undefined cell, becomes an empty field."""
+    return ["" if v != v else repr(v) for v in values]
+
+
+def write_grid(sink: io.TextIOBase, header: list[str], grid: list[float], columns_at: Callable) -> None:
+    """Write the header, then one row per grid point: phi and each column's cell there.
+
+    columns_at(block) gives every column's values at a block of the
+    grid, as lists of floats. The grid is evaluated, formatted and
+    written a block of rows at a time, _BLOCK_CELLS // len(header) rows
+    but at least one, and each block is dropped before the next is
+    built, so memory does not grow with the number of rows; every cell
+    is computed on its own, so a block's values are the whole grid's.
+    Nothing after the header may raise but the sink: every argument is
+    checked before, and the columns mark an undefined cell NaN. No field
+    needs csv quoting: the header names are plain words and every cell
+    is a float repr or empty.
+    """
+    sink.write(",".join(header) + "\n")
+    rows = max(1, _BLOCK_CELLS // len(header))
+    for start in range(0, len(grid), rows):
+        block = grid[start : start + rows]
+        fields = [list(map(repr, block))] + [_cells(col) for col in columns_at(block)]
+        sink.write("\n".join(map(",".join, zip(*fields))) + "\n")
+        del fields
+
+
 def emit_curves(
     profile: DiagnosticProfile,
     step: float,
@@ -186,20 +279,16 @@ def emit_curves(
     curve datasets stay paired with the analytic landmarks they should
     exhibit. Returns the number of data rows.
 
-    The ppv and npv columns are numpy arrays with the operations of
-    ppv_at and npv_at in their order; the kappa columns are
-    thresholds._kappa_kernel, which curvature_at also evaluates, at
-    each grid point. So each cell holds the repr of what ppv_at, npv_at
-    or curvature_at(...).kappa returns there, and is empty exactly where
-    it raises. The test suite checks the bytes against per-cell scalar
-    calls, with its own copy of the curvature arithmetic.
+    The ppv and npv columns repeat the operations of ppv_at and npv_at
+    in their order; the kappa columns are thresholds._kappa_kernel,
+    which curvature_at also evaluates, at each grid point. So each cell
+    holds the repr of what ppv_at, npv_at or curvature_at(...).kappa
+    returns there, and is empty exactly where it raises. The test suite
+    checks the bytes against per-cell scalar calls, with its own copy of
+    the curvature arithmetic.
     """
     grid = _phi_grid(step)
-
-    from . import _arrays
-
-    columns = _arrays.curve_columns(profile)
-    _arrays.write_grid(sink, ["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"], grid, columns)
+    write_grid(sink, ["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"], grid, _curve_columns(profile))
 
     if sidecar is not None:
         sidecar.write(json.dumps(threshold_summary(profile), indent=2, allow_nan=False) + "\n")
@@ -226,12 +315,12 @@ def emit_ratio_curves(
     columns: up to 6 betas at MIN_PHI_STEP, or 9,987 at step 0.001.
 
     Each column's score is a formula in the PPV rho: f_beta_score's
-    harmonic form (1 + beta^2) / (beta^2/a + 1/rho), the one kernel
-    metrics._f_beta_harmonic that f_beta_score itself calls (f1 is
+    harmonic form (1 + beta^2) / (beta^2/a + 1/rho), the operations of
+    metrics._f_beta_harmonic, which f_beta_score itself calls (f1 is
     beta = 1; where beta^2/a overflows, that form multiplied through by
     a), and fm_at's sqrt(a * rho). Its reference is that formula at rho = 1,
-    since ppv_at(profile, 1) is a/a = 1.0 exactly, and the grid is one
-    PPV array, so every cell is bit-equal to the float that
+    since ppv_at(profile, 1) is a/a = 1.0 exactly, and rho is ppv_at's
+    Bayes' rule, so every cell is bit-equal to the float that
     accuracy_divergence_curve with metric "f1", "f_beta" or "fm", the
     oracle the test suite checks the bytes against, gives there.
     """
@@ -244,10 +333,8 @@ def emit_ratio_curves(
     if len(grid) * width > _MAX_CELLS:
         raise ValueError(f"a ratio CSV may have at most {_MAX_CELLS} cells, got {len(grid)} rows of {width} columns")
 
-    from . import _arrays
-
     beta_squares = [1.0] + [beta * beta for beta in betas.values()]
-    columns = _arrays.ratio_curve_columns(a, float(profile.specificity), beta_squares)
+    columns = _ratio_columns(a, float(profile.specificity), beta_squares)
     header = ["phi", "f1_chi"] + [f"fbeta_{label}_chi" for label in betas] + ["fm_chi"]
-    _arrays.write_grid(sink, header, grid, columns)
+    write_grid(sink, header, grid, columns)
     return len(grid)

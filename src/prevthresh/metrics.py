@@ -288,8 +288,8 @@ def npv_at(profile: DiagnosticProfile, phi: float) -> Rate:
     return Rate(value)
 
 
-def _f_beta_harmonic(beta_sq: float, recall: float, precision):
-    """(1 + beta_sq) / (beta_sq/recall + 1/precision), for a float or an array of precisions.
+def _f_beta_harmonic(beta_sq: float, recall: float, precision: float) -> float:
+    """(1 + beta_sq) / (beta_sq/recall + 1/precision); precision must not be 0.
 
     The harmonic form rather than (1+b2)*p*r/(b2*p + r): it keeps the
     result inside [0, 1] under rounding and makes the beta = 1 case

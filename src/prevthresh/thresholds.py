@@ -12,9 +12,8 @@ has magnitude 1, which is what the tests assert.
 The curves' Bayes' rule and quotient-form coefficients live in metrics
 (_bayes, _curve_coefficients). The closed forms are float kernels, None
 where undefined, that the raising functions and the reports both read.
-The oracle's coarse curvature scan and the array forms of the curves,
-which the bulk paths use, live in _arrays; curvature_argmax imports it
-on first call, so the closed forms load no numpy.
+The oracle's coarse curvature scan lives in _arrays; curvature_argmax
+imports it on first call, so the closed forms load no numpy.
 """
 
 from __future__ import annotations

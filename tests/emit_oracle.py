@@ -1,7 +1,7 @@
 """Row-by-row reference for the CSV emitters, the prediction writer and ingest.
 
-dataio evaluates the curve grids as numpy arrays, writes prediction
-rows in blocks and tallies ingest through memoized token pairs. This
+dataio evaluates the curve grids a column at a time, writes prediction
+rows in blocks and tallies ingest a block of lines at a time. This
 module keeps the per-row code those replaced: one guarded scalar call
 (ppv_at, npv_at, curvature_scalar, accuracy_divergence_curve) per cell,
 one csv row per prediction, and _parse_binary on every ingested row, so

@@ -707,8 +707,6 @@ class TestTopLevel:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"prevthresh {prevthresh.__version__}\n", "")
 
 
-# Calls that need no array, run in one fresh interpreter; the last one
-# builds a grid, so the probe shows that it would see numpy load.
 PROFILE_ARGV = ("--sensitivity", "0.9", "--specificity", "0.95")
 SIMULATE_ARGV = ("simulate", "--prevalence", "0.1", *PROFILE_ARGV)
 # Each case: the argv before the echoed argument, its text at a given length,
@@ -847,16 +845,20 @@ def test_short_ingest_tokens_are_echoed_as_before(capsys, tmp_path):
     )
 
 
+# Calls that need no array, run in one fresh interpreter; GRID_ARGV, run
+# last, sweeps numpy arrays, so the probe shows that it would see numpy load.
 NUMPY_FREE_ARGV = [
     ["thresholds", "--sensitivity", "0.9", "--specificity", "0.95"],
     ["ratios", "--sensitivity", "0.9", "--specificity", "0.95", "--json"],
     ["analyze", "--counts", "9,1,1,9"],
     ["simulate", "--prevalence", "0.19", "--sensitivity", "0.9", "--specificity", "0.95", "--n", "1000000", "--json"],
+    ["curves", "--sensitivity", "0.9", "--specificity", "0.95", "--step", "0.01"],
+    ["ratios", "--sensitivity", "0.9", "--specificity", "0.95", "--betas", "0.5,2", "--step", "0.01"],
     ["thresholds", "--sensitivity", "1.5", "--specificity", "0.95"],
     ["--help"],
     ["--version"],
 ]
-GRID_ARGV = ["curves", "--sensitivity", "0.9", "--specificity", "0.95", "--step", "0.5"]
+GRID_ARGV = ["verify-bounds", "--grid-step", "0.05"]
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 import prevthresh
@@ -878,7 +880,7 @@ UNUSED_STDLIB = ("dataclasses", "inspect", "typing", "pathlib")
 
 
 class TestColdStart:
-    """The scalar subcommands, simulate, --help and --version run without importing numpy or UNUSED_STDLIB."""
+    """Every subcommand but verify-bounds, and --help and --version, run without importing numpy or UNUSED_STDLIB."""
 
     @staticmethod
     def run_probe(*flags, argvs):
@@ -908,12 +910,12 @@ class TestColdStart:
         assert probe["rng"] is False
 
     def test_scalar_subcommands_load_no_numpy(self, probe):
-        assert probe["codes"] == [0, 0, 0, 0, 1, 0, 0, 0]
+        assert probe["codes"] == [0, 0, 0, 0, 0, 0, 1, 0, 0, 0]
         assert probe["numpy"] == [False] * len(NUMPY_FREE_ARGV) + [True]
         assert probe["metadata"] is False
 
     def test_scalar_subcommands_load_no_unused_stdlib(self, bare_probe):
-        assert bare_probe["codes"] == [0, 0, 0, 0, 1, 0, 0]
+        assert bare_probe["codes"] == [0, 0, 0, 0, 0, 0, 1, 0, 0]
         assert bare_probe["unused_stdlib"] == []
 
 

@@ -364,7 +364,10 @@ class TestMcc:
         with mpmath.workdps(50):
             tp, fp, fn, tn = (mpmath.mpf(c) for c in cells)
             exact = (tp * tn - fp * fn) / mpmath.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
-        assert mcc_from_counts(ConfusionCounts(*cells)) == pytest.approx(float(exact), abs=1e-15)
+        mcc = mcc_from_counts(ConfusionCounts(*cells))
+        assert mcc == pytest.approx(float(exact), abs=1e-15)
+        # A zero numerator gives +0.0, which analyze --json prints as 0.0, not -0.0.
+        assert math.copysign(1.0, mcc) == math.copysign(1.0, float(exact))
 
     def test_counts_keep_float_bits_where_the_product_is_finite(self):
         tp, fp, fn, tn = 10**75, 3 * 10**74, 7, 10**75 + 11
@@ -404,6 +407,7 @@ class TestChiSquareAndAccuracy:
         assert chi_square_from_mcc(0.0, 7) == 0.0
         assert chi_square_from_mcc(1.0, 100) == 100.0
         assert chi_square_from_mcc(0.8, 20) == pytest.approx(12.8, abs=1e-12)
+        assert chi_square_from_mcc(0.5, 1) == 0.25  # n = 1 is the smallest table
 
     def test_chi_square_validation(self):
         with pytest.raises(ValueError):
