@@ -19,7 +19,10 @@ The calls: ThresholdResult(...), ppv_at, npv_at, positive_threshold,
 negative_threshold, ppv_at_threshold, threshold_summary,
 curvature_argmax on the PPV and the NPV curve and on the PPV curve of
 the broad-peak profile (0.6, 0.401), whose coarse scan evaluates the
-whole grid, mcc_at_threshold, mcc_ratio, f_beta_at,
+whole grid, curvature_argmax on both curves of 32 seeded profiles drawn
+as perfbench's validate workload draws its oracle profiles (so a change
+to the scan shows on that workload's mix, not on one curve),
+mcc_at_threshold, mcc_ratio, f_beta_at,
 analyze_counts, verify_bounds(0.01), emit_curves at step 5e-4 (the
 curves-io workload's step), emit_ratio_curves at step 0.001,
 simulate_population (after verify_bounds and curvature_argmax have
@@ -43,6 +46,7 @@ import contextlib
 import gc
 import importlib.util
 import io
+import random
 import statistics
 import sys
 import tempfile
@@ -60,6 +64,18 @@ CLI_CALLS = {
     "cli ratios --json": ["ratios", "--sensitivity", "0.9", "--specificity", "0.95", "--json"],
     "cli analyze 9,1,1,9": ["analyze", "--counts", "9,1,1,9"],
 }
+
+
+def drawn_profiles() -> list[tuple[float, float]]:
+    """32 seeded interior informative profiles, drawn as perfbench's validate workload draws its oracle profiles."""
+    rng = random.Random(0)
+    profiles = []
+    while len(profiles) < 32:
+        a = round(rng.uniform(0.05, 0.99), 6)
+        b = round(rng.uniform(0.05, 0.99), 6)
+        if a + b >= 1.05:
+            profiles.append((a, b))
+    return profiles
 
 
 def load_package(name: str, src_dir: Path):
@@ -82,6 +98,7 @@ def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]]) -> dic
     """
     profile = pkg.DiagnosticProfile(0.9, 0.95)
     broad_peak = pkg.DiagnosticProfile(0.6, 0.401)
+    drawn = [pkg.DiagnosticProfile(a, b) for a, b in drawn_profiles()]
     counts = pkg.ConfusionCounts(90, 5, 10, 95)
     population = pkg.SimulationConfig(0.19, profile, 10**6, 7)
 
@@ -106,6 +123,7 @@ def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]]) -> dic
         "curvature_argmax": lambda: pkg.curvature_argmax(profile),
         "curvature_argmax(npv)": lambda: pkg.curvature_argmax(profile, "npv"),
         "curvature_argmax(broad)": lambda: pkg.curvature_argmax(broad_peak),
+        "curvature_argmax(drawn)": lambda: [pkg.curvature_argmax(p, curve) for p in drawn for curve in ("ppv", "npv")],
         "mcc_at_threshold": lambda: pkg.mcc_at_threshold(profile, "negative"),
         "mcc_ratio": lambda: pkg.mcc_ratio(profile),
         "f_beta_at": lambda: pkg.f_beta_at(profile, 0.19, 2.0),

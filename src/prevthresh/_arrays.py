@@ -23,17 +23,17 @@ array form of the curvature, is a cleared form of its own, and
 curvature_bracket's contract is the argmax of _kappa_grid over the
 whole cached grid, so its values define the oracle's bracket. The same
 _kappa_grid function also takes a Python float: curvature_bracket
-finds the argmax on floats at a few grid points (a golden-section hint,
-a climb, then _certified_argmax's check that the point exceeds both
-grid neighbours by a margin far above the few-ulp gap between the two
-evaluations) and evaluates the whole 10,001-point grid with numpy only
-where that check fails. The hint alone searches another function,
-_hint_ratio's r = u**2 / (u**4 + (pq)**2), which is (kappa / gap)**(2/3)
-and so peaks where kappa does, with no power per probe; the climb and
-the check read _kappa_grid's values, so the hint only sets where the
-climb starts. The test suite checks the bracket against a full scan on
-a dense profile set, the hint's distance from the full scan's argmax,
-and the gap between the float and the array values.
+finds the argmax on floats at a few grid points (a climb from the
+closed-form threshold's grid point, then _certified_argmax's check
+that the point exceeds both grid neighbours by a margin far above the
+few-ulp gap between the two evaluations) and evaluates the whole
+10,001-point grid with numpy only where that check fails. The climb
+and the check read only _kappa_grid's values, so the closed form sets
+where the climb starts and nothing else: from any start the result is
+the full scan's. The test suite checks the bracket against a full scan
+on a dense profile set, the closed-form start's distance from the full
+scan's argmax, the result from starts far from the peak, and the gap
+between the float and the array values.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from .bounds import _SWEEP_BETAS_BY_LABEL, RATIO_BOUNDS, BoundRecord, BoundViolation, _f_beta_form, _fm_form
 from .metrics import _bayes, _curve_coefficients, _flat_value, _mcc_form
-from .thresholds import COARSE_STEP, Curve, _golden_section, _radical_split
+from .thresholds import COARSE_STEP, Curve, _radical_split
 
 
 # --- the curvature scan (thresholds) ----------------------------------------------
@@ -75,11 +75,9 @@ def _kappa_grid(p: float, q: float) -> Callable:
     return kappa
 
 
-# The Python path of curvature_bracket: golden-section search narrows the
-# peak to _HINT_WIDTH, and a grid index is accepted only where its value
-# exceeds both grid neighbours' by the relative _TIE_MARGIN, far above the
-# few-ulp gap between numpy's and Python's _kappa_grid values at a point.
-_HINT_WIDTH = 4 * COARSE_STEP
+# The Python path of curvature_bracket accepts a grid index only where its
+# value exceeds both grid neighbours' by the relative _TIE_MARGIN, far above
+# the few-ulp gap between numpy's and Python's _kappa_grid values at a point.
 _TIE_MARGIN = 1e-12
 # Grid points the full scan evaluates at once: its temporaries stay a few
 # kilobytes, so a scan does not grow the heap as 10,001-point ones would
@@ -101,31 +99,6 @@ def _coarse_grid() -> np.ndarray:
     return xs
 
 
-def _hint_ratio(p: float, q: float) -> Callable[[float], float]:
-    """r(phi) = u**2 / (u**4 + (pq)**2), u = p*phi + q*(1-phi): (_kappa_grid / its gap)**(2/3), with no powers.
-
-    A monotone function of the curvature, so it peaks where kappa does;
-    _certified_argmax runs the golden-section hint on it. Only after
-    _scan_is_normal has passed, which keeps the denominator at 1e-200
-    or more.
-    """
-    pq = p * q
-    pq2 = pq * pq
-
-    def r(phi: float) -> float:
-        u = p * phi + q * (1.0 - phi)
-        u2 = u * u
-        return u2 / (u2 * u2 + pq2)
-
-    return r
-
-
-def _grid_hint(peaked: Callable[[float], float], n: int) -> int:
-    """The index, on a grid of n steps over [0, 1], of the middle of a golden-section bracket of peaked's peak."""
-    lo, hi = _golden_section(peaked, 0.0, 1.0, _HINT_WIDTH)
-    return round(0.5 * (lo + hi) * n)
-
-
 def _scan_is_normal(p: float, q: float) -> bool:
     """Whether _kappa_grid's numerator and denominator clear _NORMAL_FLOOR at every prevalence in [0, 1].
 
@@ -141,10 +114,9 @@ def _scan_is_normal(p: float, q: float) -> bool:
 def _certified_argmax(p: float, q: float) -> int | None:
     """The full scan's argmax, from _kappa_grid on Python floats; None where it is not certified.
 
-    _grid_hint searches _hint_ratio's r, which peaks where kappa does
-    but takes no powers. From its index the search climbs the grid to a
-    local maximum of kappa's Python values (_kappa_grid's, so the
-    hint's rounding cannot move the result), then accepts it only where
+    The search starts at the closed-form threshold's grid point,
+    round(_radical_split(p, q) * n), climbs the grid to a local maximum
+    of kappa's Python values (_kappa_grid's), then accepts it only where
     it exceeds both grid neighbours by the relative _TIE_MARGIN. kappa
     is unimodal in phi: with u = p*phi + q*(1-phi) and k = p*q, dkappa/du is
     proportional to u**2 * (k**2 - u**4), and u is monotone in phi. The
@@ -157,7 +129,9 @@ def _certified_argmax(p: float, q: float) -> int | None:
     quotient round apart), so the index is numpy's argmax, with no tie.
     The ulp bound holds only when every intermediate is a normal float,
     which _scan_is_normal checks first; then no value is NaN or
-    infinite either.
+    infinite either. The argument never uses the start: it only saves
+    climbing steps, and a certified index is the full scan's argmax
+    whatever the closed form gives.
     """
     if not _scan_is_normal(p, q):
         return None
@@ -168,7 +142,7 @@ def _certified_argmax(p: float, q: float) -> int | None:
     def at(i: int) -> float:
         return kappa(xs.item(i)) if 0 <= i <= n else -math.inf
 
-    j = _grid_hint(_hint_ratio(p, q), n)
+    j = round(_radical_split(p, q) * n)
     left, top, right = at(j - 1), at(j), at(j + 1)
     while left > top:
         j -= 1

@@ -15,14 +15,14 @@ thresholds._kappa_kernel. So every cell is bit-equal to the scalar
 functions' value there; they stay public and are the oracle the test
 suite checks the emitted bytes against. These divergence curves share
 no code with the closed-form ratios of bounds (_f_beta_form, _fm_form),
-which serve only those ratios and the bound sweep. write_grid writes
-a block of rows at a time, so an emitter's memory does not grow with
-the number of rows; no emitter loads numpy. The prediction writer
-writes identical rows in blocks. Ingest's block pass lives in _ingest,
-which ingest_predictions imports on its first call, so the CLI
-compiles it only when it reads a prediction file. The pass counts a
-block made only of the data lines the header implies, and parses every
-other block with csv.
+which serve only those ratios and the bound sweep. write_grid builds
+and writes the grid a block of rows at a time, so an emitter's memory
+does not grow with the number of rows; no emitter loads numpy. The
+prediction writer writes identical rows in blocks. Ingest's block pass
+lives in _ingest, which ingest_predictions imports on its first call,
+so the CLI compiles it only when it reads a prediction file. The pass
+counts a block made only of the data lines the header implies, and
+parses every other block with csv.
 """
 
 from __future__ import annotations
@@ -154,21 +154,23 @@ def write_predictions(counts: ConfusionCounts, sink: io.TextIOBase) -> int:
     return counts.n
 
 
-def _phi_grid(step: float) -> list[float]:
-    """Prevalence grid {0, step, ..., 1}; 1 is appended when step does not divide it.
+def _phi_grid(step: float) -> tuple[int, Callable[[int, int], list[float]]]:
+    """Prevalence grid {0, step, ..., 1}, 1 appended when step does not divide it, as (rows, points).
 
-    step must lie in [MIN_PHI_STEP, 0.5], so a grid has at most about
-    a million points.
+    rows is the grid's size and points(start, stop) its points start to
+    stop - 1, each built from its index i: i / n where step is 1/n, and
+    i * step otherwise. So a block of the grid costs no memory for the
+    rest. step must lie in [MIN_PHI_STEP, 0.5], so a grid has at most
+    about a million points.
     """
     if not (MIN_PHI_STEP <= step <= 0.5):
         raise ValueError(f"step must be in [{MIN_PHI_STEP!r}, 0.5], got {step!r}")
     n = round(1.0 / step)
     if n >= 1 and abs(n * step - 1.0) <= 1e-9:
-        return [i / n for i in range(n + 1)]
-    values = [i * step for i in range(int(math.floor(1.0 / step)) + 1)]
-    if values[-1] < 1.0:
-        values.append(1.0)
-    return values
+        return n + 1, lambda start, stop: [i / n for i in range(start, stop)]
+    last = int(math.floor(1.0 / step))
+    rows = last + 2 if last * step < 1.0 else last + 1
+    return rows, lambda start, stop: [i * step if i <= last else 1.0 for i in range(start, stop)]
 
 
 def _ppv_column(a: float, nb: float, grid: list[float]) -> list[float]:
@@ -241,27 +243,28 @@ def _cells(values: list[float]) -> list[str]:
     return ["" if v != v else repr(v) for v in values]
 
 
-def write_grid(sink: io.TextIOBase, header: list[str], grid: list[float], columns_at: Callable) -> None:
+def write_grid(sink: io.TextIOBase, header: list[str], rows: int, points: Callable, columns_at: Callable) -> None:
     """Write the header, then one row per grid point: phi and each column's cell there.
 
-    columns_at(block) gives every column's values at a block of the
-    grid, as lists of floats. The grid is evaluated, formatted and
-    written a block of rows at a time, _BLOCK_CELLS // len(header) rows
-    but at least one, and each block is dropped before the next is
-    built, so memory does not grow with the number of rows; every cell
-    is computed on its own, so a block's values are the whole grid's.
-    Nothing after the header may raise but the sink: every argument is
-    checked before, and the columns mark an undefined cell NaN. No field
-    needs csv quoting: the header names are plain words and every cell
-    is a float repr or empty.
+    The grid has rows points and points(start, stop) builds those from
+    start to stop - 1 (_phi_grid); columns_at(block) gives every
+    column's values at a block of them, as lists of floats. The grid is
+    built, evaluated, formatted and written a block of rows at a time,
+    _BLOCK_CELLS // len(header) rows but at least one, and each block
+    is dropped before the next is built, so memory does not grow with
+    the number of rows; every cell is computed on its own, so a block's
+    values are the whole grid's. Nothing after the header may raise but
+    the sink: every argument is checked before, and the columns mark an
+    undefined cell NaN. No field needs csv quoting: the header names are
+    plain words and every cell is a float repr or empty.
     """
     sink.write(",".join(header) + "\n")
-    rows = max(1, _BLOCK_CELLS // len(header))
-    for start in range(0, len(grid), rows):
-        block = grid[start : start + rows]
+    size = max(1, _BLOCK_CELLS // len(header))
+    for start in range(0, rows, size):
+        block = points(start, min(start + size, rows))
         fields = [list(map(repr, block))] + [_cells(col) for col in columns_at(block)]
         sink.write("\n".join(map(",".join, zip(*fields))) + "\n")
-        del fields
+        del block, fields
 
 
 def emit_curves(
@@ -287,12 +290,12 @@ def emit_curves(
     checks the bytes against per-cell scalar calls, with its own copy of
     the curvature arithmetic.
     """
-    grid = _phi_grid(step)
-    write_grid(sink, ["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"], grid, _curve_columns(profile))
+    rows, points = _phi_grid(step)
+    write_grid(sink, ["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"], rows, points, _curve_columns(profile))
 
     if sidecar is not None:
         sidecar.write(json.dumps(threshold_summary(profile), indent=2, allow_nan=False) + "\n")
-    return len(grid)
+    return rows
 
 
 def emit_ratio_curves(
@@ -325,16 +328,16 @@ def emit_ratio_curves(
     oracle the test suite checks the bytes against, gives there.
     """
     betas = _labelled_betas(betas)
-    grid = _phi_grid(step)
+    rows, points = _phi_grid(step)
     a = float(profile.sensitivity)
     if a == 0.0:
         raise DegenerateProfile("reference value at full prevalence is undefined when sensitivity is 0")
     width = len(betas) + 3  # phi, f1, each f_beta and fm
-    if len(grid) * width > _MAX_CELLS:
-        raise ValueError(f"a ratio CSV may have at most {_MAX_CELLS} cells, got {len(grid)} rows of {width} columns")
+    if rows * width > _MAX_CELLS:
+        raise ValueError(f"a ratio CSV may have at most {_MAX_CELLS} cells, got {rows} rows of {width} columns")
 
     beta_squares = [1.0] + [beta * beta for beta in betas.values()]
     columns = _ratio_columns(a, float(profile.specificity), beta_squares)
     header = ["phi", "f1_chi"] + [f"fbeta_{label}_chi" for label in betas] + ["fm_chi"]
-    write_grid(sink, header, grid, columns)
-    return len(grid)
+    write_grid(sink, header, rows, points, columns)
+    return rows

@@ -138,7 +138,8 @@ def emit_curves_scalar(
     sidecar: IO | None = None,
 ) -> int:
     """emit_curves with one guarded ppv_at/npv_at/curvature_scalar call per cell."""
-    grid = _phi_grid(step)
+    rows, points = _phi_grid(step)
+    grid = points(0, rows)
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"])
     for phi in grid:
@@ -172,7 +173,8 @@ def emit_ratio_curves_scalar(
 ) -> int:
     """emit_ratio_curves through accuracy_divergence_curve, one cell at a time."""
     betas = checked_betas(betas)
-    grid = _phi_grid(step)
+    rows, points = _phi_grid(step)
+    grid = points(0, rows)
 
     columns: list[tuple[str, list[float | None]]] = []
     specs: list[tuple[str, str, float | None]] = [("f1_chi", "f1", None)]

@@ -728,6 +728,21 @@ class TestEmitCurves:
         assert grid[0] == 0.0
         assert grid[-1] == 1.0
 
+    @pytest.mark.parametrize("step", [0.5, 0.3, 0.25, 1 / 3, 0.1, 0.013, 0.01, 7e-4])
+    def test_grid_points_in_every_block(self, monkeypatch, step):
+        # The phi column is {0, step, ..., 1} as i / n where step is 1/n and as
+        # i * step, then 1.0, otherwise, in blocks of 7 rows as in one list.
+        monkeypatch.setattr(dataio, "_BLOCK_CELLS", 37)
+        n = round(1.0 / step)
+        if abs(n * step - 1.0) <= 1e-9:
+            expected = [i / n for i in range(n + 1)]
+        else:
+            expected = [i * step for i in range(int(1.0 / step) + 1)]
+            expected += [1.0] if expected[-1] < 1.0 else []
+        sink = io.StringIO()
+        assert emit_curves(P_9095, step, sink) == len(expected)
+        assert [line.split(",")[0] for line in sink.getvalue().splitlines()[1:]] == list(map(repr, expected))
+
     @pytest.mark.parametrize("step", [0.0, -0.1, 0.6, 9e-7, 1e-9])
     def test_rejects_bad_step(self, step):
         with pytest.raises(ValueError):
@@ -878,14 +893,16 @@ class TestEmitOracleParity:
             emit_ratio_curves_scalar, profile, (3.7,), 1e-5
         )
 
-    def test_block_boundaries_keep_the_bytes(self, monkeypatch):
-        # Blocks of 7 and 3 rows (for 5 and 17 columns) cut the grids at rows no other test reaches.
+    @pytest.mark.parametrize("step", [0.01, 0.013])
+    def test_block_boundaries_keep_the_bytes(self, monkeypatch, step):
+        # Blocks of 7 and 2 rows (for 5 and 17 columns) cut the grids at rows
+        # no other test reaches; at step 0.013 the appended 1.0 starts or ends a block.
         monkeypatch.setattr(dataio, "_BLOCK_CELLS", 37)
         profile = DiagnosticProfile(0.83, 0.71)
-        assert _emit_outcome(emit_curves, profile, 0.01) == _emit_outcome(emit_curves_scalar, profile, 0.01)
+        assert _emit_outcome(emit_curves, profile, step) == _emit_outcome(emit_curves_scalar, profile, step)
         betas = [0.5 * (i + 1) for i in range(14)]
-        assert _emit_outcome(emit_ratio_curves, profile, betas, 0.01) == _emit_outcome(
-            emit_ratio_curves_scalar, profile, betas, 0.01
+        assert _emit_outcome(emit_ratio_curves, profile, betas, step) == _emit_outcome(
+            emit_ratio_curves_scalar, profile, betas, step
         )
 
     def test_memory_does_not_grow_with_the_rows(self):
@@ -904,10 +921,11 @@ class TestEmitOracleParity:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # Only the grid list grows, by 18,000 floats (0.6 MB); keeping one
-        # block while the next is built would add a block, some 5 MB, and
-        # computing every column first about 18,000 rows x 33 cells x 100 bytes.
-        assert peaks[1] - peaks[0] < 1_500_000
+        # The peak is one block, whatever the rows: 18,000 more rows add some
+        # 13 KB. A whole grid list would add 18,000 floats (0.6 MB), keeping
+        # one block while the next is built a block, some 5 MB, and computing
+        # every column first about 18,000 rows x 33 cells x 100 bytes.
+        assert peaks[1] - peaks[0] < 100_000
 
     @pytest.mark.parametrize(
         "betas, step", [((0.5, 0.0), 0.5), ((0.5,), 0.6), ((float("nan"),), 0.5), ((2.0, 3.0, 2.0000001), 0.5)]

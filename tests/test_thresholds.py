@@ -264,6 +264,27 @@ class TestCurvatureArgmax:
         r = curvature_argmax(p, Curve.NPV)
         assert abs(float(r.phi) - closed_phi_n(a, b)) <= 1e-6
 
+    def test_agrees_with_closed_form_to_1e_6_from_j_of_two_hundredths(self):
+        # The range curvature_argmax's docstring states: within 1e-6 of the
+        # closed forms where J = a + b - 1 >= 0.02, here just above that cut.
+        rng = random.Random(20)
+        worst = 0.0
+        for _ in range(500):
+            j = rng.uniform(0.02, 0.025)
+            a = rng.uniform(j, 1.0)
+            for a, b in ((a, 1.0 + j - a), (1.0 + j - a, a)):
+                assert a + b - 1.0 >= 0.02
+                p = DiagnosticProfile(a, b)
+                worst = max(
+                    worst,
+                    abs(float(curvature_argmax(p, Curve.PPV).phi) - closed_phi_e(a, b)),
+                    abs(float(curvature_argmax(p, Curve.NPV).phi) - closed_phi_n(a, b)),
+                )
+        assert 3e-7 < worst < 1e-6, worst
+        # Below the cut the peak flattens toward rounding and 1e-6 no longer holds.
+        a, b = 0.9495684776740481, 0.060774086932771754  # J = 0.0103
+        assert abs(float(curvature_argmax(DiagnosticProfile(a, b), Curve.PPV).phi) - closed_phi_e(a, b)) > 1.5e-6
+
     def test_reports_curve_value(self):
         r = curvature_argmax(P_9095, Curve.PPV)
         assert float(r.metric_value) == pytest.approx(RHO_E, abs=1e-6)
@@ -395,8 +416,8 @@ class TestCurvatureBracket:
                 curves += 1
         assert served >= 0.999 * curves, (served, curves)
 
-    def test_hint_lands_within_two_grid_steps_of_the_full_scan(self):
-        # A hint off the peak still gives the right bracket, only after a longer climb.
+    def test_closed_form_start_is_the_full_scan_argmax_or_a_neighbour(self):
+        # A start off the peak still gives the right bracket, only after a longer climb.
         rng = random.Random(25)
         n = _arrays._coarse_grid().size - 1
         worst = 0
@@ -404,8 +425,8 @@ class TestCurvatureBracket:
             a, b = draw_profile(rng)
             for curve in Curve:
                 p, q = curve_coefficients(a, b, curve)
-                worst = max(worst, abs(_arrays._grid_hint(_arrays._hint_ratio(p, q), n) - full_scan_argmax(p, q)))
-        assert worst <= 2, worst
+                worst = max(worst, abs(round(_arrays._radical_split(p, q) * n) - full_scan_argmax(p, q)))
+        assert worst <= 1, worst
 
     @pytest.mark.parametrize(
         "a, b",
@@ -435,15 +456,23 @@ class TestCurvatureBracket:
         assert _arrays._certified_argmax(p, q) is None
         assert _arrays.curvature_bracket(p, q) == full_scan_bracket(p, q)
 
-    @pytest.mark.parametrize("shift", [-300, -3, 3, 300])
-    def test_misplaced_hint_still_gives_the_full_scan(self, monkeypatch, shift):
-        # The hint only saves time: from a hint steps away from the peak the
-        # search climbs the grid back to it.
-        p, q = curve_coefficients(0.9, 0.95, Curve.PPV)
-        grid_hint = _arrays._grid_hint
-        monkeypatch.setattr(_arrays, "_grid_hint", lambda kappa, n: grid_hint(kappa, n) + shift)
+    @pytest.mark.parametrize("start", ["-300", "-3", "+3", "+300", "zero", "n", "swapped"])
+    @pytest.mark.parametrize("a, b, curve", [(0.9, 0.95, Curve.PPV), (0.9, 0.95, Curve.NPV), (0.31, 0.88, Curve.PPV)])
+    def test_misplaced_start_still_gives_the_full_scan(self, monkeypatch, start, a, b, curve):
+        # The closed-form start only saves steps: from a start away from the
+        # peak the search climbs the grid back to it, so the oracle's answer
+        # does not depend on the formula it checks.
+        profile = DiagnosticProfile(a, b)
+        p, q = curve_coefficients(a, b, curve)
+        n = _arrays._coarse_grid().size - 1
+        radical = _arrays._radical_split
+        starts = {"zero": 0, "n": n, "swapped": round(radical(q, p) * n)}
+        j = starts[start] if start in starts else round(radical(p, q) * n) + int(start)
+        expected = thresholds.curvature_argmax(profile, curve)
+        monkeypatch.setattr(_arrays, "_radical_split", lambda p, q: j / n)
         assert _arrays._certified_argmax(p, q) == full_scan_argmax(p, q)
         assert _arrays.curvature_bracket(p, q) == full_scan_bracket(p, q)
+        assert repr(thresholds.curvature_argmax(profile, curve)) == repr(expected)
 
     def test_grid_is_cached_and_read_only(self):
         xs = _arrays._coarse_grid()
