@@ -24,7 +24,11 @@ as perfbench's validate workload draws its oracle profiles (so a change
 to the scan shows on that workload's mix, not on one curve),
 mcc_at_threshold, mcc_ratio, f_beta_at,
 analyze_counts, verify_bounds(0.01), emit_curves at step 5e-4 (the
-curves-io workload's step), emit_ratio_curves at step 0.001,
+curves-io workload's step), emit_ratio_curves at step 0.001, the emit
+pair (emit_curves, then emit_ratio_curves with betas 0.5 and 2, at step
+5e-4 on the first of those 32 profiles, as curves-io runs them),
+emit_curves (fresh step), which alternates between steps 5e-4 and
+1/2001 so that no call finds the phi text the one before it kept,
 simulate_population (after verify_bounds and curvature_argmax have
 loaded numpy, so its draws are numpy's Generator's, as in the
 validate workload),
@@ -46,6 +50,7 @@ import contextlib
 import gc
 import importlib.util
 import io
+import itertools
 import random
 import statistics
 import sys
@@ -112,6 +117,19 @@ def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]]) -> dic
         pkg.emit_ratio_curves(profile, [0.5, 2.0], 0.001, sink)
         return sink.getvalue()
 
+    def emit_pair() -> str:
+        sink = io.StringIO()
+        pkg.emit_curves(drawn[0], 5e-4, sink)
+        pkg.emit_ratio_curves(drawn[0], [0.5, 2.0], 5e-4, sink)
+        return sink.getvalue()
+
+    fresh_steps = itertools.cycle((5e-4, 1 / 2001))
+
+    def curves_fresh_step() -> str:
+        sink = io.StringIO()
+        pkg.emit_curves(profile, next(fresh_steps), sink)
+        return sink.getvalue()
+
     named = {
         "ThresholdResult(...)": lambda: pkg.ThresholdResult(0.19, 0.78),
         "ppv_at": lambda: pkg.ppv_at(profile, 0.19),
@@ -131,6 +149,8 @@ def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]]) -> dic
         "verify_bounds(0.01)": lambda: pkg.verify_bounds(0.01),
         "emit_curves": curves,
         "emit_ratio_curves": ratio_curves,
+        "emit pair": emit_pair,
+        "emit_curves (fresh step)": curves_fresh_step,
         "simulate_population": lambda: pkg.simulate_population(population),
     }
     for table, (path, expected) in tables.items():

@@ -15,27 +15,32 @@ thresholds._kappa_kernel. So every cell is bit-equal to the scalar
 functions' value there; they stay public and are the oracle the test
 suite checks the emitted bytes against. These divergence curves share
 no code with the closed-form ratios of bounds (_f_beta_form, _fm_form),
-which serve only those ratios and the bound sweep. write_grid builds
-and writes the grid a block of rows at a time, so an emitter's memory
-does not grow with the number of rows; no emitter loads numpy. The
-prediction writer writes identical rows in blocks. Ingest's block pass
-lives in _ingest, which ingest_predictions imports on its first call,
-so the CLI compiles it only when it reads a prediction file. The pass
-counts a block made only of the data lines the header implies, and
-parses every other block with csv.
+which serve only those ratios and the bound sweep. The grid, the
+columns and the block writer live in _emit, which emit_curves and
+emit_ratio_curves import on their first call, so the CLI compiles them
+only when it writes a curve CSV. _emit.write_grid builds and writes the
+grid a block of rows at a time, so an emitter's memory does not grow
+with the number of rows; no emitter loads numpy. It keeps the phi text
+of the last block it wrote, which the next call with the same step
+reuses, so one block's phi column stays in memory between calls: 0.13
+MB at step 5e-4, at most 1.7 MB. The prediction writer writes identical
+rows in blocks. Ingest's block pass lives in _ingest, which
+ingest_predictions imports on its first call, so the CLI compiles it
+only when it reads a prediction file. The pass counts a block made only
+of the data lines the header implies, and parses every other block with
+csv.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
 import os
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
-from .errors import DegenerateDenominator, DegenerateProfile, EmptyInput, ParseError, _echo
-from .metrics import ConfusionCounts, DiagnosticProfile, _f_beta_harmonic, _labelled_betas
-from .thresholds import Curve, _kappa_kernel, threshold_summary
+from .errors import DegenerateProfile, EmptyInput, ParseError, _echo
+from .metrics import ConfusionCounts, DiagnosticProfile, _labelled_betas
+from .thresholds import threshold_summary
 
 __all__ = [
     "ingest_predictions",
@@ -48,18 +53,11 @@ __all__ = [
 # stream. A string, so annotations name it without importing typing.
 Source = "str | os.PathLike | io.IOBase"
 
-# Finest prevalence grid step of the curve emitters: a million rows.
-MIN_PHI_STEP = 1e-6
-
 # Most rows write_predictions formats into one string before writing it.
 _BLOCK_ROWS = 65_536
 
-# Most cells, the phi column's included, that write_grid evaluates and
-# formats at once: some 160 bytes of memory each at the peak, 10 MB in all.
-_BLOCK_CELLS = 65_536
-
 # Most cells (rows times columns) emit_ratio_curves writes, some 190 MB of
-# CSV: about twice the 5,000,005 of the default betas at MIN_PHI_STEP.
+# CSV: about twice the 5,000,005 of the default betas at _emit.MIN_PHI_STEP.
 _MAX_CELLS = 10_000_000
 
 
@@ -154,119 +152,6 @@ def write_predictions(counts: ConfusionCounts, sink: io.TextIOBase) -> int:
     return counts.n
 
 
-def _phi_grid(step: float) -> tuple[int, Callable[[int, int], list[float]]]:
-    """Prevalence grid {0, step, ..., 1}, 1 appended when step does not divide it, as (rows, points).
-
-    rows is the grid's size and points(start, stop) its points start to
-    stop - 1, each built from its index i: i / n where step is 1/n, and
-    i * step otherwise. So a block of the grid costs no memory for the
-    rest. step must lie in [MIN_PHI_STEP, 0.5], so a grid has at most
-    about a million points.
-    """
-    if not (MIN_PHI_STEP <= step <= 0.5):
-        raise ValueError(f"step must be in [{MIN_PHI_STEP!r}, 0.5], got {step!r}")
-    n = round(1.0 / step)
-    if n >= 1 and abs(n * step - 1.0) <= 1e-9:
-        return n + 1, lambda start, stop: [i / n for i in range(start, stop)]
-    last = int(math.floor(1.0 / step))
-    rows = last + 2 if last * step < 1.0 else last + 1
-    return rows, lambda start, stop: [i * step if i <= last else 1.0 for i in range(start, stop)]
-
-
-def _ppv_column(a: float, nb: float, grid: list[float]) -> list[float]:
-    """ppv_at's Bayes' rule (metrics._bayes) at every grid point, with nb = 1 - b; NaN where its u is 0."""
-    return [t / u if (u := (t := a * x) + nb * (1.0 - x)) else math.nan for x in grid]
-
-
-def _kappa_column(kappa, grid: list[float]) -> list[float]:
-    """The curvature closure kappa (thresholds._kappa_kernel) at every grid point; NaN where it raises."""
-    values = []
-    for phi in grid:
-        try:
-            values.append(kappa(phi))
-        except DegenerateDenominator:
-            values.append(math.nan)
-    return values
-
-
-def _curve_columns(profile: DiagnosticProfile) -> Callable:
-    """emit_curves' ppv, npv, kappa_ppv and kappa_npv columns, as a function of a block of the grid."""
-    a, b = float(profile.sensitivity), float(profile.specificity)
-    na, nb = 1.0 - a, 1.0 - b
-    kappas = [_kappa_kernel(profile, curve) for curve in Curve]
-
-    def columns_at(grid: list[float]) -> list[list[float]]:
-        # npv_at's Bayes' rule: b*(1-phi) / (b*(1-phi) + (1-a)*phi).
-        npv = [t / u if (u := (t := b * (1.0 - x)) + na * x) else math.nan for x in grid]
-        return [_ppv_column(a, nb, grid), npv] + [_kappa_column(k, grid) for k in kappas]
-
-    return columns_at
-
-
-def _ratio_columns(a: float, b: float, beta_squares: list[float]) -> Callable:
-    """emit_ratio_curves' columns, as a function of a block of the grid: an F-score for each beta**2, then FM.
-
-    A cell is reference / score at the PPV rho, NaN where the score is
-    not positive or undefined. Each F-score is f_beta_score's kernel
-    metrics._f_beta_harmonic(beta_sq, a, rho), its operations repeated
-    in their order with 1/rho computed once per row; only a column whose
-    beta_sq/a overflows calls it per cell. The FM score is fm_at's
-    sqrt(a * rho). Needs a > 0.
-    """
-    nb = 1.0 - b
-
-    def columns_at(grid: list[float]) -> list[list[float]]:
-        rho = _ppv_column(a, nb, grid)
-        # Where rho is 0 or NaN every score is 0 or NaN, so every cell of the row is NaN.
-        inv = [1.0 / r if r > 0.0 else math.nan for r in rho]
-        columns = []
-        for beta_sq in beta_squares:
-            # An infinite beta**2 makes the reference inf/inf, and so its whole column, NaN.
-            reference = _f_beta_harmonic(beta_sq, a, 1.0)
-            scaled = beta_sq / a
-            if scaled == math.inf and beta_sq != math.inf:
-                columns.append(
-                    [reference / s if r > 0.0 and (s := _f_beta_harmonic(beta_sq, a, r)) > 0.0 else math.nan for r in rho]
-                )
-            else:
-                top = 1.0 + beta_sq
-                columns.append([reference / s if (s := top / (scaled + v)) > 0.0 else math.nan for v in inv])
-        reference = math.sqrt(a)  # fm_at's sqrt(a * rho) at rho = 1
-        columns.append([reference / s if (s := math.sqrt(a * r)) > 0.0 else math.nan for r in rho])
-        return columns
-
-    return columns_at
-
-
-def _cells(values: list[float]) -> list[str]:
-    """repr of each value; NaN, the mark of an undefined cell, becomes an empty field."""
-    return ["" if v != v else repr(v) for v in values]
-
-
-def write_grid(sink: io.TextIOBase, header: list[str], rows: int, points: Callable, columns_at: Callable) -> None:
-    """Write the header, then one row per grid point: phi and each column's cell there.
-
-    The grid has rows points and points(start, stop) builds those from
-    start to stop - 1 (_phi_grid); columns_at(block) gives every
-    column's values at a block of them, as lists of floats. The grid is
-    built, evaluated, formatted and written a block of rows at a time,
-    _BLOCK_CELLS // len(header) rows but at least one, and each block
-    is dropped before the next is built, so memory does not grow with
-    the number of rows; every cell is computed on its own, so a block's
-    values are the whole grid's. Nothing after the header may raise but
-    the sink: every argument is checked before, and the columns mark an
-    undefined cell NaN. No field needs csv quoting: the header names are
-    plain words and every cell is a float repr or empty.
-    """
-    sink.write(",".join(header) + "\n")
-    size = max(1, _BLOCK_CELLS // len(header))
-    for start in range(0, rows, size):
-        block = points(start, min(start + size, rows))
-        fields = [list(map(repr, block))] + [_cells(col) for col in columns_at(block)]
-        sink.write("\n".join(map(",".join, zip(*fields))) + "\n")
-        del block, fields
-
-
 def emit_curves(
     profile: DiagnosticProfile,
     step: float,
@@ -290,8 +175,10 @@ def emit_curves(
     checks the bytes against per-cell scalar calls, with its own copy of
     the curvature arithmetic.
     """
-    rows, points = _phi_grid(step)
-    write_grid(sink, ["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"], rows, points, _curve_columns(profile))
+    from . import _emit
+
+    grid = _emit._phi_grid(step)
+    rows = _emit.write_grid(sink, ["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"], grid, _emit._curve_columns(profile))
 
     if sidecar is not None:
         sidecar.write(json.dumps(threshold_summary(profile), indent=2, allow_nan=False) + "\n")
@@ -315,7 +202,7 @@ def emit_ratio_curves(
     or step and for two betas with one label (metrics._labelled_betas),
     DegenerateProfile at sensitivity 0, and ValueError when the CSV
     would hold more than _MAX_CELLS cells, rows times (len(betas) + 3)
-    columns: up to 6 betas at MIN_PHI_STEP, or 9,987 at step 0.001.
+    columns: up to 6 betas at _emit.MIN_PHI_STEP, or 9,987 at step 0.001.
 
     Each column's score is a formula in the PPV rho: f_beta_score's
     harmonic form (1 + beta^2) / (beta^2/a + 1/rho), the operations of
@@ -327,8 +214,11 @@ def emit_ratio_curves(
     accuracy_divergence_curve with metric "f1", "f_beta" or "fm", the
     oracle the test suite checks the bytes against, gives there.
     """
+    from . import _emit
+
     betas = _labelled_betas(betas)
-    rows, points = _phi_grid(step)
+    grid = _emit._phi_grid(step)
+    _, rows, _ = grid
     a = float(profile.sensitivity)
     if a == 0.0:
         raise DegenerateProfile("reference value at full prevalence is undefined when sensitivity is 0")
@@ -337,7 +227,6 @@ def emit_ratio_curves(
         raise ValueError(f"a ratio CSV may have at most {_MAX_CELLS} cells, got {rows} rows of {width} columns")
 
     beta_squares = [1.0] + [beta * beta for beta in betas.values()]
-    columns = _ratio_columns(a, float(profile.specificity), beta_squares)
+    columns = _emit._ratio_columns(a, float(profile.specificity), beta_squares)
     header = ["phi", "f1_chi"] + [f"fbeta_{label}_chi" for label in betas] + ["fm_chi"]
-    write_grid(sink, header, rows, points, columns)
-    return rows
+    return _emit.write_grid(sink, header, grid, columns)

@@ -21,8 +21,9 @@ import csv
 import json
 from typing import IO, Iterable
 
+from prevthresh._emit import _phi_grid
 from prevthresh.bounds import accuracy_divergence_curve
-from prevthresh.dataio import Source, _as_text_stream, _parse_binary, _phi_grid
+from prevthresh.dataio import Source, _as_text_stream, _parse_binary
 from prevthresh.errors import DegenerateDenominator, EmptyInput, ParseError, _echo
 from prevthresh.metrics import ConfusionCounts, DiagnosticProfile, Rate, npv_at, ppv_at
 from prevthresh.thresholds import Curve, CurvaturePoint, threshold_summary
@@ -138,7 +139,7 @@ def emit_curves_scalar(
     sidecar: IO | None = None,
 ) -> int:
     """emit_curves with one guarded ppv_at/npv_at/curvature_scalar call per cell."""
-    rows, points = _phi_grid(step)
+    _, rows, points = _phi_grid(step)
     grid = points(0, rows)
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["phi", "ppv", "npv", "kappa_ppv", "kappa_npv"])
@@ -173,7 +174,7 @@ def emit_ratio_curves_scalar(
 ) -> int:
     """emit_ratio_curves through accuracy_divergence_curve, one cell at a time."""
     betas = checked_betas(betas)
-    rows, points = _phi_grid(step)
+    _, rows, points = _phi_grid(step)
     grid = points(0, rows)
 
     columns: list[tuple[str, list[float | None]]] = []

@@ -863,13 +863,14 @@ IMPORT_PROBE = """
 import contextlib, io, json, sys
 import prevthresh
 [getattr(prevthresh, name) for name in prevthresh.__all__]
-report = {"import": "numpy" in sys.modules, "codes": [], "numpy": []}
+report = {"import": "numpy" in sys.modules, "codes": [], "numpy": [], "emit": []}
 from prevthresh.cli import run_cli
 report["rng"] = "prevthresh._rng" in sys.modules
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         report["codes"].append(run_cli(argv))
     report["numpy"].append("numpy" in sys.modules)
+    report["emit"].append("prevthresh._emit" in sys.modules)
 report["metadata"] = "importlib.metadata" in sys.modules
 report["ingest"] = "prevthresh._ingest" in sys.modules
 report["unused_stdlib"] = [name for name in json.loads(sys.argv[2]) if name in sys.modules]
@@ -905,6 +906,10 @@ class TestColdStart:
 
     def test_ingest_block_pass_loads_only_to_read_a_prediction_file(self, probe):
         assert probe["ingest"] is False
+
+    def test_curve_emitters_load_only_to_write_a_curve_csv(self, probe):
+        # thresholds, ratios --json, analyze and simulate run before curves, the first call to write a CSV.
+        assert probe["emit"] == [False] * 4 + [True] * (len(NUMPY_FREE_ARGV) + 1 - 4)
 
     def test_pure_python_generator_loads_only_to_simulate(self, probe):
         assert probe["rng"] is False

@@ -8,16 +8,19 @@ import json
 import os
 import pathlib
 import re
+import sys
+import threading
 import tracemalloc
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import emit_oracle
 import prevthresh.dataio as dataio
-from prevthresh import _ingest
+from prevthresh import _emit, _ingest
 from emit_oracle import (
     emit_curves_scalar,
     emit_ratio_curves_scalar,
@@ -732,7 +735,7 @@ class TestEmitCurves:
     def test_grid_points_in_every_block(self, monkeypatch, step):
         # The phi column is {0, step, ..., 1} as i / n where step is 1/n and as
         # i * step, then 1.0, otherwise, in blocks of 7 rows as in one list.
-        monkeypatch.setattr(dataio, "_BLOCK_CELLS", 37)
+        monkeypatch.setattr(_emit, "_BLOCK_CELLS", 37)
         n = round(1.0 / step)
         if abs(n * step - 1.0) <= 1e-9:
             expected = [i / n for i in range(n + 1)]
@@ -897,13 +900,82 @@ class TestEmitOracleParity:
     def test_block_boundaries_keep_the_bytes(self, monkeypatch, step):
         # Blocks of 7 and 2 rows (for 5 and 17 columns) cut the grids at rows
         # no other test reaches; at step 0.013 the appended 1.0 starts or ends a block.
-        monkeypatch.setattr(dataio, "_BLOCK_CELLS", 37)
+        monkeypatch.setattr(_emit, "_BLOCK_CELLS", 37)
         profile = DiagnosticProfile(0.83, 0.71)
         assert _emit_outcome(emit_curves, profile, step) == _emit_outcome(emit_curves_scalar, profile, step)
         betas = [0.5 * (i + 1) for i in range(14)]
         assert _emit_outcome(emit_ratio_curves, profile, betas, step) == _emit_outcome(
             emit_ratio_curves_scalar, profile, betas, step
         )
+
+    @pytest.mark.parametrize("block_cells", [None, 37])
+    @pytest.mark.parametrize("step_a, step_b", [(5e-4, 5.001e-4), (0.01, 0.0101)])
+    def test_interleaved_steps_match(self, monkeypatch, block_cells, step_a, step_b):
+        # Curves at step a, ratios of the curves' width at step b, whose grid
+        # has as many rows, and curves at a again; then ratios at a, of the
+        # curves' width and of two others. Each call reuses the phi text kept
+        # from the one before, or formats its own, and writes the oracle's
+        # bytes. Blocks of 37 cells split every grid at rows set by its width.
+        if block_cells is not None:
+            monkeypatch.setattr(_emit, "_BLOCK_CELLS", block_cells)
+        for a, b in ((0.83, 0.71), (1.0, 0.9)):
+            profile = DiagnosticProfile(a, b)
+            for emit, oracle, args in (
+                (emit_curves, emit_curves_scalar, (profile, step_a)),
+                (emit_ratio_curves, emit_ratio_curves_scalar, (profile, (0.5, 2.0), step_b)),
+                (emit_curves, emit_curves_scalar, (profile, step_a)),
+                (emit_ratio_curves, emit_ratio_curves_scalar, (profile, (0.5, 2.0), step_a)),
+                (emit_ratio_curves, emit_ratio_curves_scalar, (profile, PARITY_BETAS, step_a)),
+                (emit_ratio_curves, emit_ratio_curves_scalar, (profile, (), step_a)),
+            ):
+                assert _emit_outcome(emit, *args) == _emit_outcome(oracle, *args)
+
+    def test_repeated_emission_reuses_the_kept_phi_text(self):
+        profile = DiagnosticProfile(0.83, 0.71)
+        first = _emit_outcome(emit_curves, profile, 5e-4)
+        kept = _emit._last_phi
+        assert kept[0] == (5e-4, 0, 2001)
+        assert _emit_outcome(emit_curves, profile, 5e-4) == first
+        ratios = _emit_outcome(emit_ratio_curves, profile, (0.5, 2.0), 5e-4)
+        assert _emit._last_phi is kept
+        assert _emit_outcome(emit_ratio_curves, profile, (0.5, 2.0), 5e-4) == ratios
+        assert _emit._last_phi is kept
+
+    def test_threads_sharing_the_kept_phi_text_write_their_own_bytes(self):
+        # Four threads, two steps of 101 rows and two of 2,001, swap the kept block under each other.
+        profile = DiagnosticProfile(0.83, 0.71)
+        steps = (0.01, 0.0101, 5e-4, 5.001e-4)
+        expected = {step: _emit_outcome(emit_curves_scalar, profile, step) for step in steps}
+        results = {step: [] for step in steps}
+
+        def work(step):
+            for _ in range(30):
+                results[step].append(_emit_outcome(emit_curves, profile, step))
+
+        threads = [threading.Thread(target=work, args=(step,)) for step in steps]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {step: [expected[step]] * 30 for step in steps}
+
+    @pytest.mark.parametrize("step", [0.25, 0.3])
+    def test_numpy_float_step_writes_the_float_steps_bytes(self, monkeypatch, step):
+        # The numpy step goes first, so phi text it kept would reach the float step's CSV.
+        monkeypatch.setattr(_emit, "_last_phi", None)
+        profile = DiagnosticProfile(0.83, 0.71)
+        for emit, args in ((emit_curves, (profile,)), (emit_ratio_curves, (profile, PARITY_BETAS))):
+            numpy_step = _emit_outcome(emit, *args, np.float64(step))
+            assert numpy_step == _emit_outcome(emit, *args, step)
+            assert "np." not in numpy_step[1]
+            with pytest.raises(TypeError):
+                emit(*args, str(step), io.StringIO())
 
     def test_memory_does_not_grow_with_the_rows(self):
         class Discard:
