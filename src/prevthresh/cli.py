@@ -24,6 +24,15 @@ so an error line about a malformed or out-of-range argument, an
 unknown subcommand, an unrecognized or ambiguous option or a value
 given to a flag that takes none echoes an argument of more than 64
 characters by its first 64 and its length (errors._echo).
+
+At import the module loads only what parsing and error reporting
+need, errors and metrics; each _cmd_* imports the modules it uses when
+it runs. A call compiles no module it does not use, which matters
+where no bytecode cache is written: thresholds loads thresholds,
+ratios --json also bounds, analyze --counts also report, and simulate
+loads simulate and _rng. analyze's --betas defaults to None, which
+gives analyze_counts its own default, SWEEP_BETAS, so parsing loads no
+bounds.
 """
 
 from __future__ import annotations
@@ -37,13 +46,8 @@ from contextlib import contextmanager, suppress
 from collections.abc import Sequence
 
 from . import __version__
-from .bounds import SWEEP_BETAS, _finite, _ratio_values, verify_bounds
-from .dataio import emit_curves, emit_ratio_curves, ingest_predictions
 from .errors import _ECHO_CHARS, PrevthreshError, UsageError, _echo, value_or_none
 from .metrics import ConfusionCounts, DiagnosticProfile, Rate, _labelled_betas, _predictive_value
-from .report import analyze_counts
-from .simulate import SimulationConfig, simulate_population
-from .thresholds import threshold_summary
 
 __all__ = ["build_parser", "run_cli", "main"]
 
@@ -214,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--betas",
         type=_betas_arg,
-        default=SWEEP_BETAS,
+        default=None,  # analyze_counts' own default, SWEEP_BETAS
         help="comma-separated F-beta weights (default 0.5,1,2)",
     )
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -315,10 +319,14 @@ def _profile_from(args) -> DiagnosticProfile:
 
 
 def _cmd_thresholds(args) -> dict:
+    from .thresholds import threshold_summary
+
     return threshold_summary(_profile_from(args))
 
 
 def _cmd_curves(args) -> None:
+    from .dataio import emit_curves
+
     profile = _profile_from(args)
     if args.output is None or _in_place(args.output):
         with _sink(args.output) as out:
@@ -332,22 +340,38 @@ def _cmd_curves(args) -> None:
 def _cmd_ratios(args) -> dict | None:
     profile = _profile_from(args)
     if args.json:
+        from .bounds import _finite, _ratio_values
+        from .thresholds import threshold_summary
+
         summary = threshold_summary(profile)
         ratios = _ratio_values(profile, _labelled_betas(args.betas), summary["phi_e"], summary["phi_n"])
         for value in ratios.values():
             if value is not None:
                 _finite(value)  # a ratio that overflows is a validation error here
         return {"sensitivity": summary["sensitivity"], "specificity": summary["specificity"], **ratios}
+    from .dataio import emit_ratio_curves
+
     with _sink(args.output) as out:
         emit_ratio_curves(profile, args.betas, args.step, out)
 
 
 def _cmd_analyze(args) -> dict:
-    counts = ConfusionCounts(*args.counts) if args.predictions is None else ingest_predictions(args.predictions)
+    from .report import analyze_counts
+
+    if args.predictions is None:
+        counts = ConfusionCounts(*args.counts)
+    else:
+        from .dataio import ingest_predictions
+
+        counts = ingest_predictions(args.predictions)
+    if args.betas is None:
+        return analyze_counts(counts).to_dict()
     return analyze_counts(counts, betas=args.betas).to_dict()
 
 
 def _cmd_simulate(args) -> dict:
+    from .simulate import SimulationConfig, simulate_population
+
     # SimulationConfig checks the prevalence too, but only after the profile
     # is built: Rate here reports a bad --prevalence before a bad profile.
     config = SimulationConfig(prevalence=Rate(args.prevalence), profile=_profile_from(args), n=args.n, seed=args.seed)
@@ -377,6 +401,8 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_verify_bounds(args) -> dict:
+    from .bounds import verify_bounds
+
     return verify_bounds(grid_step=args.grid_step, delta=args.delta, tolerance=args.tolerance).to_dict()
 
 

@@ -287,6 +287,26 @@ class TestAnalyze:
         line = "error:validation: betas 2.0 and 2.0000001 share the label '2' (labels keep 6 significant digits)\n"
         assert run(capsys, "analyze", "--counts", "9,1,1,9", "--betas", "2,2.0000001", *json_flag) == (1, "", line)
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_default_betas_are_the_sweep_betas(self, capsys, json_flag):
+        default = run(capsys, "analyze", "--counts", "9,1,1,9", *json_flag)
+        assert default[0] == 0
+        assert default == run(capsys, "analyze", "--counts", "9,1,1,9", "--betas", "0.5,1,2", *json_flag)
+
+    def test_default_betas_use_the_labelled_sweep_betas(self, capsys, monkeypatch):
+        # analyze_counts labels only betas other than SWEEP_BETAS itself, whose labels it keeps from import.
+        labelled = []
+
+        def spy(betas):
+            labelled.append(betas)
+            return prevthresh.metrics._labelled_betas(betas)
+
+        monkeypatch.setattr("prevthresh.report._labelled_betas", spy)
+        assert run(capsys, "analyze", "--counts", "9,1,1,9")[0] == 0
+        assert labelled == []
+        run(capsys, "analyze", "--counts", "9,1,1,9", "--betas", "0.5,1,2")
+        assert labelled == [(0.5, 1.0, 2.0)]
+
     def test_malformed_counts(self, capsys):
         code, _, err = run(capsys, "analyze", "--counts", "9,1,1")
         assert code == 1
@@ -582,7 +602,7 @@ class TestVerifyBounds:
             constraint="sensitivity + specificity >= 1.000001",
             cells_swept=1, records=(record,),
         )
-        monkeypatch.setattr(cli, "verify_bounds", lambda **kwargs: fake)
+        monkeypatch.setattr("prevthresh.bounds.verify_bounds", lambda **kwargs: fake)
         code, out, _ = run(capsys, "verify-bounds")
         assert code == 2
         assert json.loads(out)["violation_count"] == 1
@@ -879,9 +899,55 @@ print(json.dumps(report))
 # Standard-library modules that no CLI call needs; each costs milliseconds to import.
 UNUSED_STDLIB = ("dataclasses", "inspect", "typing", "pathlib")
 
+# Calls with the package modules each loads beside prevthresh and prevthresh.cli,
+# each run in its own fresh interpreter: a call compiles only the modules it uses.
+PROFILE = ["--sensitivity", "0.9", "--specificity", "0.95"]
+MODULES_BY_CALL = [
+    (["--version"], 0, {"errors", "metrics"}),
+    (["--help"], 0, {"errors", "metrics"}),
+    (["thresholds", "--sensitivity", "0.9"], 1, {"errors", "metrics"}),
+    (["frobnicate"], 1, {"errors", "metrics"}),
+    (["thresholds", *PROFILE], 0, {"errors", "metrics", "thresholds"}),
+    (["ratios", *PROFILE, "--json"], 0, {"errors", "metrics", "thresholds", "bounds"}),
+    (["analyze", "--counts", "9,1,1,9"], 0, {"errors", "metrics", "thresholds", "bounds", "report"}),
+    (["analyze", "--counts", "9,1,1,9", "--betas", "1,3", "--json"], 0,
+     {"errors", "metrics", "thresholds", "bounds", "report"}),
+    (["simulate", "--prevalence", "0.19", *PROFILE, "--n", "1000", "--json"], 0,
+     {"errors", "metrics", "simulate", "_rng"}),
+]
+MODULES_PROBE = """
+import contextlib, io, json, sys
+from prevthresh.cli import run_cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = run_cli(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("prevthresh"))]))
+"""
+# Imports the package, then runs sys.argv[1], its first lookup.
+NAMESPACE_PROBE = """
+import json, sys
+loaded = lambda: sorted(name for name in sys.modules if name.startswith("prevthresh"))
+import prevthresh
+report = {"import": loaded()}
+exec(sys.argv[1])
+report.update(lookup=loaded(), vars=sorted(vars(prevthresh)), dir=dir(prevthresh), all=prevthresh.__all__)
+print(json.dumps(report))
+"""
+SEVEN = ["bounds", "dataio", "errors", "metrics", "report", "simulate", "thresholds"]
+
+
+def run_fresh(program: str, *args: str):
+    proc = subprocess.run(
+        [sys.executable, "-c", program, *args], capture_output=True, text=True, env=source_env(), timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return json.loads(proc.stdout)
+
 
 class TestColdStart:
-    """Every subcommand but verify-bounds, and --help and --version, run without importing numpy or UNUSED_STDLIB."""
+    """Every subcommand but verify-bounds, and --help and --version, run without importing numpy or UNUSED_STDLIB.
+
+    A scalar call, --help, --version and a usage error load only the package modules they use (MODULES_BY_CALL).
+    """
 
     @staticmethod
     def run_probe(*flags, argvs):
@@ -922,6 +988,26 @@ class TestColdStart:
     def test_scalar_subcommands_load_no_unused_stdlib(self, bare_probe):
         assert bare_probe["codes"] == [0, 0, 0, 0, 0, 0, 1, 0, 0]
         assert bare_probe["unused_stdlib"] == []
+
+    @pytest.mark.parametrize("argv, code, modules", MODULES_BY_CALL, ids=[" ".join(c[0]) for c in MODULES_BY_CALL])
+    def test_each_call_loads_only_the_modules_it_uses(self, argv, code, modules):
+        expected = sorted({"prevthresh", "prevthresh.cli"} | {f"prevthresh.{m}" for m in modules})
+        assert run_fresh(MODULES_PROBE, json.dumps(argv)) == [code, expected]
+
+    @pytest.mark.parametrize("lookup", ["prevthresh.Rate", "dir(prevthresh)", "prevthresh.__all__"])
+    def test_package_import_loads_no_submodule_until_a_lookup_loads_all_seven(self, lookup):
+        probe = run_fresh(NAMESPACE_PROBE, lookup)
+        assert probe["import"] == ["prevthresh"]
+        assert probe["lookup"] == ["prevthresh"] + [f"prevthresh.{m}" for m in SEVEN]
+        assert probe["all"] == prevthresh.__all__ and len(probe["all"]) == 52
+        assert set(probe["all"]) <= set(probe["vars"])
+        # Loaded, the package drops its hooks, so dir() is the plain namespace.
+        assert not {"__getattr__", "__dir__"} & set(probe["vars"])
+        assert probe["dir"] == probe["vars"]
+
+    def test_submodule_import_from_the_package(self):
+        program = "import json\nfrom prevthresh import bounds\nprint(json.dumps(bounds.__name__))"
+        assert run_fresh(program) == "prevthresh.bounds"
 
 
 # Vocabulary of the argv fuzz: each subcommand's flags with a valid value
@@ -1073,7 +1159,7 @@ class TestNonFiniteJson:
     """A payload holding NaN or an infinity is refused, never written as bare NaN or Infinity."""
 
     def test_stdout_payload(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "threshold_summary", lambda profile: {"phi_e": float("nan")})
+        monkeypatch.setattr("prevthresh.thresholds.threshold_summary", lambda profile: {"phi_e": float("nan")})
         code, out, err = run(capsys, "thresholds", "--sensitivity", "0.9", "--specificity", "0.95", "--json")
         assert (code, out) == (1, "")
         assert err.startswith("error:validation:") and err.count("\n") == 1

@@ -16,6 +16,7 @@ MC_CONVERGENCE = ROOT / "scripts" / "mc_convergence.py"
 BENCH_TRAJECTORY = ROOT / "scripts" / "bench_trajectory.py"
 BENCH_INGEST = ROOT / "scripts" / "bench_ingest.py"
 BENCH_PAIRED = ROOT / "scripts" / "bench_paired.py"
+BENCH_COLD = ROOT / "scripts" / "bench_cold.py"
 
 
 def run_script(script: Path, *args: str) -> subprocess.CompletedProcess:
@@ -174,3 +175,31 @@ def test_bench_paired_rejects_a_tree_without_the_package(tmp_path):
     proc = run_script(BENCH_PAIRED, str(tmp_path))
     assert proc.returncode == 1
     assert proc.stderr == f"error: no prevthresh package in {tmp_path}\n"
+
+
+def test_bench_cold_against_the_same_tree():
+    src = Path(prevthresh.__file__).resolve().parents[1]
+    proc = run_script(BENCH_COLD, str(src), "--rounds", "2")
+    assert proc.returncode == 0
+    # A tree with bytecode caches, as a test run may leave, is only warned about.
+    assert all(line.startswith("warning: ") for line in proc.stderr.splitlines())
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == [f"this: {ROOT / 'src' / 'prevthresh'}", f"base: {src / 'prevthresh'}"]
+    rows = [line.rsplit(None, 6) for line in lines[3:]]
+    assert [row[0] for row in rows] == ["thresholds", "ratios --json", "analyze --counts", "simulate", "error exit", "import"]
+    for _, q1_ratio, median_ratio, q3_ratio, this_ms, base_ms, same in rows:
+        assert 0 < float(q1_ratio) <= float(median_ratio) <= float(q3_ratio)
+        assert float(this_ms) > 0 and float(base_ms) > 0
+        assert same == "yes"
+
+
+def test_bench_cold_rejects_a_tree_without_the_package(tmp_path):
+    proc = run_script(BENCH_COLD, str(tmp_path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: no prevthresh package in {tmp_path}\n"
+
+
+def test_bench_cold_needs_two_rounds_for_quartiles():
+    proc = run_script(BENCH_COLD, str(ROOT / "src"), "--rounds", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("error: argument --rounds: must be an integer >= 2, got '1'\n")
