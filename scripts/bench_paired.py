@@ -41,6 +41,13 @@ Pairing calls in one process cancels most of the drift between
 separate runs; pin it to one core (taskset -c 0) all the same::
 
     python3 scripts/bench_paired.py ../parent/src
+
+With --null the base tree is loaded a second time, as
+``prevthresh_null``, and each round times that copy too, the three
+sides in a rotating order. Its ratios over the base, base against
+itself, show how far a call's ratio strays when no code differs: each
+row gains that null ratio's first and third quartile and a last column
+saying whether the change's median lies outside them ("moved").
 """
 
 from __future__ import annotations
@@ -187,27 +194,32 @@ def batch_seconds(fn, number: int) -> float:
         gc.enable()
 
 
-def paired(this, base, rounds: int, batch_s: float) -> tuple[list[float], int, list[float], list[float]]:
-    """Per-round ratios this/base, the batch size, and each side's per-call times.
+def paired(sides: dict, rounds: int, batch_s: float) -> tuple[int, dict[str, list[float]]]:
+    """The batch size, and each side's per-round batch times, by the sides' names.
 
-    The batch size is the smallest power of two whose base batch takes
-    at least batch_s; the sides alternate in going first.
+    sides maps a name to a function of no arguments; "base" must be one
+    of them. The batch size is the smallest power of two whose base
+    batch takes at least batch_s. Each round times one batch of every
+    side, in the next of the sides' orders (with two sides, this
+    alternates which goes first).
     """
     number = 1
-    while batch_seconds(base, number) < batch_s:
+    while batch_seconds(sides["base"], number) < batch_s:
         number *= 2
-    ratios, this_times, base_times = [], [], []
+    orders = list(itertools.permutations(sides))
+    times: dict[str, list[float]] = {name: [] for name in sides}
     for i in range(rounds):
-        if i % 2:
-            b = batch_seconds(base, number)
-            t = batch_seconds(this, number)
-        else:
-            t = batch_seconds(this, number)
-            b = batch_seconds(base, number)
-        ratios.append(t / b)
-        this_times.append(t / number)
-        base_times.append(b / number)
-    return ratios, number, this_times, base_times
+        for name in orders[i % len(orders)]:
+            times[name].append(batch_seconds(sides[name], number))
+    return number, times
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile (inclusive method); one value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
 
 
 def _shown(result) -> str:
@@ -228,14 +240,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=_positive, default=31, help="paired batches per call (default 31)")
     parser.add_argument("--batch-ms", type=float, default=20.0, help="least time of one batch in ms (default 20)")
     parser.add_argument("--rows", type=_positive, default=20_000, help="data rows per ingest table (default 20000)")
+    parser.add_argument("--null", action="store_true", help="also time a second copy of the base: the null ratios")
     args = parser.parse_args(argv)
     if not args.batch_ms > 0.0:
         parser.error(f"argument --batch-ms: must be positive, got {args.batch_ms!r}")
 
     base_pkg = load_package("prevthresh_base", args.src_dir.resolve())
+    packages = {"this": prevthresh, "base": base_pkg}
+    if args.null:
+        packages["null"] = load_package("prevthresh_null", args.src_dir.resolve())
     print(f"this: {Path(prevthresh.__file__).parent}")
     print(f"base: {Path(base_pkg.__file__).parent}")
-    print(f"{'call':<24} {'q1_ratio':>9} {'med_ratio':>9} {'q3_ratio':>9} {'this_us':>11} {'base_us':>11} {'batch':>6} same")
+    null_columns = f" {'null_q1':>9} {'null_q3':>9}" if args.null else ""
+    print(
+        f"{'call':<24} {'q1_ratio':>9} {'med_ratio':>9} {'q3_ratio':>9}{null_columns}"
+        f" {'this_us':>11} {'base_us':>11} {'batch':>6} same{' moved' if args.null else ''}"
+    )
     with tempfile.TemporaryDirectory() as tmp:
         tables = {}
         for table, build in TABLES.items():
@@ -243,18 +263,26 @@ def main(argv: list[str] | None = None) -> int:
             path = Path(tmp) / f"{table}.csv"
             path.write_bytes(text.encode("utf-8"))
             tables[table] = path, (expected.tp, expected.fp, expected.fn, expected.tn)
-        this_calls = calls(prevthresh, tables)
-        base_calls = calls(base_pkg, tables)
-        for name, this in this_calls.items():
-            base = base_calls[name]
-            same = "yes" if _shown(this()) == _shown(base()) else "NO"
-            ratios, number, this_times, base_times = paired(this, base, args.rounds, args.batch_ms / 1e3)
-            q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
-            print(
-                f"{name:<24} {q1:>9.3f} {median:>9.3f} {q3:>9.3f}"
-                f" {statistics.median(this_times) * 1e6:>11.2f} {statistics.median(base_times) * 1e6:>11.2f}"
-                f" {number:>6} {same}"
+        named = {side: calls(pkg, tables) for side, pkg in packages.items()}
+        for name in named["this"]:
+            sides = {side: fns[name] for side, fns in named.items()}
+            shown = {_shown(fn()) for fn in sides.values()}
+            number, times = paired(sides, args.rounds, args.batch_ms / 1e3)
+            q1, median, q3 = quartiles([t / b for t, b in zip(times["this"], times["base"])])
+            row = f"{name:<24} {q1:>9.3f} {median:>9.3f} {q3:>9.3f}"
+            if args.null:
+                null_q1, _, null_q3 = quartiles([n / b for n, b in zip(times["null"], times["base"])])
+                row += f" {null_q1:>9.3f} {null_q3:>9.3f}"
+            row += (
+                f" {statistics.median(times['this']) / number * 1e6:>11.2f}"
+                f" {statistics.median(times['base']) / number * 1e6:>11.2f}"
+                f" {number:>6} {'yes' if len(shown) == 1 else 'NO'}"
             )
+            if args.null:
+                # Decided on the printed figures, so a row can be checked by eye.
+                inside = round(null_q1, 3) <= round(median, 3) <= round(null_q3, 3)
+                row += f" {'no' if inside else 'yes'}"
+            print(row)
     return 0
 
 

@@ -13,16 +13,19 @@ submodule such as ``prevthresh.bounds``, or ``dir(prevthresh)``)
 imports ``metrics``, ``errors``, ``thresholds``, ``bounds``, ``dataio``,
 ``report`` and ``simulate`` together, binds the names of each module's
 ``__all__`` here, sets ``__all__`` to ``__version__`` and those lists,
-in that order, and removes ``__getattr__`` and ``__dir__``.
-``from . import _emit`` (or ``_ingest``, ``_arrays``) looks the name up
-here first, so the CSV subcommands, ``analyze --predictions`` and
-``verify-bounds`` load the seven too.
+in that order, and removes ``__getattr__`` and ``__dir__``. A lookup
+of any other name that starts with an underscore loads nothing and
+raises AttributeError, so ``from . import _emit`` (or ``_ingest``,
+``_arrays``), which looks the name up here first, imports only that
+submodule and what it imports.
 """
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
+    if name[0] == "_" and name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
     names = ["__version__"]

@@ -44,7 +44,7 @@ from collections.abc import Callable, Iterator
 
 import numpy as np
 
-from .bounds import _SWEEP_BETAS_BY_LABEL, RATIO_BOUNDS, BoundRecord, BoundViolation, _f_beta_form, _fm_form
+from .bounds import _SWEEP_BETA_KEYS, RATIO_BOUNDS, BoundRecord, BoundViolation, _f_beta_form, _fm_form
 from .metrics import _bayes, _curve_coefficients, _flat_value, _mcc_form
 from .thresholds import COARSE_STEP, Curve, _radical_split
 
@@ -265,8 +265,8 @@ def ratio_arrays(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[str, np.ndarray
     one ratio array at once.
     """
     yield "f1", _f_beta_form(a, b, 1.0, np.sqrt)
-    for label, beta in _SWEEP_BETAS_BY_LABEL.items():
-        yield f"f_beta_{label}", _f_beta_form(a, b, beta * beta, np.sqrt)
+    for key, _, beta_sq in _SWEEP_BETA_KEYS:
+        yield key, _f_beta_form(a, b, beta_sq, np.sqrt)
     yield "fm", _fm_form(a, b, np.sqrt)
     yield "mcc", _mcc_ratio_arrays(a, b)
 

@@ -19,9 +19,7 @@ per-profile functions (f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio)
 call them with math.sqrt and raise ValueError on a non-finite result.
 _ratio_values, which analyze_counts and `ratios --json` report, calls
 the same kernels on plain floats in one pass, with None for an
-undefined ratio and a non-finite one left to its caller; its callers
-pass the MCC's thresholds, as threshold_summary gives them, so they
-are derived once per call (analyze_counts reports them as well).
+undefined ratio and a non-finite one left to its caller.
 verify_bounds sweeps them all over a sensitivity/specificity grid
 against their bounding intervals; its array path (cell builder, ratio
 arrays, per-metric records) lives in _arrays, which calls the same
@@ -82,14 +80,22 @@ MIN_GRID_STEP = 0.001
 # F-beta weights swept by verify_bounds and reported by analyze_counts
 # by default.
 SWEEP_BETAS = (0.5, 1.0, 2.0)
-_SWEEP_BETAS_BY_LABEL = _labelled_betas(SWEEP_BETAS)
+
+
+def _beta_keys(betas: dict[str, float]) -> tuple[tuple[str, str, float], ...]:
+    """Each labelled beta (metrics._labelled_betas) as its metric key, its ratio key and beta**2."""
+    return tuple([(f"f_beta_{label}", f"f_beta_{label}_ratio", beta * beta) for label, beta in betas.items()])
+
+
+# SWEEP_BETAS keyed once, for analyze_counts' default and the sweep.
+_SWEEP_BETA_KEYS = _beta_keys(_labelled_betas(SWEEP_BETAS))
 
 # Bounding interval of each ratio for informative profiles, keyed the
 # way verify_bounds reports them. The F-beta upper bound is
 # 1 + 1/(beta^2 + 1); F1 is the beta = 1 case.
 RATIO_BOUNDS: dict[str, tuple[float, float]] = {
     "f1": (1.0, 1.5),
-    **{f"f_beta_{label}": (1.0, 1.0 + 1.0 / (b * b + 1.0)) for label, b in _SWEEP_BETAS_BY_LABEL.items()},
+    **{key: (1.0, 1.0 + 1.0 / (beta_sq + 1.0)) for key, _, beta_sq in _SWEEP_BETA_KEYS},
     "fm": (1.0, SQRT2),
     "mcc": (SQRT2 / 2.0, SQRT2),
 }
@@ -350,19 +356,16 @@ def _grid_axis(step: float) -> list[float]:
 
 
 def _ratio_values(
-    profile: DiagnosticProfile, betas: dict[str, float], phi_e: float | None, phi_n: float | None
+    a: float, b: float, beta_keys: tuple[tuple[str, str, float], ...], phi_e: float | None, phi_n: float | None
 ) -> dict[str, float | None]:
-    """Every bounded ratio at one profile, keyed <key>_ratio; None where undefined.
+    """Every bounded ratio at the rates a, b, keyed <key>_ratio; None where undefined.
 
-    betas maps each label to its weight, as metrics._labelled_betas
-    gives them. phi_e and phi_n are the profile's thresholds as
-    threshold_summary gives them (the kernels thresholds._positive_side
-    and _negative_side), None where undefined; the caller has them
-    already, so they are not derived again here. Keys are f1,
-    f_beta_<label> for each beta, fm and mcc, in that order.
-    One pass over plain floats with the kernels of f1_ratio,
-    f_beta_ratio, fm_ratio and mcc_ratio, giving their values. An entry
-    is None where its function raises a PrevthreshError, decided by
+    The ratios of analyze_counts and `ratios --json`, composed here
+    only, from beta_keys (_beta_keys) and the thresholds of
+    thresholds._positive_side and _negative_side, which the caller has.
+    Keys are f1, f_beta_<label> for each beta, fm and mcc, in order;
+    each value is its ratio function's, by the same kernels. An entry
+    is None where that function raises a PrevthreshError, decided by
     comparison: the F-family and FM ratios at sensitivity 0 (no
     recall); the MCC ratio at the chance corners (0, 1) and (1, 0),
     where a threshold has p = q = 0 or a flat curve's value is 0/0, and
@@ -370,12 +373,10 @@ def _ratio_values(
     at sensitivity 5e-324 with specificity 0) is returned as it is, not
     raised: each caller applies its own policy to it.
     """
-    a = float(profile.sensitivity)
-    b = float(profile.specificity)
     recall = a != 0.0
     values = {"f1_ratio": _f_beta_form(a, b, 1.0) if recall else None}
-    for label, beta in betas.items():
-        values[f"f_beta_{label}_ratio"] = _f_beta_form(a, b, beta * beta) if recall else None
+    for _, key, beta_sq in beta_keys:
+        values[key] = _f_beta_form(a, b, beta_sq) if recall else None
     values["fm_ratio"] = _fm_form(a, b) if recall else None
     mcc = None
     if phi_e is not None and phi_n is not None:

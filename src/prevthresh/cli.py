@@ -26,13 +26,14 @@ given to a flag that takes none echoes an argument of more than 64
 characters by its first 64 and its length (errors._echo).
 
 At import the module loads only what parsing and error reporting
-need, errors and metrics; each _cmd_* imports the modules it uses when
-it runs. A call compiles no module it does not use, which matters
-where no bytecode cache is written: thresholds loads thresholds,
-ratios --json also bounds, analyze --counts also report, and simulate
-loads simulate and _rng. analyze's --betas defaults to None, which
-gives analyze_counts its own default, SWEEP_BETAS, so parsing loads no
-bounds.
+need, errors and metrics; each _cmd_* checks the rates or counts it
+is given and then imports the modules it uses. A call compiles no
+module it does not use, which matters where no bytecode cache is
+written: thresholds loads thresholds, ratios --json also bounds,
+analyze --counts also report, simulate loads simulate and _rng, and a
+rate out of range or a negative count loads none of them. analyze's
+--betas defaults to None, which gives analyze_counts its own default,
+SWEEP_BETAS, so parsing loads no bounds.
 """
 
 from __future__ import annotations
@@ -319,15 +320,16 @@ def _profile_from(args) -> DiagnosticProfile:
 
 
 def _cmd_thresholds(args) -> dict:
+    profile = _profile_from(args)
     from .thresholds import threshold_summary
 
-    return threshold_summary(_profile_from(args))
+    return threshold_summary(profile)
 
 
 def _cmd_curves(args) -> None:
+    profile = _profile_from(args)
     from .dataio import emit_curves
 
-    profile = _profile_from(args)
     if args.output is None or _in_place(args.output):
         with _sink(args.output) as out:
             emit_curves(profile, args.step, out)
@@ -340,15 +342,16 @@ def _cmd_curves(args) -> None:
 def _cmd_ratios(args) -> dict | None:
     profile = _profile_from(args)
     if args.json:
-        from .bounds import _finite, _ratio_values
-        from .thresholds import threshold_summary
+        betas = _labelled_betas(args.betas)
+        from .bounds import _beta_keys, _finite, _ratio_values
+        from .thresholds import _negative_side, _positive_side
 
-        summary = threshold_summary(profile)
-        ratios = _ratio_values(profile, _labelled_betas(args.betas), summary["phi_e"], summary["phi_n"])
+        a, b = float(profile.sensitivity), float(profile.specificity)
+        ratios = _ratio_values(a, b, _beta_keys(betas), _positive_side(a, b)[0], _negative_side(a, b)[0])
         for value in ratios.values():
             if value is not None:
                 _finite(value)  # a ratio that overflows is a validation error here
-        return {"sensitivity": summary["sensitivity"], "specificity": summary["specificity"], **ratios}
+        return {"sensitivity": a, "specificity": b, **ratios}
     from .dataio import emit_ratio_curves
 
     with _sink(args.output) as out:
@@ -356,25 +359,27 @@ def _cmd_ratios(args) -> dict | None:
 
 
 def _cmd_analyze(args) -> dict:
-    from .report import analyze_counts
-
     if args.predictions is None:
         counts = ConfusionCounts(*args.counts)
     else:
         from .dataio import ingest_predictions
 
         counts = ingest_predictions(args.predictions)
+    from .report import analyze_counts
+
     if args.betas is None:
         return analyze_counts(counts).to_dict()
     return analyze_counts(counts, betas=args.betas).to_dict()
 
 
 def _cmd_simulate(args) -> dict:
-    from .simulate import SimulationConfig, simulate_population
-
     # SimulationConfig checks the prevalence too, but only after the profile
     # is built: Rate here reports a bad --prevalence before a bad profile.
-    config = SimulationConfig(prevalence=Rate(args.prevalence), profile=_profile_from(args), n=args.n, seed=args.seed)
+    prevalence = Rate(args.prevalence)
+    profile = _profile_from(args)
+    from .simulate import SimulationConfig, simulate_population
+
+    config = SimulationConfig(prevalence=prevalence, profile=profile, n=args.n, seed=args.seed)
     counts = simulate_population(config)
     phi, a, b = float(config.prevalence), float(config.profile.sensitivity), float(config.profile.specificity)
     return {

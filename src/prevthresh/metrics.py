@@ -131,11 +131,16 @@ class DiagnosticProfile(_Record):
 
     def is_informative(self) -> bool:
         """True when the classifier beats chance: sensitivity + specificity > 1."""
-        return self.epsilon > 1.0
+        return _chance_flags(self.epsilon)[0]
 
     def is_degenerate(self) -> bool:
         """True when sensitivity + specificity is 1 within DEGENERATE_EPS (straight-line curves)."""
-        return abs(self.epsilon - 1.0) <= DEGENERATE_EPS
+        return _chance_flags(self.epsilon)[1]
+
+
+def _chance_flags(epsilon: float) -> tuple[bool, bool]:
+    """(is_informative(), is_degenerate()) of a profile whose epsilon this is."""
+    return epsilon > 1.0, abs(epsilon - 1.0) <= DEGENERATE_EPS
 
 
 class ConfusionCounts(_Record):

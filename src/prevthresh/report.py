@@ -16,17 +16,19 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .bounds import _SWEEP_BETAS_BY_LABEL, SWEEP_BETAS, _ratio_values
+from .bounds import _SWEEP_BETA_KEYS, SWEEP_BETAS, _beta_keys, _ratio_values
 from .errors import UndefinedMetric
 from .metrics import (
     ConfusionCounts,
+    Rate,
+    _chance_flags,
     _labelled_betas,
     _Record,
     chi_square_from_mcc,
     f_beta_score,
     mcc_from_counts,
 )
-from .thresholds import threshold_summary
+from .thresholds import _negative_side, _positive_side
 
 __all__ = ["AnalysisReport", "analyze_counts"]
 
@@ -72,10 +74,12 @@ def analyze_counts(
     specificity has a zero denominator and UndefinedMetric propagates),
     and raises ValueError for an invalid beta and for betas with one
     label (metrics._labelled_betas). The default, SWEEP_BETAS itself,
-    is valid and labelled once, at import, as bounds._SWEEP_BETAS_BY_LABEL,
-    so only betas a caller passes are checked and labelled here. Every
-    other entry is None where it is undefined, decided by comparison in
-    one pass over plain floats:
+    is keyed once, at import, as bounds._SWEEP_BETA_KEYS; other betas
+    are keyed here (bounds._beta_keys). One pass over plain floats
+    composes the report from the kernels: thresholds' _positive_side
+    and _negative_side, bounds._ratio_values, metrics._chance_flags.
+    Every other entry is None where it is undefined, decided by
+    comparison:
 
     - ppv and npv, where no element is predicted positive or negative;
       with the ppv go f1, each f_beta and fm, and with either goes mcc,
@@ -84,7 +88,7 @@ def analyze_counts(
       are both 0 (f_beta_score);
     - chi_square where the MCC is undefined and where n is too large
       for a float (chi_square_from_mcc's ValueError);
-    - thresholds as threshold_summary gives them, and
+    - thresholds where their kernel gives None, and
       below_positive_threshold with phi_e;
     - ratios as _ratio_values gives them from those thresholds, and a
       ratio that overflows a float, as fm_ratio does at sensitivity
@@ -93,19 +97,20 @@ def analyze_counts(
     n = counts.n
     if n == 0:
         raise UndefinedMetric("cannot analyze empty counts")
-    betas = _SWEEP_BETAS_BY_LABEL if betas is SWEEP_BETAS else _labelled_betas(betas)
+    beta_keys = _SWEEP_BETA_KEYS if betas is SWEEP_BETAS else _beta_keys(_labelled_betas(betas))
     profile = counts.profile()
-    prevalence = counts.prevalence()
     a = float(profile.sensitivity)
+    b = float(profile.specificity)
     tp, fp, fn, tn = counts.tp, counts.fp, counts.fn, counts.tn
 
     # ConfusionCounts' rates, by its formulas, where their denominators are positive.
+    prevalence = (tp + fn) / n
     precision = tp / (tp + fp) if tp + fp else None
     npv = tn / (tn + fn) if tn + fn else None
     metrics: dict[str, float | None] = {"accuracy": (tp + tn) / n, "ppv": precision, "npv": npv}
     metrics["f1"] = None if precision is None else f_beta_score(1.0, a, precision)
-    for label, beta in betas.items():
-        metrics[f"f_beta_{label}"] = None if precision is None else f_beta_score(beta * beta, a, precision)
+    for key, _, beta_sq in beta_keys:
+        metrics[key] = None if precision is None else f_beta_score(beta_sq, a, precision)
     metrics["fm"] = None if precision is None else math.sqrt(a * precision)
     mcc = None if precision is None or npv is None else mcc_from_counts(counts)
     metrics["mcc"] = mcc
@@ -114,29 +119,14 @@ def analyze_counts(
     except ValueError:  # n is too large for a float
         metrics["chi_square"] = None
 
-    summary = threshold_summary(profile)
-    phi_e, phi_n = summary["phi_e"], summary["phi_n"]
-    thresholds: dict[str, float | None] = {
-        "phi_e": phi_e,
-        "ppv_at_phi_e": summary["ppv_at_phi_e"],
-        "phi_n": phi_n,
-        "npv_at_phi_n": summary["npv_at_phi_n"],
-    }
-    ratios = _ratio_values(profile, betas, phi_e, phi_n)
+    phi_e, ppv_at_phi_e = _positive_side(a, b)
+    phi_n, npv_at_phi_n = _negative_side(a, b)
+    ratios = _ratio_values(a, b, beta_keys, phi_e, phi_n)
     for key, value in ratios.items():
         if value is not None and not math.isfinite(value):
             ratios[key] = None
-    flags: dict[str, bool | None] = {
-        "informative": summary["informative"],
-        "degenerate": summary["degenerate"],
-        "below_positive_threshold": None if phi_e is None else float(prevalence) < phi_e,
-    }
-    return AnalysisReport(
-        counts=counts,
-        profile=profile,
-        prevalence=prevalence,
-        metrics=metrics,
-        thresholds=thresholds,
-        ratios=ratios,
-        flags=flags,
-    )
+    thresholds = {"phi_e": phi_e, "ppv_at_phi_e": ppv_at_phi_e, "phi_n": phi_n, "npv_at_phi_n": npv_at_phi_n}
+    informative, degenerate = _chance_flags(a + b)
+    below = None if phi_e is None else prevalence < phi_e
+    flags = {"informative": informative, "degenerate": degenerate, "below_positive_threshold": below}
+    return AnalysisReport(counts, profile, Rate(prevalence), metrics, thresholds, ratios, flags)

@@ -22,7 +22,7 @@ import math
 from enum import Enum
 
 from .errors import DegenerateDenominator, DegenerateProfile
-from .metrics import DiagnosticProfile, Rate, _bayes, _curve_coefficients, _predictive_value, _Record
+from .metrics import DiagnosticProfile, Rate, _bayes, _chance_flags, _curve_coefficients, _predictive_value, _Record
 
 __all__ = [
     "Curve",
@@ -166,12 +166,14 @@ def threshold_summary(profile: DiagnosticProfile) -> dict:
     Entries that are undefined for the given profile are None, so edge
     profiles still produce a complete object: the pairs of _positive_side
     and _negative_side, which positive_threshold and negative_threshold
-    return as Rates.
+    return as Rates, and metrics._chance_flags. analyze_counts calls
+    these kernels itself.
     """
     a = float(profile.sensitivity)
     b = float(profile.specificity)
     phi_e, ppv_at_phi_e = _positive_side(a, b)
     phi_n, npv_at_phi_n = _negative_side(a, b)
+    informative, degenerate = _chance_flags(a + b)
     return {
         "sensitivity": a,
         "specificity": b,
@@ -179,8 +181,8 @@ def threshold_summary(profile: DiagnosticProfile) -> dict:
         "ppv_at_phi_e": ppv_at_phi_e,
         "phi_n": phi_n,
         "npv_at_phi_n": npv_at_phi_n,
-        "informative": profile.is_informative(),
-        "degenerate": profile.is_degenerate(),
+        "informative": informative,
+        "degenerate": degenerate,
     }
 
 

@@ -1,8 +1,11 @@
 """The confusion-matrix report composed from the public functions: the oracle of its one-pass forms.
 
-thresholds.threshold_summary, bounds._ratio_values and
-report.analyze_counts each compute their entries in one pass over
-plain floats. This module composes the same entries from the public
+thresholds.threshold_summary computes its entries in one pass over
+plain floats, and so does bounds._ratio_values, the ratios section of
+report.analyze_counts and `ratios --json`. analyze_counts composes the
+rest of its report from the same float kernels (thresholds'
+_positive_side and _negative_side, metrics._chance_flags), not from
+threshold_summary. This module composes the same entries from the public
 per-profile and per-count functions instead (positive_threshold,
 negative_threshold, f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio, the
 ConfusionCounts rates, accuracy_from_counts and mcc_from_counts), with
@@ -11,8 +14,8 @@ an entry None where its function raises a PrevthreshError
 ratio functions' ValueError: ratio_values lets it propagate, as
 `ratios --json` reports it, and analyze_counts takes it as None. Both
 refuse two betas whose f"{beta:g}" keys are equal (checked_betas), as
-metrics._labelled_betas does for bounds._ratio_values, which takes the
-betas labelled.
+metrics._labelled_betas does before bounds._beta_keys keys the betas
+for bounds._ratio_values.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import random
 import re
 import stat
 import subprocess
@@ -264,6 +265,38 @@ class TestRatios:
         monkeypatch.setattr(dataio, "_MAX_CELLS", 14)
         line = "error:validation: a ratio CSV may have at most 14 cells, got 3 rows of 5 columns\n"
         assert run(capsys, *argv) == (1, "", line)
+
+
+def _seeded_cell(rng) -> int:
+    """0, 1, U(0, 1e6) or 10**U(0, 30), truncated, each a quarter of the time."""
+    kind = rng.randrange(4)
+    if kind < 2:
+        return kind
+    return int(rng.uniform(0, 1e6)) if kind == 2 else int(10 ** rng.uniform(0, 30))
+
+
+class TestOneRatioComposition:
+    """ratios --json and analyze --counts report each ratio from one pass, bounds._ratio_values."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ratios_json_entries_are_the_analyze_ratios(self, capsys, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            tp, fp, fn, tn = (_seeded_cell(rng) for _ in range(4))
+            if tp + fn == 0 or fp + tn == 0:  # a profile needs both classes
+                continue
+            betas = ",".join(repr(10 ** rng.uniform(-3, 3)) for _ in range(rng.randint(1, 3)))
+            code, out, err = run(capsys, "analyze", "--counts", f"{tp},{fp},{fn},{tn}", "--betas", betas, "--json")
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            a, b = report["profile"]["sensitivity"], report["profile"]["specificity"]
+            code, out, err = run(
+                capsys, "ratios", "--sensitivity", repr(a), "--specificity", repr(b), "--betas", betas, "--json"
+            )
+            assert (code, err) == (0, "")
+            entries = json.loads(out)
+            assert (entries.pop("sensitivity"), entries.pop("specificity")) == (a, b)
+            assert repr(entries) == repr(report["ratios"])
 
 
 class TestAnalyze:
@@ -914,6 +947,16 @@ MODULES_BY_CALL = [
      {"errors", "metrics", "thresholds", "bounds", "report"}),
     (["simulate", "--prevalence", "0.19", *PROFILE, "--n", "1000", "--json"], 0,
      {"errors", "metrics", "simulate", "_rng"}),
+    (["curves", *PROFILE, "--step", "0.25"], 0, {"errors", "metrics", "thresholds", "dataio", "_emit"}),
+    (["ratios", *PROFILE, "--step", "0.25"], 0, {"errors", "metrics", "thresholds", "dataio", "_emit"}),
+    (["verify-bounds", "--grid-step", "0.05"], 0, {"errors", "metrics", "thresholds", "bounds", "_arrays"}),
+    # Error exits check the rates before they import the modules that would use them.
+    (["thresholds", "--sensitivity", "1.5", "--specificity", "0.95"], 1, {"errors", "metrics"}),
+    (["simulate", "--prevalence", "1.5", *PROFILE, "--n", "1000"], 1, {"errors", "metrics"}),
+    (["simulate", "--prevalence", "0.19", "--sensitivity", "1.5", "--specificity", "0.95", "--n", "1000"], 1,
+     {"errors", "metrics"}),
+    (["curves", "--sensitivity", "1.5", "--specificity", "0.95"], 1, {"errors", "metrics"}),
+    (["analyze", "--counts=-1,1,1,1"], 1, {"errors", "metrics"}),
 ]
 MODULES_PROBE = """
 import contextlib, io, json, sys
@@ -993,6 +1036,35 @@ class TestColdStart:
     def test_each_call_loads_only_the_modules_it_uses(self, argv, code, modules):
         expected = sorted({"prevthresh", "prevthresh.cli"} | {f"prevthresh.{m}" for m in modules})
         assert run_fresh(MODULES_PROBE, json.dumps(argv)) == [code, expected]
+
+    def test_analyze_predictions_loads_only_the_modules_it_uses(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        path.write_text("label,prediction\n1,1\n0,1\n1,0\n0,0\n", encoding="utf-8")
+        modules = {"errors", "metrics", "thresholds", "bounds", "report", "dataio", "_ingest"}
+        expected = sorted({"prevthresh", "prevthresh.cli"} | {f"prevthresh.{m}" for m in modules})
+        assert run_fresh(MODULES_PROBE, json.dumps(["analyze", "--predictions", str(path)])) == [0, expected]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thresholds", "--sensitivity", "1.5", "--specificity", "0.95"],
+            ["simulate", "--prevalence", "1.5", *PROFILE, "--n", "1000"],
+            ["simulate", "--prevalence", "0.19", "--sensitivity", "1.5", "--specificity", "0.95", "--n", "1000"],
+            ["curves", "--sensitivity", "1.5", "--specificity", "0.95"],
+        ],
+    )
+    def test_error_exits_before_the_imports_keep_their_line(self, capsys, argv):
+        assert run(capsys, *argv) == (1, "", "error:validation: rate must be a finite number in [0, 1], got 1.5\n")
+
+    def test_private_name_lookup_loads_nothing(self):
+        # from . import _emit asks the package first; the import system then loads only that submodule.
+        program = (
+            "import json, sys\nimport prevthresh\nmissing = not hasattr(prevthresh, '_emit')\n"
+            "from prevthresh import _emit\n"
+            "print(json.dumps([missing, sorted(m for m in sys.modules if m.startswith('prevthresh'))]))"
+        )
+        loaded = ["prevthresh", "prevthresh._emit", "prevthresh.errors", "prevthresh.metrics", "prevthresh.thresholds"]
+        assert run_fresh(program) == [True, loaded]
 
     @pytest.mark.parametrize("lookup", ["prevthresh.Rate", "dir(prevthresh)", "prevthresh.__all__"])
     def test_package_import_loads_no_submodule_until_a_lookup_loads_all_seven(self, lookup):

@@ -31,7 +31,7 @@ from prevthresh import (
     ppv_at,
     threshold_summary,
 )
-from prevthresh.bounds import _ratio_values
+from prevthresh.bounds import _beta_keys, _ratio_values
 from prevthresh.metrics import _labelled_betas, f_beta_score
 
 # Oracle constants for sensitivity 0.9, specificity 0.95 (50-digit arithmetic).
@@ -140,7 +140,8 @@ class TestFBetaWeight:
         assert f_beta_ratio(P_9095, 0.5) > 1.0
         keys = ["f1_ratio", "f_beta_0.5_ratio", "fm_ratio", "mcc_ratio"]
         summary = threshold_summary(P_9095)
-        assert list(_ratio_values(P_9095, _labelled_betas([0.5]), summary["phi_e"], summary["phi_n"])) == keys
+        beta_keys = _beta_keys(_labelled_betas([0.5]))
+        assert list(_ratio_values(0.9, 0.95, beta_keys, summary["phi_e"], summary["phi_n"])) == keys
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_non_positive(self, bad):

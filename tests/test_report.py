@@ -17,7 +17,7 @@ from prevthresh import (
     emit_ratio_curves,
     threshold_summary,
 )
-from prevthresh.bounds import _finite, _ratio_values
+from prevthresh.bounds import _beta_keys, _finite, _ratio_values
 from prevthresh.metrics import _labelled_betas
 
 
@@ -185,10 +185,11 @@ class TestOnePassMatchesComposition:
         profile = DiagnosticProfile(a, b)
 
         def ratio_values():
-            # The betas labelled and the thresholds given, as its callers pass them; the thresholds
-            # from the oracle's summary, so the MCC ratio's comparison stays independent.
+            # The rates as floats, the betas keyed and the thresholds given, as its callers pass them;
+            # the thresholds from the oracle's summary, so the MCC ratio's comparison stays independent.
             summary = report_oracle.threshold_summary(profile)
-            return _ratio_values(profile, _labelled_betas(betas), summary["phi_e"], summary["phi_n"])
+            beta_keys = _beta_keys(_labelled_betas(betas))
+            return _ratio_values(float(a), float(b), beta_keys, summary["phi_e"], summary["phi_n"])
 
         assert _outcome(lambda: _finite_ratios(ratio_values())) == _outcome(report_oracle.ratio_values, profile, betas)
         assert _outcome(lambda: _defined_ratios(ratio_values())) == _outcome(
@@ -206,7 +207,7 @@ class TestOnePassMatchesComposition:
     @given(COUNTS, COUNTS, COUNTS, COUNTS)
     @settings(max_examples=400)
     def test_analyze_counts_with_the_default_betas(self, tp, fp, fn, tn):
-        # The default takes the labels bounds._SWEEP_BETAS_BY_LABEL holds, not _labelled_betas.
+        # The default takes the keys bounds._SWEEP_BETA_KEYS holds, not _labelled_betas'.
         counts = ConfusionCounts(tp, fp, fn, tn)
         assert _outcome(lambda: analyze_counts(counts).to_dict()) == _outcome(
             lambda: report_oracle.analyze_counts(counts).to_dict()

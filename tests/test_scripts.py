@@ -160,6 +160,24 @@ def test_bench_paired_against_the_same_tree():
         assert same == "yes"
 
 
+def test_bench_paired_null_pairs_the_base_with_itself():
+    src = Path(prevthresh.__file__).resolve().parents[1]
+    proc = run_script(BENCH_PAIRED, str(src), "--null", "--rounds", "3", "--batch-ms", "1", "--rows", "300")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[2].split() == [
+        "call", "q1_ratio", "med_ratio", "q3_ratio", "null_q1", "null_q3", "this_us", "base_us", "batch", "same", "moved"
+    ]
+    rows = [line.rsplit(None, 10) for line in lines[3:]]
+    assert "analyze_counts" in [row[0] for row in rows]
+    for _, q1_ratio, median_ratio, q3_ratio, null_q1, null_q3, this_us, base_us, batch, same, moved in rows:
+        assert 0 < float(q1_ratio) <= float(median_ratio) <= float(q3_ratio)
+        assert 0 < float(null_q1) <= float(null_q3)
+        assert moved == ("no" if float(null_q1) <= float(median_ratio) <= float(null_q3) else "yes")
+        assert float(this_us) > 0 and float(base_us) > 0 and int(batch) >= 1
+        assert same == "yes"
+
+
 def test_bench_paired_checks_each_ingest_call(tmp_path):
     bench = load_script(BENCH_PAIRED)
     path = tmp_path / "t.csv"

@@ -11,7 +11,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prevthresh import (
@@ -130,6 +130,19 @@ class TestNegativeThreshold:
         assume(a + b > 1.0 + 1e-6)
         p = DiagnosticProfile(a, b)
         assert float(negative_threshold(p).phi) > float(positive_threshold(p).phi)
+
+    @given(a=st.floats(0.0, 1.0), ulps=st.integers(1, 3))
+    @settings(max_examples=1000)
+    def test_ordering_holds_down_to_chance(self, a, ulps):
+        # The paper's phi_n > phi_e on the informative profiles closest to chance: b is 1-3 ulps
+        # above the float nearest 1 - a, so J = a + b - 1 (exact in fsum) is as small as floats
+        # allow. There the two thresholds can round to one float, so the order is not strict.
+        b = 1.0 - a
+        for _ in range(ulps):
+            b = math.nextafter(b, 2.0)
+        assume(b <= 1.0 and math.fsum((a, b, -1.0)) > 0.0)
+        p = DiagnosticProfile(a, b)
+        assert float(negative_threshold(p).phi) >= float(positive_threshold(p).phi)
 
     @given(a=open_rates, b=open_rates)
     def test_ordering_flips_for_misleading_profiles(self, a, b):
