@@ -29,9 +29,8 @@ pair (emit_curves, then emit_ratio_curves with betas 0.5 and 2, at step
 5e-4 on the first of those 32 profiles, as curves-io runs them),
 emit_curves (fresh step), which alternates between steps 5e-4 and
 1/2001 so that no call finds the phi text the one before it kept,
-simulate_population (after verify_bounds and curvature_argmax have
-loaded numpy, so its draws are numpy's Generator's, as in the
-validate workload),
+simulate_population (after verify_bounds has loaded numpy, so its
+draws are numpy's Generator's, as in the validate workload),
 ingest_predictions on each of bench_ingest.py's ten tables of --rows
 rows, and run_cli of ``thresholds --json``, ``ratios --json`` and
 ``analyze --counts 9,1,1,9`` (text) in process, with stdout sent to a

@@ -60,15 +60,14 @@ def simulate_population(config: SimulationConfig) -> ConfusionCounts:
     per-subject draws but costs O(1) RNG calls. Deterministic for a
     fixed seed, and the same counts as numpy's
     np.random.default_rng(seed).binomial gives. Where numpy is already
-    loaded, as in a process that ran verify_bounds or curvature_argmax
-    (the only paths that load it) or imported it itself, the draws are
-    numpy's Generator's, with numpy taken from sys.modules, so no import
-    statement runs and _arrays is not loaded; otherwise, numpy never
-    imported or its import blocked (sys.modules["numpy"] = None), they
-    are _rng's, its pure-Python copy (~30 us a call against numpy's
-    ~14 us on validate's configurations, on one core of a shared 2-core
-    machine, but without numpy's import), imported on the first call
-    that needs it.
+    loaded, as in a process that ran verify_bounds (the only path that
+    loads it) or imported it itself, the draws are numpy's Generator's,
+    with numpy taken from sys.modules, so no import statement runs and
+    _arrays is not loaded; otherwise, numpy never imported or its import
+    blocked (sys.modules["numpy"] = None), they are _rng's, its
+    pure-Python copy (~30 us a call against numpy's ~14 us on validate's
+    configurations, on one core of a shared 2-core machine, but without
+    numpy's import), imported on the first call that needs it.
     """
     np = sys.modules.get("numpy")
     if np is not None:

@@ -12,8 +12,9 @@ has magnitude 1, which is what the tests assert.
 The curves' Bayes' rule and quotient-form coefficients live in metrics
 (_bayes, _curve_coefficients). The closed forms are float kernels, None
 where undefined, that the raising functions and the reports both read.
-The oracle's coarse curvature scan lives in _arrays; curvature_argmax
-imports it on first call, so the closed forms load no numpy.
+The oracle's coarse curvature scan lives in _scan, on Python floats;
+curvature_argmax imports it on first call, so no other path compiles
+it, and nothing in this module loads numpy.
 """
 
 from __future__ import annotations
@@ -281,14 +282,15 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
     where (4.87e-12, 1.0) gives 0.00073 on the NPV curve against
     phi_n = 0.5.
 
-    The scan's argmax is found on Python floats: a climb over the
+    The scan runs on Python floats and loads no numpy. A climb over the
     grid's curvature values from the closed-form threshold's grid
     point reaches a local maximum, and that grid point is accepted only
     when every intermediate is a normal float and it exceeds both grid
     neighbours by a relative 1e-12 (the curvature is unimodal in
-    prevalence, so it is then the whole grid's argmax). Otherwise numpy
-    scans the whole grid, as for near-degenerate profiles, broad peaks
-    and near-ties. The closed form only sets where the climb starts:
+    prevalence, so it is then the whole grid's argmax). Otherwise, as
+    for near-degenerate profiles, broad peaks and near-ties, the scan
+    evaluates every grid point and takes the first NaN, else the first
+    largest value. The closed form only sets where the climb starts:
     the accepted point is decided by curvature values alone, so any
     start gives the same result.
     The refinement evaluates _kappa_kernel, the arithmetic of
@@ -307,9 +309,9 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
             f"{curve.value} curve is constant for {profile}; no curvature maximum"
         )
 
-    from . import _arrays
+    from ._scan import curvature_bracket
 
-    lo, hi = _arrays.curvature_bracket(p, q)
+    lo, hi = curvature_bracket(p, q)
     # Every probe lies in [lo, hi], inside [0, 1], the kernel's domain.
     kappa = _kappa_kernel(profile, curve)
 

@@ -4,8 +4,11 @@ The argmax routine is tested as a fully independent check on the closed
 forms: it never consults them, only the curvature evaluations.
 """
 
+import json
 import math
 import random
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -31,9 +34,10 @@ from prevthresh import (
     ppv_at,
     ppv_at_threshold,
 )
-from prevthresh import _arrays, thresholds
+from prevthresh import _scan, thresholds
 
 from emit_oracle import curvature_scalar
+from test_cli import source_env
 from test_threshold_bits import PINNED
 
 # Oracle constants (50-digit arithmetic, correctly rounded).
@@ -254,6 +258,26 @@ class TestCurvatureAt:
             curvature_at(DiagnosticProfile(a, b), phi, Curve.PPV)
 
 
+# A fresh interpreter with numpy blocked runs curvature_argmax on each
+# (sensitivity, specificity, curve) case of argv[1] and reports the results
+# and which of numpy and prevthresh's array module it loaded.
+ORACLE_PROBE = """
+import json, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ModuleNotFoundError
+from prevthresh import DegenerateProfile, DiagnosticProfile, curvature_argmax
+results = []
+for a, b, curve in json.loads(sys.argv[1]):
+    try:
+        r = curvature_argmax(DiagnosticProfile(a, b), curve)
+    except DegenerateProfile:
+        results.append("DegenerateProfile")
+        continue
+    results.append([repr(float(r.phi)), None if r.metric_value is None else repr(float(r.metric_value))])
+loaded = sorted(name for name in ("numpy", "prevthresh._arrays") if sys.modules.get(name) is not None)
+print(json.dumps({"results": results, "loaded": loaded}))
+"""
+
+
 class TestCurvatureArgmax:
     def test_protocol_constants(self):
         assert COARSE_STEP == 1e-4
@@ -321,29 +345,75 @@ class TestCurvatureArgmax:
             r = curvature_argmax(P_6095, curve)
             assert abs(abs(curvature_at(P_6095, r.phi, curve).slope) - 1.0) <= 1e-5
 
-    def test_scan_leaks_no_numpy_warning(self):
-        # At sensitivity 1e-200 the scan's last grid value is 0/0. The
-        # bracket ends there (numpy's argmax takes the NaN), and the scan
-        # must not emit numpy's RuntimeWarning.
+    def test_nan_at_phi_one_is_the_argmax_without_warning(self):
+        # At sensitivity 1e-200 the scan's last grid value is 0/0, a NaN.
+        # The full scan takes the first NaN as its argmax, so the bracket
+        # ends at 1, with no exception or warning.
+        p, q = curve_coefficients(1e-200, 0.5, Curve.PPV)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            assert math.isnan(_scan._kappa_grid(p, q)(1.0))
+            assert _scan.curvature_bracket(p, q) == (GRID[-2], 1.0)
             r = curvature_argmax(DiagnosticProfile(1e-200, 0.5), Curve.PPV)
         assert (repr(float(r.phi)), repr(float(r.metric_value))) == ("0.9999999999565161", "4.599405238288206e-190")
 
+    def test_runs_without_numpy_in_a_fresh_process(self):
+        # Every pinned curvature_argmax result and the two fallback profiles,
+        # from an interpreter that cannot import numpy.
+        cases = [
+            (a, b, name[-3:]) for (a, b), name in PINNED if name.startswith("curvature_argmax")
+        ] + [(0.6, 0.401, "ppv"), (1e-200, 0.5, "ppv")]
+        proc = subprocess.run(
+            [sys.executable, "-c", ORACLE_PROBE, json.dumps(cases)],
+            capture_output=True,
+            text=True,
+            env=source_env(),
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        expected = []
+        for a, b, curve in cases:
+            try:
+                r = curvature_argmax(DiagnosticProfile(a, b), curve)
+            except DegenerateProfile:
+                expected.append("DegenerateProfile")
+                continue
+            expected.append([repr(float(r.phi)), None if r.metric_value is None else repr(float(r.metric_value))])
+            pinned = PINNED.get(((a, b), f"curvature_argmax_{curve}"))
+            assert pinned is None or tuple(expected[-1]) == pinned, (a, b, curve)
+        assert json.loads(proc.stdout) == {"results": expected, "loaded": []}
+
+
+# The coarse scan's grid, i * COARSE_STEP for i in 0..10000.
+GRID = [i * COARSE_STEP for i in range(round(1.0 / COARSE_STEP) + 1)]
+
 
 def full_scan_argmax(p: float, q: float) -> int:
-    """The coarse scan's argmax from every grid point, evaluated with numpy: the reference for the Python path."""
-    xs = np.linspace(0.0, 1.0, round(1.0 / COARSE_STEP) + 1)
-    with np.errstate(all="ignore"):
-        return int(np.argmax(_arrays._kappa_grid(p, q)(xs)))
+    """The argmax of _kappa_grid's values at every grid point: the first NaN, else the first largest value."""
+    values = list(map(_scan._kappa_grid(p, q), GRID))
+    nans = [i for i, value in enumerate(values) if value != value]
+    return nans[0] if nans else values.index(max(values))
 
 
 def full_scan_bracket(p: float, q: float) -> tuple[float, float]:
     """The coarse scan's bracket from every grid point."""
-    n = round(1.0 / COARSE_STEP)
-    xs = np.linspace(0.0, 1.0, n + 1)
     i = full_scan_argmax(p, q)
-    return float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n)])
+    return GRID[max(i - 1, 0)], GRID[min(i + 1, len(GRID) - 1)]
+
+
+def numpy_scan_argmax(p: float, q: float) -> int:
+    """The argmax of a numpy scan of the same cleared curvature: np.argmax over np.linspace(0, 1, 10001)."""
+    xs = np.linspace(0.0, 1.0, len(GRID))
+    pq = p * q
+    with np.errstate(all="ignore"):
+        u = p * xs + q * (1.0 - xs)
+        return int(np.argmax(2.0 * pq * abs(p - q) * u**3 / (u**4 + pq * pq) ** 1.5))
+
+
+def numpy_scan_bracket(p: float, q: float) -> tuple[float, float]:
+    """The numpy scan's bracket."""
+    i = numpy_scan_argmax(p, q)
+    return GRID[max(i - 1, 0)], GRID[min(i + 1, len(GRID) - 1)]
 
 
 def scan_profiles() -> list[tuple[float, float]]:
@@ -384,39 +454,52 @@ class TestCurvatureBracket:
         for a, b in scan_profiles():
             for curve in Curve:
                 p, q = curve_coefficients(a, b, curve)
-                assert _arrays.curvature_bracket(p, q) == full_scan_bracket(p, q), (a, b, curve)
-                served["python" if _arrays._certified_argmax(p, q) is not None else "fallback"] += 1
+                bracket = _scan.curvature_bracket(p, q)
+                assert bracket == full_scan_bracket(p, q), (a, b, curve)
+                # Away from chance the bracket is also the one a numpy scan of
+                # the same formula gives; nearer chance a few-ulp difference
+                # between the two evaluations can move a flat peak.
+                if abs(a + b - 1.0) >= 1e-3:
+                    assert bracket == numpy_scan_bracket(p, q), (a, b, curve)
+                served["python" if _scan._certified_argmax(p, q) is not None else "fallback"] += 1
         # Both paths are exercised by the profile set.
         assert served["python"] > 1000 and served["fallback"] > 100, served
 
-    def test_python_values_stay_within_a_hundredth_of_the_margin_of_numpy_values(self):
-        # The certificate needs numpy's and Python's values at a grid point
-        # to agree far inside _TIE_MARGIN wherever the Python path runs.
-        xs = _arrays._coarse_grid()
-        n = xs.size - 1
-        curves, worst = 0, 0.0
+    def test_grid_values_stay_within_a_hundredth_of_the_margin_of_exact_values(self):
+        # The certificate needs _kappa_grid's float values to stay far inside
+        # _TIE_MARGIN of the exact curvature wherever the climb runs.
+        mpmath.mp.dps = 50
+        n = len(GRID) - 1
+        curves, worst = 0, mpmath.mpf(0)
         for a, b in scan_profiles():
             for curve in Curve:
                 p, q = curve_coefficients(a, b, curve)
-                if not _arrays._scan_is_normal(p, q):
+                if not _scan._scan_is_normal(p, q):
                     continue
-                kappa = _arrays._kappa_grid(p, q)
-                values = kappa(xs)
-                i = int(values.argmax())
-                for j in sorted({*range(0, n + 1, 37), *range(max(i - 5, 0), min(i + 6, n + 1))}):
-                    expected = values.item(j)
-                    worst = max(worst, abs(kappa(xs.item(j)) - expected) / expected)
+                kappa = _scan._kappa_grid(p, q)
+                mp, mq = mpmath.mpf(p), mpmath.mpf(q)
+                k = mp * mq
+                # 22 spread grid points, and the climb's last three, where
+                # the certificate compares its values.
+                j = _scan._certified_argmax(p, q)
+                if j is None:
+                    j = numpy_scan_argmax(p, q)
+                for i in [*range(0, n + 1, 476), max(j - 1, 0), j, min(j + 1, n)]:
+                    x = GRID[i]
+                    u = mp * x + mq * (1 - mpmath.mpf(x))
+                    exact = 2 * k * abs(mp - mq) * u**3 / (u**4 + k**2) ** 1.5
+                    worst = max(worst, abs(kappa(x) - exact) / exact)
                 curves += 1
         assert curves > 1000
-        assert worst < _arrays._TIE_MARGIN / 100, worst
+        assert worst < _scan._TIE_MARGIN / 100, worst
 
     def test_python_path_serves_the_pinned_profiles(self):
         for ((a, b), name), pinned in PINNED.items():
             if not name.startswith("curvature_argmax") or pinned == "DegenerateProfile":
                 continue
             p, q = curve_coefficients(a, b, Curve.PPV if name.endswith("ppv") else Curve.NPV)
-            assert _arrays._certified_argmax(p, q) == full_scan_argmax(p, q), (a, b, name)
-            assert _arrays.curvature_bracket(p, q) == full_scan_bracket(p, q)
+            assert _scan._certified_argmax(p, q) == full_scan_argmax(p, q), (a, b, name)
+            assert _scan.curvature_bracket(p, q) == full_scan_bracket(p, q)
 
     def test_python_path_serves_almost_every_drawn_curve(self):
         rng = random.Random(19)
@@ -425,20 +508,22 @@ class TestCurvatureBracket:
             a, b = draw_profile(rng)
             for curve in Curve:
                 p, q = curve_coefficients(a, b, curve)
-                served += _arrays._certified_argmax(p, q) is not None
+                served += _scan._certified_argmax(p, q) is not None
                 curves += 1
         assert served >= 0.999 * curves, (served, curves)
 
     def test_closed_form_start_is_the_full_scan_argmax_or_a_neighbour(self):
         # A start off the peak still gives the right bracket, only after a longer climb.
         rng = random.Random(25)
-        n = _arrays._coarse_grid().size - 1
+        n = len(GRID) - 1
         worst = 0
         for _ in range(1000):
             a, b = draw_profile(rng)
             for curve in Curve:
                 p, q = curve_coefficients(a, b, curve)
-                worst = max(worst, abs(round(_arrays._radical_split(p, q) * n) - full_scan_argmax(p, q)))
+                # Drawn curves have J >= 0.05, where the numpy scan gives the
+                # Python scan's bracket (checked on the dense profile set above).
+                worst = max(worst, abs(round(_scan._radical_split(p, q) * n) - numpy_scan_argmax(p, q)))
         assert worst <= 1, worst
 
     @pytest.mark.parametrize(
@@ -453,21 +538,20 @@ class TestCurvatureBracket:
     )
     def test_fallback_serves_near_degenerate_and_tiny_profiles(self, a, b):
         p, q = curve_coefficients(a, b, Curve.PPV)
-        assert _arrays._certified_argmax(p, q) is None
-        assert _arrays.curvature_bracket(p, q) == full_scan_bracket(p, q)
+        assert _scan._certified_argmax(p, q) is None
+        assert _scan.curvature_bracket(p, q) == full_scan_bracket(p, q)
 
     def test_python_path_declines_a_near_tie(self):
         # An interior profile whose peak lies almost halfway between two
-        # grid points: numpy's two largest values differ, but by less than
-        # the margin, so the full scan decides between them.
+        # grid points: the two largest values differ, but by less than the
+        # margin, so the full scan decides between them.
         p, q = curve_coefficients(0.16319, 0.941647, Curve.NPV)
-        xs = _arrays._coarse_grid()
-        values = _arrays._kappa_grid(p, q)(xs)
+        kappa = _scan._kappa_grid(p, q)
         i = full_scan_argmax(p, q)
-        top, runner_up = values.item(i), values.item(i + 1)
-        assert 0.0 < top - runner_up < _arrays._TIE_MARGIN * top
-        assert _arrays._certified_argmax(p, q) is None
-        assert _arrays.curvature_bracket(p, q) == full_scan_bracket(p, q)
+        top, runner_up = kappa(GRID[i]), kappa(GRID[i + 1])
+        assert 0.0 < top - runner_up < _scan._TIE_MARGIN * top
+        assert _scan._certified_argmax(p, q) is None
+        assert _scan.curvature_bracket(p, q) == full_scan_bracket(p, q)
 
     @pytest.mark.parametrize("start", ["-300", "-3", "+3", "+300", "zero", "n", "swapped"])
     @pytest.mark.parametrize("a, b, curve", [(0.9, 0.95, Curve.PPV), (0.9, 0.95, Curve.NPV), (0.31, 0.88, Curve.PPV)])
@@ -477,22 +561,18 @@ class TestCurvatureBracket:
         # does not depend on the formula it checks.
         profile = DiagnosticProfile(a, b)
         p, q = curve_coefficients(a, b, curve)
-        n = _arrays._coarse_grid().size - 1
-        radical = _arrays._radical_split
+        n = len(GRID) - 1
+        radical = _scan._radical_split
         starts = {"zero": 0, "n": n, "swapped": round(radical(q, p) * n)}
         j = starts[start] if start in starts else round(radical(p, q) * n) + int(start)
         expected = thresholds.curvature_argmax(profile, curve)
-        monkeypatch.setattr(_arrays, "_radical_split", lambda p, q: j / n)
-        assert _arrays._certified_argmax(p, q) == full_scan_argmax(p, q)
-        assert _arrays.curvature_bracket(p, q) == full_scan_bracket(p, q)
+        monkeypatch.setattr(_scan, "_radical_split", lambda p, q: j / n)
+        assert _scan._certified_argmax(p, q) == full_scan_argmax(p, q)
+        assert _scan.curvature_bracket(p, q) == full_scan_bracket(p, q)
         assert repr(thresholds.curvature_argmax(profile, curve)) == repr(expected)
 
-    def test_grid_is_cached_and_read_only(self):
-        xs = _arrays._coarse_grid()
-        assert _arrays._coarse_grid() is xs
-        assert xs.tolist() == np.linspace(0.0, 1.0, 10001).tolist()
-        with pytest.raises(ValueError):
-            xs[0] = 1.0
+    def test_grid_is_linspace_bit_for_bit(self):
+        assert [i * COARSE_STEP for i in range(10001)] == np.linspace(0.0, 1.0, 10001).tolist()
 
 
 class TestKappaKernel:
