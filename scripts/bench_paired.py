@@ -13,7 +13,8 @@ It prints, per call, the first quartile, the median and the third
 quartile of those ratios (below 1 means this tree is faster), the
 median time of one call on each side in microseconds, and whether both
 sides returned the same result (by repr, or the CSV text for
-emit_curves and emit_ratio_curves).
+emit_curves and emit_ratio_curves, or the standard output of a cold
+call).
 
 The calls: ThresholdResult(...), ppv_at, npv_at, positive_threshold,
 negative_threshold, ppv_at_threshold, threshold_summary,
@@ -36,8 +37,22 @@ rows, and run_cli of ``thresholds --json``, ``ratios --json`` and
 ``analyze --counts 9,1,1,9`` (text) in process, with stdout sent to a
 StringIO. Every ingest call's counts are checked against the ones its
 table was built with; a mismatch ends the run with exit code 1.
+
+Then the cold calls, one fresh interpreter each, as perfbench's
+cli-burst workload starts them: ``from prevthresh.cli import main;
+main()`` with one cli-burst kind's arguments (thresholds --json,
+ratios --betas 0.5,2 --json, analyze --counts 9,1,1,9 --json, simulate,
+and an out-of-range rate that exits 1), and ``import prevthresh,
+prevthresh.cli``, which perfbench's setup_s times. Each runs in a
+temporary working directory with PYTHONPATH set to its side's src/
+and PYTHONDONTWRITEBYTECODE=1; one that exits with another code than
+its program's ends the run with exit code 1.
+
 Pairing calls in one process cancels most of the drift between
-separate runs; pin it to one core (taskset -c 0) all the same::
+separate runs. The script pins itself, and so every cold call, to one
+CPU. It writes no bytecode, so it leaves no __pycache__ in either tree;
+a tree that already holds one spares its cold calls compiling the
+package, so the script warns on stderr about it::
 
     python3 scripts/bench_paired.py ../parent/src
 
@@ -57,23 +72,38 @@ import gc
 import importlib.util
 import io
 import itertools
+import os
 import random
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+# Set before either package loads, so that no run leaves __pycache__ for a later cold call to read.
+sys.dont_write_bytecode = True
 SCRIPTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(SCRIPTS.parent / "src"), str(SCRIPTS)]
 
 import prevthresh  # noqa: E402  (this tree's, from the path set above)
 from bench_ingest import TABLES  # noqa: E402
 
+PROFILE = ["--sensitivity", "0.9", "--specificity", "0.95"]
 CLI_CALLS = {
-    "cli thresholds --json": ["thresholds", "--sensitivity", "0.9", "--specificity", "0.95", "--json"],
-    "cli ratios --json": ["ratios", "--sensitivity", "0.9", "--specificity", "0.95", "--json"],
+    "cli thresholds --json": ["thresholds", *PROFILE, "--json"],
+    "cli ratios --json": ["ratios", *PROFILE, "--json"],
     "cli analyze 9,1,1,9": ["analyze", "--counts", "9,1,1,9"],
+}
+CLI_CHILD = "from prevthresh.cli import main; main()"
+# Each cold call's interpreter arguments and its expected exit code.
+COLD_CALLS = {
+    "cold thresholds --json": (["-c", CLI_CHILD, "thresholds", *PROFILE, "--json"], 0),
+    "cold ratios --json": (["-c", CLI_CHILD, "ratios", *PROFILE, "--betas", "0.5,2", "--json"], 0),
+    "cold analyze --json": (["-c", CLI_CHILD, "analyze", "--counts", "9,1,1,9", "--json"], 0),
+    "cold simulate": (["-c", CLI_CHILD, "simulate", "--prevalence", "0.3", *PROFILE, "--n", "10000", "--json"], 0),
+    "cold error exit": (["-c", CLI_CHILD, "thresholds", "--sensitivity=1.5", "--specificity=0.95", "--json"], 1),
+    "cold import": (["-c", "import prevthresh, prevthresh.cli"], 0),
 }
 
 
@@ -101,11 +131,11 @@ def load_package(name: str, src_dir: Path):
     return module
 
 
-def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]]) -> dict:
+def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]], cwd: Path) -> dict:
     """Each timed call of pkg as a function of no arguments, by name.
 
     tables maps a table's name to its file and its expected counts as
-    (tp, fp, fn, tn).
+    (tp, fp, fn, tn); the cold calls run in the directory cwd.
     """
     profile = pkg.DiagnosticProfile(0.9, 0.95)
     broad_peak = pkg.DiagnosticProfile(0.6, 0.401)
@@ -178,6 +208,17 @@ def calls(pkg, tables: dict[str, tuple[Path, tuple[int, int, int, int]]]) -> dic
             return out.getvalue()
 
         named[name] = run_cli
+    env = dict(os.environ, PYTHONPATH=str(Path(pkg.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
+    for name, (args, code) in COLD_CALLS.items():
+
+        def run_cold(name=name, args=args, code=code) -> str:
+            proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+            if proc.returncode != code:
+                sys.stderr.write(proc.stderr)
+                raise SystemExit(f"error: {pkg.__name__} {name}: exited {proc.returncode}, expected {code}")
+            return proc.stdout
+
+        named[name] = run_cold
     return named
 
 
@@ -248,8 +289,12 @@ def main(argv: list[str] | None = None) -> int:
     packages = {"this": prevthresh, "base": base_pkg}
     if args.null:
         packages["null"] = load_package("prevthresh_null", args.src_dir.resolve())
-    print(f"this: {Path(prevthresh.__file__).parent}")
-    print(f"base: {Path(base_pkg.__file__).parent}")
+    for side in ("this", "base"):
+        package = Path(packages[side].__file__).parent
+        print(f"{side}: {package}")
+        if any(package.rglob("__pycache__")):
+            print(f"warning: {package} holds __pycache__ directories; its cold calls read cached bytecode", file=sys.stderr)
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     null_columns = f" {'null_q1':>9} {'null_q3':>9}" if args.null else ""
     print(
         f"{'call':<24} {'q1_ratio':>9} {'med_ratio':>9} {'q3_ratio':>9}{null_columns}"
@@ -262,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
             path = Path(tmp) / f"{table}.csv"
             path.write_bytes(text.encode("utf-8"))
             tables[table] = path, (expected.tp, expected.fp, expected.fn, expected.tn)
-        named = {side: calls(pkg, tables) for side, pkg in packages.items()}
+        named = {side: calls(pkg, tables, Path(tmp)) for side, pkg in packages.items()}
         for name in named["this"]:
             sides = {side: fns[name] for side, fns in named.items()}
             shown = {_shown(fn()) for fn in sides.values()}

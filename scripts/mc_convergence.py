@@ -6,13 +6,16 @@ the given prevalence/profile and reports the mean absolute deviation of
 the empirical PPV and NPV from the analytic curve values. The error
 should fall roughly like 1/sqrt(n). A draw counts only when both of its
 empirical values are defined (it predicted each class at least once);
-a size with no such draw prints n/a.
+a size with no such draw prints n/a. A rate outside [0, 1], or a
+prevalence where the analytic PPV or NPV is undefined, is a usage error.
 """
 
 import argparse
 
 from prevthresh import (
     DiagnosticProfile,
+    PrevthreshError,
+    Rate,
     SimulationConfig,
     UndefinedMetric,
     npv_at,
@@ -21,10 +24,8 @@ from prevthresh import (
 )
 
 
-def mean_abs_errors(prevalence, profile, n, seeds):
+def mean_abs_errors(prevalence, profile, analytic_ppv, analytic_npv, n, seeds):
     """Mean |empirical - analytic| PPV and NPV over the draws where both are defined; None without one."""
-    analytic_ppv = float(ppv_at(profile, prevalence))
-    analytic_npv = float(npv_at(profile, prevalence))
     ppv_errs, npv_errs = [], []
     for seed in range(seeds):
         config = SimulationConfig(prevalence=prevalence, profile=profile, n=n, seed=seed)
@@ -59,9 +60,9 @@ def _int_at_least(low: int):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--prevalence", type=float, default=0.190743)
-    parser.add_argument("--sensitivity", type=float, default=0.9)
-    parser.add_argument("--specificity", type=float, default=0.95)
+    parser.add_argument("--prevalence", type=Rate, default=0.190743)
+    parser.add_argument("--sensitivity", type=Rate, default=0.9)
+    parser.add_argument("--specificity", type=Rate, default=0.95)
     parser.add_argument("--seeds", type=_int_at_least(0), default=20)
     parser.add_argument(
         "--sizes", type=_int_at_least(1), nargs="+", default=[10**3, 10**4, 10**5, 10**6]
@@ -69,13 +70,18 @@ def main() -> None:
     args = parser.parse_args()
 
     profile = DiagnosticProfile(args.sensitivity, args.specificity)
+    try:
+        analytic_ppv = float(ppv_at(profile, args.prevalence))
+        analytic_npv = float(npv_at(profile, args.prevalence))
+    except PrevthreshError as exc:
+        parser.error(f"no analytic value at prevalence {args.prevalence:g}: {exc}")
     print(
         f"prevalence={args.prevalence:g} sensitivity={args.sensitivity:g} "
         f"specificity={args.specificity:g} seeds={args.seeds}"
     )
     print(f"{'n':>10}  {'mean |ppv err|':>15}  {'mean |npv err|':>15}")
     for n in args.sizes:
-        ppv_err, npv_err = mean_abs_errors(args.prevalence, profile, n, args.seeds)
+        ppv_err, npv_err = mean_abs_errors(args.prevalence, profile, analytic_ppv, analytic_npv, n, args.seeds)
         print(f"{n:>10}  {_cell(ppv_err)}  {_cell(npv_err)}")
 
 

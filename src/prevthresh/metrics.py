@@ -333,7 +333,9 @@ def f1_at(profile: DiagnosticProfile, phi: float) -> Rate:
 def f_beta_at(profile: DiagnosticProfile, phi: float, beta: float) -> Rate:
     """F-beta score at prevalence ``phi``: weighted harmonic mean of precision and recall.
 
-    Reduces exactly (bit for bit) to :func:`f1_at` when beta = 1.
+    At beta = 1 it equals :func:`f1_at` bit for bit wherever f1_at returns
+    a value. Where precision is zero and recall positive (phi = 0), f1_at
+    raises UndefinedMetric and this returns 0.
     """
     beta = _beta(beta)
     value = f_beta_score(beta * beta, float(profile.sensitivity), float(ppv_at(profile, phi)))

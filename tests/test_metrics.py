@@ -243,6 +243,10 @@ class TestFScores:
     def test_f_beta_reduces_to_f1(self):
         for phi in (0.05, 0.190743, 0.5, 0.9, 1.0):
             assert float(f_beta_at(P_9095, phi, 1.0)) == float(f1_at(P_9095, phi))
+        # The stated exception: zero precision with positive recall scores 0, where f1_at raises.
+        assert f_beta_at(P_9095, 0.0, 1.0) == 0.0
+        with pytest.raises(UndefinedMetric):
+            f1_at(P_9095, 0.0)
 
     def test_f_beta_large_beta_tends_to_recall(self):
         value = float(f_beta_at(P_9095, 0.5, 1000.0))

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,6 @@ MC_CONVERGENCE = ROOT / "scripts" / "mc_convergence.py"
 BENCH_TRAJECTORY = ROOT / "scripts" / "bench_trajectory.py"
 BENCH_INGEST = ROOT / "scripts" / "bench_ingest.py"
 BENCH_PAIRED = ROOT / "scripts" / "bench_paired.py"
-BENCH_COLD = ROOT / "scripts" / "bench_cold.py"
 
 
 def run_script(script: Path, *args: str) -> subprocess.CompletedProcess:
@@ -59,6 +59,25 @@ def test_mc_convergence_rejects_out_of_range_counts(args, flag):
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert f"error: argument {flag}: must be an integer >= " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (("--prevalence", "1.5"), "error: argument --prevalence: invalid Rate value: '1.5'"),
+        (
+            ("--specificity", "1", "--prevalence", "0"),
+            "error: no analytic value at prevalence 0: no positive predictions at phi=0.0",
+        ),
+    ],
+    ids=["rate-out-of-range", "undefined-ppv"],
+)
+def test_mc_convergence_rejects_rates_without_an_analytic_value(args, error):
+    proc = run_script(MC_CONVERGENCE, *args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    (error_line,) = [line for line in proc.stderr.splitlines() if "error" in line]
+    assert error_line.startswith(f"mc_convergence.py: {error}")
     assert "Traceback" not in proc.stderr
 
 
@@ -138,14 +157,37 @@ def test_bench_ingest_runs_every_table(tmp_path):
         assert expected.n == (303 if name == "long-row" else 300), name
 
 
-def test_bench_paired_against_the_same_tree():
-    src = Path(prevthresh.__file__).resolve().parents[1]
-    proc = run_script(BENCH_PAIRED, str(src), "--rounds", "2", "--batch-ms", "1", "--rows", "300")
+COLD_CALLS = [
+    "cold thresholds --json", "cold ratios --json", "cold analyze --json", "cold simulate", "cold error exit",
+    "cold import",
+]
+
+
+@pytest.fixture(scope="module")
+def copied_tree_run(tmp_path_factory):
+    """The copied tree and bench_paired.py's run on a copy of src/ and scripts/, against that copy's src/.
+
+    PYTHONDONTWRITEBYTECODE is unset, so only the script's own rule keeps bytecode out of the copy.
+    """
+    tree = tmp_path_factory.mktemp("tree").resolve()
+    for name in ("src", "scripts"):
+        shutil.copytree(ROOT / name, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    proc = subprocess.run(
+        [sys.executable, str(tree / "scripts" / "bench_paired.py"), str(tree / "src"),
+         "--rounds", "2", "--batch-ms", "1", "--rows", "300"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return tree, proc
+
+
+def test_bench_paired_against_the_same_tree(copied_tree_run):
+    tree, proc = copied_tree_run
+    # The copy holds no __pycache__, so no warning either.
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
-    assert lines[0] == f"this: {ROOT / 'src' / 'prevthresh'}"
-    assert lines[1] == f"base: {src / 'prevthresh'}"
-    rows = [line.rsplit(None, 7) for line in lines[3:]]
+    assert lines[:2] == [f"this: {tree / 'src' / 'prevthresh'}", f"base: {tree / 'src' / 'prevthresh'}"]
+    rows = [line.rsplit(None, 7) for line in lines[3 : -len(COLD_CALLS)]]
     assert [row[0] for row in rows] == [
         "ThresholdResult(...)", "ppv_at", "npv_at", "positive_threshold", "negative_threshold", "ppv_at_threshold",
         "threshold_summary", "curvature_argmax", "curvature_argmax(npv)", "curvature_argmax(broad)", "curvature_argmax(drawn)", "mcc_at_threshold", "mcc_ratio", "f_beta_at",
@@ -160,10 +202,33 @@ def test_bench_paired_against_the_same_tree():
         assert same == "yes"
 
 
+def test_bench_paired_times_cold_calls_after_the_in_process_ones(copied_tree_run):
+    _, proc = copied_tree_run
+    assert proc.returncode == 0
+    rows = [line.rsplit(None, 7) for line in proc.stdout.splitlines()[-len(COLD_CALLS) :]]
+    assert [row[0] for row in rows] == COLD_CALLS
+    for _, q1_ratio, median_ratio, q3_ratio, this_us, base_us, batch, same in rows:
+        assert 0 < float(q1_ratio) <= float(median_ratio) <= float(q3_ratio)
+        # No fresh interpreter starts within a millisecond.
+        assert float(this_us) > 1000 and float(base_us) > 1000 and int(batch) >= 1
+        # Both sides wrote the same stdout; the error exit wrote none, with exit code 1 as expected.
+        assert same == "yes"
+
+
+def test_bench_paired_writes_no_bytecode(copied_tree_run):
+    tree, proc = copied_tree_run
+    assert proc.returncode == 0
+    assert list(tree.rglob("__pycache__")) == []
+
+
 def test_bench_paired_null_pairs_the_base_with_itself():
     src = Path(prevthresh.__file__).resolve().parents[1]
+    # A tree that holds bytecode caches, as a test run may leave, is warned about once per side.
+    package = src / "prevthresh"
+    warning = f"warning: {package} holds __pycache__ directories; its cold calls read cached bytecode\n"
+    expected_stderr = 2 * warning if any(package.rglob("__pycache__")) else ""
     proc = run_script(BENCH_PAIRED, str(src), "--null", "--rounds", "3", "--batch-ms", "1", "--rows", "300")
-    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (proc.returncode, proc.stderr) == (0, expected_stderr)
     lines = proc.stdout.splitlines()
     assert lines[2].split() == [
         "call", "q1_ratio", "med_ratio", "q3_ratio", "null_q1", "null_q3", "this_us", "base_us", "batch", "same", "moved"
@@ -178,11 +243,17 @@ def test_bench_paired_null_pairs_the_base_with_itself():
         assert same == "yes"
 
 
-def test_bench_paired_checks_each_ingest_call(tmp_path):
-    bench = load_script(BENCH_PAIRED)
+@pytest.fixture
+def bench_paired(monkeypatch):
+    """bench_paired.py loaded as a module, with the bytecode flag its import sets restored after the test."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    return load_script(BENCH_PAIRED)
+
+
+def test_bench_paired_checks_each_ingest_call(bench_paired, tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("label,prediction\n1,1\n0,1\n")
-    ingest = bench.calls(prevthresh, {"t": (path, (1, 1, 0, 1))})["ingest t"]
+    ingest = bench_paired.calls(prevthresh, {"t": (path, (1, 1, 0, 1))}, tmp_path)["ingest t"]
     with pytest.raises(SystemExit, match=r"ingest t: got ConfusionCounts\(tp=1, fp=1, fn=0, tn=0\), expected \(1, 1, 0, 1\)"):
         ingest()
     path.write_text("label,prediction\n1,1\n0,1\n0,0\n")
@@ -195,29 +266,9 @@ def test_bench_paired_rejects_a_tree_without_the_package(tmp_path):
     assert proc.stderr == f"error: no prevthresh package in {tmp_path}\n"
 
 
-def test_bench_cold_against_the_same_tree():
-    src = Path(prevthresh.__file__).resolve().parents[1]
-    proc = run_script(BENCH_COLD, str(src), "--rounds", "2")
-    assert proc.returncode == 0
-    # A tree with bytecode caches, as a test run may leave, is only warned about.
-    assert all(line.startswith("warning: ") for line in proc.stderr.splitlines())
-    lines = proc.stdout.splitlines()
-    assert lines[:2] == [f"this: {ROOT / 'src' / 'prevthresh'}", f"base: {src / 'prevthresh'}"]
-    rows = [line.rsplit(None, 6) for line in lines[3:]]
-    assert [row[0] for row in rows] == ["thresholds", "ratios --json", "analyze --counts", "simulate", "error exit", "import"]
-    for _, q1_ratio, median_ratio, q3_ratio, this_ms, base_ms, same in rows:
-        assert 0 < float(q1_ratio) <= float(median_ratio) <= float(q3_ratio)
-        assert float(this_ms) > 0 and float(base_ms) > 0
-        assert same == "yes"
-
-
-def test_bench_cold_rejects_a_tree_without_the_package(tmp_path):
-    proc = run_script(BENCH_COLD, str(tmp_path))
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == f"error: no prevthresh package in {tmp_path}\n"
-
-
-def test_bench_cold_needs_two_rounds_for_quartiles():
-    proc = run_script(BENCH_COLD, str(ROOT / "src"), "--rounds", "1")
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.endswith("error: argument --rounds: must be an integer >= 2, got '1'\n")
+def test_bench_paired_ends_the_run_on_a_wrong_exit_code(bench_paired, monkeypatch, tmp_path):
+    args, _ = bench_paired.COLD_CALLS["cold import"]
+    monkeypatch.setitem(bench_paired.COLD_CALLS, "cold import", (args, 1))
+    cold_import = bench_paired.calls(prevthresh, {}, tmp_path)["cold import"]
+    with pytest.raises(SystemExit, match=r"^error: prevthresh cold import: exited 0, expected 1$"):
+        cold_import()
