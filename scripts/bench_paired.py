@@ -14,7 +14,10 @@ quartile of those ratios (below 1 means this tree is faster), the
 median time of one call on each side in microseconds, and whether both
 sides returned the same result (by repr, or the CSV text for
 emit_curves and emit_ratio_curves, or the standard output of a cold
-call).
+call). Two loads of one tree must agree: where SRC_DIR holds this
+tree's own package, or the --null copy's result differs from the
+base's, a "NO" ends the run with exit code 1 after the table, naming
+the calls on stderr.
 
 The calls: ThresholdResult(...), ppv_at, npv_at, positive_threshold,
 negative_threshold, ppv_at_threshold, threshold_summary,
@@ -294,6 +297,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{side}: {package}")
         if any(package.rglob("__pycache__")):
             print(f"warning: {package} holds __pycache__ directories; its cold calls read cached bytecode", file=sys.stderr)
+    one_tree = Path(prevthresh.__file__).parent == Path(base_pkg.__file__).parent
+    differing = []
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     null_columns = f" {'null_q1':>9} {'null_q3':>9}" if args.null else ""
     print(
@@ -310,7 +315,10 @@ def main(argv: list[str] | None = None) -> int:
         named = {side: calls(pkg, tables, Path(tmp)) for side, pkg in packages.items()}
         for name in named["this"]:
             sides = {side: fns[name] for side, fns in named.items()}
-            shown = {_shown(fn()) for fn in sides.values()}
+            shown = {side: _shown(fn()) for side, fn in sides.items()}
+            same = len(set(shown.values())) == 1
+            if not same and (one_tree or ("null" in shown and shown["null"] != shown["base"])):
+                differing.append(name)
             number, times = paired(sides, args.rounds, args.batch_ms / 1e3)
             q1, median, q3 = quartiles([t / b for t, b in zip(times["this"], times["base"])])
             row = f"{name:<24} {q1:>9.3f} {median:>9.3f} {q3:>9.3f}"
@@ -320,13 +328,16 @@ def main(argv: list[str] | None = None) -> int:
             row += (
                 f" {statistics.median(times['this']) / number * 1e6:>11.2f}"
                 f" {statistics.median(times['base']) / number * 1e6:>11.2f}"
-                f" {number:>6} {'yes' if len(shown) == 1 else 'NO'}"
+                f" {number:>6} {'yes' if same else 'NO'}"
             )
             if args.null:
                 # Decided on the printed figures, so a row can be checked by eye.
                 inside = round(null_q1, 3) <= round(median, 3) <= round(null_q3, 3)
                 row += f" {'no' if inside else 'yes'}"
             print(row)
+    if differing:
+        print(f"error: two loads of one tree differ on: {', '.join(differing)}", file=sys.stderr)
+        return 1
     return 0
 
 

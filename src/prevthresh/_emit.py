@@ -12,9 +12,8 @@ import io
 import math
 from collections.abc import Callable
 
-from .errors import DegenerateDenominator
 from .metrics import DiagnosticProfile, _f_beta_harmonic
-from .thresholds import Curve, _kappa_kernel
+from .thresholds import Curve, _kappa_column, _kappa_kernel
 
 # Finest prevalence grid step of the curve emitters: a million rows.
 MIN_PHI_STEP = 1e-6
@@ -52,17 +51,6 @@ def _phi_grid(step: float) -> tuple[float, int, Callable[[int, int], list[float]
 def _ppv_column(a: float, nb: float, grid: list[float]) -> list[float]:
     """ppv_at's Bayes' rule (metrics._bayes) at every grid point, with nb = 1 - b; NaN where its u is 0."""
     return [t / u if (u := (t := a * x) + nb * (1.0 - x)) else math.nan for x in grid]
-
-
-def _kappa_column(kappa, grid: list[float]) -> list[float]:
-    """The curvature closure kappa (thresholds._kappa_kernel) at every grid point; NaN where it raises."""
-    values = []
-    for phi in grid:
-        try:
-            values.append(kappa(phi))
-        except DegenerateDenominator:
-            values.append(math.nan)
-    return values
 
 
 def _curve_columns(profile: DiagnosticProfile) -> Callable:

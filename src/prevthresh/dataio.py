@@ -11,9 +11,11 @@ prevalence grid a column at a time, as lists of Python floats, with
 the operations of ppv_at's and npv_at's Bayes' rule (metrics._bayes),
 of f_beta_score's harmonic form (metrics._f_beta_harmonic) and of fm_at
 in their order, and the curvature through curvature_at's own kernel,
-thresholds._kappa_kernel. So every cell is bit-equal to the scalar
-functions' value there; they stay public and are the oracle the test
-suite checks the emitted bytes against. These divergence curves share
+thresholds._kappa_kernel, read as NaN (an empty cell) where it raises
+by thresholds._kappa_column, the helper curvature_argmax's scan reads
+it through too. So every cell is bit-equal to the scalar functions'
+value there; they stay public and are the oracle the test suite checks
+the emitted bytes against. These divergence curves share
 no code with the closed-form ratios of bounds (_f_beta_form, _fm_form),
 which serve only those ratios and the bound sweep. The grid, the
 columns and the block writer live in _emit, which emit_curves and

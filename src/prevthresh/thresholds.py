@@ -12,9 +12,10 @@ has magnitude 1, which is what the tests assert.
 The curves' Bayes' rule and quotient-form coefficients live in metrics
 (_bayes, _curve_coefficients). The closed forms are float kernels, None
 where undefined, that the raising functions and the reports both read.
-The oracle's coarse curvature scan lives in _scan, on Python floats;
-curvature_argmax imports it on first call, so no other path compiles
-it, and nothing in this module loads numpy.
+The one curvature arithmetic, _kappa_kernel, serves curvature_at, the
+CSV kappa columns and the oracle's scan (in _scan, on Python floats,
+imported on curvature_argmax's first call) and refinement; nothing in
+this module loads numpy.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def curvature_at(profile: DiagnosticProfile, phi: float, curve: Curve | str = Cu
 
 
 def _kappa_kernel(profile: DiagnosticProfile, curve: Curve):
-    """The curve's curvature as a function of a float phi in [0, 1]: the package's one scalar curvature.
+    """The curve's curvature as a function of a float phi in [0, 1]: the package's one curvature arithmetic.
 
     Derivatives are analytic from the quotient form (with denominator
     u = p*phi + q*(1-phi): |f'| = p*q/u^2, |f''| = 2*p*q*|p-q|/u^3),
@@ -215,10 +216,11 @@ def _kappa_kernel(profile: DiagnosticProfile, curve: Curve):
     finite-difference because curvature amplifies rounding noise
     through the second derivative. The phi-free factors are computed
     once per curve, and no Rate or CurvaturePoint is built, so
-    curvature_at, curvature_argmax's search and emit_curves' kappa
-    columns all evaluate this closure. Raises DegenerateDenominator
-    where u is 0, and where u is so small that u**3 underflows or the
-    slope term overflows, since kappa is not representable there.
+    curvature_at, curvature_argmax's scan and refinement and
+    emit_curves' kappa columns all evaluate this closure. Raises
+    DegenerateDenominator where u is 0, and where u is so small that
+    u**3 underflows or the slope term overflows, since kappa is not
+    representable there.
     """
     p, q, _ = _curve_coefficients(float(profile.sensitivity), float(profile.specificity), curve)
     pq = p * q
@@ -243,6 +245,17 @@ def _kappa_kernel(profile: DiagnosticProfile, curve: Curve):
             ) from None
 
     return kappa
+
+
+def _kappa_column(kappa, grid: list[float]) -> list[float]:
+    """The kernel closure kappa at every point of grid, NaN where it raises: the CSV columns' and the scan's one reading."""
+    values = []
+    for phi in grid:
+        try:
+            values.append(kappa(phi))
+        except DegenerateDenominator:
+            values.append(math.nan)
+    return values
 
 
 def _golden_section(kappa, lo: float, hi: float) -> tuple[float, float]:
@@ -282,19 +295,18 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
     where (4.87e-12, 1.0) gives 0.00073 on the NPV curve against
     phi_n = 0.5.
 
-    The scan runs on Python floats and loads no numpy. A climb over the
-    grid's curvature values from the closed-form threshold's grid
-    point reaches a local maximum, and that grid point is accepted only
-    when every intermediate is a normal float and it exceeds both grid
-    neighbours by a relative 1e-12 (the curvature is unimodal in
-    prevalence, so it is then the whole grid's argmax). Otherwise, as
-    for near-degenerate profiles, broad peaks and near-ties, the scan
-    evaluates every grid point and takes the first NaN, else the first
-    largest value. The closed form only sets where the climb starts:
-    the accepted point is decided by curvature values alone, so any
-    start gives the same result.
-    The refinement evaluates _kappa_kernel, the arithmetic of
-    curvature_at, so each probe's value is curvature_at's kappa there.
+    The scan and the refinement rank the values of one _kappa_kernel
+    closure, curvature_at's kappa; the scan reads NaN where it raises,
+    as the CSV kappa columns do. The scan runs on Python floats. A
+    climb over the grid's values from the closed-form threshold's grid
+    point reaches a local maximum, accepted only when every
+    intermediate of the kernel is a normal float and it exceeds both
+    grid neighbours by a relative 1e-12 (the curvature is unimodal, so
+    it is then the whole grid's argmax). Otherwise, as for
+    near-degenerate profiles, broad peaks, near-ties and tiny rates,
+    the scan evaluates every grid point and takes the first NaN, else
+    the first largest value. The closed form only sets where the climb
+    starts, so any start gives the same result.
     """
     curve = Curve(curve)
     if profile.is_degenerate():
@@ -311,11 +323,10 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
 
     from ._scan import curvature_bracket
 
-    lo, hi = curvature_bracket(p, q)
-    # Every probe lies in [lo, hi], inside [0, 1], the kernel's domain.
+    # One closure serves the scan and the refinement. Every refinement
+    # probe lies in the scan's bracket, inside [0, 1], the kernel's domain.
     kappa = _kappa_kernel(profile, curve)
-
-    lo, hi = _golden_section(kappa, lo, hi)
+    lo, hi = _golden_section(kappa, *curvature_bracket(kappa, p, q))
     phi = Rate(0.5 * (lo + hi))
     value = _predictive_value(a, b, curve, phi)
     return ThresholdResult(phi=phi, metric_value=None if value is None else Rate(value))

@@ -272,3 +272,36 @@ def test_bench_paired_ends_the_run_on_a_wrong_exit_code(bench_paired, monkeypatc
     cold_import = bench_paired.calls(prevthresh, {}, tmp_path)["cold import"]
     with pytest.raises(SystemExit, match=r"^error: prevthresh cold import: exited 0, expected 1$"):
         cold_import()
+
+
+@pytest.mark.parametrize(
+    "base, null, results, code",
+    [
+        # SRC_DIR is this tree's src/: this and base are one tree and must agree.
+        ("this tree", False, {"this": "a", "base": "b"}, 1),
+        # Another tree may differ from this one, but its --null copy may not differ from it.
+        ("other tree", False, {"this": "a", "base": "b"}, 0),
+        ("other tree", True, {"this": "b", "base": "a", "null": "a"}, 0),
+        ("other tree", True, {"this": "a", "base": "a", "null": "b"}, 1),
+        ("this tree", True, {"this": "a", "base": "a", "null": "a"}, 0),
+    ],
+)
+def test_bench_paired_fails_where_two_loads_of_one_tree_differ(
+    bench_paired, monkeypatch, tmp_path, capsys, base, null, results, code
+):
+    base_pkg = prevthresh if base == "this tree" else type(sys)("prevthresh_base")
+    if base != "this tree":
+        base_pkg.__file__ = str(tmp_path / "prevthresh" / "__init__.py")
+    sides = iter(results)
+    # Only the base's file path is read; every side's one call returns that side's result.
+    monkeypatch.setattr(bench_paired, "load_package", lambda name, src_dir: base_pkg)
+    monkeypatch.setattr(bench_paired, "calls", lambda pkg, tables, cwd: {"call": lambda r=results[next(sides)]: r})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    argv = ["src", "--rounds", "1", "--batch-ms", "0.01", "--rows", "10", *(["--null"] if null else [])]
+    assert bench_paired.main(argv) == code
+    out, err = capsys.readouterr()
+    row = out.splitlines()[-1].split()
+    assert row[0] == "call"
+    assert row[-2 if null else -1] == ("yes" if len(set(results.values())) == 1 else "NO")
+    assert ("error: two loads of one tree differ on: call\n" in err) == (code == 1)
+

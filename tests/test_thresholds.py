@@ -4,6 +4,7 @@ The argmax routine is tested as a fully independent check on the closed
 forms: it never consults them, only the curvature evaluations.
 """
 
+import io
 import json
 import math
 import random
@@ -28,6 +29,7 @@ from prevthresh import (
     Rate,
     curvature_argmax,
     curvature_at,
+    emit_curves,
     negative_threshold,
     npv_at,
     positive_threshold,
@@ -372,14 +374,15 @@ class TestCurvatureArgmax:
             assert abs(abs(curvature_at(P_6095, r.phi, curve).slope) - 1.0) <= 1e-5
 
     def test_nan_at_phi_one_is_the_argmax_without_warning(self):
-        # At sensitivity 1e-200 the scan's last grid value is 0/0, a NaN.
-        # The full scan takes the first NaN as its argmax, so the bracket
-        # ends at 1, with no exception or warning.
-        p, q = curve_coefficients(1e-200, 0.5, Curve.PPV)
+        # At sensitivity 1e-200 the kernel raises at the last grid point,
+        # where u**3 underflows, and the scan reads NaN there. The full
+        # scan takes the first NaN as its argmax, so the bracket ends at 1,
+        # with no exception or warning.
+        args = scan_args(1e-200, 0.5, Curve.PPV)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isnan(_scan._kappa_grid(p, q)(1.0))
-            assert _scan.curvature_bracket(p, q) == (GRID[-2], 1.0)
+            assert math.isnan(thresholds._kappa_column(args[0], [1.0])[0])
+            assert _scan.curvature_bracket(*args) == (GRID[-2], 1.0)
             r = curvature_argmax(DiagnosticProfile(1e-200, 0.5), Curve.PPV)
         assert (repr(float(r.phi)), repr(float(r.metric_value))) == ("0.9999999999565161", "4.599405238288206e-190")
 
@@ -412,33 +415,80 @@ class TestCurvatureArgmax:
 
 # The coarse scan's grid, i * COARSE_STEP for i in 0..10000.
 GRID = [i * COARSE_STEP for i in range(round(1.0 / COARSE_STEP) + 1)]
+GRID_ARRAY = np.array(GRID)
 
 
-def full_scan_argmax(p: float, q: float) -> int:
-    """The argmax of _kappa_grid's values at every grid point: the first NaN, else the first largest value."""
-    values = list(map(_scan._kappa_grid(p, q), GRID))
-    nans = [i for i, value in enumerate(values) if value != value]
-    return nans[0] if nans else values.index(max(values))
+def python_power(values: np.ndarray) -> np.ndarray:
+    """Each value to the power 1.5 by Python's float **, as the kernel and curvature_scalar take it; inf where it overflows."""
+
+    def power(x: float) -> float:
+        try:
+            return x**1.5
+        except OverflowError:
+            return math.inf
+
+    return np.array([power(x) for x in values.tolist()])
 
 
-def full_scan_bracket(p: float, q: float) -> tuple[float, float]:
+def grid_kappas(a: float, b: float, curve: Curve, power) -> np.ndarray:
+    """The curvature at every grid point by the kernel's arithmetic on arrays, in its order; NaN where the kernel raises.
+
+    The kernel raises where u**3 is 0 and where the 1.5th power
+    overflows. power(x) takes each x = 1 + slope**2 to the power 1.5:
+    python_power rounds as Python's ** does, so every other operation
+    being IEEE arithmetic, each value is bit-equal to curvature_scalar's
+    (test_full_scan_reference_is_curvature_scalar checks it); np.power
+    rounds some values differently.
+    """
+    p, q = curve_coefficients(a, b, curve)
+    pq = p * q
+    with np.errstate(all="ignore"):
+        u = p * GRID_ARRAY + q * (1.0 - GRID_ARRAY)
+        u2 = u * u
+        u3 = u2 * u
+        slope = pq / u2
+        powered = power(1.0 + slope * slope)
+        kappa = 2.0 * pq * abs(p - q) / u3 / powered
+    kappa[(u3 == 0.0) | np.isinf(powered)] = np.nan
+    return kappa
+
+
+def scalar_kappa(a: float, b: float, curve: Curve, phi: float) -> float:
+    """curvature_scalar's kappa at phi, NaN where it raises."""
+    try:
+        return curvature_scalar(DiagnosticProfile(a, b), phi, curve).kappa
+    except DegenerateDenominator:
+        return math.nan
+
+
+def full_scan_argmax(a: float, b: float, curve: Curve) -> int:
+    """The argmax of curvature_scalar's values at every grid point, NaN where it raises: the first NaN, else the first largest value.
+
+    The values come from grid_kappas with python_power; the argmax and
+    its grid neighbours are checked against curvature_scalar itself.
+    """
+    values = grid_kappas(a, b, curve, python_power)
+    # np.argmax gives the first NaN where there is one, else the first largest value.
+    i = int(np.argmax(values))
+    for j in range(max(i - 1, 0), min(i + 2, len(GRID))):
+        assert repr(float(values[j])) == repr(scalar_kappa(a, b, curve, GRID[j])), (a, b, curve, j)
+    return i
+
+
+def full_scan_bracket(a: float, b: float, curve: Curve) -> tuple[float, float]:
     """The coarse scan's bracket from every grid point."""
-    i = full_scan_argmax(p, q)
+    i = full_scan_argmax(a, b, curve)
     return GRID[max(i - 1, 0)], GRID[min(i + 1, len(GRID) - 1)]
 
 
-def numpy_scan_argmax(p: float, q: float) -> int:
-    """The argmax of a numpy scan of the same cleared curvature: np.argmax over np.linspace(0, 1, 10001)."""
-    xs = np.linspace(0.0, 1.0, len(GRID))
-    pq = p * q
-    with np.errstate(all="ignore"):
-        u = p * xs + q * (1.0 - xs)
-        return int(np.argmax(2.0 * pq * abs(p - q) * u**3 / (u**4 + pq * pq) ** 1.5))
+def numpy_scan_argmax(a: float, b: float, curve: Curve) -> int:
+    """The argmax of the kernel's arithmetic in numpy, np.power included, with NaN where the kernel raises."""
+    return int(np.argmax(grid_kappas(a, b, curve, lambda x: x**1.5)))
 
 
-def numpy_scan_bracket(p: float, q: float) -> tuple[float, float]:
+def numpy_scan_bracket(a: float, b: float, curve: Curve) -> tuple[float, float]:
     """The numpy scan's bracket."""
-    i = numpy_scan_argmax(p, q)
+    i = numpy_scan_argmax(a, b, curve)
     return GRID[max(i - 1, 0)], GRID[min(i + 1, len(GRID) - 1)]
 
 
@@ -465,6 +515,11 @@ def curve_coefficients(a: float, b: float, curve: Curve) -> tuple[float, float]:
     return (a, 1.0 - b) if curve == Curve.PPV else (1.0 - a, b)
 
 
+def scan_args(a: float, b: float, curve: Curve) -> tuple:
+    """The scan's arguments for a curve, as curvature_argmax passes them: the kernel's closure, then (p, q)."""
+    return (thresholds._kappa_kernel(DiagnosticProfile(a, b), curve), *curve_coefficients(a, b, curve))
+
+
 def draw_profile(rng: random.Random) -> tuple[float, float]:
     """An interior informative profile drawn as perfbench's validate workload draws its oracle profiles."""
     while True:
@@ -479,37 +534,36 @@ class TestCurvatureBracket:
         served = {"python": 0, "fallback": 0}
         for a, b in scan_profiles():
             for curve in Curve:
-                p, q = curve_coefficients(a, b, curve)
-                bracket = _scan.curvature_bracket(p, q)
-                assert bracket == full_scan_bracket(p, q), (a, b, curve)
+                args = scan_args(a, b, curve)
+                bracket = _scan.curvature_bracket(*args)
+                assert bracket == full_scan_bracket(a, b, curve), (a, b, curve)
                 # Away from chance the bracket is also the one a numpy scan of
-                # the same formula gives; nearer chance a few-ulp difference
-                # between the two evaluations can move a flat peak.
+                # the same arithmetic gives; nearer chance np.power's few-ulp
+                # difference from Python's ** can move a flat peak.
                 if abs(a + b - 1.0) >= 1e-3:
-                    assert bracket == numpy_scan_bracket(p, q), (a, b, curve)
-                served["python" if _scan._certified_argmax(p, q) is not None else "fallback"] += 1
+                    assert bracket == numpy_scan_bracket(a, b, curve), (a, b, curve)
+                served["python" if _scan._certified_argmax(*args) is not None else "fallback"] += 1
         # Both paths are exercised by the profile set.
         assert served["python"] > 1000 and served["fallback"] > 100, served
 
     def test_grid_values_stay_within_a_hundredth_of_the_margin_of_exact_values(self):
-        # The certificate needs _kappa_grid's float values to stay far inside
+        # The certificate needs the kernel's float values to stay far inside
         # _TIE_MARGIN of the exact curvature wherever the climb runs.
         mpmath.mp.dps = 50
         n = len(GRID) - 1
         curves, worst = 0, mpmath.mpf(0)
         for a, b in scan_profiles():
             for curve in Curve:
-                p, q = curve_coefficients(a, b, curve)
-                if not _scan._scan_is_normal(p, q):
+                args = kappa, p, q = scan_args(a, b, curve)
+                if not _scan._scan_is_normal(*args):
                     continue
-                kappa = _scan._kappa_grid(p, q)
                 mp, mq = mpmath.mpf(p), mpmath.mpf(q)
                 k = mp * mq
                 # 22 spread grid points, and the climb's last three, where
                 # the certificate compares its values.
-                j = _scan._certified_argmax(p, q)
+                j = _scan._certified_argmax(*args)
                 if j is None:
-                    j = numpy_scan_argmax(p, q)
+                    j = numpy_scan_argmax(a, b, curve)
                 for i in [*range(0, n + 1, 476), max(j - 1, 0), j, min(j + 1, n)]:
                     x = GRID[i]
                     u = mp * x + mq * (1 - mpmath.mpf(x))
@@ -523,9 +577,10 @@ class TestCurvatureBracket:
         for ((a, b), name), pinned in PINNED.items():
             if not name.startswith("curvature_argmax") or pinned == "DegenerateProfile":
                 continue
-            p, q = curve_coefficients(a, b, Curve.PPV if name.endswith("ppv") else Curve.NPV)
-            assert _scan._certified_argmax(p, q) == full_scan_argmax(p, q), (a, b, name)
-            assert _scan.curvature_bracket(p, q) == full_scan_bracket(p, q)
+            curve = Curve.PPV if name.endswith("ppv") else Curve.NPV
+            args = scan_args(a, b, curve)
+            assert _scan._certified_argmax(*args) == full_scan_argmax(a, b, curve), (a, b, name)
+            assert _scan.curvature_bracket(*args) == full_scan_bracket(a, b, curve)
 
     def test_python_path_serves_almost_every_drawn_curve(self):
         rng = random.Random(19)
@@ -533,8 +588,7 @@ class TestCurvatureBracket:
         for _ in range(2000):
             a, b = draw_profile(rng)
             for curve in Curve:
-                p, q = curve_coefficients(a, b, curve)
-                served += _scan._certified_argmax(p, q) is not None
+                served += _scan._certified_argmax(*scan_args(a, b, curve)) is not None
                 curves += 1
         assert served >= 0.999 * curves, (served, curves)
 
@@ -549,7 +603,7 @@ class TestCurvatureBracket:
                 p, q = curve_coefficients(a, b, curve)
                 # Drawn curves have J >= 0.05, where the numpy scan gives the
                 # Python scan's bracket (checked on the dense profile set above).
-                worst = max(worst, abs(round(_scan._radical_split(p, q) * n) - numpy_scan_argmax(p, q)))
+                worst = max(worst, abs(round(_scan._radical_split(p, q) * n) - numpy_scan_argmax(a, b, curve)))
         assert worst <= 1, worst
 
     @pytest.mark.parametrize(
@@ -558,26 +612,32 @@ class TestCurvatureBracket:
             (0.5, 0.5 + 2e-12),  # near-degenerate: the curvature is flat to 1e-12
             (0.3, 0.7 - 1e-11),
             (0.6, 0.401),  # a broad peak: neighbours within 1e-13 of the maximum
-            (1e-200, 0.5),  # 0/0 at phi = 1
-            (1e-90, 0.0),  # finite everywhere, but the numerator underflows at phi = 1
+            (1e-200, 0.5),  # u**3 underflows to 0 at phi = 1, where the kernel raises
+            (2e-104, 0.999),  # finite everywhere, but u**3 is subnormal at phi = 1
         ],
     )
     def test_fallback_serves_near_degenerate_and_tiny_profiles(self, a, b):
-        p, q = curve_coefficients(a, b, Curve.PPV)
-        assert _scan._certified_argmax(p, q) is None
-        assert _scan.curvature_bracket(p, q) == full_scan_bracket(p, q)
+        args = scan_args(a, b, Curve.PPV)
+        assert _scan._certified_argmax(*args) is None
+        assert _scan.curvature_bracket(*args) == full_scan_bracket(a, b, Curve.PPV)
+
+    def test_python_path_serves_a_tiny_rate_whose_intermediates_are_normal(self):
+        # At phi = 1, u = 1e-90: u**3, the slope 1e90 and its 1.5th power
+        # term 1e270 are normal floats, so the certificate holds.
+        args = scan_args(1e-90, 0.0, Curve.PPV)
+        assert _scan._certified_argmax(*args) == full_scan_argmax(1e-90, 0.0, Curve.PPV) == len(GRID) - 2
 
     def test_python_path_declines_a_near_tie(self):
         # An interior profile whose peak lies almost halfway between two
         # grid points: the two largest values differ, but by less than the
         # margin, so the full scan decides between them.
-        p, q = curve_coefficients(0.16319, 0.941647, Curve.NPV)
-        kappa = _scan._kappa_grid(p, q)
-        i = full_scan_argmax(p, q)
+        a, b, curve = 0.16319, 0.941647, Curve.NPV
+        args = kappa, _, _ = scan_args(a, b, curve)
+        i = full_scan_argmax(a, b, curve)
         top, runner_up = kappa(GRID[i]), kappa(GRID[i + 1])
         assert 0.0 < top - runner_up < _scan._TIE_MARGIN * top
-        assert _scan._certified_argmax(p, q) is None
-        assert _scan.curvature_bracket(p, q) == full_scan_bracket(p, q)
+        assert _scan._certified_argmax(*args) is None
+        assert _scan.curvature_bracket(*args) == full_scan_bracket(a, b, curve)
 
     @pytest.mark.parametrize("start", ["-300", "-3", "+3", "+300", "zero", "n", "swapped"])
     @pytest.mark.parametrize("a, b, curve", [(0.9, 0.95, Curve.PPV), (0.9, 0.95, Curve.NPV), (0.31, 0.88, Curve.PPV)])
@@ -586,19 +646,46 @@ class TestCurvatureBracket:
         # peak the search climbs the grid back to it, so the oracle's answer
         # does not depend on the formula it checks.
         profile = DiagnosticProfile(a, b)
-        p, q = curve_coefficients(a, b, curve)
+        args = _, p, q = scan_args(a, b, curve)
         n = len(GRID) - 1
         radical = _scan._radical_split
         starts = {"zero": 0, "n": n, "swapped": round(radical(q, p) * n)}
         j = starts[start] if start in starts else round(radical(p, q) * n) + int(start)
         expected = thresholds.curvature_argmax(profile, curve)
         monkeypatch.setattr(_scan, "_radical_split", lambda p, q: j / n)
-        assert _scan._certified_argmax(p, q) == full_scan_argmax(p, q)
-        assert _scan.curvature_bracket(p, q) == full_scan_bracket(p, q)
+        assert _scan._certified_argmax(*args) == full_scan_argmax(a, b, curve)
+        assert _scan.curvature_bracket(*args) == full_scan_bracket(a, b, curve)
         assert repr(thresholds.curvature_argmax(profile, curve)) == repr(expected)
 
     def test_grid_is_linspace_bit_for_bit(self):
         assert [i * COARSE_STEP for i in range(10001)] == np.linspace(0.0, 1.0, 10001).tolist()
+
+    @pytest.mark.parametrize(
+        "a, b, curve",
+        [
+            (0.9, 0.95, Curve.PPV),
+            (0.16319, 0.941647, Curve.NPV),  # the near tie
+            (0.5, 0.5 + 2e-12, Curve.PPV),  # near chance
+            (1e-200, 0.5, Curve.PPV),  # u**3 underflows at phi = 1
+            (1e-104, 0.0, Curve.PPV),  # the 1.5th power overflows near phi = 1
+            (0.0, 0.5, Curve.PPV),  # u is 0 at phi = 1, kappa is 0 elsewhere
+        ],
+    )
+    def test_full_scan_reference_is_curvature_scalar(self, a, b, curve):
+        # The full scan's values are curvature_scalar's at every grid point,
+        # bit for bit, and NaN exactly where it raises.
+        values = grid_kappas(a, b, curve, python_power).tolist()
+        assert list(map(repr, values)) == [repr(scalar_kappa(a, b, curve, phi)) for phi in GRID]
+
+    def test_kernel_errors_read_as_nan_by_the_scan_and_the_csv(self):
+        # At (1e-200, 0.5) the PPV kernel raises only at phi = 1. The kappa_ppv
+        # column leaves that cell empty, and the scan takes it as its argmax.
+        sink = io.StringIO()
+        emit_curves(DiagnosticProfile(1e-200, 0.5), COARSE_STEP, sink)
+        rows = [line.split(",") for line in sink.getvalue().splitlines()]
+        column = rows[0].index("kappa_ppv")
+        assert [row[0] for row in rows[1:] if row[column] == ""] == ["1.0"]
+        assert _scan.curvature_bracket(*scan_args(1e-200, 0.5, Curve.PPV)) == (0.9999, 1.0)
 
 
 class TestKappaKernel:
