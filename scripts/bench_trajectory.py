@@ -14,14 +14,27 @@ so moves cli-burst's figures; the script warns on stderr when caches
 exist. One file per labelled state of the code keeps the performance
 trajectory next to the code. Nothing is written unless every run exits 0.
 
+With --check-provenance it runs nothing and writes nothing: for each
+BENCH_*.json at the root of the checkout it recomputes run.py's
+src_sha256 (a digest of src/prevthresh/*.py) over the files of the
+commit that added that BENCH file (git log --diff-filter=A), or over the
+working tree for a BENCH file not yet committed, and compares it with
+every src_sha256 the file records. It prints one line per file and
+exits 1 when a file outside KNOWN_MISMATCHES does not match, so a new
+record must name the code it measured. It needs the whole history: in a
+shallow clone git shows the oldest fetched commit as adding every file,
+so it refuses to check one and exits 1.
+
 Usage, from anywhere in a source checkout::
 
     python3 scripts/bench_trajectory.py --label windowed-scan
+    python3 scripts/bench_trajectory.py --check-provenance
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -33,6 +46,13 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "prevthresh"
 SEED = 0
 PROVENANCE_PREFIX = "provenance "
+SRC_DIR = "src/prevthresh"
+
+# BENCH files whose recorded src_sha256 matched no tree at the commit that
+# added them when --check-provenance was written: their figures cannot be
+# tied to committed code (CHANGES.md lists them). They are reported, not
+# failed; any other BENCH file must match.
+KNOWN_MISMATCHES = frozenset({"BENCH_pr14.json", "BENCH_pr26.json", "BENCH_pr27.json", "BENCH_pr30.json"})
 
 
 def parse_run_output(stdout: str, end_to_end: list[str]) -> dict:
@@ -69,6 +89,78 @@ def bytecode_state(package: Path, environ) -> dict:
     }
 
 
+def _git(root: Path, *args: str) -> bytes:
+    proc = subprocess.run(["git", *args], cwd=root, capture_output=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"git {' '.join(args)} failed: {proc.stderr.decode(errors='replace').strip()}")
+    return proc.stdout
+
+
+def src_digest(files: dict[str, bytes]) -> str:
+    """run.py's src_sha256 of the files of src/prevthresh, given as {name: contents}: each name, NUL, contents, by name."""
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        digest.update(name.encode() + b"\0" + files[name])
+    return digest.hexdigest()
+
+
+def src_files_at(root: Path, commit: str | None) -> dict[str, bytes]:
+    """The *.py files directly in src/prevthresh, at commit or (None) in the working tree, by name."""
+    if commit is None:
+        return {path.name: path.read_bytes() for path in (root / SRC_DIR).glob("*.py")}
+    listed = _git(root, "ls-tree", "--name-only", commit, f"{SRC_DIR}/").decode().splitlines()
+    names = [path.rsplit("/", 1)[1] for path in listed if path.endswith(".py")]
+    return {name: _git(root, "show", f"{commit}:{SRC_DIR}/{name}") for name in names}
+
+
+def recorded_digests(record: dict) -> set[str]:
+    """Every src_sha256 a BENCH record holds: one per workload's provenance."""
+    return {w["provenance"]["src_sha256"] for w in record.get("workloads", {}).values() if "src_sha256" in w.get("provenance", {})}
+
+
+def check_provenance(root: Path) -> list[tuple[str, str | None, bool, str]]:
+    """(file, adding commit or None if uncommitted, whether it matches, message) for each BENCH_*.json in root."""
+    if _git(root, "rev-parse", "--is-shallow-repository").strip() == b"true":
+        raise RuntimeError("a shallow clone names no BENCH file's adding commit; fetch the whole history")
+    results = []
+    for path in sorted(root.glob("BENCH_*.json"), key=lambda p: p.name):
+        added = _git(root, "log", "--diff-filter=A", "--format=%H", "--", path.name).decode().split()
+        commit = added[0] if added else None  # the latest commit that added it
+        recorded = recorded_digests(json.loads(path.read_text(encoding="utf-8")))
+        actual = src_digest(src_files_at(root, commit))
+        where = commit[:12] if commit else "the working tree"
+        if not recorded:
+            results.append((path.name, commit, False, f"records no src_sha256; {where} has {actual[:12]}"))
+        elif recorded == {actual}:
+            results.append((path.name, commit, True, f"src_sha256 {actual[:12]} is {where}'s"))
+        else:
+            shown = ", ".join(sorted(d[:12] for d in recorded))
+            results.append((path.name, commit, False, f"records {shown}; {where} has {actual[:12]}"))
+    return results
+
+
+def _check_provenance_main(root: Path) -> int:
+    try:
+        results = check_provenance(root)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    failed = []
+    for name, _, matches, message in results:
+        if matches:
+            verdict = "ok"
+        elif name in KNOWN_MISMATCHES:
+            verdict = "known mismatch"
+        else:
+            verdict = "MISMATCH"
+            failed.append(name)
+        print(f"{name}: {verdict}: {message}")
+    if failed:
+        print(f"error: {', '.join(failed)} do not record the source digest of the code they measured", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _label(text: str) -> str:
     """argparse type: a label that is safe inside a file name."""
     if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*", text):
@@ -78,8 +170,16 @@ def _label(text: str) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, type=_label, help="names the output file BENCH_<label>.json")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--label", type=_label, help="names the output file BENCH_<label>.json")
+    mode.add_argument(
+        "--check-provenance",
+        action="store_true",
+        help="check that each BENCH_*.json records the src_sha256 of the commit that added it",
+    )
     args = parser.parse_args(argv)
+    if args.check_provenance:
+        return _check_provenance_main(ROOT)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     end_to_end = [metric["name"] for metric in spec["end_to_end"]]

@@ -34,42 +34,50 @@ __all__ = [
 # i.e. the predictive-value curves are straight lines.
 DEGENERATE_EPS = 1e-12
 
+# float.__new__, looked up once rather than on every Rate built.
+_new_float = float.__new__
+
 
 class Rate(float):
     """A proportion in the closed unit interval.
 
     Construction rejects non-finite values and anything outside [0, 1];
     instances otherwise behave as plain floats, so they can be used
-    directly in arithmetic.
+    directly in arithmetic. Rate(r) of an exact Rate returns r itself,
+    checked when it was built; any other value is converted and checked.
     """
 
     __slots__ = ()
 
     def __new__(cls, value: float) -> "Rate":
+        if type(value) is cls:
+            return value
         v = float(value)
         if not 0.0 <= v <= 1.0:  # also false for NaN
             raise ValueError(f"rate must be a finite number in [0, 1], got {value!r}")
-        return float.__new__(cls, v)
+        return _new_float(cls, v)
 
     def __repr__(self) -> str:
         return f"Rate({float(self)!r})"
 
 
-# Sets a field of a record in its __init__, hand-written or generated, past _Record.__setattr__.
-_set = object.__setattr__
+def _field_setters(cls) -> list:
+    """The bound __set__ of cls's fields' slot descriptors, in _fields order: each stores past _Record.__setattr__."""
+    return [getattr(cls, name).__set__ for name in cls._fields]
 
 
 class _Record:
     """Base of the package's immutable value types; each lists its fields, in order, as __slots__ and _fields.
 
     A subclass that validates its arguments writes its own __init__ and
-    stores each field with _set. For one that declares _fields but no
-    __init__, __init_subclass__ compiles the __init__(self, <fields>)
-    that one written by hand would be, one _set per field. Instances
-    compare equal when they are of the same class with equal field
-    tuples, hash as that tuple, show as Name(field=value!r, ...), and
-    copy or pickle by calling the class on their fields. Assigning or
-    deleting any attribute raises AttributeError.
+    stores each field through its slot's bound __set__ (_field_setters).
+    For one that declares _fields but no __init__, __init_subclass__
+    compiles the __init__(self, <fields>) that one written by hand would
+    be, one setter call per field. Instances compare equal when they are
+    of the same class with equal field tuples, hash as that tuple, show
+    as Name(field=value!r, ...), and copy or pickle by calling the class
+    on their fields. Assigning or deleting any attribute raises
+    AttributeError.
     """
 
     __slots__ = _fields = ()
@@ -78,10 +86,11 @@ class _Record:
         super().__init_subclass__(**kwargs)
         if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
             # Compiled inside a `class <Name>:` body, so its TypeErrors read <Name>.__init__().
-            stores = "".join([f"\n        _set(self, {name!r}, {name})" for name in cls._fields])
+            stores = "".join([f"\n        _set_{name}(self, {name})" for name in cls._fields])
             source = f"class {cls.__name__}:\n    def __init__(self, {', '.join(cls._fields)}):{stores}\n"
+            setters = {f"_set_{name}": setter for name, setter in zip(cls._fields, _field_setters(cls))}
             namespace = {}
-            exec(source, {"__name__": cls.__module__, "_set": _set}, namespace)
+            exec(source, {"__name__": cls.__module__, **setters}, namespace)
             cls.__init__ = namespace[cls.__name__].__init__
 
     def _values(self) -> tuple:
@@ -121,13 +130,13 @@ class DiagnosticProfile(_Record):
     __slots__ = _fields = ("sensitivity", "specificity")
 
     def __init__(self, sensitivity: float, specificity: float):
-        _set(self, "sensitivity", Rate(sensitivity))
-        _set(self, "specificity", Rate(specificity))
+        _set_sensitivity(self, Rate(sensitivity))
+        _set_specificity(self, Rate(specificity))
 
     @property
     def epsilon(self) -> float:
         """Informedness sum sensitivity + specificity, in [0, 2]."""
-        return float(self.sensitivity) + float(self.specificity)
+        return self.sensitivity + self.specificity  # float.__add__: a plain float
 
     def is_informative(self) -> bool:
         """True when the classifier beats chance: sensitivity + specificity > 1."""
@@ -136,6 +145,9 @@ class DiagnosticProfile(_Record):
     def is_degenerate(self) -> bool:
         """True when sensitivity + specificity is 1 within DEGENERATE_EPS (straight-line curves)."""
         return _chance_flags(self.epsilon)[1]
+
+
+_set_sensitivity, _set_specificity = _field_setters(DiagnosticProfile)
 
 
 def _chance_flags(epsilon: float) -> tuple[bool, bool]:
@@ -161,7 +173,10 @@ class ConfusionCounts(_Record):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
             if v < 0:
                 raise ValueError(f"{name} must be non-negative, got {v}")
-            _set(self, name, v)
+        _set_tp(self, tp)
+        _set_fp(self, fp)
+        _set_fn(self, fn)
+        _set_tn(self, tn)
 
     @property
     def n(self) -> int:
@@ -190,6 +205,9 @@ class ConfusionCounts(_Record):
     def profile(self) -> DiagnosticProfile:
         """Sensitivity/specificity profile derived from the counts."""
         return DiagnosticProfile(self.sensitivity(), self.specificity())
+
+
+_set_tp, _set_fp, _set_fn, _set_tn = _field_setters(ConfusionCounts)
 
 
 def _beta(beta: float) -> float:

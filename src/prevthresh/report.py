@@ -94,14 +94,14 @@ def analyze_counts(
       ratio that overflows a float, as fm_ratio does at sensitivity
       5e-324 with specificity 0.
     """
-    n = counts.n
+    tp, fp, fn, tn = counts.tp, counts.fp, counts.fn, counts.tn
+    n = tp + fp + fn + tn
     if n == 0:
         raise UndefinedMetric("cannot analyze empty counts")
     beta_keys = _SWEEP_BETA_KEYS if betas is SWEEP_BETAS else _beta_keys(_labelled_betas(betas))
     profile = counts.profile()
     a = float(profile.sensitivity)
     b = float(profile.specificity)
-    tp, fp, fn, tn = counts.tp, counts.fp, counts.fn, counts.tn
 
     # ConfusionCounts' rates, by its formulas, where their denominators are positive.
     prevalence = (tp + fn) / n

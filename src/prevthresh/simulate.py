@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 
 from .errors import _echo
-from .metrics import ConfusionCounts, DiagnosticProfile, Rate, _Record, _set
+from .metrics import ConfusionCounts, DiagnosticProfile, Rate, _field_setters, _Record
 
 __all__ = ["SimulationConfig", "simulate_population"]
 
@@ -45,10 +45,13 @@ class SimulationConfig(_Record):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         if not 0 <= seed < _SEED_LIMIT:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {_echo(repr(seed), str)}")
-        _set(self, "prevalence", prevalence)
-        _set(self, "profile", profile)
-        _set(self, "n", n)
-        _set(self, "seed", seed)
+        _set_prevalence(self, prevalence)
+        _set_profile(self, profile)
+        _set_n(self, n)
+        _set_seed(self, seed)
+
+
+_set_prevalence, _set_profile, _set_n, _set_seed = _field_setters(SimulationConfig)
 
 
 def simulate_population(config: SimulationConfig) -> ConfusionCounts:
@@ -80,4 +83,4 @@ def simulate_population(config: SimulationConfig) -> ConfusionCounts:
     negatives = config.n - positives
     tp = int(rng.binomial(positives, float(config.profile.sensitivity)))
     tn = int(rng.binomial(negatives, float(config.profile.specificity)))
-    return ConfusionCounts(tp=tp, fp=negatives - tn, fn=positives - tp, tn=tn)
+    return ConfusionCounts(tp, negatives - tn, positives - tp, tn)

@@ -14,8 +14,8 @@ The curves' Bayes' rule and quotient-form coefficients live in metrics
 where undefined, that the raising functions and the reports both read.
 The one curvature arithmetic, _kappa_kernel, serves curvature_at, the
 CSV kappa columns and the oracle's scan (in _scan, on Python floats,
-imported on curvature_argmax's first call) and refinement; nothing in
-this module loads numpy.
+imported by curvature_argmax's first call through _curvature_bracket)
+and refinement; nothing in this module loads numpy.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def positive_threshold(profile: DiagnosticProfile) -> ThresholdResult:
     phi_e = 0 is undefined).
     """
     phi, ppv = _side("positive", float(profile.sensitivity), float(profile.specificity))
-    return ThresholdResult(phi=Rate(phi), metric_value=None if ppv is None else Rate(ppv))
+    return ThresholdResult(Rate(phi), None if ppv is None else Rate(ppv))
 
 
 def ppv_at_threshold(profile: DiagnosticProfile) -> Rate:
@@ -159,7 +159,7 @@ def negative_threshold(profile: DiagnosticProfile) -> ThresholdResult:
     sensitivity 1 puts phi_n at 1, specificity 0 puts it at 0).
     """
     phi, npv = _side("negative", float(profile.sensitivity), float(profile.specificity))
-    return ThresholdResult(phi=Rate(phi), metric_value=None if npv is None else Rate(npv))
+    return ThresholdResult(Rate(phi), None if npv is None else Rate(npv))
 
 
 def threshold_summary(profile: DiagnosticProfile) -> dict:
@@ -197,14 +197,15 @@ def curvature_at(profile: DiagnosticProfile, phi: float, curve: Curve | str = Cu
     sign * p*q / u**2 with Bayes' denominator u (metrics._bayes,
     metrics._curve_coefficients).
     """
-    curve = Curve(curve)
+    if type(curve) is not Curve:
+        curve = Curve(curve)
     phi = Rate(phi)
     x = float(phi)
     kappa = _kappa_kernel(profile, curve)(x)
     a, b = float(profile.sensitivity), float(profile.specificity)
     p, q, sign = _curve_coefficients(a, b, curve)
     _, u = _bayes(a, b, curve, x)
-    return CurvaturePoint(phi=phi, kappa=kappa, slope=sign * (p * q) / (u * u))
+    return CurvaturePoint(phi, kappa, sign * (p * q) / (u * u))
 
 
 def _kappa_kernel(profile: DiagnosticProfile, curve: Curve):
@@ -308,7 +309,8 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
     the first largest value. The closed form only sets where the climb
     starts, so any start gives the same result.
     """
-    curve = Curve(curve)
+    if type(curve) is not Curve:
+        curve = Curve(curve)
     if profile.is_degenerate():
         raise DegenerateProfile(
             "curvature is zero everywhere when sensitivity + specificity = 1"
@@ -320,13 +322,22 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
         raise DegenerateProfile(
             f"{curve.value} curve is constant for {profile}; no curvature maximum"
         )
-
-    from ._scan import curvature_bracket
-
     # One closure serves the scan and the refinement. Every refinement
     # probe lies in the scan's bracket, inside [0, 1], the kernel's domain.
     kappa = _kappa_kernel(profile, curve)
-    lo, hi = _golden_section(kappa, *curvature_bracket(kappa, p, q))
-    phi = Rate(0.5 * (lo + hi))
+    lo, hi = _golden_section(kappa, *_curvature_bracket(kappa, p, q))
+    phi = 0.5 * (lo + hi)
     value = _predictive_value(a, b, curve, phi)
-    return ThresholdResult(phi=phi, metric_value=None if value is None else Rate(value))
+    return ThresholdResult(Rate(phi), None if value is None else Rate(value))
+
+
+def _curvature_bracket(kappa, p: float, q: float) -> tuple[float, float]:
+    """_scan.curvature_bracket, which this function rebinds its own module-level name to on its first call.
+
+    So _scan loads only when curvature_argmax first runs, which no CLI
+    path does, and later calls find it without an import statement.
+    """
+    global _curvature_bracket
+    from ._scan import curvature_bracket as _curvature_bracket
+
+    return _curvature_bracket(kappa, p, q)

@@ -110,6 +110,10 @@ CASES = [
 ]
 
 
+# The records that validate their arguments in an __init__ written by hand; the rest have a generated one.
+HAND_WRITTEN_INIT = (DiagnosticProfile, ConfusionCounts, SimulationConfig)
+
+
 def hashable(cls) -> bool:
     # AnalysisReport's maps are dicts, so its field tuple, and it, cannot be hashed.
     return cls is not AnalysisReport
@@ -196,6 +200,25 @@ class TestRecordContract:
             record.extra = 1
         assert record == cls(**fields)
 
+    def test_fields_are_stored_in_slots_without_an_instance_dict(self, cls, fields, other):
+        # The generated __init__, the hand-written ones and a subclass without _fields, which stores
+        # through its parent's __init__, all store into the slot descriptors _fields names.
+        sub_cls = type(f"Sub{cls.__name__}", (cls,), {"__slots__": ()})
+        generated = cls.__init__.__code__.co_filename == "<string>"
+        assert generated is (cls not in HAND_WRITTEN_INIT)
+        for record in (cls(**fields), sub_cls(**fields)):
+            assert not hasattr(record, "__dict__")
+            for name, value in fields.items():
+                slot = cls.__dict__[name]
+                assert type(slot).__name__ == "member_descriptor"
+                assert slot.__get__(record, type(record)) is value
+            for name, value in other.items():
+                with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
+                    setattr(record, name, value)
+                with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
+                    delattr(record, name)
+            assert record == type(record)(**fields)
+
     def test_copies_and_pickles_compare_equal(self, cls, fields, other):
         record = cls(**fields)
         for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
@@ -278,3 +301,67 @@ def test_validation_messages(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+class Half(float):
+    """A float subclass that is not a Rate."""
+
+    __slots__ = ()
+
+
+class SubRate(Rate):
+    __slots__ = ()
+
+
+class TestRateConstruction:
+    def test_an_exact_rate_is_returned_unchanged(self):
+        rate = Rate(0.25)
+        assert Rate(rate) is rate
+        assert DiagnosticProfile(rate, rate).sensitivity is rate
+        assert SimulationConfig(rate, PROFILE, 10, 0).prevalence is rate
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            pytest.param(0.25, 0.25, id="float"),
+            pytest.param(Half(0.25), 0.25, id="float-subclass"),
+            pytest.param(SubRate(0.25), 0.25, id="rate-subclass"),
+            pytest.param(1, 1.0, id="int"),
+            pytest.param(True, 1.0, id="true"),
+            pytest.param(False, 0.0, id="false"),
+            pytest.param("0.5", 0.5, id="str"),
+            pytest.param(5e-324, 5e-324, id="subnormal"),
+            pytest.param(-0.0, -0.0, id="negative-zero"),
+        ],
+    )
+    def test_any_other_value_is_checked_and_built_anew(self, value, expected):
+        rate = Rate(value)
+        assert type(rate) is Rate and rate is not value
+        assert math.copysign(1.0, rate) == math.copysign(1.0, expected) and rate == expected
+
+    def test_a_subclass_builds_its_own_type_from_a_rate(self):
+        rate = Rate(0.25)
+        sub = SubRate(rate)
+        assert type(sub) is SubRate and sub == rate
+        assert SubRate(sub) is sub
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            pytest.param(1.5, "1.5", id="above-1"),
+            pytest.param(-0.5, "-0.5", id="below-0"),
+            pytest.param(1.0000000000000002, "1.0000000000000002", id="one-ulp-above-1"),
+            pytest.param(-5e-324, "-5e-324", id="below-0-subnormal"),
+            pytest.param(math.nan, "nan", id="nan"),
+            pytest.param(math.inf, "inf", id="inf"),
+            pytest.param(-math.inf, "-inf", id="minus-inf"),
+            pytest.param(Half(1.5), "1.5", id="float-subclass-above-1"),
+            pytest.param(Half(math.nan), "nan", id="float-subclass-nan"),
+            pytest.param(2, "2", id="int-above-1"),
+            pytest.param("1.5", "'1.5'", id="str-above-1"),
+        ],
+    )
+    def test_out_of_range_values_fail_with_the_message(self, value, shown):
+        with pytest.raises(ValueError) as exc:
+            Rate(value)
+        assert str(exc.value) == RATE_MESSAGE.format(shown)

@@ -146,6 +146,62 @@ def test_bench_trajectory_bytecode_state(tmp_path):
     }
 
 
+def test_bench_trajectory_checks_the_source_digest_of_each_bench_file(tmp_path):
+    bench = load_script(BENCH_TRAJECTORY)
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid", *args],
+            cwd=tmp_path, check=True, capture_output=True,
+        )
+
+    def record(digest):
+        provenance = {"src_sha256": digest}
+        return json.dumps({"workloads": {"validate": {"provenance": provenance}, "cli-burst": {"provenance": provenance}}})
+
+    package = tmp_path / "src" / "prevthresh"
+    package.mkdir(parents=True)
+    (package / "metrics.py").write_text("x = 1\n")
+    (package / "__init__.py").write_text("")
+    (package / "notes.txt").write_text("not hashed")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    first = bench.src_digest({"__init__.py": b"", "metrics.py": b"x = 1\n"})
+    assert bench.src_digest(bench.src_files_at(tmp_path, None)) == first
+    # Measured the committed tree: ok. Measured an edit that was never committed: a mismatch.
+    (tmp_path / "BENCH_good.json").write_text(record(first))
+    (package / "metrics.py").write_text("x = 2\n")
+    (tmp_path / "BENCH_stale.json").write_text(record(bench.src_digest({"__init__.py": b"", "metrics.py": b"x = 3\n"})))
+    git("add", "BENCH_good.json", "BENCH_stale.json")
+    git("commit", "-q", "-m", "records")
+    # Not yet committed: checked against the working tree, whose metrics.py is x = 2.
+    (tmp_path / "BENCH_new.json").write_text(record(bench.src_digest(bench.src_files_at(tmp_path, None))))
+    results = {name: (matches, message) for name, _, matches, message in bench.check_provenance(tmp_path)}
+    assert {name: matches for name, (matches, _) in results.items()} == {
+        "BENCH_good.json": True, "BENCH_new.json": True, "BENCH_stale.json": False,
+    }
+    assert results["BENCH_new.json"][1].endswith("is the working tree's")
+    assert bench._check_provenance_main(tmp_path) == 1
+    bench.KNOWN_MISMATCHES = frozenset({"BENCH_stale.json"})
+    assert bench._check_provenance_main(tmp_path) == 0
+    # A shallow clone's oldest commit adds every file, so the check refuses to run there.
+    git("commit", "-q", "--allow-empty", "-m", "later")
+    subprocess.run(
+        ["git", "clone", "-q", "--depth", "1", tmp_path.as_uri(), str(tmp_path / "shallow")],
+        check=True, capture_output=True,
+    )
+    with pytest.raises(RuntimeError, match="shallow clone"):
+        bench.check_provenance(tmp_path / "shallow")
+    assert bench._check_provenance_main(tmp_path / "shallow") == 1
+
+
+def test_bench_trajectory_provenance_mode_takes_no_label():
+    proc = run_script(BENCH_TRAJECTORY, "--check-provenance", "--label", "x")
+    assert proc.returncode == 2
+    assert "not allowed with argument" in proc.stderr
+
+
 def test_bench_ingest_runs_every_table(tmp_path):
     # Each table, written as bench_paired.py writes it, ingests to the counts it was built with.
     bench = load_script(BENCH_INGEST)
