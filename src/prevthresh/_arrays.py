@@ -12,8 +12,8 @@ The predictive-value, ratio and MCC formulas are not repeated here:
 predictive_arrays calls Bayes' rule and its flat-curve extension as
 ppv_at, npv_at and mcc_at_threshold do (metrics._bayes,
 metrics._flat_value), and the sweep calls the float-or-array kernels
-the scalar functions use (bounds._f_beta_form, bounds._fm_form,
-metrics._mcc_form, and thresholds._radical_split for the thresholds)
+the scalar functions use (_closed._f_beta_form, _closed._fm_form,
+metrics._mcc_form, and _closed._radical_split for the thresholds)
 with np.sqrt. So every value is bit-equal to the scalar one; the
 scalar functions are the oracle the test suite checks these arrays
 against.
@@ -25,9 +25,10 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .bounds import _SWEEP_BETA_KEYS, RATIO_BOUNDS, BoundRecord, BoundViolation, _f_beta_form, _fm_form
+from ._closed import _SWEEP_BETA_KEYS, _f_beta_form, _fm_form, _radical_split
+from .bounds import RATIO_BOUNDS, BoundRecord, BoundViolation
 from .metrics import _bayes, _curve_coefficients, _flat_value, _mcc_form
-from .thresholds import Curve, _radical_split
+from .thresholds import Curve
 
 
 def sweep_cells(axis: list[float], floor: float) -> tuple[np.ndarray, np.ndarray]:
@@ -62,7 +63,7 @@ def predictive_arrays(a: np.ndarray, b: np.ndarray, curve: Curve, phi: np.ndarra
 def _mcc_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """mcc_ratio at every cell (a[i], b[i]); NaN where the scalar path raises.
 
-    At each threshold (the radical of thresholds._positive_side, then
+    At each threshold (the radical of _closed._positive_side, then
     _negative_side; NaN where their phi is None) the MCC is
     mcc_from_rates' kernel _mcc_form over the PPV and NPV with
     mcc_at_threshold's continuity extension. At a = 1, phi_n is 1, the

@@ -12,7 +12,7 @@ import io
 import math
 from collections.abc import Callable
 
-from .metrics import DiagnosticProfile, _f_beta_harmonic
+from .metrics import DiagnosticProfile, _curve_coefficients, _f_beta_harmonic
 from .thresholds import Curve, _kappa_column, _kappa_kernel
 
 # Finest prevalence grid step of the curve emitters: a million rows.
@@ -57,7 +57,10 @@ def _curve_columns(profile: DiagnosticProfile) -> Callable:
     """emit_curves' ppv, npv, kappa_ppv and kappa_npv columns, as a function of a block of the grid."""
     a, b = float(profile.sensitivity), float(profile.specificity)
     na, nb = 1.0 - a, 1.0 - b
-    kappas = [_kappa_kernel(profile, curve) for curve in Curve]
+    kappas = []
+    for curve in Curve:
+        p, q, _ = _curve_coefficients(a, b, curve)
+        kappas.append(_kappa_kernel(profile, curve, p, q))
 
     def columns_at(grid: list[float]) -> list[list[float]]:
         # npv_at's Bayes' rule: b*(1-phi) / (b*(1-phi) + (1-a)*phi).

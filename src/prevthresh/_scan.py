@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 
-from .thresholds import COARSE_STEP, _kappa_column, _radical_split
+from ._closed import _radical_split
+from .thresholds import COARSE_STEP, _kappa_column
 
 # The grid's last index: the grid is i * COARSE_STEP for i in 0.._N, and _N * COARSE_STEP is 1.0.
 _N = round(1.0 / COARSE_STEP)

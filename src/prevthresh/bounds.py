@@ -11,20 +11,21 @@ because NPV vanishes at full prevalence and no reference exists there.
 The test suite checks every closed form here against the direct
 composition of the pointwise metrics (and the MCC ratio also against a
 decomposed square-root form and a fully inlined long form).
-Each ratio is a plain float, and each closed form is written once,
-over floats or arrays with sqrt as a parameter: _f_beta_form,
-_fm_form, and metrics._mcc_form for the MCC rate form, whose PPV and
-NPV come from metrics._bayes and metrics._flat_value. The
-per-profile functions (f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio)
-call them with math.sqrt and raise ValueError on a non-finite result.
-_ratio_values, which analyze_counts and `ratios --json` report, calls
-the same kernels on plain floats in one pass, with None for an
-undefined ratio and a non-finite one left to its caller.
-verify_bounds sweeps them all over a sensitivity/specificity grid
-against their bounding intervals; its array path (cell builder, ratio
-arrays, per-metric records) lives in _arrays, which calls the same
-kernels with np.sqrt over every grid cell at once and which
-verify_bounds imports on first call. The per-profile functions are
+Each ratio is a plain float, and each closed form is written once, in
+_closed, over floats or arrays with sqrt as a parameter: _f_beta_form,
+_fm_form, and _threshold_mcc over metrics._mcc_form for the MCC rate
+form, whose PPV and NPV come from metrics._bayes and
+metrics._flat_value. The per-profile functions (f1_ratio,
+f_beta_ratio, fm_ratio, mcc_ratio) call them with math.sqrt and raise
+ValueError on a non-finite result (_closed._finite).
+_closed._ratio_values, which analyze_counts and `ratios --json`
+report, calls the same kernels on plain floats in one pass, with None
+for an undefined ratio and a non-finite one left to its caller, so
+neither compiles this module. verify_bounds sweeps them all over a
+sensitivity/specificity grid against their bounding intervals; its
+array path (cell builder, ratio arrays, per-metric records) lives in
+_arrays, which calls the same kernels with np.sqrt over every grid
+cell at once and which verify_bounds imports on first call. The per-profile functions are
 the oracle the suite checks those arrays against, byte for byte on
 the report. The finest grid step it accepts is MIN_GRID_STEP = 0.001
 (499,500 cells).
@@ -42,19 +43,8 @@ from .errors import (
     UndefinedMetric,
     ZeroDenominator,
 )
-from .metrics import (
-    DiagnosticProfile,
-    Rate,
-    _bayes,
-    _beta,
-    _flat_value,
-    _labelled_betas,
-    _mcc_form,
-    _Record,
-    f1_at,
-    f_beta_at,
-    fm_at,
-)
+from ._closed import _SWEEP_BETA_KEYS, _f_beta_form, _finite, _fm_form, _threshold_mcc
+from .metrics import DiagnosticProfile, Rate, _beta, _Record, f1_at, f_beta_at, fm_at
 from .thresholds import _side
 
 __all__ = [
@@ -77,22 +67,9 @@ SQRT2 = math.sqrt(2.0)
 # per swept cell, and this step already sweeps 499,500 cells.
 MIN_GRID_STEP = 0.001
 
-# F-beta weights swept by verify_bounds and reported by analyze_counts
-# by default.
-SWEEP_BETAS = (0.5, 1.0, 2.0)
-
-
-def _beta_keys(betas: dict[str, float]) -> tuple[tuple[str, str, float], ...]:
-    """Each labelled beta (metrics._labelled_betas) as its metric key, its ratio key and beta**2."""
-    return tuple([(f"f_beta_{label}", f"f_beta_{label}_ratio", beta * beta) for label, beta in betas.items()])
-
-
-# SWEEP_BETAS keyed once, for analyze_counts' default and the sweep.
-_SWEEP_BETA_KEYS = _beta_keys(_labelled_betas(SWEEP_BETAS))
-
 # Bounding interval of each ratio for informative profiles, keyed the
-# way verify_bounds reports them. The F-beta upper bound is
-# 1 + 1/(beta^2 + 1); F1 is the beta = 1 case.
+# way verify_bounds reports them (F-beta for _closed.SWEEP_BETAS). The
+# F-beta upper bound is 1 + 1/(beta^2 + 1); F1 is the beta = 1 case.
 RATIO_BOUNDS: dict[str, tuple[float, float]] = {
     "f1": (1.0, 1.5),
     **{key: (1.0, 1.0 + 1.0 / (beta_sq + 1.0)) for key, _, beta_sq in _SWEEP_BETA_KEYS},
@@ -107,22 +84,6 @@ def _require_positive_recall(profile: DiagnosticProfile) -> tuple[float, float]:
     if a == 0.0:
         raise DegenerateProfile("ratio undefined when sensitivity is 0")
     return a, b
-
-
-def _finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"ratio value must be finite, got {value!r}")
-    return value
-
-
-def _f_beta_form(a, b, beta_sq, sqrt=math.sqrt):
-    """1 + sqrt(a*(1-b)) / (beta_sq + a), for floats or arrays (sqrt=np.sqrt)."""
-    return 1.0 + sqrt(a * (1.0 - b)) / (beta_sq + a)
-
-
-def _fm_form(a, b, sqrt=math.sqrt):
-    """sqrt(1 + sqrt((1-b)/a)), for floats or arrays (sqrt=np.sqrt)."""
-    return sqrt(1.0 + sqrt((1.0 - b) / a))
 
 
 def f1_ratio(profile: DiagnosticProfile) -> float:
@@ -160,20 +121,6 @@ def fm_ratio(profile: DiagnosticProfile) -> float:
     """
     a, b = _require_positive_recall(profile)
     return _finite(_fm_form(a, b))
-
-
-def _threshold_mcc(a: float, b: float, phi: float) -> float:
-    """The MCC of the population at prevalence phi: mcc_at_threshold's and _ratio_values' one kernel.
-
-    _mcc_form over the PPV and NPV of _bayes at phi, each its curve's
-    _flat_value where u is 0. That flat value is 0/0, raising
-    ZeroDivisionError, only at the chance corners (0, 1) and (1, 0).
-    """
-    num, u = _bayes(a, b, "ppv", phi)
-    rho = num / u if u != 0.0 else _flat_value(a, b, "ppv")
-    num, u = _bayes(a, b, "npv", phi)
-    sigma = num / u if u != 0.0 else _flat_value(a, b, "npv")
-    return _mcc_form(rho, a, b, sigma)
 
 
 def mcc_at_threshold(profile: DiagnosticProfile, which: str) -> float:
@@ -352,38 +299,6 @@ def _grid_axis(step: float) -> list[float]:
             break
         values.append(min(v, 1.0))
         i += 1
-    return values
-
-
-def _ratio_values(
-    a: float, b: float, beta_keys: tuple[tuple[str, str, float], ...], phi_e: float | None, phi_n: float | None
-) -> dict[str, float | None]:
-    """Every bounded ratio at the rates a, b, keyed <key>_ratio; None where undefined.
-
-    The ratios of analyze_counts and `ratios --json`, composed here
-    only, from beta_keys (_beta_keys) and the thresholds of
-    thresholds._positive_side and _negative_side, which the caller has.
-    Keys are f1, f_beta_<label> for each beta, fm and mcc, in order;
-    each value is its ratio function's, by the same kernels. An entry
-    is None where that function raises a PrevthreshError, decided by
-    comparison: the F-family and FM ratios at sensitivity 0 (no
-    recall); the MCC ratio at the chance corners (0, 1) and (1, 0),
-    where a threshold has p = q = 0 or a flat curve's value is 0/0, and
-    where the MCC at phi_e is 0. A ratio that overflows (fm_ratio's inf
-    at sensitivity 5e-324 with specificity 0) is returned as it is, not
-    raised: each caller applies its own policy to it.
-    """
-    recall = a != 0.0
-    values = {"f1_ratio": _f_beta_form(a, b, 1.0) if recall else None}
-    for _, key, beta_sq in beta_keys:
-        values[key] = _f_beta_form(a, b, beta_sq) if recall else None
-    values["fm_ratio"] = _fm_form(a, b) if recall else None
-    mcc = None
-    if phi_e is not None and phi_n is not None:
-        denominator = _threshold_mcc(a, b, phi_e)
-        if denominator != 0.0:
-            mcc = _threshold_mcc(a, b, phi_n) / denominator
-    values["mcc_ratio"] = mcc
     return values
 
 

@@ -29,11 +29,12 @@ At import the module loads only what parsing and error reporting
 need, errors and metrics; each _cmd_* checks the rates or counts it
 is given and then imports the modules it uses. A call compiles no
 module it does not use, which matters where no bytecode cache is
-written: thresholds loads thresholds, ratios --json also bounds,
-analyze --counts also report, simulate loads simulate and _rng, and a
-rate out of range or a negative count loads none of them. analyze's
+written: thresholds and ratios --json load only _closed, the closed
+forms' float kernels, analyze --counts also report, simulate loads
+simulate and _rng, and a rate out of range or a negative count loads
+none of them. None of these loads thresholds or bounds. analyze's
 --betas defaults to None, which gives analyze_counts its own default,
-SWEEP_BETAS, so parsing loads no bounds.
+SWEEP_BETAS, so parsing loads no _closed.
 """
 
 from __future__ import annotations
@@ -321,9 +322,9 @@ def _profile_from(args) -> DiagnosticProfile:
 
 def _cmd_thresholds(args) -> dict:
     profile = _profile_from(args)
-    from .thresholds import threshold_summary
+    from ._closed import _summary  # threshold_summary's body, without compiling thresholds
 
-    return threshold_summary(profile)
+    return _summary(float(profile.sensitivity), float(profile.specificity))
 
 
 def _cmd_curves(args) -> None:
@@ -343,8 +344,7 @@ def _cmd_ratios(args) -> dict | None:
     profile = _profile_from(args)
     if args.json:
         betas = _labelled_betas(args.betas)
-        from .bounds import _beta_keys, _finite, _ratio_values
-        from .thresholds import _negative_side, _positive_side
+        from ._closed import _beta_keys, _finite, _negative_side, _positive_side, _ratio_values
 
         a, b = float(profile.sensitivity), float(profile.specificity)
         ratios = _ratio_values(a, b, _beta_keys(betas), _positive_side(a, b)[0], _negative_side(a, b)[0])

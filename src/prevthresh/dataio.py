@@ -16,8 +16,8 @@ by thresholds._kappa_column, the helper curvature_argmax's scan reads
 it through too. So every cell is bit-equal to the scalar functions'
 value there; they stay public and are the oracle the test suite checks
 the emitted bytes against. These divergence curves share
-no code with the closed-form ratios of bounds (_f_beta_form, _fm_form),
-which serve only those ratios and the bound sweep. The grid, the
+no code with the closed-form ratios (_closed._f_beta_form and
+_fm_form), which serve only those ratios and the bound sweep. The grid, the
 columns and the block writer live in _emit, which emit_curves and
 emit_ratio_curves import on their first call, so the CLI compiles them
 only when it writes a curve CSV. _emit.write_grid builds and writes the

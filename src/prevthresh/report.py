@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .bounds import _SWEEP_BETA_KEYS, SWEEP_BETAS, _beta_keys, _ratio_values
+from ._closed import _SWEEP_BETA_KEYS, SWEEP_BETAS, _beta_keys, _negative_side, _positive_side, _ratio_values
 from .errors import UndefinedMetric
 from .metrics import (
     ConfusionCounts,
@@ -28,7 +28,6 @@ from .metrics import (
     f_beta_score,
     mcc_from_counts,
 )
-from .thresholds import _negative_side, _positive_side
 
 __all__ = ["AnalysisReport", "analyze_counts"]
 
@@ -74,11 +73,11 @@ def analyze_counts(
     specificity has a zero denominator and UndefinedMetric propagates),
     and raises ValueError for an invalid beta and for betas with one
     label (metrics._labelled_betas). The default, SWEEP_BETAS itself,
-    is keyed once, at import, as bounds._SWEEP_BETA_KEYS; other betas
-    are keyed here (bounds._beta_keys). One pass over plain floats
-    composes the report from the kernels: thresholds' _positive_side
-    and _negative_side, bounds._ratio_values, metrics._chance_flags.
-    Every other entry is None where it is undefined, decided by
+    is keyed once, at import, as _closed._SWEEP_BETA_KEYS; other betas
+    are keyed here (_closed._beta_keys). One pass over plain floats
+    composes the report from the kernels of _closed (_positive_side,
+    _negative_side, _ratio_values) and metrics._chance_flags, so the
+    report compiles neither thresholds nor bounds. Every other entry is None where it is undefined, decided by
     comparison:
 
     - ppv and npv, where no element is predicted positive or negative;

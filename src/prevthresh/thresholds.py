@@ -10,12 +10,14 @@ maximum-curvature point is exactly the point where the curve's slope
 has magnitude 1, which is what the tests assert.
 
 The curves' Bayes' rule and quotient-form coefficients live in metrics
-(_bayes, _curve_coefficients). The closed forms are float kernels, None
-where undefined, that the raising functions and the reports both read.
+(_bayes, _curve_coefficients). The closed forms are the float kernels
+of _closed (_positive_side, _negative_side, _summary), None where
+undefined, which the raising functions here and the reports both read.
 The one curvature arithmetic, _kappa_kernel, serves curvature_at, the
 CSV kappa columns and the oracle's scan (in _scan, on Python floats,
 imported by curvature_argmax's first call through _curvature_bracket)
-and refinement; nothing in this module loads numpy.
+and refinement; each of them hands it the curve's (p, q). Nothing in
+this module loads numpy.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+from ._closed import _negative_side, _positive_side, _summary
 from .errors import DegenerateDenominator, DegenerateProfile
-from .metrics import DiagnosticProfile, Rate, _bayes, _chance_flags, _curve_coefficients, _predictive_value, _Record
+from .metrics import DiagnosticProfile, Rate, _bayes, _curve_coefficients, _predictive_value, _Record
 
 __all__ = [
     "Curve",
@@ -79,42 +82,6 @@ class CurvaturePoint(_Record):
         return 1.0 / self.kappa
 
 
-def _radical_split(p, q, sqrt=math.sqrt):
-    """sqrt(q) / (sqrt(p) + sqrt(q)); arrays take sqrt=np.sqrt and give NaN where p = q = 0.
-
-    With a curve's coefficients this is its maximum-curvature
-    prevalence: phi_e from (a, 1-b), phi_n from (1-a, b). With p and q
-    swapped it is the PPV at phi_e.
-    """
-    sq = sqrt(q)
-    return sq / (sqrt(p) + sq)
-
-
-def _positive_side(a: float, b: float) -> tuple[float | None, float | None]:
-    """phi_e and the PPV there, for plain-float rates; each None where undefined.
-
-    phi_e is _radical_split of the PPV curve's (p, q) = (a, 1-b), None where
-    p = q = 0; the PPV there is the swapped radical, None where q = 0.
-    """
-    q = 1.0 - b
-    if a == 0.0 and q == 0.0:
-        return None, None
-    return _radical_split(a, q), _radical_split(q, a) if q != 0.0 else None
-
-
-def _negative_side(a: float, b: float) -> tuple[float | None, float | None]:
-    """phi_n and the NPV there, for plain-float rates; each None where undefined.
-
-    phi_n is _radical_split of the NPV curve's (p, q) = (1-a, b), None where
-    p = q = 0; the NPV there is _predictive_value's, None where its u is 0.
-    """
-    p = 1.0 - a
-    if p == 0.0 and b == 0.0:
-        return None, None
-    phi = _radical_split(p, b)
-    return phi, _predictive_value(a, b, "npv", phi)
-
-
 def _side(which: str, a: float, b: float) -> tuple[float, float | None]:
     """The "positive" or "negative" kernel's pair; DegenerateProfile where its phi is None."""
     phi, value = (_positive_side if which == "positive" else _negative_side)(a, b)
@@ -166,26 +133,12 @@ def threshold_summary(profile: DiagnosticProfile) -> dict:
     """Both thresholds and their predictive values as one JSON-ready mapping.
 
     Entries that are undefined for the given profile are None, so edge
-    profiles still produce a complete object: the pairs of _positive_side
-    and _negative_side, which positive_threshold and negative_threshold
-    return as Rates, and metrics._chance_flags. analyze_counts calls
-    these kernels itself.
+    profiles still produce a complete object: _closed._summary's, the
+    pairs of _positive_side and _negative_side, which positive_threshold
+    and negative_threshold return as Rates, and metrics._chance_flags.
+    analyze_counts calls these kernels itself.
     """
-    a = float(profile.sensitivity)
-    b = float(profile.specificity)
-    phi_e, ppv_at_phi_e = _positive_side(a, b)
-    phi_n, npv_at_phi_n = _negative_side(a, b)
-    informative, degenerate = _chance_flags(a + b)
-    return {
-        "sensitivity": a,
-        "specificity": b,
-        "phi_e": phi_e,
-        "ppv_at_phi_e": ppv_at_phi_e,
-        "phi_n": phi_n,
-        "npv_at_phi_n": npv_at_phi_n,
-        "informative": informative,
-        "degenerate": degenerate,
-    }
+    return _summary(float(profile.sensitivity), float(profile.specificity))
 
 
 def curvature_at(profile: DiagnosticProfile, phi: float, curve: Curve | str = Curve.PPV) -> CurvaturePoint:
@@ -201,29 +154,31 @@ def curvature_at(profile: DiagnosticProfile, phi: float, curve: Curve | str = Cu
         curve = Curve(curve)
     phi = Rate(phi)
     x = float(phi)
-    kappa = _kappa_kernel(profile, curve)(x)
     a, b = float(profile.sensitivity), float(profile.specificity)
     p, q, sign = _curve_coefficients(a, b, curve)
+    kappa = _kappa_kernel(profile, curve, p, q)(x)
     _, u = _bayes(a, b, curve, x)
     return CurvaturePoint(phi, kappa, sign * (p * q) / (u * u))
 
 
-def _kappa_kernel(profile: DiagnosticProfile, curve: Curve):
+def _kappa_kernel(profile: DiagnosticProfile, curve: Curve, p: float, q: float):
     """The curve's curvature as a function of a float phi in [0, 1]: the package's one curvature arithmetic.
 
-    Derivatives are analytic from the quotient form (with denominator
-    u = p*phi + q*(1-phi): |f'| = p*q/u^2, |f''| = 2*p*q*|p-q|/u^3),
-    then kappa = |f''| / (1 + f'^2)^(3/2). Analytic rather than
-    finite-difference because curvature amplifies rounding noise
-    through the second derivative. The phi-free factors are computed
-    once per curve, and no Rate or CurvaturePoint is built, so
+    p and q are the curve's quotient-form coefficients
+    (metrics._curve_coefficients of the profile's rates), which every
+    caller has already; profile and curve only name the curve in an
+    error. Derivatives are analytic from the quotient form (with
+    denominator u = p*phi + q*(1-phi): |f'| = p*q/u^2,
+    |f''| = 2*p*q*|p-q|/u^3), then kappa = |f''| / (1 + f'^2)^(3/2).
+    Analytic rather than finite-difference because curvature amplifies
+    rounding noise through the second derivative. The phi-free factors
+    are computed once per curve, and no Rate or CurvaturePoint is built, so
     curvature_at, curvature_argmax's scan and refinement and
     emit_curves' kappa columns all evaluate this closure. Raises
     DegenerateDenominator where u is 0, and where u is so small that
     u**3 underflows or the slope term overflows, since kappa is not
     representable there.
     """
-    p, q, _ = _curve_coefficients(float(profile.sensitivity), float(profile.specificity), curve)
     pq = p * q
     gap = 2.0 * pq * abs(p - q)
 
@@ -324,7 +279,7 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
         )
     # One closure serves the scan and the refinement. Every refinement
     # probe lies in the scan's bracket, inside [0, 1], the kernel's domain.
-    kappa = _kappa_kernel(profile, curve)
+    kappa = _kappa_kernel(profile, curve, p, q)
     lo, hi = _golden_section(kappa, *_curvature_bracket(kappa, p, q))
     phi = 0.5 * (lo + hi)
     value = _predictive_value(a, b, curve, phi)

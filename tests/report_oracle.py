@@ -1,11 +1,11 @@
 """The confusion-matrix report composed from the public functions: the oracle of its one-pass forms.
 
 thresholds.threshold_summary computes its entries in one pass over
-plain floats, and so does bounds._ratio_values, the ratios section of
-report.analyze_counts and `ratios --json`. analyze_counts composes the
-rest of its report from the same float kernels (thresholds'
-_positive_side and _negative_side, metrics._chance_flags), not from
-threshold_summary. This module composes the same entries from the public
+plain floats (_closed._summary), and so does _closed._ratio_values, the
+ratios section of report.analyze_counts and `ratios --json`.
+analyze_counts composes the rest of its report from the same float
+kernels (_closed._positive_side and _negative_side,
+metrics._chance_flags), not from threshold_summary. This module composes the same entries from the public
 per-profile and per-count functions instead (positive_threshold,
 negative_threshold, f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio, the
 ConfusionCounts rates, accuracy_from_counts and mcc_from_counts), with
@@ -14,8 +14,8 @@ an entry None where its function raises a PrevthreshError
 ratio functions' ValueError: ratio_values lets it propagate, as
 `ratios --json` reports it, and analyze_counts takes it as None. Both
 refuse two betas whose f"{beta:g}" keys are equal (checked_betas), as
-metrics._labelled_betas does before bounds._beta_keys keys the betas
-for bounds._ratio_values.
+metrics._labelled_betas does before _closed._beta_keys keys the betas
+for _closed._ratio_values.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from prevthresh.bounds import SWEEP_BETAS, f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio
+from prevthresh._closed import SWEEP_BETAS
+from prevthresh.bounds import f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio
 from prevthresh.errors import DegenerateProfile, UndefinedMetric, value_or_none
 from prevthresh.metrics import (
     ConfusionCounts,
@@ -79,7 +80,7 @@ def checked_betas(betas: Iterable[float]) -> list[float]:
 
 
 def ratio_values(profile: DiagnosticProfile, betas: Iterable[float], overflow_as_none: bool = False) -> dict:
-    """bounds._ratio_values over metrics._labelled_betas(betas), from the per-profile ratio functions.
+    """_closed._ratio_values over metrics._labelled_betas(betas), from the per-profile ratio functions.
 
     A ratio that overflows raises their ValueError, or is None with
     overflow_as_none.

@@ -10,9 +10,9 @@ scalar functions.
 from functools import partial
 from typing import Callable, Iterable
 
+from prevthresh._closed import SWEEP_BETAS
 from prevthresh.bounds import (
     RATIO_BOUNDS,
-    SWEEP_BETAS,
     BoundRecord,
     BoundsReport,
     BoundViolation,

@@ -276,7 +276,7 @@ def _seeded_cell(rng) -> int:
 
 
 class TestOneRatioComposition:
-    """ratios --json and analyze --counts report each ratio from one pass, bounds._ratio_values."""
+    """ratios --json and analyze --counts report each ratio from one pass, _closed._ratio_values."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_ratios_json_entries_are_the_analyze_ratios(self, capsys, seed):
@@ -940,16 +940,17 @@ MODULES_BY_CALL = [
     (["--help"], 0, {"errors", "metrics"}),
     (["thresholds", "--sensitivity", "0.9"], 1, {"errors", "metrics"}),
     (["frobnicate"], 1, {"errors", "metrics"}),
-    (["thresholds", *PROFILE], 0, {"errors", "metrics", "thresholds"}),
-    (["ratios", *PROFILE, "--json"], 0, {"errors", "metrics", "thresholds", "bounds"}),
-    (["analyze", "--counts", "9,1,1,9"], 0, {"errors", "metrics", "thresholds", "bounds", "report"}),
-    (["analyze", "--counts", "9,1,1,9", "--betas", "1,3", "--json"], 0,
-     {"errors", "metrics", "thresholds", "bounds", "report"}),
+    # The closed-form reports load _closed, not thresholds with its oracle or bounds with its sweep.
+    (["thresholds", *PROFILE], 0, {"errors", "metrics", "_closed"}),
+    (["ratios", *PROFILE, "--json"], 0, {"errors", "metrics", "_closed"}),
+    (["analyze", "--counts", "9,1,1,9"], 0, {"errors", "metrics", "_closed", "report"}),
+    (["analyze", "--counts", "9,1,1,9", "--betas", "1,3", "--json"], 0, {"errors", "metrics", "_closed", "report"}),
     (["simulate", "--prevalence", "0.19", *PROFILE, "--n", "1000", "--json"], 0,
      {"errors", "metrics", "simulate", "_rng"}),
-    (["curves", *PROFILE, "--step", "0.25"], 0, {"errors", "metrics", "thresholds", "dataio", "_emit"}),
-    (["ratios", *PROFILE, "--step", "0.25"], 0, {"errors", "metrics", "thresholds", "dataio", "_emit"}),
-    (["verify-bounds", "--grid-step", "0.05"], 0, {"errors", "metrics", "thresholds", "bounds", "_arrays"}),
+    (["curves", *PROFILE, "--step", "0.25"], 0, {"errors", "metrics", "_closed", "thresholds", "dataio", "_emit"}),
+    (["ratios", *PROFILE, "--step", "0.25"], 0, {"errors", "metrics", "_closed", "thresholds", "dataio", "_emit"}),
+    (["verify-bounds", "--grid-step", "0.05"], 0,
+     {"errors", "metrics", "_closed", "thresholds", "bounds", "_arrays"}),
     # Error exits check the rates before they import the modules that would use them.
     (["thresholds", "--sensitivity", "1.5", "--specificity", "0.95"], 1, {"errors", "metrics"}),
     (["simulate", "--prevalence", "1.5", *PROFILE, "--n", "1000"], 1, {"errors", "metrics"}),
@@ -1040,7 +1041,7 @@ class TestColdStart:
     def test_analyze_predictions_loads_only_the_modules_it_uses(self, tmp_path):
         path = tmp_path / "predictions.csv"
         path.write_text("label,prediction\n1,1\n0,1\n1,0\n0,0\n", encoding="utf-8")
-        modules = {"errors", "metrics", "thresholds", "bounds", "report", "dataio", "_ingest"}
+        modules = {"errors", "metrics", "_closed", "thresholds", "report", "dataio", "_ingest"}
         expected = sorted({"prevthresh", "prevthresh.cli"} | {f"prevthresh.{m}" for m in modules})
         assert run_fresh(MODULES_PROBE, json.dumps(["analyze", "--predictions", str(path)])) == [0, expected]
 
@@ -1063,14 +1064,16 @@ class TestColdStart:
             "from prevthresh import _emit\n"
             "print(json.dumps([missing, sorted(m for m in sys.modules if m.startswith('prevthresh'))]))"
         )
-        loaded = ["prevthresh", "prevthresh._emit", "prevthresh.errors", "prevthresh.metrics", "prevthresh.thresholds"]
+        loaded = ["prevthresh", "prevthresh._closed", "prevthresh._emit", "prevthresh.errors", "prevthresh.metrics",
+                  "prevthresh.thresholds"]
         assert run_fresh(program) == [True, loaded]
 
     @pytest.mark.parametrize("lookup", ["prevthresh.Rate", "dir(prevthresh)", "prevthresh.__all__"])
     def test_package_import_loads_no_submodule_until_a_lookup_loads_all_seven(self, lookup):
         probe = run_fresh(NAMESPACE_PROBE, lookup)
         assert probe["import"] == ["prevthresh"]
-        assert probe["lookup"] == ["prevthresh"] + [f"prevthresh.{m}" for m in SEVEN]
+        # The seven import the closed-form kernels they share from _closed.
+        assert probe["lookup"] == ["prevthresh", "prevthresh._closed"] + [f"prevthresh.{m}" for m in SEVEN]
         assert probe["all"] == prevthresh.__all__ and len(probe["all"]) == 52
         assert set(probe["all"]) <= set(probe["vars"])
         # Loaded, the package drops its hooks, so dir() is the plain namespace.
@@ -1231,7 +1234,7 @@ class TestNonFiniteJson:
     """A payload holding NaN or an infinity is refused, never written as bare NaN or Infinity."""
 
     def test_stdout_payload(self, capsys, monkeypatch):
-        monkeypatch.setattr("prevthresh.thresholds.threshold_summary", lambda profile: {"phi_e": float("nan")})
+        monkeypatch.setattr("prevthresh._closed._summary", lambda a, b: {"phi_e": float("nan")})
         code, out, err = run(capsys, "thresholds", "--sensitivity", "0.9", "--specificity", "0.95", "--json")
         assert (code, out) == (1, "")
         assert err.startswith("error:validation:") and err.count("\n") == 1

@@ -31,7 +31,7 @@ from prevthresh import (
     ppv_at,
     threshold_summary,
 )
-from prevthresh.bounds import _beta_keys, _ratio_values
+from prevthresh._closed import _beta_keys, _ratio_values
 from prevthresh.metrics import _labelled_betas, f_beta_score
 
 # Oracle constants for sensitivity 0.9, specificity 0.95 (50-digit arithmetic).

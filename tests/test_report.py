@@ -17,7 +17,7 @@ from prevthresh import (
     emit_ratio_curves,
     threshold_summary,
 )
-from prevthresh.bounds import _beta_keys, _finite, _ratio_values
+from prevthresh._closed import _beta_keys, _finite, _ratio_values
 from prevthresh.metrics import _labelled_betas
 
 
@@ -207,7 +207,7 @@ class TestOnePassMatchesComposition:
     @given(COUNTS, COUNTS, COUNTS, COUNTS)
     @settings(max_examples=400)
     def test_analyze_counts_with_the_default_betas(self, tp, fp, fn, tn):
-        # The default takes the keys bounds._SWEEP_BETA_KEYS holds, not _labelled_betas'.
+        # The default takes the keys _closed._SWEEP_BETA_KEYS holds, not _labelled_betas'.
         counts = ConfusionCounts(tp, fp, fn, tn)
         assert _outcome(lambda: analyze_counts(counts).to_dict()) == _outcome(
             lambda: report_oracle.analyze_counts(counts).to_dict()

@@ -4,9 +4,11 @@ The argmax routine is tested as a fully independent check on the closed
 forms: it never consults them, only the curvature evaluations.
 """
 
+import ast
 import io
 import json
 import math
+import pathlib
 import random
 import subprocess
 import sys
@@ -36,11 +38,14 @@ from prevthresh import (
     ppv_at,
     ppv_at_threshold,
 )
-from prevthresh import _scan, thresholds
+from prevthresh import _closed, _scan, thresholds
 
 from emit_oracle import curvature_scalar
 from test_cli import source_env
 from test_threshold_bits import PINNED
+
+# Smallest J, a quarter-decade band edge, above which no measured profile tied phi_n with phi_e.
+STRICT_ORDER_CUT = 10.0 ** -15.5
 
 # Oracle constants (50-digit arithmetic, correctly rounded).
 PHI_E = 0.1907435698305462       # sensitivity 0.9, specificity 0.95
@@ -150,11 +155,63 @@ class TestNegativeThreshold:
         p = DiagnosticProfile(a, b)
         assert float(negative_threshold(p).phi) >= float(positive_threshold(p).phi)
 
+    def test_ordering_is_strict_above_the_measured_tie_cut(self):
+        # phi_n > phi_e strictly for J = a + b - 1 (exact in fsum) >= STRICT_ORDER_CUT. Over
+        # 5.2 million seeded profiles in quarter-decade J bands from 1e-16 to 1e-6 (a uniform,
+        # b = 1 - a + J), the two kernels tied only in the two bands below 10**-15.5, at
+        # J <= 2.7755575615628914e-16 (5 * 2**-54), and never gave phi_n < phi_e.
+        rng = random.Random(2112)
+        checked = 0
+        for k in range(38):
+            lo = math.log10(STRICT_ORDER_CUT) + k / 4
+            for _ in range(500):
+                a = rng.random()
+                b = 1.0 - a + 10.0 ** rng.uniform(lo, lo + 0.25)
+                if b > 1.0 or math.fsum((a, b, -1.0)) < STRICT_ORDER_CUT:
+                    continue
+                assert _closed._negative_side(a, b)[0] > _closed._positive_side(a, b)[0], (a, b)
+                checked += 1
+        assert checked > 18_000
+
     @given(a=open_rates, b=open_rates)
     def test_ordering_flips_for_misleading_profiles(self, a, b):
         assume(a + b < 1.0 - 1e-6)
         p = DiagnosticProfile(a, b)
         assert float(negative_threshold(p).phi) < float(positive_threshold(p).phi)
+
+
+# The closed forms' kernels, each defined in prevthresh._closed only.
+CLOSED_FORMS = (
+    "SWEEP_BETAS", "_beta_keys", "_SWEEP_BETA_KEYS", "_radical_split", "_positive_side", "_negative_side", "_summary",
+    "_finite", "_f_beta_form", "_fm_form", "_threshold_mcc", "_ratio_values",
+)
+
+
+def test_each_closed_form_is_one_object_defined_in_closed():
+    from prevthresh import _arrays, bounds, cli, report
+
+    kernels = {name: getattr(_closed, name) for name in CLOSED_FORMS}
+    for name, kernel in kernels.items():
+        if callable(kernel):
+            assert kernel.__module__ == "prevthresh._closed", name
+    for module in (thresholds, bounds, report, _arrays, _scan):
+        reached = set(CLOSED_FORMS) & set(vars(module))
+        assert reached, module.__name__
+        for name in reached:
+            assert vars(module)[name] is kernels[name], (module.__name__, name)
+    # cli imports its kernels inside the subcommands, each from _closed.
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    reached = {alias.name for node in imports if (node.level, node.module) == (1, "_closed") for alias in node.names}
+    assert {"_summary", "_ratio_values"} <= reached <= set(CLOSED_FORMS)
+    assert not any(alias.name in CLOSED_FORMS for node in imports if node.module != "_closed" for alias in node.names)
+    # No other module of the package defines one at its top level.
+    for path in sorted(pathlib.Path(_closed.__file__).parent.glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        defined = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+        defined |= {t.id for node in body if isinstance(node, ast.Assign) for t in node.targets if hasattr(t, "id")}
+        expected = set(CLOSED_FORMS) if path.name == "_closed.py" else set()
+        assert defined & set(CLOSED_FORMS) == expected, path.name
 
 
 def test_threshold_identities_over_drawn_profiles():
@@ -517,7 +574,8 @@ def curve_coefficients(a: float, b: float, curve: Curve) -> tuple[float, float]:
 
 def scan_args(a: float, b: float, curve: Curve) -> tuple:
     """The scan's arguments for a curve, as curvature_argmax passes them: the kernel's closure, then (p, q)."""
-    return (thresholds._kappa_kernel(DiagnosticProfile(a, b), curve), *curve_coefficients(a, b, curve))
+    p, q = curve_coefficients(a, b, curve)
+    return thresholds._kappa_kernel(DiagnosticProfile(a, b), curve, p, q), p, q
 
 
 def draw_profile(rng: random.Random) -> tuple[float, float]:
@@ -704,8 +762,8 @@ class TestKappaKernel:
         probes = []
         kernel = thresholds._kappa_kernel
 
-        def recording_kernel(profile, curve):
-            kappa = kernel(profile, curve)
+        def recording_kernel(profile, curve, p, q):
+            kappa = kernel(profile, curve, p, q)
 
             def record(phi):
                 probes.append((phi, kappa(phi)))
@@ -738,7 +796,7 @@ class TestKappaKernel:
             curvature_scalar(profile, phi, Curve.PPV)
         for call in (
             lambda: curvature_at(profile, phi, Curve.PPV),
-            lambda: thresholds._kappa_kernel(profile, Curve.PPV)(phi),
+            lambda: thresholds._kappa_kernel(profile, Curve.PPV, *curve_coefficients(a, b, Curve.PPV))(phi),
         ):
             with pytest.raises(DegenerateDenominator) as got:
                 call()
