@@ -4,11 +4,11 @@ TABLES maps each table's name to a function of a row count that returns
 the table's CSV text and the confusion counts it was built with.
 scripts/bench_paired.py writes each table to a file and times ingest
 on it, checking every call's counts against those. The tables differ
-in what decides ingest's path (prevthresh._ingest): whether every line
-is one of the four the header implies, line endings, quotes, one line
-longer than ingest's read block, and the order of their rows. The share
-of distinct lines decides no path: csv parses every line of a block
-that holds any other line, distinct or not.
+in what decides ingest's path (prevthresh.dataio._tally_blocks):
+whether every line is one of the four the header implies, line endings,
+quotes, one line longer than ingest's read block, and the order of
+their rows. The share of distinct lines decides no path: csv parses
+every line of a block that holds any other line, distinct or not.
 
 - four-lines, four-lines-crlf: the four label/prediction lines, LF or CRLF.
 - distinct-20pct, distinct-50pct, distinct-100pct: a score column that

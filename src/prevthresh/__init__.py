@@ -15,8 +15,8 @@ imports ``metrics``, ``errors``, ``thresholds``, ``bounds``, ``dataio``,
 ``__all__`` here, sets ``__all__`` to ``__version__`` and those lists,
 in that order, and removes ``__getattr__`` and ``__dir__``. A lookup
 of any other name that starts with an underscore loads nothing and
-raises AttributeError, so ``from . import _emit`` (or ``_ingest``,
-``_arrays``), which looks the name up here first, imports only that
+raises AttributeError, so ``from . import _arrays`` (or ``_closed``,
+``_rng``), which looks the name up here first, imports only that
 submodule and what it imports.
 """
 

@@ -2,9 +2,10 @@
 
 Every numpy expression of the package lives here. No module imports
 this one at load time: verify_bounds imports it when it is first
-called, so every other path (the thresholds, the curvature oracle, the
-ratio summary, analyze_counts, the curve emitters and the CLI
-subcommands built on them) runs without loading numpy.
+called, so every other path (the thresholds, the curvature oracle and
+its scan, the ratio summary, analyze_counts, the curve emitters,
+ingest and the CLI subcommands built on them) runs without loading
+numpy.
 simulate_population does not import it at all: it takes numpy from
 sys.modules where numpy is loaded already.
 

@@ -8,7 +8,7 @@ is written once, here, over floats or (where it takes sqrt as a
 parameter) numpy arrays. The raising per-profile functions of
 thresholds and bounds, the reports (threshold_summary, analyze_counts,
 `ratios --json`), the bound sweep's arrays (_arrays) and the curvature
-oracle's scan (_scan) all call them.
+oracle's scan (thresholds._curvature_bracket) all call them.
 
 This module imports only math and metrics' kernels, so a CLI call that
 reports closed forms (thresholds, ratios --json, analyze --counts)

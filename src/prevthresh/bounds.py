@@ -323,13 +323,15 @@ def verify_bounds(grid_step: float = 0.01, delta: float = 1e-6, tolerance: float
     so the report is identical to calling those functions cell by cell
     (the test suite checks this against them). grid_step must lie in
     [MIN_GRID_STEP, 0.05]; the finest grid, 0.001, sweeps 499,500 cells.
-    delta must be positive and tolerance non-negative, both finite:
+    delta must be positive and tolerance non-negative, both finite, and
+    1.0 + delta must exceed 1.0 (delta above 2**-53), since a floor that
+    rounds to 1.0 would admit chance-level cells whose float sum is 1.0:
     ValueError otherwise, before any grid is built.
     """
     if not (MIN_GRID_STEP <= grid_step <= 0.05):
         raise ValueError(f"grid_step must be in [{MIN_GRID_STEP!r}, 0.05], got {grid_step!r}")
-    if not (0.0 < delta < math.inf):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    if not (0.0 < delta < math.inf) or 1.0 + delta == 1.0:
+        raise ValueError(f"delta must be positive and finite, with 1 + delta > 1, got {delta!r}")
     if not (0.0 <= tolerance < math.inf):
         raise ValueError(f"tolerance must be non-negative and finite, got {tolerance!r}")
 

@@ -21,9 +21,8 @@ import csv
 import json
 from typing import IO, Iterable
 
-from prevthresh._emit import _phi_grid
 from prevthresh.bounds import accuracy_divergence_curve
-from prevthresh.dataio import Source, _as_text_stream, _parse_binary
+from prevthresh.dataio import Source, _as_text_stream, _parse_binary, _phi_grid
 from prevthresh.errors import DegenerateDenominator, EmptyInput, ParseError, _echo
 from prevthresh.metrics import ConfusionCounts, DiagnosticProfile, Rate, npv_at, ppv_at
 from prevthresh.thresholds import Curve, CurvaturePoint, threshold_summary

@@ -422,6 +422,19 @@ class TestVerifyBounds:
         with pytest.raises(ValueError, match="finite"):
             verify_bounds(grid_step=0.05, **margin)
 
+    def test_rejects_delta_that_one_plus_delta_rounds_away(self):
+        # 1.0 + 2**-53 rounds to 1.0, which would sweep the chance-level cells a + b == 1.0.
+        assert 1.0 + 2.0**-53 == 1.0
+        with pytest.raises(ValueError, match="delta must be"):
+            verify_bounds(delta=2.0**-53)
+
+    def test_smallest_delta_above_the_limit_sweeps_the_informative_cells(self):
+        delta = math.nextafter(2.0**-53, 1.0)
+        report = verify_bounds(delta=delta)
+        assert report.constraint == f"sensitivity + specificity >= {1.0 + delta!r}"
+        assert report.cells_swept == verify_bounds().cells_swept == 4950
+        assert report.to_dict()["violation_count"] == 0
+
     def test_informativeness_constraint_is_necessary(self):
         # Dropping the constraint admits profiles that break the F-beta
         # upper bound, so the sweep region is not a convenience choice.

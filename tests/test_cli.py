@@ -619,6 +619,13 @@ class TestVerifyBounds:
         assert err.startswith("error:validation:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["1e-300", repr(2.0**-53)])
+    def test_delta_below_one_ulp_of_one_is_rejected(self, capsys, value):
+        # 1.0 + delta rounds to 1.0, which would admit chance-level cells and report false violations.
+        code, out, err = run(capsys, "verify-bounds", "--grid-step", "0.05", "--delta", value)
+        assert (code, out) == (1, "")
+        assert err == f"error:validation: delta must be positive and finite, with 1 + delta > 1, got {float(value)!r}\n"
+
     def test_violations_exit_two(self, capsys, monkeypatch):
         # The bounds are theorems, so a violating report cannot be produced
         # honestly; fabricate one to exercise the exit-code contract.
@@ -900,6 +907,7 @@ def test_short_ingest_tokens_are_echoed_as_before(capsys, tmp_path):
 
 # Calls that need no array, run in one fresh interpreter; GRID_ARGV, run
 # last, sweeps numpy arrays, so the probe shows that it would see numpy load.
+# After the calls, the probe looks up every public name, which loads the seven public modules.
 NUMPY_FREE_ARGV = [
     ["thresholds", "--sensitivity", "0.9", "--specificity", "0.95"],
     ["ratios", "--sensitivity", "0.9", "--specificity", "0.95", "--json"],
@@ -915,17 +923,17 @@ GRID_ARGV = ["verify-bounds", "--grid-step", "0.05"]
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 import prevthresh
-[getattr(prevthresh, name) for name in prevthresh.__all__]
-report = {"import": "numpy" in sys.modules, "codes": [], "numpy": [], "emit": []}
+report = {"codes": [], "numpy": [], "dataio": []}
 from prevthresh.cli import run_cli
 report["rng"] = "prevthresh._rng" in sys.modules
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         report["codes"].append(run_cli(argv))
     report["numpy"].append("numpy" in sys.modules)
-    report["emit"].append("prevthresh._emit" in sys.modules)
+    report["dataio"].append("prevthresh.dataio" in sys.modules)
+[getattr(prevthresh, name) for name in prevthresh.__all__]
+report["import"] = "numpy" in sys.modules
 report["metadata"] = "importlib.metadata" in sys.modules
-report["ingest"] = "prevthresh._ingest" in sys.modules
 report["unused_stdlib"] = [name for name in json.loads(sys.argv[2]) if name in sys.modules]
 print(json.dumps(report))
 """
@@ -947,8 +955,8 @@ MODULES_BY_CALL = [
     (["analyze", "--counts", "9,1,1,9", "--betas", "1,3", "--json"], 0, {"errors", "metrics", "_closed", "report"}),
     (["simulate", "--prevalence", "0.19", *PROFILE, "--n", "1000", "--json"], 0,
      {"errors", "metrics", "simulate", "_rng"}),
-    (["curves", *PROFILE, "--step", "0.25"], 0, {"errors", "metrics", "_closed", "thresholds", "dataio", "_emit"}),
-    (["ratios", *PROFILE, "--step", "0.25"], 0, {"errors", "metrics", "_closed", "thresholds", "dataio", "_emit"}),
+    (["curves", *PROFILE, "--step", "0.25"], 0, {"errors", "metrics", "_closed", "thresholds", "dataio"}),
+    (["ratios", *PROFILE, "--step", "0.25"], 0, {"errors", "metrics", "_closed", "thresholds", "dataio"}),
     (["verify-bounds", "--grid-step", "0.05"], 0,
      {"errors", "metrics", "_closed", "thresholds", "bounds", "_arrays"}),
     # Error exits check the rates before they import the modules that would use them.
@@ -1011,15 +1019,17 @@ class TestColdStart:
         # -S skips site, whose .pth files may preload typing or pathlib and so hide an import of them.
         return self.run_probe("-S", argvs=NUMPY_FREE_ARGV)
 
-    def test_package_namespace_loads_no_numpy(self, probe):
-        assert probe["import"] is False
+    def test_package_namespace_loads_no_numpy(self, bare_probe):
+        # bare_probe runs no verify-bounds, so numpy is absent after its calls and the lookup of every public name.
+        assert bare_probe["import"] is False
 
     def test_ingest_block_pass_loads_only_to_read_a_prediction_file(self, probe):
-        assert probe["ingest"] is False
+        # Ingest lives in dataio, which thresholds, ratios --json, analyze --counts and simulate leave unloaded.
+        assert probe["dataio"][:4] == [False] * 4
 
     def test_curve_emitters_load_only_to_write_a_curve_csv(self, probe):
         # thresholds, ratios --json, analyze and simulate run before curves, the first call to write a CSV.
-        assert probe["emit"] == [False] * 4 + [True] * (len(NUMPY_FREE_ARGV) + 1 - 4)
+        assert probe["dataio"] == [False] * 4 + [True] * (len(NUMPY_FREE_ARGV) + 1 - 4)
 
     def test_pure_python_generator_loads_only_to_simulate(self, probe):
         assert probe["rng"] is False
@@ -1041,7 +1051,7 @@ class TestColdStart:
     def test_analyze_predictions_loads_only_the_modules_it_uses(self, tmp_path):
         path = tmp_path / "predictions.csv"
         path.write_text("label,prediction\n1,1\n0,1\n1,0\n0,0\n", encoding="utf-8")
-        modules = {"errors", "metrics", "_closed", "thresholds", "report", "dataio", "_ingest"}
+        modules = {"errors", "metrics", "_closed", "thresholds", "report", "dataio"}
         expected = sorted({"prevthresh", "prevthresh.cli"} | {f"prevthresh.{m}" for m in modules})
         assert run_fresh(MODULES_PROBE, json.dumps(["analyze", "--predictions", str(path)])) == [0, expected]
 
@@ -1058,14 +1068,13 @@ class TestColdStart:
         assert run(capsys, *argv) == (1, "", "error:validation: rate must be a finite number in [0, 1], got 1.5\n")
 
     def test_private_name_lookup_loads_nothing(self):
-        # from . import _emit asks the package first; the import system then loads only that submodule.
+        # from . import _closed asks the package first; the import system then loads only that submodule.
         program = (
-            "import json, sys\nimport prevthresh\nmissing = not hasattr(prevthresh, '_emit')\n"
-            "from prevthresh import _emit\n"
+            "import json, sys\nimport prevthresh\nmissing = not hasattr(prevthresh, '_closed')\n"
+            "from prevthresh import _closed\n"
             "print(json.dumps([missing, sorted(m for m in sys.modules if m.startswith('prevthresh'))]))"
         )
-        loaded = ["prevthresh", "prevthresh._closed", "prevthresh._emit", "prevthresh.errors", "prevthresh.metrics",
-                  "prevthresh.thresholds"]
+        loaded = ["prevthresh", "prevthresh._closed", "prevthresh.errors", "prevthresh.metrics"]
         assert run_fresh(program) == [True, loaded]
 
     @pytest.mark.parametrize("lookup", ["prevthresh.Rate", "dir(prevthresh)", "prevthresh.__all__"])

@@ -19,8 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import emit_oracle
-import prevthresh.dataio as dataio
-from prevthresh import _emit, _ingest
+from prevthresh import dataio
 from emit_oracle import (
     emit_curves_scalar,
     emit_ratio_curves_scalar,
@@ -244,8 +243,8 @@ class TestIngestOracleParity:
         assert _ingest_outcome(ingest_predictions, text) == _ingest_outcome(ingest_predictions_scalar, text)
 
 
-# Tables larger than one ingest block (_ingest._READ_CHARS characters).
-BLOCK = _ingest._READ_CHARS
+# Tables larger than one ingest block (dataio._READ_CHARS characters).
+BLOCK = dataio._READ_CHARS
 ROWS = "1,1\n0,0\n1,0\n0,1\n" * 1500  # 24,000 characters
 EARLY = "1,1\n" * 4090  # ends 17 characters short of a block after HEADER
 
@@ -446,7 +445,7 @@ def _long_row_tables() -> list:
 
 
 def _record_parsed_lines(monkeypatch) -> list:
-    """Patch csv.reader, as _ingest calls it, to record every line it is given to parse."""
+    """Patch csv.reader, as dataio calls it, to record every line it is given to parse."""
     parsed = []
     real_reader = csv.reader
 
@@ -455,20 +454,20 @@ def _record_parsed_lines(monkeypatch) -> list:
         parsed.extend(lines)
         return real_reader(lines)
 
-    monkeypatch.setattr(_ingest.csv, "reader", reader)
+    monkeypatch.setattr(dataio.csv, "reader", reader)
     return parsed
 
 
 def _record_replays(monkeypatch) -> list:
-    """Patch _ingest._replay to record the text of each call, which hands the rest of the stream to csv."""
+    """Patch dataio._replay to record the text of each call, which hands the rest of the stream to csv."""
     texts = []
-    real = _ingest._replay
+    real = dataio._replay
 
     def replay(stream, text):
         texts.append(text)
         return real(stream, text)
 
-    monkeypatch.setattr(_ingest, "_replay", replay)
+    monkeypatch.setattr(dataio, "_replay", replay)
     return texts
 
 
@@ -480,15 +479,15 @@ def _blocks(text: str) -> list[str]:
 
 
 def _record_tally_csv(monkeypatch) -> list:
-    """Patch _ingest._tally_csv to record the offset of each call, then run as before."""
+    """Patch dataio._tally_csv to record the offset of each call, then run as before."""
     offsets = []
-    real = _ingest._tally_csv
+    real = dataio._tally_csv
 
     def tally_csv(reader, offset, columns, tally):
         offsets.append(offset)
         return real(reader, offset, columns, tally)
 
-    monkeypatch.setattr(_ingest, "_tally_csv", tally_csv)
+    monkeypatch.setattr(dataio, "_tally_csv", tally_csv)
     return offsets
 
 
@@ -735,7 +734,7 @@ class TestEmitCurves:
     def test_grid_points_in_every_block(self, monkeypatch, step):
         # The phi column is {0, step, ..., 1} as i / n where step is 1/n and as
         # i * step, then 1.0, otherwise, in blocks of 7 rows as in one list.
-        monkeypatch.setattr(_emit, "_BLOCK_CELLS", 37)
+        monkeypatch.setattr(dataio, "_BLOCK_CELLS", 37)
         n = round(1.0 / step)
         if abs(n * step - 1.0) <= 1e-9:
             expected = [i / n for i in range(n + 1)]
@@ -900,7 +899,7 @@ class TestEmitOracleParity:
     def test_block_boundaries_keep_the_bytes(self, monkeypatch, step):
         # Blocks of 7 and 2 rows (for 5 and 17 columns) cut the grids at rows
         # no other test reaches; at step 0.013 the appended 1.0 starts or ends a block.
-        monkeypatch.setattr(_emit, "_BLOCK_CELLS", 37)
+        monkeypatch.setattr(dataio, "_BLOCK_CELLS", 37)
         profile = DiagnosticProfile(0.83, 0.71)
         assert _emit_outcome(emit_curves, profile, step) == _emit_outcome(emit_curves_scalar, profile, step)
         betas = [0.5 * (i + 1) for i in range(14)]
@@ -917,7 +916,7 @@ class TestEmitOracleParity:
         # from the one before, or formats its own, and writes the oracle's
         # bytes. Blocks of 37 cells split every grid at rows set by its width.
         if block_cells is not None:
-            monkeypatch.setattr(_emit, "_BLOCK_CELLS", block_cells)
+            monkeypatch.setattr(dataio, "_BLOCK_CELLS", block_cells)
         for a, b in ((0.83, 0.71), (1.0, 0.9)):
             profile = DiagnosticProfile(a, b)
             for emit, oracle, args in (
@@ -933,13 +932,13 @@ class TestEmitOracleParity:
     def test_repeated_emission_reuses_the_kept_phi_text(self):
         profile = DiagnosticProfile(0.83, 0.71)
         first = _emit_outcome(emit_curves, profile, 5e-4)
-        kept = _emit._last_phi
+        kept = dataio._last_phi
         assert kept[0] == (5e-4, 0, 2001)
         assert _emit_outcome(emit_curves, profile, 5e-4) == first
         ratios = _emit_outcome(emit_ratio_curves, profile, (0.5, 2.0), 5e-4)
-        assert _emit._last_phi is kept
+        assert dataio._last_phi is kept
         assert _emit_outcome(emit_ratio_curves, profile, (0.5, 2.0), 5e-4) == ratios
-        assert _emit._last_phi is kept
+        assert dataio._last_phi is kept
 
     def test_threads_sharing_the_kept_phi_text_write_their_own_bytes(self):
         # Four threads, two steps of 101 rows and two of 2,001, swap the kept block under each other.
@@ -968,7 +967,7 @@ class TestEmitOracleParity:
     @pytest.mark.parametrize("step", [0.25, 0.3])
     def test_numpy_float_step_writes_the_float_steps_bytes(self, monkeypatch, step):
         # The numpy step goes first, so phi text it kept would reach the float step's CSV.
-        monkeypatch.setattr(_emit, "_last_phi", None)
+        monkeypatch.setattr(dataio, "_last_phi", None)
         profile = DiagnosticProfile(0.83, 0.71)
         for emit, args in ((emit_curves, (profile,)), (emit_ratio_curves, (profile, PARITY_BETAS))):
             numpy_step = _emit_outcome(emit, *args, np.float64(step))

@@ -38,7 +38,7 @@ from prevthresh import (
     ppv_at,
     ppv_at_threshold,
 )
-from prevthresh import _closed, _scan, thresholds
+from prevthresh import _closed, thresholds
 
 from emit_oracle import curvature_scalar
 from test_cli import source_env
@@ -194,7 +194,7 @@ def test_each_closed_form_is_one_object_defined_in_closed():
     for name, kernel in kernels.items():
         if callable(kernel):
             assert kernel.__module__ == "prevthresh._closed", name
-    for module in (thresholds, bounds, report, _arrays, _scan):
+    for module in (thresholds, bounds, report, _arrays):
         reached = set(CLOSED_FORMS) & set(vars(module))
         assert reached, module.__name__
         for name in reached:
@@ -439,7 +439,7 @@ class TestCurvatureArgmax:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isnan(thresholds._kappa_column(args[0], [1.0])[0])
-            assert _scan.curvature_bracket(*args) == (GRID[-2], 1.0)
+            assert thresholds._curvature_bracket(*args) == (GRID[-2], 1.0)
             r = curvature_argmax(DiagnosticProfile(1e-200, 0.5), Curve.PPV)
         assert (repr(float(r.phi)), repr(float(r.metric_value))) == ("0.9999999999565161", "4.599405238288206e-190")
 
@@ -593,43 +593,43 @@ class TestCurvatureBracket:
         for a, b in scan_profiles():
             for curve in Curve:
                 args = scan_args(a, b, curve)
-                bracket = _scan.curvature_bracket(*args)
+                bracket = thresholds._curvature_bracket(*args)
                 assert bracket == full_scan_bracket(a, b, curve), (a, b, curve)
                 # Away from chance the bracket is also the one a numpy scan of
                 # the same arithmetic gives; nearer chance np.power's few-ulp
                 # difference from Python's ** can move a flat peak.
                 if abs(a + b - 1.0) >= 1e-3:
                     assert bracket == numpy_scan_bracket(a, b, curve), (a, b, curve)
-                served["python" if _scan._certified_argmax(*args) is not None else "fallback"] += 1
+                served["python" if thresholds._certified_argmax(*args) is not None else "fallback"] += 1
         # Both paths are exercised by the profile set.
         assert served["python"] > 1000 and served["fallback"] > 100, served
 
     def test_grid_values_stay_within_a_hundredth_of_the_margin_of_exact_values(self):
         # The certificate needs the kernel's float values to stay far inside
         # _TIE_MARGIN of the exact curvature wherever the climb runs.
-        mpmath.mp.dps = 50
-        n = len(GRID) - 1
-        curves, worst = 0, mpmath.mpf(0)
-        for a, b in scan_profiles():
-            for curve in Curve:
-                args = kappa, p, q = scan_args(a, b, curve)
-                if not _scan._scan_is_normal(*args):
-                    continue
-                mp, mq = mpmath.mpf(p), mpmath.mpf(q)
-                k = mp * mq
-                # 22 spread grid points, and the climb's last three, where
-                # the certificate compares its values.
-                j = _scan._certified_argmax(*args)
-                if j is None:
-                    j = numpy_scan_argmax(a, b, curve)
-                for i in [*range(0, n + 1, 476), max(j - 1, 0), j, min(j + 1, n)]:
-                    x = GRID[i]
-                    u = mp * x + mq * (1 - mpmath.mpf(x))
-                    exact = 2 * k * abs(mp - mq) * u**3 / (u**4 + k**2) ** 1.5
-                    worst = max(worst, abs(kappa(x) - exact) / exact)
-                curves += 1
+        with mpmath.workdps(50):
+            n = len(GRID) - 1
+            curves, worst = 0, mpmath.mpf(0)
+            for a, b in scan_profiles():
+                for curve in Curve:
+                    args = kappa, p, q = scan_args(a, b, curve)
+                    if not thresholds._scan_is_normal(*args):
+                        continue
+                    mp, mq = mpmath.mpf(p), mpmath.mpf(q)
+                    k = mp * mq
+                    # 22 spread grid points, and the climb's last three, where
+                    # the certificate compares its values.
+                    j = thresholds._certified_argmax(*args)
+                    if j is None:
+                        j = numpy_scan_argmax(a, b, curve)
+                    for i in [*range(0, n + 1, 476), max(j - 1, 0), j, min(j + 1, n)]:
+                        x = GRID[i]
+                        u = mp * x + mq * (1 - mpmath.mpf(x))
+                        exact = 2 * k * abs(mp - mq) * u**3 / (u**4 + k**2) ** 1.5
+                        worst = max(worst, abs(kappa(x) - exact) / exact)
+                    curves += 1
         assert curves > 1000
-        assert worst < _scan._TIE_MARGIN / 100, worst
+        assert worst < thresholds._TIE_MARGIN / 100, worst
 
     def test_python_path_serves_the_pinned_profiles(self):
         for ((a, b), name), pinned in PINNED.items():
@@ -637,8 +637,8 @@ class TestCurvatureBracket:
                 continue
             curve = Curve.PPV if name.endswith("ppv") else Curve.NPV
             args = scan_args(a, b, curve)
-            assert _scan._certified_argmax(*args) == full_scan_argmax(a, b, curve), (a, b, name)
-            assert _scan.curvature_bracket(*args) == full_scan_bracket(a, b, curve)
+            assert thresholds._certified_argmax(*args) == full_scan_argmax(a, b, curve), (a, b, name)
+            assert thresholds._curvature_bracket(*args) == full_scan_bracket(a, b, curve)
 
     def test_python_path_serves_almost_every_drawn_curve(self):
         rng = random.Random(19)
@@ -646,7 +646,7 @@ class TestCurvatureBracket:
         for _ in range(2000):
             a, b = draw_profile(rng)
             for curve in Curve:
-                served += _scan._certified_argmax(*scan_args(a, b, curve)) is not None
+                served += thresholds._certified_argmax(*scan_args(a, b, curve)) is not None
                 curves += 1
         assert served >= 0.999 * curves, (served, curves)
 
@@ -661,7 +661,7 @@ class TestCurvatureBracket:
                 p, q = curve_coefficients(a, b, curve)
                 # Drawn curves have J >= 0.05, where the numpy scan gives the
                 # Python scan's bracket (checked on the dense profile set above).
-                worst = max(worst, abs(round(_scan._radical_split(p, q) * n) - numpy_scan_argmax(a, b, curve)))
+                worst = max(worst, abs(round(thresholds._radical_split(p, q) * n) - numpy_scan_argmax(a, b, curve)))
         assert worst <= 1, worst
 
     @pytest.mark.parametrize(
@@ -676,14 +676,14 @@ class TestCurvatureBracket:
     )
     def test_fallback_serves_near_degenerate_and_tiny_profiles(self, a, b):
         args = scan_args(a, b, Curve.PPV)
-        assert _scan._certified_argmax(*args) is None
-        assert _scan.curvature_bracket(*args) == full_scan_bracket(a, b, Curve.PPV)
+        assert thresholds._certified_argmax(*args) is None
+        assert thresholds._curvature_bracket(*args) == full_scan_bracket(a, b, Curve.PPV)
 
     def test_python_path_serves_a_tiny_rate_whose_intermediates_are_normal(self):
         # At phi = 1, u = 1e-90: u**3, the slope 1e90 and its 1.5th power
         # term 1e270 are normal floats, so the certificate holds.
         args = scan_args(1e-90, 0.0, Curve.PPV)
-        assert _scan._certified_argmax(*args) == full_scan_argmax(1e-90, 0.0, Curve.PPV) == len(GRID) - 2
+        assert thresholds._certified_argmax(*args) == full_scan_argmax(1e-90, 0.0, Curve.PPV) == len(GRID) - 2
 
     def test_python_path_declines_a_near_tie(self):
         # An interior profile whose peak lies almost halfway between two
@@ -693,9 +693,9 @@ class TestCurvatureBracket:
         args = kappa, _, _ = scan_args(a, b, curve)
         i = full_scan_argmax(a, b, curve)
         top, runner_up = kappa(GRID[i]), kappa(GRID[i + 1])
-        assert 0.0 < top - runner_up < _scan._TIE_MARGIN * top
-        assert _scan._certified_argmax(*args) is None
-        assert _scan.curvature_bracket(*args) == full_scan_bracket(a, b, curve)
+        assert 0.0 < top - runner_up < thresholds._TIE_MARGIN * top
+        assert thresholds._certified_argmax(*args) is None
+        assert thresholds._curvature_bracket(*args) == full_scan_bracket(a, b, curve)
 
     @pytest.mark.parametrize("start", ["-300", "-3", "+3", "+300", "zero", "n", "swapped"])
     @pytest.mark.parametrize("a, b, curve", [(0.9, 0.95, Curve.PPV), (0.9, 0.95, Curve.NPV), (0.31, 0.88, Curve.PPV)])
@@ -706,13 +706,13 @@ class TestCurvatureBracket:
         profile = DiagnosticProfile(a, b)
         args = _, p, q = scan_args(a, b, curve)
         n = len(GRID) - 1
-        radical = _scan._radical_split
+        radical = thresholds._radical_split
         starts = {"zero": 0, "n": n, "swapped": round(radical(q, p) * n)}
         j = starts[start] if start in starts else round(radical(p, q) * n) + int(start)
         expected = thresholds.curvature_argmax(profile, curve)
-        monkeypatch.setattr(_scan, "_radical_split", lambda p, q: j / n)
-        assert _scan._certified_argmax(*args) == full_scan_argmax(a, b, curve)
-        assert _scan.curvature_bracket(*args) == full_scan_bracket(a, b, curve)
+        monkeypatch.setattr(thresholds, "_radical_split", lambda p, q: j / n)
+        assert thresholds._certified_argmax(*args) == full_scan_argmax(a, b, curve)
+        assert thresholds._curvature_bracket(*args) == full_scan_bracket(a, b, curve)
         assert repr(thresholds.curvature_argmax(profile, curve)) == repr(expected)
 
     def test_grid_is_linspace_bit_for_bit(self):
@@ -743,7 +743,7 @@ class TestCurvatureBracket:
         rows = [line.split(",") for line in sink.getvalue().splitlines()]
         column = rows[0].index("kappa_ppv")
         assert [row[0] for row in rows[1:] if row[column] == ""] == ["1.0"]
-        assert _scan.curvature_bracket(*scan_args(1e-200, 0.5, Curve.PPV)) == (0.9999, 1.0)
+        assert thresholds._curvature_bracket(*scan_args(1e-200, 0.5, Curve.PPV)) == (0.9999, 1.0)
 
 
 class TestKappaKernel:
