@@ -15,9 +15,9 @@ thresholds._kappa_kernel, read as NaN (an empty cell) where it raises
 by thresholds._kappa_column, the helper curvature_argmax's scan reads
 it through too. So every cell is bit-equal to the scalar functions'
 value there; they stay public and are the oracle the test suite checks
-the emitted bytes against. These divergence curves share
-no code with the closed-form ratios (_closed._f_beta_form and
-_fm_form), which serve only those ratios and the bound sweep.
+the emitted bytes against. These divergence curves share no code with
+the closed-form ratios (_closed._f_beta_form and _fm_form), which
+serve only those ratios and the bound sweep.
 _write_grid builds and writes the grid a block of rows at a time, so
 an emitter's memory does not grow with the number of rows; no emitter
 loads numpy. It keeps the phi text of the last block it wrote, which
