@@ -7,7 +7,10 @@ its scan, the ratio summary, analyze_counts, the curve emitters,
 ingest and the CLI subcommands built on them) runs without loading
 numpy.
 simulate_population does not import it at all: it takes numpy from
-sys.modules where numpy is loaded already.
+sys.modules where numpy is loaded already. It imports only numpy,
+_closed, bounds and metrics, and names the curves "ppv" and "npv" as
+metrics' kernels take them, so verify-bounds compiles neither
+thresholds nor dataio.
 
 The predictive-value, ratio and MCC formulas are not repeated here:
 predictive_arrays calls Bayes' rule and its flat-curve extension as
@@ -29,7 +32,6 @@ import numpy as np
 from ._closed import _SWEEP_BETA_KEYS, _f_beta_form, _fm_form, _radical_split
 from .bounds import RATIO_BOUNDS, BoundRecord, BoundViolation
 from .metrics import _bayes, _curve_coefficients, _flat_value, _mcc_form
-from .thresholds import Curve
 
 
 def sweep_cells(axis: list[float], floor: float) -> tuple[np.ndarray, np.ndarray]:
@@ -43,8 +45,8 @@ def sweep_cells(axis: list[float], floor: float) -> tuple[np.ndarray, np.ndarray
     return values[rows], values[cols]
 
 
-def predictive_arrays(a: np.ndarray, b: np.ndarray, curve: Curve, phi: np.ndarray) -> np.ndarray:
-    """The curve's predictive value at every cell by Bayes' rule (metrics._bayes), extended where its u is 0.
+def predictive_arrays(a: np.ndarray, b: np.ndarray, curve: str, phi: np.ndarray) -> np.ndarray:
+    """The "ppv" or "npv" curve's predictive value at every cell by Bayes' rule (metrics._bayes), extended where its u is 0.
 
     ppv_at's and npv_at's kernel, so every value where u is not 0 is
     bit-equal to theirs. A zero-u cell is a flat curve and takes its
@@ -73,12 +75,12 @@ def _mcc_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     mcc = []
     with np.errstate(divide="ignore", invalid="ignore"):
         # Each temporary is dropped as soon as it is used, to bound peak memory.
-        for curve in (Curve.PPV, Curve.NPV):
+        for curve in ("ppv", "npv"):
             p, q, _ = _curve_coefficients(a, b, curve)
             phi = _radical_split(p, q, np.sqrt)
             del p, q
-            rho = predictive_arrays(a, b, Curve.PPV, phi)
-            sigma = predictive_arrays(a, b, Curve.NPV, phi)
+            rho = predictive_arrays(a, b, "ppv", phi)
+            sigma = predictive_arrays(a, b, "npv", phi)
             del phi
             mcc.append(_mcc_form(rho, a, b, sigma, np.sqrt))
             del rho, sigma

@@ -6,20 +6,24 @@ NPV(phi_n) is Bayes' rule there. The F-beta, Fowlkes-Mallows and MCC
 ratios are _f_beta_form, _fm_form and _threshold_mcc's quotient. Each
 is written once, here, over floats or (where it takes sqrt as a
 parameter) numpy arrays. The raising per-profile functions of
-thresholds and bounds, the reports (threshold_summary, analyze_counts,
-`ratios --json`), the bound sweep's arrays (_arrays) and the curvature
-oracle's scan (thresholds._curvature_bracket) all call them.
+thresholds and bounds (through _side, the raising form of
+_positive_side and _negative_side), the reports (threshold_summary,
+analyze_counts, `ratios --json`), the bound sweep's arrays (_arrays)
+and the curvature oracle's scan (thresholds._curvature_bracket) all
+call them.
 
-This module imports only math and metrics' kernels, so a CLI call that
-reports closed forms (thresholds, ratios --json, analyze --counts)
-compiles neither thresholds, with its curvature oracle, nor bounds,
-with its sweep.
+This module imports only math, errors and metrics' kernels, so a CLI
+call that reports closed forms (thresholds, ratios --json, analyze
+--counts) compiles neither thresholds, with its curvature oracle, nor
+bounds, with its sweep; and bounds, which takes _side from here,
+compiles no thresholds either.
 """
 
 from __future__ import annotations
 
 import math
 
+from .errors import DegenerateProfile
 from .metrics import _bayes, _chance_flags, _flat_value, _labelled_betas, _mcc_form, _predictive_value
 
 # F-beta weights swept by verify_bounds and reported by analyze_counts
@@ -70,6 +74,14 @@ def _negative_side(a: float, b: float) -> tuple[float | None, float | None]:
         return None, None
     phi = _radical_split(p, b)
     return phi, _predictive_value(a, b, "npv", phi)
+
+
+def _side(which: str, a: float, b: float) -> tuple[float, float | None]:
+    """The "positive" or "negative" kernel's pair; DegenerateProfile where its phi is None."""
+    phi, value = (_positive_side if which == "positive" else _negative_side)(a, b)
+    if phi is None:
+        raise DegenerateProfile(f"{which} threshold undefined: sensitivity {a:g} with specificity {b:g}")
+    return phi, value
 
 
 def _summary(a: float, b: float) -> dict:

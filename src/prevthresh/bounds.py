@@ -17,7 +17,9 @@ _fm_form, and _threshold_mcc over metrics._mcc_form for the MCC rate
 form, whose PPV and NPV come from metrics._bayes and
 metrics._flat_value. The per-profile functions (f1_ratio,
 f_beta_ratio, fm_ratio, mcc_ratio) call them with math.sqrt and raise
-ValueError on a non-finite result (_closed._finite).
+ValueError on a non-finite result (_closed._finite); mcc_at_threshold
+takes its threshold from _closed._side, so this module, like _arrays,
+imports nothing from thresholds.
 _closed._ratio_values, which analyze_counts and `ratios --json`
 report, calls the same kernels on plain floats in one pass, with None
 for an undefined ratio and a non-finite one left to its caller, so
@@ -43,9 +45,8 @@ from .errors import (
     UndefinedMetric,
     ZeroDenominator,
 )
-from ._closed import _SWEEP_BETA_KEYS, _f_beta_form, _finite, _fm_form, _threshold_mcc
+from ._closed import _SWEEP_BETA_KEYS, _f_beta_form, _finite, _fm_form, _side, _threshold_mcc
 from .metrics import DiagnosticProfile, Rate, _beta, _Record, f1_at, f_beta_at, fm_at
-from .thresholds import _side
 
 __all__ = [
     "f1_ratio",

@@ -12,8 +12,7 @@ the operations of ppv_at's and npv_at's Bayes' rule (metrics._bayes),
 of f_beta_score's harmonic form (metrics._f_beta_harmonic) and of fm_at
 in their order, and the curvature through curvature_at's own kernel,
 thresholds._kappa_kernel, read as NaN (an empty cell) where it raises
-by thresholds._kappa_column, the helper curvature_argmax's scan reads
-it through too. So every cell is bit-equal to the scalar functions'
+(_kappa_column). So every cell is bit-equal to the scalar functions'
 value there; they stay public and are the oracle the test suite checks
 the emitted bytes against. These divergence curves share no code with
 the closed-form ratios (_closed._f_beta_form and _fm_form), which
@@ -40,9 +39,9 @@ import os
 import re
 from collections.abc import Callable, Iterable
 
-from .errors import DegenerateProfile, EmptyInput, ParseError, _echo
+from .errors import DegenerateDenominator, DegenerateProfile, EmptyInput, ParseError, _echo
 from .metrics import ConfusionCounts, DiagnosticProfile, _curve_coefficients, _f_beta_harmonic, _labelled_betas
-from .thresholds import Curve, _kappa_column, _kappa_kernel, threshold_summary
+from .thresholds import Curve, _kappa_kernel, threshold_summary
 
 __all__ = [
     "ingest_predictions",
@@ -168,17 +167,45 @@ _UNIVERSAL_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 _LF_LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
-def _replay(stream, text: str):
-    """The lines of text, read from stream but not yet tallied, then the stream's own lines.
+def _split_lines(stream, text: str):
+    """The lines of text, which ends at a line's end or at the stream's, split where the stream would split them.
 
-    text is completed to a whole line first and split where the stream
-    would have split it: a lone carriage return ends a line only where
-    the stream reads universal newlines, and the stream has then
-    recorded it in its newlines attribute. The stream is never rewound.
+    A lone carriage return ends a line only where the stream reads
+    universal newlines, and the stream has then recorded it in its
+    newlines attribute.
     """
-    text += next(stream, "")
     line = _UNIVERSAL_LINE if "\r" in text and getattr(stream, "newlines", None) else _LF_LINE
-    return itertools.chain((match.group() for match in line.finditer(text)), stream)
+    return (match.group() for match in line.finditer(text))
+
+
+def _replay(stream, text: str):
+    """The lines of text, read from stream but not yet tallied, then the rest of the stream's lines.
+
+    text is completed to a whole line first, by the stream's next line,
+    and split as _split_lines splits it; the stream's own lines follow.
+    A source that has read but is not an iterator is read on in
+    _READ_CHARS blocks instead, each cut after its last line feed (so no
+    CRLF pair is cut) and split the same way. The stream is never
+    rewound.
+    """
+    if not hasattr(stream, "__next__"):
+        return _read_lines(stream, text)
+    text += next(stream, "")
+    return itertools.chain(_split_lines(stream, text), stream)
+
+
+def _read_lines(stream, text: str):
+    """The lines of text, then of the rest of stream, read _READ_CHARS at a time; _replay's path for a non-iterator."""
+    while True:
+        chunk = stream.read(_READ_CHARS)
+        cut = chunk.rfind("\n") + 1
+        if chunk and not cut:
+            text += chunk
+            continue
+        yield from _split_lines(stream, text + chunk[:cut])
+        if not chunk:
+            return
+        text = chunk[cut:]
 
 
 def _irregular(block: str) -> bool:
@@ -287,8 +314,9 @@ def ingest_predictions(source: Source) -> ConfusionCounts:
     a block plus the longest line. A block made only of the four data
     lines the header implies is tallied with str.count; csv parses
     every other block, and from a block with a quote or a lone carriage
-    return on, the rest of the source (_tally_blocks). The row an
-    error reports is the one a row-by-row parse would.
+    return on, the rest of the source (_tally_blocks), read on in blocks
+    where the source has read but is not an iterator (_replay). The row
+    an error reports is the one a row-by-row parse would.
     """
     stream, owns = _as_text_stream(source)
     try:
@@ -354,6 +382,17 @@ def _phi_grid(step: float) -> tuple[float, int, Callable[[int, int], list[float]
 def _ppv_column(a: float, nb: float, grid: list[float]) -> list[float]:
     """ppv_at's Bayes' rule (metrics._bayes) at every grid point, with nb = 1 - b; NaN where its u is 0."""
     return [t / u if (u := (t := a * x) + nb * (1.0 - x)) else math.nan for x in grid]
+
+
+def _kappa_column(kappa, grid: list[float]) -> list[float]:
+    """The kernel closure kappa (thresholds._kappa_kernel) at every point of grid, NaN where it raises."""
+    values = []
+    for phi in grid:
+        try:
+            values.append(kappa(phi))
+        except DegenerateDenominator:
+            values.append(math.nan)
+    return values
 
 
 def _curve_columns(profile: DiagnosticProfile) -> Callable:

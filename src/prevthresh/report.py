@@ -77,8 +77,11 @@ def analyze_counts(
     are keyed here (_closed._beta_keys). One pass over plain floats
     composes the report from the kernels of _closed (_positive_side,
     _negative_side, _ratio_values) and metrics._chance_flags, so the
-    report compiles neither thresholds nor bounds. Every other entry is None where it is undefined, decided by
-    comparison:
+    report compiles neither thresholds nor bounds. The informative flag
+    is tp*tn > fp*fn, the exact integer form of sensitivity +
+    specificity > 1, which the rates' float sum can round away; the
+    degenerate flag is metrics._chance_flags' of that sum. Every other
+    entry is None where it is undefined, decided by comparison:
 
     - ppv and npv, where no element is predicted positive or negative;
       with the ppv go f1, each f_beta and fm, and with either goes mcc,
@@ -125,7 +128,7 @@ def analyze_counts(
         if value is not None and not math.isfinite(value):
             ratios[key] = None
     thresholds = {"phi_e": phi_e, "ppv_at_phi_e": ppv_at_phi_e, "phi_n": phi_n, "npv_at_phi_n": npv_at_phi_n}
-    informative, degenerate = _chance_flags(a + b)
+    _, degenerate = _chance_flags(a + b)
     below = None if phi_e is None else prevalence < phi_e
-    flags = {"informative": informative, "degenerate": degenerate, "below_positive_threshold": below}
+    flags = {"informative": tp * tn > fp * fn, "degenerate": degenerate, "below_positive_threshold": below}
     return AnalysisReport(counts, profile, Rate(prevalence), metrics, thresholds, ratios, flags)

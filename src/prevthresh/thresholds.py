@@ -11,12 +11,13 @@ has magnitude 1, which is what the tests assert.
 
 The curves' Bayes' rule and quotient-form coefficients live in metrics
 (_bayes, _curve_coefficients). The closed forms are the float kernels
-of _closed (_positive_side, _negative_side, _summary), None where
-undefined, which the raising functions here and the reports both read.
-The one curvature arithmetic, _kappa_kernel, serves curvature_at, the
-CSV kappa columns and the oracle's scan (_curvature_bracket) and
-refinement; each of them hands it the curve's (p, q). The scan runs on
-Python floats, and nothing in this module loads numpy.
+of _closed (_positive_side, _summary, and _side, which raises where a
+threshold is undefined), which the functions here and the reports both
+read. The one curvature arithmetic, _kappa_kernel, serves curvature_at,
+the CSV kappa columns (dataio._kappa_column) and the oracle's scan
+(_curvature_bracket) and refinement; each of them hands it the curve's
+(p, q). The scan runs on Python floats, and nothing in this module
+loads numpy. Neither bounds nor _arrays imports this module.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from ._closed import _negative_side, _positive_side, _radical_split, _summary
+from ._closed import _positive_side, _radical_split, _side, _summary
 from .errors import DegenerateDenominator, DegenerateProfile
 from .metrics import DiagnosticProfile, Rate, _bayes, _curve_coefficients, _predictive_value, _Record
 
@@ -49,7 +50,7 @@ REFINE_WIDTH = 1e-10
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # The scan grid's last index: the grid is i * COARSE_STEP for i in 0.._N, and _N * COARSE_STEP is 1.0.
 _N = round(1.0 / COARSE_STEP)
-# The climb accepts a grid index only where its value exceeds both grid
+# The certificate accepts a grid index only where its value exceeds both grid
 # neighbours' by this relative margin, far above the values' few-ulp error.
 _TIE_MARGIN = 1e-12
 # Floor on u**3 and on the curvature over [0, 1], some 1e8 above the
@@ -57,8 +58,6 @@ _TIE_MARGIN = 1e-12
 # normal float, except that slope**2 may underflow where it is
 # negligible beside 1.
 _NORMAL_FLOOR = 1e-300
-# Grid points the full scan evaluates at once.
-_SCAN_BLOCK = 1024
 
 
 class Curve(str, Enum):
@@ -91,14 +90,6 @@ class CurvaturePoint(_Record):
         if self.kappa == 0.0:
             return None
         return 1.0 / self.kappa
-
-
-def _side(which: str, a: float, b: float) -> tuple[float, float | None]:
-    """The "positive" or "negative" kernel's pair; DegenerateProfile where its phi is None."""
-    phi, value = (_positive_side if which == "positive" else _negative_side)(a, b)
-    if phi is None:
-        raise DegenerateProfile(f"{which} threshold undefined: sensitivity {a:g} with specificity {b:g}")
-    return phi, value
 
 
 def positive_threshold(profile: DiagnosticProfile) -> ThresholdResult:
@@ -214,17 +205,6 @@ def _kappa_kernel(profile: DiagnosticProfile, curve: Curve, p: float, q: float):
     return kappa
 
 
-def _kappa_column(kappa, grid: list[float]) -> list[float]:
-    """The kernel closure kappa at every point of grid, NaN where it raises: the CSV columns' and the scan's one reading."""
-    values = []
-    for phi in grid:
-        try:
-            values.append(kappa(phi))
-        except DegenerateDenominator:
-            values.append(math.nan)
-    return values
-
-
 def _golden_section(kappa, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section search for the maximum of kappa: [lo, hi] shrunk until it is at most REFINE_WIDTH wide.
 
@@ -263,17 +243,16 @@ def curvature_argmax(profile: DiagnosticProfile, curve: Curve | str = Curve.PPV)
     phi_n = 0.5.
 
     The scan and the refinement rank the values of one _kappa_kernel
-    closure, curvature_at's kappa; the scan reads NaN where it raises,
-    as the CSV kappa columns do. The scan runs on Python floats. A
-    climb over the grid's values from the closed-form threshold's grid
-    point reaches a local maximum, accepted only when every
-    intermediate of the kernel is a normal float and it exceeds both
-    grid neighbours by a relative 1e-12 (the curvature is unimodal, so
-    it is then the whole grid's argmax). Otherwise, as for
-    near-degenerate profiles, broad peaks, near-ties and tiny rates,
-    the scan evaluates every grid point and takes the first NaN, else
-    the first largest value. The closed form only sets where the climb
-    starts, so any start gives the same result.
+    closure, curvature_at's kappa, on Python floats. The scan first
+    evaluates the closed-form threshold's grid point and its two grid
+    neighbours, and takes that point where every intermediate of the
+    kernel is a normal float and its value exceeds both neighbours' by
+    a relative 1e-12 (the curvature is unimodal, so it is then the
+    whole grid's argmax). Otherwise, as for near-degenerate profiles,
+    broad peaks, near-ties, tiny rates and a grid point off the peak,
+    the scan evaluates every grid point and takes the first where the
+    kernel raises, else the first largest value. The closed form only
+    names the point checked first, so the result does not depend on it.
     """
     if type(curve) is not Curve:
         curve = Curve(curve)
@@ -316,61 +295,46 @@ def _scan_is_normal(kappa, p: float, q: float) -> bool:
 
 
 def _certified_argmax(kappa, p: float, q: float) -> int | None:
-    """The full scan's argmax from a few grid points; None where it is not certified.
+    """The full scan's argmax from three grid points; None where it is not certified.
 
-    The search starts at the closed-form threshold's grid point,
-    round(_radical_split(p, q) * _N), climbs the grid to a local maximum
-    of kappa's values, then accepts it only where it exceeds both grid
-    neighbours by the relative _TIE_MARGIN. kappa is unimodal in phi:
-    with u = p*phi + q*(1-phi) and k = p*q, dkappa/du is proportional
-    to u**2 * (k**2 - u**4), and u is monotone in phi. The kernel
-    computes gap = 2*k*|p - q| and k once per curve, so their rounding
-    is shared by every value, and the values lie within a few ulps of
-    gap * u**3 / (u**4 + k**2)**1.5 for those computed constants. Those
-    exact grid values rise to one peak and then fall, so they peak at
-    the accepted index too, and every other grid value lies at or below
-    the neighbour on its side, so below the peak by the margin less a
-    few ulps: the index is the full scan's argmax, with no tie. The ulp
+    The candidate is the closed-form threshold's grid point,
+    j = round(_radical_split(p, q) * _N), accepted only where kappa's
+    value there exceeds both grid neighbours' (the one neighbour at an
+    end of the grid) by the relative _TIE_MARGIN. kappa is unimodal in
+    phi: with u = p*phi + q*(1-phi) and k = p*q, dkappa/du is
+    proportional to u**2 * (k**2 - u**4), and u is monotone in phi. The
+    kernel computes gap = 2*k*|p - q| and k once per curve, so their
+    rounding is shared by every value, and the values lie within a few
+    ulps of gap * u**3 / (u**4 + k**2)**1.5 for those computed
+    constants. Those exact grid values rise to one peak and then fall,
+    so they peak at an accepted j too, and every other grid value lies
+    at or below the neighbour on its side, so below j's by the margin
+    less a few ulps: j is the full scan's argmax, with no tie. The ulp
     bound holds only when every intermediate is a normal float, which
     _scan_is_normal checks first; then no value is NaN or infinite
-    either. The argument never uses the start: it only saves climbing
-    steps, and a certified index is the full scan's argmax whatever the
-    closed form gives.
+    either. The argument never uses where j came from: a certified j is
+    the full scan's argmax whatever the closed form gives, and a j off
+    the peak is not certified.
     """
     if not _scan_is_normal(kappa, p, q):
         return None
-
-    def at(i: int) -> float:
-        return kappa(i * COARSE_STEP) if 0 <= i <= _N else -math.inf
-
     j = round(_radical_split(p, q) * _N)
-    left, top, right = at(j - 1), at(j), at(j + 1)
-    while left > top:
-        j -= 1
-        left, top, right = at(j - 1), left, top
-    while right > top:
-        j += 1
-        left, top, right = top, right, at(j + 1)
-    bar = top * (1.0 - _TIE_MARGIN)
-    if not (math.isfinite(top) and left < bar and right < bar):
-        return None
-    return j
+    bar = kappa(j * COARSE_STEP) * (1.0 - _TIE_MARGIN)
+    left = kappa((j - 1) * COARSE_STEP) if j > 0 else -math.inf
+    right = kappa((j + 1) * COARSE_STEP) if j < _N else -math.inf
+    return j if left < bar and right < bar else None
 
 
 def _full_scan_argmax(kappa) -> int:
-    """The argmax of kappa's values over the whole grid, NaN where it raises: the first NaN, else the first largest value.
-
-    The grid is evaluated _SCAN_BLOCK points at a time, so the scan
-    holds no list of all its values.
-    """
+    """The argmax of kappa's values over the whole grid: the first index where it raises, else the first largest value."""
     best, top = 0, -math.inf
-    for start in range(0, _N + 1, _SCAN_BLOCK):
-        block = range(start, min(start + _SCAN_BLOCK, _N + 1))
-        for i, value in zip(block, _kappa_column(kappa, [i * COARSE_STEP for i in block])):
-            if value != value:
-                return i
-            if value > top:
-                best, top = i, value
+    for i in range(_N + 1):
+        try:
+            value = kappa(i * COARSE_STEP)
+        except DegenerateDenominator:
+            return i
+        if value > top:
+            best, top = i, value
     return best
 
 
@@ -379,23 +343,22 @@ def _curvature_bracket(kappa, p: float, q: float) -> tuple[float, float]:
 
     kappa is _kappa_kernel's closure for the curve with coefficients
     (p, q). Scans the 10,001 prevalences i * COARSE_STEP, i = 0, ...,
-    10000 (np.linspace(0, 1, 10001)'s values, bit for bit) with it,
-    reading NaN where it raises (u**3 underflows or the slope term
-    overflows), as the CSV kappa columns do: both go through
-    _kappa_column. Ties go to the smaller prevalence, a NaN value counts
-    as largest, and the bracket is clipped to [0, 1].
+    10000 (np.linspace(0, 1, 10001)'s values, bit for bit) with it.
+    Ties go to the smaller prevalence, a point where the kernel raises
+    (u**3 underflows or the slope term overflows; the CSV kappa columns
+    leave that cell empty) counts as largest, and the bracket is
+    clipped to [0, 1].
 
-    The argmax comes from a few grid points where _certified_argmax
-    certifies it (a climb from the closed-form threshold's grid point,
-    then a check that the point exceeds both grid neighbours by a margin
-    far above the values' few-ulp error), and otherwise from every grid
-    point (_full_scan_argmax); either way the bracket is the full
-    scan's. The climb and the check read only the kernel's values, so
-    the closed form sets where the climb starts and nothing else. The
-    test suite checks the bracket against a full scan of an independent
-    copy of the arithmetic on a dense profile set, the closed-form
-    start's distance from the full scan's argmax, the result from starts
-    far from the peak, and the values' error against 50-digit
+    The argmax is the closed-form threshold's grid point where
+    _certified_argmax certifies it from that point and its two
+    neighbours, and otherwise comes from every grid point
+    (_full_scan_argmax); either way the bracket is the full scan's. The
+    certificate reads only the kernel's values, so the closed form
+    names the point checked first and nothing else. The test suite
+    checks the bracket against a full scan of an independent copy of
+    the arithmetic on a dense profile set, the closed-form point's
+    distance from the full scan's argmax, the result where that point
+    is moved off the peak, and the values' error against 50-digit
     arithmetic.
     """
     i = _certified_argmax(kappa, p, q)

@@ -5,10 +5,13 @@ plain floats (_closed._summary), and so does _closed._ratio_values, the
 ratios section of report.analyze_counts and `ratios --json`.
 analyze_counts composes the rest of its report from the same float
 kernels (_closed._positive_side and _negative_side,
-metrics._chance_flags), not from threshold_summary. This module composes the same entries from the public
-per-profile and per-count functions instead (positive_threshold,
-negative_threshold, f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio, the
-ConfusionCounts rates, accuracy_from_counts and mcc_from_counts), with
+metrics._chance_flags), not from threshold_summary, and its informative
+flag from the integers, tp*tn > fp*fn. This module composes the same
+entries from the public per-profile and per-count functions instead
+(positive_threshold, negative_threshold, f1_ratio, f_beta_ratio,
+fm_ratio, mcc_ratio, the ConfusionCounts rates, accuracy_from_counts
+and mcc_from_counts; the informative flag from the counts' exact
+rates, as fractions), with
 an entry None where its function raises a PrevthreshError
 (errors.value_or_none). A ratio that overflows a float raises the
 ratio functions' ValueError: ratio_values lets it propagate, as
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from fractions import Fraction
 
 from prevthresh._closed import SWEEP_BETAS
 from prevthresh.bounds import f1_ratio, f_beta_ratio, fm_ratio, mcc_ratio
@@ -136,8 +140,10 @@ def analyze_counts(counts: ConfusionCounts, betas: Sequence[float] = SWEEP_BETAS
     summary = threshold_summary(profile)
     thresholds = {key: summary[key] for key in ("phi_e", "ppv_at_phi_e", "phi_n", "npv_at_phi_n")}
     phi_e = thresholds["phi_e"]
+    # Informative is a + b > 1 on the exact rates of the counts, which the float rates' sum may round away.
+    exact_sum = Fraction(counts.tp, counts.tp + counts.fn) + Fraction(counts.tn, counts.tn + counts.fp)
     flags = {
-        "informative": summary["informative"],
+        "informative": exact_sum > 1,
         "degenerate": summary["degenerate"],
         "below_positive_threshold": None if phi_e is None else float(prevalence) < phi_e,
     }

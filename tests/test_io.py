@@ -158,7 +158,18 @@ class TestIngest:
             "input is not UTF-8 (invalid continuation byte); decoding failed before any data row was tallied"
         )
 
-    def test_reads_text_streams_that_are_not_text_io(self):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "label,prediction\n1,1\n0,1\n1,0\n0,0\n0,0\n",
+            # A quote sends the rest of the source to csv, which must read on from a source that is not an iterator.
+            "label,prediction\n\"1\",1\n0,1\n1,0\n0,0\n0,0\n" + "0,0\n" * 5000,
+            # So does a lone carriage return; split at line feeds only, as StringIO splits it, it is a ParseError.
+            "label,prediction\n1,1\n0,1\r1,0\n0,0\n",
+        ],
+        ids=["plain", "quoted", "lone-cr"],
+    )
+    def test_reads_text_streams_that_are_not_text_io(self, text):
         class Reader:
             def __init__(self, text):
                 self._text = io.StringIO(text)
@@ -166,9 +177,15 @@ class TestIngest:
             def read(self, size=-1):
                 return self._text.read(size)
 
-        source = Reader("label,prediction\n1,1\n0,1\n1,0\n0,0\n0,0\n")
-        assert not isinstance(source, io.TextIOBase)
-        assert ingest_predictions(source) == ConfusionCounts(1, 1, 1, 2)
+        def outcome(source):
+            try:
+                return ingest_predictions(source)
+            except ParseError as exc:
+                return type(exc), str(exc), exc.row
+
+        source = Reader(text)
+        assert not isinstance(source, io.TextIOBase) and not hasattr(source, "__next__")
+        assert outcome(source) == outcome(io.StringIO(text))
 
     def test_rejects_unreadable_source(self):
         with pytest.raises(TypeError):

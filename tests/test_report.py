@@ -82,6 +82,24 @@ class TestAnalyzeCounts:
         assert report.ratios["mcc_ratio"] is None
         assert report.ratios["f1_ratio"] is not None
 
+    @pytest.mark.parametrize(
+        "counts, informative",
+        [
+            ((63461567, 63461534, 36538478, 36538459), True),  # tp*tn - fp*fn = 1
+            ((63461534, 63461567, 36538459, 36538478), False),  # tp*tn - fp*fn = -1
+        ],
+    )
+    def test_informative_flag_comes_from_the_integers(self, counts, informative):
+        # Both tables sit one unit from chance. The first one's rates sum to exactly 1.0 in
+        # floats, yet the table is informative; the degenerate flag still reads the float sum.
+        tp, fp, fn, tn = counts
+        assert (tp * tn > fp * fn) is informative
+        report = analyze_counts(ConfusionCounts(*counts))
+        assert report.flags["informative"] is informative
+        assert report.flags["degenerate"] is True
+        if informative:
+            assert report.profile.epsilon == 1.0
+
     def test_degenerate_predictions_guarded(self):
         # Everything predicted negative: ppv and downstream metrics are None.
         report = analyze_counts(ConfusionCounts(0, 0, 5, 5))

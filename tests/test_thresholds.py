@@ -38,9 +38,10 @@ from prevthresh import (
     ppv_at,
     ppv_at_threshold,
 )
-from prevthresh import _closed, thresholds
+from prevthresh import _closed, dataio, thresholds
 
 from emit_oracle import curvature_scalar
+from exact_oracles import curvature_argmax_exact, youden_exact
 from test_cli import source_env
 from test_threshold_bits import PINNED
 
@@ -182,8 +183,8 @@ class TestNegativeThreshold:
 
 # The closed forms' kernels, each defined in prevthresh._closed only.
 CLOSED_FORMS = (
-    "SWEEP_BETAS", "_beta_keys", "_SWEEP_BETA_KEYS", "_radical_split", "_positive_side", "_negative_side", "_summary",
-    "_finite", "_f_beta_form", "_fm_form", "_threshold_mcc", "_ratio_values",
+    "SWEEP_BETAS", "_beta_keys", "_SWEEP_BETA_KEYS", "_radical_split", "_positive_side", "_negative_side", "_side",
+    "_summary", "_finite", "_f_beta_form", "_fm_form", "_threshold_mcc", "_ratio_values",
 )
 
 
@@ -229,11 +230,11 @@ def test_threshold_identities_over_drawn_profiles():
     checked = {"positive": 0, "negative": 0}
     for _ in range(30_000):
         a, b = rng.choice(draws)(), rng.choice(draws)()
-        phi, ppv = thresholds._positive_side(a, b)
+        phi, ppv = _closed._positive_side(a, b)
         if ppv is not None:
             assert abs(ppv - (1.0 - phi)) <= 2**-52, (a, b)
             checked["positive"] += 1
-        phi, npv = thresholds._negative_side(a, b)
+        phi, npv = _closed._negative_side(a, b)
         if npv is not None:
             assert abs(npv - phi) <= 2**-51, (a, b)
             checked["negative"] += 1
@@ -255,6 +256,27 @@ class TestHighPrecisionCrossCheck:
             p = DiagnosticProfile(a, b)
             assert abs(float(positive_threshold(p).phi) - float(exact_e)) <= 5e-16
             assert abs(float(negative_threshold(p).phi) - float(exact_n)) <= 5e-16
+
+    def test_closed_forms_are_the_maximum_of_the_exact_curvature(self):
+        # The paper's definition checked where curvature_argmax cannot reach (J < 0.02): the float
+        # phi_e and phi_n against the golden-section maximum of kappa_exact, which never uses
+        # the closed forms. Two profiles per decade of J from 1e-1 to 1e-14, with the edge
+        # profiles (1, J) on the PPV curve and (J, 1) on the NPV curve. 80 digits place the
+        # flat peak at J = 1e-14 (50 digits suffice only down to J = 1e-10). Over 448 such
+        # curves the worst error was 1.05 * 2**-52 of phi.
+        rng = random.Random(2021)
+        checked = 0
+        for k in range(1, 15):
+            for _ in range(2):
+                j = 10.0 ** -(k - 1 + rng.random())
+                a = rng.uniform(j, 1.0)
+                for a, b, curve in ((a, 1.0 + j - a, "ppv"), (a, 1.0 + j - a, "npv"), (1.0, j, "ppv"), (j, 1.0, "npv")):
+                    assert 10.0 ** -k < youden_exact(a, b) < 10.0 ** (1 - k), (a, b)
+                    phi = (_closed._positive_side if curve == "ppv" else _closed._negative_side)(a, b)[0]
+                    exact = curvature_argmax_exact(a, b, curve, digits=80)
+                    assert abs(phi - exact) <= 2**-51 * phi, (a, b, curve)
+                    checked += 1
+        assert checked == 112
 
 
 class TestCurvatureAt:
@@ -432,13 +454,13 @@ class TestCurvatureArgmax:
 
     def test_nan_at_phi_one_is_the_argmax_without_warning(self):
         # At sensitivity 1e-200 the kernel raises at the last grid point,
-        # where u**3 underflows, and the scan reads NaN there. The full
-        # scan takes the first NaN as its argmax, so the bracket ends at 1,
-        # with no exception or warning.
+        # where u**3 underflows, and the CSV column reads NaN there. The full
+        # scan takes the first point where it raises as its argmax, so the
+        # bracket ends at 1, with no exception or warning.
         args = scan_args(1e-200, 0.5, Curve.PPV)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isnan(thresholds._kappa_column(args[0], [1.0])[0])
+            assert math.isnan(dataio._kappa_column(args[0], [1.0])[0])
             assert thresholds._curvature_bracket(*args) == (GRID[-2], 1.0)
             r = curvature_argmax(DiagnosticProfile(1e-200, 0.5), Curve.PPV)
         assert (repr(float(r.phi)), repr(float(r.metric_value))) == ("0.9999999999565161", "4.599405238288206e-190")
@@ -606,7 +628,7 @@ class TestCurvatureBracket:
 
     def test_grid_values_stay_within_a_hundredth_of_the_margin_of_exact_values(self):
         # The certificate needs the kernel's float values to stay far inside
-        # _TIE_MARGIN of the exact curvature wherever the climb runs.
+        # _TIE_MARGIN of the exact curvature where it compares them.
         with mpmath.workdps(50):
             n = len(GRID) - 1
             curves, worst = 0, mpmath.mpf(0)
@@ -617,8 +639,8 @@ class TestCurvatureBracket:
                         continue
                     mp, mq = mpmath.mpf(p), mpmath.mpf(q)
                     k = mp * mq
-                    # 22 spread grid points, and the climb's last three, where
-                    # the certificate compares its values.
+                    # 22 spread grid points, and the three whose values the
+                    # certificate compares.
                     j = thresholds._certified_argmax(*args)
                     if j is None:
                         j = numpy_scan_argmax(a, b, curve)
@@ -651,7 +673,8 @@ class TestCurvatureBracket:
         assert served >= 0.999 * curves, (served, curves)
 
     def test_closed_form_start_is_the_full_scan_argmax_or_a_neighbour(self):
-        # A start off the peak still gives the right bracket, only after a longer climb.
+        # The closed-form grid point is the argmax or, where the peak lies near
+        # a grid midpoint, a neighbour of it, which the certificate declines.
         rng = random.Random(25)
         n = len(GRID) - 1
         worst = 0
@@ -672,6 +695,7 @@ class TestCurvatureBracket:
             (0.6, 0.401),  # a broad peak: neighbours within 1e-13 of the maximum
             (1e-200, 0.5),  # u**3 underflows to 0 at phi = 1, where the kernel raises
             (2e-104, 0.999),  # finite everywhere, but u**3 is subnormal at phi = 1
+            (1e-90, 0.0),  # the peak lies within a grid step of phi = 1: the argmax is 9999, not 10000
         ],
     )
     def test_fallback_serves_near_degenerate_and_tiny_profiles(self, a, b):
@@ -680,10 +704,13 @@ class TestCurvatureBracket:
         assert thresholds._curvature_bracket(*args) == full_scan_bracket(a, b, Curve.PPV)
 
     def test_python_path_serves_a_tiny_rate_whose_intermediates_are_normal(self):
-        # At phi = 1, u = 1e-90: u**3, the slope 1e90 and its 1.5th power
-        # term 1e270 are normal floats, so the certificate holds.
-        args = scan_args(1e-90, 0.0, Curve.PPV)
-        assert thresholds._certified_argmax(*args) == full_scan_argmax(1e-90, 0.0, Curve.PPV) == len(GRID) - 2
+        # Sensitivity 1e-8 and specificity one ulp below 1 give the PPV curve p = 1e-8 and
+        # q = 2**-53, so u**3 falls to 1.4e-48 at phi = 0 and the slope reaches 9e7 there.
+        # Every intermediate is a normal float, and the peak lies at the closed-form grid
+        # point 1, so the certificate holds.
+        a, b = 1e-8, 1.0 - 2**-53
+        args = scan_args(a, b, Curve.PPV)
+        assert thresholds._certified_argmax(*args) == full_scan_argmax(a, b, Curve.PPV) == 1
 
     def test_python_path_declines_a_near_tie(self):
         # An interior profile whose peak lies almost halfway between two
@@ -700,9 +727,9 @@ class TestCurvatureBracket:
     @pytest.mark.parametrize("start", ["-300", "-3", "+3", "+300", "zero", "n", "swapped"])
     @pytest.mark.parametrize("a, b, curve", [(0.9, 0.95, Curve.PPV), (0.9, 0.95, Curve.NPV), (0.31, 0.88, Curve.PPV)])
     def test_misplaced_start_still_gives_the_full_scan(self, monkeypatch, start, a, b, curve):
-        # The closed-form start only saves steps: from a start away from the
-        # peak the search climbs the grid back to it, so the oracle's answer
-        # does not depend on the formula it checks.
+        # The closed form only names the grid point checked first: a point away
+        # from the peak is not certified and the full scan decides, so the
+        # oracle's answer does not depend on the formula it checks.
         profile = DiagnosticProfile(a, b)
         args = _, p, q = scan_args(a, b, curve)
         n = len(GRID) - 1
@@ -711,7 +738,7 @@ class TestCurvatureBracket:
         j = starts[start] if start in starts else round(radical(p, q) * n) + int(start)
         expected = thresholds.curvature_argmax(profile, curve)
         monkeypatch.setattr(thresholds, "_radical_split", lambda p, q: j / n)
-        assert thresholds._certified_argmax(*args) == full_scan_argmax(a, b, curve)
+        assert thresholds._certified_argmax(*args) is None
         assert thresholds._curvature_bracket(*args) == full_scan_bracket(a, b, curve)
         assert repr(thresholds.curvature_argmax(profile, curve)) == repr(expected)
 
